@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .data import PricePanel
-from .static import build_rolled_series
+from .static import RolledSeries
 
 __all__ = [
     "RegressionResult",
@@ -126,7 +125,7 @@ def ols_regression(x, y) -> RegressionResult:
     intercept_se = np.sqrt(s2 * (1.0 / n + x_mean**2 / sxx))
     return RegressionResult(
         slope=slope,
-        intercept=intercept,
+        intercept=float(intercept),
         slope_se=float(slope_se),
         intercept_se=float(intercept_se),
         r2=r2,
@@ -135,39 +134,39 @@ def ols_regression(x, y) -> RegressionResult:
     )
 
 
-def _rank_and_spot_returns(panel: PricePanel, rank: int, h: int):
-    rolled = build_rolled_series(panel, rank).values
-    return holding_period_returns(panel.spot, h), holding_period_returns(rolled, h)
-
-
-def slope_table(panel: PricePanel, holding_periods, ranks) -> SlopeTable:
+def slope_table(spot, rolled, holding_periods) -> SlopeTable:
     """Grid of futures-return-on-spot-return regression slopes and R^2
-    values by holding period and maturity rank."""
+    values by holding period and maturity rank.
+
+    ``rolled`` holds one rolled series per maturity rank, each over the
+    days of ``spot``.
+    """
     holding_periods = tuple(holding_periods)
-    ranks = tuple(ranks)
-    slopes = np.empty((len(holding_periods), len(ranks)))
+    rolled = tuple(rolled)
+    slopes = np.empty((len(holding_periods), len(rolled)))
     r2s = np.empty_like(slopes)
     for i, h in enumerate(holding_periods):
-        for k, rank in enumerate(ranks):
-            x, y = _rank_and_spot_returns(panel, rank, h)
-            res = ols_regression(x, y)
+        x = holding_period_returns(spot, h)
+        for k, series in enumerate(rolled):
+            res = ols_regression(x, holding_period_returns(series.values, h))
             slopes[i, k] = res.slope
             r2s[i, k] = res.r2
+    ranks = tuple(series.maturity_rank for series in rolled)
     return SlopeTable(holding_periods, ranks, slopes, r2s)
 
 
-def intercept_curve(panel: PricePanel, rank: int, horizons) -> InterceptCurve:
+def intercept_curve(spot, rolled: RolledSeries, horizons) -> InterceptCurve:
     """Regression intercept (with standard error) per holding period for
-    a rolling position in one maturity rank."""
+    a rolling position in one maturity rank, over the days of ``spot``."""
     horizons = tuple(horizons)
     intercepts = np.empty(len(horizons))
     ses = np.empty(len(horizons))
     for i, h in enumerate(horizons):
-        x, y = _rank_and_spot_returns(panel, rank, h)
-        res = ols_regression(x, y)
+        x = holding_period_returns(spot, h)
+        res = ols_regression(x, holding_period_returns(rolled.values, h))
         intercepts[i] = res.intercept
         ses[i] = res.intercept_se
-    return InterceptCurve(rank, horizons, intercepts, ses)
+    return InterceptCurve(rolled.maturity_rank, horizons, intercepts, ses)
 
 
 def scatter_report(portfolio_returns, index_returns) -> ScatterReport:

@@ -321,7 +321,7 @@ def mle_fit(
     )
     return MLEReport(
         params=HistoricalParams(mu=float(mu), theta=float(theta), sigma=float(sigma)),
-        avg_loglik=-best_fun,
+        avg_loglik=-float(best_fun),
         iterations=total_iter,
         converged=bool(any_converged and not at_bound),
         start=init,

@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import intercept_curve, ols_regression, scatter_report, slope_table
+from .analytics import (
+    holding_period_returns,
+    intercept_curve,
+    ols_regression,
+    scatter_report,
+    slope_table,
+)
 from .calibrate import mle_fit, mom_fit
 from .data import load_panel, panel_from_simulation
 from .dynamic import TrackingConfig, dynamic_strategy
@@ -44,6 +50,7 @@ from .simulate import (
     vxx_strategy,
 )
 from .static import (
+    build_rolled_series,
     price_tracking_portfolio,
     results_table,
     return_tracking_portfolio,
@@ -242,16 +249,29 @@ def cmd_backtest_static(args) -> int:
     fit = (
         price_tracking_portfolio if args.mode == "price" else return_tracking_portfolio
     )
+    subsets = _parse_subsets(args.subsets)
+    # each rank is rolled once over the whole panel; a rank that cannot
+    # be built fails every subset holding it, with the build's message
+    rolled, unbuilt = {}, {}
+    for rank in dict.fromkeys(r for subset in subsets for r in subset):
+        try:
+            rolled[rank] = build_rolled_series(panel, rank)
+        except (DataError, ValueError) as exc:
+            unbuilt[rank] = str(exc)
     results = {}
     n_failed = 0
-    for subset in _parse_subsets(args.subsets):
+    for subset in subsets:
         label = ",".join(f"{r}-m" for r in subset)
-        try:
-            results[label] = fit(panel, subset, boundary)
-        except (DegenerateProblemError, DataError, ValueError) as exc:
-            results[label] = str(exc)
+        error = next((unbuilt[r] for r in subset if r in unbuilt), None)
+        if error is None:
+            try:
+                results[label] = fit(panel, [rolled[r] for r in subset], boundary)
+            except (DegenerateProblemError, DataError, ValueError) as exc:
+                error = str(exc)
+        if error is not None:
+            results[label] = error
             n_failed += 1
-            print(f"subset {label} failed: {exc}", file=sys.stderr)
+            print(f"subset {label} failed: {error}", file=sys.stderr)
     name = f"static_{args.mode}.tsv"
     _emit(manifest, out_dir, name, results_table(results))
     manifest.config["n_failed_subsets"] = n_failed
@@ -315,15 +335,16 @@ def cmd_simulate(args) -> int:
         label = _scenario_label(mult)
         index_norm = 100.0 * path.values / path.values[0]
         lines = ["day\tindex\tvxx\tdynamic"]
-        for j in range(panel.n_days):
-            lines.append(
-                f"{j}\t{index_norm[j]!r}\t{vxx.wealth[j]!r}\t{dyn.wealth[j]!r}"
-            )
+        columns = zip(index_norm.tolist(), vxx.wealth.tolist(), dyn.wealth.tolist())
+        for j, (idx, v, d) in enumerate(columns):
+            lines.append(f"{j}\t{idx!r}\t{v!r}\t{d!r}")
         _emit(manifest, out_dir, f"wealth_{label}.tsv", "\n".join(lines) + "\n")
 
         lines = ["day\tdynamic_w1\tvxx_w1"]
         for j in range(panel.n_days - 1):
-            lines.append(f"{j}\t{dyn.weights[j][0]!r}\t{vxx.weights[j][0]!r}")
+            lines.append(
+                f"{j}\t{float(dyn.weights[j][0])!r}\t{float(vxx.weights[j][0])!r}"
+            )
         _emit(manifest, out_dir, f"weights_{label}.tsv", "\n".join(lines) + "\n")
 
         idx_ret = path.values[1:] / path.values[:-1] - 1.0
@@ -340,7 +361,7 @@ def cmd_simulate(args) -> int:
         _emit(manifest, out_dir, f"scatter_{label}.tsv", "\n".join(rows) + "\n")
 
         pairs = ["index_return\tportfolio_return"]
-        pairs += [f"{x!r}\t{y!r}" for x, y in zip(idx_ret, dyn.returns)]
+        pairs += [f"{x!r}\t{y!r}" for x, y in zip(idx_ret.tolist(), dyn.returns.tolist())]
         _emit(manifest, out_dir, f"scatter_points_{label}.tsv", "\n".join(pairs) + "\n")
     manifest.write(out_dir)
     print(f"simulated {len(mults)} scenarios over {cycles} cycles -> {out_dir}")
@@ -369,39 +390,40 @@ def cmd_regress(args) -> int:
     ranks = tuple(int(v) for v in args.ranks.split(","))
     horizons = tuple(int(v) for v in args.horizons.split(","))
 
-    from .static import build_rolled_series  # local import keeps module load light
-
+    rolled = [build_rolled_series(panel, rank) for rank in ranks]
+    x = holding_period_returns(panel.spot, 1)
+    daily = [holding_period_returns(series.values, 1) for series in rolled]
+    fits = [ols_regression(x, y) for y in daily]
     lines = ["futures\tslope\tintercept\tslope_se\tintercept_se\tr2\trmse\tn"]
-    for rank in ranks:
-        rolled = build_rolled_series(panel, rank).values
-        x = panel.spot[1:] / panel.spot[:-1] - 1.0
-        y = rolled[1:] / rolled[:-1] - 1.0
-        res = ols_regression(x, y)
+    for rank, res in zip(ranks, fits):
         lines.append(
             f"{rank}-m\t{res.slope:.4f}\t{res.intercept:.3e}\t{res.slope_se:.3e}"
             f"\t{res.intercept_se:.3e}\t{res.r2:.4f}\t{res.rmse:.4f}\t{res.n}"
         )
     _emit(manifest, out_dir, "one_day_regressions.tsv", "\n".join(lines) + "\n")
 
-    table = slope_table(panel, horizons, ranks)
+    table = slope_table(panel.spot, rolled, horizons)
     _emit(manifest, out_dir, "holding_period_table.tsv", table.to_text())
 
-    for rank in ranks[: min(len(ranks), 3)]:
-        curve = intercept_curve(panel, rank, range(1, args.max_horizon + 1))
+    for series in rolled[:3]:
+        curve = intercept_curve(panel.spot, series, range(1, args.max_horizon + 1))
         lines = ["horizon\tintercept\tintercept_se"]
         lines += [
             f"{h}\t{a!r}\t{s!r}"
-            for h, a, s in zip(curve.horizons, curve.intercepts, curve.std_errors)
+            for h, a, s in zip(
+                curve.horizons, curve.intercepts.tolist(), curve.std_errors.tolist()
+            )
         ]
-        _emit(manifest, out_dir, f"intercepts_{rank}m.tsv", "\n".join(lines) + "\n")
+        _emit(
+            manifest, out_dir, f"intercepts_{series.maturity_rank}m.tsv",
+            "\n".join(lines) + "\n",
+        )
 
-    rolled = build_rolled_series(panel, ranks[0]).values
-    x = panel.spot[1:] / panel.spot[:-1] - 1.0
-    y = rolled[1:] / rolled[:-1] - 1.0
-    res = ols_regression(x, y)
+    res = fits[0]
     lines = ["spot_return\tfutures_return\tfit"]
     lines += [
-        f"{xi!r}\t{yi!r}\t{res.intercept + res.slope * xi!r}" for xi, yi in zip(x, y)
+        f"{xi!r}\t{yi!r}\t{res.intercept + res.slope * xi!r}"
+        for xi, yi in zip(x.tolist(), daily[0].tolist())
     ]
     _emit(manifest, out_dir, f"scatter_{ranks[0]}m_1d.tsv", "\n".join(lines) + "\n")
     manifest.write(out_dir)

@@ -3,7 +3,12 @@
 A "rolled series" is the dollar value of perpetually holding one
 maturity rank: units stay constant between rolls, and at each roll the
 full proceeds buy the contract that now occupies the rank, so the
-position is self-financing throughout.
+position is self-financing throughout.  A roll must move into the next
+contract by expiry after the held one; anything else is a quote gap.
+The series is built from a dense days x contracts view of the panel,
+with Python work only at roll events, and a run builds each rank once:
+in-sample and out-of-sample windows read slices of the full-window
+series, rebased to 100 on their first day.
 
 The tracking portfolios solve
 
@@ -84,6 +89,35 @@ class StaticWeights:
 _SETTLEMENT_WINDOW = 3.0 / 252.0
 
 
+def _dense_view(panel: PricePanel):
+    """(ids, prices, ttms) of ``panel`` with one column per contract.
+
+    Columns follow the order in which contracts first appear in the
+    expiry-sorted daily rows, which is expiry order; a contract absent
+    from a day's row is NaN there.
+    """
+    flat_ids = np.concatenate(panel.contract_ids)
+    _, first, inverse = np.unique(flat_ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    col_of = np.empty(order.size, dtype=np.intp)
+    col_of[order] = np.arange(order.size)
+    cols = col_of[inverse.ravel()]
+    rows = np.repeat(
+        np.arange(panel.n_days), [ids.size for ids in panel.contract_ids]
+    )
+    disordered = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))
+    if disordered.size:
+        raise DataError(
+            f"contracts on day {rows[disordered[0]]} are not in the expiry "
+            "order of the panel's other days"
+        )
+    prices = np.full((panel.n_days, order.size), np.nan)
+    prices[rows, cols] = np.concatenate(panel.prices)
+    ttms = np.full_like(prices, np.nan)
+    ttms[rows, cols] = np.concatenate(panel.ttms)
+    return flat_ids[first[order]], prices, ttms
+
+
 def build_rolled_series(panel: PricePanel, rank: int, x0: float = 100.0) -> RolledSeries:
     """Value of a constant position in maturity rank ``rank``.
 
@@ -93,70 +127,96 @@ def build_rolled_series(panel: PricePanel, rank: int, x0: float = 100.0) -> Roll
     now occupying the rank, keeping the value unchanged.  When the held
     contract's quotes stop before its settlement day (common in
     ingested data), the roll happens on its last quoted day instead.
+    Either way the new contract must be the next one by expiry after
+    the held one, and it must be quoted on the roll day.
+
+    Raises
+    ------
+    DataError
+        If the rank is missing on a day before the last, the rank skips
+        a contract, the held contract's quotes stop far from its
+        settlement, or a contract it needs has no quote.
     """
     if x0 <= 0:
         raise ValueError(f"x0 must be positive, got {x0}")
+    ids, prices, ttms = _dense_view(panel)
     n = panel.n_days
+    # the rank is looked up on every day a roll can happen: all but the last
+    tradable = ttms[: max(n - 1, 1)] > 0
+    short = np.flatnonzero(tradable.sum(axis=1) < rank)
+    if rank < 1 or short.size:
+        day = short[0] if short.size else 0
+        raise DataError(f"rank {rank} not available on day {day}")
+    rank_col = np.argmax(np.cumsum(tradable, axis=1) == rank, axis=1)
+    held = rank_col[0]
+    rank_col = rank_col[: n - 1]
+    quoted = ~np.isnan(prices)
+
     values = np.empty(n)
     values[0] = x0
-    held = panel.rank_id(0, rank)
-    units = x0 / panel.price_of(0, held)
-    for j in range(n):
-        if j > 0:
-            px = panel.price_of(j, held)
-            if px is None:
-                raise DataError(f"held contract {held} has no quote on day {j}")
-            values[j] = units * px
-        if j == n - 1:
-            break
-        current = panel.rank_id(j, rank)
-        target = None
-        if current != held:
-            # ranks shifted: this must be a cycle boundary, so the new
-            # occupant has to be yesterday's next-rank contract
-            expected = panel.rank_id(j - 1, rank + 1)
-            if current != expected:
+    units = x0 / prices[0, held]
+    opened = 0  # day the position in ``held`` was opened
+    scan = 0  # first day that can roll it
+    while True:
+        # a roll happens on the first day the rank moves off the held
+        # contract or the held contract has no quote the next day
+        due = (rank_col[scan:] != held) | ~quoted[scan + 1 :, held]
+        roll = scan + int(np.argmax(due)) if due.any() else None
+        stop = n if roll is None else roll + 1
+        marks = prices[opened + 1 : stop, held]
+        if np.isnan(marks).any():
+            day = opened + 1 + int(np.argmax(np.isnan(marks)))
+            raise DataError(f"held contract {ids[held]} has no quote on day {day}")
+        values[opened + 1 : stop] = units * marks
+        if roll is None:
+            return RolledSeries(maturity_rank=rank, values=values)
+        target = held + 1  # the next contract by expiry
+        if rank_col[roll] != held:
+            if rank_col[roll] != target:
                 raise DataError(
-                    f"rank {rank} jumped to {current} on day {j} "
-                    f"(expected {expected}); quote gap in the panel"
+                    f"rank {rank} moved from {ids[held]} to {ids[rank_col[roll]]} "
+                    f"on day {roll}, not to the next contract by expiry; "
+                    "quote gap in the panel"
                 )
-            target = current
-        elif panel.price_of(j + 1, held) is None:
-            hits = np.flatnonzero(panel.contract_ids[j] == held)
-            if float(panel.ttms[j][hits[0]]) > _SETTLEMENT_WINDOW:
-                raise DataError(
-                    f"held contract {held} has no quote on day {j + 1} "
-                    f"but is far from settlement; quote gap in the panel"
-                )
-            # last quote before settlement: roll early into the contract
-            # that takes over the rank tomorrow
-            target = panel.rank_id(j, rank + 1)
-        if target is not None:
-            px = panel.price_of(j, target)
-            if px is None:
-                raise DataError(f"roll target {target} has no quote on day {j}")
-            units = values[j] / px
-            held = target
-    return RolledSeries(maturity_rank=rank, values=values)
+        elif ttms[roll, held] > _SETTLEMENT_WINDOW:
+            raise DataError(
+                f"held contract {ids[held]} has no quote on day {roll + 1} "
+                f"but is far from settlement; quote gap in the panel"
+            )
+        if target == ids.size or not quoted[roll, target]:
+            raise DataError(
+                f"no quote on day {roll} for the contract after {ids[held]}, "
+                "which the position rolls into"
+            )
+        units = values[roll] / prices[roll, target]
+        held = target
+        opened = roll
+        scan = roll + 1
 
 
 def build_design_matrix(
-    panel: PricePanel, ranks, mode: str = "price"
+    panel: PricePanel, rolled, mode: str = "price", days: slice = slice(None)
 ) -> DesignMatrix:
-    """Assemble the money-market column plus one rolled series per rank.
+    """Assemble the money-market column plus one column per rolled
+    series, over the panel days selected by ``days``.
 
-    ``mode="price"`` uses dollar values normalized to 100 at the first
-    day; ``mode="return"`` uses daily simple returns.
+    ``rolled`` holds series built on ``panel``.  ``mode="price"`` uses
+    dollar values rebased to 100 on the window's first day;
+    ``mode="return"`` uses their daily simple returns.
     """
     if mode not in ("price", "return"):
         raise ValueError(f"mode must be 'price' or 'return', got {mode!r}")
-    ranks = tuple(ranks)
-    cols = [normalize_to_100(panel.mm_value)]
+    cols = [normalize_to_100(panel.mm_value[days])]
     labels = ["cash"]
-    for rank in ranks:
-        cols.append(build_rolled_series(panel, rank, x0=100.0).values)
-        labels.append(f"{rank}-m")
-    target = normalize_to_100(panel.spot)
+    for series in rolled:
+        if series.values.size != panel.n_days:
+            raise ValueError(
+                f"{series.maturity_rank}-m series has {series.values.size} days, "
+                f"the panel {panel.n_days}"
+            )
+        cols.append(normalize_to_100(series.values[days]))
+        labels.append(f"{series.maturity_rank}-m")
+    target = normalize_to_100(panel.spot[days])
     if mode == "return":
         cols = [c[1:] / c[:-1] - 1.0 for c in cols]
         target = target[1:] / target[:-1] - 1.0
@@ -215,40 +275,41 @@ def evaluate_rmse(portfolio: np.ndarray, target: np.ndarray) -> float:
 
 def price_tracking_portfolio(
     panel: PricePanel,
-    ranks,
+    rolled,
     boundary,
     renormalize_out: bool = True,
 ) -> StaticWeights:
     """Fit dollar-value tracking weights in-sample and evaluate both
     windows.
 
-    The in-sample window is everything before ``boundary``.  With
+    ``rolled`` holds the rolled series of the portfolio's ranks, built
+    on the whole ``panel``; each window reads a slice of them.  The
+    in-sample window is everything before ``boundary``.  With
     ``renormalize_out`` (the default) the out-of-sample portfolio and
     target are re-based to 100 at the first out-of-sample day;
     otherwise the in-sample normalization is carried through.
     """
-    in_panel, out_panel = split_in_out(panel, boundary)
-    dm_in = build_design_matrix(in_panel, ranks, mode="price")
+    cut = split_in_out(panel, boundary)[0].n_days
+    dm_in = build_design_matrix(panel, rolled, "price", slice(0, cut))
     fitted = solve_constrained_ls(dm_in)
     if renormalize_out:
-        dm_out = build_design_matrix(out_panel, ranks, mode="price")
-        port = dm_out.columns @ fitted.weights
-        out_rmse = evaluate_rmse(port, dm_out.target)
+        dm_out = build_design_matrix(panel, rolled, "price", slice(cut, None))
+        port, target = dm_out.columns @ fitted.weights, dm_out.target
     else:
-        dm_full = build_design_matrix(panel, ranks, mode="price")
-        n_in = in_panel.n_days
-        port = dm_full.columns[n_in:] @ fitted.weights
-        out_rmse = evaluate_rmse(port, dm_full.target[n_in:])
+        dm_full = build_design_matrix(panel, rolled, "price")
+        port, target = dm_full.columns[cut:] @ fitted.weights, dm_full.target[cut:]
+    out_rmse = evaluate_rmse(port, target)
     return StaticWeights(fitted.labels, fitted.weights, fitted.in_rmse, out_rmse)
 
 
-def return_tracking_portfolio(panel: PricePanel, ranks, boundary) -> StaticWeights:
+def return_tracking_portfolio(panel: PricePanel, rolled, boundary) -> StaticWeights:
     """Fit daily-return tracking weights in-sample and evaluate both
-    windows.  RMSE values are reported in percent of daily return."""
-    in_panel, out_panel = split_in_out(panel, boundary)
-    dm_in = build_design_matrix(in_panel, ranks, mode="return")
+    windows.  ``rolled`` is as for :func:`price_tracking_portfolio`.
+    RMSE values are reported in percent of daily return."""
+    cut = split_in_out(panel, boundary)[0].n_days
+    dm_in = build_design_matrix(panel, rolled, "return", slice(0, cut))
     fitted = solve_constrained_ls(dm_in)
-    dm_out = build_design_matrix(out_panel, ranks, mode="return")
+    dm_out = build_design_matrix(panel, rolled, "return", slice(cut, None))
     out_rmse = 100.0 * evaluate_rmse(dm_out.columns @ fitted.weights, dm_out.target)
     return StaticWeights(
         fitted.labels, fitted.weights, 100.0 * fitted.in_rmse, out_rmse

@@ -7,6 +7,7 @@ from vixtrack import (
     LocalVol,
     MarketConfig,
     RiskNeutralParams,
+    build_rolled_series,
     futures_panel_from_path,
     panel_from_simulation,
     simulate_index_path,
@@ -83,6 +84,11 @@ def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None)
         rates=np.full(n_days, r),
         mm_value=np.exp(r * days / 252.0),
     )
+
+
+def rolled(panel, *ranks):
+    """Rolled series of ``ranks`` over the whole panel."""
+    return [build_rolled_series(panel, rank) for rank in ranks]
 
 
 def weekday_dates(start="2021-01-04", n=10):

@@ -1,12 +1,67 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the code paths under test: the
+rolled-series oracle is the per-day loop over string lookups, the
 weight oracle is a brute-force grid scan, the constrained LS oracle is
 a dense bordered KKT solve, and the special-function oracles come from
 mpmath at 40 significant digits.
 """
 
 import numpy as np
+
+from vixtrack import DataError
+
+
+def rolled_series_loop(panel, rank, x0=100.0):
+    """Day-by-day reference for ``build_rolled_series``.
+
+    Walks the panel one day at a time through its string lookups
+    (``rank_id``, ``price_of``), marking the held contract and rolling
+    when the rank moves off it or its quotes stop before settlement.
+    The contract rolled into must be the next one by expiry, taken here
+    from the order in which contracts first appear in the daily rows.
+    """
+    order = {}
+    for ids in panel.contract_ids:
+        for cid in ids:
+            order.setdefault(str(cid), len(order))
+    by_position = list(order)
+
+    def successor(cid):
+        k = order[str(cid)] + 1
+        return by_position[k] if k < len(by_position) else None
+
+    n = panel.n_days
+    values = np.empty(n)
+    values[0] = x0
+    held = panel.rank_id(0, rank)
+    units = x0 / panel.price_of(0, held)
+    for j in range(n):
+        if j > 0:
+            px = panel.price_of(j, held)
+            if px is None:
+                raise DataError(f"held contract {held} has no quote on day {j}")
+            values[j] = units * px
+        if j == n - 1:
+            break
+        current = panel.rank_id(j, rank)
+        target = None
+        if current != held:
+            if current != successor(held):
+                raise DataError(f"rank {rank} jumped to {current} on day {j}")
+            target = current
+        elif panel.price_of(j + 1, held) is None:
+            hits = np.flatnonzero(panel.contract_ids[j] == held)
+            if float(panel.ttms[j][hits[0]]) > 3.0 / 252.0:
+                raise DataError(f"held contract {held} stops far from settlement")
+            target = successor(held)
+        if target is not None:
+            px = panel.price_of(j, target)
+            if px is None:
+                raise DataError(f"roll target {target} has no quote on day {j}")
+            units = values[j] / px
+            held = target
+    return values
 
 
 def grid_min_weight(c, lo=-10.0, hi=10.0, step=1e-4):

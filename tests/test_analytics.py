@@ -5,6 +5,7 @@ import pytest
 
 from vixtrack import (
     HistoricalParams,
+    build_rolled_series,
     holding_period_returns,
     intercept_curve,
     ols_regression,
@@ -12,7 +13,7 @@ from vixtrack import (
     slope_table,
 )
 
-from conftest import grid_panel, make_sim_panels
+from conftest import grid_panel, make_sim_panels, rolled
 
 
 def positive_walk(n, seed, level=20.0, vol=0.02):
@@ -120,7 +121,7 @@ class TestSlopeTable:
         panel = grid_panel(
             lambda j, k: (1.0 + 0.1 * k) * factor[j], n_days=130, spot=spot
         )
-        table = slope_table(panel, holding_periods=[1], ranks=[1, 2, 3])
+        table = slope_table(panel.spot, rolled(panel, 1, 2, 3), holding_periods=[1])
         assert np.allclose(table.slopes, a, atol=1e-12)
         assert np.allclose(table.r2s, 1.0, atol=1e-12)
         text = table.to_text()
@@ -128,7 +129,7 @@ class TestSlopeTable:
 
     def test_slopes_decline_with_maturity_on_simulated_market(self):
         _, panel, _, _, _, _ = make_sim_panels(cycles=6, seed=15, extra_contracts=5)
-        table = slope_table(panel, holding_periods=[1], ranks=[1, 2, 3, 4])
+        table = slope_table(panel.spot, rolled(panel, 1, 2, 3, 4), holding_periods=[1])
         assert np.all(np.diff(table.slopes[0]) < 0)
 
 
@@ -136,7 +137,9 @@ class TestInterceptCurve:
     def test_identical_dynamics_give_zero_intercepts(self):
         spot = positive_walk(150, 8)
         panel = grid_panel(lambda j, k: 1.5 * spot[j], n_days=150, spot=spot)
-        curve = intercept_curve(panel, rank=1, horizons=range(1, 11))
+        curve = intercept_curve(
+            panel.spot, build_rolled_series(panel, 1), horizons=range(1, 11)
+        )
         assert np.allclose(curve.intercepts, 0.0, atol=1e-12)
 
     def test_null_market_intercepts_statistically_zero(self):
@@ -146,7 +149,9 @@ class TestInterceptCurve:
         panel = grid_panel(
             lambda j, k: 2.0 * spot[j] * noise[j, k], n_days=400, spot=spot
         )
-        curve = intercept_curve(panel, rank=1, horizons=range(1, 11))
+        curve = intercept_curve(
+            panel.spot, build_rolled_series(panel, 1), horizons=range(1, 11)
+        )
         assert np.all(np.abs(curve.intercepts) <= 3.0 * curve.std_errors)
 
     def test_contango_market_has_negative_intercepts(self):
@@ -156,7 +161,9 @@ class TestInterceptCurve:
         _, panel, _, _, _, _ = make_sim_panels(
             cycles=6, seed=3, s0=13.0, hist=hist, r=0.0, extra_contracts=2
         )
-        curve = intercept_curve(panel, rank=1, horizons=range(1, 11))
+        curve = intercept_curve(
+            panel.spot, build_rolled_series(panel, 1), horizons=range(1, 11)
+        )
         assert np.all(curve.intercepts < 0.0)
 
 

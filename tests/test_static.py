@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vixtrack import (
     DataError,
@@ -9,12 +10,14 @@ from vixtrack import (
     build_design_matrix,
     build_rolled_series,
     evaluate_rmse,
+    load_panel,
+    normalize_to_100,
     price_tracking_portfolio,
     return_tracking_portfolio,
     solve_constrained_ls,
 )
 
-from conftest import grid_panel, make_sim_panels
+from conftest import grid_panel, make_sim_panels, rolled, write_quote_files
 import oracles
 
 
@@ -66,6 +69,134 @@ class TestRolledSeries:
         panel = grid_panel(lambda j, k: 25.0, n_days=30, n_contracts=2)
         with pytest.raises(DataError):
             build_rolled_series(panel, rank=5)
+
+
+def available_ranks(panel):
+    """Ranks present on every day that can roll (all but the last)."""
+    days = range(max(panel.n_days - 1, 1))
+    return range(1, min(panel.n_tradable(j) for j in days) + 1)
+
+
+def drop_quote(panel, day, contract):
+    keep = panel.contract_ids[day] != contract
+    panel.contract_ids[day] = panel.contract_ids[day][keep]
+    panel.ttms[day] = panel.ttms[day][keep]
+    panel.prices[day] = panel.prices[day][keep]
+
+
+def noisy_grid_panel(seed, n_days, drop_settling=False):
+    """Grid panel with independent prices per day and contract;
+    optionally without any contract's quote on its settlement day, so
+    the front rank rolls a day early."""
+    noise = np.random.default_rng(seed).uniform(0.8, 1.2, size=(n_days, 30))
+    panel = grid_panel(lambda j, k: (20.0 + k) * noise[j, k], n_days=n_days)
+    if drop_settling:
+        for day in range(21, n_days, 21):
+            drop_quote(panel, day, panel.contract_ids[day][0])
+    return panel
+
+
+class TestRolledSeriesOracle:
+    """The vectorized build against the per-day loop of oracles.py."""
+
+    def assert_matches_loop(self, panel):
+        ranks = available_ranks(panel)
+        assert len(ranks) >= 2
+        for rank in ranks:
+            want = oracles.rolled_series_loop(panel, rank)
+            got = build_rolled_series(panel, rank).values
+            assert np.array_equal(got, want), f"rank {rank}"
+
+    def test_simulated_panels(self):
+        for seed in (1, 2):
+            _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=seed, extra_contracts=5)
+            self.assert_matches_loop(panel)
+
+    def test_grid_panels(self):
+        self.assert_matches_loop(noisy_grid_panel(4, n_days=150))
+
+    def test_grid_panel_rolling_early(self):
+        panel = noisy_grid_panel(5, n_days=90, drop_settling=True)
+        self.assert_matches_loop(panel)
+        on_time = build_rolled_series(noisy_grid_panel(5, n_days=90), 1).values
+        early = build_rolled_series(panel, 1).values
+        assert np.array_equal(early[:21], on_time[:21])
+        assert early[21] != on_time[21]
+
+    def test_loaded_panel_every_kept_rank(self, tmp_path):
+        write_quote_files(tmp_path, n_days=200, seed=3)
+        panel = load_panel(tmp_path, n_ranks=7)
+        assert list(available_ranks(panel)) == list(range(1, 8))
+        self.assert_matches_loop(panel)
+
+    def test_last_kept_rank_rolls_as_in_a_wider_panel(self, tmp_path):
+        write_quote_files(tmp_path, n_days=200, seed=3)
+        narrow = build_rolled_series(load_panel(tmp_path, n_ranks=7), 7)
+        wide = build_rolled_series(load_panel(tmp_path, n_ranks=8), 7)
+        assert np.array_equal(narrow.values, wide.values)
+
+    @pytest.mark.parametrize("build", [build_rolled_series, oracles.rolled_series_loop])
+    @pytest.mark.parametrize(
+        "case, rank",
+        [
+            ("new front unquoted on the roll day", 1),
+            ("nearer contract unquoted on the roll day", 3),
+            ("new contract unquoted from the day after the roll", 1),
+            ("rank missing", 5),
+            ("quotes stop far from settlement", 1),
+            ("early-roll target unquoted", 1),
+        ],
+    )
+    def test_data_gaps_raise(self, build, case, rank):
+        n_contracts = 2 if case == "rank missing" else None
+        panel = grid_panel(lambda j, k: 25.0, n_days=30, n_contracts=n_contracts)
+        if case in (
+            "new front unquoted on the roll day",
+            "nearer contract unquoted on the roll day",
+        ):
+            drop_quote(panel, 21, "K02")
+        elif case == "new contract unquoted from the day after the roll":
+            for day in range(22, 30):
+                drop_quote(panel, day, "K02")
+        elif case == "quotes stop far from settlement":
+            for day in range(10, 22):
+                drop_quote(panel, day, "K01")
+        elif case == "early-roll target unquoted":
+            drop_quote(panel, 21, "K01")
+            drop_quote(panel, 20, "K02")
+        with pytest.raises(DataError):
+            build(panel, rank)
+
+    def test_rows_out_of_expiry_order_rejected(self):
+        panel = grid_panel(lambda j, k: 25.0, n_days=30)
+        for rows in (panel.contract_ids, panel.ttms, panel.prices):
+            rows[5] = rows[5][::-1]
+        with pytest.raises(DataError, match="expiry order"):
+            build_rolled_series(panel, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    rank=st.integers(1, 3),
+    start=st.integers(0, 100),
+    length=st.integers(2, 60),
+    drop_settling=st.booleans(),
+)
+@example(seed=0, rank=1, start=21, length=30, drop_settling=False)  # opens on a roll day
+@example(seed=0, rank=2, start=21, length=22, drop_settling=False)  # opens and closes on one
+@example(seed=0, rank=1, start=20, length=30, drop_settling=True)  # opens on an early roll
+@example(seed=0, rank=3, start=0, length=43, drop_settling=True)  # closes on a roll day
+def test_slicing_then_rolling_equals_rolling_then_rebasing(
+    seed, rank, start, length, drop_settling
+):
+    panel = noisy_grid_panel(seed, n_days=160, drop_settling=drop_settling)
+    stop = start + length
+    full = build_rolled_series(panel, rank).values
+    window = build_rolled_series(panel.slice(start, stop), rank).values
+    np.testing.assert_allclose(
+        window, normalize_to_100(full[start:stop]), rtol=1e-12, atol=0.0
+    )
 
 
 class TestConstrainedLS:
@@ -145,12 +276,12 @@ class TestTrackingPortfolios:
         r1 = build_rolled_series(panel, 1).values
         r2 = build_rolled_series(panel, 2).values
         panel.spot = 0.31 * (0.6 * r1 + 0.4 * r2)  # scale is irrelevant
-        res = price_tracking_portfolio(panel, (1, 2), boundary=63)
+        res = price_tracking_portfolio(panel, rolled(panel, 1, 2), boundary=63)
         assert np.allclose(res.weights, [0.0, 0.6, 0.4], atol=1e-8)
         assert res.in_rmse < 1e-8
         # carrying the in-sample units through the boundary reproduces the
         # target exactly; a fresh 100-rebased allocation does not
-        held = price_tracking_portfolio(panel, (1, 2), 63, renormalize_out=False)
+        held = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=False)
         assert held.out_rmse < 1e-8
 
     def test_constant_target_is_all_cash(self):
@@ -158,7 +289,7 @@ class TestTrackingPortfolios:
             lambda j, k: 20.0 + 2.0 * np.sin(0.3 * j + k), n_days=63, r=0.0,
             spot=np.full(63, 47.0),
         )
-        res = price_tracking_portfolio(panel, (1,), boundary=42)
+        res = price_tracking_portfolio(panel, rolled(panel, 1), boundary=42)
         assert res.w0 == pytest.approx(1.0, abs=1e-10)
         assert abs(res.weights[1]) < 1e-10
 
@@ -174,20 +305,20 @@ class TestTrackingPortfolios:
             )
             spot[j + 1] = spot[j] * (1.0 + ret)
         panel.spot = spot
-        res = return_tracking_portfolio(panel, (1,), boundary=63)
+        res = return_tracking_portfolio(panel, rolled(panel, 1), boundary=63)
         assert np.allclose(res.weights, [-0.5, 1.5], atol=1e-8)
         assert res.in_rmse < 1e-8
 
     def test_target_identical_to_one_column(self):
         _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=5)
         panel.spot = 2.0 * build_rolled_series(panel, 2).values
-        res = return_tracking_portfolio(panel, (1, 2), boundary=63)
+        res = return_tracking_portfolio(panel, rolled(panel, 1, 2), boundary=63)
         assert np.allclose(res.weights, [0.0, 0.0, 1.0], atol=1e-8)
 
     def test_out_normalization_conventions_differ(self):
         _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=44)
-        a = price_tracking_portfolio(panel, (1, 2), 63, renormalize_out=True)
-        b = price_tracking_portfolio(panel, (1, 2), 63, renormalize_out=False)
+        a = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=True)
+        b = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=False)
         assert np.allclose(a.weights, b.weights)
         assert a.out_rmse != b.out_rmse
 
@@ -208,7 +339,7 @@ class TestRmse:
 class TestDesignMatrix:
     def test_price_mode_normalized_to_100(self):
         _, panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
-        dm = build_design_matrix(panel, (1, 2), mode="price")
+        dm = build_design_matrix(panel, rolled(panel, 1, 2), mode="price")
         assert np.allclose(dm.columns[0], 100.0)
         assert dm.target[0] == pytest.approx(100.0)
         assert dm.labels == ("cash", "1-m", "2-m")
@@ -216,4 +347,4 @@ class TestDesignMatrix:
     def test_bad_mode_rejected(self):
         _, panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
         with pytest.raises(ValueError):
-            build_design_matrix(panel, (1,), mode="volume")
+            build_design_matrix(panel, rolled(panel, 1), mode="volume")

@@ -25,15 +25,7 @@ from .calibrate import (
     mom_fit,
     mom_loss,
 )
-from .data import (
-    PricePanel,
-    load_panel,
-    normalize_to_100,
-    panel_from_simulation,
-    read_panel,
-    split_in_out,
-    write_panel,
-)
+from .data import PricePanel, load_panel, normalize_to_100, split_in_out
 from .dynamic import (
     TrackingCoefficients,
     TrackingConfig,
@@ -61,7 +53,6 @@ from .model import (
 from .simulate import (
     ContractCalendar,
     DayQuote,
-    FuturesPanel,
     IndexPath,
     PortfolioPath,
     evolve_wealth,

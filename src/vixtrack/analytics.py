@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .static import RolledSeries
 
@@ -177,5 +177,6 @@ def scatter_report(portfolio_returns, index_returns) -> ScatterReport:
         t = 0.0 if res.slope == 1.0 else float("inf")
     else:
         t = (res.slope - 1.0) / res.slope_se
-    p = 2.0 * float(stats.t.sf(abs(t), res.n - 2))
+    # two-sided Student-t tail: stdtr is the t CDF, so this is 2 * sf(|t|)
+    p = 2.0 * float(special.stdtr(res.n - 2, -abs(t)))
     return ScatterReport(regression=res, slope_one_t=t, slope_one_p=p)

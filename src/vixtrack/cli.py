@@ -32,15 +32,15 @@ from .analytics import (
     slope_table,
 )
 from .calibrate import mle_fit, mom_fit
-from .data import load_panel, panel_from_simulation
+from .data import load_panel
 from .dynamic import TrackingConfig, dynamic_strategy
 from .errors import CalibrationError, DataError, DegenerateProblemError
 from .model import (
+    DT,
     HistoricalParams,
     LocalVol,
     MarketConfig,
     RiskNeutralParams,
-    TRADING_DAYS_PER_YEAR,
 )
 from .simulate import (
     ContractCalendar,
@@ -189,7 +189,7 @@ def cmd_calibrate(args) -> int:
         if p.exists():
             manifest.add_input(name, p)
     panel = load_panel(data_dir, window=window, n_ranks=args.n_ranks)
-    mle = mle_fit(panel.spot, dt=1.0 / TRADING_DAYS_PER_YEAR)
+    mle = mle_fit(panel.spot, dt=DT)
     mom = mom_fit(panel.observations())
     diagnostics = {
         "mle_avg_loglik": repr(mle.avg_loglik),
@@ -329,9 +329,9 @@ def cmd_simulate(args) -> int:
     for mult, child in zip(mults, children):
         s0 = mult * hist.theta
         path = simulate_index_path(hist, g, s0, n_days, child)
-        panel = futures_panel_from_path(path, cal, rn)
+        panel = futures_panel_from_path(path, cal, rn, mkt)
         dyn = run_strategy(panel, dynamic_strategy(tracking, cal, hist, rn, g, mkt), 100.0, mkt)
-        vxx = run_strategy(panel, vxx_strategy, 100.0, mkt)
+        vxx = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
         label = _scenario_label(mult)
         index_norm = 100.0 * path.values / path.values[0]
         lines = ["day\tindex\tvxx\tdynamic"]

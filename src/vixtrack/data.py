@@ -1,4 +1,4 @@
-"""Ingestion of spot/futures/rate quote files and panel persistence.
+"""Ingestion of spot/futures/rate quote files into a dense price panel.
 
 Input format: delimited text, one file per instrument family, all with
 the header ``date,code,field,value``:
@@ -9,40 +9,42 @@ the header ``date,code,field,value``:
 * ``rates.csv``   -- rows ``<date>,<code>,rate,<annual rate>``
 * ``etn.csv``     -- optional, rows ``<date>,<code>,close,<price>``
 
-A loaded panel keeps, per trading day, the spot level, the front
-contracts sorted by expiry with their times to maturity (in trading
-years, actual trading-day counts to expiry over 252), the overnight
-rate, and a compounded money-market account value.  The front
-contracts of a day are taken from the ``expiry`` rows: the first
-``n_ranks`` contracts, in expiry order, that expire after that day, so
-rank r is always the r-th contract by expiry.  Days missing the spot,
-the rate, the close of any of those front contracts, or (when
-``etn.csv`` exists) the ETN close are dropped with a logged count.  A
-futures ``close`` row for a contract without an ``expiry`` row is an
-error.
+A :class:`PricePanel` is the one market type of the package, for
+loaded quotes and simulated curves alike: per trading day the spot
+level, the overnight rate and a compounded money-market account, plus
+``n_days x n_contracts`` matrices of futures prices and times to
+maturity (in trading years), one column per contract in expiry order.
+An entry is NaN wherever the contract has no quote that day, so rank r
+on day j is the r-th column with a positive ttm.
+
+A loaded panel keeps, per day, the contract settling that day when it
+is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
+contracts, in expiry order (from the ``expiry`` rows), that expire
+after that day, so rank r is always the r-th contract by expiry.  Its
+ttms are actual trading-day counts to expiry over 252.  Days missing
+the spot, the rate, the close of any of those front contracts, or
+(when ``etn.csv`` exists) the ETN close are dropped with a logged
+count.  A futures ``close`` row for a contract without an ``expiry``
+row is an error.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .model import MarketConfig, TRADING_DAYS_PER_YEAR
-from .simulate import FuturesPanel
+from .model import TRADING_DAYS_PER_YEAR
 
 __all__ = [
     "PricePanel",
     "load_panel",
-    "write_panel",
-    "read_panel",
     "normalize_to_100",
     "split_in_out",
-    "panel_from_simulation",
 ]
 
 log = logging.getLogger(__name__)
@@ -56,67 +58,58 @@ class PricePanel:
     """Date-aligned spot, futures curve, and money-market data.
 
     ``dates`` is either an array of ``datetime64[D]`` (ingested data) or
-    integer day indices (simulated data).  Per-day contract arrays are
-    sorted by expiry and include a contract on its final settlement day
-    (ttm = 0) when a quote exists; ranks count only contracts with
-    ttm > 0.
+    integer day indices (simulated data).  ``contracts`` holds one id
+    per column of ``prices`` and ``ttms``, in expiry order; both
+    matrices are NaN where a contract has no quote.  A contract on its
+    final settlement day (ttm = 0) is included when quoted; ranks count
+    only contracts with ttm > 0.
+
+    Raises
+    ------
+    ValueError
+        If ``prices`` or ``ttms`` is not days x contracts.
+    DataError
+        If a day's quoted ttms decrease from one column to the next,
+        i.e. the columns are not in expiry order.
     """
 
     dates: np.ndarray
     spot: np.ndarray
-    contract_ids: list
-    ttms: list
-    prices: list
+    contracts: np.ndarray
+    prices: np.ndarray
+    ttms: np.ndarray
     rates: np.ndarray
     mm_value: np.ndarray
     etn: np.ndarray | None = None
     n_dropped: int = 0
 
+    def __post_init__(self):
+        shape = (self.spot.size, self.contracts.size)
+        if self.prices.shape != shape or self.ttms.shape != shape:
+            raise ValueError(
+                f"prices {self.prices.shape} and ttms {self.ttms.shape} "
+                f"must be days x contracts {shape}"
+            )
+        # each quoted ttm against the largest quoted ttm to its left
+        before = np.fmax.accumulate(self.ttms, axis=1)[:, :-1]
+        disordered = np.flatnonzero((self.ttms[:, 1:] < before).any(axis=1))
+        if disordered.size:
+            raise DataError(
+                f"contracts on day {disordered[0]} are not in expiry order"
+            )
+
     @property
     def n_days(self) -> int:
         return self.spot.size
-
-    def tradable(self, j: int) -> np.ndarray:
-        """Indices into day ``j``'s contract arrays with ttm > 0."""
-        return np.flatnonzero(self.ttms[j] > 0)
-
-    def n_tradable(self, j: int) -> int:
-        return int(np.count_nonzero(self.ttms[j] > 0))
-
-    def rank_id(self, j: int, rank: int) -> str:
-        tr = self.tradable(j)
-        if rank < 1 or rank > tr.size:
-            raise DataError(f"rank {rank} not available on day {j}")
-        return self.contract_ids[j][tr[rank - 1]]
-
-    def rank_price(self, j: int, rank: int) -> float:
-        tr = self.tradable(j)
-        if rank < 1 or rank > tr.size:
-            raise DataError(f"rank {rank} not available on day {j}")
-        return float(self.prices[j][tr[rank - 1]])
-
-    def rank_ttm(self, j: int, rank: int) -> float:
-        tr = self.tradable(j)
-        if rank < 1 or rank > tr.size:
-            raise DataError(f"rank {rank} not available on day {j}")
-        return float(self.ttms[j][tr[rank - 1]])
-
-    def price_of(self, j: int, contract_id: str):
-        """Quoted price of ``contract_id`` on day ``j`` or None."""
-        ids = self.contract_ids[j]
-        hits = np.flatnonzero(ids == contract_id)
-        if hits.size == 0:
-            return None
-        return float(self.prices[j][hits[0]])
 
     def slice(self, start: int, stop: int) -> "PricePanel":
         """Row-range view [start, stop) as a new panel."""
         return PricePanel(
             dates=self.dates[start:stop],
             spot=self.spot[start:stop],
-            contract_ids=self.contract_ids[start:stop],
-            ttms=self.ttms[start:stop],
+            contracts=self.contracts,
             prices=self.prices[start:stop],
+            ttms=self.ttms[start:stop],
             rates=self.rates[start:stop],
             mm_value=self.mm_value[start:stop],
             etn=None if self.etn is None else self.etn[start:stop],
@@ -127,14 +120,9 @@ class PricePanel:
         """Per-day (spot, [(ttm, price), ...]) pairs over tradable
         contracts, as consumed by the risk-neutral curve fit."""
         out = []
-        for j in range(self.n_days):
-            tr = self.tradable(j)
-            out.append(
-                (
-                    float(self.spot[j]),
-                    [(float(self.ttms[j][i]), float(self.prices[j][i])) for i in tr],
-                )
-            )
+        for spot, ttms, prices in zip(self.spot.tolist(), self.ttms, self.prices):
+            live = ttms > 0
+            out.append((spot, list(zip(ttms[live].tolist(), prices[live].tolist()))))
         return out
 
 
@@ -172,12 +160,6 @@ def _parse_float(path: Path, line_no: int, text: str) -> float:
     if not math.isfinite(v):
         raise DataError(f"{path.name}:{line_no}: non-finite value {text!r}")
     return v
-
-
-def _trading_days_to(date: np.datetime64, expiry: np.datetime64) -> int:
-    """Weekdays d with date < d <= expiry."""
-    one = np.timedelta64(1, "D")
-    return int(np.busday_count(date + one, expiry + one))
 
 
 def load_panel(
@@ -286,7 +268,9 @@ def load_panel(
     first_settling = np.searchsorted(expiries, cand_arr, side="left").tolist()
     first_live = np.searchsorted(expiries, cand_arr, side="right").tolist()
 
-    dates, spot, rows_ids, rows_ttm, rows_px, rates, etn = [], [], [], [], [], [], []
+    dates, spot, rates, etn = [], [], [], []
+    # kept quotes as (row, contract index in by_expiry, price)
+    rows, cols, quoted = [], [], []
     n_dropped = 0
     have_etn = bool(etn_by_date)
     for date, s0, l0 in zip(candidates, first_settling, first_live):
@@ -303,17 +287,14 @@ def load_panel(
         if not usable:
             n_dropped += 1
             continue
-        settling = [(e, c) for e, c in by_expiry[s0:l0] if c in quotes]
-        kept = [(e, c, quotes[c]) for e, c in settling + front]
+        for k in range(s0, l0 + n_ranks):
+            code = by_expiry[k][1]
+            if k >= l0 or code in quotes:
+                rows.append(len(dates))
+                cols.append(k)
+                quoted.append(quotes[code])
         dates.append(date)
         spot.append(spot_by_date[date])
-        rows_ids.append(np.array([c for _, c, _ in kept]))
-        rows_ttm.append(
-            np.array(
-                [_trading_days_to(date, e) / TRADING_DAYS_PER_YEAR for e, _, _ in kept]
-            )
-        )
-        rows_px.append(np.array([p for _, _, p in kept]))
         rates.append(rate)
         etn.append(etn_px)
 
@@ -328,47 +309,28 @@ def load_panel(
         raise DataError("no usable trading days after alignment")
 
     dates_arr = np.array(dates, dtype="datetime64[D]")
+    used, cols = np.unique(np.array(cols, dtype=np.intp), return_inverse=True)
+    prices = np.full((len(dates), used.size), np.nan)
+    prices[rows, cols] = quoted
+    # weekdays d with date < d <= expiry, in trading years
+    one = np.timedelta64(1, "D")
+    ttms = np.busday_count(dates_arr[:, None] + one, expiries[used] + one)
+    ttms = ttms / TRADING_DAYS_PER_YEAR
+    ttms[np.isnan(prices)] = np.nan
     rates_arr = np.array(rates)
-    mm = np.empty(len(dates))
-    mm[0] = 1.0
-    for j in range(len(dates) - 1):
-        gap = (dates_arr[j + 1] - dates_arr[j]) / np.timedelta64(1, "D")
-        mm[j + 1] = mm[j] * (1.0 + rates_arr[j] * gap / MM_DAY_BASIS)
+    gaps = np.diff(dates_arr) / np.timedelta64(1, "D")
+    growth = 1.0 + rates_arr[:-1] * gaps / MM_DAY_BASIS
+    mm = np.concatenate([[1.0], np.cumprod(growth)])
     return PricePanel(
         dates=dates_arr,
         spot=np.array(spot),
-        contract_ids=rows_ids,
-        ttms=rows_ttm,
-        prices=rows_px,
+        contracts=np.array([by_expiry[k][1] for k in used]),
+        prices=prices,
+        ttms=ttms,
         rates=rates_arr,
         mm_value=mm,
         etn=np.array(etn) if have_etn else None,
         n_dropped=n_dropped,
-    )
-
-
-def panel_from_simulation(fp: FuturesPanel, mkt: MarketConfig) -> PricePanel:
-    """Flatten a simulated futures panel into the rank-based form used
-    by the static optimizer and the analytics."""
-    cal = fp.calendar
-    n = fp.n_days
-    ids_all = np.array([f"C{i + 1:02d}" for i in range(cal.n_contracts)])
-    rows_ids, rows_ttm, rows_px = [], [], []
-    for j in range(n):
-        q = cal.quotable(j)
-        rows_ids.append(ids_all[q])
-        rows_ttm.append(np.array([cal.ttm(j, i) for i in q]))
-        rows_px.append(fp.prices[j, q])
-    days = np.arange(n)
-    return PricePanel(
-        dates=days,
-        spot=fp.spot.copy(),
-        contract_ids=rows_ids,
-        ttms=rows_ttm,
-        prices=rows_px,
-        rates=np.full(n, mkt.r),
-        mm_value=np.exp(mkt.r * mkt.dt * days),
-        etn=None,
     )
 
 
@@ -396,89 +358,3 @@ def split_in_out(panel: PricePanel, boundary) -> tuple:
         )
     cut = int(np.searchsorted(panel.dates, b, side="left"))
     return panel.slice(0, cut), panel.slice(cut, panel.n_days)
-
-
-_PANEL_HEADER = "# vixtrack panel v1"
-
-
-def write_panel(panel: PricePanel, path) -> None:
-    """Serialize a panel to a delimited text file (full float precision,
-    so a read round-trips bit-exactly)."""
-    path = Path(path)
-    int_dates = np.issubdtype(panel.dates.dtype, np.integer)
-    lines = [
-        _PANEL_HEADER,
-        f"# date_kind={'int' if int_dates else 'iso'}",
-        f"# n_dropped={panel.n_dropped}",
-        f"# has_etn={int(panel.etn is not None)}",
-    ]
-    for j in range(panel.n_days):
-        quotes = ";".join(
-            f"{cid}:{float(ttm)!r}:{float(px)!r}"
-            for cid, ttm, px in zip(
-                panel.contract_ids[j], panel.ttms[j], panel.prices[j]
-            )
-        )
-        etn = "" if panel.etn is None else repr(float(panel.etn[j]))
-        lines.append(
-            "\t".join(
-                [
-                    str(panel.dates[j]),
-                    repr(float(panel.spot[j])),
-                    repr(float(panel.rates[j])),
-                    repr(float(panel.mm_value[j])),
-                    etn,
-                    quotes,
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def read_panel(path) -> PricePanel:
-    """Read a panel written by :func:`write_panel`."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != _PANEL_HEADER:
-        raise DataError(f"{path.name}: not a panel file")
-    meta = {}
-    body = []
-    for line in lines[1:]:
-        if line.startswith("# "):
-            k, v = line[2:].split("=", 1)
-            meta[k] = v
-        elif line:
-            body.append(line)
-    int_dates = meta.get("date_kind") == "int"
-    has_etn = meta.get("has_etn") == "1"
-    dates, spot, rates, mm, etn = [], [], [], [], []
-    rows_ids, rows_ttm, rows_px = [], [], []
-    for line in body:
-        d, s, r, m, e, quotes = line.split("\t")
-        dates.append(int(d) if int_dates else np.datetime64(d, "D"))
-        spot.append(float(s))
-        rates.append(float(r))
-        mm.append(float(m))
-        if has_etn:
-            etn.append(float(e))
-        ids, ttms, pxs = [], [], []
-        if quotes:
-            for q in quotes.split(";"):
-                cid, ttm, px = q.split(":")
-                ids.append(cid)
-                ttms.append(float(ttm))
-                pxs.append(float(px))
-        rows_ids.append(np.array(ids))
-        rows_ttm.append(np.array(ttms))
-        rows_px.append(np.array(pxs))
-    return PricePanel(
-        dates=np.array(dates, dtype=(np.int64 if int_dates else "datetime64[D]")),
-        spot=np.array(spot),
-        contract_ids=rows_ids,
-        ttms=rows_ttm,
-        prices=rows_px,
-        rates=np.array(rates),
-        mm_value=np.array(mm),
-        etn=np.array(etn) if has_etn else None,
-        n_dropped=int(meta.get("n_dropped", 0)),
-    )

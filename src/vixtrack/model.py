@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 TRADING_DAYS_PER_YEAR = 252
+# One trading day in years: the step of every daily grid.
+DT = 1.0 / TRADING_DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class MarketConfig:
     """
 
     r: float
-    dt: float = 1.0 / TRADING_DAYS_PER_YEAR
+    dt: float = DT
     days_per_month: int = 21
 
     def __post_init__(self):

@@ -1,13 +1,16 @@
-"""Path simulation, futures panels, and strategy wealth evolution.
+"""Path simulation, simulated futures curves, and strategy wealth evolution.
 
 The index follows the explicit Euler recursion
 
     S[j+1] = S[j] + mu*(theta - S[j])*dt + g(j*dt, S[j])*sqrt(dt)*Z[j+1]
 
 with i.i.d. standard normal shocks.  Futures prices over a contract
-calendar are filled in from the closed form in :mod:`vixtrack.model`,
-and strategies are run day by day through the self-financing
-mark-to-market wealth recursion.
+calendar are filled in from the closed form in :mod:`vixtrack.model`
+into the same :class:`~vixtrack.data.PricePanel` that loaded quotes
+fill, NaN past each contract's maturity.  Strategies are run day by
+day through the self-financing mark-to-market wealth recursion; a
+strategy that needs the calendar (the dynamic tracker, the VXX-style
+roll) is built by a factory that closes over it.
 
 RNG convention: every path is driven by ``numpy.random.default_rng``
 seeded from a ``SeedSequence``.  Multi-path runs spawn one child
@@ -18,22 +21,22 @@ same paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .data import PricePanel
 from .model import (
+    DT,
     HistoricalParams,
     LocalVol,
     MarketConfig,
     RiskNeutralParams,
-    TRADING_DAYS_PER_YEAR,
 )
 
 __all__ = [
     "IndexPath",
     "ContractCalendar",
-    "FuturesPanel",
     "PortfolioPath",
     "DayQuote",
     "simulate_index_path",
@@ -86,7 +89,7 @@ class ContractCalendar:
 
     maturities: tuple
     cycle_length: int
-    dt: float = 1.0 / TRADING_DAYS_PER_YEAR
+    dt: float = DT
 
     def __post_init__(self):
         mats = tuple(float(m) for m in self.maturities)
@@ -107,7 +110,7 @@ class ContractCalendar:
         cls,
         n_contracts: int,
         days_per_month: int = 21,
-        dt: float = 1.0 / TRADING_DAYS_PER_YEAR,
+        dt: float = DT,
     ) -> "ContractCalendar":
         """Evenly spaced maturities at multiples of ``days_per_month``."""
         mats = tuple((k + 1) * days_per_month * dt for k in range(n_contracts))
@@ -120,10 +123,6 @@ class ContractCalendar:
     @property
     def n_contracts(self) -> int:
         return len(self.maturities)
-
-    def quotable(self, day: int) -> list:
-        """Contract indices with a defined price on `day` (ttm >= 0)."""
-        return [i for i, d in enumerate(self._maturity_days) if d >= day]
 
     def tradable(self, day: int) -> list:
         """Contract indices that can be held from `day` to `day`+1."""
@@ -140,27 +139,6 @@ class ContractCalendar:
             raise ValueError(f"no tradable contract on day {day}")
         days_to_expiry = self._maturity_days[tradable[0]] - day
         return self.cycle_length - days_to_expiry
-
-
-@dataclass(frozen=True)
-class FuturesPanel:
-    """Daily spot levels plus the full futures curve over a calendar.
-
-    ``prices[j, i]`` is the price of contract ``i`` on day ``j``;
-    entries past a contract's maturity are NaN.
-    """
-
-    spot: np.ndarray
-    calendar: ContractCalendar
-    rn: RiskNeutralParams
-    prices: np.ndarray
-
-    @property
-    def n_days(self) -> int:
-        return self.spot.size
-
-    def ttms(self, day: int, contracts: Sequence[int]) -> np.ndarray:
-        return np.array([self.calendar.ttm(day, i) for i in contracts])
 
 
 @dataclass(frozen=True)
@@ -192,8 +170,6 @@ class DayQuote(NamedTuple):
     spot: float
     ttms: np.ndarray
     prices: np.ndarray
-    day_in_cycle: int
-    cycle_length: int
 
 
 def _euler_step(s, drift_dt, g_vals, sqrt_dt, z):
@@ -218,7 +194,7 @@ def simulate_index_path(
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
     rng = np.random.default_rng(seed)
-    dt = 1.0 / TRADING_DAYS_PER_YEAR
+    dt = DT
     sqrt_dt = np.sqrt(dt)
     z = rng.standard_normal(n_days)
     values = np.empty(n_days + 1)
@@ -255,12 +231,14 @@ def simulate_index_paths(
 
 
 def futures_panel_from_path(
-    path: IndexPath, cal: ContractCalendar, rn: RiskNeutralParams
-) -> FuturesPanel:
+    path: IndexPath, cal: ContractCalendar, rn: RiskNeutralParams, mkt: MarketConfig
+) -> PricePanel:
     """Price every live contract on every day of the path.
 
     prices[j, i] = theta_tilde + (S[j] - theta_tilde) * exp(-mu_tilde * ttm)
-    for ttm = T_i - j*dt >= 0; expired contracts are NaN.
+    for ttm = T_i - j*dt >= 0; expired contracts are NaN in both
+    ``prices`` and ``ttms``.  Days are integer indices; the rate is
+    ``mkt.r`` throughout and the money market grows by e^(r*dt) a day.
     """
     if cal.n_contracts == 0:
         raise ValueError("empty contract calendar")
@@ -270,13 +248,22 @@ def futures_panel_from_path(
             f"path spans {n - 1} days but the last maturity is day "
             f"{max(cal.maturity_days)}"
         )
-    days = np.arange(n)[:, None]
-    mat_days = np.asarray(cal.maturity_days)[None, :]
-    ttm = (mat_days - days) * cal.dt
+    days = np.arange(n)
+    ttm = (np.asarray(cal.maturity_days)[None, :] - days[:, None]) * cal.dt
     spot = path.values[:, None]
     prices = rn.theta_tilde + (spot - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttm)
-    prices[ttm < 0] = np.nan
-    return FuturesPanel(spot=path.values, calendar=cal, rn=rn, prices=prices)
+    expired = ttm < 0
+    prices[expired] = np.nan
+    ttm[expired] = np.nan
+    return PricePanel(
+        dates=days,
+        spot=path.values,
+        contracts=np.array([f"C{i + 1:02d}" for i in range(cal.n_contracts)]),
+        prices=prices,
+        ttms=ttm,
+        rates=np.full(n, mkt.r),
+        mm_value=np.exp(mkt.r * mkt.dt * days),
+    )
 
 
 def evolve_wealth(
@@ -318,47 +305,48 @@ def vxx_roll_weights(day_in_cycle: int, cycle_length: int) -> tuple:
     return w1, 1.0 - w1
 
 
-def vxx_strategy(quote: DayQuote) -> np.ndarray:
-    """Linear-roll ETN replica: long the two front contracts, rolling
-    linearly from all-front to all-second over each cycle."""
-    if quote.prices.size < 2:
-        raise ValueError("linear roll needs at least two tradable contracts")
-    w = np.zeros(quote.prices.size)
-    w[0], w[1] = vxx_roll_weights(quote.day_in_cycle, quote.cycle_length)
-    return w
+def vxx_strategy(cal: ContractCalendar):
+    """Linear-roll ETN replica on ``cal``: long the two front contracts,
+    rolling linearly from all-front to all-second over each cycle."""
+
+    def rule(quote: DayQuote) -> np.ndarray:
+        if quote.prices.size < 2:
+            raise ValueError("linear roll needs at least two tradable contracts")
+        w = np.zeros(quote.prices.size)
+        w[0], w[1] = vxx_roll_weights(cal.day_in_cycle(quote.day), cal.cycle_length)
+        return w
+
+    return rule
 
 
 def run_strategy(
-    panel: FuturesPanel,
+    panel: PricePanel,
     strategy: Callable[[DayQuote], np.ndarray],
     x0: float,
     cfg: MarketConfig,
 ) -> PortfolioPath:
-    """Run a daily-rebalanced strategy over a simulated futures panel.
+    """Run a daily-rebalanced strategy over a futures panel.
 
     On each day ``j`` the strategy sees a :class:`DayQuote` for the
-    contracts tradable on that day (alive through day j+1, so a
-    maturing contract's final settlement mark at f = S is earned by the
-    holder) and returns one weight per tradable contract.  The front
-    contract drops out of the tradable set on its maturity day and the
-    next rank takes its place.
+    contracts tradable on that day (ttm > 0: alive through day j+1, so
+    a maturing contract's final settlement mark at f = S is earned by
+    the holder) and returns one weight per tradable contract.  The
+    front contract drops out of the tradable set on its maturity day
+    and the next rank takes its place.
     """
     n = panel.n_days
     if n < 2:
         raise ValueError("panel must span at least 2 days")
-    cal = panel.calendar
     wealth = np.empty(n)
     wealth[0] = x0
     weights_hist: list = []
     for j in range(n - 1):
-        idx = cal.tradable(j)
+        idx = np.flatnonzero(panel.ttms[j] > 0)
         quote = DayQuote(
             day=j,
             spot=float(panel.spot[j]),
-            ttms=panel.ttms(j, idx),
+            ttms=panel.ttms[j, idx],
             prices=panel.prices[j, idx],
-            day_in_cycle=cal.day_in_cycle(j),
-            cycle_length=cal.cycle_length,
         )
         w = np.asarray(strategy(quote), dtype=float)
         if w.shape != (len(idx),):
@@ -374,7 +362,7 @@ def run_strategy(
 
 
 def replay_wealth(
-    panel: FuturesPanel, weights: list, x0: float, cfg: MarketConfig
+    panel: PricePanel, weights: list, x0: float, cfg: MarketConfig
 ) -> np.ndarray:
     """Recompute a wealth series from recorded weights and panel prices.
 
@@ -384,11 +372,10 @@ def replay_wealth(
     n = panel.n_days
     if len(weights) != n - 1:
         raise ValueError("need one weight vector per transition")
-    cal = panel.calendar
     wealth = np.empty(n)
     wealth[0] = x0
     for j in range(n - 1):
-        idx = cal.tradable(j)
+        idx = np.flatnonzero(panel.ttms[j] > 0)
         wealth[j + 1] = evolve_wealth(
             wealth[j], weights[j], panel.prices[j, idx], panel.prices[j + 1, idx], cfg
         )

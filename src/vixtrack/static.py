@@ -5,10 +5,10 @@ maturity rank: units stay constant between rolls, and at each roll the
 full proceeds buy the contract that now occupies the rank, so the
 position is self-financing throughout.  A roll must move into the next
 contract by expiry after the held one; anything else is a quote gap.
-The series is built from a dense days x contracts view of the panel,
-with Python work only at roll events, and a run builds each rank once:
-in-sample and out-of-sample windows read slices of the full-window
-series, rebased to 100 on their first day.
+The series is built from the panel's days x contracts price and ttm
+matrices, with Python work only at roll events, and a run builds each
+rank once: in-sample and out-of-sample windows read slices of the
+full-window series, rebased to 100 on their first day.
 
 The tracking portfolios solve
 
@@ -89,35 +89,6 @@ class StaticWeights:
 _SETTLEMENT_WINDOW = 3.0 / 252.0
 
 
-def _dense_view(panel: PricePanel):
-    """(ids, prices, ttms) of ``panel`` with one column per contract.
-
-    Columns follow the order in which contracts first appear in the
-    expiry-sorted daily rows, which is expiry order; a contract absent
-    from a day's row is NaN there.
-    """
-    flat_ids = np.concatenate(panel.contract_ids)
-    _, first, inverse = np.unique(flat_ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    col_of = np.empty(order.size, dtype=np.intp)
-    col_of[order] = np.arange(order.size)
-    cols = col_of[inverse.ravel()]
-    rows = np.repeat(
-        np.arange(panel.n_days), [ids.size for ids in panel.contract_ids]
-    )
-    disordered = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1]))
-    if disordered.size:
-        raise DataError(
-            f"contracts on day {rows[disordered[0]]} are not in the expiry "
-            "order of the panel's other days"
-        )
-    prices = np.full((panel.n_days, order.size), np.nan)
-    prices[rows, cols] = np.concatenate(panel.prices)
-    ttms = np.full_like(prices, np.nan)
-    ttms[rows, cols] = np.concatenate(panel.ttms)
-    return flat_ids[first[order]], prices, ttms
-
-
 def build_rolled_series(panel: PricePanel, rank: int, x0: float = 100.0) -> RolledSeries:
     """Value of a constant position in maturity rank ``rank``.
 
@@ -139,7 +110,7 @@ def build_rolled_series(panel: PricePanel, rank: int, x0: float = 100.0) -> Roll
     """
     if x0 <= 0:
         raise ValueError(f"x0 must be positive, got {x0}")
-    ids, prices, ttms = _dense_view(panel)
+    ids, prices, ttms = panel.contracts, panel.prices, panel.ttms
     n = panel.n_days
     # the rank is looked up on every day a roll can happen: all but the last
     tradable = ttms[: max(n - 1, 1)] > 0

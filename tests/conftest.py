@@ -9,7 +9,6 @@ from vixtrack import (
     RiskNeutralParams,
     build_rolled_series,
     futures_panel_from_path,
-    panel_from_simulation,
     simulate_index_path,
 )
 
@@ -48,15 +47,15 @@ def make_sim_panels(
     sigma=None,
     extra_contracts=1,
 ):
-    """Simulated FuturesPanel + flattened PricePanel over whole cycles."""
+    """Simulated panel over whole cycles, with its market, calendar,
+    local volatility and index path."""
     mkt = MarketConfig(r=r)
     g = LocalVol.square_root(hist.sigma if sigma is None else sigma)
     cal = ContractCalendar.monthly(cycles + extra_contracts, mkt.days_per_month, mkt.dt)
     path = simulate_index_path(
         hist, g, hist.theta if s0 is None else s0, cycles * mkt.days_per_month, seed
     )
-    fp = futures_panel_from_path(path, cal, rn)
-    return fp, panel_from_simulation(fp, mkt), mkt, cal, g, path
+    return futures_panel_from_path(path, cal, rn, mkt), mkt, cal, g, path
 
 
 def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None):
@@ -66,21 +65,22 @@ def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None)
 
     if n_contracts is None:
         n_contracts = n_days // spacing + 6
-    ids_all = np.array([f"K{k:02d}" for k in range(1, n_contracts + 1)])
     expiries = np.array([spacing * k for k in range(1, n_contracts + 1)])
-    rows_ids, rows_ttm, rows_px = [], [], []
-    for j in range(n_days):
-        live = expiries >= j
-        rows_ids.append(ids_all[live])
-        rows_ttm.append((expiries[live] - j) / 252.0)
-        rows_px.append(np.array([price_fn(j, k) for k in np.flatnonzero(live)]))
     days = np.arange(n_days)
+    ttms = (expiries[None, :] - days[:, None]) / 252.0
+    ttms[ttms < 0] = np.nan
+    prices = np.array(
+        [
+            [price_fn(j, k) if e >= j else np.nan for k, e in enumerate(expiries)]
+            for j in range(n_days)
+        ]
+    )
     return PricePanel(
         dates=days,
         spot=np.full(n_days, 20.0) if spot is None else np.asarray(spot, float),
-        contract_ids=rows_ids,
-        ttms=rows_ttm,
-        prices=rows_px,
+        contracts=np.array([f"K{k:02d}" for k in range(1, n_contracts + 1)]),
+        prices=prices,
+        ttms=ttms,
         rates=np.full(n_days, r),
         mm_value=np.exp(r * days / 252.0),
     )

@@ -1,10 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the code paths under test: the
-rolled-series oracle is the per-day loop over string lookups, the
-weight oracle is a brute-force grid scan, the constrained LS oracle is
-a dense bordered KKT solve, and the special-function oracles come from
-mpmath at 40 significant digits.
+rolled-series oracle is a per-day loop over its own rank and quote
+lookups, the weight oracle is a brute-force grid scan, the constrained
+LS oracle is a dense bordered KKT solve, and the special-function
+oracles come from mpmath at 40 significant digits.
 """
 
 import numpy as np
@@ -12,51 +12,54 @@ import numpy as np
 from vixtrack import DataError
 
 
+def rank_column(panel, day, rank):
+    """Column of the ``rank``-th contract with ttm > 0 on ``day``."""
+    live = [i for i, ttm in enumerate(panel.ttms[day]) if ttm > 0]
+    if not 1 <= rank <= len(live):
+        raise DataError(f"rank {rank} not available on day {day}")
+    return live[rank - 1]
+
+
+def quote(panel, day, column):
+    """Price of ``column`` on ``day``, or None when it has no quote."""
+    px = float(panel.prices[day, column])
+    return None if np.isnan(px) else px
+
+
 def rolled_series_loop(panel, rank, x0=100.0):
     """Day-by-day reference for ``build_rolled_series``.
 
-    Walks the panel one day at a time through its string lookups
-    (``rank_id``, ``price_of``), marking the held contract and rolling
-    when the rank moves off it or its quotes stop before settlement.
-    The contract rolled into must be the next one by expiry, taken here
-    from the order in which contracts first appear in the daily rows.
+    Walks the panel one day at a time through its own rank and quote
+    lookups (``rank_column``, ``quote``), marking the held contract and
+    rolling when the rank moves off it or its quotes stop before
+    settlement.  The contract rolled into must be the next one by
+    expiry, which is the next column of the panel.
     """
-    order = {}
-    for ids in panel.contract_ids:
-        for cid in ids:
-            order.setdefault(str(cid), len(order))
-    by_position = list(order)
-
-    def successor(cid):
-        k = order[str(cid)] + 1
-        return by_position[k] if k < len(by_position) else None
-
     n = panel.n_days
     values = np.empty(n)
     values[0] = x0
-    held = panel.rank_id(0, rank)
-    units = x0 / panel.price_of(0, held)
+    held = rank_column(panel, 0, rank)
+    units = x0 / quote(panel, 0, held)
     for j in range(n):
         if j > 0:
-            px = panel.price_of(j, held)
+            px = quote(panel, j, held)
             if px is None:
                 raise DataError(f"held contract {held} has no quote on day {j}")
             values[j] = units * px
         if j == n - 1:
             break
-        current = panel.rank_id(j, rank)
+        current = rank_column(panel, j, rank)
         target = None
         if current != held:
-            if current != successor(held):
+            if current != held + 1:
                 raise DataError(f"rank {rank} jumped to {current} on day {j}")
             target = current
-        elif panel.price_of(j + 1, held) is None:
-            hits = np.flatnonzero(panel.contract_ids[j] == held)
-            if float(panel.ttms[j][hits[0]]) > 3.0 / 252.0:
+        elif quote(panel, j + 1, held) is None:
+            if float(panel.ttms[j, held]) > 3.0 / 252.0:
                 raise DataError(f"held contract {held} stops far from settlement")
-            target = successor(held)
+            target = held + 1
         if target is not None:
-            px = panel.price_of(j, target)
+            px = None if target == panel.contracts.size else quote(panel, j, target)
             if px is None:
                 raise DataError(f"roll target {target} has no quote on day {j}")
             units = values[j] / px

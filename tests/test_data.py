@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vixtrack import (
-    DataError,
-    load_panel,
-    normalize_to_100,
-    read_panel,
-    split_in_out,
-    write_panel,
-)
+from vixtrack import DataError, load_panel, normalize_to_100, split_in_out
 
-from conftest import make_sim_panels, write_quote_files
+from conftest import grid_panel, make_sim_panels, weekday_dates, write_quote_files
+import oracles
+
+
+def rank_contract(panel, day, rank):
+    return panel.contracts[oracles.rank_column(panel, day, rank)]
+
+
+def rank_ttm(panel, day, rank):
+    return panel.ttms[day, oracles.rank_column(panel, day, rank)]
 
 
 class TestLoadPanel:
@@ -21,7 +25,7 @@ class TestLoadPanel:
         assert panel.dates[0] == dates[0]
         # every row: one spot, one rate, front-7 tradable futures
         for j in range(panel.n_days):
-            assert panel.n_tradable(j) == 7
+            assert np.count_nonzero(panel.ttms[j] > 0) == 7
             assert np.isfinite(panel.spot[j])
             assert np.isfinite(panel.rates[j])
 
@@ -76,10 +80,11 @@ class TestLoadPanel:
         panel = load_panel(tmp_path, n_ranks=7)
         assert panel.n_days == 10
         assert panel.n_dropped == 0
-        assert list(panel.contract_ids[4]) == [f"F{k:02d}" for k in range(1, 8)]
-        assert np.array_equal(panel.contract_ids[4], full.contract_ids[4])
-        assert np.array_equal(panel.ttms[4], full.ttms[4])
-        assert np.array_equal(panel.prices[4], full.prices[4])
+        quoted = ~np.isnan(panel.prices[4])
+        assert list(panel.contracts[quoted]) == [f"F{k:02d}" for k in range(1, 8)]
+        assert np.array_equal(panel.contracts, full.contracts)
+        assert np.array_equal(panel.ttms[4], full.ttms[4], equal_nan=True)
+        assert np.array_equal(panel.prices[4], full.prices[4], equal_nan=True)
 
     def test_front_rank_is_first_by_expiry_around_gap_days(self, tmp_path):
         # contract F<k> expires on day 21*k; days 4 and 22 lack the front
@@ -93,10 +98,10 @@ class TestLoadPanel:
         assert kept == [i for i in range(30) if i not in (4, 22)]
         for j, i in enumerate(kept):
             k = i // 21 + 1
-            assert panel.rank_id(j, 1) == f"F{k:02d}"
-            assert panel.rank_ttm(j, 1) == pytest.approx((21 * k - i) / 252)
-        assert panel.rank_id(kept.index(3), 1) == "F01"
-        assert panel.rank_id(kept.index(5), 1) == "F01"
+            assert rank_contract(panel, j, 1) == f"F{k:02d}"
+            assert rank_ttm(panel, j, 1) == pytest.approx((21 * k - i) / 252)
+        assert rank_contract(panel, kept.index(3), 1) == "F01"
+        assert rank_contract(panel, kept.index(5), 1) == "F01"
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="missing input file"):
@@ -106,17 +111,17 @@ class TestLoadPanel:
         write_quote_files(tmp_path, n_days=25, seed=5)
         panel = load_panel(tmp_path)
         # front contract expires on trading day 21 of the synthetic grid
-        assert panel.rank_ttm(0, 1) == pytest.approx(21 / 252)
-        assert panel.rank_ttm(1, 1) == pytest.approx(20 / 252)
-        assert panel.rank_ttm(0, 2) == pytest.approx(42 / 252)
+        assert rank_ttm(panel, 0, 1) == pytest.approx(21 / 252)
+        assert rank_ttm(panel, 1, 1) == pytest.approx(20 / 252)
+        assert rank_ttm(panel, 0, 2) == pytest.approx(42 / 252)
 
     def test_rank_shifts_by_one_across_expiry(self, tmp_path):
         write_quote_files(tmp_path, n_days=30, seed=6)
         panel = load_panel(tmp_path)
         # day 20 is the last day the original front trades; on day 21 the
         # old rank-2 contract occupies rank 1
-        assert panel.rank_id(21, 1) == panel.rank_id(20, 2)
-        assert panel.rank_id(21, 2) == panel.rank_id(20, 3)
+        assert rank_contract(panel, 21, 1) == rank_contract(panel, 20, 2)
+        assert rank_contract(panel, 21, 2) == rank_contract(panel, 20, 3)
 
     def test_etn_series_alignment(self, tmp_path):
         write_quote_files(tmp_path, n_days=12, seed=7, with_etn=True)
@@ -132,36 +137,54 @@ class TestLoadPanel:
         assert np.allclose(panel.mm_value[1:], expected, rtol=1e-14)
 
 
-class TestRoundTrip:
-    def test_real_dated_panel(self, tmp_path):
-        write_quote_files(tmp_path, n_days=15, seed=9, with_etn=True)
-        panel = load_panel(tmp_path)
-        write_panel(panel, tmp_path / "panel.tsv")
-        back = read_panel(tmp_path / "panel.tsv")
-        assert np.array_equal(back.dates, panel.dates)
-        assert np.array_equal(back.spot, panel.spot)
-        assert np.array_equal(back.rates, panel.rates)
-        assert np.array_equal(back.mm_value, panel.mm_value)
-        assert np.array_equal(back.etn, panel.etn)
-        assert back.n_dropped == panel.n_dropped
-        for j in range(panel.n_days):
-            assert np.array_equal(back.contract_ids[j], panel.contract_ids[j])
-            assert np.array_equal(back.ttms[j], panel.ttms[j])
-            assert np.array_equal(back.prices[j], panel.prices[j])
+class TestPricePanel:
+    def test_loaded_rows_hold_settling_and_front_quotes(self, tmp_path):
+        write_quote_files(tmp_path, n_days=60, seed=9)
+        expiry, closes = {}, {}
+        for line in (tmp_path / "futures.csv").read_text().splitlines()[1:]:
+            date, code, fld, value = line.split(",")
+            date = np.datetime64(date, "D")
+            if fld == "expiry":
+                expiry[code] = date
+            else:
+                closes[date, code] = float(value)
+        n_ranks = 5  # the files quote 8 live contracts a day
+        panel = load_panel(tmp_path, n_ranks=n_ranks)
+        assert panel.n_days == 60
+        by_expiry = sorted(expiry, key=expiry.get)
+        assert list(panel.contracts) == sorted(panel.contracts, key=expiry.get)
+        grid = weekday_dates(n=60 + 21 * len(expiry))
+        n_settling = 0
+        for j, date in enumerate(panel.dates):
+            settling = [c for c in by_expiry if expiry[c] == date and (date, c) in closes]
+            front = [c for c in by_expiry if expiry[c] > date][:n_ranks]
+            quoted = ~np.isnan(panel.prices[j])
+            assert np.array_equal(quoted, ~np.isnan(panel.ttms[j]))
+            assert list(panel.contracts[quoted]) == settling + front
+            for i in np.flatnonzero(quoted):
+                code = panel.contracts[i]
+                assert panel.prices[j, i] == closes[date, code]
+                days_left = grid.index(expiry[code]) - grid.index(date)
+                assert panel.ttms[j, i] == days_left / 252
+            n_settling += len(settling)
+        assert n_settling == 2  # days 21 and 42
 
-    def test_simulated_panel(self, tmp_path):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=2, seed=10)
-        write_panel(panel, tmp_path / "panel.tsv")
-        back = read_panel(tmp_path / "panel.tsv")
-        assert np.array_equal(back.dates, panel.dates)
-        assert np.array_equal(back.spot, panel.spot)
-        for j in range(panel.n_days):
-            assert np.array_equal(back.prices[j], panel.prices[j])
+    def test_simulated_panel_is_nan_exactly_past_maturity(self):
+        panel, _, cal, _, _ = make_sim_panels(cycles=2, seed=10, extra_contracts=2)
+        for i, maturity in enumerate(cal.maturity_days):
+            for j in range(panel.n_days):
+                if j > maturity:
+                    assert np.isnan(panel.prices[j, i]) and np.isnan(panel.ttms[j, i])
+                else:
+                    assert np.isfinite(panel.prices[j, i])
+                    assert panel.ttms[j, i] == (maturity - j) * cal.dt
 
-    def test_not_a_panel_file(self, tmp_path):
-        (tmp_path / "junk.tsv").write_text("date\tstuff\n")
-        with pytest.raises(DataError):
-            read_panel(tmp_path / "junk.tsv")
+    def test_rows_out_of_expiry_order_rejected(self):
+        panel = grid_panel(lambda j, k: 25.0, n_days=30)
+        ttms, prices = panel.ttms.copy(), panel.prices.copy()
+        ttms[5], prices[5] = ttms[5, ::-1], prices[5, ::-1]
+        with pytest.raises(DataError, match="day 5 are not in expiry order"):
+            dataclasses.replace(panel, ttms=ttms, prices=prices)
 
 
 class TestNormalize:
@@ -204,7 +227,7 @@ class TestSplit:
             split_in_out(panel, "2030-01-01")
 
     def test_integer_boundary_for_simulated_panels(self):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=2, seed=13)
+        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=13)
         a, b = split_in_out(panel, 21)
         assert a.n_days == 21
         assert b.dates[0] == 21

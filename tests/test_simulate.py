@@ -78,7 +78,6 @@ class TestCalendar:
         assert cal.maturity_days == (21, 42, 63, 84)
         assert cal.tradable(0) == [0, 1, 2, 3]
         assert cal.tradable(21) == [1, 2, 3]
-        assert cal.quotable(21) == [0, 1, 2, 3]
         assert cal.ttm(21, 1) == pytest.approx(21 / 252)
         assert cal.day_in_cycle(0) == 0
         assert cal.day_in_cycle(20) == 20
@@ -96,20 +95,21 @@ class TestFuturesPanel:
         hist = HistoricalParams(1.0, 26.03, 0.0)
         path = simulate_index_path(hist, LocalVol.constant(0.0), 26.03, 63, 1)
         cal = ContractCalendar.monthly(4)
-        panel = futures_panel_from_path(path, cal, FIT_RN)
+        panel = futures_panel_from_path(path, cal, FIT_RN, MarketConfig(r=0.0))
         live = ~np.isnan(panel.prices)
         assert np.allclose(panel.prices[live], 26.03)
 
     def test_maturity_convergence_and_pointwise_oracle(self, fit_hist, fit_g, fit_rn):
         path = simulate_index_path(fit_hist, fit_g, 18.81, 63, 3)
         cal = ContractCalendar.monthly(4)
-        panel = futures_panel_from_path(path, cal, fit_rn)
+        panel = futures_panel_from_path(path, cal, fit_rn, MarketConfig(r=0.0))
         for i, mday in enumerate(cal.maturity_days):
             if mday < path.n_days:
                 assert panel.prices[mday, i] == pytest.approx(path.values[mday])
         # re-evaluate every live entry through the scalar pricing routine
         for j in range(panel.n_days):
-            for i in cal.quotable(j):
+            live = [i for i, mday in enumerate(cal.maturity_days) if mday >= j]
+            for i in live:
                 assert panel.prices[j, i] == pytest.approx(
                     futures_price(path.values[j], cal.ttm(j, i), fit_rn), rel=1e-14
                 )
@@ -117,7 +117,9 @@ class TestFuturesPanel:
     def test_horizon_past_last_maturity_rejected(self, fit_hist, fit_g, fit_rn):
         path = simulate_index_path(fit_hist, fit_g, 18.81, 64, 3)
         with pytest.raises(ValueError):
-            futures_panel_from_path(path, ContractCalendar.monthly(3), fit_rn)
+            futures_panel_from_path(
+                path, ContractCalendar.monthly(3), fit_rn, MarketConfig(r=0.0)
+            )
 
 
 class TestEvolveWealth:
@@ -171,9 +173,9 @@ class TestVxxWeights:
 
 class TestRunStrategy:
     def test_zero_weights_flat_wealth_at_zero_rate(self):
-        fp, _, _, _, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
+        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
         mkt = MarketConfig(r=0.0)
-        path = run_strategy(fp, lambda q: np.zeros(q.prices.size), 100.0, mkt)
+        path = run_strategy(panel, lambda q: np.zeros(q.prices.size), 100.0, mkt)
         assert np.all(path.wealth == 100.0)
 
     def test_vxx_loses_in_contango_with_static_spot(self):
@@ -183,42 +185,42 @@ class TestRunStrategy:
         mkt = MarketConfig(r=0.0)
         cal = ContractCalendar.monthly(3)
         path = simulate_index_path(hist, LocalVol.constant(0.0), 13.0, 42, 1)
-        panel = futures_panel_from_path(path, cal, RiskNeutralParams(1.39, 26.03))
-        out = run_strategy(panel, vxx_strategy, 100.0, mkt)
+        panel = futures_panel_from_path(path, cal, RiskNeutralParams(1.39, 26.03), mkt)
+        out = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
         assert np.all(np.diff(out.wealth) < 0)
 
     def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn, fit_g):
-        fp, _, mkt, cal, g, path = make_sim_panels(cycles=3, seed=11)
+        panel, mkt, cal, g, path = make_sim_panels(cycles=3, seed=11)
         rule = dynamic_strategy(TrackingConfig(), cal, fit_hist, fit_rn, g, mkt)
-        out = run_strategy(fp, rule, 100.0, mkt)
+        out = run_strategy(panel, rule, 100.0, mkt)
         index_returns = path.values[1:] / path.values[:-1] - 1.0
         corr = np.corrcoef(out.returns, index_returns)[0, 1]
         assert corr > 0.99
 
     def test_wrong_length_weight_vector_aborts(self):
-        fp, _, mkt, _, _, _ = make_sim_panels(cycles=1, seed=2)
+        panel, mkt, _, _, _ = make_sim_panels(cycles=1, seed=2)
         with pytest.raises(ValueError):
-            run_strategy(fp, lambda q: np.zeros(q.prices.size + 1), 100.0, mkt)
+            run_strategy(panel, lambda q: np.zeros(q.prices.size + 1), 100.0, mkt)
 
     def test_self_financing_replay_is_exact(self, fit_hist, fit_rn):
-        fp, _, mkt, cal, g, _ = make_sim_panels(cycles=3, seed=8)
+        panel, mkt, cal, g, _ = make_sim_panels(cycles=3, seed=8)
         rule = dynamic_strategy(TrackingConfig(), cal, fit_hist, fit_rn, g, mkt)
-        out = run_strategy(fp, rule, 100.0, mkt)
-        replayed = replay_wealth(fp, out.weights, 100.0, mkt)
+        out = run_strategy(panel, rule, 100.0, mkt)
+        replayed = replay_wealth(panel, out.weights, 100.0, mkt)
         assert np.array_equal(replayed, out.wealth)
-        vxx = run_strategy(fp, vxx_strategy, 100.0, mkt)
+        vxx = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
         assert np.array_equal(
-            replay_wealth(fp, vxx.weights, 100.0, mkt), vxx.wealth
+            replay_wealth(panel, vxx.weights, 100.0, mkt), vxx.wealth
         )
 
     def test_vxx_weights_valid_and_dynamic_pair_sums_to_one(self, fit_hist, fit_rn):
-        fp, _, mkt, cal, g, _ = make_sim_panels(cycles=3, seed=8)
-        vxx = run_strategy(fp, vxx_strategy, 100.0, mkt)
+        panel, mkt, cal, g, _ = make_sim_panels(cycles=3, seed=8)
+        vxx = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
         for w in vxx.weights:
             assert np.all(w[:2] >= 0) and np.all(w[:2] <= 1)
             assert w[0] + w[1] == 1.0
         dyn = run_strategy(
-            fp, dynamic_strategy(TrackingConfig(), cal, fit_hist, fit_rn, g, mkt),
+            panel, dynamic_strategy(TrackingConfig(), cal, fit_hist, fit_rn, g, mkt),
             100.0, mkt,
         )
         for w in dyn.weights:
@@ -226,7 +228,7 @@ class TestRunStrategy:
 
     def test_roll_replaces_front_contract(self, fit_hist, fit_rn):
         # across the cycle boundary the tradable set shifts by one rank
-        fp, _, mkt, cal, _, _ = make_sim_panels(cycles=2, seed=2)
+        panel, mkt, cal, _, _ = make_sim_panels(cycles=2, seed=2)
         assert cal.tradable(20) == [0, 1, 2]
         assert cal.tradable(21) == [1, 2]
         seen = []
@@ -235,5 +237,5 @@ class TestRunStrategy:
             seen.append(quote.prices.size)
             return np.zeros(quote.prices.size)
 
-        run_strategy(fp, spy, 100.0, mkt)
+        run_strategy(panel, spy, 100.0, mkt)
         assert seen[20] == 3 and seen[21] == 2

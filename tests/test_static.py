@@ -36,20 +36,20 @@ class TestRolledSeries:
     def test_contango_bleeds_value(self, fit_rn):
         # constant spot far below the long-run pricing level
         hist = HistoricalParams(1.0, fit_rn.theta_tilde / 2, 0.0)
-        _, panel, _, _, _, _ = make_sim_panels(
+        panel, _, _, _, _ = make_sim_panels(
             cycles=3, seed=1, s0=hist.theta, hist=hist, r=0.0, sigma=0.0
         )
         rolled = build_rolled_series(panel, rank=1)
         assert np.all(np.diff(rolled.values) < 0)
         # independent ledger: track units and marks by hand
         values = [100.0]
-        units = 100.0 / panel.rank_price(0, 1)
-        held = panel.rank_id(0, 1)
+        held = oracles.rank_column(panel, 0, 1)
+        units = 100.0 / oracles.quote(panel, 0, held)
         for j in range(1, panel.n_days):
-            values.append(units * panel.price_of(j, held))
-            if j < panel.n_days - 1 and panel.rank_id(j, 1) != held:
-                held = panel.rank_id(j, 1)
-                units = values[-1] / panel.price_of(j, held)
+            values.append(units * oracles.quote(panel, j, held))
+            if j < panel.n_days - 1 and oracles.rank_column(panel, j, 1) != held:
+                held = oracles.rank_column(panel, j, 1)
+                units = values[-1] / oracles.quote(panel, j, held)
         assert np.allclose(rolled.values, values)
 
     def test_missing_roll_price_is_a_data_gap(self):
@@ -58,10 +58,7 @@ class TestRolledSeries:
 
         panel = grid_panel(price_fn, n_days=30)
         # remove the new front's quote on the roll day (day 21)
-        keep = panel.contract_ids[21] != "K02"
-        panel.contract_ids[21] = panel.contract_ids[21][keep]
-        panel.ttms[21] = panel.ttms[21][keep]
-        panel.prices[21] = panel.prices[21][keep]
+        drop_quote(panel, 21, "K02")
         with pytest.raises(DataError):
             build_rolled_series(panel, rank=1)
 
@@ -73,15 +70,14 @@ class TestRolledSeries:
 
 def available_ranks(panel):
     """Ranks present on every day that can roll (all but the last)."""
-    days = range(max(panel.n_days - 1, 1))
-    return range(1, min(panel.n_tradable(j) for j in days) + 1)
+    days = slice(0, max(panel.n_days - 1, 1))
+    return range(1, int((panel.ttms[days] > 0).sum(axis=1).min()) + 1)
 
 
 def drop_quote(panel, day, contract):
-    keep = panel.contract_ids[day] != contract
-    panel.contract_ids[day] = panel.contract_ids[day][keep]
-    panel.ttms[day] = panel.ttms[day][keep]
-    panel.prices[day] = panel.prices[day][keep]
+    column = np.flatnonzero(panel.contracts == contract)[0]
+    panel.prices[day, column] = np.nan
+    panel.ttms[day, column] = np.nan
 
 
 def noisy_grid_panel(seed, n_days, drop_settling=False):
@@ -92,7 +88,8 @@ def noisy_grid_panel(seed, n_days, drop_settling=False):
     panel = grid_panel(lambda j, k: (20.0 + k) * noise[j, k], n_days=n_days)
     if drop_settling:
         for day in range(21, n_days, 21):
-            drop_quote(panel, day, panel.contract_ids[day][0])
+            # the contract settling that day is the first one quoted
+            drop_quote(panel, day, panel.contracts[day // 21 - 1])
     return panel
 
 
@@ -109,7 +106,7 @@ class TestRolledSeriesOracle:
 
     def test_simulated_panels(self):
         for seed in (1, 2):
-            _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=seed, extra_contracts=5)
+            panel, _, _, _, _ = make_sim_panels(cycles=4, seed=seed, extra_contracts=5)
             self.assert_matches_loop(panel)
 
     def test_grid_panels(self):
@@ -166,13 +163,6 @@ class TestRolledSeriesOracle:
             drop_quote(panel, 20, "K02")
         with pytest.raises(DataError):
             build(panel, rank)
-
-    def test_rows_out_of_expiry_order_rejected(self):
-        panel = grid_panel(lambda j, k: 25.0, n_days=30)
-        for rows in (panel.contract_ids, panel.ttms, panel.prices):
-            rows[5] = rows[5][::-1]
-        with pytest.raises(DataError, match="expiry order"):
-            build_rolled_series(panel, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,7 +262,7 @@ class TestConstrainedLS:
 
 class TestTrackingPortfolios:
     def test_recovers_constructed_price_solution(self):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=21)
+        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=21)
         r1 = build_rolled_series(panel, 1).values
         r2 = build_rolled_series(panel, 2).values
         panel.spot = 0.31 * (0.6 * r1 + 0.4 * r2)  # scale is irrelevant
@@ -294,7 +284,7 @@ class TestTrackingPortfolios:
         assert abs(res.weights[1]) < 1e-10
 
     def test_recovers_constructed_return_solution(self):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=33, r=0.02)
+        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=33, r=0.02)
         r1 = build_rolled_series(panel, 1).values
         cash = panel.mm_value
         spot = np.empty(panel.n_days)
@@ -310,13 +300,13 @@ class TestTrackingPortfolios:
         assert res.in_rmse < 1e-8
 
     def test_target_identical_to_one_column(self):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=5)
+        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=5)
         panel.spot = 2.0 * build_rolled_series(panel, 2).values
         res = return_tracking_portfolio(panel, rolled(panel, 1, 2), boundary=63)
         assert np.allclose(res.weights, [0.0, 0.0, 1.0], atol=1e-8)
 
     def test_out_normalization_conventions_differ(self):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=4, seed=44)
+        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=44)
         a = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=True)
         b = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=False)
         assert np.allclose(a.weights, b.weights)
@@ -338,13 +328,13 @@ class TestRmse:
 
 class TestDesignMatrix:
     def test_price_mode_normalized_to_100(self):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
         dm = build_design_matrix(panel, rolled(panel, 1, 2), mode="price")
         assert np.allclose(dm.columns[0], 100.0)
         assert dm.target[0] == pytest.approx(100.0)
         assert dm.labels == ("cash", "1-m", "2-m")
 
     def test_bad_mode_rejected(self):
-        _, panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
         with pytest.raises(ValueError):
             build_design_matrix(panel, rolled(panel, 1), mode="volume")

@@ -1,15 +1,20 @@
 """Parameter estimation: spot-series MLE and futures-curve moment fit.
 
 Under square-root (CIR) dynamics the one-step transition density of the
-index has a closed form involving the modified Bessel function I_q, so
-the historical parameters (mu, theta, sigma) are fitted by maximizing
-the average log-likelihood over the observed daily transitions.  The
-risk-neutral pair (mu_tilde, theta_tilde) is fitted by matching the
-closed-form futures curve to observed prices in least squares, averaged
-over days (method of moments).
+index has a closed form involving the modified Bessel function I_q, of
+order q = 2 mu theta / sigma^2 - 1 > -1, so the historical parameters
+(mu, theta, sigma) are fitted by maximizing the average log-likelihood
+over the observed daily transitions.  ln I_q(x) is taken from scipy's
+exponentially scaled ive(q, x) = I_q(x) e^-x, so the likelihood cannot
+overflow even for arguments of order 1e6; a uniform large-order
+expansion covers the entries where ive underflows.
 
-All Bessel work happens in the log domain so likelihood evaluation
-cannot overflow even for arguments of order 1e6.
+The risk-neutral pair (mu_tilde, theta_tilde) is fitted by matching the
+closed-form futures curve (s - theta_tilde) e^(-mu_tilde T) + theta_tilde
+to observed prices in least squares, averaged over days (method of
+moments).  The curve is linear in theta_tilde, which therefore has a
+closed form for each mu_tilde (variable projection), leaving a
+one-dimensional search.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln, logsumexp
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import ive
 
 from .errors import CalibrationError
 from .model import HistoricalParams, RiskNeutralParams
@@ -38,48 +43,7 @@ __all__ = [
 
 # Parameter box for the historical fit; solutions at a bound are flagged.
 MLE_BOUNDS = ((1e-3, 100.0), (1e-2, 200.0), (1e-3, 50.0))
-
-# Evaluation regimes for log I_q(x): ascending series for small x,
-# large-argument expansion once x/(q+1) crosses this ratio (and x
-# dominates q^2, where that expansion is usable), and the uniform
-# large-order expansion when the order itself is large (where the
-# ascending series would need O(q^2) terms).
-_LARGE_X_RATIO = 20.0
-_LARGE_ORDER_MIN = 50.0
 _PENALTY = 1e12
-
-
-def _log_i_series(q: float, x: np.ndarray) -> np.ndarray:
-    # ln sum_m (x/2)^(2m+q) / (m! Gamma(m+q+1)), all terms positive
-    x = np.atleast_1d(x)
-    m_peak = 0.5 * (-q + math.sqrt(q * q + float(np.max(x)) ** 2))
-    n_terms = int(m_peak + 12.0 * math.sqrt(m_peak + 16.0) + 40.0)
-    m = np.arange(n_terms, dtype=float)[:, None]
-    log_half_x = np.log(0.5 * x)[None, :]
-    log_terms = (2.0 * m + q) * log_half_x - gammaln(m + 1.0) - gammaln(m + q + 1.0)
-    return logsumexp(log_terms, axis=0)
-
-
-def _log_i_large_x(q: float, x: np.ndarray) -> np.ndarray:
-    # Hankel expansion: I_q(x) ~ e^x/sqrt(2 pi x) * sum_k (-1)^k a_k(q)/x^k,
-    # truncated at its smallest term.
-    x = np.atleast_1d(x)
-    four_q2 = 4.0 * q * q
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    active = np.ones_like(x, dtype=bool)
-    for k in range(1, 40):
-        factor = -(four_q2 - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        new_term = term * factor
-        # stop where the asymptotic terms start growing again
-        active &= np.abs(new_term) < np.abs(term)
-        if not np.any(active):
-            break
-        total = np.where(active, total + new_term, total)
-        term = np.where(active, new_term, term)
-        if np.all(np.abs(term) < 1e-20):
-            break
-    return x - 0.5 * np.log(2.0 * np.pi * x) + np.log(total)
 
 
 def _log_i_uniform(q: float, x: np.ndarray) -> np.ndarray:
@@ -130,29 +94,25 @@ def _log_i_uniform(q: float, x: np.ndarray) -> np.ndarray:
 
 
 def log_bessel_i(order: float, x):
-    """ln I_order(x) for order >= 0 and x > 0, vectorized over x.
+    """ln I_order(x) for order > -1 and x > 0, vectorized over x.
 
-    Uses the ascending series for small arguments, the large-argument
-    asymptotic expansion once x/(order+1) is large, and the uniform
-    large-order expansion for large orders.  Never overflows for x up
-    to 1e6.
+    Computed as ln(ive(order, x)) + x, where ive(q, x) = I_q(x) e^-x is
+    scipy's exponentially scaled Bessel function, so nothing overflows
+    even for x of order 1e6.  Where ive underflows to zero (large orders
+    at moderate x, or tiny x) the uniform large-order expansion takes
+    over; the switch is made from the result, not from a threshold.
     """
-    if not (math.isfinite(order) and order >= 0):
-        raise ValueError(f"order must be finite and >= 0, got {order}")
+    if not (math.isfinite(order) and order > -1.0):
+        raise ValueError(f"order must be finite and > -1, got {order}")
     scalar = np.isscalar(x)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr <= 0):
         raise ValueError("x must be positive")
-    out = np.empty_like(x_arr)
-    hankel = x_arr >= max(_LARGE_X_RATIO * (order + 1.0), order * order)
-    rest = ~hankel
-    if np.any(hankel):
-        out[hankel] = _log_i_large_x(order, x_arr[hankel])
-    if np.any(rest):
-        if order >= _LARGE_ORDER_MIN:
-            out[rest] = _log_i_uniform(order, x_arr[rest])
-        else:
-            out[rest] = _log_i_series(order, x_arr[rest])
+    with np.errstate(divide="ignore"):
+        out = np.log(ive(order, x_arr)) + x_arr
+    underflow = ~np.isfinite(out)
+    if np.any(underflow):
+        out[underflow] = _log_i_uniform(order, x_arr[underflow])
     return float(out[0]) if scalar else out
 
 
@@ -165,19 +125,16 @@ def cir_log_density(s_next, s_prev, p: HistoricalParams, dt: float):
         ln f = -ln sig2 - (s_next + u)/sig2 + (q/2) ln(s_next/u)
                + ln I_q(2 sqrt(s_next u) / sig2)
 
-    Vectorized over (s_next, s_prev) pairs.
+    Vectorized over (s_next, s_prev) pairs.  Positive mu and theta give
+    q > -1, where the density is proper also when the Feller condition
+    (q >= 0) fails.
 
     Raises
     ------
     ValueError
-        If q <= -1 (the density would be improper at zero) or any
-        state is nonpositive.
+        If any state is nonpositive.
     """
     q = 2.0 * p.mu * p.theta / p.sigma**2 - 1.0
-    if q <= -1.0:
-        raise ValueError(
-            f"2*mu*theta/sigma^2 - 1 = {q:.4f} <= -1; improper density at 0"
-        )
     scalar = np.isscalar(s_next) and np.isscalar(s_prev)
     s_next = np.atleast_1d(np.asarray(s_next, dtype=float))
     s_prev = np.atleast_1d(np.asarray(s_prev, dtype=float))
@@ -330,11 +287,12 @@ def mle_fit(
 
 
 def _flatten_observations(observations):
+    # one entry per quote: spot, ttm, price, weight 1/(2 N_j n), day j
     if not observations:
         raise ValueError("empty observation set")
-    spots, ttms, prices, weights = [], [], [], []
+    spots, ttms, prices, weights, days = [], [], [], [], []
     n = len(observations)
-    for spot, quotes in observations:
+    for j, (spot, quotes) in enumerate(observations):
         if not quotes:
             raise ValueError("every observation needs at least one contract")
         n_j = len(quotes)
@@ -343,7 +301,14 @@ def _flatten_observations(observations):
             ttms.append(ttm)
             prices.append(price)
             weights.append(1.0 / (2.0 * n_j * n))
-    return (np.array(spots), np.array(ttms), np.array(prices), np.array(weights))
+            days.append(j)
+    return tuple(np.array(v) for v in (spots, ttms, prices, weights, days))
+
+
+def _weighted_sq_errors(mu_t: float, theta_t: float, flat) -> np.ndarray:
+    spots, ttms, prices, weights, _ = flat
+    fitted = (spots - theta_t) * np.exp(-mu_t * ttms) + theta_t
+    return weights * (fitted - prices) ** 2
 
 
 def mom_loss(rn: RiskNeutralParams, observations) -> float:
@@ -352,28 +317,22 @@ def mom_loss(rn: RiskNeutralParams, observations) -> float:
     loss = (1/n) sum_j (1/(2 N_j)) sum_i
            ((s_j - theta_tilde) e^(-mu_tilde T_i) + theta_tilde - f_j^i)^2
     """
-    spots, ttms, prices, weights = _flatten_observations(observations)
-    fitted = (spots - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttms) + rn.theta_tilde
-    return float(np.sum(weights * (fitted - prices) ** 2))
+    flat = _flatten_observations(observations)
+    return float(np.sum(_weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, flat)))
 
 
-def _per_day_loss(rn: RiskNeutralParams, observations) -> np.ndarray:
-    out = np.empty(len(observations))
-    for j, (spot, quotes) in enumerate(observations):
-        errs = [
-            (spot - rn.theta_tilde) * math.exp(-rn.mu_tilde * ttm)
-            + rn.theta_tilde
-            - price
-            for ttm, price in quotes
-        ]
-        out[j] = sum(e * e for e in errs) / (2.0 * len(quotes))
-    return out
-
-
-def mom_fit(observations, budget: int = 800) -> MOMReport:
+def mom_fit(observations) -> MOMReport:
     """Fit (mu_tilde, theta_tilde) by minimizing the average squared
-    pricing error: a coarse log-grid scan followed by simplex
-    refinement.  Deterministic given the observations.
+    pricing error, by variable projection.
+
+    For fixed mu_tilde the fitted curve (s - theta) e + theta, with
+    e = e^(-mu_tilde T) and a = 1 - e, is linear in theta_tilde, so the
+    loss is a convex quadratic in theta_tilde whose minimizer over the
+    box (1e-6, 1e4) is sum w a (f - s e) / sum w a^2, clipped.  What is
+    left is a one-dimensional search in log mu_tilde over (1e-6, 1e3): a
+    coarse log grid brackets the best minimum, guarding against others,
+    and a bounded scalar search refines it.  Deterministic given the
+    observations.
 
     Raises
     ------
@@ -381,53 +340,37 @@ def mom_fit(observations, budget: int = 800) -> MOMReport:
         If the loss surface cannot identify both parameters (a single
         maturity observed at a single spot level).
     """
-    spots, ttms, prices, weights = _flatten_observations(observations)
+    flat = _flatten_observations(observations)
+    spots, ttms, prices, weights, days = flat
     if np.unique(np.round(ttms, 12)).size < 2 and np.unique(spots).size < 2:
         raise CalibrationError(
             "unidentifiable: one maturity at one spot level cannot pin down "
             "both mean-reversion parameters"
         )
 
-    def loss_xy(mu_t: float, theta_t: float) -> float:
-        fitted = (spots - theta_t) * np.exp(-mu_t * ttms) + theta_t
-        return float(np.sum(weights * (fitted - prices) ** 2))
+    def theta_star(log_mu: float) -> float:
+        e = np.exp(-math.exp(log_mu) * ttms)
+        a = 1.0 - e
+        theta = np.sum(weights * a * (prices - spots * e)) / np.sum(weights * a * a)
+        return min(max(float(theta), 1e-6), 1e4)
 
-    level_hi = max(float(np.max(prices)), float(np.max(spots)))
-    level_lo = min(float(np.min(prices)), float(np.min(spots)))
-    mu_grid = np.geomspace(0.01, 20.0, 30)
-    theta_grid = np.geomspace(max(level_lo * 0.2, 1e-2), level_hi * 5.0, 40)
-    best = None
-    for mu_t in mu_grid:
-        for theta_t in theta_grid:
-            val = loss_xy(mu_t, theta_t)
-            if best is None or val < best[0]:
-                best = (val, mu_t, theta_t)
-    z0 = np.log([best[1], best[2]])
+    def profile(log_mu: float) -> float:
+        return float(np.sum(_weighted_sq_errors(math.exp(log_mu), theta_star(log_mu), flat)))
 
-    def objective(z: np.ndarray) -> float:
-        mu_t, theta_t = np.exp(z)
-        if not (1e-6 < mu_t < 1e3 and 1e-6 < theta_t < 1e4):
-            return _PENALTY
-        return loss_xy(mu_t, theta_t)
-
-    res = minimize(
-        objective,
-        z0,
-        method="Nelder-Mead",
-        options={"maxiter": budget, "xatol": 1e-12, "fatol": 1e-16, "adaptive": True},
+    grid = np.linspace(math.log(1e-6), math.log(1e3), 37)
+    values = [profile(z) for z in grid]
+    k = int(np.argmin(values))
+    res = minimize_scalar(
+        profile,
+        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
     )
-    # polish once from the first solution; cheap and tightens the minimum
-    res2 = minimize(
-        objective,
-        res.x,
-        method="Nelder-Mead",
-        options={"maxiter": budget, "xatol": 1e-13, "fatol": 1e-18},
-    )
-    z_best = res2.x if res2.fun <= res.fun else res.x
-    mu_t, theta_t = np.exp(z_best)
-    rn = RiskNeutralParams(mu_tilde=float(mu_t), theta_tilde=float(theta_t))
+    log_mu = float(res.x) if res.fun <= values[k] else float(grid[k])
+    rn = RiskNeutralParams(mu_tilde=math.exp(log_mu), theta_tilde=theta_star(log_mu))
+    sq = _weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, flat)
     return MOMReport(
         params=rn,
-        loss=mom_loss(rn, observations),
-        per_day_loss=_per_day_loss(rn, observations),
+        loss=float(np.sum(sq)),
+        per_day_loss=np.bincount(days, weights=sq) * len(observations),
     )

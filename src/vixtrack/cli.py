@@ -131,47 +131,72 @@ def write_params_file(
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _read_key_values(path: Path, kind: str) -> dict:
+    """key -> (value, line number) of a key=value file; blank lines and
+    lines starting with # are skipped."""
+    if not path.exists():
+        raise DataError(f"{kind} {path} not found")
+    kv = {}
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{kind} {path} line {n}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        kv[k.strip()] = (v.strip(), n)
+    return kv
+
+
+def _parse(parse, text: str, where: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DataError(f"{where}: cannot parse {text!r}: {exc}") from None
+
+
+def _rank_pair(text: str) -> tuple:
+    ranks = tuple(int(v) for v in text.split(","))
+    if len(ranks) != 2:
+        raise ValueError(f"need two ranks I1,I2, got {len(ranks)}")
+    return ranks
+
+
 def read_params_file(path) -> tuple:
     """Parse a calibrate-emitted parameter file into (hist, rn, extras)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"parameter file {path} not found")
-    kv = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        k, v = line.split("=", 1)
-        kv[k] = v
-    try:
-        hist = HistoricalParams(
-            mu=float(kv["mu"]), theta=float(kv["theta"]), sigma=float(kv["sigma"])
-        )
-        rn = RiskNeutralParams(
-            mu_tilde=float(kv["mu_tilde"]), theta_tilde=float(kv["theta_tilde"])
-        )
-    except KeyError as missing:
-        raise DataError(f"parameter file {path} missing key {missing}") from None
-    extras = {
-        k: v
-        for k, v in kv.items()
-        if k not in ("mu", "theta", "sigma", "mu_tilde", "theta_tilde")
-    }
-    return hist, rn, extras
+    kv = _read_key_values(path, "parameter file")
+    values = {}
+    for key in ("mu", "theta", "sigma", "mu_tilde", "theta_tilde"):
+        if key not in kv:
+            raise DataError(f"parameter file {path} missing key '{key}'")
+        text, n = kv.pop(key)
+        values[key] = _parse(float, text, f"parameter file {path} line {n}, key {key}")
+    hist = HistoricalParams(values["mu"], values["theta"], values["sigma"])
+    rn = RiskNeutralParams(values["mu_tilde"], values["theta_tilde"])
+    return hist, rn, {k: v for k, (v, _) in kv.items()}
+
+
+_SCENARIO_KEYS = {
+    "beta": float,
+    "cycles": int,
+    "seed": int,
+    "r": float,
+    "contracts": _rank_pair,
+    "s0_multipliers": lambda text: tuple(float(v) for v in text.split(",")),
+}
 
 
 def read_scenario_config(path) -> dict:
-    """Plain-text key=value scenario file for the simulate subcommand."""
+    """Plain-text key=value scenario file for the simulate subcommand.
+
+    Known keys are parsed (``contracts`` into a rank pair,
+    ``s0_multipliers`` into a tuple); other keys stay strings."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"scenario config {path} not found")
     cfg = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        k, v = line.split("=", 1)
-        cfg[k.strip()] = v.strip()
+    for key, (text, n) in _read_key_values(path, "scenario config").items():
+        parse = _SCENARIO_KEYS.get(key, str)
+        cfg[key] = _parse(parse, text, f"scenario config {path} line {n}, key {key}")
     return cfg
 
 
@@ -294,20 +319,16 @@ def cmd_simulate(args) -> int:
         manifest.add_input("scenario", Path(args.scenario))
     hist, rn, _ = read_params_file(args.params)
     manifest.add_input("params", Path(args.params))
-    beta = args.beta if args.beta is not None else float(cfg.get("beta", 1.0))
-    cycles = args.cycles if args.cycles is not None else int(cfg.get("cycles", 3))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 1))
-    r = float(cfg.get("r", 0.01))
+    beta = args.beta if args.beta is not None else cfg.get("beta", 1.0)
+    cycles = args.cycles if args.cycles is not None else cfg.get("cycles", 3)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 1)
+    r = cfg.get("r", 0.01)
     i1, i2 = (
-        tuple(int(v) for v in args.contracts.split(","))
+        _parse(_rank_pair, args.contracts, "--contracts")
         if args.contracts
-        else tuple(int(v) for v in cfg.get("contracts", "1,2").split(","))
+        else cfg.get("contracts", (1, 2))
     )
-    mults = (
-        tuple(float(v) for v in cfg["s0_multipliers"].split(","))
-        if "s0_multipliers" in cfg
-        else (1.0, 1.0 / 3.0, 3.0)
-    )
+    mults = cfg.get("s0_multipliers", (1.0, 1.0 / 3.0, 3.0))
     manifest.config.update(
         {
             "beta": beta,

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the
 rolled-series oracle is a per-day loop over its own rank and quote
-lookups, the weight oracle is a brute-force grid scan, the constrained
-LS oracle is a dense bordered KKT solve, and the special-function
-oracles come from mpmath at 40 significant digits.
+lookups, the weight and moment-fit oracles are brute-force grid scans,
+the constrained LS oracle is a dense bordered KKT solve, and the
+special-function oracles come from mpmath at 40 significant digits.
 """
 
 import numpy as np
@@ -106,6 +106,32 @@ def mp_log_i_half_integer(n_half: int, x: float) -> float:
     else:
         raise ValueError("closed forms wired up for orders 1/2, 3/2, 5/2 only")
     return float(log(val))
+
+
+def mp_log_i(order: float, x: float) -> float:
+    """ln I_order(x) from mpmath's series, in 40-digit arithmetic."""
+    from mpmath import mp, mpf, besseli, log
+
+    mp.dps = 40
+    return float(log(besseli(mpf(order), mpf(repr(float(x))), maxterms=10**7)))
+
+
+def grid_min_mom_loss(observations, mu_grid, theta_grid):
+    """Brute-force scan of the moment-fit loss over a (mu_tilde,
+    theta_tilde) grid: (mu index, theta index, loss) of its minimum.
+
+    The loss is summed day by day from the raw (spot, quotes) pairs,
+    each day's squared errors weighted 1/(2 N_j n)."""
+    n = len(observations)
+    mu = np.asarray(mu_grid, dtype=float)[:, None, None]
+    theta = np.asarray(theta_grid, dtype=float)[None, :, None]
+    loss = np.zeros((mu.size, theta.size))
+    for spot, quotes in observations:
+        ttm, price = (np.array(v, dtype=float) for v in zip(*quotes))
+        fitted = (spot - theta) * np.exp(-mu * ttm) + theta
+        loss += np.sum((fitted - price) ** 2, axis=2) / (2.0 * len(quotes) * n)
+    i, k = np.unravel_index(int(np.argmin(loss)), loss.shape)
+    return int(i), int(k), float(loss[i, k])
 
 
 # ln I_9.068(500) by 40-digit quadrature of the integral representation

@@ -86,6 +86,23 @@ class TestLogBesselI:
         vec = log_bessel_i(2.2, xs)
         assert np.allclose(vec, [log_bessel_i(2.2, float(x)) for x in xs], rtol=1e-14)
 
+    @pytest.mark.parametrize(
+        "order,xs",
+        [
+            (60.0, np.geomspace(1e-3, 1e5, 25)),
+            (1e3, np.geomspace(1e-3, 1e5, 25)),  # ive underflows for x < 624
+            # ive underflows for x < 7.2e4; mpmath needs seconds per point above 3e4
+            (1e4, np.geomspace(1e-3, 3e4, 22)),
+            (10.0, np.array([1e-40])),  # ive underflows at small order too
+            (-0.2, np.geomspace(1e-3, 1e3, 13)),  # below the Feller order
+        ],
+    )
+    def test_mpmath_oracle(self, order, xs):
+        got = log_bessel_i(order, xs)
+        for x, g in zip(xs, got):
+            ref = oracles.mp_log_i(order, float(x))
+            assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref)), (order, x)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             log_bessel_i(-1.0, 1.0)
@@ -95,15 +112,17 @@ class TestLogBesselI:
 
 class TestCirLogDensity:
     def test_density_integrates_to_one(self, fit_hist):
-        for s_prev in (10.0, 18.81, 35.0):
-            total, err = quad(
-                lambda s: np.exp(cir_log_density(s, s_prev, fit_hist, DT)),
-                1e-12,
-                20 * fit_hist.theta,
-                points=[s_prev],
-                limit=300,
-            )
-            assert total == pytest.approx(1.0, abs=1e-6)
+        # the second point fails the Feller condition: q = -0.2
+        for hist in (fit_hist, HistoricalParams(1.0, 10.0, 5.0)):
+            for s_prev in (10.0, 18.81, 35.0):
+                total, err = quad(
+                    lambda s: np.exp(cir_log_density(s, s_prev, hist, DT)),
+                    1e-12,
+                    20 * hist.theta,
+                    points=[s_prev],
+                    limit=300,
+                )
+                assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_feller_order_constant(self, fit_hist):
         q = 2 * fit_hist.mu * fit_hist.theta / fit_hist.sigma**2 - 1
@@ -115,10 +134,19 @@ class TestCirLogDensity:
         sign_changes = np.sum(np.diff(np.sign(np.diff(dens))) != 0)
         assert sign_changes == 1
 
-    def test_improper_parameterization_rejected(self):
-        bad = HistoricalParams(mu=0.1, theta=0.5, sigma=5.0)  # q < -1
-        with pytest.raises(ValueError):
-            cir_log_density(10.0, 10.0, bad, DT)
+    def test_order_near_minus_one_is_proper(self):
+        # q = -0.996: positive (mu, theta) always give q > -1, where the
+        # density has an integrable s^q singularity at zero
+        hist = HistoricalParams(mu=0.1, theta=0.5, sigma=5.0)
+        for s_prev in (0.5, 10.0):
+            total, err = quad(
+                lambda s: np.exp(cir_log_density(s, s_prev, hist, DT)),
+                0.0,
+                60.0,
+                points=[s_prev],
+                limit=500,
+            )
+            assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_nonpositive_states_rejected(self, fit_hist):
         with pytest.raises(ValueError):
@@ -149,6 +177,15 @@ class TestMleFit:
         rep = mle_fit(series, DT, budget=300, n_restarts=1)
         assert abs(rep.params.theta - 20.0) < 0.05
         assert rep.params.sigma < 0.05
+
+    def test_fails_feller_condition(self):
+        # true q = 2 * 1 * 10 / 25 - 1 = -0.2: the search visits orders
+        # in (-1, 0), where the density is still proper
+        true = HistoricalParams(1.0, 10.0, 5.0)
+        path = simulate_index_path(true, LocalVol.square_root(5.0), 10.0, 2000, 3)
+        rep = mle_fit(path.values, DT)
+        assert np.isfinite(rep.avg_loglik)
+        assert rep.avg_loglik >= average_log_likelihood(path.values, true, DT)
 
     def test_validation(self, fit_hist):
         with pytest.raises(ValueError):
@@ -211,6 +248,23 @@ class TestMom:
             rep = mom_fit(synth_observations(true, n_days=100, seed=seed, noise=0.05))
             assert abs(rep.params.mu_tilde / true.mu_tilde - 1) < 0.02
             assert abs(rep.params.theta_tilde / true.theta_tilde - 1) < 0.02
+
+    def test_grid_scan_oracle(self):
+        obs = synth_observations(
+            RiskNeutralParams(1.39, 26.03), n_days=100, seed=7, noise=0.05
+        )
+        mu_grid = np.geomspace(0.7, 2.8, 401)
+        theta_grid = np.geomspace(13.0, 52.0, 401)
+        k_mu, k_theta, grid_min = oracles.grid_min_mom_loss(obs, mu_grid, theta_grid)
+        grid_best = RiskNeutralParams(mu_grid[k_mu], theta_grid[k_theta])
+        assert mom_loss(grid_best, obs) == pytest.approx(grid_min, rel=1e-12)
+        rep = mom_fit(obs)
+        assert rep.loss <= grid_min
+        for got, grid, k in (
+            (rep.params.mu_tilde, mu_grid, k_mu),
+            (rep.params.theta_tilde, theta_grid, k_theta),
+        ):
+            assert abs(np.log(got / grid[k])) <= np.log(grid[1] / grid[0])
 
     def test_unidentifiable_surface_rejected(self):
         obs = [(20.0, [(21 / 252.0, 21.0)])] * 5

@@ -146,3 +146,29 @@ def test_regress(quotes, tmp_path):
         assert (tmp_path / f"intercepts_{rank}m.tsv").is_file()
     assert (tmp_path / "scatter_1m_1d.tsv").is_file()
     assert_numeric_cells(tmp_path)
+
+
+PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
+
+
+@pytest.mark.parametrize(
+    "params,scenario,argv,where",
+    [
+        (PARAMS + "mle_converged\n", None, [], ("params.txt", "line 6")),
+        (PARAMS.replace("mu=10.86", "mu=abc"), None, [], ("params.txt", "line 1", "mu")),
+        (PARAMS.replace("theta=18.81\n", ""), None, [], ("params.txt", "'theta'")),
+        (PARAMS, "beta=1\ncontracts=1,2,3\n", [], ("scenario.txt", "line 2", "contracts")),
+        (PARAMS, "# levels\ncycles=2.5\n", [], ("scenario.txt", "line 2", "cycles")),
+        (PARAMS, None, ["--contracts", "1"], ("--contracts",)),
+    ],
+)
+def test_malformed_key_value_files_are_named(tmp_path, capsys, params, scenario, argv, where):
+    (tmp_path / "params.txt").write_text(params)
+    argv = ["simulate", "--params", str(tmp_path / "params.txt"), *argv]
+    if scenario is not None:
+        (tmp_path / "scenario.txt").write_text(scenario)
+        argv += ["--scenario", str(tmp_path / "scenario.txt")]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert all(part in err for part in where), err

@@ -29,7 +29,7 @@ from .data import PricePanel, load_panel, normalize_to_100, split_in_out
 from .dynamic import (
     TrackingCoefficients,
     TrackingConfig,
-    dynamic_strategy,
+    dynamic_weights,
     expected_sq_error,
     optimal_weight,
     tracking_coefficients,
@@ -52,17 +52,15 @@ from .model import (
 )
 from .simulate import (
     ContractCalendar,
-    DayQuote,
     IndexPath,
     PortfolioPath,
     evolve_wealth,
     futures_panel_from_path,
-    replay_wealth,
-    run_strategy,
+    hold_pair,
     simulate_index_path,
     simulate_index_paths,
+    vxx_front_weights,
     vxx_roll_weights,
-    vxx_strategy,
 )
 from .static import (
     DesignMatrix,

@@ -33,7 +33,7 @@ from .analytics import (
 )
 from .calibrate import mle_fit, mom_fit
 from .data import load_panel
-from .dynamic import TrackingConfig, dynamic_strategy
+from .dynamic import TrackingConfig, dynamic_weights
 from .errors import CalibrationError, DataError, DegenerateProblemError
 from .model import (
     DT,
@@ -45,9 +45,9 @@ from .model import (
 from .simulate import (
     ContractCalendar,
     futures_panel_from_path,
-    run_strategy,
+    hold_pair,
     simulate_index_path,
-    vxx_strategy,
+    vxx_front_weights,
 )
 from .static import (
     build_rolled_series,
@@ -345,14 +345,17 @@ def cmd_simulate(args) -> int:
     g = LocalVol.square_root(hist.sigma)
     tracking = TrackingConfig(beta=beta, i1=i1, i2=i2)
     n_days = cycles * mkt.days_per_month
-    cal = ContractCalendar.monthly(cycles + 1, mkt.days_per_month, mkt.dt)
+    # enough contracts that both ranks trade on the last day
+    n_contracts = cycles + max(i1, i2, 2) - 1
+    cal = ContractCalendar.monthly(n_contracts, mkt.days_per_month, mkt.dt)
     children = np.random.SeedSequence(seed).spawn(len(mults))
     for mult, child in zip(mults, children):
         s0 = mult * hist.theta
         path = simulate_index_path(hist, g, s0, n_days, child)
         panel = futures_panel_from_path(path, cal, rn, mkt)
-        dyn = run_strategy(panel, dynamic_strategy(tracking, cal, hist, rn, g, mkt), 100.0, mkt)
-        vxx = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
+        w_dyn = dynamic_weights(panel, tracking, hist, rn, g, mkt)
+        dyn = hold_pair(panel, (i1, i2), w_dyn, 100.0, mkt)
+        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel), 100.0, mkt)
         label = _scenario_label(mult)
         index_norm = 100.0 * path.values / path.values[0]
         lines = ["day\tindex\tvxx\tdynamic"]
@@ -361,11 +364,11 @@ def cmd_simulate(args) -> int:
             lines.append(f"{j}\t{idx!r}\t{v!r}\t{d!r}")
         _emit(manifest, out_dir, f"wealth_{label}.tsv", "\n".join(lines) + "\n")
 
+        # the dynamic pair's weight on the front contract, 0 when it holds none
+        front = dyn.weights[:, (i1, i2).index(1)] if 1 in (i1, i2) else np.zeros(n_days)
         lines = ["day\tdynamic_w1\tvxx_w1"]
-        for j in range(panel.n_days - 1):
-            lines.append(
-                f"{j}\t{float(dyn.weights[j][0])!r}\t{float(vxx.weights[j][0])!r}"
-            )
+        for j, (d, v) in enumerate(zip(front.tolist(), vxx.weights[:, 0].tolist())):
+            lines.append(f"{j}\t{d!r}\t{v!r}")
         _emit(manifest, out_dir, f"weights_{label}.tsv", "\n".join(lines) + "\n")
 
         idx_ret = path.values[1:] / path.values[:-1] - 1.0
@@ -373,7 +376,7 @@ def cmd_simulate(args) -> int:
         for name, port in (("dynamic", dyn), ("vxx", vxx)):
             rep = scatter_report(port.returns, idx_ret)
             reg = rep.regression
-            max_w = max(float(np.max(np.abs(w))) for w in port.weights)
+            max_w = float(np.max(np.abs(port.weights)))
             rows.append(
                 f"{name}\t{reg.slope:.6f}\t{reg.slope_se:.3e}\t{reg.intercept:.3e}"
                 f"\t{reg.intercept_se:.3e}\t{reg.r2:.6f}\t{rep.slope_one_p:.3e}"

@@ -7,7 +7,6 @@ the header ``date,code,field,value``:
 * ``futures.csv`` -- rows ``<date>,<contract>,close,<price>`` plus one
   ``<expiry date>,<contract>,expiry,`` row per contract
 * ``rates.csv``   -- rows ``<date>,<code>,rate,<annual rate>``
-* ``etn.csv``     -- optional, rows ``<date>,<code>,close,<price>``
 
 A :class:`PricePanel` is the one market type of the package, for
 loaded quotes and simulated curves alike: per trading day the spot
@@ -22,10 +21,9 @@ is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
 contracts, in expiry order (from the ``expiry`` rows), that expire
 after that day, so rank r is always the r-th contract by expiry.  Its
 ttms are actual trading-day counts to expiry over 252.  Days missing
-the spot, the rate, the close of any of those front contracts, or
-(when ``etn.csv`` exists) the ETN close are dropped with a logged
-count.  A futures ``close`` row for a contract without an ``expiry``
-row is an error.
+the spot, the rate or the close of any of those front contracts are
+dropped with a logged count.  A futures ``close`` row for a contract
+without an ``expiry`` row is an error.
 """
 
 from __future__ import annotations
@@ -80,7 +78,6 @@ class PricePanel:
     ttms: np.ndarray
     rates: np.ndarray
     mm_value: np.ndarray
-    etn: np.ndarray | None = None
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -112,9 +109,28 @@ class PricePanel:
             ttms=self.ttms[start:stop],
             rates=self.rates[start:stop],
             mm_value=self.mm_value[start:stop],
-            etn=None if self.etn is None else self.etn[start:stop],
             n_dropped=self.n_dropped,
         )
+
+    def rank_columns(self, *ranks: int) -> np.ndarray:
+        """Column of the ``rank``-th contract with ttm > 0 (1 = front),
+        for each requested rank, on each day but the last: the days a
+        position can be opened.  Shape (n_days - 1, len(ranks)).
+
+        Raises
+        ------
+        DataError
+            If a rank is below 1 or, naming the first such day, fewer
+            contracts than the largest rank are tradable.
+        """
+        live = np.cumsum(self.ttms[:-1] > 0, axis=1)
+        if min(ranks) < 1:
+            raise DataError(f"rank {min(ranks)} not available: ranks are 1-based")
+        short = np.flatnonzero(live[:, -1] < max(ranks))
+        if short.size:
+            raise DataError(f"rank {max(ranks)} not available on day {short[0]}")
+        # columns are in expiry order, so rank r is where the count reaches r
+        return np.stack([np.argmax(live >= r, axis=1) for r in ranks], axis=1)
 
     def observations(self) -> list:
         """Per-day (spot, [(ttm, price), ...]) pairs over tradable
@@ -173,8 +189,7 @@ def load_panel(
     Parameters
     ----------
     data_dir : path-like
-        Directory holding spot.csv, futures.csv, rates.csv and an
-        optional etn.csv.
+        Directory holding spot.csv, futures.csv and rates.csv.
     window : (start, end) of date-like, optional
         Inclusive date range to keep.
     n_ranks : int
@@ -185,8 +200,8 @@ def load_panel(
         contract settling on the day is kept when quoted.
     max_drop_frac : float
         Abort when more than this fraction of candidate days has to be
-        dropped for missing data: no rate, a missing front-``n_ranks``
-        close, or, when ``etn.csv`` exists, no ETN close.
+        dropped for missing data: no rate or a missing front-``n_ranks``
+        close.
 
     Raises
     ------
@@ -199,7 +214,6 @@ def load_panel(
     spot_path = data_dir / "spot.csv"
     fut_path = data_dir / "futures.csv"
     rate_path = data_dir / "rates.csv"
-    etn_path = data_dir / "etn.csv"
     for p in (spot_path, fut_path, rate_path):
         if not p.exists():
             raise DataError(f"missing input file {p}")
@@ -243,15 +257,6 @@ def load_panel(
             rate_path, line_no, val
         )
 
-    etn_by_date: dict = {}
-    if etn_path.exists():
-        for line_no, d, code, fld, val in _parse_quote_file(etn_path):
-            if fld != "close":
-                raise DataError(f"{etn_path.name}:{line_no}: unknown field {fld!r}")
-            etn_by_date[_parse_date(etn_path, line_no, d)] = _parse_float(
-                etn_path, line_no, val
-            )
-
     candidates = sorted(spot_by_date)
     if window is not None:
         lo = np.datetime64(window[0], "D")
@@ -268,21 +273,18 @@ def load_panel(
     first_settling = np.searchsorted(expiries, cand_arr, side="left").tolist()
     first_live = np.searchsorted(expiries, cand_arr, side="right").tolist()
 
-    dates, spot, rates, etn = [], [], [], []
+    dates, spot, rates = [], [], []
     # kept quotes as (row, contract index in by_expiry, price)
     rows, cols, quoted = [], [], []
     n_dropped = 0
-    have_etn = bool(etn_by_date)
     for date, s0, l0 in zip(candidates, first_settling, first_live):
         quotes = futures_by_date.get(date, {})
         rate = rate_by_date.get(date)
-        etn_px = etn_by_date.get(date) if have_etn else None
         front = by_expiry[l0 : l0 + n_ranks]
         usable = (
             rate is not None
             and len(front) == n_ranks
             and all(c in quotes for _, c in front)
-            and (not have_etn or etn_px is not None)
         )
         if not usable:
             n_dropped += 1
@@ -296,7 +298,6 @@ def load_panel(
         dates.append(date)
         spot.append(spot_by_date[date])
         rates.append(rate)
-        etn.append(etn_px)
 
     if n_dropped:
         log.info("dropped %d of %d candidate days for missing data", n_dropped, len(candidates))
@@ -329,7 +330,6 @@ def load_panel(
         ttms=ttms,
         rates=rates_arr,
         mm_value=mm,
-        etn=np.array(etn) if have_etn else None,
         n_dropped=n_dropped,
     )
 

@@ -6,11 +6,13 @@ so the pair always sums to one) to minimize the conditional expected
 squared deviation of the portfolio's next-day return from ``beta``
 times the index's return.  Conditional on today, that deviation is
 normal with mean ``alpha0 + alpha1*w`` and standard deviation
-``nu0 + nu1*w``, so the objective is the convex quadratic
+``nu0 + nu1*w`` to first order in dt, so the objective is the convex
+quadratic
 
     (alpha0 + alpha1*w)**2 + (nu0 + nu1*w)**2
 
-whose minimizer and minimum are available in closed form.
+whose minimizer and minimum are available in closed form.  Every
+function takes one day's scalars or per-day arrays alike.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProblemError
+from .data import PricePanel
+from .errors import DegenerateProblemError, require
 from .model import (
     HistoricalParams,
     LocalVol,
     MarketConfig,
     RiskNeutralParams,
     b_coefficient,
-    market_price_of_risk,
 )
-from .simulate import ContractCalendar, DayQuote
 
 __all__ = [
     "TrackingConfig",
@@ -37,7 +38,7 @@ __all__ = [
     "tracking_coefficients",
     "optimal_weight",
     "expected_sq_error",
-    "dynamic_strategy",
+    "dynamic_weights",
 ]
 
 # Contract pairs whose return sensitivities differ by less than this are
@@ -65,7 +66,8 @@ class TrackingConfig:
 class TrackingCoefficients:
     """Affine decomposition of the one-day tracking error.
 
-    Mean part: alpha0 + alpha1 * w.  Shock part: nu0 + nu1 * w.
+    Mean part: alpha0 + alpha1 * w.  Shock part: nu0 + nu1 * w.  Each
+    field is one day's scalar or a per-day array.
     """
 
     alpha0: float
@@ -75,65 +77,47 @@ class TrackingCoefficients:
 
 
 def tracking_coefficients(
-    day: int,
-    spot: float,
+    spot,
+    ttm1,
+    ttm2,
     cfg: TrackingConfig,
-    cal: ContractCalendar,
     hist: HistoricalParams,
     rn: RiskNeutralParams,
     g: LocalVol,
     mkt: MarketConfig,
 ) -> TrackingCoefficients:
-    """Tracking-error coefficients for one day and one contract pair.
+    """Tracking-error coefficients for one contract pair, given the spot
+    and the times to maturity of the contracts of ranks ``cfg.i1`` and
+    ``cfg.i2``: one day's scalars or per-day arrays.
 
-    Ranks in ``cfg`` index the contracts tradable on ``day`` (1-based,
-    nearest maturity first).  Both contracts must be unexpired, and the
-    pair must have distinct times to maturity.
+    The pair must have distinct times to maturity.
     """
-    if spot <= 0:
-        raise ValueError(f"spot must be positive, got {spot}")
-    tradable = cal.tradable(day)
-    if max(cfg.i1, cfg.i2) > len(tradable):
-        raise ValueError(
-            f"only {len(tradable)} contracts are tradable on day {day}; "
-            f"requested ranks ({cfg.i1}, {cfg.i2})"
-        )
-    d1 = cal.ttm(day, tradable[cfg.i1 - 1])
-    d2 = cal.ttm(day, tradable[cfg.i2 - 1])
-    if d1 == d2:
-        raise DegenerateProblemError("contracts must have different times to maturity")
-    t = day * mkt.dt
-    g_val = g(t, spot)
+    require(spot > 0, ValueError, "spot must be positive, got {}", spot)
+    require(
+        ttm1 != ttm2, DegenerateProblemError,
+        "contracts must have different times to maturity",
+    )
+    g_val = np.vectorize(g, otypes=[float])(spot)
+    b1 = b_coefficient(spot, ttm1, rn, g_val)
+    b2 = b_coefficient(spot, ttm2, rn, g_val)
+    require(
+        (g_val == 0) | (abs(b1 - b2) >= B_SPREAD_TOL), DegenerateProblemError,
+        "return sensitivities differ by {:.3e}; the pair is numerically degenerate",
+        abs(b1 - b2),
+    )
+    # lambda * B_i = drift gap / (theta_tilde e^(mu_tilde T_i) + S - theta_tilde):
+    # B_i with the drift gap in place of g, so it stays finite as g -> 0
+    drift_gap = hist.mu * (hist.theta - spot) - rn.mu_tilde * (rn.theta_tilde - spot)
+    lam_b1 = b_coefficient(spot, ttm1, rn, drift_gap)
+    lam_b2 = b_coefficient(spot, ttm2, rn, drift_gap)
     dt = mkt.dt
     sqrt_dt = math.sqrt(dt)
-    if g_val > 0:
-        b1 = b_coefficient(spot, d1, rn, g_val)
-        b2 = b_coefficient(spot, d2, rn, g_val)
-        if abs(b1 - b2) < B_SPREAD_TOL:
-            raise DegenerateProblemError(
-                f"return sensitivities differ by {abs(b1 - b2):.3e}; "
-                "the pair is numerically degenerate"
-            )
-        lam = market_price_of_risk(spot, hist, rn, g, t)
-        lam_b2 = lam * b2
-        lam_spread = lam * (b1 - b2)
-    else:
-        # deterministic-volatility limit: lambda diverges like 1/g while
-        # every B vanishes like g, so the products stay finite
-        drift_gap = hist.mu * (hist.theta - spot) - rn.mu_tilde * (
-            rn.theta_tilde - spot
-        )
-        den1 = rn.theta_tilde * math.exp(rn.mu_tilde * d1) + spot - rn.theta_tilde
-        den2 = rn.theta_tilde * math.exp(rn.mu_tilde * d2) + spot - rn.theta_tilde
-        b1 = b2 = 0.0
-        lam_b2 = drift_gap / den2
-        lam_spread = drift_gap * (1.0 / den1 - 1.0 / den2)
     alpha0 = (
         math.expm1(mkt.r * dt)
         + dt * lam_b2
         - cfg.beta * hist.mu * dt * (hist.theta / spot - 1.0)
     )
-    alpha1 = dt * lam_spread
+    alpha1 = dt * (lam_b1 - lam_b2)
     nu0 = sqrt_dt * (b2 - cfg.beta * g_val / spot)
     nu1 = sqrt_dt * (b1 - b2)
     return TrackingCoefficients(alpha0=alpha0, alpha1=alpha1, nu0=nu0, nu1=nu1)
@@ -149,10 +133,10 @@ def optimal_weight(c: TrackingCoefficients) -> tuple:
     (nu1*alpha0 - nu0*alpha1)**2 / (alpha1**2 + nu1**2) >= 0.
     """
     denom = c.alpha1 ** 2 + c.nu1 ** 2
-    if denom <= 0:
-        raise DegenerateProblemError(
-            "alpha1 and nu1 are both zero; no unique optimal weight exists"
-        )
+    require(
+        denom > 0, DegenerateProblemError,
+        "alpha1 and nu1 are both zero; no unique optimal weight exists",
+    )
     w_star = -(c.alpha0 * c.alpha1 + c.nu0 * c.nu1) / denom
     objective = (c.nu1 * c.alpha0 - c.nu0 * c.alpha1) ** 2 / denom
     return w_star, objective
@@ -166,28 +150,17 @@ def expected_sq_error(w: float, c: TrackingCoefficients) -> float:
     return (c.alpha0 + c.alpha1 * w) ** 2 + (c.nu0 + c.nu1 * w) ** 2
 
 
-def dynamic_strategy(
+def dynamic_weights(
+    panel: PricePanel,
     cfg: TrackingConfig,
-    cal: ContractCalendar,
     hist: HistoricalParams,
     rn: RiskNeutralParams,
     g: LocalVol,
     mkt: MarketConfig,
-):
-    """Per-day weight rule for :func:`vixtrack.simulate.run_strategy`.
-
-    Puts the optimal fraction on rank ``i1``, the complement on rank
-    ``i2``, and zero on every other tradable contract.
-    """
-
-    def rule(quote: DayQuote) -> np.ndarray:
-        c = tracking_coefficients(
-            quote.day, quote.spot, cfg, cal, hist, rn, g, mkt
-        )
-        w_star, _ = optimal_weight(c)
-        w = np.zeros(quote.prices.size)
-        w[cfg.i1 - 1] = w_star
-        w[cfg.i2 - 1] = 1.0 - w_star
-        return w
-
-    return rule
+) -> np.ndarray:
+    """Optimal fraction of wealth in rank ``cfg.i1`` on each day of the
+    panel but the last; rank ``cfg.i2`` gets the complement."""
+    ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(cfg.i1, cfg.i2), axis=1)
+    c = tracking_coefficients(panel.spot[:-1], ttm[:, 0], ttm[:, 1], cfg, hist, rn, g, mkt)
+    w_star, _ = optimal_weight(c)
+    return w_star

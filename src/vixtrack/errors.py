@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that
+raises them for scalar or per-day array inputs alike."""
+
+import numpy as np
 
 
 class DataError(ValueError):
@@ -19,3 +22,18 @@ class DegenerateProblemError(ValueError):
 class VolatilitySingularityError(ZeroDivisionError):
     """Raised when the local volatility evaluates to zero where a division
     by it is required."""
+
+
+def require(ok, exc: type, message: str, *values) -> None:
+    """Raise ``exc`` unless every entry of ``ok`` holds.
+
+    ``ok`` is a scalar or a per-day array.  The ``{}`` fields of
+    ``message`` show ``values`` at the first failing entry, and an
+    array check appends that entry's day.
+    """
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    day = int(np.argmin(ok)) if ok.ndim else ()
+    shown = [float(np.broadcast_to(v, ok.shape)[day]) for v in values]
+    raise exc(message.format(*shown) + (f" on day {day}" if ok.ndim else ""))

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateProblemError, VolatilitySingularityError
+import numpy as np
+
+from .errors import DegenerateProblemError, VolatilitySingularityError, require
 
 __all__ = [
     "HistoricalParams",
@@ -81,7 +83,7 @@ class RiskNeutralParams:
 
 @dataclass(frozen=True)
 class LocalVol:
-    """Local volatility function g(t, S).
+    """Time-homogeneous local volatility function g(S).
 
     Two kinds are supported: ``"constant"`` evaluates to ``sigma``
     (Ornstein-Uhlenbeck dynamics) and ``"square-root"`` evaluates to
@@ -107,8 +109,8 @@ class LocalVol:
     def square_root(cls, sigma: float) -> "LocalVol":
         return cls("square-root", sigma)
 
-    def __call__(self, t: float, spot: float) -> float:
-        """Evaluate g(t, spot).  Nonnegative for spot >= 0."""
+    def __call__(self, spot: float) -> float:
+        """Evaluate g(spot).  Nonnegative for spot >= 0."""
         if self.kind == "constant":
             return self.sigma
         if spot < 0:
@@ -170,22 +172,20 @@ def market_price_of_risk(
     hist: HistoricalParams,
     rn: RiskNeutralParams,
     g: LocalVol,
-    t: float = 0.0,
 ) -> float:
     """Drift adjustment lambda linking historical and risk-neutral dynamics.
 
-    lambda = [mu*(theta - S) - mu_tilde*(theta_tilde - S)] / g(t, S).
+    lambda = [mu*(theta - S) - mu_tilde*(theta_tilde - S)] / g(S).
 
     Raises
     ------
     VolatilitySingularityError
-        If g(t, spot) is zero (e.g. spot = 0 under square-root
-        volatility).
+        If g(spot) is zero (e.g. spot = 0 under square-root volatility).
     """
-    g_val = g(t, spot)
+    g_val = g(spot)
     if g_val <= 0:
         raise VolatilitySingularityError(
-            f"local volatility is {g_val} at (t={t}, spot={spot}); "
+            f"local volatility is {g_val} at spot={spot}; "
             "market price of risk is undefined"
         )
     return (
@@ -196,30 +196,33 @@ def market_price_of_risk(
 def b_coefficient(
     spot: float, ttm: float, rn: RiskNeutralParams, g_val: float
 ) -> float:
-    """Sensitivity of a futures contract's one-day return to an index shock.
+    """Sensitivity of a futures contract's one-day return to an index
+    shock, to first order in dt.
 
     B = g_val / (theta_tilde * exp(mu_tilde * ttm) + spot - theta_tilde).
 
     Strictly decreasing in ``ttm`` for fixed spot and positive ``g_val``:
-    longer-dated contracts react less to the same shock.
+    longer-dated contracts react less to the same shock.  Takes scalars
+    or per-day arrays.
 
     Raises
     ------
     ValueError
-        If the denominator is not strictly positive.
+        If the denominator is not strictly positive (naming the first
+        such day for arrays).
     """
-    denom = rn.theta_tilde * math.exp(rn.mu_tilde * ttm) + spot - rn.theta_tilde
-    if denom <= 0:
-        raise ValueError(
-            f"invalid state: theta_tilde*e^(mu_tilde*ttm) + spot - theta_tilde "
-            f"= {denom} must be positive (spot={spot}, ttm={ttm})"
-        )
+    denom = rn.theta_tilde * np.exp(rn.mu_tilde * ttm) + spot - rn.theta_tilde
+    require(
+        denom > 0, ValueError,
+        "invalid state: theta_tilde*e^(mu_tilde*ttm) + spot - theta_tilde "
+        "= {} must be positive (spot={}, ttm={})", denom, spot, ttm,
+    )
     return g_val / denom
 
 
 def critical_spot(beta: float, cfg: MarketConfig, rn: RiskNeutralParams) -> float:
     """Index level at which the two-contract tracker has zero expected
-    squared return error.
+    squared return error, to first order in dt.
 
     S* = beta * mu_tilde * theta_tilde / (beta * mu_tilde + r_bar),
     with r_bar = (e^(r*dt) - 1)/dt.  Independent of the trading day and

@@ -2,15 +2,15 @@
 
 The index follows the explicit Euler recursion
 
-    S[j+1] = S[j] + mu*(theta - S[j])*dt + g(j*dt, S[j])*sqrt(dt)*Z[j+1]
+    S[j+1] = S[j] + mu*(theta - S[j])*dt + g(S[j])*sqrt(dt)*Z[j+1]
 
 with i.i.d. standard normal shocks.  Futures prices over a contract
 calendar are filled in from the closed form in :mod:`vixtrack.model`
 into the same :class:`~vixtrack.data.PricePanel` that loaded quotes
-fill, NaN past each contract's maturity.  Strategies are run day by
-day through the self-financing mark-to-market wealth recursion; a
-strategy that needs the calendar (the dynamic tracker, the VXX-style
-roll) is built by a factory that closes over it.
+fill, NaN past each contract's maturity.  A two-contract strategy (the
+dynamic tracker, the VXX-style roll) is a per-day weight array on two
+maturity ranks of the panel, and its wealth comes from one vectorized
+self-financing mark-to-market recursion.
 
 RNG convention: every path is driven by ``numpy.random.default_rng``
 seeded from a ``SeedSequence``.  Multi-path runs spawn one child
@@ -20,12 +20,12 @@ same paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PricePanel
+from .errors import require
 from .model import (
     DT,
     HistoricalParams,
@@ -38,15 +38,13 @@ __all__ = [
     "IndexPath",
     "ContractCalendar",
     "PortfolioPath",
-    "DayQuote",
     "simulate_index_path",
     "simulate_index_paths",
     "futures_panel_from_path",
     "evolve_wealth",
+    "hold_pair",
     "vxx_roll_weights",
-    "vxx_strategy",
-    "run_strategy",
-    "replay_wealth",
+    "vxx_front_weights",
 ]
 
 # Floor applied when a Euler step proposes a nonpositive index level.
@@ -83,12 +81,10 @@ class ContractCalendar:
     """Ordered futures maturities on the trading-day grid.
 
     Maturities are expressed in years and must sit on integer multiples
-    of ``dt``.  ``cycle_length`` is the number of trading days in one
-    roll cycle (front-month lifetime).
+    of ``dt``.
     """
 
     maturities: tuple
-    cycle_length: int
     dt: float = DT
 
     def __post_init__(self):
@@ -102,8 +98,6 @@ class ContractCalendar:
         if any(abs(d - round(d)) > 1e-9 for d in days):
             raise ValueError("every maturity must be an integer multiple of dt")
         object.__setattr__(self, "_maturity_days", tuple(int(round(d)) for d in days))
-        if self.cycle_length < 1:
-            raise ValueError("cycle_length must be >= 1")
 
     @classmethod
     def monthly(
@@ -114,7 +108,7 @@ class ContractCalendar:
     ) -> "ContractCalendar":
         """Evenly spaced maturities at multiples of ``days_per_month``."""
         mats = tuple((k + 1) * days_per_month * dt for k in range(n_contracts))
-        return cls(mats, cycle_length=days_per_month, dt=dt)
+        return cls(mats, dt=dt)
 
     @property
     def maturity_days(self) -> tuple:
@@ -124,52 +118,27 @@ class ContractCalendar:
     def n_contracts(self) -> int:
         return len(self.maturities)
 
-    def tradable(self, day: int) -> list:
-        """Contract indices that can be held from `day` to `day`+1."""
-        return [i for i, d in enumerate(self._maturity_days) if d > day]
-
-    def ttm(self, day: int, contract: int) -> float:
-        """Time to maturity in years of `contract` as of `day`."""
-        return (self._maturity_days[contract] - day) * self.dt
-
-    def day_in_cycle(self, day: int) -> int:
-        """Days elapsed in the current roll cycle (0 on a fresh front)."""
-        tradable = self.tradable(day)
-        if not tradable:
-            raise ValueError(f"no tradable contract on day {day}")
-        days_to_expiry = self._maturity_days[tradable[0]] - day
-        return self.cycle_length - days_to_expiry
-
 
 @dataclass(frozen=True)
 class PortfolioPath:
-    """Wealth series and per-day weight vectors from a strategy run.
+    """Wealth series and per-day weights of a two-contract strategy.
 
-    ``weights[j]`` was chosen on day ``j`` from day-``j`` information and
-    applied over the (j -> j+1) mark-to-market interval; it is aligned
-    with the contracts tradable on day ``j``.  Wealth may go negative
-    under leverage.
+    ``weights[j]`` holds the fractions of wealth in the pair's two
+    contracts, chosen on day ``j`` from day-``j`` information and
+    applied over the (j -> j+1) mark-to-market interval.  Wealth may go
+    negative under leverage.
     """
 
     wealth: np.ndarray
-    weights: list = field(default_factory=list)
+    weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.weights) != self.wealth.size - 1:
-            raise ValueError("need one weight vector per wealth transition")
+        if self.weights.shape != (self.wealth.size - 1, 2):
+            raise ValueError("need one weight pair per wealth transition")
 
     @property
     def returns(self) -> np.ndarray:
         return self.wealth[1:] / self.wealth[:-1] - 1.0
-
-
-class DayQuote(NamedTuple):
-    """Information available to a strategy on one trading day."""
-
-    day: int
-    spot: float
-    ttms: np.ndarray
-    prices: np.ndarray
 
 
 def _euler_step(s, drift_dt, g_vals, sqrt_dt, z):
@@ -202,7 +171,7 @@ def simulate_index_path(
     n_clamped = 0
     s = s0
     for j in range(n_days):
-        s_next = _euler_step(s, hist.mu * (hist.theta - s) * dt, g(j * dt, s), sqrt_dt, z[j])
+        s_next = _euler_step(s, hist.mu * (hist.theta - s) * dt, g(s), sqrt_dt, z[j])
         if s_next < SPOT_FLOOR:
             s_next = SPOT_FLOOR
             n_clamped += 1
@@ -267,116 +236,81 @@ def futures_panel_from_path(
 
 
 def evolve_wealth(
-    x: float,
+    x0: float,
     weights: np.ndarray,
     today: np.ndarray,
     tomorrow: np.ndarray,
     cfg: MarketConfig,
-) -> float:
-    """One mark-to-market step of the futures portfolio.
+) -> np.ndarray:
+    """Wealth of a daily-rebalanced futures portfolio.
 
-    x_next = x * e^(r*dt) + sum_i (w_i * x / f_i) * (f_i' - f_i)
+    x[j+1] = x[j] * (e^(r*dt) + sum_k w[j, k] * (f'[j, k] / f[j, k] - 1))
 
-    The full wealth sits on margin earning the risk-free rate; each
-    contract contributes its price change times the units held.
+    from x[0] = x0.  Row ``j`` of the (n-1) x k arrays holds the weights
+    and the day-``j`` and day-``j+1`` prices of the held contracts.  The
+    full wealth sits on margin earning the risk-free rate; each contract
+    contributes its price change times the units held.
     """
-    weights = np.asarray(weights, dtype=float)
-    today = np.asarray(today, dtype=float)
-    tomorrow = np.asarray(tomorrow, dtype=float)
-    if not (weights.shape == today.shape == tomorrow.shape):
-        raise ValueError("weights and price vectors must have equal length")
+    weights, today, tomorrow = (
+        np.asarray(a, dtype=float) for a in (weights, today, tomorrow)
+    )
+    if weights.ndim != 2 or not (weights.shape == today.shape == tomorrow.shape):
+        raise ValueError("weights and prices must be (days, contracts) arrays of one shape")
     if np.any(today == 0):
         raise ZeroDivisionError("zero futures price in today's quotes")
-    units = weights * x / today
-    return x * cfg.growth_factor + float(np.dot(units, tomorrow - today))
+    growth = cfg.growth_factor + np.sum(weights * (tomorrow / today - 1.0), axis=1)
+    return np.cumprod(np.concatenate([[x0], growth]))
 
 
-def vxx_roll_weights(day_in_cycle: int, cycle_length: int) -> tuple:
+def hold_pair(
+    panel: PricePanel, ranks: tuple, w1: np.ndarray, x0: float, cfg: MarketConfig
+) -> PortfolioPath:
+    """Hold ``w1[j]`` of wealth in maturity rank ``ranks[0]`` and the
+    rest in rank ``ranks[1]`` over each day ``j`` -> ``j+1``.
+
+    Ranks count contracts with ttm > 0 on day ``j`` (see
+    :meth:`~vixtrack.data.PricePanel.rank_columns`), so a maturing
+    contract's final settlement mark at f = S is earned by the holder
+    and the next rank takes its place the day it settles.
+    """
+    cols = panel.rank_columns(*ranks)
+    weights = np.column_stack([w1, 1.0 - w1])
+    wealth = evolve_wealth(
+        x0,
+        weights,
+        np.take_along_axis(panel.prices[:-1], cols, axis=1),
+        np.take_along_axis(panel.prices[1:], cols, axis=1),
+        cfg,
+    )
+    return PortfolioPath(wealth=wealth, weights=weights)
+
+
+def vxx_roll_weights(day_in_cycle, cycle_length) -> tuple:
     """Deterministic linear-roll weights on the two front contracts.
 
     The front weight falls linearly from 1 at the start of the cycle to
-    0 at the end; the second-month weight is the complement.
+    0 at the end; the second-month weight is the complement.  Takes
+    integer scalars or per-day arrays.
     """
-    if not 0 <= day_in_cycle <= cycle_length:
-        raise ValueError(
-            f"day_in_cycle must lie in [0, {cycle_length}], got {day_in_cycle}"
-        )
+    require(
+        (0 <= day_in_cycle) & (day_in_cycle <= cycle_length), ValueError,
+        "day_in_cycle must lie in [0, {:g}], got {:g}", cycle_length, day_in_cycle,
+    )
     w1 = 1.0 - day_in_cycle / cycle_length
     return w1, 1.0 - w1
 
 
-def vxx_strategy(cal: ContractCalendar):
-    """Linear-roll ETN replica on ``cal``: long the two front contracts,
-    rolling linearly from all-front to all-second over each cycle."""
+def vxx_front_weights(panel: PricePanel) -> np.ndarray:
+    """Front-contract weight of the VXX-style linear roll on each day
+    but the last (the second contract gets the rest).
 
-    def rule(quote: DayQuote) -> np.ndarray:
-        if quote.prices.size < 2:
-            raise ValueError("linear roll needs at least two tradable contracts")
-        w = np.zeros(quote.prices.size)
-        w[0], w[1] = vxx_roll_weights(cal.day_in_cycle(quote.day), cal.cycle_length)
-        return w
-
-    return rule
-
-
-def run_strategy(
-    panel: PricePanel,
-    strategy: Callable[[DayQuote], np.ndarray],
-    x0: float,
-    cfg: MarketConfig,
-) -> PortfolioPath:
-    """Run a daily-rebalanced strategy over a futures panel.
-
-    On each day ``j`` the strategy sees a :class:`DayQuote` for the
-    contracts tradable on that day (ttm > 0: alive through day j+1, so
-    a maturing contract's final settlement mark at f = S is earned by
-    the holder) and returns one weight per tradable contract.  The
-    front contract drops out of the tradable set on its maturity day
-    and the next rank takes its place.
+    A cycle runs from one front expiry to the next.  Its length is the
+    gap between the front two maturities, and the day in the cycle is
+    that length minus the days left to the front's expiry, all in whole
+    trading days.
     """
-    n = panel.n_days
-    if n < 2:
-        raise ValueError("panel must span at least 2 days")
-    wealth = np.empty(n)
-    wealth[0] = x0
-    weights_hist: list = []
-    for j in range(n - 1):
-        idx = np.flatnonzero(panel.ttms[j] > 0)
-        quote = DayQuote(
-            day=j,
-            spot=float(panel.spot[j]),
-            ttms=panel.ttms[j, idx],
-            prices=panel.prices[j, idx],
-        )
-        w = np.asarray(strategy(quote), dtype=float)
-        if w.shape != (len(idx),):
-            raise ValueError(
-                f"strategy returned {w.shape} weights on day {j}, "
-                f"expected ({len(idx)},)"
-            )
-        wealth[j + 1] = evolve_wealth(
-            wealth[j], w, panel.prices[j, idx], panel.prices[j + 1, idx], cfg
-        )
-        weights_hist.append(w)
-    return PortfolioPath(wealth=wealth, weights=weights_hist)
-
-
-def replay_wealth(
-    panel: PricePanel, weights: list, x0: float, cfg: MarketConfig
-) -> np.ndarray:
-    """Recompute a wealth series from recorded weights and panel prices.
-
-    A strategy run is self-financing, so this reproduces the original
-    wealth series exactly.
-    """
-    n = panel.n_days
-    if len(weights) != n - 1:
-        raise ValueError("need one weight vector per transition")
-    wealth = np.empty(n)
-    wealth[0] = x0
-    for j in range(n - 1):
-        idx = np.flatnonzero(panel.ttms[j] > 0)
-        wealth[j + 1] = evolve_wealth(
-            wealth[j], weights[j], panel.prices[j, idx], panel.prices[j + 1, idx], cfg
-        )
-    return wealth
+    ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(1, 2), axis=1)
+    days = np.rint(ttm / DT).astype(int)
+    cycle_length = days[:, 1] - days[:, 0]
+    w1, _ = vxx_roll_weights(cycle_length - days[:, 0], cycle_length)
+    return w1

@@ -111,7 +111,6 @@ def write_quote_files(
     rate=0.005,
     start="2021-01-04",
     drop_futures_on=(),
-    with_etn=False,
     drop_rank=1,
 ):
     """Synthetic quote files: simulated spot, model-priced futures on a
@@ -159,10 +158,4 @@ def write_quote_files(
     for j in range(n_days):
         rate_lines.append(f"{dates[j]},ON,rate,{float(rate)!r}")
     (data_dir / "rates.csv").write_text("\n".join(rate_lines) + "\n")
-
-    if with_etn:
-        etn_lines = ["date,code,field,value"]
-        for j in range(n_days):
-            etn_lines.append(f"{dates[j]},VXX,close,{float(50.0 - 0.1 * j)!r}")
-        (data_dir / "etn.csv").write_text("\n".join(etn_lines) + "\n")
     return [dates[j] for j in range(n_days)]

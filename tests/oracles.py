@@ -1,15 +1,18 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the code paths under test: the
-rolled-series oracle is a per-day loop over its own rank and quote
-lookups, the weight and moment-fit oracles are brute-force grid scans,
+rolled-series and two-contract strategy oracles are per-day loops over
+their own rank and quote lookups, the weight and moment-fit oracles
+are brute-force grid scans,
 the constrained LS oracle is a dense bordered KKT solve, and the
 special-function oracles come from mpmath at 40 significant digits.
 """
 
+import math
+
 import numpy as np
 
-from vixtrack import DataError
+from vixtrack import DataError, b_coefficient, market_price_of_risk
 
 
 def rank_column(panel, day, rank):
@@ -65,6 +68,65 @@ def rolled_series_loop(panel, rank, x0=100.0):
             units = values[j] / px
             held = target
     return values
+
+
+def strategy_loop(panel, rule, x0, mkt):
+    """Day-by-day reference for the two-contract trackers' wealth.
+
+    On each day ``j`` but the last, ``rule(panel, j)`` returns
+    ``{column: weight}`` for the contracts held over j -> j+1, and
+    wealth moves by the sequential self-financing update
+    x' = x e^(r dt) + sum_i (w_i x / f_i)(f_i' - f_i).  Returns the
+    wealth series and the per-day rule outputs.
+    """
+    wealth = [x0]
+    held = []
+    for j in range(panel.n_days - 1):
+        weights = rule(panel, j)
+        x = wealth[-1]
+        pnl = sum(
+            w * x / panel.prices[j, c] * (panel.prices[j + 1, c] - panel.prices[j, c])
+            for c, w in weights.items()
+        )
+        wealth.append(x * math.exp(mkt.r * mkt.dt) + pnl)
+        held.append(weights)
+    return np.array(wealth), held
+
+
+def dynamic_rule(cfg, hist, rn, g, mkt):
+    """Per-day optimal tracker weights from the scalar formulas: the
+    market price of risk lambda times each contract's shock loading B,
+    for ranks ``cfg.i1`` (w*) and ``cfg.i2`` (1 - w*)."""
+
+    def rule(panel, day):
+        c1, c2 = rank_column(panel, day, cfg.i1), rank_column(panel, day, cfg.i2)
+        spot = float(panel.spot[day])
+        g_val = g(spot)
+        b1 = float(b_coefficient(spot, float(panel.ttms[day, c1]), rn, g_val))
+        b2 = float(b_coefficient(spot, float(panel.ttms[day, c2]), rn, g_val))
+        lam = market_price_of_risk(spot, hist, rn, g)
+        dt = mkt.dt
+        a0 = (
+            math.expm1(mkt.r * dt)
+            + dt * lam * b2
+            - cfg.beta * hist.mu * dt * (hist.theta / spot - 1.0)
+        )
+        a1 = dt * lam * (b1 - b2)
+        n0 = math.sqrt(dt) * (b2 - cfg.beta * g_val / spot)
+        n1 = math.sqrt(dt) * (b1 - b2)
+        w = -(a0 * a1 + n0 * n1) / (a1 ** 2 + n1 ** 2)
+        return {c1: w, c2: 1.0 - w}
+
+    return rule
+
+
+def vxx_rule(panel, day, cycle_length=21, dt=1.0 / 252.0):
+    """Linear roll on a fixed cycle: the front weight is 1 minus the
+    elapsed fraction of the cycle, read off the front's days to expiry."""
+    c1, c2 = rank_column(panel, day, 1), rank_column(panel, day, 2)
+    to_expiry = round(float(panel.ttms[day, c1]) / dt)
+    w1 = 1.0 - (cycle_length - to_expiry) / cycle_length
+    return {c1: w1, c2: 1.0 - w1}
 
 
 def grid_min_weight(c, lo=-10.0, hi=10.0, step=1e-4):

@@ -1,5 +1,8 @@
 """Every subcommand run end to end with its default flags on generated
-quote files."""
+quote files, and the package's public names."""
+
+import importlib
+import pkgutil
 
 import pytest
 
@@ -128,6 +131,32 @@ def test_simulate(calibrated, tmp_path):
         for kind in ("wealth", "weights", "scatter", "scatter_points"):
             assert (tmp_path / f"{kind}_{label}.tsv").is_file()
     assert_numeric_cells(tmp_path)
+
+
+def test_simulate_later_pair_holds_no_front_contract(calibrated, tmp_path):
+    code, params = calibrated
+    assert code == 0
+    code = main([
+        "simulate", "--params", str(params / "params.txt"), "--contracts", "2,3",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert read_manifest(tmp_path)["config.contracts"] == "2,3"
+    for label in ("s0_1x", "s0_0p333333x", "s0_3x"):
+        header, rows = table(tmp_path / f"weights_{label}.tsv")
+        assert header == ["day", "dynamic_w1", "vxx_w1"]
+        assert len(rows) == 63
+        assert all(row[1] == "0.0" for row in rows)
+    assert_numeric_cells(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "module", ["vixtrack"] + [f"vixtrack.{m.name}" for m in pkgutil.iter_modules(vixtrack.__path__)]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_regress(quotes, tmp_path):

@@ -123,10 +123,16 @@ class TestLoadPanel:
         assert rank_contract(panel, 21, 1) == rank_contract(panel, 20, 2)
         assert rank_contract(panel, 21, 2) == rank_contract(panel, 20, 3)
 
-    def test_etn_series_alignment(self, tmp_path):
-        write_quote_files(tmp_path, n_days=12, seed=7, with_etn=True)
-        panel = load_panel(tmp_path)
-        assert panel.etn is not None and panel.etn.shape == (12,)
+    def test_stray_etn_file_is_ignored(self, tmp_path):
+        # an ETN series with a gap must not drop the day from the panel
+        dates = write_quote_files(tmp_path, n_days=40, seed=7)
+        plain = load_panel(tmp_path)
+        etn = ["date,code,field,value"]
+        etn += [f"{d},VXX,close,{50.0 - 0.1 * j!r}" for j, d in enumerate(dates) if j != 17]
+        (tmp_path / "etn.csv").write_text("\n".join(etn) + "\n")
+        with_etn = load_panel(tmp_path)
+        for f in dataclasses.fields(plain):
+            np.testing.assert_array_equal(getattr(with_etn, f.name), getattr(plain, f.name))
 
     def test_money_market_compounds_from_rates(self, tmp_path):
         write_quote_files(tmp_path, n_days=10, seed=8, rate=0.036)

@@ -3,7 +3,6 @@ import pytest
 from scipy.optimize import brentq
 
 from vixtrack import (
-    ContractCalendar,
     DegenerateProblemError,
     HistoricalParams,
     LocalVol,
@@ -13,11 +12,21 @@ from vixtrack import (
     TrackingConfig,
     critical_spot,
     expected_sq_error,
+    futures_price,
     optimal_weight,
     tracking_coefficients,
 )
 
 import oracles
+
+PAPER_HIST = HistoricalParams(10.86, 18.81, 6.37)
+PAPER_RN = RiskNeutralParams(1.39, 26.03)
+
+
+def grid_ttm(day, rank):
+    """Time to maturity of rank ``rank`` on ``day`` (0-20) of the
+    21-day monthly grid."""
+    return (21 * rank - day) / 252.0
 
 
 def coeffs_at(
@@ -25,17 +34,16 @@ def coeffs_at(
     day=0,
     beta=1.0,
     r=0.01,
-    hist=HistoricalParams(10.86, 18.81, 6.37),
-    rn=RiskNeutralParams(1.39, 26.03),
+    hist=PAPER_HIST,
+    rn=PAPER_RN,
     i1=1,
     i2=2,
-    n_contracts=6,
 ):
     mkt = MarketConfig(r=r)
-    cal = ContractCalendar.monthly(n_contracts)
     g = LocalVol.square_root(hist.sigma)
+    cfg = TrackingConfig(beta=beta, i1=i1, i2=i2)
     return tracking_coefficients(
-        day, spot, TrackingConfig(beta=beta, i1=i1, i2=i2), cal, hist, rn, g, mkt
+        spot, grid_ttm(day, i1), grid_ttm(day, i2), cfg, hist, rn, g, mkt
     )
 
 
@@ -62,13 +70,62 @@ class TestTrackingCoefficients:
         with pytest.raises(DegenerateProblemError):
             TrackingConfig(beta=1.0, i1=2, i2=2)
 
-    def test_rank_beyond_tradable_rejected(self):
-        with pytest.raises(ValueError):
-            coeffs_at(18.81, day=0, i1=1, i2=7, n_contracts=3)
-
     def test_nonpositive_spot_rejected(self):
         with pytest.raises(ValueError):
             coeffs_at(0.0)
+
+    def test_arrays_match_scalar_days(self):
+        spots = np.array([6.27, 18.81, 25.0, 56.43])
+        days = np.array([0, 7, 13, 20])
+        cfg = TrackingConfig(beta=1.5, i1=2, i2=3)
+        mkt = MarketConfig(r=0.02)
+        g = LocalVol.square_root(PAPER_HIST.sigma)
+        c = tracking_coefficients(
+            spots, grid_ttm(days, 2), grid_ttm(days, 3), cfg, PAPER_HIST, PAPER_RN, g, mkt
+        )
+        w, obj = optimal_weight(c)
+        for k, (spot, day) in enumerate(zip(spots, days)):
+            # equal up to vectorized versus scalar exp
+            one = coeffs_at(spot, day=int(day), beta=1.5, r=0.02, i1=2, i2=3)
+            got = (c.alpha0[k], c.alpha1[k], c.nu0[k], c.nu1[k], w[k], obj[k])
+            want = (one.alpha0, one.alpha1, one.nu0, one.nu1, *optimal_weight(one))
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_array_checks_name_the_first_bad_day(self):
+        g = LocalVol.square_root(PAPER_HIST.sigma)
+        mkt = MarketConfig(r=0.01)
+        ttm = np.array([0.1, 0.1, 0.1])
+        with pytest.raises(ValueError, match="got -1.0 on day 1"):
+            tracking_coefficients(
+                np.array([18.0, -1.0, -2.0]), ttm, 2 * ttm, TrackingConfig(),
+                PAPER_HIST, PAPER_RN, g, mkt,
+            )
+        with pytest.raises(DegenerateProblemError, match="on day 2"):
+            tracking_coefficients(
+                np.full(3, 18.0), ttm, np.array([0.2, 0.3, 0.1]), TrackingConfig(),
+                PAPER_HIST, PAPER_RN, g, mkt,
+            )
+
+    def test_zero_volatility_is_the_limit_of_small_volatility(self):
+        # lambda diverges like 1/g while every B vanishes like g: one formula
+        # covers both, and the coefficients are continuous at g = 0
+        hist0 = HistoricalParams(10.86, 18.81, 0.0)
+        g0 = LocalVol.square_root(0.0)
+        c0 = tracking_coefficients(
+            22.0, 21 / 252, 42 / 252, TrackingConfig(), hist0, PAPER_RN, g0,
+            MarketConfig(r=0.01),
+        )
+        assert c0.nu0 == 0.0 and c0.nu1 == 0.0
+        hist = HistoricalParams(10.86, 18.81, 1e-9)
+        c = tracking_coefficients(
+            22.0, 21 / 252, 42 / 252, TrackingConfig(), hist, PAPER_RN,
+            LocalVol.square_root(1e-9), MarketConfig(r=0.01),
+        )
+        assert c.alpha0 == pytest.approx(c0.alpha0, rel=1e-12)
+        assert c.alpha1 == pytest.approx(c0.alpha1, rel=1e-12)
+        drift_gap = 10.86 * (18.81 - 22.0) - 1.39 * (26.03 - 22.0)
+        den = [26.03 * np.exp(1.39 * t) + 22.0 - 26.03 for t in (21 / 252, 42 / 252)]
+        assert c0.alpha1 == pytest.approx(drift_gap * (1 / den[0] - 1 / den[1]) / 252, rel=1e-14)
 
 
 class TestOptimalWeight:
@@ -157,3 +214,45 @@ class TestExpectedSqError:
             w_star, obj = optimal_weight(c)
             for w in rng.uniform(-20, 20, size=5):
                 assert expected_sq_error(w, c) >= obj - 1e-12
+
+
+class TestOneDayMonteCarlo:
+    """The coded objective is the one-day tracking error's mean square to
+    first order in dt.  Each check draws tomorrow's index from one Euler
+    step of the model and reprices both contracts with the model's own
+    futures formula at T - dt, then measures the realized error of the
+    coded w*: the portfolio's one-day return minus beta times the
+    index's."""
+
+    N_DRAWS = 1 << 20
+    MKT = MarketConfig(r=0.01)
+    T1, T2 = 21 / 252, 42 / 252
+
+    def realized_mse(self, spot, beta=1.0):
+        hist, rn, mkt = PAPER_HIST, PAPER_RN, self.MKT
+        g = LocalVol.square_root(hist.sigma)
+        c = tracking_coefficients(
+            spot, self.T1, self.T2, TrackingConfig(beta=beta), hist, rn, g, mkt
+        )
+        w, objective = optimal_weight(c)
+        z = np.random.default_rng(20190701).standard_normal(self.N_DRAWS)
+        dt = mkt.dt
+        s_next = spot + hist.mu * (hist.theta - spot) * dt + g(spot) * np.sqrt(dt) * z
+        ret = np.expm1(mkt.r * dt)
+        for weight, ttm in ((w, self.T1), (1.0 - w, self.T2)):
+            # futures_price is affine in spot: f(S') = f(0) + (f(1) - f(0)) S'
+            f0, f1 = (futures_price(s, ttm - dt, rn) for s in (0.0, 1.0))
+            ret = ret + weight * ((f0 + (f1 - f0) * s_next) / futures_price(spot, ttm, rn) - 1.0)
+        err = ret - beta * (s_next / spot - 1.0)
+        return float(np.mean(err ** 2)), objective
+
+    @pytest.mark.parametrize("mult", (1.0 / 3.0, 1.0, 3.0))
+    def test_objective_is_realized_mse_to_first_order(self, mult):
+        realized, objective = self.realized_mse(mult * PAPER_HIST.theta)
+        assert abs(realized / objective - 1.0) < 0.10
+
+    def test_critical_spot_error_is_second_order(self):
+        s_star = critical_spot(1.0, self.MKT, PAPER_RN)
+        realized, _ = self.realized_mse(s_star)
+        _, objective_at_theta = self.realized_mse(PAPER_HIST.theta)
+        assert realized < 0.1 * objective_at_theta

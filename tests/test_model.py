@@ -37,14 +37,14 @@ class TestTypes:
 
     def test_local_vol_kinds(self):
         g_const = LocalVol.constant(2.5)
-        assert g_const(0.0, 7.0) == 2.5
+        assert g_const(7.0) == 2.5
         g_sqrt = LocalVol.square_root(2.0)
-        assert g_sqrt(0.3, 9.0) == pytest.approx(6.0)
-        assert g_sqrt(0.0, 0.0) == 0.0
+        assert g_sqrt(9.0) == pytest.approx(6.0)
+        assert g_sqrt(0.0) == 0.0
         with pytest.raises(ValueError):
             LocalVol("cubic", 1.0)
         with pytest.raises(ValueError):
-            g_sqrt(0.0, -1.0)
+            g_sqrt(-1.0)
 
     def test_market_config_r_bar_is_derived(self):
         mkt = MarketConfig(r=0.05)
@@ -145,6 +145,8 @@ class TestBCoefficient:
     def test_nonpositive_denominator_rejected(self, fit_rn):
         with pytest.raises(ValueError):
             b_coefficient(0.0, 0.0, fit_rn, 1.0)
+        with pytest.raises(ValueError, match="on day 1"):
+            b_coefficient(np.array([5.0, 0.0]), np.array([0.1, 0.0]), fit_rn, 1.0)
 
     @given(
         spot=st.floats(0.5, 100.0),

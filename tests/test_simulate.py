@@ -3,23 +3,24 @@ import pytest
 
 from vixtrack import (
     ContractCalendar,
+    DataError,
     HistoricalParams,
     LocalVol,
     MarketConfig,
     RiskNeutralParams,
     TrackingConfig,
-    dynamic_strategy,
+    dynamic_weights,
     evolve_wealth,
     futures_panel_from_path,
     futures_price,
-    replay_wealth,
-    run_strategy,
+    hold_pair,
     simulate_index_path,
     simulate_index_paths,
+    vxx_front_weights,
     vxx_roll_weights,
-    vxx_strategy,
 )
 
+import oracles
 from conftest import FIT_HIST, FIT_RN, make_sim_panels
 
 
@@ -76,18 +77,13 @@ class TestCalendar:
     def test_monthly_grid(self):
         cal = ContractCalendar.monthly(4)
         assert cal.maturity_days == (21, 42, 63, 84)
-        assert cal.tradable(0) == [0, 1, 2, 3]
-        assert cal.tradable(21) == [1, 2, 3]
-        assert cal.ttm(21, 1) == pytest.approx(21 / 252)
-        assert cal.day_in_cycle(0) == 0
-        assert cal.day_in_cycle(20) == 20
-        assert cal.day_in_cycle(21) == 0
+        assert cal.n_contracts == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ContractCalendar((0.2, 0.1), cycle_length=21)
+            ContractCalendar((0.2, 0.1))
         with pytest.raises(ValueError):
-            ContractCalendar((0.05,), cycle_length=21)  # not on the dt grid
+            ContractCalendar((0.05,))  # not on the dt grid
 
 
 class TestFuturesPanel:
@@ -110,8 +106,9 @@ class TestFuturesPanel:
         for j in range(panel.n_days):
             live = [i for i, mday in enumerate(cal.maturity_days) if mday >= j]
             for i in live:
+                ttm = (cal.maturity_days[i] - j) * cal.dt
                 assert panel.prices[j, i] == pytest.approx(
-                    futures_price(path.values[j], cal.ttm(j, i), fit_rn), rel=1e-14
+                    futures_price(path.values[j], ttm, fit_rn), rel=1e-14
                 )
 
     def test_horizon_past_last_maturity_rejected(self, fit_hist, fit_g, fit_rn):
@@ -125,29 +122,32 @@ class TestFuturesPanel:
 class TestEvolveWealth:
     def test_all_cash(self):
         mkt = MarketConfig(r=0.03)
-        got = evolve_wealth(100.0, [0.0], [20.0], [21.0], mkt)
-        assert got == pytest.approx(100.0 * np.exp(0.03 / 252))
+        got = evolve_wealth(100.0, [[0.0]], [[20.0]], [[21.0]], mkt)
+        assert got[0] == 100.0
+        assert got[1] == pytest.approx(100.0 * np.exp(0.03 / 252))
 
     def test_flat_prices_contribute_nothing(self):
         mkt = MarketConfig(r=0.03)
-        got = evolve_wealth(100.0, [1.0], [20.0], [20.0], mkt)
-        assert got == pytest.approx(100.0 * np.exp(0.03 / 252))
+        got = evolve_wealth(100.0, [[1.0]], [[20.0]], [[20.0]], mkt)
+        assert got[1] == pytest.approx(100.0 * np.exp(0.03 / 252))
 
     def test_hand_ledger(self):
         # 2x long at 20 gains 10 units * +1; 1x short at 25 gains 4 units * +1
         mkt = MarketConfig(r=0.0)
-        got = evolve_wealth(100.0, [2.0, -1.0], [20.0, 25.0], [21.0, 24.0], mkt)
-        assert got == pytest.approx(114.0)
+        got = evolve_wealth(100.0, [[2.0, -1.0]], [[20.0, 25.0]], [[21.0, 24.0]], mkt)
+        assert got[1] == pytest.approx(114.0)
 
     def test_zero_price_rejected(self):
         mkt = MarketConfig(r=0.0)
         with pytest.raises(ZeroDivisionError):
-            evolve_wealth(100.0, [1.0], [0.0], [1.0], mkt)
+            evolve_wealth(100.0, [[1.0]], [[0.0]], [[1.0]], mkt)
 
     def test_length_mismatch_rejected(self):
         mkt = MarketConfig(r=0.0)
         with pytest.raises(ValueError):
-            evolve_wealth(100.0, [1.0, 0.0], [20.0], [21.0], mkt)
+            evolve_wealth(100.0, [[1.0, 0.0]], [[20.0]], [[21.0]], mkt)
+        with pytest.raises(ValueError):
+            evolve_wealth(100.0, [1.0], [20.0], [21.0], mkt)  # not days x contracts
 
 
 class TestVxxWeights:
@@ -163,6 +163,8 @@ class TestVxxWeights:
             vxx_roll_weights(22, 21)
         with pytest.raises(ValueError):
             vxx_roll_weights(-1, 21)
+        with pytest.raises(ValueError, match="got 22 on day 2"):
+            vxx_roll_weights(np.array([0, 5, 22]), np.array([21, 21, 21]))
 
     def test_weights_bounded_and_sum_to_one(self):
         for d in range(22):
@@ -171,12 +173,31 @@ class TestVxxWeights:
             assert w1 + w2 == 1.0
 
 
-class TestRunStrategy:
+class TestRankColumns:
+    def test_roll_replaces_front_contract(self):
+        # across the cycle boundary the front ranks shift by one contract
+        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=2)
+        cols = panel.rank_columns(1, 2)
+        assert cols.shape == (panel.n_days - 1, 2)
+        assert cols[20].tolist() == [0, 1]
+        assert cols[21].tolist() == [1, 2]
+
+    def test_rank_beyond_tradable_names_the_day(self):
+        panel, _, _, _, _ = make_sim_panels(cycles=3, seed=2)
+        with pytest.raises(DataError, match="rank 3 not available on day 42"):
+            panel.rank_columns(2, 3)
+        with pytest.raises(ValueError):
+            panel.rank_columns(0, 1)
+
+
+class TestStrategies:
     def test_zero_weights_flat_wealth_at_zero_rate(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
-        mkt = MarketConfig(r=0.0)
-        path = run_strategy(panel, lambda q: np.zeros(q.prices.size), 100.0, mkt)
-        assert np.all(path.wealth == 100.0)
+        panel, mkt, _, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
+        cols = panel.rank_columns(1, 2)
+        today = np.take_along_axis(panel.prices[:-1], cols, axis=1)
+        tomorrow = np.take_along_axis(panel.prices[1:], cols, axis=1)
+        wealth = evolve_wealth(100.0, np.zeros(cols.shape), today, tomorrow, mkt)
+        assert np.all(wealth == 100.0)
 
     def test_vxx_loses_in_contango_with_static_spot(self):
         # constant spot below the long-run pricing level: every contract
@@ -186,56 +207,64 @@ class TestRunStrategy:
         cal = ContractCalendar.monthly(3)
         path = simulate_index_path(hist, LocalVol.constant(0.0), 13.0, 42, 1)
         panel = futures_panel_from_path(path, cal, RiskNeutralParams(1.39, 26.03), mkt)
-        out = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
+        out = hold_pair(panel, (1, 2), vxx_front_weights(panel), 100.0, mkt)
         assert np.all(np.diff(out.wealth) < 0)
 
-    def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn, fit_g):
-        panel, mkt, cal, g, path = make_sim_panels(cycles=3, seed=11)
-        rule = dynamic_strategy(TrackingConfig(), cal, fit_hist, fit_rn, g, mkt)
-        out = run_strategy(panel, rule, 100.0, mkt)
+    def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn):
+        panel, mkt, _, g, path = make_sim_panels(cycles=3, seed=11)
+        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g, mkt)
+        out = hold_pair(panel, (1, 2), w, 100.0, mkt)
         index_returns = path.values[1:] / path.values[:-1] - 1.0
         corr = np.corrcoef(out.returns, index_returns)[0, 1]
         assert corr > 0.99
 
-    def test_wrong_length_weight_vector_aborts(self):
+    def test_wrong_length_weights_abort(self):
         panel, mkt, _, _, _ = make_sim_panels(cycles=1, seed=2)
         with pytest.raises(ValueError):
-            run_strategy(panel, lambda q: np.zeros(q.prices.size + 1), 100.0, mkt)
-
-    def test_self_financing_replay_is_exact(self, fit_hist, fit_rn):
-        panel, mkt, cal, g, _ = make_sim_panels(cycles=3, seed=8)
-        rule = dynamic_strategy(TrackingConfig(), cal, fit_hist, fit_rn, g, mkt)
-        out = run_strategy(panel, rule, 100.0, mkt)
-        replayed = replay_wealth(panel, out.weights, 100.0, mkt)
-        assert np.array_equal(replayed, out.wealth)
-        vxx = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
-        assert np.array_equal(
-            replay_wealth(panel, vxx.weights, 100.0, mkt), vxx.wealth
-        )
+            hold_pair(panel, (1, 2), np.zeros(panel.n_days), 100.0, mkt)
 
     def test_vxx_weights_valid_and_dynamic_pair_sums_to_one(self, fit_hist, fit_rn):
-        panel, mkt, cal, g, _ = make_sim_panels(cycles=3, seed=8)
-        vxx = run_strategy(panel, vxx_strategy(cal), 100.0, mkt)
-        for w in vxx.weights:
-            assert np.all(w[:2] >= 0) and np.all(w[:2] <= 1)
-            assert w[0] + w[1] == 1.0
-        dyn = run_strategy(
-            panel, dynamic_strategy(TrackingConfig(), cal, fit_hist, fit_rn, g, mkt),
-            100.0, mkt,
-        )
-        for w in dyn.weights:
-            assert w[0] + w[1] == pytest.approx(1.0, abs=1e-15)
+        panel, mkt, _, g, _ = make_sim_panels(cycles=3, seed=8)
+        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel), 100.0, mkt)
+        assert np.all((vxx.weights >= 0) & (vxx.weights <= 1))
+        assert np.all(vxx.weights.sum(axis=1) == 1.0)
+        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g, mkt)
+        dyn = hold_pair(panel, (1, 2), w, 100.0, mkt)
+        assert np.allclose(dyn.weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
-    def test_roll_replaces_front_contract(self, fit_hist, fit_rn):
-        # across the cycle boundary the tradable set shifts by one rank
-        panel, mkt, cal, _, _ = make_sim_panels(cycles=2, seed=2)
-        assert cal.tradable(20) == [0, 1, 2]
-        assert cal.tradable(21) == [1, 2]
-        seen = []
 
-        def spy(quote):
-            seen.append(quote.prices.size)
-            return np.zeros(quote.prices.size)
+SEEDS = (3, 8, 11)
+S0_MULTS = (1.0 / 3.0, 1.0, 3.0)
 
-        run_strategy(panel, spy, 100.0, mkt)
-        assert seen[20] == 3 and seen[21] == 2
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("mult", S0_MULTS)
+def test_vxx_matches_per_day_loop(seed, mult):
+    panel, mkt, _, _, _ = make_sim_panels(
+        cycles=6, seed=seed, s0=mult * FIT_HIST.theta, extra_contracts=2
+    )
+    out = hold_pair(panel, (1, 2), vxx_front_weights(panel), 100.0, mkt)
+    wealth, held = oracles.strategy_loop(panel, oracles.vxx_rule, 100.0, mkt)
+    assert np.array_equal(out.weights, [list(w.values()) for w in held])
+    assert _relative_gap(out.wealth, wealth) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("mult", S0_MULTS)
+@pytest.mark.parametrize("beta", (1.0, 1.5))
+@pytest.mark.parametrize("ranks", ((1, 2), (2, 3)))
+def test_dynamic_matches_per_day_loop(seed, mult, beta, ranks, fit_hist, fit_rn):
+    panel, mkt, _, g, _ = make_sim_panels(
+        cycles=6, seed=seed, s0=mult * fit_hist.theta, extra_contracts=2
+    )
+    cfg = TrackingConfig(beta=beta, i1=ranks[0], i2=ranks[1])
+    w = dynamic_weights(panel, cfg, fit_hist, fit_rn, g, mkt)
+    out = hold_pair(panel, ranks, w, 100.0, mkt)
+    rule = oracles.dynamic_rule(cfg, fit_hist, fit_rn, g, mkt)
+    wealth, held = oracles.strategy_loop(panel, rule, 100.0, mkt)
+    assert _relative_gap(out.weights, np.array([list(h.values()) for h in held])) <= 1e-13
+    assert _relative_gap(out.wealth, wealth) <= 1e-12

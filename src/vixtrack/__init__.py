@@ -51,7 +51,6 @@ from .model import (
     market_price_of_risk,
 )
 from .simulate import (
-    ContractCalendar,
     IndexPath,
     PortfolioPath,
     evolve_wealth,

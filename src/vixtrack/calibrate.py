@@ -27,7 +27,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ive
 
 from .errors import CalibrationError
-from .model import HistoricalParams, RiskNeutralParams
+from .model import DT, HistoricalParams, RiskNeutralParams
 
 __all__ = [
     "MLEReport",
@@ -43,6 +43,9 @@ __all__ = [
 
 # Parameter box for the historical fit; solutions at a bound are flagged.
 MLE_BOUNDS = ((1e-3, 100.0), (1e-2, 200.0), (1e-3, 50.0))
+# Simplex iterations per start, and jittered restarts after the moment start.
+MLE_MAX_ITER = 600
+MLE_RESTARTS = 3
 _PENALTY = 1e12
 
 
@@ -116,8 +119,9 @@ def log_bessel_i(order: float, x):
     return float(out[0]) if scalar else out
 
 
-def cir_log_density(s_next, s_prev, p: HistoricalParams, dt: float):
-    """Log transition density of the square-root process over one step.
+def cir_log_density(s_next, s_prev, p: HistoricalParams):
+    """Log transition density of the square-root process over one step
+    of dt = ``model.DT``.
 
     With sig2 = sigma^2 (1 - e^(-mu dt)) / (2 mu), q = 2 mu theta / sigma^2 - 1
     and u = s_prev e^(-mu dt):
@@ -140,7 +144,7 @@ def cir_log_density(s_next, s_prev, p: HistoricalParams, dt: float):
     s_prev = np.atleast_1d(np.asarray(s_prev, dtype=float))
     if np.any(s_next <= 0) or np.any(s_prev <= 0):
         raise ValueError("states must be positive")
-    decay = math.exp(-p.mu * dt)
+    decay = math.exp(-p.mu * DT)
     sig2 = p.sigma**2 * (1.0 - decay) / (2.0 * p.mu)
     u = s_prev * decay
     arg = 2.0 * np.sqrt(s_next * u) / sig2
@@ -153,10 +157,10 @@ def cir_log_density(s_next, s_prev, p: HistoricalParams, dt: float):
     return float(log_f[0]) if scalar else log_f
 
 
-def average_log_likelihood(series: np.ndarray, p: HistoricalParams, dt: float) -> float:
-    """Mean log transition density over consecutive observations."""
+def average_log_likelihood(series: np.ndarray, p: HistoricalParams) -> float:
+    """Mean log transition density over consecutive daily observations."""
     series = np.asarray(series, dtype=float)
-    return float(np.mean(cir_log_density(series[1:], series[:-1], p, dt)))
+    return float(np.mean(cir_log_density(series[1:], series[:-1], p)))
 
 
 @dataclass(frozen=True)
@@ -181,15 +185,16 @@ class MOMReport:
     per_day_loss: np.ndarray
 
 
-def initial_guess_from_moments(series: np.ndarray, dt: float) -> HistoricalParams:
-    """Moment-based starting point: sample mean for theta, lag-1
-    autocorrelation for mu, realized quadratic variation for sigma."""
+def initial_guess_from_moments(series: np.ndarray) -> HistoricalParams:
+    """Moment-based starting point for a daily series: sample mean for
+    theta, lag-1 autocorrelation for mu, realized quadratic variation
+    for sigma."""
     s = np.asarray(series, dtype=float)
     theta0 = float(np.mean(s))
     rho = float(np.corrcoef(s[1:], s[:-1])[0, 1])
     rho = min(max(rho, 1e-4), 1.0 - 1e-4)
-    mu0 = -math.log(rho) / dt
-    sigma0 = math.sqrt(float(np.mean(np.diff(s) ** 2 / (s[:-1] * dt))))
+    mu0 = -math.log(rho) / DT
+    sigma0 = math.sqrt(float(np.mean(np.diff(s) ** 2 / (s[:-1] * DT))))
     clip = lambda v, lo, hi: min(max(v, lo * 1.01), hi * 0.99)
     return HistoricalParams(
         mu=clip(mu0, *MLE_BOUNDS[0]),
@@ -198,7 +203,7 @@ def initial_guess_from_moments(series: np.ndarray, dt: float) -> HistoricalParam
     )
 
 
-def _neg_avg_loglik(z: np.ndarray, s_next, s_prev, dt: float) -> float:
+def _neg_avg_loglik(z: np.ndarray, s_next, s_prev) -> float:
     mu, theta, sigma = np.exp(z)
     penalty = 0.0
     for v, (lo, hi) in zip((mu, theta, sigma), MLE_BOUNDS):
@@ -212,38 +217,33 @@ def _neg_avg_loglik(z: np.ndarray, s_next, s_prev, dt: float) -> float:
     if q <= -1.0 + 1e-12:
         return _PENALTY
     p = HistoricalParams(mu=mu, theta=theta, sigma=sigma)
-    val = np.mean(cir_log_density(s_next, s_prev, p, dt))
+    val = np.mean(cir_log_density(s_next, s_prev, p))
     if not np.isfinite(val):
         return _PENALTY
     return -float(val)
 
 
-def mle_fit(
-    series,
-    dt: float,
-    init: HistoricalParams | None = None,
-    budget: int = 600,
-    n_restarts: int = 3,
-) -> MLEReport:
-    """Maximize the average log-likelihood of the square-root model.
+def mle_fit(series) -> MLEReport:
+    """Maximize the average log-likelihood of the square-root model on
+    a daily spot series.
 
     Runs a derivative-free simplex search in log-parameter space from
-    the given start plus ``n_restarts`` deterministically jittered
+    the moment start (:func:`initial_guess_from_moments`, reported as
+    ``start``) plus ``MLE_RESTARTS`` deterministically jittered
     restarts, keeping the best local maximizer.  If no restart converges
-    within ``budget`` iterations the best point so far is returned with
-    ``converged=False``.
+    within ``MLE_MAX_ITER`` iterations the best point so far is returned
+    with ``converged=False``.
     """
     series = np.asarray(series, dtype=float)
     if series.size < 100:
         raise ValueError(f"need at least 100 observations, got {series.size}")
     if np.any(series <= 0):
         raise ValueError("spot series must be positive")
-    if init is None:
-        init = initial_guess_from_moments(series, dt)
+    init = initial_guess_from_moments(series)
     s_next, s_prev = series[1:], series[:-1]
     z0 = np.log([init.mu, init.theta, init.sigma])
     rng = np.random.default_rng(20_52_01)
-    starts = [z0] + [z0 + rng.normal(0.0, 0.25, size=3) for _ in range(n_restarts)]
+    starts = [z0] + [z0 + rng.normal(0.0, 0.25, size=3) for _ in range(MLE_RESTARTS)]
     best = None
     total_iter = 0
     any_converged = False
@@ -251,10 +251,10 @@ def mle_fit(
         res = minimize(
             _neg_avg_loglik,
             z_start,
-            args=(s_next, s_prev, dt),
+            args=(s_next, s_prev),
             method="Nelder-Mead",
             options={
-                "maxiter": budget,
+                "maxiter": MLE_MAX_ITER,
                 "xatol": 1e-8,
                 "fatol": 1e-12,
                 "adaptive": True,
@@ -264,7 +264,7 @@ def mle_fit(
         if best is None or res.fun < best.fun:
             best = res
             any_converged = res.success
-    f_init = _neg_avg_loglik(z0, s_next, s_prev, dt)
+    f_init = _neg_avg_loglik(z0, s_next, s_prev)
     if best.fun > f_init:
         # never return something worse than the starting point
         best_x, best_fun = z0, f_init

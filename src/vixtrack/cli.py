@@ -36,14 +36,13 @@ from .data import load_panel
 from .dynamic import TrackingConfig, dynamic_weights
 from .errors import CalibrationError, DataError, DegenerateProblemError
 from .model import (
-    DT,
+    CYCLE_DAYS,
     HistoricalParams,
     LocalVol,
     MarketConfig,
     RiskNeutralParams,
 )
 from .simulate import (
-    ContractCalendar,
     futures_panel_from_path,
     hold_pair,
     simulate_index_path,
@@ -107,16 +106,6 @@ def _emit(manifest: RunManifest, out_dir: Path, name: str, text: str) -> None:
     manifest.outputs.append(name)
 
 
-def _parse_window(text):
-    if text is None:
-        return None
-    try:
-        start, end = text.split(":")
-        return start, end
-    except ValueError:
-        raise DataError(f"--window must be START:END, got {text!r}") from None
-
-
 def write_params_file(
     path: Path, hist: HistoricalParams, rn: RiskNeutralParams, diagnostics: dict
 ) -> None:
@@ -155,11 +144,22 @@ def _parse(parse, text: str, where: str):
         raise DataError(f"{where}: cannot parse {text!r}: {exc}") from None
 
 
+def _ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
 def _rank_pair(text: str) -> tuple:
-    ranks = tuple(int(v) for v in text.split(","))
+    ranks = _ints(text)
     if len(ranks) != 2:
         raise ValueError(f"need two ranks I1,I2, got {len(ranks)}")
     return ranks
+
+
+def _window(text: str) -> tuple:
+    dates = tuple(np.datetime64(d, "D") for d in text.split(":"))
+    if len(dates) != 2 or np.isnat(dates).any():
+        raise ValueError("need START:END dates")
+    return dates
 
 
 def read_params_file(path) -> tuple:
@@ -190,31 +190,46 @@ _SCENARIO_KEYS = {
 def read_scenario_config(path) -> dict:
     """Plain-text key=value scenario file for the simulate subcommand.
 
-    Known keys are parsed (``contracts`` into a rank pair,
-    ``s0_multipliers`` into a tuple); other keys stay strings."""
+    Every key is one of ``_SCENARIO_KEYS`` and is parsed by its rule
+    (``contracts`` into a rank pair, ``s0_multipliers`` into a tuple).
+
+    Raises
+    ------
+    DataError
+        Naming the file, line and key of an unknown key or of a value
+        that does not parse.
+    """
     path = Path(path)
     cfg = {}
     for key, (text, n) in _read_key_values(path, "scenario config").items():
-        parse = _SCENARIO_KEYS.get(key, str)
-        cfg[key] = _parse(parse, text, f"scenario config {path} line {n}, key {key}")
+        where = f"scenario config {path} line {n}, key {key}"
+        if key not in _SCENARIO_KEYS:
+            raise DataError(f"{where}: unknown key; known keys are {', '.join(_SCENARIO_KEYS)}")
+        cfg[key] = _parse(_SCENARIO_KEYS[key], text, where)
     return cfg
 
 
-def cmd_calibrate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("calibrate")
-    window = _parse_window(args.window)
+def _load_quotes(args, manifest: RunManifest):
+    """Record the data flags and the quote files' digests, then load
+    the panel."""
+    window = None if args.window is None else _parse(_window, args.window, "--window")
     manifest.config.update(
-        {"data_dir": args.data_dir, "window": args.window or "all"}
+        {"data_dir": args.data_dir, "window": args.window or "all", "n_ranks": args.n_ranks}
     )
     data_dir = Path(args.data_dir)
     for name in ("spot.csv", "futures.csv", "rates.csv"):
         p = data_dir / name
         if p.exists():
             manifest.add_input(name, p)
-    panel = load_panel(data_dir, window=window, n_ranks=args.n_ranks)
-    mle = mle_fit(panel.spot, dt=DT)
+    return load_panel(data_dir, window=window, n_ranks=args.n_ranks)
+
+
+def cmd_calibrate(args) -> int:
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest("calibrate")
+    panel = _load_quotes(args, manifest)
+    mle = mle_fit(panel.spot)
     mom = mom_fit(panel.observations())
     diagnostics = {
         "mle_avg_loglik": repr(mle.avg_loglik),
@@ -245,36 +260,22 @@ def _parse_subsets(text):
         for r in range(1, len(pool) + 1):
             subsets.extend(itertools.combinations(pool, r))
         return subsets
-    return [tuple(int(r) for r in part.split(",")) for part in text.split(";")]
+    return _parse(lambda t: [_ints(part) for part in t.split(";")], text, "--subsets")
 
 
 def cmd_backtest_static(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("backtest-static")
-    window = _parse_window(args.window)
     manifest.config.update(
-        {
-            "data_dir": args.data_dir,
-            "window": args.window or "all",
-            "split": args.split,
-            "mode": args.mode,
-            "subsets": args.subsets or "default-15",
-        }
+        {"split": args.split, "mode": args.mode, "subsets": args.subsets or "default-15"}
     )
-    data_dir = Path(args.data_dir)
-    for name in ("spot.csv", "futures.csv", "rates.csv"):
-        p = data_dir / name
-        if p.exists():
-            manifest.add_input(name, p)
-    panel = load_panel(data_dir, window=window, n_ranks=args.n_ranks)
-    boundary = args.split
-    if np.issubdtype(panel.dates.dtype, np.integer):
-        boundary = int(boundary)
+    subsets = _parse_subsets(args.subsets)
+    boundary = _parse(lambda t: np.datetime64(t, "D"), args.split, "--split")
+    panel = _load_quotes(args, manifest)
     fit = (
         price_tracking_portfolio if args.mode == "price" else return_tracking_portfolio
     )
-    subsets = _parse_subsets(args.subsets)
     # each rank is rolled once over the whole panel; a rank that cannot
     # be built fails every subset holding it, with the build's message
     rolled, unbuilt = {}, {}
@@ -344,18 +345,17 @@ def cmd_simulate(args) -> int:
     mkt = MarketConfig(r=r)
     g = LocalVol.square_root(hist.sigma)
     tracking = TrackingConfig(beta=beta, i1=i1, i2=i2)
-    n_days = cycles * mkt.days_per_month
+    n_days = cycles * CYCLE_DAYS
     # enough contracts that both ranks trade on the last day
     n_contracts = cycles + max(i1, i2, 2) - 1
-    cal = ContractCalendar.monthly(n_contracts, mkt.days_per_month, mkt.dt)
     children = np.random.SeedSequence(seed).spawn(len(mults))
     for mult, child in zip(mults, children):
         s0 = mult * hist.theta
         path = simulate_index_path(hist, g, s0, n_days, child)
-        panel = futures_panel_from_path(path, cal, rn, mkt)
+        panel = futures_panel_from_path(path, n_contracts, rn, mkt)
         w_dyn = dynamic_weights(panel, tracking, hist, rn, g, mkt)
-        dyn = hold_pair(panel, (i1, i2), w_dyn, 100.0, mkt)
-        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel), 100.0, mkt)
+        dyn = hold_pair(panel, (i1, i2), w_dyn, mkt)
+        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel), mkt)
         label = _scenario_label(mult)
         index_norm = 100.0 * path.values / path.values[0]
         lines = ["day\tindex\tvxx\tdynamic"]
@@ -396,23 +396,12 @@ def cmd_regress(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest("regress")
-    window = _parse_window(args.window)
     manifest.config.update(
-        {
-            "data_dir": args.data_dir,
-            "window": args.window or "all",
-            "horizons": args.horizons,
-            "ranks": args.ranks,
-        }
+        {"horizons": args.horizons, "ranks": args.ranks, "max_horizon": args.max_horizon}
     )
-    data_dir = Path(args.data_dir)
-    for name in ("spot.csv", "futures.csv", "rates.csv"):
-        p = data_dir / name
-        if p.exists():
-            manifest.add_input(name, p)
-    panel = load_panel(data_dir, window=window, n_ranks=args.n_ranks)
-    ranks = tuple(int(v) for v in args.ranks.split(","))
-    horizons = tuple(int(v) for v in args.horizons.split(","))
+    ranks = _parse(_ints, args.ranks, "--ranks")
+    horizons = _parse(_ints, args.horizons, "--horizons")
+    panel = _load_quotes(args, manifest)
 
     rolled = [build_rolled_series(panel, rank) for rank in ranks]
     x = holding_period_returns(panel.spot, 1)

@@ -334,13 +334,12 @@ def load_panel(
     )
 
 
-def normalize_to_100(series: np.ndarray, anchor_day: int = 0) -> np.ndarray:
-    """Scale a series so the anchor-day value is exactly 100."""
+def normalize_to_100(series: np.ndarray) -> np.ndarray:
+    """Scale a series so its first value is exactly 100."""
     series = np.asarray(series, dtype=float)
-    anchor = series[anchor_day]
-    if anchor == 0:
-        raise ValueError(f"anchor value on day {anchor_day} is zero")
-    return series * (100.0 / anchor)
+    if series[0] == 0:
+        raise ValueError("first value is zero")
+    return series * (100.0 / series[0])
 
 
 def split_in_out(panel: PricePanel, boundary) -> tuple:

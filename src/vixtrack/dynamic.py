@@ -25,6 +25,7 @@ import numpy as np
 from .data import PricePanel
 from .errors import DegenerateProblemError, require
 from .model import (
+    DT,
     HistoricalParams,
     LocalVol,
     MarketConfig,
@@ -110,14 +111,13 @@ def tracking_coefficients(
     drift_gap = hist.mu * (hist.theta - spot) - rn.mu_tilde * (rn.theta_tilde - spot)
     lam_b1 = b_coefficient(spot, ttm1, rn, drift_gap)
     lam_b2 = b_coefficient(spot, ttm2, rn, drift_gap)
-    dt = mkt.dt
-    sqrt_dt = math.sqrt(dt)
+    sqrt_dt = math.sqrt(DT)
     alpha0 = (
-        math.expm1(mkt.r * dt)
-        + dt * lam_b2
-        - cfg.beta * hist.mu * dt * (hist.theta / spot - 1.0)
+        math.expm1(mkt.r * DT)
+        + DT * lam_b2
+        - cfg.beta * hist.mu * DT * (hist.theta / spot - 1.0)
     )
-    alpha1 = dt * (lam_b1 - lam_b2)
+    alpha1 = DT * (lam_b1 - lam_b2)
     nu0 = sqrt_dt * (b2 - cfg.beta * g_val / spot)
     nu1 = sqrt_dt * (b1 - b2)
     return TrackingCoefficients(alpha0=alpha0, alpha1=alpha1, nu0=nu0, nu1=nu1)

@@ -34,6 +34,9 @@ __all__ = [
 TRADING_DAYS_PER_YEAR = 252
 # One trading day in years: the step of every daily grid.
 DT = 1.0 / TRADING_DAYS_PER_YEAR
+# Trading days in one monthly futures cycle: simulated contract k
+# (1-based) matures on day CYCLE_DAYS * k.
+CYCLE_DAYS = 21
 
 
 @dataclass(frozen=True)
@@ -120,33 +123,23 @@ class LocalVol:
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """Trading-grid and money-market conventions.
+    """Money-market convention on the daily grid of step ``DT``.
 
-    ``r`` is the continuously compounded annual risk-free rate, ``dt``
-    the step size in years, and ``days_per_month`` the length of one
-    futures roll cycle in trading days.  ``r_bar`` is always derived
-    from (r, dt), never stored, so the two cannot fall out of sync.
+    ``r`` is the continuously compounded annual risk-free rate.
+    ``r_bar`` is always derived from (r, DT), never stored.
     """
 
     r: float
-    dt: float = DT
-    days_per_month: int = 21
-
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.days_per_month < 1:
-            raise ValueError(f"days_per_month must be >= 1, got {self.days_per_month}")
 
     @property
     def growth_factor(self) -> float:
         """One-step money-market growth factor e^(r*dt)."""
-        return math.exp(self.r * self.dt)
+        return math.exp(self.r * DT)
 
     @property
     def r_bar(self) -> float:
         """Per-period simple rate (e^(r*dt) - 1) / dt."""
-        return math.expm1(self.r * self.dt) / self.dt
+        return math.expm1(self.r * DT) / DT
 
 
 def futures_price(spot: float, ttm: float, rn: RiskNeutralParams) -> float:

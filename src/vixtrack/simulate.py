@@ -4,10 +4,11 @@ The index follows the explicit Euler recursion
 
     S[j+1] = S[j] + mu*(theta - S[j])*dt + g(S[j])*sqrt(dt)*Z[j+1]
 
-with i.i.d. standard normal shocks.  Futures prices over a contract
-calendar are filled in from the closed form in :mod:`vixtrack.model`
-into the same :class:`~vixtrack.data.PricePanel` that loaded quotes
-fill, NaN past each contract's maturity.  A two-contract strategy (the
+with i.i.d. standard normal shocks and dt = ``model.DT``.  Monthly
+contracts mature every ``model.CYCLE_DAYS`` trading days; their prices
+are filled in from the closed form in :mod:`vixtrack.model` into the
+same :class:`~vixtrack.data.PricePanel` that loaded quotes fill, NaN
+past each contract's maturity.  A two-contract strategy (the
 dynamic tracker, the VXX-style roll) is a per-day weight array on two
 maturity ranks of the panel, and its wealth comes from one vectorized
 self-financing mark-to-market recursion.
@@ -27,6 +28,7 @@ import numpy as np
 from .data import PricePanel
 from .errors import require
 from .model import (
+    CYCLE_DAYS,
     DT,
     HistoricalParams,
     LocalVol,
@@ -36,7 +38,6 @@ from .model import (
 
 __all__ = [
     "IndexPath",
-    "ContractCalendar",
     "PortfolioPath",
     "simulate_index_path",
     "simulate_index_paths",
@@ -57,8 +58,6 @@ class IndexPath:
 
     s0: float
     values: np.ndarray
-    dt: float
-    seed: object
     n_clamped: int = 0
 
     def __post_init__(self):
@@ -74,49 +73,6 @@ class IndexPath:
     @property
     def n_days(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class ContractCalendar:
-    """Ordered futures maturities on the trading-day grid.
-
-    Maturities are expressed in years and must sit on integer multiples
-    of ``dt``.
-    """
-
-    maturities: tuple
-    dt: float = DT
-
-    def __post_init__(self):
-        mats = tuple(float(m) for m in self.maturities)
-        object.__setattr__(self, "maturities", mats)
-        if len(mats) == 0:
-            raise ValueError("calendar must contain at least one maturity")
-        if any(b <= a for a, b in zip(mats, mats[1:])):
-            raise ValueError("maturities must be strictly increasing")
-        days = [m / self.dt for m in mats]
-        if any(abs(d - round(d)) > 1e-9 for d in days):
-            raise ValueError("every maturity must be an integer multiple of dt")
-        object.__setattr__(self, "_maturity_days", tuple(int(round(d)) for d in days))
-
-    @classmethod
-    def monthly(
-        cls,
-        n_contracts: int,
-        days_per_month: int = 21,
-        dt: float = DT,
-    ) -> "ContractCalendar":
-        """Evenly spaced maturities at multiples of ``days_per_month``."""
-        mats = tuple((k + 1) * days_per_month * dt for k in range(n_contracts))
-        return cls(mats, dt=dt)
-
-    @property
-    def maturity_days(self) -> tuple:
-        return self._maturity_days
-
-    @property
-    def n_contracts(self) -> int:
-        return len(self.maturities)
 
 
 @dataclass(frozen=True)
@@ -163,7 +119,7 @@ def simulate_index_path(
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
     rng = np.random.default_rng(seed)
-    dt = DT
+    dt = DT  # a local name: the loop below reads it on every step
     sqrt_dt = np.sqrt(dt)
     z = rng.standard_normal(n_days)
     values = np.empty(n_days + 1)
@@ -177,7 +133,7 @@ def simulate_index_path(
             n_clamped += 1
         values[j + 1] = s_next
         s = s_next
-    return IndexPath(s0=s0, values=values, dt=dt, seed=seed, n_clamped=n_clamped)
+    return IndexPath(s0=s0, values=values, n_clamped=n_clamped)
 
 
 def simulate_index_paths(
@@ -200,25 +156,23 @@ def simulate_index_paths(
 
 
 def futures_panel_from_path(
-    path: IndexPath, cal: ContractCalendar, rn: RiskNeutralParams, mkt: MarketConfig
+    path: IndexPath, n_contracts: int, rn: RiskNeutralParams, mkt: MarketConfig
 ) -> PricePanel:
-    """Price every live contract on every day of the path.
+    """Price ``n_contracts`` monthly contracts on every day of the path;
+    contract k (1-based) matures on day ``CYCLE_DAYS * k``.
 
     prices[j, i] = theta_tilde + (S[j] - theta_tilde) * exp(-mu_tilde * ttm)
     for ttm = T_i - j*dt >= 0; expired contracts are NaN in both
     ``prices`` and ``ttms``.  Days are integer indices; the rate is
     ``mkt.r`` throughout and the money market grows by e^(r*dt) a day.
     """
-    if cal.n_contracts == 0:
-        raise ValueError("empty contract calendar")
     n = path.n_days
-    if n - 1 > max(cal.maturity_days):
-        raise ValueError(
-            f"path spans {n - 1} days but the last maturity is day "
-            f"{max(cal.maturity_days)}"
-        )
+    last = CYCLE_DAYS * n_contracts
+    if n - 1 > last:
+        raise ValueError(f"path spans {n - 1} days but the last maturity is day {last}")
     days = np.arange(n)
-    ttm = (np.asarray(cal.maturity_days)[None, :] - days[:, None]) * cal.dt
+    maturity_days = CYCLE_DAYS * np.arange(1, n_contracts + 1)
+    ttm = (maturity_days[None, :] - days[:, None]) * DT
     spot = path.values[:, None]
     prices = rn.theta_tilde + (spot - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttm)
     expired = ttm < 0
@@ -227,16 +181,15 @@ def futures_panel_from_path(
     return PricePanel(
         dates=days,
         spot=path.values,
-        contracts=np.array([f"C{i + 1:02d}" for i in range(cal.n_contracts)]),
+        contracts=np.array([f"C{i + 1:02d}" for i in range(n_contracts)]),
         prices=prices,
         ttms=ttm,
         rates=np.full(n, mkt.r),
-        mm_value=np.exp(mkt.r * mkt.dt * days),
+        mm_value=np.exp(mkt.r * DT * days),
     )
 
 
 def evolve_wealth(
-    x0: float,
     weights: np.ndarray,
     today: np.ndarray,
     tomorrow: np.ndarray,
@@ -246,7 +199,7 @@ def evolve_wealth(
 
     x[j+1] = x[j] * (e^(r*dt) + sum_k w[j, k] * (f'[j, k] / f[j, k] - 1))
 
-    from x[0] = x0.  Row ``j`` of the (n-1) x k arrays holds the weights
+    from x[0] = 100.  Row ``j`` of the (n-1) x k arrays holds the weights
     and the day-``j`` and day-``j+1`` prices of the held contracts.  The
     full wealth sits on margin earning the risk-free rate; each contract
     contributes its price change times the units held.
@@ -259,11 +212,11 @@ def evolve_wealth(
     if np.any(today == 0):
         raise ZeroDivisionError("zero futures price in today's quotes")
     growth = cfg.growth_factor + np.sum(weights * (tomorrow / today - 1.0), axis=1)
-    return np.cumprod(np.concatenate([[x0], growth]))
+    return np.cumprod(np.concatenate([[100.0], growth]))
 
 
 def hold_pair(
-    panel: PricePanel, ranks: tuple, w1: np.ndarray, x0: float, cfg: MarketConfig
+    panel: PricePanel, ranks: tuple, w1: np.ndarray, cfg: MarketConfig
 ) -> PortfolioPath:
     """Hold ``w1[j]`` of wealth in maturity rank ``ranks[0]`` and the
     rest in rank ``ranks[1]`` over each day ``j`` -> ``j+1``.
@@ -276,7 +229,6 @@ def hold_pair(
     cols = panel.rank_columns(*ranks)
     weights = np.column_stack([w1, 1.0 - w1])
     wealth = evolve_wealth(
-        x0,
         weights,
         np.take_along_axis(panel.prices[:-1], cols, axis=1),
         np.take_along_axis(panel.prices[1:], cols, axis=1),

@@ -31,6 +31,7 @@ import scipy.linalg
 
 from .data import PricePanel, normalize_to_100, split_in_out
 from .errors import DataError, DegenerateProblemError
+from .model import TRADING_DAYS_PER_YEAR
 
 __all__ = [
     "RolledSeries",
@@ -86,11 +87,12 @@ class StaticWeights:
 
 # A contract whose quotes stop while it still has more than this long
 # to run has a data gap, not an imminent settlement.
-_SETTLEMENT_WINDOW = 3.0 / 252.0
+_SETTLEMENT_WINDOW = 3.0 / TRADING_DAYS_PER_YEAR
 
 
-def build_rolled_series(panel: PricePanel, rank: int, x0: float = 100.0) -> RolledSeries:
-    """Value of a constant position in maturity rank ``rank``.
+def build_rolled_series(panel: PricePanel, rank: int) -> RolledSeries:
+    """Value of a constant position in maturity rank ``rank``, from 100
+    on the panel's first day.
 
     The position holds one contract at a time.  At each cycle boundary
     (when the front settles and every contract moves up one rank) it
@@ -104,28 +106,23 @@ def build_rolled_series(panel: PricePanel, rank: int, x0: float = 100.0) -> Roll
     Raises
     ------
     DataError
-        If the rank is missing on a day before the last, the rank skips
-        a contract, the held contract's quotes stop far from its
-        settlement, or a contract it needs has no quote.
+        If the panel has fewer than 2 days, the rank is missing on a
+        day before the last, the rank skips a contract, the held
+        contract's quotes stop far from its settlement, or a contract
+        it needs has no quote.
     """
-    if x0 <= 0:
-        raise ValueError(f"x0 must be positive, got {x0}")
     ids, prices, ttms = panel.contracts, panel.prices, panel.ttms
     n = panel.n_days
-    # the rank is looked up on every day a roll can happen: all but the last
-    tradable = ttms[: max(n - 1, 1)] > 0
-    short = np.flatnonzero(tradable.sum(axis=1) < rank)
-    if rank < 1 or short.size:
-        day = short[0] if short.size else 0
-        raise DataError(f"rank {rank} not available on day {day}")
-    rank_col = np.argmax(np.cumsum(tradable, axis=1) == rank, axis=1)
+    if n < 2:
+        raise DataError(f"a rolled series needs at least 2 days, got {n}")
+    # the rank on every day a roll can happen: all but the last
+    rank_col = panel.rank_columns(rank)[:, 0]
     held = rank_col[0]
-    rank_col = rank_col[: n - 1]
     quoted = ~np.isnan(prices)
 
     values = np.empty(n)
-    values[0] = x0
-    units = x0 / prices[0, held]
+    values[0] = 100.0
+    units = 100.0 / prices[0, held]
     opened = 0  # day the position in ``held`` was opened
     scan = 0  # first day that can roll it
     while True:
@@ -244,32 +241,21 @@ def evaluate_rmse(portfolio: np.ndarray, target: np.ndarray) -> float:
     return float(np.sqrt(np.mean((target - portfolio) ** 2)))
 
 
-def price_tracking_portfolio(
-    panel: PricePanel,
-    rolled,
-    boundary,
-    renormalize_out: bool = True,
-) -> StaticWeights:
+def price_tracking_portfolio(panel: PricePanel, rolled, boundary) -> StaticWeights:
     """Fit dollar-value tracking weights in-sample and evaluate both
     windows.
 
     ``rolled`` holds the rolled series of the portfolio's ranks, built
     on the whole ``panel``; each window reads a slice of them.  The
-    in-sample window is everything before ``boundary``.  With
-    ``renormalize_out`` (the default) the out-of-sample portfolio and
-    target are re-based to 100 at the first out-of-sample day;
-    otherwise the in-sample normalization is carried through.
+    in-sample window is everything before ``boundary``; the
+    out-of-sample portfolio and target are re-based to 100 at the first
+    out-of-sample day.
     """
     cut = split_in_out(panel, boundary)[0].n_days
     dm_in = build_design_matrix(panel, rolled, "price", slice(0, cut))
     fitted = solve_constrained_ls(dm_in)
-    if renormalize_out:
-        dm_out = build_design_matrix(panel, rolled, "price", slice(cut, None))
-        port, target = dm_out.columns @ fitted.weights, dm_out.target
-    else:
-        dm_full = build_design_matrix(panel, rolled, "price")
-        port, target = dm_full.columns[cut:] @ fitted.weights, dm_full.target[cut:]
-    out_rmse = evaluate_rmse(port, target)
+    dm_out = build_design_matrix(panel, rolled, "price", slice(cut, None))
+    out_rmse = evaluate_rmse(dm_out.columns @ fitted.weights, dm_out.target)
     return StaticWeights(fitted.labels, fitted.weights, fitted.in_rmse, out_rmse)
 
 
@@ -287,11 +273,15 @@ def return_tracking_portfolio(panel: PricePanel, rolled, boundary) -> StaticWeig
     )
 
 
-def results_table(results: dict, max_futures: int = 4) -> str:
+def results_table(results: dict) -> str:
     """Delimited table of fitted subsets: label, cash weight, futures
     weights, in-RMSE, out-RMSE.  ``results`` maps a subset label to a
-    StaticWeights (or to an error string for failed subsets)."""
-    header = ["futures", "w0"] + [f"w{i}" for i in range(1, max_futures + 1)]
+    StaticWeights (or to an error string for failed subsets).  There
+    are as many futures-weight columns as the largest fitted subset
+    has futures, and at least 4."""
+    fitted = [res for res in results.values() if not isinstance(res, str)]
+    width = max([4] + [res.weights.size - 1 for res in fitted])
+    header = ["futures", "w0"] + [f"w{i}" for i in range(1, width + 1)]
     header += ["in_rmse", "out_rmse"]
     lines = ["\t".join(header)]
     for label, res in results.items():
@@ -299,7 +289,7 @@ def results_table(results: dict, max_futures: int = 4) -> str:
             lines.append("\t".join([label, "ERROR", res]))
             continue
         futures_w = list(res.weights[1:]) + [None] * (
-            max_futures - (res.weights.size - 1)
+            width - (res.weights.size - 1)
         )
         cells = [label, f"{res.w0:.3f}"]
         cells += ["-" if w is None else f"{w:.3f}" for w in futures_w]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vixtrack import (
-    ContractCalendar,
     HistoricalParams,
     LocalVol,
     MarketConfig,
@@ -47,15 +46,12 @@ def make_sim_panels(
     sigma=None,
     extra_contracts=1,
 ):
-    """Simulated panel over whole cycles, with its market, calendar,
-    local volatility and index path."""
+    """Simulated panel of ``cycles + extra_contracts`` monthly contracts
+    over whole cycles, with its market, local volatility and index path."""
     mkt = MarketConfig(r=r)
     g = LocalVol.square_root(hist.sigma if sigma is None else sigma)
-    cal = ContractCalendar.monthly(cycles + extra_contracts, mkt.days_per_month, mkt.dt)
-    path = simulate_index_path(
-        hist, g, hist.theta if s0 is None else s0, cycles * mkt.days_per_month, seed
-    )
-    return futures_panel_from_path(path, cal, rn, mkt), mkt, cal, g, path
+    path = simulate_index_path(hist, g, hist.theta if s0 is None else s0, cycles * 21, seed)
+    return futures_panel_from_path(path, cycles + extra_contracts, rn, mkt), mkt, g, path
 
 
 def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None):

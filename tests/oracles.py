@@ -3,8 +3,8 @@
 Everything here deliberately avoids the code paths under test: the
 rolled-series and two-contract strategy oracles are per-day loops over
 their own rank and quote lookups, the weight and moment-fit oracles
-are brute-force grid scans,
-the constrained LS oracle is a dense bordered KKT solve, and the
+are brute-force grid scans, the one-day tracking error has its exact
+discrete-time coefficients, the constrained LS oracle is a dense bordered KKT solve, and the
 special-function oracles come from mpmath at 40 significant digits.
 """
 
@@ -13,6 +13,9 @@ import math
 import numpy as np
 
 from vixtrack import DataError, b_coefficient, market_price_of_risk
+
+# One trading day in years, the step of every daily grid.
+DT = 1.0 / 252.0
 
 
 def rank_column(panel, day, rank):
@@ -29,7 +32,7 @@ def quote(panel, day, column):
     return None if np.isnan(px) else px
 
 
-def rolled_series_loop(panel, rank, x0=100.0):
+def rolled_series_loop(panel, rank):
     """Day-by-day reference for ``build_rolled_series``.
 
     Walks the panel one day at a time through its own rank and quote
@@ -40,9 +43,9 @@ def rolled_series_loop(panel, rank, x0=100.0):
     """
     n = panel.n_days
     values = np.empty(n)
-    values[0] = x0
+    values[0] = 100.0
     held = rank_column(panel, 0, rank)
-    units = x0 / quote(panel, 0, held)
+    units = 100.0 / quote(panel, 0, held)
     for j in range(n):
         if j > 0:
             px = quote(panel, j, held)
@@ -70,16 +73,16 @@ def rolled_series_loop(panel, rank, x0=100.0):
     return values
 
 
-def strategy_loop(panel, rule, x0, mkt):
+def strategy_loop(panel, rule, mkt):
     """Day-by-day reference for the two-contract trackers' wealth.
 
     On each day ``j`` but the last, ``rule(panel, j)`` returns
     ``{column: weight}`` for the contracts held over j -> j+1, and
     wealth moves by the sequential self-financing update
-    x' = x e^(r dt) + sum_i (w_i x / f_i)(f_i' - f_i).  Returns the
-    wealth series and the per-day rule outputs.
+    x' = x e^(r dt) + sum_i (w_i x / f_i)(f_i' - f_i) from x = 100.
+    Returns the wealth series and the per-day rule outputs.
     """
-    wealth = [x0]
+    wealth = [100.0]
     held = []
     for j in range(panel.n_days - 1):
         weights = rule(panel, j)
@@ -88,7 +91,7 @@ def strategy_loop(panel, rule, x0, mkt):
             w * x / panel.prices[j, c] * (panel.prices[j + 1, c] - panel.prices[j, c])
             for c, w in weights.items()
         )
-        wealth.append(x * math.exp(mkt.r * mkt.dt) + pnl)
+        wealth.append(x * math.exp(mkt.r * DT) + pnl)
         held.append(weights)
     return np.array(wealth), held
 
@@ -105,28 +108,53 @@ def dynamic_rule(cfg, hist, rn, g, mkt):
         b1 = float(b_coefficient(spot, float(panel.ttms[day, c1]), rn, g_val))
         b2 = float(b_coefficient(spot, float(panel.ttms[day, c2]), rn, g_val))
         lam = market_price_of_risk(spot, hist, rn, g)
-        dt = mkt.dt
         a0 = (
-            math.expm1(mkt.r * dt)
-            + dt * lam * b2
-            - cfg.beta * hist.mu * dt * (hist.theta / spot - 1.0)
+            math.expm1(mkt.r * DT)
+            + DT * lam * b2
+            - cfg.beta * hist.mu * DT * (hist.theta / spot - 1.0)
         )
-        a1 = dt * lam * (b1 - b2)
-        n0 = math.sqrt(dt) * (b2 - cfg.beta * g_val / spot)
-        n1 = math.sqrt(dt) * (b1 - b2)
+        a1 = DT * lam * (b1 - b2)
+        n0 = math.sqrt(DT) * (b2 - cfg.beta * g_val / spot)
+        n1 = math.sqrt(DT) * (b1 - b2)
         w = -(a0 * a1 + n0 * n1) / (a1 ** 2 + n1 ** 2)
         return {c1: w, c2: 1.0 - w}
 
     return rule
 
 
-def vxx_rule(panel, day, cycle_length=21, dt=1.0 / 252.0):
+def vxx_rule(panel, day, cycle_length=21, dt=DT):
     """Linear roll on a fixed cycle: the front weight is 1 minus the
     elapsed fraction of the cycle, read off the front's days to expiry."""
     c1, c2 = rank_column(panel, day, 1), rank_column(panel, day, 2)
     to_expiry = round(float(panel.ttms[day, c1]) / dt)
     w1 = 1.0 - (cycle_length - to_expiry) / cycle_length
     return {c1: w1, c2: 1.0 - w1}
+
+
+def exact_one_day_coefficients(spot, t1, t2, beta, r, hist, rn, g_val):
+    """Exact (A0, A1, N0, N1) of the discrete-time one-day tracking
+    error A0 + A1 w + (N0 + N1 w) z, for weight w on the contract with
+    ttm ``t1`` and 1 - w on the one with ttm ``t2``.
+
+    Tomorrow's index is one Euler step S' = S + mu (theta - S) dt +
+    g(S) sqrt(dt) z, and tomorrow's futures price is affine in S' with
+    slope E_i = e^(-mu_tilde (T_i - dt)), so contract i returns
+    f_i'/f_i - 1 = a_i + b_i z with
+    a_i = (theta_tilde + (S + mu (theta - S) dt - theta_tilde) E_i - f_i) / f_i
+    and b_i = g(S) sqrt(dt) E_i / f_i.  Subtracting beta times the index
+    return gives A0 = expm1(r dt) + a_2 - beta mu (theta - S) dt / S,
+    A1 = a_1 - a_2, N0 = b_2 - beta g(S) sqrt(dt) / S, N1 = b_1 - b_2.
+    """
+    drift = hist.mu * (hist.theta - spot) * DT
+    a, b = [], []
+    for ttm in (t1, t2):
+        e = math.exp(-rn.mu_tilde * (ttm - DT))
+        f = (spot - rn.theta_tilde) * math.exp(-rn.mu_tilde * ttm) + rn.theta_tilde
+        a.append((rn.theta_tilde + (spot + drift - rn.theta_tilde) * e - f) / f)
+        b.append(g_val * math.sqrt(DT) * e / f)
+    a0 = math.expm1(r * DT) + a[1] - beta * drift / spot
+    n0 = b[1] - beta * g_val * math.sqrt(DT) / spot
+    return a0, a[0] - a[1], n0, b[0] - b[1]
 
 
 def grid_min_weight(c, lo=-10.0, hi=10.0, step=1e-4):

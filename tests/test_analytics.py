@@ -128,7 +128,7 @@ class TestSlopeTable:
         assert "slope" in text and "3-m" in text
 
     def test_slopes_decline_with_maturity_on_simulated_market(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=6, seed=15, extra_contracts=5)
+        panel, _, _, _ = make_sim_panels(cycles=6, seed=15, extra_contracts=5)
         table = slope_table(panel.spot, rolled(panel, 1, 2, 3, 4), holding_periods=[1])
         assert np.all(np.diff(table.slopes[0]) < 0)
 
@@ -158,7 +158,7 @@ class TestInterceptCurve:
         # low, slowly moving spot under a high long-run pricing level:
         # the curve sits above spot and rolls down every day
         hist = HistoricalParams(mu=2.0, theta=13.0, sigma=0.8)
-        panel, _, _, _, _ = make_sim_panels(
+        panel, _, _, _ = make_sim_panels(
             cycles=6, seed=3, s0=13.0, hist=hist, r=0.0, extra_contracts=2
         )
         curve = intercept_curve(

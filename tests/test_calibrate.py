@@ -21,8 +21,6 @@ from vixtrack import (
 
 import oracles
 
-DT = 1.0 / 252.0
-
 needs_real_data = pytest.mark.skipif(
     "VIXTRACK_DATA_DIR" not in os.environ,
     reason="set VIXTRACK_DATA_DIR to a directory of real quote files",
@@ -116,7 +114,7 @@ class TestCirLogDensity:
         for hist in (fit_hist, HistoricalParams(1.0, 10.0, 5.0)):
             for s_prev in (10.0, 18.81, 35.0):
                 total, err = quad(
-                    lambda s: np.exp(cir_log_density(s, s_prev, hist, DT)),
+                    lambda s: np.exp(cir_log_density(s, s_prev, hist)),
                     1e-12,
                     20 * hist.theta,
                     points=[s_prev],
@@ -130,7 +128,7 @@ class TestCirLogDensity:
 
     def test_unimodal_in_next_state(self, fit_hist):
         s = np.linspace(5.0, 40.0, 800)
-        dens = cir_log_density(s, 18.81, fit_hist, DT)
+        dens = cir_log_density(s, 18.81, fit_hist)
         sign_changes = np.sum(np.diff(np.sign(np.diff(dens))) != 0)
         assert sign_changes == 1
 
@@ -140,7 +138,7 @@ class TestCirLogDensity:
         hist = HistoricalParams(mu=0.1, theta=0.5, sigma=5.0)
         for s_prev in (0.5, 10.0):
             total, err = quad(
-                lambda s: np.exp(cir_log_density(s, s_prev, hist, DT)),
+                lambda s: np.exp(cir_log_density(s, s_prev, hist)),
                 0.0,
                 60.0,
                 points=[s_prev],
@@ -150,14 +148,14 @@ class TestCirLogDensity:
 
     def test_nonpositive_states_rejected(self, fit_hist):
         with pytest.raises(ValueError):
-            cir_log_density(0.0, 10.0, fit_hist, DT)
+            cir_log_density(0.0, 10.0, fit_hist)
 
 
 class TestMleFit:
     def test_synthetic_recovery(self):
         true = HistoricalParams(5.0, 20.0, 3.0)
         path = simulate_index_path(true, LocalVol.square_root(3.0), 20.0, 252 * 20, 7)
-        rep = mle_fit(path.values, DT)
+        rep = mle_fit(path.values)
         assert rep.converged
         assert abs(rep.params.theta / true.theta - 1) < 0.05
         assert abs(rep.params.sigma / true.sigma - 1) < 0.03
@@ -166,15 +164,14 @@ class TestMleFit:
     def test_loglik_never_below_start(self):
         true = HistoricalParams(8.0, 15.0, 2.0)
         path = simulate_index_path(true, LocalVol.square_root(2.0), 15.0, 2000, 3)
-        init = HistoricalParams(1.0, 30.0, 5.0)
-        rep = mle_fit(path.values, DT, init=init)
-        assert rep.avg_loglik >= average_log_likelihood(path.values, init, DT)
-        assert rep.start == init
+        rep = mle_fit(path.values)
+        assert rep.start == initial_guess_from_moments(path.values)
+        assert rep.avg_loglik >= average_log_likelihood(path.values, rep.start)
 
     def test_near_constant_series(self):
         rng = np.random.default_rng(0)
         series = 20.0 + 1e-4 * rng.standard_normal(600)
-        rep = mle_fit(series, DT, budget=300, n_restarts=1)
+        rep = mle_fit(series)
         assert abs(rep.params.theta - 20.0) < 0.05
         assert rep.params.sigma < 0.05
 
@@ -183,20 +180,20 @@ class TestMleFit:
         # in (-1, 0), where the density is still proper
         true = HistoricalParams(1.0, 10.0, 5.0)
         path = simulate_index_path(true, LocalVol.square_root(5.0), 10.0, 2000, 3)
-        rep = mle_fit(path.values, DT)
+        rep = mle_fit(path.values)
         assert np.isfinite(rep.avg_loglik)
-        assert rep.avg_loglik >= average_log_likelihood(path.values, true, DT)
+        assert rep.avg_loglik >= average_log_likelihood(path.values, true)
 
     def test_validation(self, fit_hist):
         with pytest.raises(ValueError):
-            mle_fit(np.full(10, 20.0), DT)
+            mle_fit(np.full(10, 20.0))
         with pytest.raises(ValueError):
-            mle_fit(np.linspace(-1, 20, 200), DT)
+            mle_fit(np.linspace(-1, 20, 200))
 
     def test_moment_start_is_reasonable(self):
         true = HistoricalParams(5.0, 20.0, 3.0)
         path = simulate_index_path(true, LocalVol.square_root(3.0), 20.0, 5000, 11)
-        init = initial_guess_from_moments(path.values, DT)
+        init = initial_guess_from_moments(path.values)
         assert abs(init.theta / 20.0 - 1) < 0.15
         assert abs(init.sigma / 3.0 - 1) < 0.15
 
@@ -207,7 +204,7 @@ class TestMleFit:
         panel = load_panel(
             os.environ["VIXTRACK_DATA_DIR"], window=("2011-01-01", "2015-12-31")
         )
-        rep = mle_fit(panel.spot, DT)
+        rep = mle_fit(panel.spot)
         assert rep.params.mu == pytest.approx(10.86, abs=0.005)
         assert rep.params.theta == pytest.approx(18.81, abs=0.005)
         assert rep.params.sigma == pytest.approx(6.37, abs=0.005)

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import vixtrack
-from vixtrack.cli import main
+from vixtrack.cli import build_parser, main
 
 from conftest import write_quote_files
 
@@ -73,7 +73,7 @@ QUOTE_FILES = ("spot.csv", "futures.csv", "rates.csv")
 def test_calibrate(calibrated):
     code, out = calibrated
     assert code == 0
-    kv = assert_manifest(out, "calibrate", ("data_dir", "window"), QUOTE_FILES)
+    kv = assert_manifest(out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES)
     assert kv["output.0"] == "params.txt"
     for line in (out / "params.txt").read_text().splitlines():
         key, value = line.split("=", 1)
@@ -91,7 +91,7 @@ def test_backtest_static(quotes, tmp_path):
     assert code == 0
     kv = assert_manifest(
         tmp_path, "backtest-static",
-        ("data_dir", "window", "split", "mode", "subsets", "n_failed_subsets"),
+        ("data_dir", "window", "n_ranks", "split", "mode", "subsets", "n_failed_subsets"),
         QUOTE_FILES,
     )
     assert kv["config.n_failed_subsets"] == "0"
@@ -113,6 +113,20 @@ def test_backtest_static_unbuildable_rank_fails_its_subsets_only(quotes, tmp_pat
     status = {row[0]: row[1:3] for row in rows}
     assert status["9-m"] == status["1-m,9-m"] == ["ERROR", "rank 9 not available on day 0"]
     assert status["1-m"][0] != "ERROR" and status["2-m"][0] != "ERROR"
+
+
+def test_backtest_static_table_widens_for_large_subsets(quotes, tmp_path):
+    data_dir, dates = quotes
+    code = main([
+        "backtest-static", "--data-dir", str(data_dir), "--split", str(dates[150]),
+        "--subsets", "1,2,3,4,5;1", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    header, rows = table(tmp_path / "static_price.tsv")
+    assert header == ["futures", "w0", "w1", "w2", "w3", "w4", "w5", "in_rmse", "out_rmse"]
+    assert [row[0] for row in rows] == ["1-m,2-m,3-m,4-m,5-m", "1-m"]
+    assert rows[1][3:7] == ["-"] * 4
+    assert_numeric_cells(tmp_path)  # every row has as many cells as the header
 
 
 def test_simulate(calibrated, tmp_path):
@@ -164,7 +178,9 @@ def test_regress(quotes, tmp_path):
     code = main(["regress", "--data-dir", str(data_dir), "--out-dir", str(tmp_path)])
     assert code == 0
     assert_manifest(
-        tmp_path, "regress", ("data_dir", "window", "horizons", "ranks"), QUOTE_FILES
+        tmp_path, "regress",
+        ("data_dir", "window", "n_ranks", "horizons", "ranks", "max_horizon"),
+        QUOTE_FILES,
     )
     _, rows = table(tmp_path / "one_day_regressions.tsv")
     assert [row[0] for row in rows] == RANKS
@@ -189,11 +205,25 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (PARAMS, "beta=1\ncontracts=1,2,3\n", [], ("scenario.txt", "line 2", "contracts")),
         (PARAMS, "# levels\ncycles=2.5\n", [], ("scenario.txt", "line 2", "cycles")),
         (PARAMS, None, ["--contracts", "1"], ("--contracts",)),
+        (PARAMS, "beta=1\ncylces=2\n", [], ("scenario.txt", "line 2", "cylces", "unknown key")),
+        (None, None, ["regress", "--ranks", "1,x"], ("--ranks", "'1,x'")),
+        (None, None, ["regress", "--horizons", "1,,5"], ("--horizons", "'1,,5'")),
+        (None, None, ["calibrate", "--window", "2021-01-04:2021-13-01"], ("--window", "2021-13-01")),
+        (None, None, ["calibrate", "--window", "2021-01-04"], ("--window", "START:END")),
+        (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1;;2"], ("--subsets", "'1;;2'")),
+        (None, None, ["backtest-static", "--split", "2021-02-30"], ("--split", "2021-02-30")),
     ],
 )
-def test_malformed_key_value_files_are_named(tmp_path, capsys, params, scenario, argv, where):
-    (tmp_path / "params.txt").write_text(params)
-    argv = ["simulate", "--params", str(tmp_path / "params.txt"), *argv]
+def test_malformed_key_value_files_are_named(
+    quotes, tmp_path, capsys, params, scenario, argv, where
+):
+    """A malformed parameter or scenario file names the file, line and
+    key; a malformed flag names the flag."""
+    if params is None:
+        argv = [*argv, "--data-dir", str(quotes[0])]
+    else:
+        (tmp_path / "params.txt").write_text(params)
+        argv = ["simulate", "--params", str(tmp_path / "params.txt"), *argv]
     if scenario is not None:
         (tmp_path / "scenario.txt").write_text(scenario)
         argv += ["--scenario", str(tmp_path / "scenario.txt")]
@@ -201,3 +231,28 @@ def test_malformed_key_value_files_are_named(tmp_path, capsys, params, scenario,
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert all(part in err for part in where), err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "backtest-static", "simulate", "regress"])
+def test_manifest_records_every_flag(calibrated, quotes, tmp_path, command):
+    """Every parsed flag is a config key of the manifest (the scenario
+    file is an input digest), so equal manifests mean equal settings."""
+    data_dir, dates = quotes
+    argv = {
+        "calibrate": ["--data-dir", str(data_dir)],
+        "backtest-static": ["--data-dir", str(data_dir), "--split", str(dates[150])],
+        "simulate": [
+            "--params", str(calibrated[1] / "params.txt"),
+            "--scenario", str(tmp_path / "scenario.txt"),
+        ],
+        "regress": ["--data-dir", str(data_dir)],
+    }[command]
+    (tmp_path / "scenario.txt").write_text("cycles=2\n")
+    argv = [command, *argv, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    kv = read_manifest(tmp_path / "out")
+    dests = set(vars(build_parser().parse_args(argv))) - {"out_dir", "func", "command"}
+    if command == "simulate":
+        dests.remove("scenario")
+        assert "input.scenario.sha256" in kv
+    assert {f"config.{d}" for d in dests} <= set(kv)

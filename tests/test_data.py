@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vixtrack import DataError, load_panel, normalize_to_100, split_in_out
+from vixtrack.model import DT
 
 from conftest import grid_panel, make_sim_panels, weekday_dates, write_quote_files
 import oracles
@@ -176,14 +177,16 @@ class TestPricePanel:
         assert n_settling == 2  # days 21 and 42
 
     def test_simulated_panel_is_nan_exactly_past_maturity(self):
-        panel, _, cal, _, _ = make_sim_panels(cycles=2, seed=10, extra_contracts=2)
-        for i, maturity in enumerate(cal.maturity_days):
+        panel, _, _, _ = make_sim_panels(cycles=2, seed=10, extra_contracts=2)
+        assert panel.contracts.size == 4
+        for i in range(4):
+            maturity = 21 * (i + 1)
             for j in range(panel.n_days):
                 if j > maturity:
                     assert np.isnan(panel.prices[j, i]) and np.isnan(panel.ttms[j, i])
                 else:
                     assert np.isfinite(panel.prices[j, i])
-                    assert panel.ttms[j, i] == (maturity - j) * cal.dt
+                    assert panel.ttms[j, i] == (maturity - j) * DT
 
     def test_rows_out_of_expiry_order_rejected(self):
         panel = grid_panel(lambda j, k: 25.0, n_days=30)
@@ -233,7 +236,7 @@ class TestSplit:
             split_in_out(panel, "2030-01-01")
 
     def test_integer_boundary_for_simulated_panels(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=13)
+        panel, _, _, _ = make_sim_panels(cycles=2, seed=13)
         a, b = split_in_out(panel, 21)
         assert a.n_days == 21
         assert b.dates[0] == 21

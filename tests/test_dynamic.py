@@ -220,31 +220,62 @@ class TestOneDayMonteCarlo:
     """The coded objective is the one-day tracking error's mean square to
     first order in dt.  Each check draws tomorrow's index from one Euler
     step of the model and reprices both contracts with the model's own
-    futures formula at T - dt, then measures the realized error of the
-    coded w*: the portfolio's one-day return minus beta times the
-    index's."""
+    futures formula at T - dt, then measures the realized error: the
+    portfolio's one-day return minus beta times the index's.  That error
+    is exactly affine in the shock, with the coefficients of
+    ``oracles.exact_one_day_coefficients``."""
 
     N_DRAWS = 1 << 20
     MKT = MarketConfig(r=0.01)
     T1, T2 = 21 / 252, 42 / 252
+    G = LocalVol.square_root(PAPER_HIST.sigma)
 
-    def realized_mse(self, spot, beta=1.0):
-        hist, rn, mkt = PAPER_HIST, PAPER_RN, self.MKT
-        g = LocalVol.square_root(hist.sigma)
-        c = tracking_coefficients(
-            spot, self.T1, self.T2, TrackingConfig(beta=beta), hist, rn, g, mkt
+    def coded(self, spot, beta=1.0):
+        cfg = TrackingConfig(beta=beta)
+        return tracking_coefficients(
+            spot, self.T1, self.T2, cfg, PAPER_HIST, PAPER_RN, self.G, self.MKT
         )
-        w, objective = optimal_weight(c)
+
+    def exact(self, spot, beta=1.0):
+        return oracles.exact_one_day_coefficients(
+            spot, self.T1, self.T2, beta, self.MKT.r, PAPER_HIST, PAPER_RN, self.G(spot)
+        )
+
+    def simulated_error(self, spot, w, beta=1.0):
+        """Shocks z and the realized one-day error at weight ``w``."""
+        hist, rn, dt = PAPER_HIST, PAPER_RN, oracles.DT
         z = np.random.default_rng(20190701).standard_normal(self.N_DRAWS)
-        dt = mkt.dt
-        s_next = spot + hist.mu * (hist.theta - spot) * dt + g(spot) * np.sqrt(dt) * z
-        ret = np.expm1(mkt.r * dt)
+        s_next = spot + hist.mu * (hist.theta - spot) * dt + self.G(spot) * np.sqrt(dt) * z
+        ret = np.expm1(self.MKT.r * dt)
         for weight, ttm in ((w, self.T1), (1.0 - w, self.T2)):
             # futures_price is affine in spot: f(S') = f(0) + (f(1) - f(0)) S'
             f0, f1 = (futures_price(s, ttm - dt, rn) for s in (0.0, 1.0))
             ret = ret + weight * ((f0 + (f1 - f0) * s_next) / futures_price(spot, ttm, rn) - 1.0)
-        err = ret - beta * (s_next / spot - 1.0)
+        return z, ret - beta * (s_next / spot - 1.0)
+
+    def realized_mse(self, spot, beta=1.0):
+        w, objective = optimal_weight(self.coded(spot, beta))
+        _, err = self.simulated_error(spot, w, beta)
         return float(np.mean(err ** 2)), objective
+
+    @pytest.mark.parametrize("mult", (1.0 / 3.0, 1.0, 3.0))
+    def test_simulated_error_is_exactly_affine_in_the_shock(self, mult):
+        spot = mult * PAPER_HIST.theta
+        a0, a1, n0, n1 = self.exact(spot)
+        w_star, _ = optimal_weight(self.coded(spot))
+        for w in (0.0, 1.0, w_star):
+            z, err = self.simulated_error(spot, w)
+            basis = np.column_stack([np.ones_like(z), z])
+            (mean, slope), *_ = np.linalg.lstsq(basis, err, rcond=None)
+            assert mean == pytest.approx(a0 + a1 * w, rel=1e-9, abs=0.0)
+            assert slope == pytest.approx(n0 + n1 * w, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("mult", (1.0 / 3.0, 1.0, 3.0))
+    def test_coded_coefficients_are_exact_to_first_order(self, mult):
+        spot = mult * PAPER_HIST.theta
+        c = self.coded(spot)
+        for got, want in zip((c.alpha0, c.alpha1, c.nu0, c.nu1), self.exact(spot)):
+            assert abs(got / want - 1.0) < 0.10
 
     @pytest.mark.parametrize("mult", (1.0 / 3.0, 1.0, 3.0))
     def test_objective_is_realized_mse_to_first_order(self, mult):
@@ -256,3 +287,11 @@ class TestOneDayMonteCarlo:
         realized, _ = self.realized_mse(s_star)
         _, objective_at_theta = self.realized_mse(PAPER_HIST.theta)
         assert realized < 0.1 * objective_at_theta
+
+    def test_exact_objective_vanishes_at_critical_spot(self):
+        def min_objective(a0, a1, n0, n1):
+            return (n1 * a0 - n0 * a1) ** 2 / (a1 ** 2 + n1 ** 2)
+
+        s_star = critical_spot(1.0, self.MKT, PAPER_RN)
+        at_s_star = min_objective(*self.exact(s_star))
+        assert at_s_star < 1e-6 * min_objective(*self.exact(PAPER_HIST.theta))

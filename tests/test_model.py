@@ -48,12 +48,8 @@ class TestTypes:
 
     def test_market_config_r_bar_is_derived(self):
         mkt = MarketConfig(r=0.05)
-        assert mkt.dt == pytest.approx(1 / 252)
         assert mkt.r_bar == pytest.approx(math.expm1(0.05 / 252) * 252)
-        with pytest.raises(ValueError):
-            MarketConfig(r=0.01, dt=0.0)
-        with pytest.raises(ValueError):
-            MarketConfig(r=0.01, days_per_month=0)
+        assert mkt.growth_factor == pytest.approx(math.exp(0.05 / 252))
 
 
 class TestFuturesPrice:

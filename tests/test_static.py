@@ -36,7 +36,7 @@ class TestRolledSeries:
     def test_contango_bleeds_value(self, fit_rn):
         # constant spot far below the long-run pricing level
         hist = HistoricalParams(1.0, fit_rn.theta_tilde / 2, 0.0)
-        panel, _, _, _, _ = make_sim_panels(
+        panel, _, _, _ = make_sim_panels(
             cycles=3, seed=1, s0=hist.theta, hist=hist, r=0.0, sigma=0.0
         )
         rolled = build_rolled_series(panel, rank=1)
@@ -64,8 +64,15 @@ class TestRolledSeries:
 
     def test_rank_must_exist_every_day(self):
         panel = grid_panel(lambda j, k: 25.0, n_days=30, n_contracts=2)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="rank 5 not available on day 0"):
             build_rolled_series(panel, rank=5)
+        with pytest.raises(DataError):
+            build_rolled_series(panel, rank=0)
+
+    def test_one_day_panel_is_a_data_error(self):
+        panel = grid_panel(lambda j, k: 25.0, n_days=30).slice(0, 1)
+        with pytest.raises(DataError, match="at least 2 days"):
+            build_rolled_series(panel, rank=1)
 
 
 def available_ranks(panel):
@@ -106,7 +113,7 @@ class TestRolledSeriesOracle:
 
     def test_simulated_panels(self):
         for seed in (1, 2):
-            panel, _, _, _, _ = make_sim_panels(cycles=4, seed=seed, extra_contracts=5)
+            panel, _, _, _ = make_sim_panels(cycles=4, seed=seed, extra_contracts=5)
             self.assert_matches_loop(panel)
 
     def test_grid_panels(self):
@@ -262,17 +269,13 @@ class TestConstrainedLS:
 
 class TestTrackingPortfolios:
     def test_recovers_constructed_price_solution(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=21)
+        panel, _, _, _ = make_sim_panels(cycles=4, seed=21)
         r1 = build_rolled_series(panel, 1).values
         r2 = build_rolled_series(panel, 2).values
         panel.spot = 0.31 * (0.6 * r1 + 0.4 * r2)  # scale is irrelevant
         res = price_tracking_portfolio(panel, rolled(panel, 1, 2), boundary=63)
         assert np.allclose(res.weights, [0.0, 0.6, 0.4], atol=1e-8)
         assert res.in_rmse < 1e-8
-        # carrying the in-sample units through the boundary reproduces the
-        # target exactly; a fresh 100-rebased allocation does not
-        held = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=False)
-        assert held.out_rmse < 1e-8
 
     def test_constant_target_is_all_cash(self):
         panel = grid_panel(
@@ -284,7 +287,7 @@ class TestTrackingPortfolios:
         assert abs(res.weights[1]) < 1e-10
 
     def test_recovers_constructed_return_solution(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=33, r=0.02)
+        panel, _, _, _ = make_sim_panels(cycles=4, seed=33, r=0.02)
         r1 = build_rolled_series(panel, 1).values
         cash = panel.mm_value
         spot = np.empty(panel.n_days)
@@ -300,17 +303,10 @@ class TestTrackingPortfolios:
         assert res.in_rmse < 1e-8
 
     def test_target_identical_to_one_column(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=5)
+        panel, _, _, _ = make_sim_panels(cycles=4, seed=5)
         panel.spot = 2.0 * build_rolled_series(panel, 2).values
         res = return_tracking_portfolio(panel, rolled(panel, 1, 2), boundary=63)
         assert np.allclose(res.weights, [0.0, 0.0, 1.0], atol=1e-8)
-
-    def test_out_normalization_conventions_differ(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=4, seed=44)
-        a = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=True)
-        b = price_tracking_portfolio(panel, rolled(panel, 1, 2), 63, renormalize_out=False)
-        assert np.allclose(a.weights, b.weights)
-        assert a.out_rmse != b.out_rmse
 
 
 class TestRmse:
@@ -328,13 +324,13 @@ class TestRmse:
 
 class TestDesignMatrix:
     def test_price_mode_normalized_to_100(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
         dm = build_design_matrix(panel, rolled(panel, 1, 2), mode="price")
         assert np.allclose(dm.columns[0], 100.0)
         assert dm.target[0] == pytest.approx(100.0)
         assert dm.labels == ("cash", "1-m", "2-m")
 
     def test_bad_mode_rejected(self):
-        panel, _, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
         with pytest.raises(ValueError):
             build_design_matrix(panel, rolled(panel, 1), mode="volume")

@@ -3,7 +3,7 @@
 Subcommands: ``calibrate``, ``backtest-static``, ``simulate``,
 ``regress``.  Every run writes its artifacts plus a ``manifest.txt``
 (subcommand, config snapshot, seed, input digests, output paths,
-timings) into the output directory; the manifest is written last, so
+work counts, timings) into the output directory; the manifest is written last, so
 its absence marks a failed run.  All files are plain text and written
 atomically.
 
@@ -32,7 +32,7 @@ from .analytics import (
     slope_table,
 )
 from .calibrate import mle_fit, mom_fit
-from .data import load_panel
+from .data import load_panel, split_in_out
 from .dynamic import TrackingConfig, dynamic_weights
 from .errors import CalibrationError, DataError, DegenerateProblemError
 from .model import (
@@ -45,7 +45,7 @@ from .model import (
 from .simulate import (
     futures_panel_from_path,
     hold_pair,
-    simulate_index_path,
+    simulate_index_paths,
     vxx_front_weights,
 )
 from .static import (
@@ -84,6 +84,7 @@ class RunManifest:
         self.config: dict = {}
         self.inputs: dict = {}
         self.outputs: list = []
+        self.counts: dict = {}
         self.started = time.perf_counter()
 
     def add_input(self, label: str, path: Path) -> None:
@@ -97,6 +98,7 @@ class RunManifest:
         lines += [f"config.{k}={v}" for k, v in sorted(self.config.items())]
         lines += [f"input.{k}.sha256={v}" for k, v in sorted(self.inputs.items())]
         lines += [f"output.{i}={p}" for i, p in enumerate(self.outputs)]
+        lines += [f"count.{k}={v}" for k, v in sorted(self.counts.items())]
         lines.append(f"elapsed_seconds={time.perf_counter() - self.started:.3f}")
         _write_atomic(out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
@@ -148,6 +150,13 @@ def _ints(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _rank_pair(text: str) -> tuple:
     ranks = _ints(text)
     if len(ranks) != 2:
@@ -179,7 +188,7 @@ def read_params_file(path) -> tuple:
 
 _SCENARIO_KEYS = {
     "beta": float,
-    "cycles": int,
+    "cycles": _positive_int,
     "seed": int,
     "r": float,
     "contracts": _rank_pair,
@@ -273,6 +282,10 @@ def cmd_backtest_static(args) -> int:
     subsets = _parse_subsets(args.subsets)
     boundary = _parse(lambda t: np.datetime64(t, "D"), args.split, "--split")
     panel = _load_quotes(args, manifest)
+    try:  # the boundary is the same for every subset: check it once
+        split_in_out(panel, boundary)
+    except DataError as exc:
+        raise DataError(f"--split: {exc}") from None
     fit = (
         price_tracking_portfolio if args.mode == "price" else return_tracking_portfolio
     )
@@ -322,6 +335,8 @@ def cmd_simulate(args) -> int:
     manifest.add_input("params", Path(args.params))
     beta = args.beta if args.beta is not None else cfg.get("beta", 1.0)
     cycles = args.cycles if args.cycles is not None else cfg.get("cycles", 3)
+    if cycles < 1:  # a scenario file's cycles were checked as it was read
+        raise DataError(f"--cycles must be >= 1, got {cycles}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 1)
     r = cfg.get("r", 0.01)
     i1, i2 = (
@@ -348,10 +363,11 @@ def cmd_simulate(args) -> int:
     n_days = cycles * CYCLE_DAYS
     # enough contracts that both ranks trade on the last day
     n_contracts = cycles + max(i1, i2, 2) - 1
-    children = np.random.SeedSequence(seed).spawn(len(mults))
-    for mult, child in zip(mults, children):
-        s0 = mult * hist.theta
-        path = simulate_index_path(hist, g, s0, n_days, child)
+    paths = simulate_index_paths(
+        hist, g, [m * hist.theta for m in mults], n_days, len(mults), seed
+    )
+    manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
+    for mult, path in zip(mults, paths):
         panel = futures_panel_from_path(path, n_contracts, rn, mkt)
         w_dyn = dynamic_weights(panel, tracking, hist, rn, g, mkt)
         dyn = hold_pair(panel, (i1, i2), w_dyn, mkt)

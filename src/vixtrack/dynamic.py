@@ -98,7 +98,7 @@ def tracking_coefficients(
         ttm1 != ttm2, DegenerateProblemError,
         "contracts must have different times to maturity",
     )
-    g_val = np.vectorize(g, otypes=[float])(spot)
+    g_val = g(spot)
     b1 = b_coefficient(spot, ttm1, rn, g_val)
     b2 = b_coefficient(spot, ttm2, rn, g_val)
     require(

@@ -112,13 +112,12 @@ class LocalVol:
     def square_root(cls, sigma: float) -> "LocalVol":
         return cls("square-root", sigma)
 
-    def __call__(self, spot: float) -> float:
-        """Evaluate g(spot).  Nonnegative for spot >= 0."""
+    def __call__(self, spot):
+        """Evaluate g(spot), elementwise for arrays.  Nonnegative for spot >= 0."""
         if self.kind == "constant":
-            return self.sigma
-        if spot < 0:
-            raise ValueError(f"square-root volatility requires spot >= 0, got {spot}")
-        return self.sigma * math.sqrt(spot)
+            return np.full(np.shape(spot), float(self.sigma))
+        require(spot >= 0, ValueError, "square-root volatility requires spot >= 0, got {}", spot)
+        return self.sigma * np.sqrt(spot)
 
 
 @dataclass(frozen=True)

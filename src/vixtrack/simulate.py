@@ -13,10 +13,10 @@ dynamic tracker, the VXX-style roll) is a per-day weight array on two
 maturity ranks of the panel, and its wealth comes from one vectorized
 self-financing mark-to-market recursion.
 
-RNG convention: every path is driven by ``numpy.random.default_rng``
-seeded from a ``SeedSequence``.  Multi-path runs spawn one child
-sequence per path index, so serial and parallel execution produce the
-same paths.
+RNG convention: path k of a multi-path run draws its normals from the
+k-th child of ``SeedSequence(seed)`` into its own row of one batch,
+which the recursion then advances a day at a time for all paths at
+once; so a path is the same alone on its child or in any batch.
 """
 
 from __future__ import annotations
@@ -54,21 +54,11 @@ SPOT_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class IndexPath:
-    """A simulated index path on a daily grid."""
+    """A simulated index path on a daily grid, from ``values[0]`` on,
+    and the number of its Euler steps clamped to the positive floor."""
 
-    s0: float
     values: np.ndarray
     n_clamped: int = 0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("a path needs at least 2 daily values")
-        if v[0] != self.s0:
-            raise ValueError("values[0] must equal s0")
-        if not np.all(v > 0):
-            raise ValueError("path values must be positive")
 
     @property
     def n_days(self) -> int:
@@ -97,8 +87,29 @@ class PortfolioPath:
         return self.wealth[1:] / self.wealth[:-1] - 1.0
 
 
-def _euler_step(s, drift_dt, g_vals, sqrt_dt, z):
-    return s + drift_dt + g_vals * sqrt_dt * z
+def _euler_paths(hist: HistoricalParams, g: LocalVol, s0, seeds, n_days: int) -> list:
+    """Euler-step one path per seed, all paths together, from one level
+    ``s0`` or one per path.  Row k of the batch first holds the normals
+    of ``default_rng(seeds[k])``; each day's levels overwrite that day's
+    shocks.  Returns one :class:`IndexPath` per row, a view of it."""
+    if n_days < 1:
+        raise ValueError(f"n_days must be >= 1, got {n_days}")
+    values = np.empty((len(seeds), n_days + 1))
+    values[:, 0] = s0
+    if not np.all(values[:, 0] > 0):
+        raise ValueError(f"s0 must be positive, got {s0}")
+    for row, seed in zip(values, seeds):
+        np.random.default_rng(seed).standard_normal(out=row[1:])
+    sqrt_dt = np.sqrt(DT)
+    n_clamped = np.zeros(len(seeds), dtype=int)
+    s = values[:, 0]
+    for j in range(1, n_days + 1):
+        s = s + hist.mu * (hist.theta - s) * DT + g(s) * sqrt_dt * values[:, j]
+        clamped = s < SPOT_FLOOR
+        s[clamped] = SPOT_FLOOR
+        n_clamped += clamped
+        values[:, j] = s
+    return [IndexPath(row, int(n)) for row, n in zip(values, n_clamped)]
 
 
 def simulate_index_path(
@@ -114,45 +125,23 @@ def simulate_index_path(
     floor; the number of clamps is recorded on the returned path.
     Identical (parameters, seed, n_days) give bit-identical paths.
     """
-    if s0 <= 0:
-        raise ValueError(f"s0 must be positive, got {s0}")
-    if n_days < 1:
-        raise ValueError(f"n_days must be >= 1, got {n_days}")
-    rng = np.random.default_rng(seed)
-    dt = DT  # a local name: the loop below reads it on every step
-    sqrt_dt = np.sqrt(dt)
-    z = rng.standard_normal(n_days)
-    values = np.empty(n_days + 1)
-    values[0] = s0
-    n_clamped = 0
-    s = s0
-    for j in range(n_days):
-        s_next = _euler_step(s, hist.mu * (hist.theta - s) * dt, g(s), sqrt_dt, z[j])
-        if s_next < SPOT_FLOOR:
-            s_next = SPOT_FLOOR
-            n_clamped += 1
-        values[j + 1] = s_next
-        s = s_next
-    return IndexPath(s0=s0, values=values, n_clamped=n_clamped)
+    return _euler_paths(hist, g, s0, [seed], n_days)[0]
 
 
 def simulate_index_paths(
     hist: HistoricalParams,
     g: LocalVol,
-    s0: float,
+    s0,
     n_days: int,
     n_paths: int,
     seed,
 ) -> list:
-    """Simulate ``n_paths`` independent paths.
+    """Simulate ``n_paths`` independent paths from one level or one per path.
 
     Path ``k`` is driven by the ``k``-th child of ``SeedSequence(seed)``,
-    so the set of paths does not depend on execution order.
+    so it equals ``simulate_index_path`` run alone on that child.
     """
-    children = np.random.SeedSequence(seed).spawn(n_paths)
-    return [
-        simulate_index_path(hist, g, s0, n_days, child) for child in children
-    ]
+    return _euler_paths(hist, g, s0, np.random.SeedSequence(seed).spawn(n_paths), n_days)
 
 
 def futures_panel_from_path(

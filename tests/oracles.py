@@ -1,11 +1,13 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the code paths under test: the
-rolled-series and two-contract strategy oracles are per-day loops over
-their own rank and quote lookups, the weight and moment-fit oracles
-are brute-force grid scans, the one-day tracking error has its exact
-discrete-time coefficients, the constrained LS oracle is a dense bordered KKT solve, and the
-special-function oracles come from mpmath at 40 significant digits.
+index-path oracle is a scalar day-by-day Euler loop, the rolled-series
+and two-contract strategy oracles are per-day loops over their own
+rank and quote lookups, the weight and moment-fit oracles are
+brute-force grid scans, the one-day tracking error has its exact
+discrete-time coefficients, the constrained LS oracle is a dense
+bordered KKT solve, and the special-function oracles come from mpmath
+at 40 significant digits.
 """
 
 import math
@@ -71,6 +73,26 @@ def rolled_series_loop(panel, rank):
             units = values[j] / px
             held = target
     return values
+
+
+def euler_path_loop(hist, g, s0, n_days, seed, floor=1e-8):
+    """One index path stepped a day at a time in scalars: the Euler
+    recursion S' = S + mu (theta - S) dt + g(S) sqrt(dt) Z on the
+    ``n_days`` normals of ``default_rng(seed)``, with a step below
+    ``floor`` set to it.  Returns the n_days + 1 values and the number
+    of clamped steps."""
+    z = np.random.default_rng(seed).standard_normal(n_days)
+    sqrt_dt = np.sqrt(DT)
+    values = [float(s0)]
+    n_clamped = 0
+    for j in range(n_days):
+        s = values[-1]
+        s_next = s + hist.mu * (hist.theta - s) * DT + float(g(s)) * sqrt_dt * z[j]
+        if s_next < floor:
+            s_next = floor
+            n_clamped += 1
+        values.append(float(s_next))
+    return np.array(values), n_clamped
 
 
 def strategy_loop(panel, rule, mkt):

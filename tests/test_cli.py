@@ -36,7 +36,7 @@ def read_manifest(out):
     return dict(line.split("=", 1) for line in lines)
 
 
-def assert_manifest(out, subcommand, config, inputs):
+def assert_manifest(out, subcommand, config, inputs, counts=()):
     kv = read_manifest(out)
     assert kv["subcommand"] == subcommand
     assert kv["version"] == vixtrack.__version__
@@ -45,6 +45,8 @@ def assert_manifest(out, subcommand, config, inputs):
     assert {k for k in kv if k.startswith("input.")} == {
         f"input.{name}.sha256" for name in inputs
     }
+    assert {k for k in kv if k.startswith("count.")} == {f"count.{k}" for k in counts}
+    assert all(int(kv[f"count.{k}"]) >= 0 for k in counts)
     outputs = [v for k, v in kv.items() if k.startswith("output.")]
     assert outputs and all((out / name).is_file() for name in outputs)
     return kv
@@ -140,11 +142,44 @@ def test_simulate(calibrated, tmp_path):
         tmp_path, "simulate",
         ("beta", "cycles", "seed", "r", "contracts", "s0_multipliers", "params"),
         ("params",),
+        ("clamped_steps",),
     )
     for label in ("s0_1x", "s0_0p333333x", "s0_3x"):
         for kind in ("wealth", "weights", "scatter", "scatter_points"):
             assert (tmp_path / f"{kind}_{label}.tsv").is_file()
     assert_numeric_cells(tmp_path)
+
+
+def test_backtest_static_split_outside_the_window_fails_the_run(quotes, tmp_path, capsys):
+    data_dir, dates = quotes
+    code = main([
+        "backtest-static", "--data-dir", str(data_dir), "--split", "2030-01-01",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--split" in err and f"[{dates[0]}, {dates[-1]}]" in err, err
+    assert "failed" not in err  # no subset was fitted
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_simulate_counts_clamped_steps(tmp_path):
+    # violent volatility drives Euler steps below zero
+    (tmp_path / "params.txt").write_text(
+        "mu=1.0\ntheta=5.0\nsigma=60.0\nmu_tilde=1.39\ntheta_tilde=26.03\n"
+    )
+    code = main([
+        "simulate", "--params", str(tmp_path / "params.txt"), "--seed", "5",
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    hist = vixtrack.HistoricalParams(1.0, 5.0, 60.0)
+    g = vixtrack.LocalVol.square_root(60.0)
+    s0 = [m * 5.0 for m in (1.0, 1.0 / 3.0, 3.0)]  # the default multipliers
+    paths = vixtrack.simulate_index_paths(hist, g, s0, 63, 3, 5)
+    clamped = sum(path.n_clamped for path in paths)
+    assert clamped > 0
+    assert read_manifest(tmp_path / "out")["count.clamped_steps"] == str(clamped)
 
 
 def test_simulate_later_pair_holds_no_front_contract(calibrated, tmp_path):
@@ -206,6 +241,8 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (PARAMS, "# levels\ncycles=2.5\n", [], ("scenario.txt", "line 2", "cycles")),
         (PARAMS, None, ["--contracts", "1"], ("--contracts",)),
         (PARAMS, "beta=1\ncylces=2\n", [], ("scenario.txt", "line 2", "cylces", "unknown key")),
+        (PARAMS, "seed=4\ncycles=0\n", [], ("scenario.txt", "line 2", "cycles", ">= 1")),
+        (PARAMS, None, ["--cycles", "0"], ("--cycles", ">= 1")),
         (None, None, ["regress", "--ranks", "1,x"], ("--ranks", "'1,x'")),
         (None, None, ["regress", "--horizons", "1,,5"], ("--horizons", "'1,,5'")),
         (None, None, ["calibrate", "--window", "2021-01-04:2021-13-01"], ("--window", "2021-13-01")),

@@ -45,6 +45,14 @@ class TestTypes:
             LocalVol("cubic", 1.0)
         with pytest.raises(ValueError):
             g_sqrt(-1.0)
+        # on an array: spot's shape, each entry equal to the scalar call
+        spot = np.array([[0.0, 1e-8, 9.0], [18.81, 56.43, 1e6]])
+        for g in (g_const, g_sqrt):
+            got = g(spot)
+            assert got.shape == spot.shape
+            assert np.array_equal(got, [[g(float(s)) for s in row] for row in spot])
+        with pytest.raises(ValueError, match="got -1.0 on day 1"):
+            g_sqrt(np.array([4.0, -1.0, 9.0]))
 
     def test_market_config_r_bar_is_derived(self):
         mkt = MarketConfig(r=0.05)

@@ -70,6 +70,61 @@ class TestIndexPath:
             simulate_index_path(fit_hist, fit_g, 0.0, 10, 1)
         with pytest.raises(ValueError):
             simulate_index_path(fit_hist, fit_g, 20.0, 0, 1)
+        with pytest.raises(ValueError, match="s0 must be positive"):
+            simulate_index_paths(fit_hist, fit_g, [20.0, -1.0, 20.0], 10, 3, 1)
+        with pytest.raises(ValueError):  # one level per path
+            simulate_index_paths(fit_hist, fit_g, [20.0, 20.0], 10, 3, 1)
+
+    def test_volatility_is_evaluated_once_a_day_for_the_whole_batch(self, fit_hist, fit_g):
+        shapes = []
+
+        def counting_g(spot):
+            shapes.append(np.shape(spot))
+            return fit_g(spot)
+
+        simulate_index_paths(fit_hist, counting_g, 18.81, 63, 5, 7)
+        assert shapes == [(5,)] * 63
+
+
+def _assert_batch_matches_loop(hist, g, s0, n_paths, seed, n_days=252):
+    """Every path of a batch, and a lone path on the bare seed, equal
+    the scalar loop on the same stream bit for bit, clamps included.
+    Returns the number of clamped steps over all of these paths."""
+    batch = simulate_index_paths(hist, g, s0, n_days, n_paths, seed)
+    starts = np.broadcast_to(s0, (n_paths,))
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    assert len(batch) == n_paths
+    for path, start, child in zip(batch, starts, children):
+        values, n_clamped = oracles.euler_path_loop(hist, g, start, n_days, child)
+        assert np.array_equal(path.values, values)
+        assert path.n_clamped == n_clamped
+    lone = simulate_index_path(hist, g, starts[0], n_days, seed)
+    values, n_clamped = oracles.euler_path_loop(hist, g, starts[0], n_days, seed)
+    assert np.array_equal(lone.values, values)
+    assert lone.n_clamped == n_clamped
+    return lone.n_clamped + sum(path.n_clamped for path in batch)
+
+
+@pytest.mark.parametrize("n_paths", (1, 5))
+@pytest.mark.parametrize("start", ("theta/3", "theta", "3theta", "per-path"))
+@pytest.mark.parametrize("kind", LocalVol.KINDS)
+def test_batch_is_bit_identical_to_scalar_loop(kind, start, n_paths):
+    theta = FIT_HIST.theta
+    s0 = {
+        "theta/3": theta / 3.0,
+        "theta": theta,
+        "3theta": 3.0 * theta,
+        "per-path": np.linspace(theta / 3.0, 3.0 * theta, n_paths).tolist(),
+    }[start]
+    _assert_batch_matches_loop(FIT_HIST, LocalVol(kind, FIT_HIST.sigma), s0, n_paths, 17)
+
+
+@pytest.mark.parametrize("n_paths", (1, 5))
+@pytest.mark.parametrize("kind", LocalVol.KINDS)
+def test_clamped_batch_is_bit_identical_to_scalar_loop(kind, n_paths):
+    # the violent volatility of test_clamp_counter_and_floor
+    hist = HistoricalParams(1.0, 5.0, 60.0)
+    assert _assert_batch_matches_loop(hist, LocalVol(kind, 60.0), 5.0, n_paths, 5) > 0
 
 
 class TestFuturesPanel:

@@ -25,7 +25,7 @@ from .calibrate import (
     mom_fit,
     mom_loss,
 )
-from .data import PricePanel, load_panel, normalize_to_100, split_in_out
+from .data import PricePanel, load_panel, split_day
 from .dynamic import (
     TrackingCoefficients,
     TrackingConfig,
@@ -62,15 +62,12 @@ from .simulate import (
     vxx_roll_weights,
 )
 from .static import (
-    DesignMatrix,
     RolledSeries,
     StaticWeights,
-    build_design_matrix,
     build_rolled_series,
     evaluate_rmse,
-    price_tracking_portfolio,
-    return_tracking_portfolio,
     solve_constrained_ls,
+    static_portfolio,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -286,27 +286,8 @@ def mle_fit(series) -> MLEReport:
     )
 
 
-def _flatten_observations(observations):
-    # one entry per quote: spot, ttm, price, weight 1/(2 N_j n), day j
-    if not observations:
-        raise ValueError("empty observation set")
-    spots, ttms, prices, weights, days = [], [], [], [], []
-    n = len(observations)
-    for j, (spot, quotes) in enumerate(observations):
-        if not quotes:
-            raise ValueError("every observation needs at least one contract")
-        n_j = len(quotes)
-        for ttm, price in quotes:
-            spots.append(spot)
-            ttms.append(ttm)
-            prices.append(price)
-            weights.append(1.0 / (2.0 * n_j * n))
-            days.append(j)
-    return tuple(np.array(v) for v in (spots, ttms, prices, weights, days))
-
-
-def _weighted_sq_errors(mu_t: float, theta_t: float, flat) -> np.ndarray:
-    spots, ttms, prices, weights, _ = flat
+def _weighted_sq_errors(mu_t: float, theta_t: float, observations) -> np.ndarray:
+    spots, ttms, prices, weights, _ = observations
     fitted = (spots - theta_t) * np.exp(-mu_t * ttms) + theta_t
     return weights * (fitted - prices) ** 2
 
@@ -316,9 +297,11 @@ def mom_loss(rn: RiskNeutralParams, observations) -> float:
 
     loss = (1/n) sum_j (1/(2 N_j)) sum_i
            ((s_j - theta_tilde) e^(-mu_tilde T_i) + theta_tilde - f_j^i)^2
+
+    ``observations`` is the (spot, ttm, price, weight, day) tuple of
+    per-quote arrays from :meth:`PricePanel.observations`.
     """
-    flat = _flatten_observations(observations)
-    return float(np.sum(_weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, flat)))
+    return float(np.sum(_weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, observations)))
 
 
 def mom_fit(observations) -> MOMReport:
@@ -332,7 +315,7 @@ def mom_fit(observations) -> MOMReport:
     left is a one-dimensional search in log mu_tilde over (1e-6, 1e3): a
     coarse log grid brackets the best minimum, guarding against others,
     and a bounded scalar search refines it.  Deterministic given the
-    observations.
+    observations, the per-quote arrays of :meth:`PricePanel.observations`.
 
     Raises
     ------
@@ -340,8 +323,7 @@ def mom_fit(observations) -> MOMReport:
         If the loss surface cannot identify both parameters (a single
         maturity observed at a single spot level).
     """
-    flat = _flatten_observations(observations)
-    spots, ttms, prices, weights, days = flat
+    spots, ttms, prices, weights, days = observations
     if np.unique(np.round(ttms, 12)).size < 2 and np.unique(spots).size < 2:
         raise CalibrationError(
             "unidentifiable: one maturity at one spot level cannot pin down "
@@ -355,7 +337,8 @@ def mom_fit(observations) -> MOMReport:
         return min(max(float(theta), 1e-6), 1e4)
 
     def profile(log_mu: float) -> float:
-        return float(np.sum(_weighted_sq_errors(math.exp(log_mu), theta_star(log_mu), flat)))
+        sq = _weighted_sq_errors(math.exp(log_mu), theta_star(log_mu), observations)
+        return float(np.sum(sq))
 
     grid = np.linspace(math.log(1e-6), math.log(1e3), 37)
     values = [profile(z) for z in grid]
@@ -368,9 +351,9 @@ def mom_fit(observations) -> MOMReport:
     )
     log_mu = float(res.x) if res.fun <= values[k] else float(grid[k])
     rn = RiskNeutralParams(mu_tilde=math.exp(log_mu), theta_tilde=theta_star(log_mu))
-    sq = _weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, flat)
+    sq = _weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, observations)
     return MOMReport(
         params=rn,
         loss=float(np.sum(sq)),
-        per_day_loss=np.bincount(days, weights=sq) * len(observations),
+        per_day_loss=np.bincount(days, weights=sq) * (int(days[-1]) + 1),
     )

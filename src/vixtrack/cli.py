@@ -5,7 +5,8 @@ Subcommands: ``calibrate``, ``backtest-static``, ``simulate``,
 (subcommand, config snapshot, seed, input digests, output paths,
 work counts, timings) into the output directory; the manifest is written last, so
 its absence marks a failed run.  All files are plain text and written
-atomically.
+atomically; the formatting of every output file lives here, so the
+library modules hold only the math.
 
 Exit codes: 0 success, 2 data error, 3 calibration failure,
 4 degenerate optimization.
@@ -32,7 +33,7 @@ from .analytics import (
     slope_table,
 )
 from .calibrate import mle_fit, mom_fit
-from .data import load_panel, split_in_out
+from .data import load_panel, split_day
 from .dynamic import TrackingConfig, dynamic_weights
 from .errors import CalibrationError, DataError, DegenerateProblemError
 from .model import (
@@ -48,12 +49,7 @@ from .simulate import (
     simulate_index_paths,
     vxx_front_weights,
 )
-from .static import (
-    build_rolled_series,
-    price_tracking_portfolio,
-    results_table,
-    return_tracking_portfolio,
-)
+from .static import build_rolled_series, static_portfolio
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -120,6 +116,28 @@ def write_params_file(
     ]
     lines += [f"{k}={v}" for k, v in diagnostics.items()]
     _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def results_table(results: dict) -> str:
+    """Delimited table of fitted subsets: label, cash weight, futures
+    weights, in-RMSE, out-RMSE.  ``results`` maps a subset label to a
+    StaticWeights (or to an error string for failed subsets).  There
+    are as many futures-weight columns as the largest fitted subset
+    has futures, and at least 4."""
+    fitted = [res for res in results.values() if not isinstance(res, str)]
+    width = max([4] + [res.weights.size - 1 for res in fitted])
+    header = ["futures", "w0"] + [f"w{i}" for i in range(1, width + 1)]
+    header += ["in_rmse", "out_rmse"]
+    lines = ["\t".join(header)]
+    for label, res in results.items():
+        if isinstance(res, str):
+            lines.append("\t".join([label, "ERROR", res]))
+            continue
+        cells = [label] + [f"{w:.3f}" for w in res.weights]
+        cells += ["-"] * (width + 1 - res.weights.size)
+        cells += [f"{res.in_rmse:.3f}", f"{res.out_rmse:.3f}"]
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _read_key_values(path: Path, kind: str) -> dict:
@@ -282,13 +300,10 @@ def cmd_backtest_static(args) -> int:
     subsets = _parse_subsets(args.subsets)
     boundary = _parse(lambda t: np.datetime64(t, "D"), args.split, "--split")
     panel = _load_quotes(args, manifest)
-    try:  # the boundary is the same for every subset: check it once
-        split_in_out(panel, boundary)
+    try:
+        cut = split_day(panel, boundary)
     except DataError as exc:
         raise DataError(f"--split: {exc}") from None
-    fit = (
-        price_tracking_portfolio if args.mode == "price" else return_tracking_portfolio
-    )
     # each rank is rolled once over the whole panel; a rank that cannot
     # be built fails every subset holding it, with the build's message
     rolled, unbuilt = {}, {}
@@ -304,7 +319,8 @@ def cmd_backtest_static(args) -> int:
         error = next((unbuilt[r] for r in subset if r in unbuilt), None)
         if error is None:
             try:
-                results[label] = fit(panel, [rolled[r] for r in subset], boundary)
+                series = [rolled[r] for r in subset]
+                results[label] = static_portfolio(panel, series, cut, args.mode)
             except (DegenerateProblemError, DataError, ValueError) as exc:
                 error = str(exc)
         if error is not None:

@@ -35,14 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require
 from .model import TRADING_DAYS_PER_YEAR
 
 __all__ = [
     "PricePanel",
     "load_panel",
-    "normalize_to_100",
-    "split_in_out",
+    "split_day",
 ]
 
 log = logging.getLogger(__name__)
@@ -132,14 +131,27 @@ class PricePanel:
         # columns are in expiry order, so rank r is where the count reaches r
         return np.stack([np.argmax(live >= r, axis=1) for r in ranks], axis=1)
 
-    def observations(self) -> list:
-        """Per-day (spot, [(ttm, price), ...]) pairs over tradable
-        contracts, as consumed by the risk-neutral curve fit."""
-        out = []
-        for spot, ttms, prices in zip(self.spot.tolist(), self.ttms, self.prices):
-            live = ttms > 0
-            out.append((spot, list(zip(ttms[live].tolist(), prices[live].tolist()))))
-        return out
+    def observations(self) -> tuple:
+        """The live quotes (ttm > 0) as flat arrays, day by day and in
+        expiry order within a day, as the risk-neutral curve fit reads
+        them: (spot, ttm, price, weight, day) per quote.  Each quote of
+        day j weighs 1/(2 N_j n), for N_j live quotes that day and n
+        days.
+
+        Raises
+        ------
+        ValueError
+            If the panel has no days or, naming the first, a day has no
+            live quote.
+        """
+        live = self.ttms > 0
+        per_day = live.sum(axis=1)
+        if per_day.size == 0:
+            raise ValueError("empty observation set")
+        require(per_day > 0, ValueError, "no live quote")
+        days = np.nonzero(live)[0]
+        weights = 1.0 / (2.0 * per_day[days] * self.n_days)
+        return self.spot[days], self.ttms[live], self.prices[live], weights, days
 
 
 def _parse_quote_file(path: Path):
@@ -334,18 +346,16 @@ def load_panel(
     )
 
 
-def normalize_to_100(series: np.ndarray) -> np.ndarray:
-    """Scale a series so its first value is exactly 100."""
-    series = np.asarray(series, dtype=float)
-    if series[0] == 0:
-        raise ValueError("first value is zero")
-    return series * (100.0 / series[0])
+def split_day(panel: PricePanel, boundary) -> int:
+    """First out-of-sample day of a split at a boundary date (or day
+    index for simulated panels): in-sample strictly before, out-of-sample
+    from the boundary on.
 
-
-def split_in_out(panel: PricePanel, boundary) -> tuple:
-    """Split a panel at a boundary date (or day index for simulated
-    panels): in-sample strictly before, out-of-sample from the boundary
-    on.  Both halves are nonempty."""
+    Raises
+    ------
+    DataError
+        If either window would be empty.
+    """
     if np.issubdtype(panel.dates.dtype, np.integer):
         b = int(boundary)
     else:
@@ -355,5 +365,4 @@ def split_in_out(panel: PricePanel, boundary) -> tuple:
             f"boundary {boundary} outside the panel window "
             f"[{panel.dates[0]}, {panel.dates[-1]}]"
         )
-    cut = int(np.searchsorted(panel.dates, b, side="left"))
-    return panel.slice(0, cut), panel.slice(cut, panel.n_days)
+    return int(np.searchsorted(panel.dates, b, side="left"))

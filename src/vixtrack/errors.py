@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the check that
-raises them for scalar or per-day array inputs alike."""
+raises them for scalar or array inputs alike."""
 
 import numpy as np
 
@@ -27,13 +27,14 @@ class VolatilitySingularityError(ZeroDivisionError):
 def require(ok, exc: type, message: str, *values) -> None:
     """Raise ``exc`` unless every entry of ``ok`` holds.
 
-    ``ok`` is a scalar or a per-day array.  The ``{}`` fields of
-    ``message`` show ``values`` at the first failing entry, and an
-    array check appends that entry's day.
+    ``ok`` is a scalar or an array.  The ``{}`` fields of ``message``
+    show ``values`` at the first failing entry; a per-day (1-D) check
+    appends that entry's day, a check on more dimensions its index.
     """
     ok = np.asarray(ok)
     if ok.all():
         return
-    day = int(np.argmin(ok)) if ok.ndim else ()
-    shown = [float(np.broadcast_to(v, ok.shape)[day]) for v in values]
-    raise exc(message.format(*shown) + (f" on day {day}" if ok.ndim else ""))
+    at = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+    shown = [float(np.broadcast_to(v, ok.shape)[at]) for v in values]
+    where = f" on day {at[0]}" if ok.ndim == 1 else f" at index {at}" if at else ""
+    raise exc(message.format(*shown) + where)

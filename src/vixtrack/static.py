@@ -10,13 +10,14 @@ matrices, with Python work only at roll events, and a run builds each
 rank once: in-sample and out-of-sample windows read slices of the
 full-window series, rebased to 100 on their first day.
 
-The tracking portfolios solve
+A static tracking portfolio (:func:`static_portfolio`) solves
 
     min ||C w - d||^2   s.t.   sum(w) = 1
 
-where the columns of C are the money-market account and the selected
-rolled series (dollar values normalized to 100 at the window start, or
-their daily simple returns) and d is the corresponding spot series.
+on the in-sample window and is scored on the out-of-sample one.  The
+columns of C are the money-market account and the selected rolled
+series and d is the spot, all rebased to 100 on the window's first day
+(price mode) or taken as their daily simple returns (return mode).
 The constraint is eliminated by substitution (w0 = 1 - sum of the
 rest), which is algebraically identical to solving the equality-
 constrained normal equations but avoids an indefinite system.
@@ -29,21 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import PricePanel, normalize_to_100, split_in_out
+from .data import PricePanel
 from .errors import DataError, DegenerateProblemError
 from .model import TRADING_DAYS_PER_YEAR
 
 __all__ = [
     "RolledSeries",
-    "DesignMatrix",
     "StaticWeights",
     "build_rolled_series",
-    "build_design_matrix",
     "solve_constrained_ls",
-    "price_tracking_portfolio",
-    "return_tracking_portfolio",
     "evaluate_rmse",
-    "results_table",
+    "static_portfolio",
 ]
 
 
@@ -56,33 +53,13 @@ class RolledSeries:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Least-squares inputs: one column per portfolio component (money
-    market first), a target vector, and column labels."""
-
-    columns: np.ndarray
-    target: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        if self.columns.shape[0] != self.target.shape[0]:
-            raise ValueError("columns and target must have equal length")
-        if self.columns.shape[1] != len(self.labels):
-            raise ValueError("one label per column required")
-
-
-@dataclass(frozen=True)
 class StaticWeights:
     """Fitted portfolio weights (cash first) with in/out RMSE in percent."""
 
     labels: tuple
     weights: np.ndarray
     in_rmse: float
-    out_rmse: float | None = None
-
-    @property
-    def w0(self) -> float:
-        return float(self.weights[0])
+    out_rmse: float
 
 
 # A contract whose quotes stop while it still has more than this long
@@ -162,39 +139,10 @@ def build_rolled_series(panel: PricePanel, rank: int) -> RolledSeries:
         scan = roll + 1
 
 
-def build_design_matrix(
-    panel: PricePanel, rolled, mode: str = "price", days: slice = slice(None)
-) -> DesignMatrix:
-    """Assemble the money-market column plus one column per rolled
-    series, over the panel days selected by ``days``.
-
-    ``rolled`` holds series built on ``panel``.  ``mode="price"`` uses
-    dollar values rebased to 100 on the window's first day;
-    ``mode="return"`` uses their daily simple returns.
-    """
-    if mode not in ("price", "return"):
-        raise ValueError(f"mode must be 'price' or 'return', got {mode!r}")
-    cols = [normalize_to_100(panel.mm_value[days])]
-    labels = ["cash"]
-    for series in rolled:
-        if series.values.size != panel.n_days:
-            raise ValueError(
-                f"{series.maturity_rank}-m series has {series.values.size} days, "
-                f"the panel {panel.n_days}"
-            )
-        cols.append(normalize_to_100(series.values[days]))
-        labels.append(f"{series.maturity_rank}-m")
-    target = normalize_to_100(panel.spot[days])
-    if mode == "return":
-        cols = [c[1:] / c[:-1] - 1.0 for c in cols]
-        target = target[1:] / target[:-1] - 1.0
-    return DesignMatrix(
-        columns=np.column_stack(cols), target=target, labels=tuple(labels)
-    )
-
-
-def solve_constrained_ls(dm: DesignMatrix) -> StaticWeights:
-    """Minimize ||C w - d||^2 subject to sum(w) = 1.
+def solve_constrained_ls(columns, target, labels) -> np.ndarray:
+    """Weights w minimizing ||C w - d||^2 subject to sum(w) = 1, for the
+    days x components matrix C = ``columns`` (money market first) and
+    d = ``target``; ``labels`` names the columns.
 
     Substituting w0 = 1 - sum(rest) reduces the problem to an ordinary
     least squares in the remaining weights; the returned residual is
@@ -202,28 +150,30 @@ def solve_constrained_ls(dm: DesignMatrix) -> StaticWeights:
 
     Raises
     ------
+    ValueError
+        If ``columns`` is not len(target) x len(labels).
     DegenerateProblemError
         If the reduced system is rank-deficient; the message names the
         offending columns.
     """
-    c = np.asarray(dm.columns, dtype=float)
-    d = np.asarray(dm.target, dtype=float)
-    n, k_plus_1 = c.shape
-    if k_plus_1 == 1:
-        w = np.array([1.0])
-        return StaticWeights(dm.labels, w, in_rmse=evaluate_rmse(c @ w, d))
+    c = np.asarray(columns, dtype=float)
+    d = np.asarray(target, dtype=float)
+    if c.shape != (d.size, len(labels)):
+        raise ValueError(
+            f"columns {c.shape} must be target length x labels {(d.size, len(labels))}"
+        )
+    if c.shape[1] == 1:
+        return np.array([1.0])
     a = c[:, 1:] - c[:, [0]]
     rank = np.linalg.matrix_rank(a)
     if rank < a.shape[1]:
         _, _, piv = scipy.linalg.qr(a, pivoting=True, mode="economic")
-        bad = sorted(piv[rank:] + 1)
-        names = [dm.labels[i] for i in bad]
+        names = [labels[i] for i in sorted(piv[rank:] + 1)]
         raise DegenerateProblemError(
             f"rank-deficient constrained system; dependent columns: {names}"
         )
     u, *_ = np.linalg.lstsq(a, d - c[:, 0], rcond=None)
-    w = np.concatenate([[1.0 - u.sum()], u])
-    return StaticWeights(dm.labels, w, in_rmse=evaluate_rmse(c @ w, d))
+    return np.concatenate([[1.0 - u.sum()], u])
 
 
 def evaluate_rmse(portfolio: np.ndarray, target: np.ndarray) -> float:
@@ -241,59 +191,52 @@ def evaluate_rmse(portfolio: np.ndarray, target: np.ndarray) -> float:
     return float(np.sqrt(np.mean((target - portfolio) ** 2)))
 
 
-def price_tracking_portfolio(panel: PricePanel, rolled, boundary) -> StaticWeights:
-    """Fit dollar-value tracking weights in-sample and evaluate both
-    windows.
+def static_portfolio(panel: PricePanel, rolled, cut: int, mode: str) -> StaticWeights:
+    """Fit tracking weights on the panel's days before ``cut`` and score
+    them on the days from ``cut`` on.
 
-    ``rolled`` holds the rolled series of the portfolio's ranks, built
-    on the whole ``panel``; each window reads a slice of them.  The
-    in-sample window is everything before ``boundary``; the
-    out-of-sample portfolio and target are re-based to 100 at the first
-    out-of-sample day.
+    The components are the money-market account and the ``rolled``
+    series, which are built on the whole ``panel``; the target is the
+    spot.  Each window rebases every series to 100 on its own first
+    day.  ``mode="price"`` fits those values; ``mode="return"`` fits
+    their daily simple returns and reports both RMSEs in percent of
+    daily return.
+
+    Raises
+    ------
+    ValueError
+        On an unknown mode, a series not as long as the panel, a cut
+        that leaves a window empty, or a window starting at zero.
+    DegenerateProblemError
+        If the in-sample system is rank-deficient.
     """
-    cut = split_in_out(panel, boundary)[0].n_days
-    dm_in = build_design_matrix(panel, rolled, "price", slice(0, cut))
-    fitted = solve_constrained_ls(dm_in)
-    dm_out = build_design_matrix(panel, rolled, "price", slice(cut, None))
-    out_rmse = evaluate_rmse(dm_out.columns @ fitted.weights, dm_out.target)
-    return StaticWeights(fitted.labels, fitted.weights, fitted.in_rmse, out_rmse)
+    if mode not in ("price", "return"):
+        raise ValueError(f"mode must be 'price' or 'return', got {mode!r}")
+    for series in rolled:
+        if series.values.size != panel.n_days:
+            raise ValueError(
+                f"{series.maturity_rank}-m series has {series.values.size} days, "
+                f"the panel {panel.n_days}"
+            )
+    if not 0 < cut < panel.n_days:
+        raise ValueError(f"cut {cut} leaves a window of the {panel.n_days} days empty")
+    columns = np.column_stack([panel.mm_value, *(series.values for series in rolled)])
+    labels = ("cash", *(f"{series.maturity_rank}-m" for series in rolled))
 
+    def window(x, days):
+        x = x[days]
+        if np.any(x[0] == 0):
+            raise ValueError("first value is zero")
+        x = x * (100.0 / x[0])
+        return x if mode == "price" else x[1:] / x[:-1] - 1.0
 
-def return_tracking_portfolio(panel: PricePanel, rolled, boundary) -> StaticWeights:
-    """Fit daily-return tracking weights in-sample and evaluate both
-    windows.  ``rolled`` is as for :func:`price_tracking_portfolio`.
-    RMSE values are reported in percent of daily return."""
-    cut = split_in_out(panel, boundary)[0].n_days
-    dm_in = build_design_matrix(panel, rolled, "return", slice(0, cut))
-    fitted = solve_constrained_ls(dm_in)
-    dm_out = build_design_matrix(panel, rolled, "return", slice(cut, None))
-    out_rmse = 100.0 * evaluate_rmse(dm_out.columns @ fitted.weights, dm_out.target)
+    scale = 1.0 if mode == "price" else 100.0
+    c_in, d_in = window(columns, slice(0, cut)), window(panel.spot, slice(0, cut))
+    weights = solve_constrained_ls(c_in, d_in, labels)
+    c_out, d_out = window(columns, slice(cut, None)), window(panel.spot, slice(cut, None))
     return StaticWeights(
-        fitted.labels, fitted.weights, 100.0 * fitted.in_rmse, out_rmse
+        labels,
+        weights,
+        in_rmse=scale * evaluate_rmse(c_in @ weights, d_in),
+        out_rmse=scale * evaluate_rmse(c_out @ weights, d_out),
     )
-
-
-def results_table(results: dict) -> str:
-    """Delimited table of fitted subsets: label, cash weight, futures
-    weights, in-RMSE, out-RMSE.  ``results`` maps a subset label to a
-    StaticWeights (or to an error string for failed subsets).  There
-    are as many futures-weight columns as the largest fitted subset
-    has futures, and at least 4."""
-    fitted = [res for res in results.values() if not isinstance(res, str)]
-    width = max([4] + [res.weights.size - 1 for res in fitted])
-    header = ["futures", "w0"] + [f"w{i}" for i in range(1, width + 1)]
-    header += ["in_rmse", "out_rmse"]
-    lines = ["\t".join(header)]
-    for label, res in results.items():
-        if isinstance(res, str):
-            lines.append("\t".join([label, "ERROR", res]))
-            continue
-        futures_w = list(res.weights[1:]) + [None] * (
-            width - (res.weights.size - 1)
-        )
-        cells = [label, f"{res.w0:.3f}"]
-        cells += ["-" if w is None else f"{w:.3f}" for w in futures_w]
-        cells.append(f"{res.in_rmse:.3f}")
-        cells.append("-" if res.out_rmse is None else f"{res.out_rmse:.3f}")
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ from vixtrack import (
     CalibrationError,
     HistoricalParams,
     LocalVol,
+    PricePanel,
     RiskNeutralParams,
     average_log_likelihood,
     cir_log_density,
@@ -27,17 +28,31 @@ needs_real_data = pytest.mark.skipif(
 )
 
 
-def synth_observations(rn, n_days=100, seed=0, noise=0.0, spot_lo=12.0, spot_hi=40.0):
+def curve_panel(spots, ttms, prices):
+    """Panel of the given spots and days x contracts ttms and prices."""
+    n_days, n_contracts = np.shape(prices)
+    return PricePanel(
+        dates=np.arange(n_days),
+        spot=np.asarray(spots, dtype=float),
+        contracts=np.arange(n_contracts),
+        prices=np.asarray(prices, dtype=float),
+        ttms=np.asarray(ttms, dtype=float),
+        rates=np.zeros(n_days),
+        mm_value=np.ones(n_days),
+    )
+
+
+def synth_panel(rn, n_days=100, seed=0, noise=0.0, spot_lo=12.0, spot_hi=40.0):
     rng = np.random.default_rng(seed)
     spots = rng.uniform(spot_lo, spot_hi, n_days)
     ttms = np.arange(1, 8) * 21 / 252.0
-    obs = []
+    rows = []
     for s in spots:
         prices = (s - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttms) + rn.theta_tilde
         if noise:
             prices = prices + noise * rng.normal(size=ttms.size)
-        obs.append((float(s), list(zip(ttms, prices))))
-    return obs
+        rows.append(prices)
+    return curve_panel(spots, np.tile(ttms, (n_days, 1)), rows)
 
 
 class TestLogBesselI:
@@ -213,7 +228,7 @@ class TestMleFit:
 class TestMom:
     def test_loss_zero_on_generated_prices(self):
         rn = RiskNeutralParams(1.39, 26.03)
-        obs = synth_observations(rn, n_days=40, seed=1)
+        obs = synth_panel(rn, n_days=40, seed=1).observations()
         assert mom_loss(rn, obs) == pytest.approx(0.0, abs=1e-24)
         off = RiskNeutralParams(1.5, 26.03)
         assert mom_loss(off, obs) > 0.0
@@ -222,18 +237,19 @@ class TestMom:
         rn = RiskNeutralParams(1.0, 25.0)
         ttm = 21 / 252.0
         fair = (20.0 - 25.0) * np.exp(-1.0 * ttm) + 25.0
-        obs = [(20.0, [(ttm, fair + 2.0)])]
+        obs = curve_panel([20.0], [[ttm]], [[fair + 2.0]]).observations()
         assert mom_loss(rn, obs) == pytest.approx(2.0)
 
     def test_empty_observations_rejected(self):
-        with pytest.raises(ValueError):
-            mom_loss(RiskNeutralParams(1.0, 25.0), [])
-        with pytest.raises(ValueError):
-            mom_loss(RiskNeutralParams(1.0, 25.0), [(20.0, [])])
+        with pytest.raises(ValueError, match="empty"):
+            curve_panel([], np.empty((0, 1)), np.empty((0, 1))).observations()
+        # a contract on its settlement day (ttm 0) is not a live quote
+        with pytest.raises(ValueError, match="no live quote on day 1"):
+            curve_panel([20.0, 20.0], [[0.1], [0.0]], [[21.0], [20.0]]).observations()
 
     def test_noiseless_recovery(self):
         true = RiskNeutralParams(2.0, 25.0)
-        rep = mom_fit(synth_observations(true, n_days=60, seed=2))
+        rep = mom_fit(synth_panel(true, n_days=60, seed=2).observations())
         assert abs(rep.params.mu_tilde / 2.0 - 1) < 1e-6
         assert abs(rep.params.theta_tilde / 25.0 - 1) < 1e-6
         assert rep.loss < 1e-14
@@ -242,17 +258,21 @@ class TestMom:
     def test_noisy_recovery_within_two_percent(self):
         true = RiskNeutralParams(1.39, 26.03)
         for seed in range(5):
-            rep = mom_fit(synth_observations(true, n_days=100, seed=seed, noise=0.05))
+            panel = synth_panel(true, n_days=100, seed=seed, noise=0.05)
+            rep = mom_fit(panel.observations())
             assert abs(rep.params.mu_tilde / true.mu_tilde - 1) < 0.02
             assert abs(rep.params.theta_tilde / true.theta_tilde - 1) < 0.02
 
     def test_grid_scan_oracle(self):
-        obs = synth_observations(
-            RiskNeutralParams(1.39, 26.03), n_days=100, seed=7, noise=0.05
-        )
+        panel = synth_panel(RiskNeutralParams(1.39, 26.03), n_days=100, seed=7, noise=0.05)
+        obs = panel.observations()
+        # the oracle sums day by day over raw (spot, [(ttm, price), ...]) pairs
+        quotes = [
+            (float(s), list(zip(t, p))) for s, t, p in zip(panel.spot, panel.ttms, panel.prices)
+        ]
         mu_grid = np.geomspace(0.7, 2.8, 401)
         theta_grid = np.geomspace(13.0, 52.0, 401)
-        k_mu, k_theta, grid_min = oracles.grid_min_mom_loss(obs, mu_grid, theta_grid)
+        k_mu, k_theta, grid_min = oracles.grid_min_mom_loss(quotes, mu_grid, theta_grid)
         grid_best = RiskNeutralParams(mu_grid[k_mu], theta_grid[k_theta])
         assert mom_loss(grid_best, obs) == pytest.approx(grid_min, rel=1e-12)
         rep = mom_fit(obs)
@@ -264,9 +284,9 @@ class TestMom:
             assert abs(np.log(got / grid[k])) <= np.log(grid[1] / grid[0])
 
     def test_unidentifiable_surface_rejected(self):
-        obs = [(20.0, [(21 / 252.0, 21.0)])] * 5
+        panel = curve_panel([20.0] * 5, [[21 / 252.0]] * 5, [[21.0]] * 5)
         with pytest.raises(CalibrationError):
-            mom_fit(obs)
+            mom_fit(panel.observations())
 
     @needs_real_data
     def test_matches_reported_fit_on_real_data(self):

@@ -83,12 +83,13 @@ def test_calibrate(calibrated):
             float(value)
 
 
-def test_backtest_static(quotes, tmp_path):
+@pytest.mark.parametrize("mode", ["price", "return"])
+def test_backtest_static(quotes, tmp_path, mode):
     data_dir, dates = quotes
     split = str(dates[150])
     code = main([
         "backtest-static", "--data-dir", str(data_dir), "--split", split,
-        "--out-dir", str(tmp_path),
+        "--mode", mode, "--out-dir", str(tmp_path),
     ])
     assert code == 0
     kv = assert_manifest(
@@ -97,7 +98,8 @@ def test_backtest_static(quotes, tmp_path):
         QUOTE_FILES,
     )
     assert kv["config.n_failed_subsets"] == "0"
-    header, rows = table(tmp_path / "static_price.tsv")
+    assert kv["config.mode"] == mode
+    header, rows = table(tmp_path / f"static_{mode}.tsv")
     assert len(rows) == 15
     assert all(row[1] != "ERROR" for row in rows)
     assert_numeric_cells(tmp_path)

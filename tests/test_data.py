@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vixtrack import DataError, load_panel, normalize_to_100, split_in_out
+from vixtrack import DataError, load_panel, split_day
 from vixtrack.model import DT
 
 from conftest import grid_panel, make_sim_panels, weekday_dates, write_quote_files
@@ -195,48 +195,48 @@ class TestPricePanel:
         with pytest.raises(DataError, match="day 5 are not in expiry order"):
             dataclasses.replace(panel, ttms=ttms, prices=prices)
 
-
-class TestNormalize:
-    def test_rescales_anchor_to_100(self):
-        series = np.array([20.0, 22.0, 19.0])
-        out = normalize_to_100(series)
-        assert out[0] == 100.0
-        assert np.allclose(out / series, 5.0)
-
-    def test_already_normalized_unchanged(self):
-        series = np.array([100.0, 104.0, 98.0])
-        assert np.array_equal(normalize_to_100(series), series)
-
-    def test_zero_anchor_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_to_100(np.array([0.0, 1.0]))
+    def test_observations_flatten_live_quotes_day_by_day(self, tmp_path):
+        write_quote_files(tmp_path, n_days=60, seed=9)
+        panel = load_panel(tmp_path, n_ranks=5)
+        spots, ttms, prices, weights, days = panel.observations()
+        k = 0
+        for j in range(panel.n_days):
+            live = np.flatnonzero(panel.ttms[j] > 0)  # settling contracts excluded
+            for i in live:
+                got = (spots[k], ttms[k], prices[k], weights[k], days[k])
+                want = (
+                    panel.spot[j], panel.ttms[j, i], panel.prices[j, i],
+                    1.0 / (2.0 * live.size * panel.n_days), j,
+                )
+                assert got == want
+                k += 1
+        assert k == spots.size == ttms.size == prices.size == weights.size == days.size
 
 
 class TestSplit:
     def test_seven_three_split(self, tmp_path):
         dates = write_quote_files(tmp_path, n_days=10, seed=11)
         panel = load_panel(tmp_path)
-        a, b = split_in_out(panel, dates[7])
-        assert (a.n_days, b.n_days) == (7, 3)
-        assert a.dates[-1] < b.dates[0]
+        cut = split_day(panel, dates[7])
+        assert cut == 7
+        assert panel.dates[cut] == dates[7]
 
     def test_boundary_between_trading_days(self, tmp_path):
         write_quote_files(tmp_path, n_days=10, seed=11, start="2021-01-04")
         panel = load_panel(tmp_path)
         # Saturday boundary: everything before the following Monday is in
-        a, b = split_in_out(panel, "2021-01-09")
-        assert a.n_days == 5 and b.n_days == 5
+        assert split_day(panel, "2021-01-09") == 5
 
     def test_boundary_outside_window_rejected(self, tmp_path):
         write_quote_files(tmp_path, n_days=10, seed=12)
         panel = load_panel(tmp_path)
         with pytest.raises(DataError):
-            split_in_out(panel, "2020-01-01")
+            split_day(panel, "2020-01-01")
         with pytest.raises(DataError):
-            split_in_out(panel, "2030-01-01")
+            split_day(panel, "2030-01-01")
 
     def test_integer_boundary_for_simulated_panels(self):
         panel, _, _, _ = make_sim_panels(cycles=2, seed=13)
-        a, b = split_in_out(panel, 21)
-        assert a.n_days == 21
-        assert b.dates[0] == 21
+        cut = split_day(panel, 21)
+        assert cut == 21
+        assert panel.dates[cut] == 21

@@ -53,6 +53,8 @@ class TestTypes:
             assert np.array_equal(got, [[g(float(s)) for s in row] for row in spot])
         with pytest.raises(ValueError, match="got -1.0 on day 1"):
             g_sqrt(np.array([4.0, -1.0, 9.0]))
+        with pytest.raises(ValueError, match=r"got -1.0 at index \(1, 0\)"):
+            g_sqrt(np.array([[1.0, 2.0, 3.0], [-1.0, 4.0, 5.0]]))
 
     def test_market_config_r_bar_is_derived(self):
         mkt = MarketConfig(r=0.05)

@@ -5,16 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 from vixtrack import (
     DataError,
     DegenerateProblemError,
-    DesignMatrix,
     HistoricalParams,
-    build_design_matrix,
+    RolledSeries,
     build_rolled_series,
     evaluate_rmse,
     load_panel,
-    normalize_to_100,
-    price_tracking_portfolio,
-    return_tracking_portfolio,
     solve_constrained_ls,
+    static_portfolio,
 )
 
 from conftest import grid_panel, make_sim_panels, rolled, write_quote_files
@@ -192,7 +189,7 @@ def test_slicing_then_rolling_equals_rolling_then_rebasing(
     full = build_rolled_series(panel, rank).values
     window = build_rolled_series(panel.slice(start, stop), rank).values
     np.testing.assert_allclose(
-        window, normalize_to_100(full[start:stop]), rtol=1e-12, atol=0.0
+        window, full[start:stop] * (100.0 / full[start]), rtol=1e-12, atol=0.0
     )
 
 
@@ -200,36 +197,33 @@ class TestConstrainedLS:
     def test_exact_column_match(self):
         rng = np.random.default_rng(0)
         cols = rng.normal(10, 1, size=(40, 3))
-        dm = DesignMatrix(cols, cols[:, 1].copy(), ("cash", "a", "b"))
-        res = solve_constrained_ls(dm)
-        assert np.allclose(res.weights, [0.0, 1.0, 0.0], atol=1e-10)
-        assert res.in_rmse < 1e-10
+        target = cols[:, 1].copy()
+        w = solve_constrained_ls(cols, target, ("cash", "a", "b"))
+        assert np.allclose(w, [0.0, 1.0, 0.0], atol=1e-10)
+        assert evaluate_rmse(cols @ w, target) < 1e-10
 
     def test_matches_dense_kkt_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             cols = rng.normal(0, 1, size=(50, 3)) + rng.uniform(5, 15, size=3)
             target = rng.normal(8, 2, size=50)
-            dm = DesignMatrix(cols, target, ("cash", "a", "b"))
-            res = solve_constrained_ls(dm)
+            w = solve_constrained_ls(cols, target, ("cash", "a", "b"))
             ref = oracles.kkt_weights(cols, target)
-            assert np.allclose(res.weights, ref, atol=1e-10)
-            assert res.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(w, ref, atol=1e-10)
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_deficiency_names_columns(self):
         rng = np.random.default_rng(3)
         base = rng.normal(size=30)
         cols = np.column_stack([np.ones(30), base, base])
-        dm = DesignMatrix(cols, rng.normal(size=30), ("cash", "dup1", "dup2"))
         with pytest.raises(DegenerateProblemError, match="dup"):
-            solve_constrained_ls(dm)
+            solve_constrained_ls(cols, rng.normal(size=30), ("cash", "dup1", "dup2"))
 
     def test_feasible_perturbations_never_improve(self):
         rng = np.random.default_rng(9)
         cols = rng.normal(0, 1, size=(60, 4)) + 10
         target = rng.normal(10, 1, size=60)
-        dm = DesignMatrix(cols, target, ("cash", "a", "b", "c"))
-        w = solve_constrained_ls(dm).weights
+        w = solve_constrained_ls(cols, target, ("cash", "a", "b", "c"))
         sse = np.sum((cols @ w - target) ** 2)
         for _ in range(50):
             delta = rng.normal(size=4)
@@ -242,18 +236,15 @@ class TestConstrainedLS:
         rng = np.random.default_rng(5)
         cols = rng.normal(0, 1, size=(45, 3)) + 12
         target = rng.normal(12, 1, size=45)
-        w1 = solve_constrained_ls(DesignMatrix(cols, target, ("cash", "a", "b"))).weights
-        w2 = solve_constrained_ls(
-            DesignMatrix(3.7 * cols, 3.7 * target, ("cash", "a", "b"))
-        ).weights
+        w1 = solve_constrained_ls(cols, target, ("cash", "a", "b"))
+        w2 = solve_constrained_ls(3.7 * cols, 3.7 * target, ("cash", "a", "b"))
         assert np.allclose(w1, w2, atol=1e-12)
 
     def test_grid_oracle_on_small_instance(self):
         rng = np.random.default_rng(17)
         cols = rng.normal(0, 1, size=(30, 3)) + 8
         target = rng.normal(8, 1, size=30)
-        dm = DesignMatrix(cols, target, ("cash", "a", "b"))
-        w = solve_constrained_ls(dm).weights
+        w = solve_constrained_ls(cols, target, ("cash", "a", "b"))
         step = 5e-3
         w1 = np.arange(-3, 3, step)
         w2 = np.arange(-3, 3, step)
@@ -273,7 +264,7 @@ class TestTrackingPortfolios:
         r1 = build_rolled_series(panel, 1).values
         r2 = build_rolled_series(panel, 2).values
         panel.spot = 0.31 * (0.6 * r1 + 0.4 * r2)  # scale is irrelevant
-        res = price_tracking_portfolio(panel, rolled(panel, 1, 2), boundary=63)
+        res = static_portfolio(panel, rolled(panel, 1, 2), 63, "price")
         assert np.allclose(res.weights, [0.0, 0.6, 0.4], atol=1e-8)
         assert res.in_rmse < 1e-8
 
@@ -282,8 +273,8 @@ class TestTrackingPortfolios:
             lambda j, k: 20.0 + 2.0 * np.sin(0.3 * j + k), n_days=63, r=0.0,
             spot=np.full(63, 47.0),
         )
-        res = price_tracking_portfolio(panel, rolled(panel, 1), boundary=42)
-        assert res.w0 == pytest.approx(1.0, abs=1e-10)
+        res = static_portfolio(panel, rolled(panel, 1), 42, "price")
+        assert res.weights[0] == pytest.approx(1.0, abs=1e-10)
         assert abs(res.weights[1]) < 1e-10
 
     def test_recovers_constructed_return_solution(self):
@@ -298,14 +289,14 @@ class TestTrackingPortfolios:
             )
             spot[j + 1] = spot[j] * (1.0 + ret)
         panel.spot = spot
-        res = return_tracking_portfolio(panel, rolled(panel, 1), boundary=63)
+        res = static_portfolio(panel, rolled(panel, 1), 63, "return")
         assert np.allclose(res.weights, [-0.5, 1.5], atol=1e-8)
         assert res.in_rmse < 1e-8
 
     def test_target_identical_to_one_column(self):
         panel, _, _, _ = make_sim_panels(cycles=4, seed=5)
         panel.spot = 2.0 * build_rolled_series(panel, 2).values
-        res = return_tracking_portfolio(panel, rolled(panel, 1, 2), boundary=63)
+        res = static_portfolio(panel, rolled(panel, 1, 2), 63, "return")
         assert np.allclose(res.weights, [0.0, 0.0, 1.0], atol=1e-8)
 
 
@@ -322,15 +313,40 @@ class TestRmse:
             evaluate_rmse(np.ones(3), np.ones(4))
 
 
-class TestDesignMatrix:
-    def test_price_mode_normalized_to_100(self):
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
-        dm = build_design_matrix(panel, rolled(panel, 1, 2), mode="price")
-        assert np.allclose(dm.columns[0], 100.0)
-        assert dm.target[0] == pytest.approx(100.0)
-        assert dm.labels == ("cash", "1-m", "2-m")
+class TestStaticPortfolio:
+    @pytest.mark.parametrize("mode", ["price", "return"])
+    def test_each_window_rebased_to_100(self, mode):
+        # the target is the 1-m series at one scale in-sample and at
+        # another out-of-sample, so only a per-window rebase fits both
+        panel, _, _, _ = make_sim_panels(cycles=4, seed=3)
+        series = rolled(panel, 1, 2)
+        panel.spot = series[0].values * np.where(np.arange(panel.n_days) < 42, 0.5, 3.0)
+        res = static_portfolio(panel, series, 42, mode)
+        assert np.allclose(res.weights, [0.0, 1.0, 0.0], atol=1e-8)
+        assert res.in_rmse < 1e-8 and res.out_rmse < 1e-8
+        assert res.labels == ("cash", "1-m", "2-m")
 
     def test_bad_mode_rejected(self):
         panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
-        with pytest.raises(ValueError):
-            build_design_matrix(panel, rolled(panel, 1), mode="volume")
+        with pytest.raises(ValueError, match="mode"):
+            static_portfolio(panel, rolled(panel, 1), 21, "volume")
+
+    def test_series_of_another_length_rejected(self):
+        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        short = RolledSeries(1, build_rolled_series(panel, 1).values[:-1])
+        n = panel.n_days
+        with pytest.raises(ValueError, match=f"1-m series has {n - 1} days, the panel {n}"):
+            static_portfolio(panel, [short], 21, "price")
+
+    def test_cut_must_leave_both_windows_nonempty(self):
+        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        for cut in (0, panel.n_days):
+            with pytest.raises(ValueError, match=f"cut {cut} leaves a window"):
+                static_portfolio(panel, rolled(panel, 1), cut, "price")
+
+    @pytest.mark.parametrize("day", [0, 21])
+    def test_zero_anchor_rejected(self, day):
+        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel.spot[day] = 0.0
+        with pytest.raises(ValueError, match="first value is zero"):
+            static_portfolio(panel, rolled(panel, 1), 21, "price")

@@ -48,7 +48,6 @@ from .model import (
     b_coefficient,
     critical_spot,
     futures_price,
-    market_price_of_risk,
 )
 from .simulate import (
     IndexPath,

@@ -4,7 +4,8 @@ Under square-root (CIR) dynamics the one-step transition density of the
 index has a closed form involving the modified Bessel function I_q, of
 order q = 2 mu theta / sigma^2 - 1 > -1, so the historical parameters
 (mu, theta, sigma) are fitted by maximizing the average log-likelihood
-over the observed daily transitions.  ln I_q(x) is taken from scipy's
+over the observed daily transitions, with one simplex search from a
+moment-based start.  ln I_q(x) is taken from scipy's
 exponentially scaled ive(q, x) = I_q(x) e^-x, so the likelihood cannot
 overflow even for arguments of order 1e6; a uniform large-order
 expansion covers the entries where ive underflows.
@@ -43,9 +44,8 @@ __all__ = [
 
 # Parameter box for the historical fit; solutions at a bound are flagged.
 MLE_BOUNDS = ((1e-3, 100.0), (1e-2, 200.0), (1e-3, 50.0))
-# Simplex iterations per start, and jittered restarts after the moment start.
+# Simplex iteration budget of the historical fit.
 MLE_MAX_ITER = 600
-MLE_RESTARTS = 3
 _PENALTY = 1e12
 
 
@@ -170,6 +170,7 @@ class MLEReport:
     params: HistoricalParams
     avg_loglik: float
     iterations: int
+    evaluations: int
     converged: bool
     start: HistoricalParams
     at_bound: bool = False
@@ -177,12 +178,11 @@ class MLEReport:
 
 @dataclass(frozen=True)
 class MOMReport:
-    """Risk-neutral curve fit: parameters, average squared pricing error,
-    and its per-day decomposition."""
+    """Risk-neutral curve fit: parameters and average squared pricing
+    error."""
 
     params: RiskNeutralParams
     loss: float
-    per_day_loss: np.ndarray
 
 
 def initial_guess_from_moments(series: np.ndarray) -> HistoricalParams:
@@ -227,12 +227,13 @@ def mle_fit(series) -> MLEReport:
     """Maximize the average log-likelihood of the square-root model on
     a daily spot series.
 
-    Runs a derivative-free simplex search in log-parameter space from
-    the moment start (:func:`initial_guess_from_moments`, reported as
-    ``start``) plus ``MLE_RESTARTS`` deterministically jittered
-    restarts, keeping the best local maximizer.  If no restart converges
-    within ``MLE_MAX_ITER`` iterations the best point so far is returned
-    with ``converged=False``.
+    Runs one adaptive simplex (Nelder-Mead) search in log-parameter
+    space from the moment start (:func:`initial_guess_from_moments`,
+    reported as ``start``).  The start is a vertex of the initial
+    simplex and the best vertex never gets worse, so the result is never
+    below the start's likelihood.  ``converged`` is False when the
+    search stops at ``MLE_MAX_ITER`` iterations or at the parameter
+    box, which is flagged as ``at_bound``.
     """
     series = np.asarray(series, dtype=float)
     if series.size < 100:
@@ -240,47 +241,24 @@ def mle_fit(series) -> MLEReport:
     if np.any(series <= 0):
         raise ValueError("spot series must be positive")
     init = initial_guess_from_moments(series)
-    s_next, s_prev = series[1:], series[:-1]
-    z0 = np.log([init.mu, init.theta, init.sigma])
-    rng = np.random.default_rng(20_52_01)
-    starts = [z0] + [z0 + rng.normal(0.0, 0.25, size=3) for _ in range(MLE_RESTARTS)]
-    best = None
-    total_iter = 0
-    any_converged = False
-    for z_start in starts:
-        res = minimize(
-            _neg_avg_loglik,
-            z_start,
-            args=(s_next, s_prev),
-            method="Nelder-Mead",
-            options={
-                "maxiter": MLE_MAX_ITER,
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-                "adaptive": True,
-            },
-        )
-        total_iter += res.nit
-        if best is None or res.fun < best.fun:
-            best = res
-            any_converged = res.success
-    f_init = _neg_avg_loglik(z0, s_next, s_prev)
-    if best.fun > f_init:
-        # never return something worse than the starting point
-        best_x, best_fun = z0, f_init
-        any_converged = False
-    else:
-        best_x, best_fun = best.x, best.fun
-    mu, theta, sigma = np.exp(best_x)
+    res = minimize(
+        _neg_avg_loglik,
+        np.log([init.mu, init.theta, init.sigma]),
+        args=(series[1:], series[:-1]),
+        method="Nelder-Mead",
+        options={"maxiter": MLE_MAX_ITER, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
+    )
+    mu, theta, sigma = np.exp(res.x)
     at_bound = any(
         v / lo < 1.0 + 1e-6 or v / hi > 1.0 - 1e-6
         for v, (lo, hi) in zip((mu, theta, sigma), MLE_BOUNDS)
     )
     return MLEReport(
         params=HistoricalParams(mu=float(mu), theta=float(theta), sigma=float(sigma)),
-        avg_loglik=-float(best_fun),
-        iterations=total_iter,
-        converged=bool(any_converged and not at_bound),
+        avg_loglik=-float(res.fun),
+        iterations=int(res.nit),
+        evaluations=int(res.nfev),
+        converged=bool(res.success and not at_bound),
         start=init,
         at_bound=at_bound,
     )
@@ -323,7 +301,7 @@ def mom_fit(observations) -> MOMReport:
         If the loss surface cannot identify both parameters (a single
         maturity observed at a single spot level).
     """
-    spots, ttms, prices, weights, days = observations
+    spots, ttms, prices, weights, _ = observations
     if np.unique(np.round(ttms, 12)).size < 2 and np.unique(spots).size < 2:
         raise CalibrationError(
             "unidentifiable: one maturity at one spot level cannot pin down "
@@ -351,9 +329,4 @@ def mom_fit(observations) -> MOMReport:
     )
     log_mu = float(res.x) if res.fun <= values[k] else float(grid[k])
     rn = RiskNeutralParams(mu_tilde=math.exp(log_mu), theta_tilde=theta_star(log_mu))
-    sq = _weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, observations)
-    return MOMReport(
-        params=rn,
-        loss=float(np.sum(sq)),
-        per_day_loss=np.bincount(days, weights=sq) * (int(days[-1]) + 1),
-    )
+    return MOMReport(params=rn, loss=mom_loss(rn, observations))

@@ -269,6 +269,7 @@ def cmd_calibrate(args) -> int:
     }
     write_params_file(out_dir / "params.txt", mle.params, mom.params, diagnostics)
     manifest.outputs.append("params.txt")
+    manifest.counts["mle_evaluations"] = mle.evaluations
     if not mle.converged:
         manifest.config["warning"] = "mle_not_converged"
     manifest.write(out_dir)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProblemError, VolatilitySingularityError, require
+from .errors import DegenerateProblemError, require
 
 __all__ = [
     "HistoricalParams",
@@ -26,7 +26,6 @@ __all__ = [
     "LocalVol",
     "MarketConfig",
     "futures_price",
-    "market_price_of_risk",
     "b_coefficient",
     "critical_spot",
 ]
@@ -157,32 +156,6 @@ def futures_price(spot: float, ttm: float, rn: RiskNeutralParams) -> float:
     if spot < 0:
         raise ValueError(f"spot must be >= 0, got {spot}")
     return (spot - rn.theta_tilde) * math.exp(-rn.mu_tilde * ttm) + rn.theta_tilde
-
-
-def market_price_of_risk(
-    spot: float,
-    hist: HistoricalParams,
-    rn: RiskNeutralParams,
-    g: LocalVol,
-) -> float:
-    """Drift adjustment lambda linking historical and risk-neutral dynamics.
-
-    lambda = [mu*(theta - S) - mu_tilde*(theta_tilde - S)] / g(S).
-
-    Raises
-    ------
-    VolatilitySingularityError
-        If g(spot) is zero (e.g. spot = 0 under square-root volatility).
-    """
-    g_val = g(spot)
-    if g_val <= 0:
-        raise VolatilitySingularityError(
-            f"local volatility is {g_val} at spot={spot}; "
-            "market price of risk is undefined"
-        )
-    return (
-        hist.mu * (hist.theta - spot) - rn.mu_tilde * (rn.theta_tilde - spot)
-    ) / g_val
 
 
 def b_coefficient(

@@ -6,15 +6,19 @@ and two-contract strategy oracles are per-day loops over their own
 rank and quote lookups, the weight and moment-fit oracles are
 brute-force grid scans, the one-day tracking error has its exact
 discrete-time coefficients, the constrained LS oracle is a dense
-bordered KKT solve, and the special-function oracles come from mpmath
-at 40 significant digits.
+bordered KKT solve, the market price of risk is its direct quotient,
+the MLE oracle searches from four starts where the library searches
+from one, and the special-function oracles come from mpmath at 40
+significant digits.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
-from vixtrack import DataError, b_coefficient, market_price_of_risk
+from vixtrack import DataError, HistoricalParams, VolatilitySingularityError, b_coefficient
+from vixtrack.calibrate import _neg_avg_loglik, initial_guess_from_moments
 
 # One trading day in years, the step of every daily grid.
 DT = 1.0 / 252.0
@@ -118,6 +122,25 @@ def strategy_loop(panel, rule, mkt):
     return np.array(wealth), held
 
 
+def market_price_of_risk(spot, hist, rn, g):
+    """Drift adjustment lambda linking historical and risk-neutral dynamics:
+
+        lambda = [mu (theta - S) - mu_tilde (theta_tilde - S)] / g(S).
+
+    Raises ``VolatilitySingularityError`` where g(spot) is zero (e.g.
+    spot = 0 under square-root volatility).
+    """
+    g_val = g(spot)
+    if g_val <= 0:
+        raise VolatilitySingularityError(
+            f"local volatility is {g_val} at spot={spot}; "
+            "market price of risk is undefined"
+        )
+    return (
+        hist.mu * (hist.theta - spot) - rn.mu_tilde * (rn.theta_tilde - spot)
+    ) / g_val
+
+
 def dynamic_rule(cfg, hist, rn, g, mkt):
     """Per-day optimal tracker weights from the scalar formulas: the
     market price of risk lambda times each contract's shock loading B,
@@ -185,6 +208,39 @@ def grid_min_weight(c, lo=-10.0, hi=10.0, step=1e-4):
     vals = (c.alpha0 + c.alpha1 * w) ** 2 + (c.nu0 + c.nu1 * w) ** 2
     k = int(np.argmin(vals))
     return float(w[k]), float(vals[k])
+
+
+def multistart_mle(series):
+    """Best of four simplex searches for the square-root MLE: the
+    moment start plus three deterministically jittered restarts,
+    never returning a point worse than the moment start.  Returns
+    (params, avg_loglik)."""
+    series = np.asarray(series, dtype=float)
+    s_next, s_prev = series[1:], series[:-1]
+    init = initial_guess_from_moments(series)
+    z0 = np.log([init.mu, init.theta, init.sigma])
+    rng = np.random.default_rng(20_52_01)
+    starts = [z0] + [z0 + rng.normal(0.0, 0.25, size=3) for _ in range(3)]
+    best = None
+    for z_start in starts:
+        res = minimize(
+            _neg_avg_loglik,
+            z_start,
+            args=(s_next, s_prev),
+            method="Nelder-Mead",
+            options={
+                "maxiter": 600,
+                "xatol": 1e-8,
+                "fatol": 1e-12,
+                "adaptive": True,
+            },
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    f_init = _neg_avg_loglik(z0, s_next, s_prev)
+    best_x, best_fun = (z0, f_init) if best.fun > f_init else (best.x, best.fun)
+    mu, theta, sigma = np.exp(best_x)
+    return HistoricalParams(float(mu), float(theta), float(sigma)), -float(best_fun)
 
 
 def kkt_weights(columns, target):

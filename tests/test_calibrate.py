@@ -199,6 +199,32 @@ class TestMleFit:
         assert np.isfinite(rep.avg_loglik)
         assert rep.avg_loglik >= average_log_likelihood(path.values, true)
 
+    @pytest.mark.parametrize(
+        "true, s0, seed",
+        [
+            ((10.86, 18.81, 6.37), 18.81, 1),  # the paper's parameters
+            ((1.0, 10.0, 5.0), 10.0, 3),  # Feller condition fails, q = -0.2
+            ((0.5, 20.0, 6.0), 20.0, 3),  # Feller condition fails, q = -0.44
+            ((60.0, 18.81, 6.37), 18.81, 5),  # fast mean reversion
+            ((10.86, 18.81, 6.37), 60.0, 6),  # start far above theta
+        ],
+        ids=["paper", "feller", "feller-deep", "fast-reversion", "far-start"],
+    )
+    def test_single_start_matches_multistart(self, true, s0, seed):
+        hist = HistoricalParams(*true)
+        path = simulate_index_path(hist, LocalVol.square_root(hist.sigma), s0, 1260, seed)
+        assert path.n_clamped == 0
+        rep = mle_fit(path.values)
+        params, avg_loglik = oracles.multistart_mle(path.values)
+        assert rep.converged
+        assert rep.evaluations > rep.iterations
+        assert rep.avg_loglik >= avg_loglik - 1e-12
+        for got, want in zip(
+            (rep.params.mu, rep.params.theta, rep.params.sigma),
+            (params.mu, params.theta, params.sigma),
+        ):
+            assert got == pytest.approx(want, rel=1e-5)
+
     def test_validation(self, fit_hist):
         with pytest.raises(ValueError):
             mle_fit(np.full(10, 20.0))
@@ -253,7 +279,6 @@ class TestMom:
         assert abs(rep.params.mu_tilde / 2.0 - 1) < 1e-6
         assert abs(rep.params.theta_tilde / 25.0 - 1) < 1e-6
         assert rep.loss < 1e-14
-        assert rep.per_day_loss.shape == (60,)
 
     def test_noisy_recovery_within_two_percent(self):
         true = RiskNeutralParams(1.39, 26.03)

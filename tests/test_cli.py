@@ -75,12 +75,17 @@ QUOTE_FILES = ("spot.csv", "futures.csv", "rates.csv")
 def test_calibrate(calibrated):
     code, out = calibrated
     assert code == 0
-    kv = assert_manifest(out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES)
+    kv = assert_manifest(
+        out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES, ("mle_evaluations",)
+    )
     assert kv["output.0"] == "params.txt"
-    for line in (out / "params.txt").read_text().splitlines():
-        key, value = line.split("=", 1)
+    params = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
+    for value in params.values():
         if value not in ("true", "false"):
             float(value)
+    # the simplex evaluates its n + 1 = 4 starting vertices, then at
+    # least one point per iteration
+    assert int(kv["count.mle_evaluations"]) > int(params["mle_iterations"])
 
 
 @pytest.mark.parametrize("mode", ["price", "return"])

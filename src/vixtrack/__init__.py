@@ -4,10 +4,6 @@ and index-tracking futures portfolios (static and dynamic)."""
 __version__ = "0.1.0"
 
 from .analytics import (
-    InterceptCurve,
-    RegressionResult,
-    ScatterReport,
-    SlopeTable,
     holding_period_returns,
     intercept_curve,
     ols_regression,
@@ -15,8 +11,6 @@ from .analytics import (
     slope_table,
 )
 from .calibrate import (
-    MLEReport,
-    MOMReport,
     average_log_likelihood,
     cir_log_density,
     initial_guess_from_moments,
@@ -38,27 +32,22 @@ from .errors import (
     CalibrationError,
     DataError,
     DegenerateProblemError,
-    VolatilitySingularityError,
 )
 from .model import (
     HistoricalParams,
     LocalVol,
-    MarketConfig,
     RiskNeutralParams,
     b_coefficient,
     critical_spot,
     futures_price,
 )
 from .simulate import (
-    IndexPath,
-    PortfolioPath,
     evolve_wealth,
     futures_panel_from_path,
     hold_pair,
     simulate_index_path,
     simulate_index_paths,
     vxx_front_weights,
-    vxx_roll_weights,
 )
 from .static import (
     RolledSeries,

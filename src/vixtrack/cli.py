@@ -40,7 +40,6 @@ from .model import (
     CYCLE_DAYS,
     HistoricalParams,
     LocalVol,
-    MarketConfig,
     RiskNeutralParams,
 )
 from .simulate import (
@@ -374,7 +373,6 @@ def cmd_simulate(args) -> int:
         }
     )
 
-    mkt = MarketConfig(r=r)
     g = LocalVol.square_root(hist.sigma)
     tracking = TrackingConfig(beta=beta, i1=i1, i2=i2)
     n_days = cycles * CYCLE_DAYS
@@ -385,10 +383,10 @@ def cmd_simulate(args) -> int:
     )
     manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
     for mult, path in zip(mults, paths):
-        panel = futures_panel_from_path(path, n_contracts, rn, mkt)
-        w_dyn = dynamic_weights(panel, tracking, hist, rn, g, mkt)
-        dyn = hold_pair(panel, (i1, i2), w_dyn, mkt)
-        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel), mkt)
+        panel = futures_panel_from_path(path, n_contracts, rn, r)
+        w_dyn = dynamic_weights(panel, tracking, hist, rn, g)
+        dyn = hold_pair(panel, (i1, i2), w_dyn)
+        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel))
         label = _scenario_label(mult)
         index_norm = 100.0 * path.values / path.values[0]
         lines = ["day\tindex\tvxx\tdynamic"]

@@ -10,20 +10,24 @@ the header ``date,code,field,value``:
 
 A :class:`PricePanel` is the one market type of the package, for
 loaded quotes and simulated curves alike: per trading day the spot
-level, the overnight rate and a compounded money-market account, plus
-``n_days x n_contracts`` matrices of futures prices and times to
-maturity (in trading years), one column per contract in expiry order.
-An entry is NaN wherever the contract has no quote that day, so rank r
-on day j is the r-th column with a positive ttm.
+level and a compounded money-market account, plus ``n_days x
+n_contracts`` matrices of futures prices and times to maturity (in
+trading years), one column per contract in expiry order.  An entry is
+NaN wherever the contract has no quote that day, so rank r on day j is
+the r-th column with a positive ttm.  The account is the one source of
+the risk-free rate: the static fit's cash column and the trackers'
+cash leg both read it.
 
 A loaded panel keeps, per day, the contract settling that day when it
 is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
 contracts, in expiry order (from the ``expiry`` rows), that expire
 after that day, so rank r is always the r-th contract by expiry.  Its
-ttms are actual trading-day counts to expiry over 252.  Days missing
-the spot, the rate or the close of any of those front contracts are
-dropped with a logged count.  A futures ``close`` row for a contract
-without an ``expiry`` row is an error.
+ttms are actual trading-day counts to expiry over 252.  The overnight
+rate is not kept: it only compounds the account, ACT/360 from each
+kept day's rate to the next kept day.  Days missing the spot, the rate
+or the close of any of those front contracts are dropped with a logged
+count.  A futures ``close`` row for a contract without an ``expiry``
+row is an error.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ MM_DAY_BASIS = 360.0
 class PricePanel:
     """Date-aligned spot, futures curve, and money-market data.
 
+    ``mm_value`` is the money-market account's value on each day; its
+    day-to-day ratio is the cash return earned over that day.
     ``dates`` is either an array of ``datetime64[D]`` (ingested data) or
     integer day indices (simulated data).  ``contracts`` holds one id
     per column of ``prices`` and ``ttms``, in expiry order; both
@@ -75,7 +81,6 @@ class PricePanel:
     contracts: np.ndarray
     prices: np.ndarray
     ttms: np.ndarray
-    rates: np.ndarray
     mm_value: np.ndarray
     n_dropped: int = 0
 
@@ -106,7 +111,6 @@ class PricePanel:
             contracts=self.contracts,
             prices=self.prices[start:stop],
             ttms=self.ttms[start:stop],
-            rates=self.rates[start:stop],
             mm_value=self.mm_value[start:stop],
             n_dropped=self.n_dropped,
         )
@@ -330,9 +334,8 @@ def load_panel(
     ttms = np.busday_count(dates_arr[:, None] + one, expiries[used] + one)
     ttms = ttms / TRADING_DAYS_PER_YEAR
     ttms[np.isnan(prices)] = np.nan
-    rates_arr = np.array(rates)
     gaps = np.diff(dates_arr) / np.timedelta64(1, "D")
-    growth = 1.0 + rates_arr[:-1] * gaps / MM_DAY_BASIS
+    growth = 1.0 + np.array(rates[:-1]) * gaps / MM_DAY_BASIS
     mm = np.concatenate([[1.0], np.cumprod(growth)])
     return PricePanel(
         dates=dates_arr,
@@ -340,7 +343,6 @@ def load_panel(
         contracts=np.array([by_expiry[k][1] for k in used]),
         prices=prices,
         ttms=ttms,
-        rates=rates_arr,
         mm_value=mm,
         n_dropped=n_dropped,
     )

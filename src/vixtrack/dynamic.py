@@ -28,7 +28,6 @@ from .model import (
     DT,
     HistoricalParams,
     LocalVol,
-    MarketConfig,
     RiskNeutralParams,
     b_coefficient,
 )
@@ -85,11 +84,12 @@ def tracking_coefficients(
     hist: HistoricalParams,
     rn: RiskNeutralParams,
     g: LocalVol,
-    mkt: MarketConfig,
+    mm_return,
 ) -> TrackingCoefficients:
-    """Tracking-error coefficients for one contract pair, given the spot
-    and the times to maturity of the contracts of ranks ``cfg.i1`` and
-    ``cfg.i2``: one day's scalars or per-day arrays.
+    """Tracking-error coefficients for one contract pair, given the spot,
+    the times to maturity of the contracts of ranks ``cfg.i1`` and
+    ``cfg.i2`` and the money market's return over the day: one day's
+    scalars or per-day arrays.
 
     The pair must have distinct times to maturity.
     """
@@ -113,7 +113,7 @@ def tracking_coefficients(
     lam_b2 = b_coefficient(spot, ttm2, rn, drift_gap)
     sqrt_dt = math.sqrt(DT)
     alpha0 = (
-        math.expm1(mkt.r * DT)
+        mm_return
         + DT * lam_b2
         - cfg.beta * hist.mu * DT * (hist.theta / spot - 1.0)
     )
@@ -156,11 +156,17 @@ def dynamic_weights(
     hist: HistoricalParams,
     rn: RiskNeutralParams,
     g: LocalVol,
-    mkt: MarketConfig,
 ) -> np.ndarray:
     """Optimal fraction of wealth in rank ``cfg.i1`` on each day of the
-    panel but the last; rank ``cfg.i2`` gets the complement."""
+    panel but the last; rank ``cfg.i2`` gets the complement.
+
+    Day ``j``'s money-market return is ``mm_value[j+1]/mm_value[j] - 1``,
+    known on day ``j``: the account compounds day ``j``'s rate.
+    """
     ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(cfg.i1, cfg.i2), axis=1)
-    c = tracking_coefficients(panel.spot[:-1], ttm[:, 0], ttm[:, 1], cfg, hist, rn, g, mkt)
+    mm_return = panel.mm_value[1:] / panel.mm_value[:-1] - 1.0
+    c = tracking_coefficients(
+        panel.spot[:-1], ttm[:, 0], ttm[:, 1], cfg, hist, rn, g, mm_return
+    )
     w_star, _ = optimal_weight(c)
     return w_star

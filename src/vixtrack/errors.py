@@ -19,11 +19,6 @@ class DegenerateProblemError(ValueError):
     denominator in a closed-form solution."""
 
 
-class VolatilitySingularityError(ZeroDivisionError):
-    """Raised when the local volatility evaluates to zero where a division
-    by it is required."""
-
-
 def require(ok, exc: type, message: str, *values) -> None:
     """Raise ``exc`` unless every entry of ``ok`` holds.
 

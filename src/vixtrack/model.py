@@ -24,7 +24,6 @@ __all__ = [
     "HistoricalParams",
     "RiskNeutralParams",
     "LocalVol",
-    "MarketConfig",
     "futures_price",
     "b_coefficient",
     "critical_spot",
@@ -115,29 +114,12 @@ class LocalVol:
         """Evaluate g(spot), elementwise for arrays.  Nonnegative for spot >= 0."""
         if self.kind == "constant":
             return np.full(np.shape(spot), float(self.sigma))
-        require(spot >= 0, ValueError, "square-root volatility requires spot >= 0, got {}", spot)
+        # the level alone: a batch of paths has no day to name
+        spot = np.asarray(spot)
+        if not (spot >= 0).all():
+            bad = float(spot[~(spot >= 0)][0])
+            raise ValueError(f"square-root volatility requires spot >= 0, got {bad}")
         return self.sigma * np.sqrt(spot)
-
-
-@dataclass(frozen=True)
-class MarketConfig:
-    """Money-market convention on the daily grid of step ``DT``.
-
-    ``r`` is the continuously compounded annual risk-free rate.
-    ``r_bar`` is always derived from (r, DT), never stored.
-    """
-
-    r: float
-
-    @property
-    def growth_factor(self) -> float:
-        """One-step money-market growth factor e^(r*dt)."""
-        return math.exp(self.r * DT)
-
-    @property
-    def r_bar(self) -> float:
-        """Per-period simple rate (e^(r*dt) - 1) / dt."""
-        return math.expm1(self.r * DT) / DT
 
 
 def futures_price(spot: float, ttm: float, rn: RiskNeutralParams) -> float:
@@ -185,20 +167,21 @@ def b_coefficient(
     return g_val / denom
 
 
-def critical_spot(beta: float, cfg: MarketConfig, rn: RiskNeutralParams) -> float:
+def critical_spot(beta: float, r: float, rn: RiskNeutralParams) -> float:
     """Index level at which the two-contract tracker has zero expected
     squared return error, to first order in dt.
 
     S* = beta * mu_tilde * theta_tilde / (beta * mu_tilde + r_bar),
-    with r_bar = (e^(r*dt) - 1)/dt.  Independent of the trading day and
-    of which maturity pair is traded.
+    with r_bar = (e^(r*dt) - 1)/dt for the continuously compounded
+    annual rate ``r``.  Independent of the trading day and of which
+    maturity pair is traded.
 
     Raises
     ------
     DegenerateProblemError
         If beta * mu_tilde + r_bar is zero.
     """
-    denom = beta * rn.mu_tilde + cfg.r_bar
+    denom = beta * rn.mu_tilde + math.expm1(r * DT) / DT
     if denom == 0:
         raise DegenerateProblemError(
             "beta * mu_tilde + r_bar = 0; the zero-error spot is undefined"

@@ -11,7 +11,8 @@ same :class:`~vixtrack.data.PricePanel` that loaded quotes fill, NaN
 past each contract's maturity.  A two-contract strategy (the
 dynamic tracker, the VXX-style roll) is a per-day weight array on two
 maturity ranks of the panel, and its wealth comes from one vectorized
-self-financing mark-to-market recursion.
+self-financing mark-to-market recursion whose cash earns the panel's
+money-market account.
 
 RNG convention: path k of a multi-path run draws its normals from the
 k-th child of ``SeedSequence(seed)`` into its own row of one batch,
@@ -32,7 +33,6 @@ from .model import (
     DT,
     HistoricalParams,
     LocalVol,
-    MarketConfig,
     RiskNeutralParams,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "futures_panel_from_path",
     "evolve_wealth",
     "hold_pair",
-    "vxx_roll_weights",
     "vxx_front_weights",
 ]
 
@@ -145,15 +144,16 @@ def simulate_index_paths(
 
 
 def futures_panel_from_path(
-    path: IndexPath, n_contracts: int, rn: RiskNeutralParams, mkt: MarketConfig
+    path: IndexPath, n_contracts: int, rn: RiskNeutralParams, r: float
 ) -> PricePanel:
     """Price ``n_contracts`` monthly contracts on every day of the path;
     contract k (1-based) matures on day ``CYCLE_DAYS * k``.
 
     prices[j, i] = theta_tilde + (S[j] - theta_tilde) * exp(-mu_tilde * ttm)
     for ttm = T_i - j*dt >= 0; expired contracts are NaN in both
-    ``prices`` and ``ttms``.  Days are integer indices; the rate is
-    ``mkt.r`` throughout and the money market grows by e^(r*dt) a day.
+    ``prices`` and ``ttms``.  Days are integer indices; the money market
+    grows at the continuously compounded annual rate ``r``, by e^(r*dt)
+    a day.
     """
     n = path.n_days
     last = CYCLE_DAYS * n_contracts
@@ -173,8 +173,7 @@ def futures_panel_from_path(
         contracts=np.array([f"C{i + 1:02d}" for i in range(n_contracts)]),
         prices=prices,
         ttms=ttm,
-        rates=np.full(n, mkt.r),
-        mm_value=np.exp(mkt.r * DT * days),
+        mm_value=np.exp(r * DT * days),
     )
 
 
@@ -182,33 +181,35 @@ def evolve_wealth(
     weights: np.ndarray,
     today: np.ndarray,
     tomorrow: np.ndarray,
-    cfg: MarketConfig,
+    mm_value: np.ndarray,
 ) -> np.ndarray:
     """Wealth of a daily-rebalanced futures portfolio.
 
-    x[j+1] = x[j] * (e^(r*dt) + sum_k w[j, k] * (f'[j, k] / f[j, k] - 1))
+    x[j+1] = x[j] * (M[j+1] / M[j] + sum_k w[j, k] * (f'[j, k] / f[j, k] - 1))
 
     from x[0] = 100.  Row ``j`` of the (n-1) x k arrays holds the weights
-    and the day-``j`` and day-``j+1`` prices of the held contracts.  The
-    full wealth sits on margin earning the risk-free rate; each contract
-    contributes its price change times the units held.
+    and the day-``j`` and day-``j+1`` prices of the held contracts, and
+    ``mm_value`` holds the n values M of the money-market account.  The
+    full wealth sits on margin earning the account's return; each
+    contract contributes its price change times the units held.
     """
-    weights, today, tomorrow = (
-        np.asarray(a, dtype=float) for a in (weights, today, tomorrow)
+    weights, today, tomorrow, mm_value = (
+        np.asarray(a, dtype=float) for a in (weights, today, tomorrow, mm_value)
     )
     if weights.ndim != 2 or not (weights.shape == today.shape == tomorrow.shape):
         raise ValueError("weights and prices must be (days, contracts) arrays of one shape")
+    if mm_value.shape != (weights.shape[0] + 1,):
+        raise ValueError("need one money-market value per day")
     if np.any(today == 0):
         raise ZeroDivisionError("zero futures price in today's quotes")
-    growth = cfg.growth_factor + np.sum(weights * (tomorrow / today - 1.0), axis=1)
+    growth = mm_value[1:] / mm_value[:-1] + np.sum(weights * (tomorrow / today - 1.0), axis=1)
     return np.cumprod(np.concatenate([[100.0], growth]))
 
 
-def hold_pair(
-    panel: PricePanel, ranks: tuple, w1: np.ndarray, cfg: MarketConfig
-) -> PortfolioPath:
+def hold_pair(panel: PricePanel, ranks: tuple, w1: np.ndarray) -> PortfolioPath:
     """Hold ``w1[j]`` of wealth in maturity rank ``ranks[0]`` and the
-    rest in rank ``ranks[1]`` over each day ``j`` -> ``j+1``.
+    rest in rank ``ranks[1]`` over each day ``j`` -> ``j+1``, with the
+    wealth earning the panel's money-market return.
 
     Ranks count contracts with ttm > 0 on day ``j`` (see
     :meth:`~vixtrack.data.PricePanel.rank_columns`), so a maturing
@@ -221,24 +222,9 @@ def hold_pair(
         weights,
         np.take_along_axis(panel.prices[:-1], cols, axis=1),
         np.take_along_axis(panel.prices[1:], cols, axis=1),
-        cfg,
+        panel.mm_value,
     )
     return PortfolioPath(wealth=wealth, weights=weights)
-
-
-def vxx_roll_weights(day_in_cycle, cycle_length) -> tuple:
-    """Deterministic linear-roll weights on the two front contracts.
-
-    The front weight falls linearly from 1 at the start of the cycle to
-    0 at the end; the second-month weight is the complement.  Takes
-    integer scalars or per-day arrays.
-    """
-    require(
-        (0 <= day_in_cycle) & (day_in_cycle <= cycle_length), ValueError,
-        "day_in_cycle must lie in [0, {:g}], got {:g}", cycle_length, day_in_cycle,
-    )
-    w1 = 1.0 - day_in_cycle / cycle_length
-    return w1, 1.0 - w1
 
 
 def vxx_front_weights(panel: PricePanel) -> np.ndarray:
@@ -248,10 +234,20 @@ def vxx_front_weights(panel: PricePanel) -> np.ndarray:
     A cycle runs from one front expiry to the next.  Its length is the
     gap between the front two maturities, and the day in the cycle is
     that length minus the days left to the front's expiry, all in whole
-    trading days.
+    trading days.  The front weight falls linearly from 1 at the start
+    of the cycle to 0 at its end.
+
+    Raises
+    ------
+    ValueError
+        If, naming the first such day, the day falls outside its cycle.
     """
     ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(1, 2), axis=1)
     days = np.rint(ttm / DT).astype(int)
     cycle_length = days[:, 1] - days[:, 0]
-    w1, _ = vxx_roll_weights(cycle_length - days[:, 0], cycle_length)
-    return w1
+    day_in_cycle = cycle_length - days[:, 0]
+    require(
+        (0 <= day_in_cycle) & (day_in_cycle <= cycle_length), ValueError,
+        "day_in_cycle must lie in [0, {:g}], got {:g}", cycle_length, day_in_cycle,
+    )
+    return 1.0 - day_in_cycle / cycle_length

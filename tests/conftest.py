@@ -4,7 +4,6 @@ import pytest
 from vixtrack import (
     HistoricalParams,
     LocalVol,
-    MarketConfig,
     RiskNeutralParams,
     build_rolled_series,
     futures_panel_from_path,
@@ -31,11 +30,6 @@ def fit_g():
     return LocalVol.square_root(FIT_HIST.sigma)
 
 
-@pytest.fixture
-def mkt():
-    return MarketConfig(r=0.01)
-
-
 def make_sim_panels(
     cycles=3,
     seed=11,
@@ -47,11 +41,11 @@ def make_sim_panels(
     extra_contracts=1,
 ):
     """Simulated panel of ``cycles + extra_contracts`` monthly contracts
-    over whole cycles, with its market, local volatility and index path."""
-    mkt = MarketConfig(r=r)
+    over whole cycles at rate ``r``, with its local volatility and index
+    path."""
     g = LocalVol.square_root(hist.sigma if sigma is None else sigma)
     path = simulate_index_path(hist, g, hist.theta if s0 is None else s0, cycles * 21, seed)
-    return futures_panel_from_path(path, cycles + extra_contracts, rn, mkt), mkt, g, path
+    return futures_panel_from_path(path, cycles + extra_contracts, rn, r), g, path
 
 
 def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None):
@@ -77,7 +71,6 @@ def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None)
         contracts=np.array([f"K{k:02d}" for k in range(1, n_contracts + 1)]),
         prices=prices,
         ttms=ttms,
-        rates=np.full(n_days, r),
         mm_value=np.exp(r * days / 252.0),
     )
 

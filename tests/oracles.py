@@ -17,11 +17,16 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from vixtrack import DataError, HistoricalParams, VolatilitySingularityError, b_coefficient
+from vixtrack import DataError, HistoricalParams, b_coefficient
 from vixtrack.calibrate import _neg_avg_loglik, initial_guess_from_moments
 
 # One trading day in years, the step of every daily grid.
 DT = 1.0 / 252.0
+
+
+class VolatilitySingularityError(ZeroDivisionError):
+    """Raised when the local volatility evaluates to zero where a division
+    by it is required."""
 
 
 def rank_column(panel, day, rank):
@@ -99,13 +104,14 @@ def euler_path_loop(hist, g, s0, n_days, seed, floor=1e-8):
     return np.array(values), n_clamped
 
 
-def strategy_loop(panel, rule, mkt):
+def strategy_loop(panel, rule):
     """Day-by-day reference for the two-contract trackers' wealth.
 
     On each day ``j`` but the last, ``rule(panel, j)`` returns
     ``{column: weight}`` for the contracts held over j -> j+1, and
     wealth moves by the sequential self-financing update
-    x' = x e^(r dt) + sum_i (w_i x / f_i)(f_i' - f_i) from x = 100.
+    x' = x M'/M + sum_i (w_i x / f_i)(f_i' - f_i) from x = 100, for
+    the panel's money-market values M and M' on days j and j+1.
     Returns the wealth series and the per-day rule outputs.
     """
     wealth = [100.0]
@@ -117,7 +123,7 @@ def strategy_loop(panel, rule, mkt):
             w * x / panel.prices[j, c] * (panel.prices[j + 1, c] - panel.prices[j, c])
             for c, w in weights.items()
         )
-        wealth.append(x * math.exp(mkt.r * DT) + pnl)
+        wealth.append(x * panel.mm_value[j + 1] / panel.mm_value[j] + pnl)
         held.append(weights)
     return np.array(wealth), held
 
@@ -141,10 +147,11 @@ def market_price_of_risk(spot, hist, rn, g):
     ) / g_val
 
 
-def dynamic_rule(cfg, hist, rn, g, mkt):
+def dynamic_rule(cfg, hist, rn, g):
     """Per-day optimal tracker weights from the scalar formulas: the
     market price of risk lambda times each contract's shock loading B,
-    for ranks ``cfg.i1`` (w*) and ``cfg.i2`` (1 - w*)."""
+    for ranks ``cfg.i1`` (w*) and ``cfg.i2`` (1 - w*), with the day's
+    cash return read off the panel's money-market account."""
 
     def rule(panel, day):
         c1, c2 = rank_column(panel, day, cfg.i1), rank_column(panel, day, cfg.i2)
@@ -154,7 +161,7 @@ def dynamic_rule(cfg, hist, rn, g, mkt):
         b2 = float(b_coefficient(spot, float(panel.ttms[day, c2]), rn, g_val))
         lam = market_price_of_risk(spot, hist, rn, g)
         a0 = (
-            math.expm1(mkt.r * DT)
+            (panel.mm_value[day + 1] / panel.mm_value[day] - 1.0)
             + DT * lam * b2
             - cfg.beta * hist.mu * DT * (hist.theta / spot - 1.0)
         )

@@ -37,7 +37,6 @@ def curve_panel(spots, ttms, prices):
         contracts=np.arange(n_contracts),
         prices=np.asarray(prices, dtype=float),
         ttms=np.asarray(ttms, dtype=float),
-        rates=np.zeros(n_days),
         mm_value=np.ones(n_days),
     )
 

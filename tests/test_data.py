@@ -24,11 +24,11 @@ class TestLoadPanel:
         panel = load_panel(tmp_path)
         assert panel.n_days == 40
         assert panel.dates[0] == dates[0]
-        # every row: one spot, one rate, front-7 tradable futures
+        # every row: one spot, one money-market value, front-7 tradable futures
         for j in range(panel.n_days):
             assert np.count_nonzero(panel.ttms[j] > 0) == 7
             assert np.isfinite(panel.spot[j])
-            assert np.isfinite(panel.rates[j])
+            assert np.isfinite(panel.mm_value[j])
 
     def test_missing_quote_drops_day(self, tmp_path):
         write_quote_files(tmp_path, n_days=10, seed=2, drop_futures_on=(4,))
@@ -143,6 +143,21 @@ class TestLoadPanel:
         expected = np.cumprod(1.0 + 0.036 * gaps / 360.0)
         assert np.allclose(panel.mm_value[1:], expected, rtol=1e-14)
 
+    def test_missing_rate_drops_day(self, tmp_path):
+        dates = write_quote_files(tmp_path, n_days=10, seed=8, rate=0.036)
+        rates = tmp_path / "rates.csv"
+        rates.write_text(
+            "".join(line for line in rates.read_text().splitlines(True)
+                    if not line.startswith(str(dates[4])))
+        )
+        panel = load_panel(tmp_path, max_drop_frac=0.15)
+        assert panel.n_dropped == 1
+        assert dates[4] not in panel.dates
+        # the account spans the dropped day at the rate of the day before
+        gaps = np.diff(panel.dates) / np.timedelta64(1, "D")
+        expected = np.cumprod(1.0 + 0.036 * gaps / 360.0)
+        assert np.allclose(panel.mm_value[1:], expected, rtol=1e-14)
+
 
 class TestPricePanel:
     def test_loaded_rows_hold_settling_and_front_quotes(self, tmp_path):
@@ -177,7 +192,7 @@ class TestPricePanel:
         assert n_settling == 2  # days 21 and 42
 
     def test_simulated_panel_is_nan_exactly_past_maturity(self):
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=10, extra_contracts=2)
+        panel, _, _ = make_sim_panels(cycles=2, seed=10, extra_contracts=2)
         assert panel.contracts.size == 4
         for i in range(4):
             maturity = 21 * (i + 1)
@@ -236,7 +251,7 @@ class TestSplit:
             split_day(panel, "2030-01-01")
 
     def test_integer_boundary_for_simulated_panels(self):
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=13)
+        panel, _, _ = make_sim_panels(cycles=2, seed=13)
         cut = split_day(panel, 21)
         assert cut == 21
         assert panel.dates[cut] == 21

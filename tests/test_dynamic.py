@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -6,7 +8,6 @@ from vixtrack import (
     DegenerateProblemError,
     HistoricalParams,
     LocalVol,
-    MarketConfig,
     RiskNeutralParams,
     TrackingCoefficients,
     TrackingConfig,
@@ -16,6 +17,7 @@ from vixtrack import (
     optimal_weight,
     tracking_coefficients,
 )
+from vixtrack.model import DT
 
 import oracles
 
@@ -39,11 +41,10 @@ def coeffs_at(
     i1=1,
     i2=2,
 ):
-    mkt = MarketConfig(r=r)
     g = LocalVol.square_root(hist.sigma)
     cfg = TrackingConfig(beta=beta, i1=i1, i2=i2)
     return tracking_coefficients(
-        spot, grid_ttm(day, i1), grid_ttm(day, i2), cfg, hist, rn, g, mkt
+        spot, grid_ttm(day, i1), grid_ttm(day, i2), cfg, hist, rn, g, math.expm1(r * DT)
     )
 
 
@@ -78,10 +79,10 @@ class TestTrackingCoefficients:
         spots = np.array([6.27, 18.81, 25.0, 56.43])
         days = np.array([0, 7, 13, 20])
         cfg = TrackingConfig(beta=1.5, i1=2, i2=3)
-        mkt = MarketConfig(r=0.02)
         g = LocalVol.square_root(PAPER_HIST.sigma)
         c = tracking_coefficients(
-            spots, grid_ttm(days, 2), grid_ttm(days, 3), cfg, PAPER_HIST, PAPER_RN, g, mkt
+            spots, grid_ttm(days, 2), grid_ttm(days, 3), cfg, PAPER_HIST, PAPER_RN, g,
+            math.expm1(0.02 * DT),
         )
         w, obj = optimal_weight(c)
         for k, (spot, day) in enumerate(zip(spots, days)):
@@ -93,17 +94,17 @@ class TestTrackingCoefficients:
 
     def test_array_checks_name_the_first_bad_day(self):
         g = LocalVol.square_root(PAPER_HIST.sigma)
-        mkt = MarketConfig(r=0.01)
+        mm_return = math.expm1(0.01 * DT)
         ttm = np.array([0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="got -1.0 on day 1"):
             tracking_coefficients(
                 np.array([18.0, -1.0, -2.0]), ttm, 2 * ttm, TrackingConfig(),
-                PAPER_HIST, PAPER_RN, g, mkt,
+                PAPER_HIST, PAPER_RN, g, mm_return,
             )
         with pytest.raises(DegenerateProblemError, match="on day 2"):
             tracking_coefficients(
                 np.full(3, 18.0), ttm, np.array([0.2, 0.3, 0.1]), TrackingConfig(),
-                PAPER_HIST, PAPER_RN, g, mkt,
+                PAPER_HIST, PAPER_RN, g, mm_return,
             )
 
     def test_zero_volatility_is_the_limit_of_small_volatility(self):
@@ -113,13 +114,13 @@ class TestTrackingCoefficients:
         g0 = LocalVol.square_root(0.0)
         c0 = tracking_coefficients(
             22.0, 21 / 252, 42 / 252, TrackingConfig(), hist0, PAPER_RN, g0,
-            MarketConfig(r=0.01),
+            math.expm1(0.01 * DT),
         )
         assert c0.nu0 == 0.0 and c0.nu1 == 0.0
         hist = HistoricalParams(10.86, 18.81, 1e-9)
         c = tracking_coefficients(
             22.0, 21 / 252, 42 / 252, TrackingConfig(), hist, PAPER_RN,
-            LocalVol.square_root(1e-9), MarketConfig(r=0.01),
+            LocalVol.square_root(1e-9), math.expm1(0.01 * DT),
         )
         assert c.alpha0 == pytest.approx(c0.alpha0, rel=1e-12)
         assert c.alpha1 == pytest.approx(c0.alpha1, rel=1e-12)
@@ -162,8 +163,7 @@ class TestOptimalWeight:
             n_checked += 1
 
     def test_zero_objective_at_critical_spot(self, fit_rn):
-        mkt = MarketConfig(r=0.02)
-        s_star = critical_spot(1.0, mkt, fit_rn)
+        s_star = critical_spot(1.0, 0.02, fit_rn)
         c = coeffs_at(s_star, day=3, r=0.02)
         _, obj = optimal_weight(c)
         assert obj <= 1e-18
@@ -172,8 +172,7 @@ class TestOptimalWeight:
             assert obj_off > 0.0
 
     def test_zero_error_spot_same_for_all_days_and_pairs(self, fit_rn):
-        mkt = MarketConfig(r=0.03)
-        s_star = critical_spot(1.0, mkt, fit_rn)
+        s_star = critical_spot(1.0, 0.03, fit_rn)
 
         def h(spot, day, i1, i2):
             c = coeffs_at(spot, day=day, r=0.03, i1=i1, i2=i2)
@@ -226,19 +225,19 @@ class TestOneDayMonteCarlo:
     ``oracles.exact_one_day_coefficients``."""
 
     N_DRAWS = 1 << 20
-    MKT = MarketConfig(r=0.01)
+    R = 0.01
     T1, T2 = 21 / 252, 42 / 252
     G = LocalVol.square_root(PAPER_HIST.sigma)
 
     def coded(self, spot, beta=1.0):
         cfg = TrackingConfig(beta=beta)
         return tracking_coefficients(
-            spot, self.T1, self.T2, cfg, PAPER_HIST, PAPER_RN, self.G, self.MKT
+            spot, self.T1, self.T2, cfg, PAPER_HIST, PAPER_RN, self.G, math.expm1(self.R * DT)
         )
 
     def exact(self, spot, beta=1.0):
         return oracles.exact_one_day_coefficients(
-            spot, self.T1, self.T2, beta, self.MKT.r, PAPER_HIST, PAPER_RN, self.G(spot)
+            spot, self.T1, self.T2, beta, self.R, PAPER_HIST, PAPER_RN, self.G(spot)
         )
 
     def simulated_error(self, spot, w, beta=1.0):
@@ -246,7 +245,7 @@ class TestOneDayMonteCarlo:
         hist, rn, dt = PAPER_HIST, PAPER_RN, oracles.DT
         z = np.random.default_rng(20190701).standard_normal(self.N_DRAWS)
         s_next = spot + hist.mu * (hist.theta - spot) * dt + self.G(spot) * np.sqrt(dt) * z
-        ret = np.expm1(self.MKT.r * dt)
+        ret = np.expm1(self.R * dt)
         for weight, ttm in ((w, self.T1), (1.0 - w, self.T2)):
             # futures_price is affine in spot: f(S') = f(0) + (f(1) - f(0)) S'
             f0, f1 = (futures_price(s, ttm - dt, rn) for s in (0.0, 1.0))
@@ -283,7 +282,7 @@ class TestOneDayMonteCarlo:
         assert abs(realized / objective - 1.0) < 0.10
 
     def test_critical_spot_error_is_second_order(self):
-        s_star = critical_spot(1.0, self.MKT, PAPER_RN)
+        s_star = critical_spot(1.0, self.R, PAPER_RN)
         realized, _ = self.realized_mse(s_star)
         _, objective_at_theta = self.realized_mse(PAPER_HIST.theta)
         assert realized < 0.1 * objective_at_theta
@@ -292,6 +291,6 @@ class TestOneDayMonteCarlo:
         def min_objective(a0, a1, n0, n1):
             return (n1 * a0 - n0 * a1) ** 2 / (a1 ** 2 + n1 ** 2)
 
-        s_star = critical_spot(1.0, self.MKT, PAPER_RN)
+        s_star = critical_spot(1.0, self.R, PAPER_RN)
         at_s_star = min_objective(*self.exact(s_star))
         assert at_s_star < 1e-6 * min_objective(*self.exact(PAPER_HIST.theta))

@@ -8,9 +8,7 @@ from vixtrack import (
     DegenerateProblemError,
     HistoricalParams,
     LocalVol,
-    MarketConfig,
     RiskNeutralParams,
-    VolatilitySingularityError,
     b_coefficient,
     critical_spot,
     futures_price,
@@ -50,15 +48,11 @@ class TestTypes:
             got = g(spot)
             assert got.shape == spot.shape
             assert np.array_equal(got, [[g(float(s)) for s in row] for row in spot])
-        with pytest.raises(ValueError, match="got -1.0 on day 1"):
-            g_sqrt(np.array([4.0, -1.0, 9.0]))
-        with pytest.raises(ValueError, match=r"got -1.0 at index \(1, 0\)"):
+        # one level per path: the error names the level, not a day
+        with pytest.raises(ValueError, match=r"got -1\.0$"):
+            LocalVol.square_root(2.0)(np.array([4.0, -1.0, 9.0]))
+        with pytest.raises(ValueError, match=r"got -1\.0$"):
             g_sqrt(np.array([[1.0, 2.0, 3.0], [-1.0, 4.0, 5.0]]))
-
-    def test_market_config_r_bar_is_derived(self):
-        mkt = MarketConfig(r=0.05)
-        assert mkt.r_bar == pytest.approx(math.expm1(0.05 / 252) * 252)
-        assert mkt.growth_factor == pytest.approx(math.exp(0.05 / 252))
 
 
 class TestFuturesPrice:
@@ -128,7 +122,7 @@ class TestMarketPriceOfRisk:
 
     def test_zero_volatility_is_a_singularity(self, fit_hist, fit_rn):
         g = LocalVol.square_root(6.37)
-        with pytest.raises(VolatilitySingularityError):
+        with pytest.raises(oracles.VolatilitySingularityError):
             oracles.market_price_of_risk(0.0, fit_hist, fit_rn, g)
 
 
@@ -169,17 +163,14 @@ class TestBCoefficient:
 
 class TestCriticalSpot:
     def test_zero_rate_collapses_to_theta_tilde(self, fit_rn):
-        mkt = MarketConfig(r=0.0)
-        assert critical_spot(1.0, mkt, fit_rn) == pytest.approx(26.03, abs=1e-12)
+        assert critical_spot(1.0, 0.0, fit_rn) == pytest.approx(26.03, abs=1e-12)
         # beta cancels when r_bar = 0
-        assert critical_spot(2.0, mkt, fit_rn) == pytest.approx(26.03, abs=1e-12)
+        assert critical_spot(2.0, 0.0, fit_rn) == pytest.approx(26.03, abs=1e-12)
 
     def test_matches_extended_precision_value(self, fit_rn):
-        mkt = MarketConfig(r=0.05)
-        got = critical_spot(1.0, mkt, fit_rn)
+        got = critical_spot(1.0, 0.05, fit_rn)
         assert got == pytest.approx(oracles.CRITICAL_SPOT_R005, rel=1e-14)
 
     def test_zero_denominator_rejected(self, fit_rn):
-        mkt = MarketConfig(r=0.0)
         with pytest.raises(DegenerateProblemError):
-            critical_spot(0.0, mkt, fit_rn)
+            critical_spot(0.0, 0.0, fit_rn)

@@ -5,7 +5,7 @@ from vixtrack import (
     DataError,
     HistoricalParams,
     LocalVol,
-    MarketConfig,
+    PricePanel,
     RiskNeutralParams,
     TrackingConfig,
     dynamic_weights,
@@ -13,14 +13,14 @@ from vixtrack import (
     futures_panel_from_path,
     futures_price,
     hold_pair,
+    load_panel,
     simulate_index_path,
     simulate_index_paths,
     vxx_front_weights,
-    vxx_roll_weights,
 )
 
 import oracles
-from conftest import FIT_HIST, FIT_RN, make_sim_panels
+from conftest import FIT_HIST, FIT_RN, make_sim_panels, write_quote_files
 
 
 class TestIndexPath:
@@ -131,13 +131,13 @@ class TestFuturesPanel:
     def test_constant_path_at_theta_tilde_prices_flat(self):
         hist = HistoricalParams(1.0, 26.03, 0.0)
         path = simulate_index_path(hist, LocalVol.constant(0.0), 26.03, 63, 1)
-        panel = futures_panel_from_path(path, 4, FIT_RN, MarketConfig(r=0.0))
+        panel = futures_panel_from_path(path, 4, FIT_RN, 0.0)
         live = ~np.isnan(panel.prices)
         assert np.allclose(panel.prices[live], 26.03)
 
     def test_maturity_convergence_and_pointwise_oracle(self, fit_hist, fit_g, fit_rn):
         path = simulate_index_path(fit_hist, fit_g, 18.81, 63, 3)
-        panel = futures_panel_from_path(path, 4, fit_rn, MarketConfig(r=0.0))
+        panel = futures_panel_from_path(path, 4, fit_rn, 0.0)
         maturity_days = (21, 42, 63, 84)  # contract k matures on day 21 k
         assert panel.contracts.size == len(maturity_days)
         for i, mday in enumerate(maturity_days):
@@ -155,76 +155,88 @@ class TestFuturesPanel:
     def test_horizon_past_last_maturity_rejected(self, fit_hist, fit_g, fit_rn):
         path = simulate_index_path(fit_hist, fit_g, 18.81, 64, 3)
         with pytest.raises(ValueError, match="last maturity is day 63"):
-            futures_panel_from_path(path, 3, fit_rn, MarketConfig(r=0.0))
+            futures_panel_from_path(path, 3, fit_rn, 0.0)
         with pytest.raises(ValueError):
-            futures_panel_from_path(path, 0, fit_rn, MarketConfig(r=0.0))
+            futures_panel_from_path(path, 0, fit_rn, 0.0)
 
 
 class TestEvolveWealth:
+    # one day of a money market at r = 0.03
+    MM = [1.0, np.exp(0.03 / 252)]
+
     def test_all_cash(self):
-        mkt = MarketConfig(r=0.03)
-        got = evolve_wealth([[0.0]], [[20.0]], [[21.0]], mkt)
+        got = evolve_wealth([[0.0]], [[20.0]], [[21.0]], self.MM)
         assert got[0] == 100.0
         assert got[1] == pytest.approx(100.0 * np.exp(0.03 / 252))
 
     def test_flat_prices_contribute_nothing(self):
-        mkt = MarketConfig(r=0.03)
-        got = evolve_wealth([[1.0]], [[20.0]], [[20.0]], mkt)
+        got = evolve_wealth([[1.0]], [[20.0]], [[20.0]], self.MM)
         assert got[1] == pytest.approx(100.0 * np.exp(0.03 / 252))
 
     def test_hand_ledger(self):
         # 2x long at 20 gains 10 units * +1; 1x short at 25 gains 4 units * +1
-        mkt = MarketConfig(r=0.0)
-        got = evolve_wealth([[2.0, -1.0]], [[20.0, 25.0]], [[21.0, 24.0]], mkt)
+        got = evolve_wealth([[2.0, -1.0]], [[20.0, 25.0]], [[21.0, 24.0]], [1.0, 1.0])
         assert got[1] == pytest.approx(114.0)
 
     def test_zero_price_rejected(self):
-        mkt = MarketConfig(r=0.0)
         with pytest.raises(ZeroDivisionError):
-            evolve_wealth([[1.0]], [[0.0]], [[1.0]], mkt)
+            evolve_wealth([[1.0]], [[0.0]], [[1.0]], [1.0, 1.0])
 
     def test_length_mismatch_rejected(self):
-        mkt = MarketConfig(r=0.0)
         with pytest.raises(ValueError):
-            evolve_wealth([[1.0, 0.0]], [[20.0]], [[21.0]], mkt)
+            evolve_wealth([[1.0, 0.0]], [[20.0]], [[21.0]], [1.0, 1.0])
         with pytest.raises(ValueError):
-            evolve_wealth([1.0], [20.0], [21.0], mkt)  # not days x contracts
+            evolve_wealth([1.0], [20.0], [21.0], [1.0, 1.0])  # not days x contracts
+        with pytest.raises(ValueError, match="one money-market value per day"):
+            evolve_wealth([[1.0]], [[20.0]], [[21.0]], [1.0, 1.0, 1.0])
+
+
+def expiry_panel(expiries, n_days):
+    """Flat-priced panel of contracts expiring on the given days."""
+    days = np.arange(n_days)
+    ttms = (np.asarray(expiries)[None, :] - days[:, None]) / 252.0
+    ttms[ttms < 0] = np.nan
+    return PricePanel(
+        dates=days,
+        spot=np.full(n_days, 20.0),
+        contracts=np.arange(len(expiries)),
+        prices=np.where(np.isnan(ttms), np.nan, 20.0),
+        ttms=ttms,
+        mm_value=np.ones(n_days),
+    )
 
 
 class TestVxxWeights:
-    def test_cycle_endpoints(self):
-        assert vxx_roll_weights(0, 21) == (1.0, 0.0)
-        assert vxx_roll_weights(21, 21) == (0.0, 1.0)
-
-    def test_midpoint(self):
-        assert vxx_roll_weights(7, 14) == (0.5, 0.5)
+    @pytest.mark.parametrize("spacing", (14, 21))
+    def test_front_weight_falls_linearly_over_each_cycle(self, spacing):
+        panel = expiry_panel(spacing * np.arange(1, 5), n_days=3 * spacing + 1)
+        w1 = vxx_front_weights(panel)
+        days = np.arange(panel.n_days - 1)
+        # 1 on a cycle's first day, 0.5 halfway through a 14-day cycle
+        assert np.array_equal(w1, 1.0 - (days % spacing) / spacing)
+        assert np.all((0.0 < w1) & (w1 <= 1.0))
 
     def test_outside_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            vxx_roll_weights(22, 21)
-        with pytest.raises(ValueError):
-            vxx_roll_weights(-1, 21)
-        with pytest.raises(ValueError, match="got 22 on day 2"):
-            vxx_roll_weights(np.array([0, 5, 22]), np.array([21, 21, 21]))
-
-    def test_weights_bounded_and_sum_to_one(self):
-        for d in range(22):
-            w1, w2 = vxx_roll_weights(d, 21)
-            assert 0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0
-            assert w1 + w2 == 1.0
+        # from day 5 the front (expiring on day 30) is 25 days out, but
+        # its cycle up to the second's expiry (day 35) is 5 days long
+        with pytest.raises(ValueError, match=r"\[0, 5\], got -20 on day 5"):
+            vxx_front_weights(expiry_panel([5, 30, 35], n_days=10))
+        # a front expiring more than a cycle ahead rejects day 0
+        with pytest.raises(ValueError, match="got -1 on day 0"):
+            vxx_front_weights(expiry_panel([11, 21], n_days=3))
 
 
 class TestRankColumns:
     def test_roll_replaces_front_contract(self):
         # across the cycle boundary the front ranks shift by one contract
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=2)
+        panel, _, _ = make_sim_panels(cycles=2, seed=2)
         cols = panel.rank_columns(1, 2)
         assert cols.shape == (panel.n_days - 1, 2)
         assert cols[20].tolist() == [0, 1]
         assert cols[21].tolist() == [1, 2]
 
     def test_rank_beyond_tradable_names_the_day(self):
-        panel, _, _, _ = make_sim_panels(cycles=3, seed=2)
+        panel, _, _ = make_sim_panels(cycles=3, seed=2)
         with pytest.raises(DataError, match="rank 3 not available on day 42"):
             panel.rank_columns(2, 3)
         with pytest.raises(ValueError):
@@ -233,43 +245,42 @@ class TestRankColumns:
 
 class TestStrategies:
     def test_zero_weights_flat_wealth_at_zero_rate(self):
-        panel, mkt, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
+        panel, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
         cols = panel.rank_columns(1, 2)
         today = np.take_along_axis(panel.prices[:-1], cols, axis=1)
         tomorrow = np.take_along_axis(panel.prices[1:], cols, axis=1)
-        wealth = evolve_wealth(np.zeros(cols.shape), today, tomorrow, mkt)
+        wealth = evolve_wealth(np.zeros(cols.shape), today, tomorrow, panel.mm_value)
         assert np.all(wealth == 100.0)
 
     def test_vxx_loses_in_contango_with_static_spot(self):
         # constant spot below the long-run pricing level: every contract
         # rolls down towards the spot, so a long-only roll bleeds daily
         hist = HistoricalParams(1.0, 13.0, 0.0)
-        mkt = MarketConfig(r=0.0)
         path = simulate_index_path(hist, LocalVol.constant(0.0), 13.0, 42, 1)
-        panel = futures_panel_from_path(path, 3, RiskNeutralParams(1.39, 26.03), mkt)
-        out = hold_pair(panel, (1, 2), vxx_front_weights(panel), mkt)
+        panel = futures_panel_from_path(path, 3, RiskNeutralParams(1.39, 26.03), 0.0)
+        out = hold_pair(panel, (1, 2), vxx_front_weights(panel))
         assert np.all(np.diff(out.wealth) < 0)
 
     def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn):
-        panel, mkt, g, path = make_sim_panels(cycles=3, seed=11)
-        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g, mkt)
-        out = hold_pair(panel, (1, 2), w, mkt)
+        panel, g, path = make_sim_panels(cycles=3, seed=11)
+        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g)
+        out = hold_pair(panel, (1, 2), w)
         index_returns = path.values[1:] / path.values[:-1] - 1.0
         corr = np.corrcoef(out.returns, index_returns)[0, 1]
         assert corr > 0.99
 
     def test_wrong_length_weights_abort(self):
-        panel, mkt, _, _ = make_sim_panels(cycles=1, seed=2)
+        panel, _, _ = make_sim_panels(cycles=1, seed=2)
         with pytest.raises(ValueError):
-            hold_pair(panel, (1, 2), np.zeros(panel.n_days), mkt)
+            hold_pair(panel, (1, 2), np.zeros(panel.n_days))
 
     def test_vxx_weights_valid_and_dynamic_pair_sums_to_one(self, fit_hist, fit_rn):
-        panel, mkt, g, _ = make_sim_panels(cycles=3, seed=8)
-        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel), mkt)
+        panel, g, _ = make_sim_panels(cycles=3, seed=8)
+        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel))
         assert np.all((vxx.weights >= 0) & (vxx.weights <= 1))
         assert np.all(vxx.weights.sum(axis=1) == 1.0)
-        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g, mkt)
-        dyn = hold_pair(panel, (1, 2), w, mkt)
+        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g)
+        dyn = hold_pair(panel, (1, 2), w)
         assert np.allclose(dyn.weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
 
@@ -284,11 +295,11 @@ def _relative_gap(got, want):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mult", S0_MULTS)
 def test_vxx_matches_per_day_loop(seed, mult):
-    panel, mkt, _, _ = make_sim_panels(
+    panel, _, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * FIT_HIST.theta, extra_contracts=2
     )
-    out = hold_pair(panel, (1, 2), vxx_front_weights(panel), mkt)
-    wealth, held = oracles.strategy_loop(panel, oracles.vxx_rule, mkt)
+    out = hold_pair(panel, (1, 2), vxx_front_weights(panel))
+    wealth, held = oracles.strategy_loop(panel, oracles.vxx_rule)
     assert np.array_equal(out.weights, [list(w.values()) for w in held])
     assert _relative_gap(out.wealth, wealth) <= 1e-12
 
@@ -298,13 +309,58 @@ def test_vxx_matches_per_day_loop(seed, mult):
 @pytest.mark.parametrize("beta", (1.0, 1.5))
 @pytest.mark.parametrize("ranks", ((1, 2), (2, 3)))
 def test_dynamic_matches_per_day_loop(seed, mult, beta, ranks, fit_hist, fit_rn):
-    panel, mkt, g, _ = make_sim_panels(
+    panel, g, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * fit_hist.theta, extra_contracts=2
     )
     cfg = TrackingConfig(beta=beta, i1=ranks[0], i2=ranks[1])
-    w = dynamic_weights(panel, cfg, fit_hist, fit_rn, g, mkt)
-    out = hold_pair(panel, ranks, w, mkt)
-    rule = oracles.dynamic_rule(cfg, fit_hist, fit_rn, g, mkt)
-    wealth, held = oracles.strategy_loop(panel, rule, mkt)
+    w = dynamic_weights(panel, cfg, fit_hist, fit_rn, g)
+    out = hold_pair(panel, ranks, w)
+    rule = oracles.dynamic_rule(cfg, fit_hist, fit_rn, g)
+    wealth, held = oracles.strategy_loop(panel, rule)
     assert _relative_gap(out.weights, np.array([list(h.values()) for h in held])) <= 1e-13
     assert _relative_gap(out.wealth, wealth) <= 1e-12
+
+
+class TestLoadedQuotes:
+    """The trackers on quotes loaded from files, whose money market
+    compounds the rates file ACT/360 over calendar gaps."""
+
+    def test_zero_rate_matches_the_simulated_panel_of_the_same_path(
+        self, tmp_path, fit_hist, fit_rn, fit_g
+    ):
+        n_days = 120
+        write_quote_files(tmp_path, n_days=n_days, seed=3, rate=0.0)
+        loaded = load_panel(tmp_path, n_ranks=8)
+        # the path the quote files were priced from
+        path = simulate_index_path(fit_hist, fit_g, fit_hist.theta, n_days - 1, 3)
+        simulated = futures_panel_from_path(path, 8, fit_rn, 0.0)
+        assert np.array_equal(loaded.spot, simulated.spot)
+        assert np.array_equal(loaded.mm_value, simulated.mm_value)
+        assert np.array_equal(vxx_front_weights(loaded), vxx_front_weights(simulated))
+        # a loaded ttm is a day count over 252, a simulated one the count
+        # times DT: they may differ in the last bit, and so the prices too
+        w_loaded = dynamic_weights(loaded, TrackingConfig(), fit_hist, fit_rn, fit_g)
+        w_simulated = dynamic_weights(simulated, TrackingConfig(), fit_hist, fit_rn, fit_g)
+        assert _relative_gap(w_loaded, w_simulated) <= 1e-14
+        for w in (w_loaded, vxx_front_weights(loaded)):
+            got = hold_pair(loaded, (1, 2), w).wealth
+            want = hold_pair(simulated, (1, 2), w).wealth
+            assert _relative_gap(got, want) <= 1e-14
+
+    def test_cash_leg_follows_the_loaded_money_market(self, tmp_path, fit_hist, fit_rn, fit_g):
+        # a zero-volatility spot at theta_tilde prices every contract flat
+        flat = HistoricalParams(1.0, fit_rn.theta_tilde, 0.0)
+        write_quote_files(tmp_path, n_days=60, seed=1, hist=flat, rate=0.05)
+        panel = load_panel(tmp_path, n_ranks=8)
+        assert np.all(panel.prices[~np.isnan(panel.prices)] == fit_rn.theta_tilde)
+        # weekends make the daily cash return uneven
+        assert np.ptp(np.diff(np.log(panel.mm_value))) > 0
+        cfg = TrackingConfig()
+        w_dyn = dynamic_weights(panel, cfg, fit_hist, fit_rn, fit_g)
+        for w in (w_dyn, vxx_front_weights(panel)):
+            wealth = hold_pair(panel, (1, 2), w).wealth
+            assert _relative_gap(wealth, 100.0 * panel.mm_value / panel.mm_value[0]) <= 1e-14
+        # the tracker's drift reads the same account, day by day
+        rule = oracles.dynamic_rule(cfg, fit_hist, fit_rn, fit_g)
+        _, held = oracles.strategy_loop(panel, rule)
+        assert _relative_gap(w_dyn, np.array([list(h.values())[0] for h in held])) <= 1e-13

@@ -33,7 +33,7 @@ class TestRolledSeries:
     def test_contango_bleeds_value(self, fit_rn):
         # constant spot far below the long-run pricing level
         hist = HistoricalParams(1.0, fit_rn.theta_tilde / 2, 0.0)
-        panel, _, _, _ = make_sim_panels(
+        panel, _, _ = make_sim_panels(
             cycles=3, seed=1, s0=hist.theta, hist=hist, r=0.0, sigma=0.0
         )
         rolled = build_rolled_series(panel, rank=1)
@@ -110,7 +110,7 @@ class TestRolledSeriesOracle:
 
     def test_simulated_panels(self):
         for seed in (1, 2):
-            panel, _, _, _ = make_sim_panels(cycles=4, seed=seed, extra_contracts=5)
+            panel, _, _ = make_sim_panels(cycles=4, seed=seed, extra_contracts=5)
             self.assert_matches_loop(panel)
 
     def test_grid_panels(self):
@@ -260,7 +260,7 @@ class TestConstrainedLS:
 
 class TestTrackingPortfolios:
     def test_recovers_constructed_price_solution(self):
-        panel, _, _, _ = make_sim_panels(cycles=4, seed=21)
+        panel, _, _ = make_sim_panels(cycles=4, seed=21)
         r1 = build_rolled_series(panel, 1).values
         r2 = build_rolled_series(panel, 2).values
         panel.spot = 0.31 * (0.6 * r1 + 0.4 * r2)  # scale is irrelevant
@@ -278,7 +278,7 @@ class TestTrackingPortfolios:
         assert abs(res.weights[1]) < 1e-10
 
     def test_recovers_constructed_return_solution(self):
-        panel, _, _, _ = make_sim_panels(cycles=4, seed=33, r=0.02)
+        panel, _, _ = make_sim_panels(cycles=4, seed=33, r=0.02)
         r1 = build_rolled_series(panel, 1).values
         cash = panel.mm_value
         spot = np.empty(panel.n_days)
@@ -294,7 +294,7 @@ class TestTrackingPortfolios:
         assert res.in_rmse < 1e-8
 
     def test_target_identical_to_one_column(self):
-        panel, _, _, _ = make_sim_panels(cycles=4, seed=5)
+        panel, _, _ = make_sim_panels(cycles=4, seed=5)
         panel.spot = 2.0 * build_rolled_series(panel, 2).values
         res = static_portfolio(panel, rolled(panel, 1, 2), 63, "return")
         assert np.allclose(res.weights, [0.0, 0.0, 1.0], atol=1e-8)
@@ -318,7 +318,7 @@ class TestStaticPortfolio:
     def test_each_window_rebased_to_100(self, mode):
         # the target is the 1-m series at one scale in-sample and at
         # another out-of-sample, so only a per-window rebase fits both
-        panel, _, _, _ = make_sim_panels(cycles=4, seed=3)
+        panel, _, _ = make_sim_panels(cycles=4, seed=3)
         series = rolled(panel, 1, 2)
         panel.spot = series[0].values * np.where(np.arange(panel.n_days) < 42, 0.5, 3.0)
         res = static_portfolio(panel, series, 42, mode)
@@ -327,26 +327,26 @@ class TestStaticPortfolio:
         assert res.labels == ("cash", "1-m", "2-m")
 
     def test_bad_mode_rejected(self):
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _ = make_sim_panels(cycles=2, seed=3)
         with pytest.raises(ValueError, match="mode"):
             static_portfolio(panel, rolled(panel, 1), 21, "volume")
 
     def test_series_of_another_length_rejected(self):
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _ = make_sim_panels(cycles=2, seed=3)
         short = RolledSeries(1, build_rolled_series(panel, 1).values[:-1])
         n = panel.n_days
         with pytest.raises(ValueError, match=f"1-m series has {n - 1} days, the panel {n}"):
             static_portfolio(panel, [short], 21, "price")
 
     def test_cut_must_leave_both_windows_nonempty(self):
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _ = make_sim_panels(cycles=2, seed=3)
         for cut in (0, panel.n_days):
             with pytest.raises(ValueError, match=f"cut {cut} leaves a window"):
                 static_portfolio(panel, rolled(panel, 1), cut, "price")
 
     @pytest.mark.parametrize("day", [0, 21])
     def test_zero_anchor_rejected(self, day):
-        panel, _, _, _ = make_sim_panels(cycles=2, seed=3)
+        panel, _, _ = make_sim_panels(cycles=2, seed=3)
         panel.spot[day] = 0.0
         with pytest.raises(ValueError, match="first value is zero"):
             static_portfolio(panel, rolled(panel, 1), 21, "price")

@@ -3,13 +3,7 @@ and index-tracking futures portfolios (static and dynamic)."""
 
 __version__ = "0.1.0"
 
-from .analytics import (
-    holding_period_returns,
-    intercept_curve,
-    ols_regression,
-    scatter_report,
-    slope_table,
-)
+from .analytics import holding_period_returns, ols_regression, slope_one_p
 from .calibrate import (
     average_log_likelihood,
     cir_log_density,

@@ -25,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import (
-    holding_period_returns,
-    intercept_curve,
-    ols_regression,
-    scatter_report,
-    slope_table,
-)
+from .analytics import holding_period_returns, ols_regression, slope_one_p
 from .calibrate import mle_fit, mom_fit
 from .data import load_panel, split_day
 from .dynamic import TrackingConfig, dynamic_weights
@@ -335,10 +329,6 @@ def cmd_backtest_static(args) -> int:
     return EXIT_OK
 
 
-def _scenario_label(mult: float) -> str:
-    return f"s0_{mult:g}x".replace(".", "p")
-
-
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,7 +377,7 @@ def cmd_simulate(args) -> int:
         w_dyn = dynamic_weights(panel, tracking, hist, rn, g)
         dyn = hold_pair(panel, (i1, i2), w_dyn)
         vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel))
-        label = _scenario_label(mult)
+        label = f"s0_{mult:g}x".replace(".", "p")
         index_norm = 100.0 * path.values / path.values[0]
         lines = ["day\tindex\tvxx\tdynamic"]
         columns = zip(index_norm.tolist(), vxx.wealth.tolist(), dyn.wealth.tolist())
@@ -403,15 +393,14 @@ def cmd_simulate(args) -> int:
         _emit(manifest, out_dir, f"weights_{label}.tsv", "\n".join(lines) + "\n")
 
         idx_ret = path.values[1:] / path.values[:-1] - 1.0
+        reg = ols_regression(idx_ret, np.stack([dyn.returns, vxx.returns]))
+        p_one = slope_one_p(reg)
         rows = ["portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"]
-        for name, port in (("dynamic", dyn), ("vxx", vxx)):
-            rep = scatter_report(port.returns, idx_ret)
-            reg = rep.regression
-            max_w = float(np.max(np.abs(port.weights)))
+        for i, (name, port) in enumerate((("dynamic", dyn), ("vxx", vxx))):
             rows.append(
-                f"{name}\t{reg.slope:.6f}\t{reg.slope_se:.3e}\t{reg.intercept:.3e}"
-                f"\t{reg.intercept_se:.3e}\t{reg.r2:.6f}\t{rep.slope_one_p:.3e}"
-                f"\t{max_w:.4f}"
+                f"{name}\t{reg.slope[i]:.6f}\t{reg.slope_se[i]:.3e}\t{reg.intercept[i]:.3e}"
+                f"\t{reg.intercept_se[i]:.3e}\t{reg.r2[i]:.6f}\t{p_one[i]:.3e}"
+                f"\t{np.max(np.abs(port.weights)):.4f}"
             )
         _emit(manifest, out_dir, f"scatter_{label}.tsv", "\n".join(rows) + "\n")
 
@@ -434,40 +423,45 @@ def cmd_regress(args) -> int:
     horizons = _parse(_ints, args.horizons, "--horizons")
     panel = _load_quotes(args, manifest)
 
-    rolled = [build_rolled_series(panel, rank) for rank in ranks]
-    x = holding_period_returns(panel.spot, 1)
-    daily = [holding_period_returns(series.values, 1) for series in rolled]
-    fits = [ols_regression(x, y) for y in daily]
+    # one row per rank, so every fit below regresses all ranks at once
+    rolled = np.stack([build_rolled_series(panel, rank).values for rank in ranks])
+
+    def fit(h):
+        return ols_regression(
+            holding_period_returns(panel.spot, h), holding_period_returns(rolled, h)
+        )
+
+    daily = fit(1)
     lines = ["futures\tslope\tintercept\tslope_se\tintercept_se\tr2\trmse\tn"]
-    for rank, res in zip(ranks, fits):
+    for i, rank in enumerate(ranks):
         lines.append(
-            f"{rank}-m\t{res.slope:.4f}\t{res.intercept:.3e}\t{res.slope_se:.3e}"
-            f"\t{res.intercept_se:.3e}\t{res.r2:.4f}\t{res.rmse:.4f}\t{res.n}"
+            f"{rank}-m\t{daily.slope[i]:.4f}\t{daily.intercept[i]:.3e}\t{daily.slope_se[i]:.3e}"
+            f"\t{daily.intercept_se[i]:.3e}\t{daily.r2[i]:.4f}\t{daily.rmse[i]:.4f}\t{daily.n}"
         )
     _emit(manifest, out_dir, "one_day_regressions.tsv", "\n".join(lines) + "\n")
 
-    table = slope_table(panel.spot, rolled, horizons)
-    _emit(manifest, out_dir, "holding_period_table.tsv", table.to_text())
+    table = [fit(h) for h in horizons]
+    lines = ["\t".join(["stat", "days"] + [f"{r}-m" for r in ranks])]
+    for stat in ("slope", "r2"):
+        for h, res in zip(horizons, table):
+            lines.append("\t".join([stat, str(h)] + [f"{v:.3f}" for v in getattr(res, stat)]))
+    _emit(manifest, out_dir, "holding_period_table.tsv", "\n".join(lines) + "\n")
 
-    for series in rolled[:3]:
-        curve = intercept_curve(panel.spot, series, range(1, args.max_horizon + 1))
+    curves = [fit(h) for h in range(1, args.max_horizon + 1)]
+    for i, rank in enumerate(ranks[:3]):
         lines = ["horizon\tintercept\tintercept_se"]
         lines += [
-            f"{h}\t{a!r}\t{s!r}"
-            for h, a, s in zip(
-                curve.horizons, curve.intercepts.tolist(), curve.std_errors.tolist()
-            )
+            f"{h}\t{float(res.intercept[i])!r}\t{float(res.intercept_se[i])!r}"
+            for h, res in enumerate(curves, 1)
         ]
-        _emit(
-            manifest, out_dir, f"intercepts_{series.maturity_rank}m.tsv",
-            "\n".join(lines) + "\n",
-        )
+        _emit(manifest, out_dir, f"intercepts_{rank}m.tsv", "\n".join(lines) + "\n")
 
-    res = fits[0]
+    a, b = float(daily.intercept[0]), float(daily.slope[0])
+    x = holding_period_returns(panel.spot, 1)
     lines = ["spot_return\tfutures_return\tfit"]
     lines += [
-        f"{xi!r}\t{yi!r}\t{res.intercept + res.slope * xi!r}"
-        for xi, yi in zip(x.tolist(), daily[0].tolist())
+        f"{xi!r}\t{yi!r}\t{a + b * xi!r}"
+        for xi, yi in zip(x.tolist(), holding_period_returns(rolled[0], 1).tolist())
     ]
     _emit(manifest, out_dir, f"scatter_{ranks[0]}m_1d.tsv", "\n".join(lines) + "\n")
     manifest.write(out_dir)

@@ -159,7 +159,7 @@ class PricePanel:
 
 
 def _parse_quote_file(path: Path):
-    """Yield (line_no, date, code, field, value_str) rows."""
+    """The (line_no, date, code, field, value_str) rows of a quote file, as a list."""
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):

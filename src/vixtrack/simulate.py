@@ -31,6 +31,7 @@ from .errors import require
 from .model import (
     CYCLE_DAYS,
     DT,
+    TRADING_DAYS_PER_YEAR,
     HistoricalParams,
     LocalVol,
     RiskNeutralParams,
@@ -150,10 +151,10 @@ def futures_panel_from_path(
     contract k (1-based) matures on day ``CYCLE_DAYS * k``.
 
     prices[j, i] = theta_tilde + (S[j] - theta_tilde) * exp(-mu_tilde * ttm)
-    for ttm = T_i - j*dt >= 0; expired contracts are NaN in both
-    ``prices`` and ``ttms``.  Days are integer indices; the money market
-    grows at the continuously compounded annual rate ``r``, by e^(r*dt)
-    a day.
+    for ttm = (T_i - j) / 252 >= 0, as the loader counts it; expired
+    contracts are NaN in ``prices`` and ``ttms``.  Days are integer
+    indices; the money market grows at the continuously compounded
+    annual rate ``r``, by e^(r*dt) a day.
     """
     n = path.n_days
     last = CYCLE_DAYS * n_contracts
@@ -161,7 +162,7 @@ def futures_panel_from_path(
         raise ValueError(f"path spans {n - 1} days but the last maturity is day {last}")
     days = np.arange(n)
     maturity_days = CYCLE_DAYS * np.arange(1, n_contracts + 1)
-    ttm = (maturity_days[None, :] - days[:, None]) * DT
+    ttm = (maturity_days[None, :] - days[:, None]) / TRADING_DAYS_PER_YEAR
     spot = path.values[:, None]
     prices = rn.theta_tilde + (spot - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttm)
     expired = ttm < 0

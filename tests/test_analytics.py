@@ -5,12 +5,9 @@ import pytest
 
 from vixtrack import (
     HistoricalParams,
-    build_rolled_series,
     holding_period_returns,
-    intercept_curve,
     ols_regression,
-    scatter_report,
-    slope_table,
+    slope_one_p,
 )
 
 from conftest import grid_panel, make_sim_panels, rolled
@@ -105,9 +102,31 @@ class TestOlsRegression:
             ols_regression([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             ols_regression(np.ones(10), np.arange(10.0))
+        with pytest.raises(ValueError):
+            ols_regression(np.arange(10.0), np.ones((2, 9)))
+
+    @pytest.mark.parametrize("h", [1, 5, 30])
+    def test_rows_fit_as_each_row_alone(self, h):
+        x = holding_period_returns(positive_walk(1510, 20), h)
+        rows = holding_period_returns(np.stack([positive_walk(1510, s) for s in range(21, 25)]), h)
+        assert rows.shape == (4, x.size)
+        res = ols_regression(x, rows)
+        alone = [ols_regression(x, y) for y in rows]
+        for field in ("slope", "intercept", "slope_se", "intercept_se", "r2", "rmse"):
+            assert np.array_equal(getattr(res, field), [getattr(a, field) for a in alone])
+        assert res.n == x.size
 
 
-class TestSlopeTable:
+def rank_fit(panel, ranks, h):
+    """One regression of the rolled series of ``ranks`` (one row each)
+    on the spot over disjoint ``h``-day returns, as ``regress`` fits."""
+    values = np.stack([series.values for series in rolled(panel, *ranks)])
+    return ols_regression(
+        holding_period_returns(panel.spot, h), holding_period_returns(values, h)
+    )
+
+
+class TestRankSlopes:
     def test_recovers_planted_daily_link(self):
         # every contract is a scaled copy of a process whose daily returns
         # are an exact affine function of spot returns
@@ -121,26 +140,22 @@ class TestSlopeTable:
         panel = grid_panel(
             lambda j, k: (1.0 + 0.1 * k) * factor[j], n_days=130, spot=spot
         )
-        table = slope_table(panel.spot, rolled(panel, 1, 2, 3), holding_periods=[1])
-        assert np.allclose(table.slopes, a, atol=1e-12)
-        assert np.allclose(table.r2s, 1.0, atol=1e-12)
-        text = table.to_text()
-        assert "slope" in text and "3-m" in text
+        res = rank_fit(panel, (1, 2, 3), 1)
+        assert res.slope.shape == (3,)
+        assert np.allclose(res.slope, a, atol=1e-12)
+        assert np.allclose(res.r2, 1.0, atol=1e-12)
 
     def test_slopes_decline_with_maturity_on_simulated_market(self):
         panel, _, _ = make_sim_panels(cycles=6, seed=15, extra_contracts=5)
-        table = slope_table(panel.spot, rolled(panel, 1, 2, 3, 4), holding_periods=[1])
-        assert np.all(np.diff(table.slopes[0]) < 0)
+        assert np.all(np.diff(rank_fit(panel, (1, 2, 3, 4), 1).slope) < 0)
 
 
-class TestInterceptCurve:
+class TestInterceptsByHorizon:
     def test_identical_dynamics_give_zero_intercepts(self):
         spot = positive_walk(150, 8)
         panel = grid_panel(lambda j, k: 1.5 * spot[j], n_days=150, spot=spot)
-        curve = intercept_curve(
-            panel.spot, build_rolled_series(panel, 1), horizons=range(1, 11)
-        )
-        assert np.allclose(curve.intercepts, 0.0, atol=1e-12)
+        for h in range(1, 11):
+            assert np.allclose(rank_fit(panel, (1, 2), h).intercept, 0.0, atol=1e-12)
 
     def test_null_market_intercepts_statistically_zero(self):
         rng = np.random.default_rng(9)
@@ -149,10 +164,9 @@ class TestInterceptCurve:
         panel = grid_panel(
             lambda j, k: 2.0 * spot[j] * noise[j, k], n_days=400, spot=spot
         )
-        curve = intercept_curve(
-            panel.spot, build_rolled_series(panel, 1), horizons=range(1, 11)
-        )
-        assert np.all(np.abs(curve.intercepts) <= 3.0 * curve.std_errors)
+        for h in range(1, 11):
+            res = rank_fit(panel, (1,), h)
+            assert np.all(np.abs(res.intercept) <= 3.0 * res.intercept_se)
 
     def test_contango_market_has_negative_intercepts(self):
         # low, slowly moving spot under a high long-run pricing level:
@@ -161,24 +175,38 @@ class TestInterceptCurve:
         panel, _, _ = make_sim_panels(
             cycles=6, seed=3, s0=13.0, hist=hist, r=0.0, extra_contracts=2
         )
-        curve = intercept_curve(
-            panel.spot, build_rolled_series(panel, 1), horizons=range(1, 11)
-        )
-        assert np.all(curve.intercepts < 0.0)
+        for h in range(1, 11):
+            assert np.all(rank_fit(panel, (1,), h).intercept < 0.0)
 
 
-class TestScatterReport:
+class TestSlopeOneP:
     def test_identical_returns(self):
         r = positive_walk(100, 12)
         ret = r[1:] / r[:-1] - 1.0
-        rep = scatter_report(ret, ret)
-        assert rep.regression.slope == pytest.approx(1.0)
-        assert rep.slope_one_p == pytest.approx(1.0)
+        res = ols_regression(ret, ret)
+        assert res.slope == pytest.approx(1.0)
+        assert slope_one_p(res) == pytest.approx(1.0)
 
     def test_attenuated_slope_is_rejected(self):
         rng = np.random.default_rng(13)
         x = 0.02 * rng.standard_normal(500)
         y = 0.85 * x + 1e-4 * rng.standard_normal(500)
-        rep = scatter_report(y, x)
-        assert rep.regression.slope < 0.9
-        assert rep.slope_one_p < 1e-6
+        res = ols_regression(x, y)
+        assert res.slope < 0.9
+        assert slope_one_p(res) < 1e-6
+
+    def test_exact_fits_are_certain(self):
+        # on integers every sum is exact, so the slope's standard error
+        # is exactly zero and t is 0 for slope one and infinite otherwise
+        x = np.arange(5.0)
+        res = ols_regression(x, np.stack([x + 3.0, 2.0 * x]))
+        assert np.array_equal(res.slope, [1.0, 2.0])
+        assert np.array_equal(res.slope_se, [0.0, 0.0])
+        assert np.array_equal(slope_one_p(res), [1.0, 0.0])
+
+    def test_rows_match_each_row_alone(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(200)
+        rows = np.stack([s * x + rng.standard_normal(200) for s in (0.8, 1.0, 1.3)])
+        p = slope_one_p(ols_regression(x, rows))
+        assert np.array_equal(p, [slope_one_p(ols_regression(x, y)) for y in rows])

@@ -4,12 +4,13 @@ quote files, and the package's public names."""
 import importlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import vixtrack
 from vixtrack.cli import build_parser, main
 
-from conftest import write_quote_files
+from conftest import FIT_RN, write_quote_files
 
 N_DAYS = 200
 RANKS = [f"{r}-m" for r in range(1, 8)]
@@ -210,9 +211,14 @@ def test_simulate_later_pair_holds_no_front_contract(calibrated, tmp_path):
     "module", ["vixtrack"] + [f"vixtrack.{m.name}" for m in pkgutil.iter_modules(vixtrack.__path__)]
 )
 def test_every_exported_name_resolves(module):
+    # a stale __all__ entry breaks a star import, and any reader that
+    # looks each entry up with getattr
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(getattr(mod, "__all__", ())) <= namespace.keys()
 
 
 def test_regress(quotes, tmp_path):
@@ -233,6 +239,30 @@ def test_regress(quotes, tmp_path):
         assert (tmp_path / f"intercepts_{rank}m.tsv").is_file()
     assert (tmp_path / "scatter_1m_1d.tsv").is_file()
     assert_numeric_cells(tmp_path)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_regress_slopes_follow_the_model(tmp_path, seed):
+    # Futures react too slowly: on model-priced quotes a held contract's
+    # one-day return is e^(-mu_tilde T) S/f times the spot return, to
+    # first order, so the slope weights that factor by x^2 per day.
+    # Over seeds 0-59 of this fixture the largest gap was 0.0018.
+    write_quote_files(tmp_path / "q", n_days=1260, seed=seed)
+    argv = ["regress", "--data-dir", str(tmp_path / "q"), "--n-ranks", "8"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    _, rows = table(tmp_path / "out" / "one_day_regressions.tsv")
+    slopes = np.array([float(row[1]) for row in rows])
+
+    panel = vixtrack.load_panel(tmp_path / "q", n_ranks=8)
+    x = panel.spot[1:] / panel.spot[:-1] - 1.0
+    held = panel.rank_columns(*range(1, 8))
+    ttm = np.take_along_axis(panel.ttms[:-1], held, axis=1)
+    price = np.take_along_axis(panel.prices[:-1], held, axis=1)
+    sensitivity = np.exp(-FIT_RN.mu_tilde * ttm) * panel.spot[:-1, None] / price
+    implied = x**2 @ sensitivity / np.sum(x**2)
+    assert np.all(np.abs(slopes - implied) <= 0.0025)
+    assert slopes[0] < 0.95 and slopes[-1] < 0.4
+    assert np.all(np.diff(slopes) < 0)
 
 
 PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"

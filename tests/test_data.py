@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vixtrack import DataError, load_panel, split_day
-from vixtrack.model import DT
+from vixtrack.model import TRADING_DAYS_PER_YEAR
 
 from conftest import grid_panel, make_sim_panels, weekday_dates, write_quote_files
 import oracles
@@ -201,7 +201,8 @@ class TestPricePanel:
                     assert np.isnan(panel.prices[j, i]) and np.isnan(panel.ttms[j, i])
                 else:
                     assert np.isfinite(panel.prices[j, i])
-                    assert panel.ttms[j, i] == (maturity - j) * DT
+                    # the loader's ttm: trading days to expiry over 252
+                    assert panel.ttms[j, i] == (maturity - j) / TRADING_DAYS_PER_YEAR
 
     def test_rows_out_of_expiry_order_rejected(self):
         panel = grid_panel(lambda j, k: 25.0, n_days=30)

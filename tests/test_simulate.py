@@ -337,15 +337,13 @@ class TestLoadedQuotes:
         assert np.array_equal(loaded.spot, simulated.spot)
         assert np.array_equal(loaded.mm_value, simulated.mm_value)
         assert np.array_equal(vxx_front_weights(loaded), vxx_front_weights(simulated))
-        # a loaded ttm is a day count over 252, a simulated one the count
-        # times DT: they may differ in the last bit, and so the prices too
         w_loaded = dynamic_weights(loaded, TrackingConfig(), fit_hist, fit_rn, fit_g)
         w_simulated = dynamic_weights(simulated, TrackingConfig(), fit_hist, fit_rn, fit_g)
-        assert _relative_gap(w_loaded, w_simulated) <= 1e-14
+        assert np.array_equal(w_loaded, w_simulated)
         for w in (w_loaded, vxx_front_weights(loaded)):
             got = hold_pair(loaded, (1, 2), w).wealth
             want = hold_pair(simulated, (1, 2), w).wealth
-            assert _relative_gap(got, want) <= 1e-14
+            assert np.array_equal(got, want)
 
     def test_cash_leg_follows_the_loaded_money_market(self, tmp_path, fit_hist, fit_rn, fit_g):
         # a zero-volatility spot at theta_tilde prices every contract flat

@@ -1,12 +1,16 @@
 """Batch command-line front end.
 
 Subcommands: ``calibrate``, ``backtest-static``, ``simulate``,
-``regress``.  Every run writes its artifacts plus a ``manifest.txt``
-(subcommand, config snapshot, seed, input digests, output paths,
-work counts, timings) into the output directory; the manifest is written last, so
-its absence marks a failed run.  All files are plain text and written
-atomically; the formatting of every output file lives here, so the
-library modules hold only the math.
+``regress``.  ``main`` creates the output directory, runs the
+subcommand, and when it returns writes ``manifest.txt``: the
+subcommand, ``config.`` keys (every parsed flag but ``--out-dir``,
+plus ``simulate``'s scenario settings), input digests, output names,
+``count.`` keys for what the run found (work done, clamped steps,
+failed subsets, an unconverged fit) and the elapsed time.  Its absence
+marks a failed run.  All files are plain text and written atomically;
+every table goes through ``RunManifest.emit``, and the formatting of
+every output file lives here, so the library modules hold only the
+math.
 
 Exit codes: 0 success, 2 data error, 3 calibration failure,
 4 degenerate optimization.
@@ -65,12 +69,19 @@ def _sha256(path: Path) -> str:
 
 
 class RunManifest:
-    """Key-value record of one run; reruns with identical manifests
-    (timings aside) produce byte-identical outputs."""
+    """Key-value record of one run, written by ``main`` when the
+    subcommand returns.  ``config`` is every parsed flag but
+    ``--out-dir`` (plus ``simulate``'s scenario settings); what a run
+    finds out is a ``count.``.  Reruns with identical ``config`` and
+    inputs produce byte-identical outputs and manifests, timings
+    aside."""
 
-    def __init__(self, subcommand: str):
-        self.subcommand = subcommand
-        self.config: dict = {}
+    def __init__(self, args: argparse.Namespace):
+        self.subcommand = args.command
+        self.out_dir = Path(args.out_dir)
+        self.config = {
+            k: v for k, v in vars(args).items() if k not in ("out_dir", "func", "command")
+        }
         self.inputs: dict = {}
         self.outputs: list = []
         self.counts: dict = {}
@@ -79,58 +90,42 @@ class RunManifest:
     def add_input(self, label: str, path: Path) -> None:
         self.inputs[label] = _sha256(path)
 
-    def write(self, out_dir: Path) -> None:
-        lines = [
-            f"subcommand={self.subcommand}",
-            f"version={__version__}",
-        ]
+    def emit(self, name: str, header: str, rows) -> None:
+        """Write the table ``name``: ``header``, then one line per
+        formatted row, and list it as an output."""
+        _write_atomic(self.out_dir / name, "\n".join([header, *rows]) + "\n")
+        self.outputs.append(name)
+
+    def write(self) -> None:
+        lines = [f"subcommand={self.subcommand}", f"version={__version__}"]
         lines += [f"config.{k}={v}" for k, v in sorted(self.config.items())]
         lines += [f"input.{k}.sha256={v}" for k, v in sorted(self.inputs.items())]
         lines += [f"output.{i}={p}" for i, p in enumerate(self.outputs)]
         lines += [f"count.{k}={v}" for k, v in sorted(self.counts.items())]
         lines.append(f"elapsed_seconds={time.perf_counter() - self.started:.3f}")
-        _write_atomic(out_dir / "manifest.txt", "\n".join(lines) + "\n")
+        _write_atomic(self.out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
-def _emit(manifest: RunManifest, out_dir: Path, name: str, text: str) -> None:
-    _write_atomic(out_dir / name, text)
-    manifest.outputs.append(name)
-
-
-def write_params_file(
-    path: Path, hist: HistoricalParams, rn: RiskNeutralParams, diagnostics: dict
-) -> None:
-    lines = [
-        f"mu={hist.mu!r}",
-        f"theta={hist.theta!r}",
-        f"sigma={hist.sigma!r}",
-        f"mu_tilde={rn.mu_tilde!r}",
-        f"theta_tilde={rn.theta_tilde!r}",
-    ]
-    lines += [f"{k}={v}" for k, v in diagnostics.items()]
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def results_table(results: dict) -> str:
-    """Delimited table of fitted subsets: label, cash weight, futures
-    weights, in-RMSE, out-RMSE.  ``results`` maps a subset label to a
-    StaticWeights (or to an error string for failed subsets).  There
-    are as many futures-weight columns as the largest fitted subset
-    has futures, and at least 4."""
+def results_table(results: dict) -> tuple:
+    """Header and rows of the table of fitted subsets: label, cash
+    weight, futures weights, in-RMSE, out-RMSE.  ``results`` maps a
+    subset label to a StaticWeights (or to an error string for failed
+    subsets).  There are as many futures-weight columns as the largest
+    fitted subset has futures, and at least 4."""
     fitted = [res for res in results.values() if not isinstance(res, str)]
     width = max([4] + [res.weights.size - 1 for res in fitted])
     header = ["futures", "w0"] + [f"w{i}" for i in range(1, width + 1)]
     header += ["in_rmse", "out_rmse"]
-    lines = ["\t".join(header)]
+    rows = []
     for label, res in results.items():
         if isinstance(res, str):
-            lines.append("\t".join([label, "ERROR", res]))
+            rows.append("\t".join([label, "ERROR", res]))
             continue
         cells = [label] + [f"{w:.3f}" for w in res.weights]
         cells += ["-"] * (width + 1 - res.weights.size)
         cells += [f"{res.in_rmse:.3f}", f"{res.out_rmse:.3f}"]
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append("\t".join(cells))
+    return "\t".join(header), rows
 
 
 def _read_key_values(path: Path, kind: str) -> dict:
@@ -157,10 +152,6 @@ def _parse(parse, text: str, where: str):
         raise DataError(f"{where}: cannot parse {text!r}: {exc}") from None
 
 
-def _ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -168,8 +159,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _numbers(text: str, rule=int) -> tuple:
+    return tuple(rule(v) for v in text.split(","))
+
+
 def _rank_pair(text: str) -> tuple:
-    ranks = _ints(text)
+    ranks = _numbers(text)
     if len(ranks) != 2:
         raise ValueError(f"need two ranks I1,I2, got {len(ranks)}")
     return ranks
@@ -183,35 +178,36 @@ def _window(text: str) -> tuple:
 
 
 def read_params_file(path) -> tuple:
-    """Parse a calibrate-emitted parameter file into (hist, rn, extras)."""
+    """Parse a calibrate-emitted parameter file into (hist, rn); its
+    other keys (the fit diagnostics) are not read."""
     path = Path(path)
     kv = _read_key_values(path, "parameter file")
     values = {}
     for key in ("mu", "theta", "sigma", "mu_tilde", "theta_tilde"):
         if key not in kv:
             raise DataError(f"parameter file {path} missing key '{key}'")
-        text, n = kv.pop(key)
+        text, n = kv[key]
         values[key] = _parse(float, text, f"parameter file {path} line {n}, key {key}")
     hist = HistoricalParams(values["mu"], values["theta"], values["sigma"])
     rn = RiskNeutralParams(values["mu_tilde"], values["theta_tilde"])
-    return hist, rn, {k: v for k, (v, _) in kv.items()}
+    return hist, rn
 
 
+# scenario key -> (parse rule, default)
 _SCENARIO_KEYS = {
-    "beta": float,
-    "cycles": _positive_int,
-    "seed": int,
-    "r": float,
-    "contracts": _rank_pair,
-    "s0_multipliers": lambda text: tuple(float(v) for v in text.split(",")),
+    "beta": (float, 1.0),
+    "seed": (int, 1),
+    "r": (float, 0.01),
+    "contracts": (_rank_pair, (1, 2)),
+    "s0_multipliers": (lambda text: _numbers(text, float), (1.0, 1.0 / 3.0, 3.0)),
 }
 
 
 def read_scenario_config(path) -> dict:
-    """Plain-text key=value scenario file for the simulate subcommand.
-
-    Every key is one of ``_SCENARIO_KEYS`` and is parsed by its rule
-    (``contracts`` into a rank pair, ``s0_multipliers`` into a tuple).
+    """Settings of the simulate subcommand from a plain-text key=value
+    scenario file: every key of ``_SCENARIO_KEYS``, parsed by its rule
+    (``contracts`` into a rank pair, ``s0_multipliers`` into a tuple),
+    or its default when the file does not set it or ``path`` is None.
 
     Raises
     ------
@@ -219,57 +215,54 @@ def read_scenario_config(path) -> dict:
         Naming the file, line and key of an unknown key or of a value
         that does not parse.
     """
+    cfg = {key: default for key, (_, default) in _SCENARIO_KEYS.items()}
+    if path is None:
+        return cfg
     path = Path(path)
-    cfg = {}
     for key, (text, n) in _read_key_values(path, "scenario config").items():
         where = f"scenario config {path} line {n}, key {key}"
         if key not in _SCENARIO_KEYS:
             raise DataError(f"{where}: unknown key; known keys are {', '.join(_SCENARIO_KEYS)}")
-        cfg[key] = _parse(_SCENARIO_KEYS[key], text, where)
+        cfg[key] = _parse(_SCENARIO_KEYS[key][0], text, where)
     return cfg
 
 
 def _load_quotes(args, manifest: RunManifest):
-    """Record the data flags and the quote files' digests, then load
-    the panel."""
+    """Record the quote files' digests, then load the panel."""
     window = None if args.window is None else _parse(_window, args.window, "--window")
-    manifest.config.update(
-        {"data_dir": args.data_dir, "window": args.window or "all", "n_ranks": args.n_ranks}
-    )
+    n_ranks = _parse(_positive_int, args.n_ranks, "--n-ranks")
     data_dir = Path(args.data_dir)
     for name in ("spot.csv", "futures.csv", "rates.csv"):
         p = data_dir / name
         if p.exists():
             manifest.add_input(name, p)
-    return load_panel(data_dir, window=window, n_ranks=args.n_ranks)
+    return load_panel(data_dir, window=window, n_ranks=n_ranks)
 
 
-def cmd_calibrate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("calibrate")
+def cmd_calibrate(args, manifest: RunManifest) -> int:
     panel = _load_quotes(args, manifest)
     mle = mle_fit(panel.spot)
     mom = mom_fit(panel.observations())
-    diagnostics = {
-        "mle_avg_loglik": repr(mle.avg_loglik),
+    hist, rn = mle.params, mom.params
+    # the parameters read_params_file reads, then the fit diagnostics
+    params = {
+        "mu": hist.mu, "theta": hist.theta, "sigma": hist.sigma,
+        "mu_tilde": rn.mu_tilde, "theta_tilde": rn.theta_tilde,
+        "mle_avg_loglik": mle.avg_loglik,
         "mle_iterations": mle.iterations,
         "mle_converged": str(mle.converged).lower(),
         "mle_at_bound": str(mle.at_bound).lower(),
-        "mom_loss": repr(mom.loss),
+        "mom_loss": mom.loss,
         "n_days": panel.n_days,
         "n_dropped": panel.n_dropped,
     }
-    write_params_file(out_dir / "params.txt", mle.params, mom.params, diagnostics)
+    _write_atomic(manifest.out_dir / "params.txt", "".join(f"{k}={v}\n" for k, v in params.items()))
     manifest.outputs.append("params.txt")
     manifest.counts["mle_evaluations"] = mle.evaluations
-    if not mle.converged:
-        manifest.config["warning"] = "mle_not_converged"
-    manifest.write(out_dir)
+    manifest.counts["mle_not_converged"] = int(not mle.converged)
     print(
-        f"calibrated: mu={mle.params.mu:.4f} theta={mle.params.theta:.4f} "
-        f"sigma={mle.params.sigma:.4f} mu_tilde={mom.params.mu_tilde:.4f} "
-        f"theta_tilde={mom.params.theta_tilde:.4f}"
+        f"calibrated: mu={hist.mu:.4f} theta={hist.theta:.4f} sigma={hist.sigma:.4f} "
+        f"mu_tilde={rn.mu_tilde:.4f} theta_tilde={rn.theta_tilde:.4f}"
     )
     return EXIT_CALIBRATION if mle.at_bound else EXIT_OK
 
@@ -281,16 +274,10 @@ def _parse_subsets(text):
         for r in range(1, len(pool) + 1):
             subsets.extend(itertools.combinations(pool, r))
         return subsets
-    return _parse(lambda t: [_ints(part) for part in t.split(";")], text, "--subsets")
+    return _parse(lambda t: [_numbers(part) for part in t.split(";")], text, "--subsets")
 
 
-def cmd_backtest_static(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("backtest-static")
-    manifest.config.update(
-        {"split": args.split, "mode": args.mode, "subsets": args.subsets or "default-15"}
-    )
+def cmd_backtest_static(args, manifest: RunManifest) -> int:
     subsets = _parse_subsets(args.subsets)
     boundary = _parse(lambda t: np.datetime64(t, "D"), args.split, "--split")
     panel = _load_quotes(args, manifest)
@@ -322,105 +309,74 @@ def cmd_backtest_static(args) -> int:
             n_failed += 1
             print(f"subset {label} failed: {error}", file=sys.stderr)
     name = f"static_{args.mode}.tsv"
-    _emit(manifest, out_dir, name, results_table(results))
-    manifest.config["n_failed_subsets"] = n_failed
-    manifest.write(out_dir)
-    print(f"fitted {len(results) - n_failed}/{len(results)} subsets -> {out_dir / name}")
+    manifest.emit(name, *results_table(results))
+    manifest.counts["failed_subsets"] = n_failed
+    print(f"fitted {len(results) - n_failed}/{len(results)} subsets -> {manifest.out_dir / name}")
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("simulate")
-    cfg = {}
+def cmd_simulate(args, manifest: RunManifest) -> int:
+    cfg = read_scenario_config(args.scenario)
     if args.scenario:
-        cfg = read_scenario_config(args.scenario)
         manifest.add_input("scenario", Path(args.scenario))
-    hist, rn, _ = read_params_file(args.params)
+    hist, rn = read_params_file(args.params)
     manifest.add_input("params", Path(args.params))
-    beta = args.beta if args.beta is not None else cfg.get("beta", 1.0)
-    cycles = args.cycles if args.cycles is not None else cfg.get("cycles", 3)
-    if cycles < 1:  # a scenario file's cycles were checked as it was read
-        raise DataError(f"--cycles must be >= 1, got {cycles}")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 1)
-    r = cfg.get("r", 0.01)
-    i1, i2 = (
-        _parse(_rank_pair, args.contracts, "--contracts")
-        if args.contracts
-        else cfg.get("contracts", (1, 2))
-    )
-    mults = cfg.get("s0_multipliers", (1.0, 1.0 / 3.0, 3.0))
+    cycles = _parse(_positive_int, args.cycles, "--cycles")
+    i1, i2 = cfg["contracts"]
+    mults = cfg["s0_multipliers"]
     manifest.config.update(
-        {
-            "beta": beta,
-            "cycles": cycles,
-            "seed": seed,
-            "r": r,
-            "contracts": f"{i1},{i2}",
-            "s0_multipliers": ",".join(f"{m:g}" for m in mults),
-            "params": args.params,
-        }
+        cfg, contracts=f"{i1},{i2}", s0_multipliers=",".join(f"{m:g}" for m in mults)
     )
 
     g = LocalVol.square_root(hist.sigma)
-    tracking = TrackingConfig(beta=beta, i1=i1, i2=i2)
+    tracking = TrackingConfig(beta=cfg["beta"], i1=i1, i2=i2)
     n_days = cycles * CYCLE_DAYS
     # enough contracts that both ranks trade on the last day
     n_contracts = cycles + max(i1, i2, 2) - 1
     paths = simulate_index_paths(
-        hist, g, [m * hist.theta for m in mults], n_days, len(mults), seed
+        hist, g, [m * hist.theta for m in mults], n_days, len(mults), cfg["seed"]
     )
     manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
     for mult, path in zip(mults, paths):
-        panel = futures_panel_from_path(path, n_contracts, rn, r)
+        panel = futures_panel_from_path(path, n_contracts, rn, cfg["r"])
         w_dyn = dynamic_weights(panel, tracking, hist, rn, g)
         dyn = hold_pair(panel, (i1, i2), w_dyn)
         vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel))
         label = f"s0_{mult:g}x".replace(".", "p")
         index_norm = 100.0 * path.values / path.values[0]
-        lines = ["day\tindex\tvxx\tdynamic"]
         columns = zip(index_norm.tolist(), vxx.wealth.tolist(), dyn.wealth.tolist())
-        for j, (idx, v, d) in enumerate(columns):
-            lines.append(f"{j}\t{idx!r}\t{v!r}\t{d!r}")
-        _emit(manifest, out_dir, f"wealth_{label}.tsv", "\n".join(lines) + "\n")
+        rows = [f"{j}\t{idx!r}\t{v!r}\t{d!r}" for j, (idx, v, d) in enumerate(columns)]
+        manifest.emit(f"wealth_{label}.tsv", "day\tindex\tvxx\tdynamic", rows)
 
         # the dynamic pair's weight on the front contract, 0 when it holds none
         front = dyn.weights[:, (i1, i2).index(1)] if 1 in (i1, i2) else np.zeros(n_days)
-        lines = ["day\tdynamic_w1\tvxx_w1"]
-        for j, (d, v) in enumerate(zip(front.tolist(), vxx.weights[:, 0].tolist())):
-            lines.append(f"{j}\t{d!r}\t{v!r}")
-        _emit(manifest, out_dir, f"weights_{label}.tsv", "\n".join(lines) + "\n")
+        columns = zip(front.tolist(), vxx.weights[:, 0].tolist())
+        rows = [f"{j}\t{d!r}\t{v!r}" for j, (d, v) in enumerate(columns)]
+        manifest.emit(f"weights_{label}.tsv", "day\tdynamic_w1\tvxx_w1", rows)
 
         idx_ret = path.values[1:] / path.values[:-1] - 1.0
         reg = ols_regression(idx_ret, np.stack([dyn.returns, vxx.returns]))
         p_one = slope_one_p(reg)
-        rows = ["portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"]
-        for i, (name, port) in enumerate((("dynamic", dyn), ("vxx", vxx))):
-            rows.append(
-                f"{name}\t{reg.slope[i]:.6f}\t{reg.slope_se[i]:.3e}\t{reg.intercept[i]:.3e}"
-                f"\t{reg.intercept_se[i]:.3e}\t{reg.r2[i]:.6f}\t{p_one[i]:.3e}"
-                f"\t{np.max(np.abs(port.weights)):.4f}"
-            )
-        _emit(manifest, out_dir, f"scatter_{label}.tsv", "\n".join(rows) + "\n")
-
-        pairs = ["index_return\tportfolio_return"]
-        pairs += [f"{x!r}\t{y!r}" for x, y in zip(idx_ret.tolist(), dyn.returns.tolist())]
-        _emit(manifest, out_dir, f"scatter_points_{label}.tsv", "\n".join(pairs) + "\n")
-    manifest.write(out_dir)
-    print(f"simulated {len(mults)} scenarios over {cycles} cycles -> {out_dir}")
+        rows = [
+            f"{name}\t{reg.slope[i]:.6f}\t{reg.slope_se[i]:.3e}\t{reg.intercept[i]:.3e}"
+            f"\t{reg.intercept_se[i]:.3e}\t{reg.r2[i]:.6f}\t{p_one[i]:.3e}"
+            f"\t{np.max(np.abs(port.weights)):.4f}"
+            for i, (name, port) in enumerate((("dynamic", dyn), ("vxx", vxx)))
+        ]
+        header = (
+            "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"
+        )
+        manifest.emit(f"scatter_{label}.tsv", header, rows)
+        rows = [f"{x!r}\t{y!r}" for x, y in zip(idx_ret.tolist(), dyn.returns.tolist())]
+        manifest.emit(f"scatter_points_{label}.tsv", "index_return\tportfolio_return", rows)
+    print(f"simulated {len(mults)} scenarios over {cycles} cycles -> {manifest.out_dir}")
     return EXIT_OK
 
 
-def cmd_regress(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest("regress")
-    manifest.config.update(
-        {"horizons": args.horizons, "ranks": args.ranks, "max_horizon": args.max_horizon}
-    )
-    ranks = _parse(_ints, args.ranks, "--ranks")
-    horizons = _parse(_ints, args.horizons, "--horizons")
+def cmd_regress(args, manifest: RunManifest) -> int:
+    ranks = _parse(_numbers, args.ranks, "--ranks")
+    horizons = _parse(lambda t: _numbers(t, _positive_int), args.horizons, "--horizons")
+    max_horizon = _parse(_positive_int, args.max_horizon, "--max-horizon")
     panel = _load_quotes(args, manifest)
 
     # one row per rank, so every fit below regresses all ranks at once
@@ -432,40 +388,37 @@ def cmd_regress(args) -> int:
         )
 
     daily = fit(1)
-    lines = ["futures\tslope\tintercept\tslope_se\tintercept_se\tr2\trmse\tn"]
-    for i, rank in enumerate(ranks):
-        lines.append(
-            f"{rank}-m\t{daily.slope[i]:.4f}\t{daily.intercept[i]:.3e}\t{daily.slope_se[i]:.3e}"
-            f"\t{daily.intercept_se[i]:.3e}\t{daily.r2[i]:.4f}\t{daily.rmse[i]:.4f}\t{daily.n}"
-        )
-    _emit(manifest, out_dir, "one_day_regressions.tsv", "\n".join(lines) + "\n")
+    rows = [
+        f"{rank}-m\t{daily.slope[i]:.4f}\t{daily.intercept[i]:.3e}\t{daily.slope_se[i]:.3e}"
+        f"\t{daily.intercept_se[i]:.3e}\t{daily.r2[i]:.4f}\t{daily.rmse[i]:.4f}\t{daily.n}"
+        for i, rank in enumerate(ranks)
+    ]
+    header = "futures\tslope\tintercept\tslope_se\tintercept_se\tr2\trmse\tn"
+    manifest.emit("one_day_regressions.tsv", header, rows)
 
     table = [fit(h) for h in horizons]
-    lines = ["\t".join(["stat", "days"] + [f"{r}-m" for r in ranks])]
-    for stat in ("slope", "r2"):
-        for h, res in zip(horizons, table):
-            lines.append("\t".join([stat, str(h)] + [f"{v:.3f}" for v in getattr(res, stat)]))
-    _emit(manifest, out_dir, "holding_period_table.tsv", "\n".join(lines) + "\n")
+    rows = [
+        "\t".join([stat, str(h)] + [f"{v:.3f}" for v in getattr(res, stat)])
+        for stat in ("slope", "r2")
+        for h, res in zip(horizons, table)
+    ]
+    header = "\t".join(["stat", "days"] + [f"{r}-m" for r in ranks])
+    manifest.emit("holding_period_table.tsv", header, rows)
 
-    curves = [fit(h) for h in range(1, args.max_horizon + 1)]
+    curves = [fit(h) for h in range(1, max_horizon + 1)]
     for i, rank in enumerate(ranks[:3]):
-        lines = ["horizon\tintercept\tintercept_se"]
-        lines += [
+        rows = [
             f"{h}\t{float(res.intercept[i])!r}\t{float(res.intercept_se[i])!r}"
             for h, res in enumerate(curves, 1)
         ]
-        _emit(manifest, out_dir, f"intercepts_{rank}m.tsv", "\n".join(lines) + "\n")
+        manifest.emit(f"intercepts_{rank}m.tsv", "horizon\tintercept\tintercept_se", rows)
 
     a, b = float(daily.intercept[0]), float(daily.slope[0])
     x = holding_period_returns(panel.spot, 1)
-    lines = ["spot_return\tfutures_return\tfit"]
-    lines += [
-        f"{xi!r}\t{yi!r}\t{a + b * xi!r}"
-        for xi, yi in zip(x.tolist(), holding_period_returns(rolled[0], 1).tolist())
-    ]
-    _emit(manifest, out_dir, f"scatter_{ranks[0]}m_1d.tsv", "\n".join(lines) + "\n")
-    manifest.write(out_dir)
-    print(f"regression tables -> {out_dir}")
+    columns = zip(x.tolist(), holding_period_returns(rolled[0], 1).tolist())
+    rows = [f"{xi!r}\t{yi!r}\t{a + b * xi!r}" for xi, yi in columns]
+    manifest.emit(f"scatter_{ranks[0]}m_1d.tsv", "spot_return\tfutures_return\tfit", rows)
+    print(f"regression tables -> {manifest.out_dir}")
     return EXIT_OK
 
 
@@ -477,51 +430,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, help, data=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out-dir", required=True, help="run output directory")
+        if data:
+            p.add_argument("--data-dir", required=True, help="directory of quote files")
+            p.add_argument("--window", default=None, help="START:END inclusive date range")
+            p.add_argument("--n-ranks", default="7", help="front contracts required per day")
+        return p
 
-    def add_data(p):
-        p.add_argument("--data-dir", required=True, help="directory of quote files")
-        p.add_argument("--window", default=None, help="START:END inclusive date range")
-        p.add_argument("--n-ranks", type=int, default=7, help="front contracts required per day")
+    command("calibrate", cmd_calibrate, "fit model parameters from a data panel")
 
-    p = sub.add_parser("calibrate", help="fit model parameters from a data panel")
-    add_data(p)
-    add_common(p)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("backtest-static", help="constrained least-squares tracking portfolios")
-    add_data(p)
-    add_common(p)
+    p = command(
+        "backtest-static", cmd_backtest_static, "constrained least-squares tracking portfolios"
+    )
     p.add_argument("--mode", choices=("price", "return"), default="price")
     p.add_argument("--split", required=True, help="first out-of-sample date")
     p.add_argument("--subsets", default=None, help="e.g. '1;1,2;2,6,7' (default: all 15 of {1,2,6,7})")
-    p.set_defaults(func=cmd_backtest_static)
 
-    p = sub.add_parser("simulate", help="simulate index paths and run tracking strategies")
+    p = command(
+        "simulate", cmd_simulate, "simulate index paths and run tracking strategies", data=False
+    )
     p.add_argument("--params", required=True, help="parameter file from calibrate")
     p.add_argument("--scenario", default=None, help="plain-text scenario config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--cycles", type=int, default=None)
-    p.add_argument("--contracts", default=None, help="maturity ranks, e.g. 1,2")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--cycles", default="3", help="expiry cycles to simulate")
 
-    p = sub.add_parser("regress", help="return-dependency regression tables")
-    add_data(p)
-    add_common(p)
+    p = command("regress", cmd_regress, "return-dependency regression tables")
     p.add_argument("--horizons", default="1,5,10,15", help="holding periods in days")
     p.add_argument("--ranks", default="1,2,3,4,5,6,7", help="maturity ranks")
-    p.add_argument("--max-horizon", type=int, default=30, help="intercept-curve range")
-    p.set_defaults(func=cmd_regress)
+    p.add_argument("--max-horizon", default="30", help="intercept-curve range")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    manifest = RunManifest(args)
     try:
-        return args.func(args)
+        manifest.out_dir.mkdir(parents=True, exist_ok=True)
+        code = args.func(args, manifest)
+        manifest.write()
+        return code
     except DegenerateProblemError as exc:
         print(f"degenerate optimization: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

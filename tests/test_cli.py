@@ -77,7 +77,8 @@ def test_calibrate(calibrated):
     code, out = calibrated
     assert code == 0
     kv = assert_manifest(
-        out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES, ("mle_evaluations",)
+        out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES,
+        ("mle_evaluations", "mle_not_converged"),
     )
     assert kv["output.0"] == "params.txt"
     params = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
@@ -100,10 +101,11 @@ def test_backtest_static(quotes, tmp_path, mode):
     assert code == 0
     kv = assert_manifest(
         tmp_path, "backtest-static",
-        ("data_dir", "window", "n_ranks", "split", "mode", "subsets", "n_failed_subsets"),
+        ("data_dir", "window", "n_ranks", "split", "mode", "subsets"),
         QUOTE_FILES,
+        ("failed_subsets",),
     )
-    assert kv["config.n_failed_subsets"] == "0"
+    assert kv["count.failed_subsets"] == "0"
     assert kv["config.mode"] == mode
     header, rows = table(tmp_path / f"static_{mode}.tsv")
     assert len(rows) == 15
@@ -118,7 +120,7 @@ def test_backtest_static_unbuildable_rank_fails_its_subsets_only(quotes, tmp_pat
         "--subsets", "1;9;1,9;2", "--out-dir", str(tmp_path),
     ])
     assert code == 0
-    assert read_manifest(tmp_path)["config.n_failed_subsets"] == "2"
+    assert read_manifest(tmp_path)["count.failed_subsets"] == "2"
     _, rows = table(tmp_path / "static_price.tsv")
     status = {row[0]: row[1:3] for row in rows}
     assert status["9-m"] == status["1-m,9-m"] == ["ERROR", "rank 9 not available on day 0"]
@@ -148,7 +150,7 @@ def test_simulate(calibrated, tmp_path):
     assert code == 0
     assert_manifest(
         tmp_path, "simulate",
-        ("beta", "cycles", "seed", "r", "contracts", "s0_multipliers", "params"),
+        ("beta", "cycles", "seed", "r", "contracts", "s0_multipliers", "params", "scenario"),
         ("params",),
         ("clamped_steps",),
     )
@@ -176,9 +178,10 @@ def test_simulate_counts_clamped_steps(tmp_path):
     (tmp_path / "params.txt").write_text(
         "mu=1.0\ntheta=5.0\nsigma=60.0\nmu_tilde=1.39\ntheta_tilde=26.03\n"
     )
+    (tmp_path / "scenario.txt").write_text("seed=5\n")
     code = main([
-        "simulate", "--params", str(tmp_path / "params.txt"), "--seed", "5",
-        "--out-dir", str(tmp_path / "out"),
+        "simulate", "--params", str(tmp_path / "params.txt"),
+        "--scenario", str(tmp_path / "scenario.txt"), "--out-dir", str(tmp_path / "out"),
     ])
     assert code == 0
     hist = vixtrack.HistoricalParams(1.0, 5.0, 60.0)
@@ -193,18 +196,19 @@ def test_simulate_counts_clamped_steps(tmp_path):
 def test_simulate_later_pair_holds_no_front_contract(calibrated, tmp_path):
     code, params = calibrated
     assert code == 0
+    (tmp_path / "scenario.txt").write_text("contracts=2,3\n")
     code = main([
-        "simulate", "--params", str(params / "params.txt"), "--contracts", "2,3",
-        "--out-dir", str(tmp_path),
+        "simulate", "--params", str(params / "params.txt"),
+        "--scenario", str(tmp_path / "scenario.txt"), "--out-dir", str(tmp_path / "out"),
     ])
     assert code == 0
-    assert read_manifest(tmp_path)["config.contracts"] == "2,3"
+    assert read_manifest(tmp_path / "out")["config.contracts"] == "2,3"
     for label in ("s0_1x", "s0_0p333333x", "s0_3x"):
-        header, rows = table(tmp_path / f"weights_{label}.tsv")
+        header, rows = table(tmp_path / "out" / f"weights_{label}.tsv")
         assert header == ["day", "dynamic_w1", "vxx_w1"]
         assert len(rows) == 63
         assert all(row[1] == "0.0" for row in rows)
-    assert_numeric_cells(tmp_path)
+    assert_numeric_cells(tmp_path / "out")
 
 
 @pytest.mark.parametrize(
@@ -275,13 +279,21 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (PARAMS.replace("mu=10.86", "mu=abc"), None, [], ("params.txt", "line 1", "mu")),
         (PARAMS.replace("theta=18.81\n", ""), None, [], ("params.txt", "'theta'")),
         (PARAMS, "beta=1\ncontracts=1,2,3\n", [], ("scenario.txt", "line 2", "contracts")),
-        (PARAMS, "# levels\ncycles=2.5\n", [], ("scenario.txt", "line 2", "cycles")),
-        (PARAMS, None, ["--contracts", "1"], ("--contracts",)),
+        (PARAMS, "# levels\ncycles=2.5\n", [], ("scenario.txt", "line 2", "cycles", "unknown key")),
+        (PARAMS, "cycles=2\n", [], ("scenario.txt", "line 1", "cycles", "unknown key")),
+        (PARAMS, "contracts=1\n", [], ("scenario.txt", "line 1", "contracts", "two ranks")),
         (PARAMS, "beta=1\ncylces=2\n", [], ("scenario.txt", "line 2", "cylces", "unknown key")),
-        (PARAMS, "seed=4\ncycles=0\n", [], ("scenario.txt", "line 2", "cycles", ">= 1")),
+        (PARAMS, "seed=4\n", ["--cycles", "0"], ("--cycles", ">= 1")),
         (PARAMS, None, ["--cycles", "0"], ("--cycles", ">= 1")),
+        (PARAMS, None, ["--cycles", "2.5"], ("--cycles", "'2.5'")),
         (None, None, ["regress", "--ranks", "1,x"], ("--ranks", "'1,x'")),
         (None, None, ["regress", "--horizons", "1,,5"], ("--horizons", "'1,,5'")),
+        (None, None, ["regress", "--horizons", "0,5"], ("--horizons", "'0,5'", ">= 1")),
+        (None, None, ["regress", "--max-horizon", "0"], ("--max-horizon", ">= 1")),
+        (None, None, ["regress", "--max-horizon", "-3"], ("--max-horizon", ">= 1")),
+        (None, None, ["calibrate", "--n-ranks", "0"], ("--n-ranks", ">= 1")),
+        (None, None, ["calibrate", "--n-ranks", "-1"], ("--n-ranks", ">= 1")),
+        (None, None, ["regress", "--n-ranks", "x"], ("--n-ranks", "'x'")),
         (None, None, ["calibrate", "--window", "2021-01-04:2021-13-01"], ("--window", "2021-13-01")),
         (None, None, ["calibrate", "--window", "2021-01-04"], ("--window", "START:END")),
         (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1;;2"], ("--subsets", "'1;;2'")),
@@ -292,7 +304,7 @@ def test_malformed_key_value_files_are_named(
     quotes, tmp_path, capsys, params, scenario, argv, where
 ):
     """A malformed parameter or scenario file names the file, line and
-    key; a malformed flag names the flag."""
+    key; a malformed flag names the flag, and no manifest is written."""
     if params is None:
         argv = [*argv, "--data-dir", str(quotes[0])]
     else:
@@ -305,28 +317,60 @@ def test_malformed_key_value_files_are_named(
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert all(part in err for part in where), err
+    assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["calibrate", "backtest-static", "simulate", "regress"])
-def test_manifest_records_every_flag(calibrated, quotes, tmp_path, command):
-    """Every parsed flag is a config key of the manifest (the scenario
-    file is an input digest), so equal manifests mean equal settings."""
+def default_argv(command, calibrated, quotes):
+    """The flags ``command`` cannot run without, on the test fixtures."""
     data_dir, dates = quotes
-    argv = {
+    return [command] + {
         "calibrate": ["--data-dir", str(data_dir)],
         "backtest-static": ["--data-dir", str(data_dir), "--split", str(dates[150])],
-        "simulate": [
-            "--params", str(calibrated[1] / "params.txt"),
-            "--scenario", str(tmp_path / "scenario.txt"),
-        ],
+        "simulate": ["--params", str(calibrated[1] / "params.txt")],
         "regress": ["--data-dir", str(data_dir)],
     }[command]
-    (tmp_path / "scenario.txt").write_text("cycles=2\n")
-    argv = [command, *argv, "--out-dir", str(tmp_path / "out")]
+
+
+COMMANDS = ["calibrate", "backtest-static", "simulate", "regress"]
+SCENARIO_SETTINGS = {"beta", "seed", "r", "contracts", "s0_multipliers"}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_records_every_flag(calibrated, quotes, tmp_path, command):
+    """The config keys of the manifest are exactly the parsed flags (and
+    simulate's scenario settings), so equal manifests mean equal
+    settings."""
+    argv = default_argv(command, calibrated, quotes)
+    if command == "simulate":
+        (tmp_path / "scenario.txt").write_text("seed=2\n")
+        argv += ["--scenario", str(tmp_path / "scenario.txt")]
+    argv += ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 0
     kv = read_manifest(tmp_path / "out")
     dests = set(vars(build_parser().parse_args(argv))) - {"out_dir", "func", "command"}
     if command == "simulate":
-        dests.remove("scenario")
-        assert "input.scenario.sha256" in kv
-    assert {f"config.{d}" for d in dests} <= set(kv)
+        dests |= SCENARIO_SETTINGS
+        assert kv["config.seed"] == "2" and "input.scenario.sha256" in kv
+    assert {k for k in kv if k.startswith("config.")} == {f"config.{d}" for d in dests}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_equal_manifests_mean_identical_outputs(calibrated, quotes, tmp_path, command):
+    """Run twice with the default flags: every output is byte-identical
+    and the manifests differ only in the elapsed time."""
+    argv = default_argv(command, calibrated, quotes)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(argv + ["--out-dir", str(out)]) == 0
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == sorted(p.name for p in runs[1].iterdir())
+    manifests = [read_manifest(out) for out in runs]
+    assert sorted(v for k, v in manifests[0].items() if k.startswith("output.")) == [
+        n for n in names if n != "manifest.txt"
+    ]
+    for name in names:
+        if name != "manifest.txt":
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    for kv in manifests:
+        del kv["elapsed_seconds"]
+    assert manifests[0] == manifests[1]

@@ -62,12 +62,6 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 class RunManifest:
     """Key-value record of one run, written by ``main`` when the
     subcommand returns.  ``config`` is every parsed flag but
@@ -88,7 +82,7 @@ class RunManifest:
         self.started = time.perf_counter()
 
     def add_input(self, label: str, path: Path) -> None:
-        self.inputs[label] = _sha256(path)
+        self.inputs[label] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def emit(self, name: str, header: str, rows) -> None:
         """Write the table ``name``: ``header``, then one line per
@@ -152,22 +146,27 @@ def _parse(parse, text: str, where: str):
         raise DataError(f"{where}: cannot parse {text!r}: {exc}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
-
-
 def _numbers(text: str, rule=int) -> tuple:
     return tuple(rule(v) for v in text.split(","))
 
 
-def _rank_pair(text: str) -> tuple:
-    ranks = _numbers(text)
-    if len(ranks) != 2:
-        raise ValueError(f"need two ranks I1,I2, got {len(ranks)}")
-    return ranks
+def _checked(parse, ok, need: str):
+    """The rule ``parse``, then a ValueError unless ``ok(value)``."""
+
+    def rule(text: str):
+        if not ok(value := parse(text)):
+            raise ValueError(f"must be {need}, got {value}")
+        return value
+
+    return rule
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_finite = _checked(float, np.isfinite, "finite")
+_positive = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
+_rank_pair = _checked(
+    lambda text: _numbers(text, _positive_int), lambda ranks: len(ranks) == 2, "two ranks I1,I2"
+)
 
 
 def _window(text: str) -> tuple:
@@ -195,11 +194,11 @@ def read_params_file(path) -> tuple:
 
 # scenario key -> (parse rule, default)
 _SCENARIO_KEYS = {
-    "beta": (float, 1.0),
-    "seed": (int, 1),
-    "r": (float, 0.01),
+    "beta": (_finite, 1.0),
+    "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 1),
+    "r": (_finite, 0.01),
     "contracts": (_rank_pair, (1, 2)),
-    "s0_multipliers": (lambda text: _numbers(text, float), (1.0, 1.0 / 3.0, 3.0)),
+    "s0_multipliers": (lambda text: _numbers(text, _positive), (1.0, 1.0 / 3.0, 3.0)),
 }
 
 
@@ -213,7 +212,7 @@ def read_scenario_config(path) -> dict:
     ------
     DataError
         Naming the file, line and key of an unknown key or of a value
-        that does not parse.
+        that does not parse or that its rule rejects (say ``r=nan``).
     """
     cfg = {key: default for key, (_, default) in _SCENARIO_KEYS.items()}
     if path is None:
@@ -228,15 +227,15 @@ def read_scenario_config(path) -> dict:
 
 
 def _load_quotes(args, manifest: RunManifest):
-    """Record the quote files' digests, then load the panel."""
+    """Load the panel, then record the quote files' digests and the
+    days it dropped."""
     window = None if args.window is None else _parse(_window, args.window, "--window")
     n_ranks = _parse(_positive_int, args.n_ranks, "--n-ranks")
-    data_dir = Path(args.data_dir)
+    panel = load_panel(args.data_dir, window=window, n_ranks=n_ranks)
     for name in ("spot.csv", "futures.csv", "rates.csv"):
-        p = data_dir / name
-        if p.exists():
-            manifest.add_input(name, p)
-    return load_panel(data_dir, window=window, n_ranks=n_ranks)
+        manifest.add_input(name, Path(args.data_dir) / name)
+    manifest.counts["days_dropped"] = panel.n_dropped
+    return panel
 
 
 def cmd_calibrate(args, manifest: RunManifest) -> int:
@@ -270,10 +269,7 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
 def _parse_subsets(text):
     if not text:
         pool = DEFAULT_SUBSET_POOL
-        subsets = []
-        for r in range(1, len(pool) + 1):
-            subsets.extend(itertools.combinations(pool, r))
-        return subsets
+        return [s for r in range(1, len(pool) + 1) for s in itertools.combinations(pool, r)]
     return _parse(lambda t: [_numbers(part) for part in t.split(";")], text, "--subsets")
 
 

@@ -8,6 +8,14 @@ the header ``date,code,field,value``:
   ``<expiry date>,<contract>,expiry,`` row per contract
 * ``rates.csv``   -- rows ``<date>,<code>,rate,<annual rate>``
 
+Each file is parsed by column: its rows are split into four text
+columns at once, each column is converted in one call, and each check
+runs over a whole column and names the file and line of its first
+failing row.  Besides a malformed row, a repeated one is an error: a
+second spot close or rate for a date, close for a date and contract, or
+expiry row for a contract.  So is a futures close for a contract with
+no expiry row.
+
 A :class:`PricePanel` is the one market type of the package, for
 loaded quotes and simulated curves alike: per trading day the spot
 level and a compounded money-market account, plus ``n_days x
@@ -20,20 +28,17 @@ cash leg both read it.
 
 A loaded panel keeps, per day, the contract settling that day when it
 is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
-contracts, in expiry order (from the ``expiry`` rows), that expire
-after that day, so rank r is always the r-th contract by expiry.  Its
-ttms are actual trading-day counts to expiry over 252.  The overnight
-rate is not kept: it only compounds the account, ACT/360 from each
-kept day's rate to the next kept day.  Days missing the spot, the rate
-or the close of any of those front contracts are dropped with a logged
-count.  A futures ``close`` row for a contract without an ``expiry``
-row is an error.
+contracts by expiry that expire after that day, so rank r is always
+the r-th contract by expiry.  Its ttms are trading-day counts to
+expiry over 252.  The overnight rate only compounds the account,
+ACT/360 from each kept day's rate to the next kept day.  Days missing
+the rate or the close of a front contract are dropped, with a logged
+count per reason.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,11 +47,7 @@ import numpy as np
 from .errors import DataError, require
 from .model import TRADING_DAYS_PER_YEAR
 
-__all__ = [
-    "PricePanel",
-    "load_panel",
-    "split_day",
-]
+__all__ = ["PricePanel", "load_panel", "split_day"]
 
 log = logging.getLogger(__name__)
 
@@ -95,9 +96,7 @@ class PricePanel:
         before = np.fmax.accumulate(self.ttms, axis=1)[:, :-1]
         disordered = np.flatnonzero((self.ttms[:, 1:] < before).any(axis=1))
         if disordered.size:
-            raise DataError(
-                f"contracts on day {disordered[0]} are not in expiry order"
-            )
+            raise DataError(f"contracts on day {disordered[0]} are not in expiry order")
 
     @property
     def n_days(self) -> int:
@@ -158,40 +157,69 @@ class PricePanel:
         return self.spot[days], self.ttms[live], self.prices[live], weights, days
 
 
-def _parse_quote_file(path: Path):
-    """The (line_no, date, code, field, value_str) rows of a quote file, as a list."""
-    rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line_no == 1 and line.lower().startswith("date,"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(
-                    f"{path.name}:{line_no}: expected 4 fields, got {len(parts)}"
-                )
-            rows.append((line_no, *parts))
-    return rows
+def _check(path: Path, line_nos, bad, message) -> None:
+    """Raise a DataError naming the line of the first row flagged in
+    ``bad``, with the text ``message(row)``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise DataError(f"{path.name}:{line_nos[rows[0]]}: {message(rows[0])}")
 
 
-def _parse_date(path: Path, line_no: int, text: str) -> np.datetime64:
+def _read_rows(path: Path) -> tuple:
+    """Line numbers, then the date, code, field and value columns (as
+    object arrays of text) of a quote file's rows: every line but
+    blank ones, ``#`` comments and a ``date,`` header on line 1."""
+    lines = list(map(str.strip, path.read_text().split("\n")))
+    if lines[0].lower().startswith("date,"):
+        lines[0] = ""
+    kept = [n for n, line in enumerate(lines, 1) if line and line[0] != "#"]
+    texts = [lines[n - 1] for n in kept]
+    line_nos = np.array(kept, dtype=np.intp)
+    widths = np.array(list(map(str.count, texts, [","] * len(texts))), dtype=np.intp) + 1
+    _check(path, line_nos, widths != 4, lambda i: f"expected 4 fields, got {widths[i]}")
+    cells = ",".join(texts).split(",") if texts else []
+    return line_nos, *np.array(cells, dtype=object).reshape(-1, 4).T
+
+
+def _convert(path: Path, line_nos, texts, kind: str) -> np.ndarray:
+    """``texts`` as dates (``kind`` "date") or finite numbers, converted
+    in one call; only when that fails are the rows walked, to name the
+    first that does not convert."""
+    dtype = "datetime64[D]" if kind == "date" else float
     try:
-        return np.datetime64(text, "D")
+        values = texts.astype(dtype)
     except ValueError:
-        raise DataError(f"{path.name}:{line_no}: bad date {text!r}") from None
+        for line_no, text in zip(line_nos, texts):
+            try:
+                np.array(text, dtype=dtype)
+            except ValueError:
+                raise DataError(f"{path.name}:{line_no}: bad {kind} {text!r}") from None
+        raise
+    bad = np.isnat(values) if kind == "date" else ~np.isfinite(values)
+    what = "bad date" if kind == "date" else "non-finite value"
+    _check(path, line_nos, bad, lambda i: f"{what} {texts[i]!r}")
+    return values
 
 
-def _parse_float(path: Path, line_no: int, text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise DataError(f"{path.name}:{line_no}: bad number {text!r}") from None
-    if not math.isfinite(v):
-        raise DataError(f"{path.name}:{line_no}: non-finite value {text!r}")
-    return v
+def _check_unique(path: Path, line_nos, keys: np.ndarray, what) -> None:
+    """Raise a DataError naming the first row to repeat an earlier row's key, and both lines."""
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(keys.size, dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    _check(
+        path, line_nos, repeat,
+        lambda i: f"duplicate {what(i)} (first on line {line_nos[np.argmax(keys == keys[i])]})",
+    )
+
+
+def _read_series(path: Path, field: str) -> tuple:
+    """Line numbers, dates and values of a file of one ``field`` row per date."""
+    line_nos, dates, _, fields, values = _read_rows(path)
+    _check(path, line_nos, fields != field, lambda i: f"unknown field {fields[i]!r}")
+    dates = _convert(path, line_nos, dates, "date")
+    values = _convert(path, line_nos, values, "number")
+    _check_unique(path, line_nos, dates, lambda i: f"{field} for {dates[i]}")
+    return line_nos, dates, values
 
 
 def load_panel(
@@ -202,6 +230,11 @@ def load_panel(
 ) -> PricePanel:
     """Load and align quote files from ``data_dir``.
 
+    Each file is parsed by column (see the module docstring).  The
+    closes of the candidate days (the spot dates within ``window``) go
+    into one day x contract matrix, from which the usable days, kept
+    columns, ttms and account follow by array operations.
+
     Parameters
     ----------
     data_dir : path-like
@@ -209,11 +242,8 @@ def load_panel(
     window : (start, end) of date-like, optional
         Inclusive date range to keep.
     n_ranks : int
-        Number of front contracts required per day.  They are the first
-        ``n_ranks`` contracts by expiry (from the ``expiry`` rows) that
-        expire after the day; a day missing the close of any of them is
-        dropped.  Contracts beyond this rank are dropped on load; a
-        contract settling on the day is kept when quoted.
+        Number of front contracts a day needs the closes of (see the
+        module docstring); contracts beyond them are not kept.
     max_drop_frac : float
         Abort when more than this fraction of candidate days has to be
         dropped for missing data: no rate or a missing front-``n_ranks``
@@ -222,128 +252,102 @@ def load_panel(
     Raises
     ------
     DataError
-        On a missing input file, a malformed row, a futures ``close``
-        for a contract with no ``expiry`` row (naming the file, line and
-        contract), or too many dropped days.
+        On a missing input file; naming the file and line, on a
+        malformed or repeated row or a futures ``close`` for a contract
+        with no ``expiry`` row; or on too many dropped days.
     """
-    data_dir = Path(data_dir)
-    spot_path = data_dir / "spot.csv"
-    fut_path = data_dir / "futures.csv"
-    rate_path = data_dir / "rates.csv"
-    for p in (spot_path, fut_path, rate_path):
+    paths = [Path(data_dir) / name for name in ("spot.csv", "futures.csv", "rates.csv")]
+    for p in paths:
         if not p.exists():
             raise DataError(f"missing input file {p}")
+    spot_path, fut_path, rate_path = paths
 
-    spot_by_date: dict = {}
-    for line_no, d, code, fld, val in _parse_quote_file(spot_path):
-        if fld != "close":
-            raise DataError(f"{spot_path.name}:{line_no}: unknown field {fld!r}")
-        date = _parse_date(spot_path, line_no, d)
-        price = _parse_float(spot_path, line_no, val)
-        if price <= 0:
-            raise DataError(f"{spot_path.name}:{line_no}: nonpositive price")
-        spot_by_date[date] = price
+    spot_lines, spot_dates, spot_values = _read_series(spot_path, "close")
+    _check(spot_path, spot_lines, spot_values <= 0, lambda i: "nonpositive price")
 
-    futures_by_date: dict = {}
-    expiry_by_code: dict = {}
-    fut_rows = _parse_quote_file(fut_path)
-    for line_no, d, code, fld, val in fut_rows:
-        date = _parse_date(fut_path, line_no, d)
-        if fld == "expiry":
-            expiry_by_code[code] = date
-        elif fld == "close":
-            price = _parse_float(fut_path, line_no, val)
-            if price <= 0:
-                raise DataError(f"{fut_path.name}:{line_no}: nonpositive price")
-            futures_by_date.setdefault(date, {})[code] = price
-        else:
-            raise DataError(f"{fut_path.name}:{line_no}: unknown field {fld!r}")
-    for line_no, d, code, fld, val in fut_rows:
-        if fld == "close" and code not in expiry_by_code:
-            raise DataError(
-                f"{fut_path.name}:{line_no}: close for contract {code!r} "
-                "has no expiry row"
-            )
+    line_nos, dates, codes, fields, values = _read_rows(fut_path)
+    dates = _convert(fut_path, line_nos, dates, "date")
+    is_close, is_expiry = fields == "close", fields == "expiry"
+    _check(fut_path, line_nos, ~(is_close | is_expiry), lambda i: f"unknown field {fields[i]!r}")
+    close_lines, close_codes, close_dates = line_nos[is_close], codes[is_close], dates[is_close]
+    prices = _convert(fut_path, close_lines, values[is_close], "number")
+    _check(fut_path, close_lines, prices <= 0, lambda i: "nonpositive price")
+    # contracts in expiry order, ties by code
+    names, expiries = codes[is_expiry].astype(str), dates[is_expiry]
+    _check_unique(
+        fut_path, line_nos[is_expiry], names, lambda i: f"expiry row for contract {str(names[i])!r}"
+    )
+    order = np.lexsort((names, expiries))
+    names, expiries = names[order], expiries[order]
+    column = dict(zip(names.tolist(), range(names.size)))
+    close_cols = np.array(list(map(column.get, close_codes, [-1] * close_codes.size)))
+    _check(
+        fut_path, close_lines, close_cols < 0,
+        lambda i: f"close for contract {close_codes[i]!r} has no expiry row",
+    )
+    _check_unique(
+        fut_path, close_lines, close_dates.astype(np.int64) * names.size + close_cols,
+        lambda i: f"close for contract {close_codes[i]!r} on {close_dates[i]}",
+    )
 
-    rate_by_date: dict = {}
-    for line_no, d, code, fld, val in _parse_quote_file(rate_path):
-        if fld != "rate":
-            raise DataError(f"{rate_path.name}:{line_no}: unknown field {fld!r}")
-        rate_by_date[_parse_date(rate_path, line_no, d)] = _parse_float(
-            rate_path, line_no, val
-        )
+    _, rate_dates, rate_values = _read_series(rate_path, "rate")
 
-    candidates = sorted(spot_by_date)
+    order = np.argsort(spot_dates)
+    days, spot = spot_dates[order], spot_values[order]
     if window is not None:
-        lo = np.datetime64(window[0], "D")
-        hi = np.datetime64(window[1], "D")
-        candidates = [d for d in candidates if lo <= d <= hi]
-    if not candidates:
+        inside = (days >= np.datetime64(window[0], "D")) & (days <= np.datetime64(window[1], "D"))
+        days, spot = days[inside], spot[inside]
+    if not days.size:
         raise DataError("no trading days in the requested window")
 
-    # Contracts in expiry order; on each day the settling contracts are
-    # [first_settling, first_live) and the front ranks follow first_live.
-    by_expiry = sorted((e, c) for c, e in expiry_by_code.items())
-    expiries = np.array([e for e, _ in by_expiry], dtype="datetime64[D]")
-    cand_arr = np.array(candidates, dtype="datetime64[D]")
-    first_settling = np.searchsorted(expiries, cand_arr, side="left").tolist()
-    first_live = np.searchsorted(expiries, cand_arr, side="right").tolist()
-
-    dates, spot, rates = [], [], []
-    # kept quotes as (row, contract index in by_expiry, price)
-    rows, cols, quoted = [], [], []
-    n_dropped = 0
-    for date, s0, l0 in zip(candidates, first_settling, first_live):
-        quotes = futures_by_date.get(date, {})
-        rate = rate_by_date.get(date)
-        front = by_expiry[l0 : l0 + n_ranks]
-        usable = (
-            rate is not None
-            and len(front) == n_ranks
-            and all(c in quotes for _, c in front)
-        )
-        if not usable:
-            n_dropped += 1
-            continue
-        for k in range(s0, l0 + n_ranks):
-            code = by_expiry[k][1]
-            if k >= l0 or code in quotes:
-                rows.append(len(dates))
-                cols.append(k)
-                quoted.append(quotes[code])
-        dates.append(date)
-        spot.append(spot_by_date[date])
-        rates.append(rate)
+    rate = np.full(days.size, np.nan)
+    held = np.isin(rate_dates, days)
+    rate[np.searchsorted(days, rate_dates[held])] = rate_values[held]
+    closes = np.full((days.size, names.size), np.nan)
+    held = np.isin(close_dates, days)
+    closes[np.searchsorted(days, close_dates[held]), close_cols[held]] = prices[held]
+    # a day's settling columns are [first_settling, first_live); its front ones follow
+    first_settling = np.searchsorted(expiries, days, side="left")[:, None]
+    first_live = np.searchsorted(expiries, days, side="right")[:, None]
+    k, quoted = np.arange(names.size), ~np.isnan(closes)
+    in_front = quoted & (k >= first_live) & (k < first_live + n_ranks)
+    has_front = np.count_nonzero(in_front, axis=1) == n_ranks
+    has_rate = ~np.isnan(rate)
+    usable = has_rate & has_front
+    n_dropped = int(days.size - np.count_nonzero(usable))
 
     if n_dropped:
-        log.info("dropped %d of %d candidate days for missing data", n_dropped, len(candidates))
-    if n_dropped > max_drop_frac * len(candidates):
+        no_rate = np.count_nonzero(~has_rate)
+        log.info(
+            "dropped %d of %d candidate days for missing data: %d with no rate, %d more "
+            "missing a front close", n_dropped, days.size, no_rate, n_dropped - no_rate,
+        )
+    if n_dropped > max_drop_frac * days.size:
         raise DataError(
-            f"{n_dropped} of {len(candidates)} days dropped "
+            f"{n_dropped} of {days.size} days dropped "
             f"(> {max_drop_frac:.0%}); refusing to build a panel"
         )
-    if not dates:
+    if not usable.any():
         raise DataError("no usable trading days after alignment")
 
-    dates_arr = np.array(dates, dtype="datetime64[D]")
-    used, cols = np.unique(np.array(cols, dtype=np.intp), return_inverse=True)
-    prices = np.full((len(dates), used.size), np.nan)
-    prices[rows, cols] = quoted
+    # the quoted settling contracts and the front ranks of each usable day
+    kept = (quoted & (k >= first_settling) & (k < first_live + n_ranks))[usable]
+    used = np.flatnonzero(kept.any(axis=0))
+    prices = np.where(kept, closes[usable], np.nan)[:, used]
+    dates_arr = days[usable]
     # weekdays d with date < d <= expiry, in trading years
     one = np.timedelta64(1, "D")
-    ttms = np.busday_count(dates_arr[:, None] + one, expiries[used] + one)
-    ttms = ttms / TRADING_DAYS_PER_YEAR
+    ttms = np.busday_count(dates_arr[:, None] + one, expiries[used] + one) / TRADING_DAYS_PER_YEAR
     ttms[np.isnan(prices)] = np.nan
     gaps = np.diff(dates_arr) / np.timedelta64(1, "D")
-    growth = 1.0 + np.array(rates[:-1]) * gaps / MM_DAY_BASIS
-    mm = np.concatenate([[1.0], np.cumprod(growth)])
+    growth = 1.0 + rate[usable][:-1] * gaps / MM_DAY_BASIS
     return PricePanel(
         dates=dates_arr,
-        spot=np.array(spot),
-        contracts=np.array([by_expiry[k][1] for k in used]),
+        spot=spot[usable],
+        contracts=np.array(names[used].tolist()),
         prices=prices,
         ttms=ttms,
-        mm_value=mm,
+        mm_value=np.concatenate([[1.0], np.cumprod(growth)]),
         n_dropped=n_dropped,
     )
 

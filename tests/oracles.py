@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 Everything here deliberately avoids the code paths under test: the
-index-path oracle is a scalar day-by-day Euler loop, the rolled-series
-and two-contract strategy oracles are per-day loops over their own
+quote-loader oracle parses row by row into dicts keyed by date and
+aligns the days in a per-day loop, the index-path oracle is a scalar
+day-by-day Euler loop, the rolled-series and two-contract strategy oracles are per-day loops over their own
 rank and quote lookups, the weight and moment-fit oracles are
 brute-force grid scans, the one-day tracking error has its exact
 discrete-time coefficients, the constrained LS oracle is a dense
@@ -12,13 +13,19 @@ from one, and the special-function oracles come from mpmath at 40
 significant digits.
 """
 
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
-from vixtrack import DataError, HistoricalParams, b_coefficient
+from vixtrack import DataError, HistoricalParams, PricePanel, b_coefficient
 from vixtrack.calibrate import _neg_avg_loglik, initial_guess_from_moments
+from vixtrack.data import MM_DAY_BASIS
+from vixtrack.model import TRADING_DAYS_PER_YEAR
+
+_log = logging.getLogger(__name__)
 
 # One trading day in years, the step of every daily grid.
 DT = 1.0 / 252.0
@@ -82,6 +89,175 @@ def rolled_series_loop(panel, rank):
             units = values[j] / px
             held = target
     return values
+
+
+def _parse_quote_file(path: Path):
+    """The (line_no, date, code, field, value_str) rows of a quote file, as a list."""
+    rows = []
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line_no == 1 and line.lower().startswith("date,"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise DataError(
+                    f"{path.name}:{line_no}: expected 4 fields, got {len(parts)}"
+                )
+            rows.append((line_no, *parts))
+    return rows
+
+
+def _parse_date(path: Path, line_no: int, text: str) -> np.datetime64:
+    try:
+        return np.datetime64(text, "D")
+    except ValueError:
+        raise DataError(f"{path.name}:{line_no}: bad date {text!r}") from None
+
+
+def _parse_float(path: Path, line_no: int, text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise DataError(f"{path.name}:{line_no}: bad number {text!r}") from None
+    if not math.isfinite(v):
+        raise DataError(f"{path.name}:{line_no}: non-finite value {text!r}")
+    return v
+
+
+def load_panel_rows(
+    data_dir,
+    window=None,
+    n_ranks: int = 7,
+    max_drop_frac: float = 0.05,
+) -> PricePanel:
+    """Row-by-row reference for ``load_panel``: the same arguments and
+    result, from per-row date and float parsing, dicts keyed by date
+    and a per-day loop of lookups.  A repeated row overwrites the
+    earlier one (``load_panel`` rejects it).
+    """
+    data_dir = Path(data_dir)
+    spot_path = data_dir / "spot.csv"
+    fut_path = data_dir / "futures.csv"
+    rate_path = data_dir / "rates.csv"
+    for p in (spot_path, fut_path, rate_path):
+        if not p.exists():
+            raise DataError(f"missing input file {p}")
+
+    spot_by_date: dict = {}
+    for line_no, d, code, fld, val in _parse_quote_file(spot_path):
+        if fld != "close":
+            raise DataError(f"{spot_path.name}:{line_no}: unknown field {fld!r}")
+        date = _parse_date(spot_path, line_no, d)
+        price = _parse_float(spot_path, line_no, val)
+        if price <= 0:
+            raise DataError(f"{spot_path.name}:{line_no}: nonpositive price")
+        spot_by_date[date] = price
+
+    futures_by_date: dict = {}
+    expiry_by_code: dict = {}
+    fut_rows = _parse_quote_file(fut_path)
+    for line_no, d, code, fld, val in fut_rows:
+        date = _parse_date(fut_path, line_no, d)
+        if fld == "expiry":
+            expiry_by_code[code] = date
+        elif fld == "close":
+            price = _parse_float(fut_path, line_no, val)
+            if price <= 0:
+                raise DataError(f"{fut_path.name}:{line_no}: nonpositive price")
+            futures_by_date.setdefault(date, {})[code] = price
+        else:
+            raise DataError(f"{fut_path.name}:{line_no}: unknown field {fld!r}")
+    for line_no, d, code, fld, val in fut_rows:
+        if fld == "close" and code not in expiry_by_code:
+            raise DataError(
+                f"{fut_path.name}:{line_no}: close for contract {code!r} "
+                "has no expiry row"
+            )
+
+    rate_by_date: dict = {}
+    for line_no, d, code, fld, val in _parse_quote_file(rate_path):
+        if fld != "rate":
+            raise DataError(f"{rate_path.name}:{line_no}: unknown field {fld!r}")
+        rate_by_date[_parse_date(rate_path, line_no, d)] = _parse_float(
+            rate_path, line_no, val
+        )
+
+    candidates = sorted(spot_by_date)
+    if window is not None:
+        lo = np.datetime64(window[0], "D")
+        hi = np.datetime64(window[1], "D")
+        candidates = [d for d in candidates if lo <= d <= hi]
+    if not candidates:
+        raise DataError("no trading days in the requested window")
+
+    # Contracts in expiry order; on each day the settling contracts are
+    # [first_settling, first_live) and the front ranks follow first_live.
+    by_expiry = sorted((e, c) for c, e in expiry_by_code.items())
+    expiries = np.array([e for e, _ in by_expiry], dtype="datetime64[D]")
+    cand_arr = np.array(candidates, dtype="datetime64[D]")
+    first_settling = np.searchsorted(expiries, cand_arr, side="left").tolist()
+    first_live = np.searchsorted(expiries, cand_arr, side="right").tolist()
+
+    dates, spot, rates = [], [], []
+    # kept quotes as (row, contract index in by_expiry, price)
+    rows, cols, quoted = [], [], []
+    n_dropped = 0
+    for date, s0, l0 in zip(candidates, first_settling, first_live):
+        quotes = futures_by_date.get(date, {})
+        rate = rate_by_date.get(date)
+        front = by_expiry[l0 : l0 + n_ranks]
+        usable = (
+            rate is not None
+            and len(front) == n_ranks
+            and all(c in quotes for _, c in front)
+        )
+        if not usable:
+            n_dropped += 1
+            continue
+        for k in range(s0, l0 + n_ranks):
+            code = by_expiry[k][1]
+            if k >= l0 or code in quotes:
+                rows.append(len(dates))
+                cols.append(k)
+                quoted.append(quotes[code])
+        dates.append(date)
+        spot.append(spot_by_date[date])
+        rates.append(rate)
+
+    if n_dropped:
+        _log.info("dropped %d of %d candidate days for missing data", n_dropped, len(candidates))
+    if n_dropped > max_drop_frac * len(candidates):
+        raise DataError(
+            f"{n_dropped} of {len(candidates)} days dropped "
+            f"(> {max_drop_frac:.0%}); refusing to build a panel"
+        )
+    if not dates:
+        raise DataError("no usable trading days after alignment")
+
+    dates_arr = np.array(dates, dtype="datetime64[D]")
+    used, cols = np.unique(np.array(cols, dtype=np.intp), return_inverse=True)
+    prices = np.full((len(dates), used.size), np.nan)
+    prices[rows, cols] = quoted
+    # weekdays d with date < d <= expiry, in trading years
+    one = np.timedelta64(1, "D")
+    ttms = np.busday_count(dates_arr[:, None] + one, expiries[used] + one)
+    ttms = ttms / TRADING_DAYS_PER_YEAR
+    ttms[np.isnan(prices)] = np.nan
+    gaps = np.diff(dates_arr) / np.timedelta64(1, "D")
+    growth = 1.0 + np.array(rates[:-1]) * gaps / MM_DAY_BASIS
+    mm = np.concatenate([[1.0], np.cumprod(growth)])
+    return PricePanel(
+        dates=dates_arr,
+        spot=np.array(spot),
+        contracts=np.array([by_expiry[k][1] for k in used]),
+        prices=prices,
+        ttms=ttms,
+        mm_value=mm,
+        n_dropped=n_dropped,
+    )
 
 
 def euler_path_loop(hist, g, s0, n_days, seed, floor=1e-8):

@@ -78,7 +78,7 @@ def test_calibrate(calibrated):
     assert code == 0
     kv = assert_manifest(
         out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES,
-        ("mle_evaluations", "mle_not_converged"),
+        ("days_dropped", "mle_evaluations", "mle_not_converged"),
     )
     assert kv["output.0"] == "params.txt"
     params = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
@@ -103,7 +103,7 @@ def test_backtest_static(quotes, tmp_path, mode):
         tmp_path, "backtest-static",
         ("data_dir", "window", "n_ranks", "split", "mode", "subsets"),
         QUOTE_FILES,
-        ("failed_subsets",),
+        ("days_dropped", "failed_subsets"),
     )
     assert kv["count.failed_subsets"] == "0"
     assert kv["config.mode"] == mode
@@ -139,6 +139,22 @@ def test_backtest_static_table_widens_for_large_subsets(quotes, tmp_path):
     assert [row[0] for row in rows] == ["1-m,2-m,3-m,4-m,5-m", "1-m"]
     assert rows[1][3:7] == ["-"] * 4
     assert_numeric_cells(tmp_path)  # every row has as many cells as the header
+
+
+@pytest.mark.parametrize("command", ["calibrate", "backtest-static", "regress"])
+def test_manifest_counts_dropped_days(tmp_path, command):
+    # days 30 and 77 lack the front close, day 120 the rate
+    dates = write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3, drop_futures_on=(30, 77))
+    rates = tmp_path / "q" / "rates.csv"
+    rates.write_text(
+        "".join(line for line in rates.read_text().splitlines(True)
+                if not line.startswith(str(dates[120])))
+    )
+    argv = [command, "--data-dir", str(tmp_path / "q"), "--out-dir", str(tmp_path / "out")]
+    if command == "backtest-static":
+        argv += ["--split", str(dates[150])]
+    assert main(argv) == 0
+    assert read_manifest(tmp_path / "out")["count.days_dropped"] == "3"
 
 
 def test_simulate(calibrated, tmp_path):
@@ -233,6 +249,7 @@ def test_regress(quotes, tmp_path):
         tmp_path, "regress",
         ("data_dir", "window", "n_ranks", "horizons", "ranks", "max_horizon"),
         QUOTE_FILES,
+        ("days_dropped",),
     )
     _, rows = table(tmp_path / "one_day_regressions.tsv")
     assert [row[0] for row in rows] == RANKS
@@ -283,6 +300,12 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (PARAMS, "cycles=2\n", [], ("scenario.txt", "line 1", "cycles", "unknown key")),
         (PARAMS, "contracts=1\n", [], ("scenario.txt", "line 1", "contracts", "two ranks")),
         (PARAMS, "beta=1\ncylces=2\n", [], ("scenario.txt", "line 2", "cylces", "unknown key")),
+        (PARAMS, "r=nan\n", [], ("scenario.txt", "line 1", "key r", "finite")),
+        (PARAMS, "r=0.02\nbeta=inf\n", [], ("scenario.txt", "line 2", "key beta", "finite")),
+        (PARAMS, "contracts=0,1\n", [], ("scenario.txt", "line 1", "key contracts", ">= 1")),
+        (PARAMS, "s0_multipliers=1,0\n", [], ("scenario.txt", "line 1", "key s0_multipliers", "> 0")),
+        (PARAMS, "s0_multipliers=nan\n", [], ("scenario.txt", "line 1", "key s0_multipliers", "> 0")),
+        (PARAMS, "seed=-1\n", [], ("scenario.txt", "line 1", "key seed", ">= 0")),
         (PARAMS, "seed=4\n", ["--cycles", "0"], ("--cycles", ">= 1")),
         (PARAMS, None, ["--cycles", "0"], ("--cycles", ">= 1")),
         (PARAMS, None, ["--cycles", "2.5"], ("--cycles", "'2.5'")),

@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,68 @@ def rank_ttm(panel, day, rank):
     return panel.ttms[day, oracles.rank_column(panel, day, rank)]
 
 
+# one malformed row of each kind the loader rejects, per file it applies to
+BAD_ROWS = [
+    ("spot.csv", "2021-03-01,VIX,close", "expected 4 fields, got 3"),
+    ("spot.csv", "2021-03-01,VIX,close,20.0,x", "expected 4 fields, got 5"),
+    ("futures.csv", "2021-03-01,F01,close", "expected 4 fields, got 3"),
+    ("futures.csv", "2021-03-01,F01,close,20.0,x", "expected 4 fields, got 5"),
+    ("rates.csv", "2021-03-01,ON,rate", "expected 4 fields, got 3"),
+    ("rates.csv", "2021-03-01,ON,rate,0.01,x", "expected 4 fields, got 5"),
+    ("spot.csv", "2021-13-01,VIX,close,20.0", "bad date '2021-13-01'"),
+    ("futures.csv", "2021-02-30,F01,close,20.0", "bad date '2021-02-30'"),
+    ("futures.csv", "2021-1-4,F99,expiry,", "bad date '2021-1-4'"),
+    ("rates.csv", "01/03/2021,ON,rate,0.01", "bad date '01/03/2021'"),
+    ("spot.csv", "2021-03-01,VIX,close,not_a_number", "bad number 'not_a_number'"),
+    ("futures.csv", "2021-03-01,F01,close,", "bad number ''"),
+    ("rates.csv", "2021-03-01,ON,rate,0.5%", "bad number '0.5%'"),
+    ("spot.csv", "2021-03-01,VIX,close,nan", "non-finite value 'nan'"),
+    ("futures.csv", "2021-03-01,F01,close,inf", "non-finite value 'inf'"),
+    ("rates.csv", "2021-03-01,ON,rate,-inf", "non-finite value '-inf'"),
+    ("spot.csv", "2021-03-01,VIX,close,0.0", "nonpositive price"),
+    ("futures.csv", "2021-03-01,F01,close,-1.5", "nonpositive price"),
+    ("spot.csv", "2021-03-01,VIX,open,20.0", "unknown field 'open'"),
+    ("futures.csv", "2021-03-01,F01,settle,20.0", "unknown field 'settle'"),
+    ("rates.csv", "2021-03-01,ON,close,0.01", "unknown field 'close'"),
+    ("futures.csv", "2021-01-05,F99,close,20.0", "close for contract 'F99' has no expiry row"),
+]
+
+# a second row for a key an earlier row holds, with that row's line and
+# how the error names the key; write_quote_files(n_days=10) puts the
+# 2021-01-05 spot close and rate on line 3, the expiry of F01 on line 2
+# and its 2021-01-05 close on line 19 (after 9 expiry rows and the 8
+# closes of 2021-01-04)
+DUPLICATE_ROWS = [
+    ("spot.csv", "2021-01-05,VIX,close,20.0", 3, "close for 2021-01-05"),
+    ("rates.csv", "2021-01-05,ON,rate,0.01", 3, "rate for 2021-01-05"),
+    ("futures.csv", "2021-01-05,F01,close,20.0", 19, "close for contract 'F01' on 2021-01-05"),
+    ("futures.csv", "2021-03-01,F01,expiry,", 2, "expiry row for contract 'F01'"),
+]
+
+# write_quote_files settings, load_panel settings, day indices without a
+# rate, and the days the oracle drops; every case quotes settling days
+ORACLE_CASES = [
+    (dict(drop_futures_on=(4, 30)), {}, (), 2),
+    (dict(drop_futures_on=(10,), drop_rank=3), {}, (), 1),
+    (dict(drop_futures_on=(10, 21), drop_rank=8), {}, (), 0),
+    (dict(drop_futures_on=(10, 21), drop_rank=8), dict(n_ranks=8), (), 2),
+    (dict(rate=0.036), {}, (5, 42), 2),
+    (dict(rate=0.036, drop_futures_on=(5, 6)), dict(max_drop_frac=0.1), (6, 50), 3),
+    ({}, dict(window=(10, 45)), (), 0),
+    (dict(drop_futures_on=(3, 20)), dict(window=(10, 45)), (), 1),
+    ({}, dict(n_ranks=5), (), 0),
+    ({}, dict(n_ranks=8), (), 0),
+]
+
+
+def drop_rates(data_dir, dates):
+    """Remove the rate rows of ``dates`` from ``data_dir``'s rates.csv."""
+    path = data_dir / "rates.csv"
+    prefixes = tuple(str(d) for d in dates)
+    lines = path.read_text().splitlines(True)
+    path.write_text("".join(line for line in lines if not line.startswith(prefixes)))
+
+
 class TestLoadPanel:
     def test_aligned_panel_shape(self, tmp_path):
         dates = write_quote_files(tmp_path, n_days=40, seed=1)
@@ -30,11 +94,14 @@ class TestLoadPanel:
             assert np.isfinite(panel.spot[j])
             assert np.isfinite(panel.mm_value[j])
 
-    def test_missing_quote_drops_day(self, tmp_path):
+    def test_missing_quote_drops_day(self, tmp_path, caplog):
         write_quote_files(tmp_path, n_days=10, seed=2, drop_futures_on=(4,))
-        panel = load_panel(tmp_path, max_drop_frac=0.15)
+        with caplog.at_level(logging.INFO, logger="vixtrack.data"):
+            panel = load_panel(tmp_path, max_drop_frac=0.15)
         assert panel.n_days == 9
         assert panel.n_dropped == 1
+        assert "dropped 1 of 10 candidate days" in caplog.text
+        assert "0 with no rate, 1 more missing a front close" in caplog.text
 
     def test_excessive_drops_abort_by_default(self, tmp_path):
         write_quote_files(tmp_path, n_days=10, seed=2, drop_futures_on=(3, 4))
@@ -52,6 +119,37 @@ class TestLoadPanel:
         spot = tmp_path / "spot.csv"
         spot.write_text(spot.read_text() + "2021-02-01,VIX,close,not_a_number\n")
         with pytest.raises(DataError, match=r"spot\.csv:12"):
+            load_panel(tmp_path)
+
+    @pytest.mark.parametrize("name,row,message", BAD_ROWS)
+    def test_every_loader_error_names_file_and_line(self, tmp_path, name, row, message):
+        # the bad row goes on line 6, after two data rows, a blank line
+        # and a comment, so skipped lines count too
+        write_quote_files(tmp_path, n_days=10, seed=4)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["", "# inserted"] + [row] + lines[3:]) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{name}:6: {message}")):
+            load_panel(tmp_path)
+
+    @pytest.mark.parametrize("date", ["", "NaT"])
+    def test_missing_date_is_a_bad_date(self, tmp_path, date):
+        # numpy parses both as NaT, which no quote can be dated
+        write_quote_files(tmp_path, n_days=10, seed=4)
+        spot = tmp_path / "spot.csv"
+        spot.write_text(spot.read_text() + f"{date},VIX,close,20.0\n")
+        with pytest.raises(DataError, match=re.escape(f"spot.csv:12: bad date {date!r}")):
+            load_panel(tmp_path)
+
+    @pytest.mark.parametrize("name,row,first,what", DUPLICATE_ROWS)
+    def test_repeated_row_names_both_lines(self, tmp_path, name, row, first, what):
+        write_quote_files(tmp_path, n_days=10, seed=4)
+        path = tmp_path / name
+        text = path.read_text()
+        line_no = len(text.splitlines()) + 1
+        path.write_text(text + row + "\n")
+        message = f"{name}:{line_no}: duplicate {what} (first on line {first})"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_panel(tmp_path)
 
     def test_close_without_expiry_row_reports_line_and_contract(self, tmp_path):
@@ -143,20 +241,37 @@ class TestLoadPanel:
         expected = np.cumprod(1.0 + 0.036 * gaps / 360.0)
         assert np.allclose(panel.mm_value[1:], expected, rtol=1e-14)
 
-    def test_missing_rate_drops_day(self, tmp_path):
+    def test_missing_rate_drops_day(self, tmp_path, caplog):
         dates = write_quote_files(tmp_path, n_days=10, seed=8, rate=0.036)
-        rates = tmp_path / "rates.csv"
-        rates.write_text(
-            "".join(line for line in rates.read_text().splitlines(True)
-                    if not line.startswith(str(dates[4])))
-        )
-        panel = load_panel(tmp_path, max_drop_frac=0.15)
+        drop_rates(tmp_path, [dates[4]])
+        with caplog.at_level(logging.INFO, logger="vixtrack.data"):
+            panel = load_panel(tmp_path, max_drop_frac=0.15)
         assert panel.n_dropped == 1
+        assert "1 with no rate, 0 more" in caplog.text
         assert dates[4] not in panel.dates
         # the account spans the dropped day at the rate of the day before
         gaps = np.diff(panel.dates) / np.timedelta64(1, "D")
         expected = np.cumprod(1.0 + 0.036 * gaps / 360.0)
         assert np.allclose(panel.mm_value[1:], expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("quotes,kwargs,no_rate,n_dropped", ORACLE_CASES)
+    def test_matches_row_by_row_oracle(self, tmp_path, quotes, kwargs, no_rate, n_dropped):
+        dates = write_quote_files(tmp_path, n_days=60, seed=14, **quotes)
+        drop_rates(tmp_path, [dates[i] for i in no_rate])
+        if "window" in kwargs:
+            kwargs = {**kwargs, "window": [str(dates[i]) for i in kwargs["window"]]}
+        got = load_panel(tmp_path, **kwargs)
+        want = oracles.load_panel_rows(tmp_path, **kwargs)
+        assert want.n_dropped == n_dropped
+        assert (want.ttms == 0).any()  # a settling contract is quoted
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b), field.name
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
 
 
 class TestPricePanel:

@@ -16,7 +16,6 @@ from .calibrate import (
 from .data import PricePanel, load_panel, split_day
 from .dynamic import (
     TrackingCoefficients,
-    TrackingConfig,
     dynamic_weights,
     expected_sq_error,
     optimal_weight,

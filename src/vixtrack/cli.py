@@ -32,7 +32,7 @@ from . import __version__
 from .analytics import holding_period_returns, ols_regression, slope_one_p
 from .calibrate import mle_fit, mom_fit
 from .data import load_panel, split_day
-from .dynamic import TrackingConfig, dynamic_weights
+from .dynamic import dynamic_weights
 from .errors import CalibrationError, DataError, DegenerateProblemError
 from .model import (
     CYCLE_DAYS,
@@ -124,7 +124,8 @@ def results_table(results: dict) -> tuple:
 
 def _read_key_values(path: Path, kind: str) -> dict:
     """key -> (value, line number) of a key=value file; blank lines and
-    lines starting with # are skipped."""
+    lines starting with # are skipped, and a repeated key is a
+    DataError naming both lines."""
     if not path.exists():
         raise DataError(f"{kind} {path} not found")
     kv = {}
@@ -134,8 +135,10 @@ def _read_key_values(path: Path, kind: str) -> dict:
             continue
         if "=" not in line:
             raise DataError(f"{kind} {path} line {n}: expected key=value, got {line!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = (v.strip(), n)
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in kv:
+            raise DataError(f"{kind} {path} line {n}: duplicate key {k} (first on line {kv[k][1]})")
+        kv[k] = (v, n)
     return kv
 
 
@@ -164,8 +167,10 @@ def _checked(parse, ok, need: str):
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _finite = _checked(float, np.isfinite, "finite")
 _positive = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
+_nonnegative = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
 _rank_pair = _checked(
-    lambda text: _numbers(text, _positive_int), lambda ranks: len(ranks) == 2, "two ranks I1,I2"
+    lambda text: _numbers(text, _positive_int), lambda r: len(r) == 2 and r[0] != r[1],
+    "two ranks I1,I2 that differ",
 )
 
 
@@ -177,8 +182,9 @@ def _window(text: str) -> tuple:
 
 
 def read_params_file(path) -> tuple:
-    """Parse a calibrate-emitted parameter file into (hist, rn); its
-    other keys (the fit diagnostics) are not read."""
+    """Parse a calibrate-emitted parameter file into (hist, rn): sigma
+    finite and >= 0, the other four finite and > 0.  Its other keys
+    (the fit diagnostics) are not read."""
     path = Path(path)
     kv = _read_key_values(path, "parameter file")
     values = {}
@@ -186,7 +192,8 @@ def read_params_file(path) -> tuple:
         if key not in kv:
             raise DataError(f"parameter file {path} missing key '{key}'")
         text, n = kv[key]
-        values[key] = _parse(float, text, f"parameter file {path} line {n}, key {key}")
+        rule = _nonnegative if key == "sigma" else _positive
+        values[key] = _parse(rule, text, f"parameter file {path} line {n}, key {key}")
     hist = HistoricalParams(values["mu"], values["theta"], values["sigma"])
     rn = RiskNeutralParams(values["mu_tilde"], values["theta_tilde"])
     return hist, rn
@@ -211,8 +218,9 @@ def read_scenario_config(path) -> dict:
     Raises
     ------
     DataError
-        Naming the file, line and key of an unknown key or of a value
-        that does not parse or that its rule rejects (say ``r=nan``).
+        Naming the file, line and key of an unknown or repeated key or
+        of a value that does not parse or that its rule rejects (say
+        ``r=nan`` or ``contracts=2,2``).
     """
     cfg = {key: default for key, (_, default) in _SCENARIO_KEYS.items()}
     if path is None:
@@ -324,46 +332,48 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
         cfg, contracts=f"{i1},{i2}", s0_multipliers=",".join(f"{m:g}" for m in mults)
     )
 
-    g = LocalVol.square_root(hist.sigma)
-    tracking = TrackingConfig(beta=cfg["beta"], i1=i1, i2=i2)
     n_days = cycles * CYCLE_DAYS
     # enough contracts that both ranks trade on the last day
     n_contracts = cycles + max(i1, i2, 2) - 1
     paths = simulate_index_paths(
-        hist, g, [m * hist.theta for m in mults], n_days, len(mults), cfg["seed"]
+        hist, LocalVol.square_root(hist.sigma), [m * hist.theta for m in mults],
+        n_days, len(mults), cfg["seed"],
     )
     manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
     for mult, path in zip(mults, paths):
         panel = futures_panel_from_path(path, n_contracts, rn, cfg["r"])
-        w_dyn = dynamic_weights(panel, tracking, hist, rn, g)
-        dyn = hold_pair(panel, (i1, i2), w_dyn)
-        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel))
+        w_dyn = dynamic_weights(panel, (i1, i2), cfg["beta"], hist, rn)
+        w_vxx = vxx_front_weights(panel)
+        # rows: dynamic on ranks (i1, i2), then vxx on ranks (1, 2)
+        wealth = np.stack([hold_pair(panel, (i1, i2), w_dyn), hold_pair(panel, (1, 2), w_vxx)])
+        weights = np.stack([(w, 1.0 - w) for w in (w_dyn, w_vxx)])
         label = f"s0_{mult:g}x".replace(".", "p")
         index_norm = 100.0 * path.values / path.values[0]
-        columns = zip(index_norm.tolist(), vxx.wealth.tolist(), dyn.wealth.tolist())
+        columns = zip(index_norm.tolist(), wealth[1].tolist(), wealth[0].tolist())
         rows = [f"{j}\t{idx!r}\t{v!r}\t{d!r}" for j, (idx, v, d) in enumerate(columns)]
         manifest.emit(f"wealth_{label}.tsv", "day\tindex\tvxx\tdynamic", rows)
 
         # the dynamic pair's weight on the front contract, 0 when it holds none
-        front = dyn.weights[:, (i1, i2).index(1)] if 1 in (i1, i2) else np.zeros(n_days)
-        columns = zip(front.tolist(), vxx.weights[:, 0].tolist())
+        front = weights[0, (i1, i2).index(1)] if 1 in (i1, i2) else np.zeros(n_days)
+        columns = zip(front.tolist(), w_vxx.tolist())
         rows = [f"{j}\t{d!r}\t{v!r}" for j, (d, v) in enumerate(columns)]
         manifest.emit(f"weights_{label}.tsv", "day\tdynamic_w1\tvxx_w1", rows)
 
-        idx_ret = path.values[1:] / path.values[:-1] - 1.0
-        reg = ols_regression(idx_ret, np.stack([dyn.returns, vxx.returns]))
+        idx_ret = holding_period_returns(path.values, 1)
+        returns = holding_period_returns(wealth, 1)
+        reg = ols_regression(idx_ret, returns)
         p_one = slope_one_p(reg)
+        max_abs = np.max(np.abs(weights), axis=(1, 2))
         rows = [
             f"{name}\t{reg.slope[i]:.6f}\t{reg.slope_se[i]:.3e}\t{reg.intercept[i]:.3e}"
-            f"\t{reg.intercept_se[i]:.3e}\t{reg.r2[i]:.6f}\t{p_one[i]:.3e}"
-            f"\t{np.max(np.abs(port.weights)):.4f}"
-            for i, (name, port) in enumerate((("dynamic", dyn), ("vxx", vxx)))
+            f"\t{reg.intercept_se[i]:.3e}\t{reg.r2[i]:.6f}\t{p_one[i]:.3e}\t{max_abs[i]:.4f}"
+            for i, name in enumerate(("dynamic", "vxx"))
         ]
         header = (
             "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"
         )
         manifest.emit(f"scatter_{label}.tsv", header, rows)
-        rows = [f"{x!r}\t{y!r}" for x, y in zip(idx_ret.tolist(), dyn.returns.tolist())]
+        rows = [f"{x!r}\t{y!r}" for x, y in zip(idx_ret.tolist(), returns[0].tolist())]
         manifest.emit(f"scatter_points_{label}.tsv", "index_return\tportfolio_return", rows)
     print(f"simulated {len(mults)} scenarios over {cycles} cycles -> {manifest.out_dir}")
     return EXIT_OK

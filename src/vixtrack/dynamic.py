@@ -11,8 +11,10 @@ quadratic
 
     (alpha0 + alpha1*w)**2 + (nu0 + nu1*w)**2
 
-whose minimizer and minimum are available in closed form.  Every
-function takes one day's scalars or per-day arrays alike.
+whose minimizer and minimum are available in closed form.  The shock
+loadings use the fitted square-root volatility g(S) = sigma * sqrt(S)
+of ``HistoricalParams``.  Every function takes one day's scalars or
+per-day arrays alike.
 """
 
 from __future__ import annotations
@@ -24,16 +26,9 @@ import numpy as np
 
 from .data import PricePanel
 from .errors import DegenerateProblemError, require
-from .model import (
-    DT,
-    HistoricalParams,
-    LocalVol,
-    RiskNeutralParams,
-    b_coefficient,
-)
+from .model import DT, HistoricalParams, RiskNeutralParams, b_coefficient
 
 __all__ = [
-    "TrackingConfig",
     "TrackingCoefficients",
     "tracking_coefficients",
     "optimal_weight",
@@ -44,22 +39,6 @@ __all__ = [
 # Contract pairs whose return sensitivities differ by less than this are
 # treated as degenerate rather than regularized.
 B_SPREAD_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TrackingConfig:
-    """Target leverage and the maturity ranks of the two tradable
-    contracts (1 = front month)."""
-
-    beta: float = 1.0
-    i1: int = 1
-    i2: int = 2
-
-    def __post_init__(self):
-        if self.i1 == self.i2:
-            raise DegenerateProblemError("the two contracts must be distinct")
-        if self.i1 < 1 or self.i2 < 1:
-            raise ValueError("maturity ranks are 1-based")
 
 
 @dataclass(frozen=True)
@@ -80,16 +59,15 @@ def tracking_coefficients(
     spot,
     ttm1,
     ttm2,
-    cfg: TrackingConfig,
+    beta: float,
     hist: HistoricalParams,
     rn: RiskNeutralParams,
-    g: LocalVol,
     mm_return,
 ) -> TrackingCoefficients:
-    """Tracking-error coefficients for one contract pair, given the spot,
-    the times to maturity of the contracts of ranks ``cfg.i1`` and
-    ``cfg.i2`` and the money market's return over the day: one day's
-    scalars or per-day arrays.
+    """Tracking-error coefficients for tracking ``beta`` times the index
+    with one contract pair, given the spot, the pair's times to maturity
+    and the money market's return over the day: one day's scalars or
+    per-day arrays.
 
     The pair must have distinct times to maturity.
     """
@@ -98,7 +76,7 @@ def tracking_coefficients(
         ttm1 != ttm2, DegenerateProblemError,
         "contracts must have different times to maturity",
     )
-    g_val = g(spot)
+    g_val = hist.sigma * np.sqrt(spot)
     b1 = b_coefficient(spot, ttm1, rn, g_val)
     b2 = b_coefficient(spot, ttm2, rn, g_val)
     require(
@@ -115,10 +93,10 @@ def tracking_coefficients(
     alpha0 = (
         mm_return
         + DT * lam_b2
-        - cfg.beta * hist.mu * DT * (hist.theta / spot - 1.0)
+        - beta * hist.mu * DT * (hist.theta / spot - 1.0)
     )
     alpha1 = DT * (lam_b1 - lam_b2)
-    nu0 = sqrt_dt * (b2 - cfg.beta * g_val / spot)
+    nu0 = sqrt_dt * (b2 - beta * g_val / spot)
     nu1 = sqrt_dt * (b1 - b2)
     return TrackingCoefficients(alpha0=alpha0, alpha1=alpha1, nu0=nu0, nu1=nu1)
 
@@ -152,21 +130,22 @@ def expected_sq_error(w: float, c: TrackingCoefficients) -> float:
 
 def dynamic_weights(
     panel: PricePanel,
-    cfg: TrackingConfig,
+    ranks: tuple,
+    beta: float,
     hist: HistoricalParams,
     rn: RiskNeutralParams,
-    g: LocalVol,
 ) -> np.ndarray:
-    """Optimal fraction of wealth in rank ``cfg.i1`` on each day of the
-    panel but the last; rank ``cfg.i2`` gets the complement.
+    """Optimal fraction of wealth in maturity rank ``ranks[0]`` (1 =
+    front month) on each day of the panel but the last, for tracking
+    ``beta`` times the index; rank ``ranks[1]`` gets the complement.
 
     Day ``j``'s money-market return is ``mm_value[j+1]/mm_value[j] - 1``,
     known on day ``j``: the account compounds day ``j``'s rate.
     """
-    ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(cfg.i1, cfg.i2), axis=1)
+    ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(*ranks), axis=1)
     mm_return = panel.mm_value[1:] / panel.mm_value[:-1] - 1.0
     c = tracking_coefficients(
-        panel.spot[:-1], ttm[:, 0], ttm[:, 1], cfg, hist, rn, g, mm_return
+        panel.spot[:-1], ttm[:, 0], ttm[:, 1], beta, hist, rn, mm_return
     )
     w_star, _ = optimal_weight(c)
     return w_star

@@ -1,10 +1,12 @@
 """Pricing kernel for a discrete-time mean-reverting volatility index.
 
 The index level S mean-reverts to a long-run level under both the
-historical measure (speed ``mu``, level ``theta``, local volatility
-``g``) and the risk-neutral measure (speed ``mu_tilde``, level
-``theta_tilde``, same ``g``).  Futures prices are risk-neutral
-conditional expectations of the index and admit the closed form
+historical measure (speed ``mu``, level ``theta``) and the risk-neutral
+measure (speed ``mu_tilde``, level ``theta_tilde``), with the
+square-root (CIR) local volatility g(S) = sigma * sqrt(S) of the
+fitted ``HistoricalParams.sigma`` under both.  Futures prices are
+risk-neutral conditional expectations of the index and admit the
+closed form
 
     f(S, tau) = (S - theta_tilde) * exp(-mu_tilde * tau) + theta_tilde.
 
@@ -48,8 +50,8 @@ class HistoricalParams:
     theta : float
         Long-run index level, index points.
     sigma : float
-        Local-volatility coefficient.  For square-root volatility the
-        units are index-points^(1/2)/year^(1/2).
+        Coefficient of the local volatility g(S) = sigma * sqrt(S),
+        index-points^(1/2)/year^(1/2).
     """
 
     mu: float
@@ -84,36 +86,21 @@ class RiskNeutralParams:
 
 @dataclass(frozen=True)
 class LocalVol:
-    """Time-homogeneous local volatility function g(S).
+    """The square-root local volatility g(S) = sigma * sqrt(S) as a
+    callable, for the Euler engine's ``g`` argument."""
 
-    Two kinds are supported: ``"constant"`` evaluates to ``sigma``
-    (Ornstein-Uhlenbeck dynamics) and ``"square-root"`` evaluates to
-    ``sigma * sqrt(S)`` (CIR dynamics).
-    """
-
-    kind: str
     sigma: float
 
-    KINDS = ("constant", "square-root")
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
         if not self.sigma >= 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 
     @classmethod
-    def constant(cls, sigma: float) -> "LocalVol":
-        return cls("constant", sigma)
-
-    @classmethod
     def square_root(cls, sigma: float) -> "LocalVol":
-        return cls("square-root", sigma)
+        return cls(sigma)
 
     def __call__(self, spot):
-        """Evaluate g(spot), elementwise for arrays.  Nonnegative for spot >= 0."""
-        if self.kind == "constant":
-            return np.full(np.shape(spot), float(self.sigma))
+        """Evaluate g(spot), elementwise for arrays."""
         # the level alone: a batch of paths has no day to name
         spot = np.asarray(spot)
         if not (spot >= 0).all():

@@ -4,13 +4,16 @@ The index follows the explicit Euler recursion
 
     S[j+1] = S[j] + mu*(theta - S[j])*dt + g(S[j])*sqrt(dt)*Z[j+1]
 
-with i.i.d. standard normal shocks and dt = ``model.DT``.  Monthly
-contracts mature every ``model.CYCLE_DAYS`` trading days; their prices
-are filled in from the closed form in :mod:`vixtrack.model` into the
-same :class:`~vixtrack.data.PricePanel` that loaded quotes fill, NaN
-past each contract's maturity.  A two-contract strategy (the
-dynamic tracker, the VXX-style roll) is a per-day weight array on two
-maturity ranks of the panel, and its wealth comes from one vectorized
+with i.i.d. standard normal shocks, dt = ``model.DT`` and the local
+volatility ``g`` the engine is given (every subcommand passes
+``LocalVol.square_root(hist.sigma)``).  Monthly contracts mature every
+``model.CYCLE_DAYS`` trading days; their prices are filled in from the
+closed form in :mod:`vixtrack.model` into the same
+:class:`~vixtrack.data.PricePanel` that loaded quotes fill, NaN past
+each contract's maturity.  A two-contract strategy (the
+dynamic tracker, the VXX-style roll) is a plain per-day array of the
+weight on the first of two maturity ranks of the panel, the second
+holding the rest, and its wealth is a plain array from one vectorized
 self-financing mark-to-market recursion whose cash earns the panel's
 money-market account.
 
@@ -39,7 +42,6 @@ from .model import (
 
 __all__ = [
     "IndexPath",
-    "PortfolioPath",
     "simulate_index_path",
     "simulate_index_paths",
     "futures_panel_from_path",
@@ -59,32 +61,6 @@ class IndexPath:
 
     values: np.ndarray
     n_clamped: int = 0
-
-    @property
-    def n_days(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class PortfolioPath:
-    """Wealth series and per-day weights of a two-contract strategy.
-
-    ``weights[j]`` holds the fractions of wealth in the pair's two
-    contracts, chosen on day ``j`` from day-``j`` information and
-    applied over the (j -> j+1) mark-to-market interval.  Wealth may go
-    negative under leverage.
-    """
-
-    wealth: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.shape != (self.wealth.size - 1, 2):
-            raise ValueError("need one weight pair per wealth transition")
-
-    @property
-    def returns(self) -> np.ndarray:
-        return self.wealth[1:] / self.wealth[:-1] - 1.0
 
 
 def _euler_paths(hist: HistoricalParams, g: LocalVol, s0, seeds, n_days: int) -> list:
@@ -156,7 +132,7 @@ def futures_panel_from_path(
     indices; the money market grows at the continuously compounded
     annual rate ``r``, by e^(r*dt) a day.
     """
-    n = path.n_days
+    n = path.values.size
     last = CYCLE_DAYS * n_contracts
     if n - 1 > last:
         raise ValueError(f"path spans {n - 1} days but the last maturity is day {last}")
@@ -207,10 +183,12 @@ def evolve_wealth(
     return np.cumprod(np.concatenate([[100.0], growth]))
 
 
-def hold_pair(panel: PricePanel, ranks: tuple, w1: np.ndarray) -> PortfolioPath:
-    """Hold ``w1[j]`` of wealth in maturity rank ``ranks[0]`` and the
-    rest in rank ``ranks[1]`` over each day ``j`` -> ``j+1``, with the
-    wealth earning the panel's money-market return.
+def hold_pair(panel: PricePanel, ranks: tuple, w1: np.ndarray) -> np.ndarray:
+    """Wealth, from 100 on the panel's first day, of holding ``w1[j]``
+    of it in maturity rank ``ranks[0]`` and the rest in rank
+    ``ranks[1]`` over each day ``j`` -> ``j+1``, with the wealth earning
+    the panel's money-market return.  It may go negative under
+    leverage.
 
     Ranks count contracts with ttm > 0 on day ``j`` (see
     :meth:`~vixtrack.data.PricePanel.rank_columns`), so a maturing
@@ -218,14 +196,12 @@ def hold_pair(panel: PricePanel, ranks: tuple, w1: np.ndarray) -> PortfolioPath:
     and the next rank takes its place the day it settles.
     """
     cols = panel.rank_columns(*ranks)
-    weights = np.column_stack([w1, 1.0 - w1])
-    wealth = evolve_wealth(
-        weights,
+    return evolve_wealth(
+        np.column_stack([w1, 1.0 - w1]),
         np.take_along_axis(panel.prices[:-1], cols, axis=1),
         np.take_along_axis(panel.prices[1:], cols, axis=1),
         panel.mm_value,
     )
-    return PortfolioPath(wealth=wealth, weights=weights)
 
 
 def vxx_front_weights(panel: PricePanel) -> np.ndarray:

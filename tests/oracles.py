@@ -323,14 +323,15 @@ def market_price_of_risk(spot, hist, rn, g):
     ) / g_val
 
 
-def dynamic_rule(cfg, hist, rn, g):
-    """Per-day optimal tracker weights from the scalar formulas: the
-    market price of risk lambda times each contract's shock loading B,
-    for ranks ``cfg.i1`` (w*) and ``cfg.i2`` (1 - w*), with the day's
-    cash return read off the panel's money-market account."""
+def dynamic_rule(ranks, beta, hist, rn, g):
+    """Per-day optimal weights for tracking ``beta`` times the index
+    from the scalar formulas: the market price of risk lambda times each
+    contract's shock loading B, for ranks ``ranks[0]`` (w*) and
+    ``ranks[1]`` (1 - w*), with the day's cash return read off the
+    panel's money-market account."""
 
     def rule(panel, day):
-        c1, c2 = rank_column(panel, day, cfg.i1), rank_column(panel, day, cfg.i2)
+        c1, c2 = (rank_column(panel, day, rank) for rank in ranks)
         spot = float(panel.spot[day])
         g_val = g(spot)
         b1 = float(b_coefficient(spot, float(panel.ttms[day, c1]), rn, g_val))
@@ -339,10 +340,10 @@ def dynamic_rule(cfg, hist, rn, g):
         a0 = (
             (panel.mm_value[day + 1] / panel.mm_value[day] - 1.0)
             + DT * lam * b2
-            - cfg.beta * hist.mu * DT * (hist.theta / spot - 1.0)
+            - beta * hist.mu * DT * (hist.theta / spot - 1.0)
         )
         a1 = DT * lam * (b1 - b2)
-        n0 = math.sqrt(DT) * (b2 - cfg.beta * g_val / spot)
+        n0 = math.sqrt(DT) * (b2 - beta * g_val / spot)
         n1 = math.sqrt(DT) * (b1 - b2)
         w = -(a0 * a1 + n0 * n1) / (a1 ** 2 + n1 ** 2)
         return {c1: w, c2: 1.0 - w}

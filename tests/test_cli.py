@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vixtrack
-from vixtrack.cli import build_parser, main
+from vixtrack.cli import build_parser, main, read_params_file
 
 from conftest import FIT_RN, write_quote_files
 
@@ -227,6 +227,28 @@ def test_simulate_later_pair_holds_no_front_contract(calibrated, tmp_path):
     assert_numeric_cells(tmp_path / "out")
 
 
+def test_simulate_front_contract_second_in_the_pair(calibrated, tmp_path):
+    # contracts=2,1: the dynamic tracker's w1 is on rank 2, so the front
+    # contract (rank 1) holds 1 - w1
+    code, params = calibrated
+    assert code == 0
+    (tmp_path / "scenario.txt").write_text("contracts=2,1\n")
+    code = main([
+        "simulate", "--params", str(params / "params.txt"),
+        "--scenario", str(tmp_path / "scenario.txt"), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    hist, rn = read_params_file(params / "params.txt")
+    mults = (1.0, 1.0 / 3.0, 3.0)  # the default multipliers, and seed 1
+    g = vixtrack.LocalVol.square_root(hist.sigma)
+    paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 63, 3, 1)
+    for label, path in zip(("s0_1x", "s0_0p333333x", "s0_3x"), paths):
+        panel = vixtrack.futures_panel_from_path(path, 4, rn, 0.01)
+        w1 = vixtrack.dynamic_weights(panel, (2, 1), 1.0, hist, rn)
+        _, rows = table(tmp_path / "out" / f"weights_{label}.tsv")
+        assert [row[1] for row in rows] == [repr(w) for w in (1.0 - w1).tolist()]
+
+
 @pytest.mark.parametrize(
     "module", ["vixtrack"] + [f"vixtrack.{m.name}" for m in pkgutil.iter_modules(vixtrack.__path__)]
 )
@@ -321,6 +343,12 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (None, None, ["calibrate", "--window", "2021-01-04"], ("--window", "START:END")),
         (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1;;2"], ("--subsets", "'1;;2'")),
         (None, None, ["backtest-static", "--split", "2021-02-30"], ("--split", "2021-02-30")),
+        (PARAMS + "mu=50\n", None, [], ("params.txt", "line 6", "duplicate key mu (first on line 1)")),
+        (PARAMS.replace("mu=10.86", "mu=inf"), None, [], ("params.txt", "line 1", "key mu:", "> 0")),
+        (PARAMS.replace("sigma=6.37", "sigma=-1"), None, [], ("params.txt", "line 3", "key sigma", ">= 0")),
+        (PARAMS.replace("theta_tilde=26.03", "theta_tilde=0"), None, [], ("params.txt", "line 5", "key theta_tilde", "> 0")),
+        (PARAMS, "contracts=2,2\n", [], ("scenario.txt", "line 1", "contracts", "two ranks")),
+        (PARAMS, "seed=3\nr=0\nseed=4\n", [], ("scenario.txt", "line 3", "duplicate key seed (first on line 1)")),
     ],
 )
 def test_malformed_key_value_files_are_named(

@@ -10,8 +10,8 @@ from vixtrack import (
     LocalVol,
     RiskNeutralParams,
     TrackingCoefficients,
-    TrackingConfig,
     critical_spot,
+    dynamic_weights,
     expected_sq_error,
     futures_price,
     optimal_weight,
@@ -20,6 +20,7 @@ from vixtrack import (
 from vixtrack.model import DT
 
 import oracles
+from conftest import make_sim_panels
 
 PAPER_HIST = HistoricalParams(10.86, 18.81, 6.37)
 PAPER_RN = RiskNeutralParams(1.39, 26.03)
@@ -41,10 +42,8 @@ def coeffs_at(
     i1=1,
     i2=2,
 ):
-    g = LocalVol.square_root(hist.sigma)
-    cfg = TrackingConfig(beta=beta, i1=i1, i2=i2)
     return tracking_coefficients(
-        spot, grid_ttm(day, i1), grid_ttm(day, i2), cfg, hist, rn, g, math.expm1(r * DT)
+        spot, grid_ttm(day, i1), grid_ttm(day, i2), beta, hist, rn, math.expm1(r * DT)
     )
 
 
@@ -67,9 +66,10 @@ class TestTrackingCoefficients:
         assert c.nu0 == pytest.approx(n0, rel=1e-12)
         assert c.nu1 == pytest.approx(n1, rel=1e-12)
 
-    def test_identical_ranks_rejected(self):
+    def test_identical_ranks_rejected(self, fit_hist, fit_rn):
+        panel, _, _ = make_sim_panels(cycles=2, seed=2)
         with pytest.raises(DegenerateProblemError):
-            TrackingConfig(beta=1.0, i1=2, i2=2)
+            dynamic_weights(panel, (2, 2), 1.0, fit_hist, fit_rn)
 
     def test_nonpositive_spot_rejected(self):
         with pytest.raises(ValueError):
@@ -78,10 +78,8 @@ class TestTrackingCoefficients:
     def test_arrays_match_scalar_days(self):
         spots = np.array([6.27, 18.81, 25.0, 56.43])
         days = np.array([0, 7, 13, 20])
-        cfg = TrackingConfig(beta=1.5, i1=2, i2=3)
-        g = LocalVol.square_root(PAPER_HIST.sigma)
         c = tracking_coefficients(
-            spots, grid_ttm(days, 2), grid_ttm(days, 3), cfg, PAPER_HIST, PAPER_RN, g,
+            spots, grid_ttm(days, 2), grid_ttm(days, 3), 1.5, PAPER_HIST, PAPER_RN,
             math.expm1(0.02 * DT),
         )
         w, obj = optimal_weight(c)
@@ -93,34 +91,29 @@ class TestTrackingCoefficients:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_array_checks_name_the_first_bad_day(self):
-        g = LocalVol.square_root(PAPER_HIST.sigma)
         mm_return = math.expm1(0.01 * DT)
         ttm = np.array([0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="got -1.0 on day 1"):
             tracking_coefficients(
-                np.array([18.0, -1.0, -2.0]), ttm, 2 * ttm, TrackingConfig(),
-                PAPER_HIST, PAPER_RN, g, mm_return,
+                np.array([18.0, -1.0, -2.0]), ttm, 2 * ttm, 1.0, PAPER_HIST, PAPER_RN, mm_return
             )
         with pytest.raises(DegenerateProblemError, match="on day 2"):
             tracking_coefficients(
-                np.full(3, 18.0), ttm, np.array([0.2, 0.3, 0.1]), TrackingConfig(),
-                PAPER_HIST, PAPER_RN, g, mm_return,
+                np.full(3, 18.0), ttm, np.array([0.2, 0.3, 0.1]), 1.0, PAPER_HIST, PAPER_RN,
+                mm_return,
             )
 
     def test_zero_volatility_is_the_limit_of_small_volatility(self):
         # lambda diverges like 1/g while every B vanishes like g: one formula
         # covers both, and the coefficients are continuous at g = 0
         hist0 = HistoricalParams(10.86, 18.81, 0.0)
-        g0 = LocalVol.square_root(0.0)
         c0 = tracking_coefficients(
-            22.0, 21 / 252, 42 / 252, TrackingConfig(), hist0, PAPER_RN, g0,
-            math.expm1(0.01 * DT),
+            22.0, 21 / 252, 42 / 252, 1.0, hist0, PAPER_RN, math.expm1(0.01 * DT)
         )
         assert c0.nu0 == 0.0 and c0.nu1 == 0.0
         hist = HistoricalParams(10.86, 18.81, 1e-9)
         c = tracking_coefficients(
-            22.0, 21 / 252, 42 / 252, TrackingConfig(), hist, PAPER_RN,
-            LocalVol.square_root(1e-9), math.expm1(0.01 * DT),
+            22.0, 21 / 252, 42 / 252, 1.0, hist, PAPER_RN, math.expm1(0.01 * DT)
         )
         assert c.alpha0 == pytest.approx(c0.alpha0, rel=1e-12)
         assert c.alpha1 == pytest.approx(c0.alpha1, rel=1e-12)
@@ -230,9 +223,8 @@ class TestOneDayMonteCarlo:
     G = LocalVol.square_root(PAPER_HIST.sigma)
 
     def coded(self, spot, beta=1.0):
-        cfg = TrackingConfig(beta=beta)
         return tracking_coefficients(
-            spot, self.T1, self.T2, cfg, PAPER_HIST, PAPER_RN, self.G, math.expm1(self.R * DT)
+            spot, self.T1, self.T2, beta, PAPER_HIST, PAPER_RN, math.expm1(self.R * DT)
         )
 
     def exact(self, spot, beta=1.0):

@@ -32,22 +32,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             RiskNeutralParams(mu_tilde=1.0, theta_tilde=-1.0)
 
-    def test_local_vol_kinds(self):
-        g_const = LocalVol.constant(2.5)
-        assert g_const(7.0) == 2.5
+    def test_local_vol_square_root(self):
         g_sqrt = LocalVol.square_root(2.0)
         assert g_sqrt(9.0) == pytest.approx(6.0)
         assert g_sqrt(0.0) == 0.0
         with pytest.raises(ValueError):
-            LocalVol("cubic", 1.0)
+            LocalVol.square_root(-1.0)
         with pytest.raises(ValueError):
             g_sqrt(-1.0)
         # on an array: spot's shape, each entry equal to the scalar call
         spot = np.array([[0.0, 1e-8, 9.0], [18.81, 56.43, 1e6]])
-        for g in (g_const, g_sqrt):
-            got = g(spot)
-            assert got.shape == spot.shape
-            assert np.array_equal(got, [[g(float(s)) for s in row] for row in spot])
+        got = g_sqrt(spot)
+        assert got.shape == spot.shape
+        assert np.array_equal(got, [[g_sqrt(float(s)) for s in row] for row in spot])
         # one level per path: the error names the level, not a day
         with pytest.raises(ValueError, match=r"got -1\.0$"):
             LocalVol.square_root(2.0)(np.array([4.0, -1.0, 9.0]))
@@ -117,7 +114,7 @@ class TestMarketPriceOfRisk:
     def test_both_drifts_vanish_at_shared_level(self):
         hist = HistoricalParams(4.0, 20.0, 2.0)
         rn = RiskNeutralParams(1.0, 20.0)
-        g = LocalVol.constant(2.0)
+        g = LocalVol.square_root(2.0)
         assert oracles.market_price_of_risk(20.0, hist, rn, g) == 0.0
 
     def test_zero_volatility_is_a_singularity(self, fit_hist, fit_rn):

@@ -7,12 +7,12 @@ from vixtrack import (
     LocalVol,
     PricePanel,
     RiskNeutralParams,
-    TrackingConfig,
     dynamic_weights,
     evolve_wealth,
     futures_panel_from_path,
     futures_price,
     hold_pair,
+    holding_period_returns,
     load_panel,
     simulate_index_path,
     simulate_index_paths,
@@ -31,7 +31,7 @@ class TestIndexPath:
 
     def test_zero_vol_pure_drift_decays_towards_theta(self):
         hist = HistoricalParams(5.0, 20.0, 0.0)
-        path = simulate_index_path(hist, LocalVol.constant(0.0), 40.0, 504, 1)
+        path = simulate_index_path(hist, LocalVol.square_root(0.0), 40.0, 504, 1)
         assert np.all(np.diff(path.values) < 0)
         assert path.values[-1] > 20.0
         assert path.values[-1] - 20.0 < 20.0 * np.exp(-5.0 * 2.0) * 1.3
@@ -105,10 +105,19 @@ def _assert_batch_matches_loop(hist, g, s0, n_paths, seed, n_days=252):
     return lone.n_clamped + sum(path.n_clamped for path in batch)
 
 
+def _constant_vol(sigma):
+    """g(S) = sigma: the engine steps any callable of the level, and a
+    level-free volatility crosses zero where the square root cannot."""
+    return lambda spot: np.full(np.shape(spot), float(sigma))
+
+
+VOLS = {"constant": _constant_vol, "square-root": LocalVol.square_root}
+
+
 @pytest.mark.parametrize("n_paths", (1, 5))
 @pytest.mark.parametrize("start", ("theta/3", "theta", "3theta", "per-path"))
-@pytest.mark.parametrize("kind", LocalVol.KINDS)
-def test_batch_is_bit_identical_to_scalar_loop(kind, start, n_paths):
+@pytest.mark.parametrize("vol", VOLS)
+def test_batch_is_bit_identical_to_scalar_loop(vol, start, n_paths):
     theta = FIT_HIST.theta
     s0 = {
         "theta/3": theta / 3.0,
@@ -116,21 +125,21 @@ def test_batch_is_bit_identical_to_scalar_loop(kind, start, n_paths):
         "3theta": 3.0 * theta,
         "per-path": np.linspace(theta / 3.0, 3.0 * theta, n_paths).tolist(),
     }[start]
-    _assert_batch_matches_loop(FIT_HIST, LocalVol(kind, FIT_HIST.sigma), s0, n_paths, 17)
+    _assert_batch_matches_loop(FIT_HIST, VOLS[vol](FIT_HIST.sigma), s0, n_paths, 17)
 
 
 @pytest.mark.parametrize("n_paths", (1, 5))
-@pytest.mark.parametrize("kind", LocalVol.KINDS)
-def test_clamped_batch_is_bit_identical_to_scalar_loop(kind, n_paths):
+@pytest.mark.parametrize("vol", VOLS)
+def test_clamped_batch_is_bit_identical_to_scalar_loop(vol, n_paths):
     # the violent volatility of test_clamp_counter_and_floor
     hist = HistoricalParams(1.0, 5.0, 60.0)
-    assert _assert_batch_matches_loop(hist, LocalVol(kind, 60.0), 5.0, n_paths, 5) > 0
+    assert _assert_batch_matches_loop(hist, VOLS[vol](60.0), 5.0, n_paths, 5) > 0
 
 
 class TestFuturesPanel:
     def test_constant_path_at_theta_tilde_prices_flat(self):
         hist = HistoricalParams(1.0, 26.03, 0.0)
-        path = simulate_index_path(hist, LocalVol.constant(0.0), 26.03, 63, 1)
+        path = simulate_index_path(hist, LocalVol.square_root(0.0), 26.03, 63, 1)
         panel = futures_panel_from_path(path, 4, FIT_RN, 0.0)
         live = ~np.isnan(panel.prices)
         assert np.allclose(panel.prices[live], 26.03)
@@ -141,7 +150,7 @@ class TestFuturesPanel:
         maturity_days = (21, 42, 63, 84)  # contract k matures on day 21 k
         assert panel.contracts.size == len(maturity_days)
         for i, mday in enumerate(maturity_days):
-            if mday < path.n_days:
+            if mday < path.values.size:
                 assert panel.prices[mday, i] == pytest.approx(path.values[mday])
         # re-evaluate every live entry through the scalar pricing routine
         for j in range(panel.n_days):
@@ -256,17 +265,17 @@ class TestStrategies:
         # constant spot below the long-run pricing level: every contract
         # rolls down towards the spot, so a long-only roll bleeds daily
         hist = HistoricalParams(1.0, 13.0, 0.0)
-        path = simulate_index_path(hist, LocalVol.constant(0.0), 13.0, 42, 1)
+        path = simulate_index_path(hist, LocalVol.square_root(0.0), 13.0, 42, 1)
         panel = futures_panel_from_path(path, 3, RiskNeutralParams(1.39, 26.03), 0.0)
-        out = hold_pair(panel, (1, 2), vxx_front_weights(panel))
-        assert np.all(np.diff(out.wealth) < 0)
+        wealth = hold_pair(panel, (1, 2), vxx_front_weights(panel))
+        assert np.all(np.diff(wealth) < 0)
 
     def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn):
-        panel, g, path = make_sim_panels(cycles=3, seed=11)
-        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g)
-        out = hold_pair(panel, (1, 2), w)
+        panel, _, path = make_sim_panels(cycles=3, seed=11)
+        w = dynamic_weights(panel, (1, 2), 1.0, fit_hist, fit_rn)
+        wealth = hold_pair(panel, (1, 2), w)
         index_returns = path.values[1:] / path.values[:-1] - 1.0
-        corr = np.corrcoef(out.returns, index_returns)[0, 1]
+        corr = np.corrcoef(holding_period_returns(wealth, 1), index_returns)[0, 1]
         assert corr > 0.99
 
     def test_wrong_length_weights_abort(self):
@@ -275,13 +284,12 @@ class TestStrategies:
             hold_pair(panel, (1, 2), np.zeros(panel.n_days))
 
     def test_vxx_weights_valid_and_dynamic_pair_sums_to_one(self, fit_hist, fit_rn):
-        panel, g, _ = make_sim_panels(cycles=3, seed=8)
-        vxx = hold_pair(panel, (1, 2), vxx_front_weights(panel))
-        assert np.all((vxx.weights >= 0) & (vxx.weights <= 1))
-        assert np.all(vxx.weights.sum(axis=1) == 1.0)
-        w = dynamic_weights(panel, TrackingConfig(), fit_hist, fit_rn, g)
-        dyn = hold_pair(panel, (1, 2), w)
-        assert np.allclose(dyn.weights.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        panel, _, _ = make_sim_panels(cycles=3, seed=8)
+        w = vxx_front_weights(panel)
+        assert np.all((w >= 0) & (w <= 1))
+        assert np.all(w + (1.0 - w) == 1.0)
+        w = dynamic_weights(panel, (1, 2), 1.0, fit_hist, fit_rn)
+        assert np.allclose(w + (1.0 - w), 1.0, rtol=0.0, atol=1e-15)
 
 
 SEEDS = (3, 8, 11)
@@ -298,10 +306,11 @@ def test_vxx_matches_per_day_loop(seed, mult):
     panel, _, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * FIT_HIST.theta, extra_contracts=2
     )
-    out = hold_pair(panel, (1, 2), vxx_front_weights(panel))
+    w = vxx_front_weights(panel)
+    got = hold_pair(panel, (1, 2), w)
     wealth, held = oracles.strategy_loop(panel, oracles.vxx_rule)
-    assert np.array_equal(out.weights, [list(w.values()) for w in held])
-    assert _relative_gap(out.wealth, wealth) <= 1e-12
+    assert np.array_equal(np.column_stack([w, 1.0 - w]), [list(h.values()) for h in held])
+    assert _relative_gap(got, wealth) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -312,13 +321,13 @@ def test_dynamic_matches_per_day_loop(seed, mult, beta, ranks, fit_hist, fit_rn)
     panel, g, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * fit_hist.theta, extra_contracts=2
     )
-    cfg = TrackingConfig(beta=beta, i1=ranks[0], i2=ranks[1])
-    w = dynamic_weights(panel, cfg, fit_hist, fit_rn, g)
-    out = hold_pair(panel, ranks, w)
-    rule = oracles.dynamic_rule(cfg, fit_hist, fit_rn, g)
+    w = dynamic_weights(panel, ranks, beta, fit_hist, fit_rn)
+    got = hold_pair(panel, ranks, w)
+    rule = oracles.dynamic_rule(ranks, beta, fit_hist, fit_rn, g)
     wealth, held = oracles.strategy_loop(panel, rule)
-    assert _relative_gap(out.weights, np.array([list(h.values()) for h in held])) <= 1e-13
-    assert _relative_gap(out.wealth, wealth) <= 1e-12
+    weights = np.column_stack([w, 1.0 - w])
+    assert _relative_gap(weights, np.array([list(h.values()) for h in held])) <= 1e-13
+    assert _relative_gap(got, wealth) <= 1e-12
 
 
 class TestLoadedQuotes:
@@ -337,12 +346,12 @@ class TestLoadedQuotes:
         assert np.array_equal(loaded.spot, simulated.spot)
         assert np.array_equal(loaded.mm_value, simulated.mm_value)
         assert np.array_equal(vxx_front_weights(loaded), vxx_front_weights(simulated))
-        w_loaded = dynamic_weights(loaded, TrackingConfig(), fit_hist, fit_rn, fit_g)
-        w_simulated = dynamic_weights(simulated, TrackingConfig(), fit_hist, fit_rn, fit_g)
+        w_loaded = dynamic_weights(loaded, (1, 2), 1.0, fit_hist, fit_rn)
+        w_simulated = dynamic_weights(simulated, (1, 2), 1.0, fit_hist, fit_rn)
         assert np.array_equal(w_loaded, w_simulated)
         for w in (w_loaded, vxx_front_weights(loaded)):
-            got = hold_pair(loaded, (1, 2), w).wealth
-            want = hold_pair(simulated, (1, 2), w).wealth
+            got = hold_pair(loaded, (1, 2), w)
+            want = hold_pair(simulated, (1, 2), w)
             assert np.array_equal(got, want)
 
     def test_cash_leg_follows_the_loaded_money_market(self, tmp_path, fit_hist, fit_rn, fit_g):
@@ -353,12 +362,11 @@ class TestLoadedQuotes:
         assert np.all(panel.prices[~np.isnan(panel.prices)] == fit_rn.theta_tilde)
         # weekends make the daily cash return uneven
         assert np.ptp(np.diff(np.log(panel.mm_value))) > 0
-        cfg = TrackingConfig()
-        w_dyn = dynamic_weights(panel, cfg, fit_hist, fit_rn, fit_g)
+        w_dyn = dynamic_weights(panel, (1, 2), 1.0, fit_hist, fit_rn)
         for w in (w_dyn, vxx_front_weights(panel)):
-            wealth = hold_pair(panel, (1, 2), w).wealth
+            wealth = hold_pair(panel, (1, 2), w)
             assert _relative_gap(wealth, 100.0 * panel.mm_value / panel.mm_value[0]) <= 1e-14
         # the tracker's drift reads the same account, day by day
-        rule = oracles.dynamic_rule(cfg, fit_hist, fit_rn, fit_g)
+        rule = oracles.dynamic_rule((1, 2), 1.0, fit_hist, fit_rn, fit_g)
         _, held = oracles.strategy_loop(panel, rule)
         assert _relative_gap(w_dyn, np.array([list(h.values())[0] for h in held])) <= 1e-13

@@ -107,13 +107,46 @@ class TestLogBesselI:
             (1e4, np.geomspace(1e-3, 3e4, 22)),
             (10.0, np.array([1e-40])),  # ive underflows at small order too
             (-0.2, np.geomspace(1e-3, 1e3, 13)),  # below the Feller order
+            (1.0, np.array([1e-310])),  # order / x overflows
+            (2.0, np.array([1e-160])),  # ive underflows where R is far below 200
+            (500.0, np.array([1e-307, 1.0, 300.0])),  # R >= 200 with an x near zero
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_mpmath_oracle(self, order, xs):
         got = log_bessel_i(order, xs)
         for x, g in zip(xs, got):
             ref = oracles.mp_log_i(order, float(x))
             assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref)), (order, x)
+
+    @pytest.mark.parametrize("order", [-0.44, 0.0, 1.0, 9.068, 55.0, 150.0])
+    def test_mpmath_oracle_across_the_debye_radius(self, order):
+        # the expansion takes every entry with hypot(order, x) >= 200
+        radii = 200.0 * np.array([0.9, 0.99, 1.0, 1.01, 1.5, 10.0])
+        xs = np.sqrt(radii**2 - order**2)
+        got = log_bessel_i(order, xs)
+        for x, g in zip(xs, got):
+            ref = oracles.mp_log_i(order, float(x))
+            tol = 1e-15 if np.hypot(order, x) >= 200.0 else 1e-12
+            assert abs(g - ref) <= tol * max(1.0, abs(ref)), (order, x)
+
+    def test_daily_regime_never_calls_ive(self, monkeypatch):
+        class IveCalled(Exception):
+            pass
+
+        def ive(order, x):
+            raise IveCalled
+
+        monkeypatch.setattr("vixtrack.calibrate.ive", ive)
+        # the paper's order; x = 2 sqrt(S' S e^(-mu dt)) / sig2 over daily VIX levels
+        xs = np.linspace(250.0, 2000.0, 200)
+        assert np.all(np.isfinite(log_bessel_i(9.068, xs)))
+        assert np.isfinite(log_bessel_i(9.068, 250.0))
+        # below the radius the scaled Bessel function is still used
+        with pytest.raises(IveCalled):
+            log_bessel_i(9.068, 150.0)
+        with pytest.raises(IveCalled):
+            log_bessel_i(9.068, np.array([500.0, 150.0]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

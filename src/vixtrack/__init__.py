@@ -13,7 +13,7 @@ from .calibrate import (
     mom_fit,
     mom_loss,
 )
-from .data import PricePanel, load_panel, split_day
+from .data import PricePanel, load_panel, rank_columns, split_day
 from .dynamic import (
     TrackingCoefficients,
     dynamic_weights,
@@ -35,8 +35,8 @@ from .model import (
     futures_price,
 )
 from .simulate import (
+    SimulatedCurves,
     evolve_wealth,
-    futures_panel_from_path,
     hold_pair,
     simulate_index_path,
     simulate_index_paths,

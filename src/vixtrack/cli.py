@@ -41,7 +41,7 @@ from .model import (
     RiskNeutralParams,
 )
 from .simulate import (
-    futures_panel_from_path,
+    SimulatedCurves,
     hold_pair,
     simulate_index_paths,
     vxx_front_weights,
@@ -243,6 +243,8 @@ def _load_quotes(args, manifest: RunManifest):
     for name in ("spot.csv", "futures.csv", "rates.csv"):
         manifest.add_input(name, Path(args.data_dir) / name)
     manifest.counts["days_dropped"] = panel.n_dropped
+    manifest.counts["days_dropped_no_rate"] = panel.n_dropped_no_rate
+    manifest.counts["days_dropped_no_front_close"] = panel.n_dropped - panel.n_dropped_no_rate
     return panel
 
 
@@ -267,6 +269,7 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
     manifest.outputs.append("params.txt")
     manifest.counts["mle_evaluations"] = mle.evaluations
     manifest.counts["mle_not_converged"] = int(not mle.converged)
+    manifest.counts["mle_at_bound"] = int(mle.at_bound)
     print(
         f"calibrated: mu={hist.mu:.4f} theta={hist.theta:.4f} sigma={hist.sigma:.4f} "
         f"mu_tilde={rn.mu_tilde:.4f} theta_tilde={rn.theta_tilde:.4f}"
@@ -340,15 +343,19 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
         n_days, len(mults), cfg["seed"],
     )
     manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
-    for mult, path in zip(mults, paths):
-        panel = futures_panel_from_path(path, n_contracts, rn, cfg["r"])
-        w_dyn = dynamic_weights(panel, (i1, i2), cfg["beta"], hist, rn)
-        w_vxx = vxx_front_weights(panel)
-        # rows: dynamic on ranks (i1, i2), then vxx on ranks (1, 2)
-        wealth = np.stack([hold_pair(panel, (i1, i2), w_dyn), hold_pair(panel, (1, 2), w_vxx)])
-        weights = np.stack([(w, 1.0 - w) for w in (w_dyn, w_vxx)])
+    # every scenario is one path of a single batch through both trackers
+    curves = SimulatedCurves([path.values for path in paths], n_contracts, rn, cfg["r"])
+    ttm, today, tomorrow = curves.held_pair(i1, i2)
+    w_dyn = dynamic_weights(curves.spot, ttm, curves.mm_value, cfg["beta"], hist, rn)
+    wealth_dyn = hold_pair(w_dyn, today, tomorrow, curves.mm_value)
+    ttm, today, tomorrow = curves.held_pair(1, 2)
+    w_vxx = vxx_front_weights(ttm)
+    # rows: dynamic on ranks (i1, i2), then vxx on ranks (1, 2)
+    wealth_rows = np.stack([wealth_dyn, hold_pair(w_vxx, today, tomorrow, curves.mm_value)], axis=1)
+    for mult, spot, w1, wealth in zip(mults, curves.spot, w_dyn, wealth_rows):
+        weights = np.stack([(w, 1.0 - w) for w in (w1, w_vxx)])
         label = f"s0_{mult:g}x".replace(".", "p")
-        index_norm = 100.0 * path.values / path.values[0]
+        index_norm = 100.0 * spot / spot[0]
         columns = zip(index_norm.tolist(), wealth[1].tolist(), wealth[0].tolist())
         rows = [f"{j}\t{idx!r}\t{v!r}\t{d!r}" for j, (idx, v, d) in enumerate(columns)]
         manifest.emit(f"wealth_{label}.tsv", "day\tindex\tvxx\tdynamic", rows)
@@ -359,7 +366,7 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
         rows = [f"{j}\t{d!r}\t{v!r}" for j, (d, v) in enumerate(columns)]
         manifest.emit(f"weights_{label}.tsv", "day\tdynamic_w1\tvxx_w1", rows)
 
-        idx_ret = holding_period_returns(path.values, 1)
+        idx_ret = holding_period_returns(spot, 1)
         returns = holding_period_returns(wealth, 1)
         reg = ols_regression(idx_ret, returns)
         p_one = slope_one_p(reg)

@@ -16,15 +16,15 @@ second spot close or rate for a date, close for a date and contract, or
 expiry row for a contract.  So is a futures close for a contract with
 no expiry row.
 
-A :class:`PricePanel` is the one market type of the package, for
-loaded quotes and simulated curves alike: per trading day the spot
-level and a compounded money-market account, plus ``n_days x
+A :class:`PricePanel` is the market of quoted prices: per trading day
+the spot level and a compounded money-market account, plus ``n_days x
 n_contracts`` matrices of futures prices and times to maturity (in
 trading years), one column per contract in expiry order.  An entry is
 NaN wherever the contract has no quote that day, so rank r on day j is
-the r-th column with a positive ttm.  The account is the one source of
-the risk-free rate: the static fit's cash column and the trackers'
-cash leg both read it.
+the r-th column with a positive ttm (:func:`rank_columns`, shared with
+the simulated curves).  The account is the one source of the
+risk-free rate: the static fit's cash column and the trackers' cash
+leg both read it.
 
 A loaded panel keeps, per day, the contract settling that day when it
 is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DataError, require
 from .model import TRADING_DAYS_PER_YEAR
 
-__all__ = ["PricePanel", "load_panel", "split_day"]
+__all__ = ["PricePanel", "rank_columns", "load_panel", "split_day"]
 
 log = logging.getLogger(__name__)
 
@@ -66,7 +66,9 @@ class PricePanel:
     per column of ``prices`` and ``ttms``, in expiry order; both
     matrices are NaN where a contract has no quote.  A contract on its
     final settlement day (ttm = 0) is included when quoted; ranks count
-    only contracts with ttm > 0.
+    only contracts with ttm > 0.  ``n_dropped`` counts the candidate
+    days the loader dropped, ``n_dropped_no_rate`` those of them with
+    no rate; the rest miss a front close.
 
     Raises
     ------
@@ -84,6 +86,7 @@ class PricePanel:
     ttms: np.ndarray
     mm_value: np.ndarray
     n_dropped: int = 0
+    n_dropped_no_rate: int = 0
 
     def __post_init__(self):
         shape = (self.spot.size, self.contracts.size)
@@ -112,27 +115,18 @@ class PricePanel:
             ttms=self.ttms[start:stop],
             mm_value=self.mm_value[start:stop],
             n_dropped=self.n_dropped,
+            n_dropped_no_rate=self.n_dropped_no_rate,
         )
 
-    def rank_columns(self, *ranks: int) -> np.ndarray:
-        """Column of the ``rank``-th contract with ttm > 0 (1 = front),
-        for each requested rank, on each day but the last: the days a
-        position can be opened.  Shape (n_days - 1, len(ranks)).
-
-        Raises
-        ------
-        DataError
-            If a rank is below 1 or, naming the first such day, fewer
-            contracts than the largest rank are tradable.
-        """
-        live = np.cumsum(self.ttms[:-1] > 0, axis=1)
-        if min(ranks) < 1:
-            raise DataError(f"rank {min(ranks)} not available: ranks are 1-based")
-        short = np.flatnonzero(live[:, -1] < max(ranks))
-        if short.size:
-            raise DataError(f"rank {max(ranks)} not available on day {short[0]}")
-        # columns are in expiry order, so rank r is where the count reaches r
-        return np.stack([np.argmax(live >= r, axis=1) for r in ranks], axis=1)
+    def held_pair(self, i1: int, i2: int) -> tuple:
+        """The contracts of maturity ranks ``i1`` and ``i2`` held over
+        each day j -> j+1 (see :func:`rank_columns`): their ttms on day
+        j and their prices on days j and j+1, each (n_days - 1, 2)."""
+        cols = rank_columns(self.ttms, i1, i2)
+        return tuple(
+            np.take_along_axis(m, cols, axis=1)
+            for m in (self.ttms[:-1], self.prices[:-1], self.prices[1:])
+        )
 
     def observations(self) -> tuple:
         """The live quotes (ttm > 0) as flat arrays, day by day and in
@@ -155,6 +149,28 @@ class PricePanel:
         days = np.nonzero(live)[0]
         weights = 1.0 / (2.0 * per_day[days] * self.n_days)
         return self.spot[days], self.ttms[live], self.prices[live], weights, days
+
+
+def rank_columns(ttms: np.ndarray, *ranks: int) -> np.ndarray:
+    """Column of the ``rank``-th contract with ttm > 0 (1 = front) in a
+    days x contracts matrix of ttms in expiry order, for each requested
+    rank, on each day but the last: the days a position can be opened.
+    Shape (n_days - 1, len(ranks)).
+
+    Raises
+    ------
+    DataError
+        If a rank is below 1 or, naming the first such day, fewer
+        contracts than the largest rank are tradable.
+    """
+    live = np.cumsum(ttms[:-1] > 0, axis=1)
+    if min(ranks) < 1:
+        raise DataError(f"rank {min(ranks)} not available: ranks are 1-based")
+    short = np.flatnonzero(live[:, -1] < max(ranks))
+    if short.size:
+        raise DataError(f"rank {max(ranks)} not available on day {short[0]}")
+    # columns are in expiry order, so rank r is where the count reaches r
+    return np.stack([np.argmax(live >= r, axis=1) for r in ranks], axis=1)
 
 
 def _check(path: Path, line_nos, bad, message) -> None:
@@ -315,9 +331,9 @@ def load_panel(
     has_rate = ~np.isnan(rate)
     usable = has_rate & has_front
     n_dropped = int(days.size - np.count_nonzero(usable))
+    no_rate = int(np.count_nonzero(~has_rate))
 
     if n_dropped:
-        no_rate = np.count_nonzero(~has_rate)
         log.info(
             "dropped %d of %d candidate days for missing data: %d with no rate, %d more "
             "missing a front close", n_dropped, days.size, no_rate, n_dropped - no_rate,
@@ -349,6 +365,7 @@ def load_panel(
         ttms=ttms,
         mm_value=np.concatenate([[1.0], np.cumprod(growth)]),
         n_dropped=n_dropped,
+        n_dropped_no_rate=no_rate,
     )
 
 

@@ -13,8 +13,10 @@ quadratic
 
 whose minimizer and minimum are available in closed form.  The shock
 loadings use the fitted square-root volatility g(S) = sigma * sqrt(S)
-of ``HistoricalParams``.  Every function takes one day's scalars or
-per-day arrays alike.
+of ``HistoricalParams``.  Every function takes one day's scalars,
+per-day arrays or (paths, days) arrays alike: a batch of paths shares
+the days' contract pair, ttms and money-market return, so every path
+goes through one evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PricePanel
 from .errors import DegenerateProblemError, require
 from .model import DT, HistoricalParams, RiskNeutralParams, b_coefficient
 
@@ -66,8 +67,9 @@ def tracking_coefficients(
 ) -> TrackingCoefficients:
     """Tracking-error coefficients for tracking ``beta`` times the index
     with one contract pair, given the spot, the pair's times to maturity
-    and the money market's return over the day: one day's scalars or
-    per-day arrays.
+    and the money market's return over the day: one day's scalars,
+    per-day arrays, or a (paths, days) spot against per-day ttms and
+    returns.
 
     The pair must have distinct times to maturity.
     """
@@ -129,23 +131,16 @@ def expected_sq_error(w: float, c: TrackingCoefficients) -> float:
 
 
 def dynamic_weights(
-    panel: PricePanel,
-    ranks: tuple,
-    beta: float,
-    hist: HistoricalParams,
-    rn: RiskNeutralParams,
+    spot, ttm, mm_value, beta: float, hist: HistoricalParams, rn: RiskNeutralParams
 ) -> np.ndarray:
-    """Optimal fraction of wealth in maturity rank ``ranks[0]`` (1 =
-    front month) on each day of the panel but the last, for tracking
-    ``beta`` times the index; rank ``ranks[1]`` gets the complement.
-
-    Day ``j``'s money-market return is ``mm_value[j+1]/mm_value[j] - 1``,
-    known on day ``j``: the account compounds day ``j``'s rate.
+    """Optimal fraction of wealth in the first contract of a pair on
+    each day but the last, for tracking ``beta`` times the index; the
+    second gets the complement.  ``spot`` is one path, or one row per
+    path; the pair's ``ttm`` on each day but the last, (days - 1, 2),
+    and the money-market account serve every path.  Day ``j``'s cash
+    return ``mm_value[j+1]/mm_value[j] - 1`` is known on day ``j``.
     """
-    ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(*ranks), axis=1)
-    mm_return = panel.mm_value[1:] / panel.mm_value[:-1] - 1.0
-    c = tracking_coefficients(
-        panel.spot[:-1], ttm[:, 0], ttm[:, 1], beta, hist, rn, mm_return
-    )
+    mm_return = mm_value[1:] / mm_value[:-1] - 1.0
+    c = tracking_coefficients(spot[..., :-1], ttm[:, 0], ttm[:, 1], beta, hist, rn, mm_return)
     w_star, _ = optimal_weight(c)
     return w_star

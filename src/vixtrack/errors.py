@@ -24,12 +24,12 @@ def require(ok, exc: type, message: str, *values) -> None:
 
     ``ok`` is a scalar or an array.  The ``{}`` fields of ``message``
     show ``values`` at the first failing entry; a per-day (1-D) check
-    appends that entry's day, a check on more dimensions its index.
+    appends that entry's day, a (paths, days) check its day and path.
     """
     ok = np.asarray(ok)
     if ok.all():
         return
     at = tuple(int(i) for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
     shown = [float(np.broadcast_to(v, ok.shape)[at]) for v in values]
-    where = f" on day {at[0]}" if ok.ndim == 1 else f" at index {at}" if at else ""
+    where = (f" on day {at[-1]}" if at else "") + (f" of path {at[0]}" if len(at) == 2 else "")
     raise exc(message.format(*shown) + where)

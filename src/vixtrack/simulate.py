@@ -7,15 +7,16 @@ The index follows the explicit Euler recursion
 with i.i.d. standard normal shocks, dt = ``model.DT`` and the local
 volatility ``g`` the engine is given (every subcommand passes
 ``LocalVol.square_root(hist.sigma)``).  Monthly contracts mature every
-``model.CYCLE_DAYS`` trading days; their prices are filled in from the
-closed form in :mod:`vixtrack.model` into the same
-:class:`~vixtrack.data.PricePanel` that loaded quotes fill, NaN past
-each contract's maturity.  A two-contract strategy (the
-dynamic tracker, the VXX-style roll) is a plain per-day array of the
-weight on the first of two maturity ranks of the panel, the second
-holding the rest, and its wealth is a plain array from one vectorized
-self-financing mark-to-market recursion whose cash earns the panel's
-money-market account.
+``model.CYCLE_DAYS`` trading days, so the ttms and the money market
+are the same for every path: :class:`SimulatedCurves` fixes them once
+for a (paths, days) batch and prices, from the closed form in
+:mod:`vixtrack.model`, only the two contracts held over each day, with
+no (paths, days, contracts) array.  Loaded quotes supply the same held
+pair (:meth:`~vixtrack.data.PricePanel.held_pair`) to the same
+trackers.  A two-contract strategy (the dynamic tracker, the VXX-style
+roll) is an array of the weight on the first of the pair, per path and
+day or per day for every path, and its wealth comes from one
+self-financing mark-to-market recursion along the days of all paths.
 
 RNG convention: path k of a multi-path run draws its normals from the
 k-th child of ``SeedSequence(seed)`` into its own row of one batch,
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PricePanel
+from .data import rank_columns
 from .errors import require
 from .model import (
     CYCLE_DAYS,
@@ -44,7 +45,7 @@ __all__ = [
     "IndexPath",
     "simulate_index_path",
     "simulate_index_paths",
-    "futures_panel_from_path",
+    "SimulatedCurves",
     "evolve_wealth",
     "hold_pair",
     "vxx_front_weights",
@@ -120,38 +121,44 @@ def simulate_index_paths(
     return _euler_paths(hist, g, s0, np.random.SeedSequence(seed).spawn(n_paths), n_days)
 
 
-def futures_panel_from_path(
-    path: IndexPath, n_contracts: int, rn: RiskNeutralParams, r: float
-) -> PricePanel:
-    """Price ``n_contracts`` monthly contracts on every day of the path;
-    contract k (1-based) matures on day ``CYCLE_DAYS * k``.
+class SimulatedCurves:
+    """Monthly futures curves of simulated index paths, priced only
+    where a strategy holds a contract.
 
-    prices[j, i] = theta_tilde + (S[j] - theta_tilde) * exp(-mu_tilde * ttm)
-    for ttm = (T_i - j) / 252 >= 0, as the loader counts it; expired
-    contracts are NaN in ``prices`` and ``ttms``.  Days are integer
-    indices; the money market grows at the continuously compounded
-    annual rate ``r``, by e^(r*dt) a day.
+    ``spot`` holds one path, or one row per path, on days 0, 1, ...;
+    contract k (1-based) matures on day ``CYCLE_DAYS * k``.  ``ttms``
+    (days x contracts, (T_k - j) / 252 as the loader counts it, NaN
+    past maturity) and ``mm_value`` (growing by e^(r*dt) a day at the
+    continuously compounded annual rate ``r``) serve every path.
     """
-    n = path.values.size
-    last = CYCLE_DAYS * n_contracts
-    if n - 1 > last:
-        raise ValueError(f"path spans {n - 1} days but the last maturity is day {last}")
-    days = np.arange(n)
-    maturity_days = CYCLE_DAYS * np.arange(1, n_contracts + 1)
-    ttm = (maturity_days[None, :] - days[:, None]) / TRADING_DAYS_PER_YEAR
-    spot = path.values[:, None]
-    prices = rn.theta_tilde + (spot - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttm)
-    expired = ttm < 0
-    prices[expired] = np.nan
-    ttm[expired] = np.nan
-    return PricePanel(
-        dates=days,
-        spot=path.values,
-        contracts=np.array([f"C{i + 1:02d}" for i in range(n_contracts)]),
-        prices=prices,
-        ttms=ttm,
-        mm_value=np.exp(r * DT * days),
-    )
+
+    def __init__(self, spot, n_contracts: int, rn: RiskNeutralParams, r: float):
+        self.spot = np.asarray(spot, dtype=float)
+        self.rn = rn
+        n = self.spot.shape[-1]
+        last = CYCLE_DAYS * n_contracts
+        if n - 1 > last:
+            raise ValueError(f"path spans {n - 1} days but the last maturity is day {last}")
+        days = np.arange(n)
+        maturity_days = CYCLE_DAYS * np.arange(1, n_contracts + 1)
+        self.ttms = (maturity_days[None, :] - days[:, None]) / TRADING_DAYS_PER_YEAR
+        self.ttms[self.ttms < 0] = np.nan
+        self.mm_value = np.exp(r * DT * days)
+
+    def held_pair(self, i1: int, i2: int) -> tuple:
+        """As :meth:`~vixtrack.data.PricePanel.held_pair`, with prices
+        f = theta_tilde + (S - theta_tilde) * exp(-mu_tilde * ttm) on
+        every path: (..., days - 1, 2); the ttms are (days - 1, 2)."""
+        cols = rank_columns(self.ttms, i1, i2)
+        ttm, ttm_next = (
+            np.take_along_axis(t, cols, axis=1) for t in (self.ttms[:-1], self.ttms[1:])
+        )
+        tt = self.rn.theta_tilde
+        today, tomorrow = (
+            tt + (s[..., None] - tt) * np.exp(-self.rn.mu_tilde * t)
+            for s, t in ((self.spot[..., :-1], ttm), (self.spot[..., 1:], ttm_next))
+        )
+        return ttm, today, tomorrow
 
 
 def evolve_wealth(
@@ -164,49 +171,45 @@ def evolve_wealth(
 
     x[j+1] = x[j] * (M[j+1] / M[j] + sum_k w[j, k] * (f'[j, k] / f[j, k] - 1))
 
-    from x[0] = 100.  Row ``j`` of the (n-1) x k arrays holds the weights
-    and the day-``j`` and day-``j+1`` prices of the held contracts, and
-    ``mm_value`` holds the n values M of the money-market account.  The
-    full wealth sits on margin earning the account's return; each
-    contract contributes its price change times the units held.
+    from x[0] = 100.  Row ``j`` of the (..., days - 1, k) arrays holds
+    the weights and the day-``j`` and day-``j+1`` prices of the held
+    contracts, for one path or one per leading index, and ``mm_value``
+    holds the days' values M of the money-market account, shared by
+    every path.  The full wealth sits on margin earning the account's
+    return; each contract contributes its price change times the units
+    held.  Returns (..., days) wealth.
     """
     weights, today, tomorrow, mm_value = (
         np.asarray(a, dtype=float) for a in (weights, today, tomorrow, mm_value)
     )
-    if weights.ndim != 2 or not (weights.shape == today.shape == tomorrow.shape):
-        raise ValueError("weights and prices must be (days, contracts) arrays of one shape")
-    if mm_value.shape != (weights.shape[0] + 1,):
+    if weights.ndim < 2 or not (weights.shape == today.shape == tomorrow.shape):
+        raise ValueError("weights and prices must be (..., days, contracts) arrays of one shape")
+    if mm_value.shape != (weights.shape[-2] + 1,):
         raise ValueError("need one money-market value per day")
     if np.any(today == 0):
         raise ZeroDivisionError("zero futures price in today's quotes")
-    growth = mm_value[1:] / mm_value[:-1] + np.sum(weights * (tomorrow / today - 1.0), axis=1)
-    return np.cumprod(np.concatenate([[100.0], growth]))
+    growth = mm_value[1:] / mm_value[:-1] + np.sum(weights * (tomorrow / today - 1.0), axis=-1)
+    start = np.full(growth.shape[:-1] + (1,), 100.0)
+    return np.cumprod(np.concatenate([start, growth], axis=-1), axis=-1)
 
 
-def hold_pair(panel: PricePanel, ranks: tuple, w1: np.ndarray) -> np.ndarray:
-    """Wealth, from 100 on the panel's first day, of holding ``w1[j]``
-    of it in maturity rank ``ranks[0]`` and the rest in rank
-    ``ranks[1]`` over each day ``j`` -> ``j+1``, with the wealth earning
-    the panel's money-market return.  It may go negative under
-    leverage.
-
-    Ranks count contracts with ttm > 0 on day ``j`` (see
-    :meth:`~vixtrack.data.PricePanel.rank_columns`), so a maturing
-    contract's final settlement mark at f = S is earned by the holder
-    and the next rank takes its place the day it settles.
+def hold_pair(w1, today: np.ndarray, tomorrow: np.ndarray, mm_value: np.ndarray) -> np.ndarray:
+    """Wealth, from 100 on the first day, of holding ``w1[j]`` of it in
+    the first contract of a held pair and the rest in the second over
+    each day j -> j+1, earning the money-market return; it may go
+    negative under leverage.  ``today`` and ``tomorrow`` come from a
+    ``held_pair``, whose ranks count contracts with ttm > 0 on day j,
+    so the holder earns a maturing contract's settlement at f = S.  One
+    series ``w1`` may serve every path.
     """
-    cols = panel.rank_columns(*ranks)
-    return evolve_wealth(
-        np.column_stack([w1, 1.0 - w1]),
-        np.take_along_axis(panel.prices[:-1], cols, axis=1),
-        np.take_along_axis(panel.prices[1:], cols, axis=1),
-        panel.mm_value,
-    )
+    w1 = np.broadcast_to(w1, today.shape[:-1])
+    return evolve_wealth(np.stack([w1, 1.0 - w1], axis=-1), today, tomorrow, mm_value)
 
 
-def vxx_front_weights(panel: PricePanel) -> np.ndarray:
+def vxx_front_weights(ttm: np.ndarray) -> np.ndarray:
     """Front-contract weight of the VXX-style linear roll on each day
-    but the last (the second contract gets the rest).
+    but the last (the second contract gets the rest), from the ttms of
+    the front two contracts on those days, (days - 1, 2).
 
     A cycle runs from one front expiry to the next.  Its length is the
     gap between the front two maturities, and the day in the cycle is
@@ -219,7 +222,6 @@ def vxx_front_weights(panel: PricePanel) -> np.ndarray:
     ValueError
         If, naming the first such day, the day falls outside its cycle.
     """
-    ttm = np.take_along_axis(panel.ttms[:-1], panel.rank_columns(1, 2), axis=1)
     days = np.rint(ttm / DT).astype(int)
     cycle_length = days[:, 1] - days[:, 0]
     day_in_cycle = cycle_length - days[:, 0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import PricePanel
+from .data import PricePanel, rank_columns
 from .errors import DataError, DegenerateProblemError
 from .model import TRADING_DAYS_PER_YEAR
 
@@ -93,7 +93,7 @@ def build_rolled_series(panel: PricePanel, rank: int) -> RolledSeries:
     if n < 2:
         raise DataError(f"a rolled series needs at least 2 days, got {n}")
     # the rank on every day a roll can happen: all but the last
-    rank_col = panel.rank_columns(rank)[:, 0]
+    rank_col = rank_columns(ttms, rank)[:, 0]
     held = rank_col[0]
     quoted = ~np.isnan(prices)
 

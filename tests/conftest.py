@@ -6,9 +6,13 @@ from vixtrack import (
     LocalVol,
     RiskNeutralParams,
     build_rolled_series,
-    futures_panel_from_path,
+    dynamic_weights,
+    hold_pair,
     simulate_index_path,
+    vxx_front_weights,
 )
+
+from oracles import futures_panel_from_path
 
 # Fitted parameter set used throughout as a realistic operating point.
 FIT_HIST = HistoricalParams(mu=10.86, theta=18.81, sigma=6.37)
@@ -45,7 +49,23 @@ def make_sim_panels(
     path."""
     g = LocalVol.square_root(hist.sigma if sigma is None else sigma)
     path = simulate_index_path(hist, g, hist.theta if s0 is None else s0, cycles * 21, seed)
-    return futures_panel_from_path(path, cycles + extra_contracts, rn, r), g, path
+    return futures_panel_from_path(path.values, cycles + extra_contracts, rn, r), g, path
+
+
+def dynamic_pair(market, ranks, beta, hist=FIT_HIST, rn=FIT_RN):
+    """Dynamic weights on rank ``ranks[0]`` and the wealth of holding
+    them, on a panel or on simulated curves."""
+    ttm, today, tomorrow = market.held_pair(*ranks)
+    w = dynamic_weights(market.spot, ttm, market.mm_value, beta, hist, rn)
+    return w, hold_pair(w, today, tomorrow, market.mm_value)
+
+
+def vxx_pair(market):
+    """The VXX-style roll's front weights and wealth on a panel or on
+    simulated curves."""
+    ttm, today, tomorrow = market.held_pair(1, 2)
+    w = vxx_front_weights(ttm)
+    return w, hold_pair(w, today, tomorrow, market.mm_value)
 
 
 def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None):

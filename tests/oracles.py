@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: the
 quote-loader oracle parses row by row into dicts keyed by date and
 aligns the days in a per-day loop, the index-path oracle is a scalar
-day-by-day Euler loop, the rolled-series and two-contract strategy oracles are per-day loops over their own
-rank and quote lookups, the weight and moment-fit oracles are
+day-by-day Euler loop, the batched ``simulate`` pipeline has the
+per-scenario loop it replaced, on one full price panel per path, the
+rolled-series and two-contract strategy oracles are per-day loops over
+their own rank and quote lookups, the weight and moment-fit oracles are
 brute-force grid scans, the one-day tracking error has its exact
 discrete-time coefficients, the constrained LS oracle is a dense
 bordered KKT solve, the market price of risk is its direct quotient,
@@ -20,10 +22,18 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from vixtrack import DataError, HistoricalParams, PricePanel, b_coefficient
+from vixtrack import (
+    DataError,
+    HistoricalParams,
+    PricePanel,
+    b_coefficient,
+    optimal_weight,
+    rank_columns,
+    tracking_coefficients,
+)
 from vixtrack.calibrate import _neg_avg_loglik, initial_guess_from_moments
 from vixtrack.data import MM_DAY_BASIS
-from vixtrack.model import TRADING_DAYS_PER_YEAR
+from vixtrack.model import CYCLE_DAYS, TRADING_DAYS_PER_YEAR
 
 _log = logging.getLogger(__name__)
 
@@ -204,7 +214,7 @@ def load_panel_rows(
     dates, spot, rates = [], [], []
     # kept quotes as (row, contract index in by_expiry, price)
     rows, cols, quoted = [], [], []
-    n_dropped = 0
+    n_dropped = n_no_rate = 0
     for date, s0, l0 in zip(candidates, first_settling, first_live):
         quotes = futures_by_date.get(date, {})
         rate = rate_by_date.get(date)
@@ -216,6 +226,7 @@ def load_panel_rows(
         )
         if not usable:
             n_dropped += 1
+            n_no_rate += rate is None
             continue
         for k in range(s0, l0 + n_ranks):
             code = by_expiry[k][1]
@@ -257,6 +268,7 @@ def load_panel_rows(
         ttms=ttms,
         mm_value=mm,
         n_dropped=n_dropped,
+        n_dropped_no_rate=n_no_rate,
     )
 
 
@@ -302,6 +314,69 @@ def strategy_loop(panel, rule):
         wealth.append(x * panel.mm_value[j + 1] / panel.mm_value[j] + pnl)
         held.append(weights)
     return np.array(wealth), held
+
+
+def futures_panel_from_path(values, n_contracts, rn, r):
+    """Every contract priced on every day of one simulated path: the
+    full panel that ``SimulatedCurves`` prices only at the held pair.
+    Contract k (1-based) matures on day 21 k; expired contracts are NaN
+    in ``prices`` and ``ttms``, and the account grows by e^(r dt) a
+    day."""
+    n = values.size
+    last = CYCLE_DAYS * n_contracts
+    if n - 1 > last:
+        raise ValueError(f"path spans {n - 1} days but the last maturity is day {last}")
+    days = np.arange(n)
+    maturity_days = CYCLE_DAYS * np.arange(1, n_contracts + 1)
+    ttm = (maturity_days[None, :] - days[:, None]) / TRADING_DAYS_PER_YEAR
+    spot = values[:, None]
+    prices = rn.theta_tilde + (spot - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttm)
+    expired = ttm < 0
+    prices[expired] = np.nan
+    ttm[expired] = np.nan
+    return PricePanel(
+        dates=days,
+        spot=values,
+        contracts=np.array([f"C{i + 1:02d}" for i in range(n_contracts)]),
+        prices=prices,
+        ttms=ttm,
+        mm_value=np.exp(r * DT * days),
+    )
+
+
+def _panel_pair(panel, ranks, w1):
+    """Wealth of ``w1`` in rank ``ranks[0]`` and the rest in ``ranks[1]``
+    of a full panel, by the two-dimensional recursion of one path."""
+    cols = rank_columns(panel.ttms, *ranks)
+    weights = np.column_stack([w1, 1.0 - w1])
+    today = np.take_along_axis(panel.prices[:-1], cols, axis=1)
+    tomorrow = np.take_along_axis(panel.prices[1:], cols, axis=1)
+    mm = panel.mm_value
+    growth = mm[1:] / mm[:-1] + np.sum(weights * (tomorrow / today - 1.0), axis=1)
+    return np.cumprod(np.concatenate([[100.0], growth]))
+
+
+def simulate_loop(values, n_contracts, ranks, beta, r, hist, rn):
+    """``simulate``'s trackers one scenario at a time, each on the full
+    price panel of its path: the dynamic weight on rank ``ranks[0]``,
+    the VXX roll's front weight and the two wealth rows (dynamic, vxx)
+    of each row of ``values``, stacked over the rows."""
+    out = []
+    for row in values:
+        panel = futures_panel_from_path(row, n_contracts, rn, r)
+        mm = panel.mm_value
+        ttm = np.take_along_axis(panel.ttms[:-1], rank_columns(panel.ttms, *ranks), axis=1)
+        c = tracking_coefficients(
+            panel.spot[:-1], ttm[:, 0], ttm[:, 1], beta, hist, rn, mm[1:] / mm[:-1] - 1.0
+        )
+        w_dyn, _ = optimal_weight(c)
+        front = np.take_along_axis(panel.ttms[:-1], rank_columns(panel.ttms, 1, 2), axis=1)
+        days = np.rint(front / DT).astype(int)
+        cycle_length = days[:, 1] - days[:, 0]
+        w_vxx = 1.0 - (cycle_length - days[:, 0]) / cycle_length
+        wealth = [_panel_pair(panel, ranks, w_dyn), _panel_pair(panel, (1, 2), w_vxx)]
+        out.append((w_dyn, w_vxx, np.stack(wealth)))
+    return tuple(np.stack(column) for column in zip(*out))
 
 
 def market_price_of_risk(spot, hist, rn, g):

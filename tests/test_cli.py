@@ -10,7 +10,8 @@ import pytest
 import vixtrack
 from vixtrack.cli import build_parser, main, read_params_file
 
-from conftest import FIT_RN, write_quote_files
+import oracles
+from conftest import FIT_RN, dynamic_pair, write_quote_files
 
 N_DAYS = 200
 RANKS = [f"{r}-m" for r in range(1, 8)]
@@ -71,6 +72,7 @@ def assert_numeric_cells(out):
 
 
 QUOTE_FILES = ("spot.csv", "futures.csv", "rates.csv")
+DROPPED = ("days_dropped", "days_dropped_no_rate", "days_dropped_no_front_close")
 
 
 def test_calibrate(calibrated):
@@ -78,7 +80,7 @@ def test_calibrate(calibrated):
     assert code == 0
     kv = assert_manifest(
         out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES,
-        ("days_dropped", "mle_evaluations", "mle_not_converged"),
+        (*DROPPED, "mle_evaluations", "mle_not_converged", "mle_at_bound"),
     )
     assert kv["output.0"] == "params.txt"
     params = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
@@ -88,6 +90,7 @@ def test_calibrate(calibrated):
     # the simplex evaluates its n + 1 = 4 starting vertices, then at
     # least one point per iteration
     assert int(kv["count.mle_evaluations"]) > int(params["mle_iterations"])
+    assert kv["count.mle_at_bound"] == {"false": "0", "true": "1"}[params["mle_at_bound"]]
 
 
 @pytest.mark.parametrize("mode", ["price", "return"])
@@ -103,7 +106,7 @@ def test_backtest_static(quotes, tmp_path, mode):
         tmp_path, "backtest-static",
         ("data_dir", "window", "n_ranks", "split", "mode", "subsets"),
         QUOTE_FILES,
-        ("days_dropped", "failed_subsets"),
+        (*DROPPED, "failed_subsets"),
     )
     assert kv["count.failed_subsets"] == "0"
     assert kv["config.mode"] == mode
@@ -154,7 +157,8 @@ def test_manifest_counts_dropped_days(tmp_path, command):
     if command == "backtest-static":
         argv += ["--split", str(dates[150])]
     assert main(argv) == 0
-    assert read_manifest(tmp_path / "out")["count.days_dropped"] == "3"
+    kv = read_manifest(tmp_path / "out")
+    assert [kv[f"count.{k}"] for k in DROPPED] == ["3", "1", "2"]
 
 
 def test_simulate(calibrated, tmp_path):
@@ -243,10 +247,58 @@ def test_simulate_front_contract_second_in_the_pair(calibrated, tmp_path):
     g = vixtrack.LocalVol.square_root(hist.sigma)
     paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 63, 3, 1)
     for label, path in zip(("s0_1x", "s0_0p333333x", "s0_3x"), paths):
-        panel = vixtrack.futures_panel_from_path(path, 4, rn, 0.01)
-        w1 = vixtrack.dynamic_weights(panel, (2, 1), 1.0, hist, rn)
+        curves = vixtrack.SimulatedCurves(path.values, 4, rn, 0.01)
+        w1, _ = dynamic_pair(curves, (2, 1), 1.0, hist, rn)
         _, rows = table(tmp_path / "out" / f"weights_{label}.tsv")
         assert [row[1] for row in rows] == [repr(w) for w in (1.0 - w1).tolist()]
+
+
+@pytest.mark.parametrize("contracts", [(1, 2), (2, 3), (2, 1)])
+def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contracts):
+    """All scenarios run as one batch; each per-day table equals, byte
+    for byte, the one-scenario-at-a-time loop's arrays written the same
+    way in this process (no digests: numpy's exp may differ in the last
+    bit between CPUs)."""
+    _, params = calibrated
+    i1, i2 = contracts
+    mults = (1.0, 0.5, 2.0, 3.0)
+    (tmp_path / "scenario.txt").write_text(
+        f"contracts={i1},{i2}\nr=0.03\nbeta=0.7\nseed=4\ns0_multipliers=1,0.5,2,3\n"
+    )
+    out = tmp_path / "out"
+    assert main([
+        "simulate", "--params", str(params / "params.txt"), "--scenario",
+        str(tmp_path / "scenario.txt"), "--cycles", "4", "--out-dir", str(out),
+    ]) == 0
+    hist, rn = read_params_file(params / "params.txt")
+    g = vixtrack.LocalVol.square_root(hist.sigma)
+    paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 84, 4, 4)
+    values = np.stack([path.values for path in paths])
+    w_dyn, w_vxx, wealth = oracles.simulate_loop(
+        values, 3 + max(i1, i2, 2), contracts, 0.7, 0.03, hist, rn
+    )
+    returns = vixtrack.holding_period_returns
+    for k, label in enumerate(("s0_1x", "s0_0p5x", "s0_2x", "s0_3x")):
+        index = (100.0 * values[k] / values[k, 0]).tolist()
+        # the dynamic pair's weight on the front contract
+        front = np.zeros(84) if 1 not in contracts else w_dyn[k] if i1 == 1 else 1.0 - w_dyn[k]
+        want = {
+            "wealth": ["day\tindex\tvxx\tdynamic"] + [
+                f"{j}\t{x!r}\t{v!r}\t{d!r}"
+                for j, (x, v, d) in enumerate(zip(index, *wealth[k, ::-1].tolist()))
+            ],
+            "weights": ["day\tdynamic_w1\tvxx_w1"] + [
+                f"{j}\t{d!r}\t{v!r}"
+                for j, (d, v) in enumerate(zip(front.tolist(), w_vxx[k].tolist()))
+            ],
+            "scatter_points": ["index_return\tportfolio_return"] + [
+                f"{x!r}\t{y!r}"
+                for x, y in zip(returns(values[k], 1).tolist(), returns(wealth[k, 0], 1).tolist())
+            ],
+        }
+        for kind, lines in want.items():
+            got = (out / f"{kind}_{label}.tsv").read_bytes()
+            assert got == ("\n".join(lines) + "\n").encode(), f"{kind}_{label}.tsv"
 
 
 @pytest.mark.parametrize(
@@ -271,7 +323,7 @@ def test_regress(quotes, tmp_path):
         tmp_path, "regress",
         ("data_dir", "window", "n_ranks", "horizons", "ranks", "max_horizon"),
         QUOTE_FILES,
-        ("days_dropped",),
+        DROPPED,
     )
     _, rows = table(tmp_path / "one_day_regressions.tsv")
     assert [row[0] for row in rows] == RANKS
@@ -298,7 +350,7 @@ def test_regress_slopes_follow_the_model(tmp_path, seed):
 
     panel = vixtrack.load_panel(tmp_path / "q", n_ranks=8)
     x = panel.spot[1:] / panel.spot[:-1] - 1.0
-    held = panel.rank_columns(*range(1, 8))
+    held = vixtrack.rank_columns(panel.ttms, *range(1, 8))
     ttm = np.take_along_axis(panel.ttms[:-1], held, axis=1)
     price = np.take_along_axis(panel.prices[:-1], held, axis=1)
     sensitivity = np.exp(-FIT_RN.mu_tilde * ttm) * panel.spot[:-1, None] / price

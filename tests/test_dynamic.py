@@ -11,7 +11,6 @@ from vixtrack import (
     RiskNeutralParams,
     TrackingCoefficients,
     critical_spot,
-    dynamic_weights,
     expected_sq_error,
     futures_price,
     optimal_weight,
@@ -20,7 +19,7 @@ from vixtrack import (
 from vixtrack.model import DT
 
 import oracles
-from conftest import make_sim_panels
+from conftest import dynamic_pair, make_sim_panels
 
 PAPER_HIST = HistoricalParams(10.86, 18.81, 6.37)
 PAPER_RN = RiskNeutralParams(1.39, 26.03)
@@ -69,7 +68,7 @@ class TestTrackingCoefficients:
     def test_identical_ranks_rejected(self, fit_hist, fit_rn):
         panel, _, _ = make_sim_panels(cycles=2, seed=2)
         with pytest.raises(DegenerateProblemError):
-            dynamic_weights(panel, (2, 2), 1.0, fit_hist, fit_rn)
+            dynamic_pair(panel, (2, 2), 1.0, fit_hist, fit_rn)
 
     def test_nonpositive_spot_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +100,16 @@ class TestTrackingCoefficients:
             tracking_coefficients(
                 np.full(3, 18.0), ttm, np.array([0.2, 0.3, 0.1]), 1.0, PAPER_HIST, PAPER_RN,
                 mm_return,
+            )
+
+    def test_batch_checks_name_the_day_and_path(self):
+        # one spot row per path against per-day ttms and returns
+        spot = np.full((3, 4), 18.0)
+        spot[1, 2] = -1.0
+        ttm = np.full(4, 0.1)
+        with pytest.raises(ValueError, match=r"got -1.0 on day 2 of path 1$"):
+            tracking_coefficients(
+                spot, ttm, 2 * ttm, 1.0, PAPER_HIST, PAPER_RN, np.full(4, math.expm1(0.01 * DT))
             )
 
     def test_zero_volatility_is_the_limit_of_small_volatility(self):

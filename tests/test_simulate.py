@@ -7,20 +7,26 @@ from vixtrack import (
     LocalVol,
     PricePanel,
     RiskNeutralParams,
-    dynamic_weights,
+    SimulatedCurves,
     evolve_wealth,
-    futures_panel_from_path,
     futures_price,
     hold_pair,
     holding_period_returns,
     load_panel,
+    rank_columns,
     simulate_index_path,
     simulate_index_paths,
-    vxx_front_weights,
 )
 
 import oracles
-from conftest import FIT_HIST, FIT_RN, make_sim_panels, write_quote_files
+from conftest import (
+    FIT_HIST,
+    FIT_RN,
+    dynamic_pair,
+    make_sim_panels,
+    vxx_pair,
+    write_quote_files,
+)
 
 
 class TestIndexPath:
@@ -140,38 +146,49 @@ class TestFuturesPanel:
     def test_constant_path_at_theta_tilde_prices_flat(self):
         hist = HistoricalParams(1.0, 26.03, 0.0)
         path = simulate_index_path(hist, LocalVol.square_root(0.0), 26.03, 63, 1)
-        panel = futures_panel_from_path(path, 4, FIT_RN, 0.0)
-        live = ~np.isnan(panel.prices)
-        assert np.allclose(panel.prices[live], 26.03)
+        _, today, tomorrow = SimulatedCurves(path.values, 4, FIT_RN, 0.0).held_pair(1, 2)
+        assert np.allclose(today, 26.03) and np.allclose(tomorrow, 26.03)
 
     def test_maturity_convergence_and_pointwise_oracle(self, fit_hist, fit_g, fit_rn):
         path = simulate_index_path(fit_hist, fit_g, 18.81, 63, 3)
-        panel = futures_panel_from_path(path, 4, fit_rn, 0.0)
-        maturity_days = (21, 42, 63, 84)  # contract k matures on day 21 k
-        assert panel.contracts.size == len(maturity_days)
-        for i, mday in enumerate(maturity_days):
-            if mday < path.values.size:
-                assert panel.prices[mday, i] == pytest.approx(path.values[mday])
-        # re-evaluate every live entry through the scalar pricing routine
-        for j in range(panel.n_days):
-            live = [i for i, mday in enumerate(maturity_days) if mday >= j]
-            for i in live:
-                ttm = (maturity_days[i] - j) / 252.0
-                assert panel.prices[j, i] == pytest.approx(
-                    futures_price(path.values[j], ttm, fit_rn), rel=1e-14
-                )
+        ttm, today, tomorrow = SimulatedCurves(path.values, 5, fit_rn, 0.0).held_pair(1, 3)
+        # rank r on day j is the contract maturing on day 21 (j // 21 + r)
+        days = np.arange(63)[:, None]
+        maturity = 21 * (days // 21 + np.array([1, 3]))
+        assert np.array_equal(ttm, (maturity - days) / 252.0)
+        # the front contract held into its maturity day settles at the spot
+        assert tomorrow[20, 0] == pytest.approx(path.values[21], rel=1e-14)
+        assert tomorrow[41, 0] == pytest.approx(path.values[42], rel=1e-14)
+        # re-evaluate every held price through the scalar pricing routine
+        for (j, k), m in np.ndenumerate(maturity):
+            assert today[j, k] == pytest.approx(
+                futures_price(path.values[j], (m - j) / 252.0, fit_rn), rel=1e-14
+            )
+            assert tomorrow[j, k] == pytest.approx(
+                futures_price(path.values[j + 1], (m - j - 1) / 252.0, fit_rn), rel=1e-14
+            )
 
     def test_horizon_past_last_maturity_rejected(self, fit_hist, fit_g, fit_rn):
         path = simulate_index_path(fit_hist, fit_g, 18.81, 64, 3)
         with pytest.raises(ValueError, match="last maturity is day 63"):
-            futures_panel_from_path(path, 3, fit_rn, 0.0)
+            SimulatedCurves(path.values, 3, fit_rn, 0.0)
         with pytest.raises(ValueError):
-            futures_panel_from_path(path, 0, fit_rn, 0.0)
+            SimulatedCurves(path.values, 0, fit_rn, 0.0)
 
 
 class TestEvolveWealth:
     # one day of a money market at r = 0.03
     MM = [1.0, np.exp(0.03 / 252)]
+
+    @staticmethod
+    def batch(n_paths=4, n_days=30, seed=5):
+        """Random (paths, days, 2) weights and prices, and an account."""
+        rng = np.random.default_rng(seed)
+        shape = (n_paths, n_days, 2)
+        today = rng.uniform(10.0, 30.0, shape)
+        tomorrow = today * np.exp(0.05 * rng.standard_normal(shape))
+        mm = np.exp(0.03 * np.arange(n_days + 1) / 252)
+        return rng.normal(size=shape), today, tomorrow, mm
 
     def test_all_cash(self):
         got = evolve_wealth([[0.0]], [[20.0]], [[21.0]], self.MM)
@@ -187,9 +204,20 @@ class TestEvolveWealth:
         got = evolve_wealth([[2.0, -1.0]], [[20.0, 25.0]], [[21.0, 24.0]], [1.0, 1.0])
         assert got[1] == pytest.approx(114.0)
 
+    def test_leading_axis_rows_match_one_path_calls(self):
+        weights, today, tomorrow, mm = self.batch()
+        got = evolve_wealth(weights, today, tomorrow, mm)
+        assert got.shape == (4, 31)
+        for k in range(4):
+            assert np.array_equal(got[k], evolve_wealth(weights[k], today[k], tomorrow[k], mm))
+
     def test_zero_price_rejected(self):
         with pytest.raises(ZeroDivisionError):
             evolve_wealth([[1.0]], [[0.0]], [[1.0]], [1.0, 1.0])
+        weights, today, tomorrow, mm = self.batch()
+        today[2, 17, 1] = 0.0  # one price of one path
+        with pytest.raises(ZeroDivisionError):
+            evolve_wealth(weights, today, tomorrow, mm)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -198,6 +226,9 @@ class TestEvolveWealth:
             evolve_wealth([1.0], [20.0], [21.0], [1.0, 1.0])  # not days x contracts
         with pytest.raises(ValueError, match="one money-market value per day"):
             evolve_wealth([[1.0]], [[20.0]], [[21.0]], [1.0, 1.0, 1.0])
+        weights, today, tomorrow, mm = self.batch()
+        with pytest.raises(ValueError, match="one money-market value per day"):
+            evolve_wealth(weights, today, tomorrow, mm[:-1])
 
 
 def expiry_panel(expiries, n_days):
@@ -219,7 +250,7 @@ class TestVxxWeights:
     @pytest.mark.parametrize("spacing", (14, 21))
     def test_front_weight_falls_linearly_over_each_cycle(self, spacing):
         panel = expiry_panel(spacing * np.arange(1, 5), n_days=3 * spacing + 1)
-        w1 = vxx_front_weights(panel)
+        w1, _ = vxx_pair(panel)
         days = np.arange(panel.n_days - 1)
         # 1 on a cycle's first day, 0.5 halfway through a 14-day cycle
         assert np.array_equal(w1, 1.0 - (days % spacing) / spacing)
@@ -229,17 +260,17 @@ class TestVxxWeights:
         # from day 5 the front (expiring on day 30) is 25 days out, but
         # its cycle up to the second's expiry (day 35) is 5 days long
         with pytest.raises(ValueError, match=r"\[0, 5\], got -20 on day 5"):
-            vxx_front_weights(expiry_panel([5, 30, 35], n_days=10))
+            vxx_pair(expiry_panel([5, 30, 35], n_days=10))
         # a front expiring more than a cycle ahead rejects day 0
         with pytest.raises(ValueError, match="got -1 on day 0"):
-            vxx_front_weights(expiry_panel([11, 21], n_days=3))
+            vxx_pair(expiry_panel([11, 21], n_days=3))
 
 
 class TestRankColumns:
     def test_roll_replaces_front_contract(self):
         # across the cycle boundary the front ranks shift by one contract
         panel, _, _ = make_sim_panels(cycles=2, seed=2)
-        cols = panel.rank_columns(1, 2)
+        cols = rank_columns(panel.ttms, 1, 2)
         assert cols.shape == (panel.n_days - 1, 2)
         assert cols[20].tolist() == [0, 1]
         assert cols[21].tolist() == [1, 2]
@@ -247,18 +278,16 @@ class TestRankColumns:
     def test_rank_beyond_tradable_names_the_day(self):
         panel, _, _ = make_sim_panels(cycles=3, seed=2)
         with pytest.raises(DataError, match="rank 3 not available on day 42"):
-            panel.rank_columns(2, 3)
+            rank_columns(panel.ttms, 2, 3)
         with pytest.raises(ValueError):
-            panel.rank_columns(0, 1)
+            rank_columns(panel.ttms, 0, 1)
 
 
 class TestStrategies:
     def test_zero_weights_flat_wealth_at_zero_rate(self):
         panel, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
-        cols = panel.rank_columns(1, 2)
-        today = np.take_along_axis(panel.prices[:-1], cols, axis=1)
-        tomorrow = np.take_along_axis(panel.prices[1:], cols, axis=1)
-        wealth = evolve_wealth(np.zeros(cols.shape), today, tomorrow, panel.mm_value)
+        _, today, tomorrow = panel.held_pair(1, 2)
+        wealth = evolve_wealth(np.zeros(today.shape), today, tomorrow, panel.mm_value)
         assert np.all(wealth == 100.0)
 
     def test_vxx_loses_in_contango_with_static_spot(self):
@@ -266,29 +295,28 @@ class TestStrategies:
         # rolls down towards the spot, so a long-only roll bleeds daily
         hist = HistoricalParams(1.0, 13.0, 0.0)
         path = simulate_index_path(hist, LocalVol.square_root(0.0), 13.0, 42, 1)
-        panel = futures_panel_from_path(path, 3, RiskNeutralParams(1.39, 26.03), 0.0)
-        wealth = hold_pair(panel, (1, 2), vxx_front_weights(panel))
+        _, wealth = vxx_pair(SimulatedCurves(path.values, 3, RiskNeutralParams(1.39, 26.03), 0.0))
         assert np.all(np.diff(wealth) < 0)
 
     def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn):
         panel, _, path = make_sim_panels(cycles=3, seed=11)
-        w = dynamic_weights(panel, (1, 2), 1.0, fit_hist, fit_rn)
-        wealth = hold_pair(panel, (1, 2), w)
+        _, wealth = dynamic_pair(panel, (1, 2), 1.0, fit_hist, fit_rn)
         index_returns = path.values[1:] / path.values[:-1] - 1.0
         corr = np.corrcoef(holding_period_returns(wealth, 1), index_returns)[0, 1]
         assert corr > 0.99
 
     def test_wrong_length_weights_abort(self):
         panel, _, _ = make_sim_panels(cycles=1, seed=2)
+        _, today, tomorrow = panel.held_pair(1, 2)
         with pytest.raises(ValueError):
-            hold_pair(panel, (1, 2), np.zeros(panel.n_days))
+            hold_pair(np.zeros(panel.n_days), today, tomorrow, panel.mm_value)
 
     def test_vxx_weights_valid_and_dynamic_pair_sums_to_one(self, fit_hist, fit_rn):
         panel, _, _ = make_sim_panels(cycles=3, seed=8)
-        w = vxx_front_weights(panel)
+        w, _ = vxx_pair(panel)
         assert np.all((w >= 0) & (w <= 1))
         assert np.all(w + (1.0 - w) == 1.0)
-        w = dynamic_weights(panel, (1, 2), 1.0, fit_hist, fit_rn)
+        w, _ = dynamic_pair(panel, (1, 2), 1.0, fit_hist, fit_rn)
         assert np.allclose(w + (1.0 - w), 1.0, rtol=0.0, atol=1e-15)
 
 
@@ -306,8 +334,7 @@ def test_vxx_matches_per_day_loop(seed, mult):
     panel, _, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * FIT_HIST.theta, extra_contracts=2
     )
-    w = vxx_front_weights(panel)
-    got = hold_pair(panel, (1, 2), w)
+    w, got = vxx_pair(panel)
     wealth, held = oracles.strategy_loop(panel, oracles.vxx_rule)
     assert np.array_equal(np.column_stack([w, 1.0 - w]), [list(h.values()) for h in held])
     assert _relative_gap(got, wealth) <= 1e-12
@@ -321,13 +348,43 @@ def test_dynamic_matches_per_day_loop(seed, mult, beta, ranks, fit_hist, fit_rn)
     panel, g, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * fit_hist.theta, extra_contracts=2
     )
-    w = dynamic_weights(panel, ranks, beta, fit_hist, fit_rn)
-    got = hold_pair(panel, ranks, w)
+    w, got = dynamic_pair(panel, ranks, beta, fit_hist, fit_rn)
     rule = oracles.dynamic_rule(ranks, beta, fit_hist, fit_rn, g)
     wealth, held = oracles.strategy_loop(panel, rule)
     weights = np.column_stack([w, 1.0 - w])
     assert _relative_gap(weights, np.array([list(h.values()) for h in held])) <= 1e-13
     assert _relative_gap(got, wealth) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", (1.0, 0.7))
+@pytest.mark.parametrize("r", (0.0, 0.03))
+@pytest.mark.parametrize("ranks", ((1, 2), (2, 3), (2, 1)))
+def test_batch_equals_the_per_scenario_loop(ranks, r, beta, fit_hist, fit_g, fit_rn):
+    """All paths through the trackers at once, pricing only the held
+    pair, give exactly the weights, prices and wealth of one full panel
+    per path."""
+    cycles, mults = 6, (1.0, 1.0 / 3.0, 3.0, 0.5)
+    n_contracts = cycles + max(*ranks, 2) - 1
+    paths = simulate_index_paths(
+        fit_hist, fit_g, [m * fit_hist.theta for m in mults], 21 * cycles, len(mults), 7
+    )
+    values = np.stack([path.values for path in paths])
+    curves = SimulatedCurves(values, n_contracts, fit_rn, r)
+    w_dyn, wealth_dyn = dynamic_pair(curves, ranks, beta, fit_hist, fit_rn)
+    w_vxx, wealth_vxx = vxx_pair(curves)
+    want_dyn, want_vxx, want_wealth = oracles.simulate_loop(
+        values, n_contracts, ranks, beta, r, fit_hist, fit_rn
+    )
+    assert w_dyn.shape == want_dyn.shape == (len(mults), 21 * cycles)
+    assert np.array_equal(w_dyn, want_dyn)
+    assert all(np.array_equal(w_vxx, want) for want in want_vxx)
+    assert np.array_equal(np.stack([wealth_dyn, wealth_vxx], axis=1), want_wealth)
+    ttm, today, tomorrow = curves.held_pair(*ranks)
+    for k, row in enumerate(values):
+        panel = oracles.futures_panel_from_path(row, n_contracts, fit_rn, r)
+        assert np.array_equal(curves.mm_value, panel.mm_value)
+        for got, want in zip((ttm, today[k], tomorrow[k]), panel.held_pair(*ranks)):
+            assert np.array_equal(got, want)
 
 
 class TestLoadedQuotes:
@@ -342,16 +399,18 @@ class TestLoadedQuotes:
         loaded = load_panel(tmp_path, n_ranks=8)
         # the path the quote files were priced from
         path = simulate_index_path(fit_hist, fit_g, fit_hist.theta, n_days - 1, 3)
-        simulated = futures_panel_from_path(path, 8, fit_rn, 0.0)
+        simulated = SimulatedCurves(path.values, 8, fit_rn, 0.0)
         assert np.array_equal(loaded.spot, simulated.spot)
         assert np.array_equal(loaded.mm_value, simulated.mm_value)
-        assert np.array_equal(vxx_front_weights(loaded), vxx_front_weights(simulated))
-        w_loaded = dynamic_weights(loaded, (1, 2), 1.0, fit_hist, fit_rn)
-        w_simulated = dynamic_weights(simulated, (1, 2), 1.0, fit_hist, fit_rn)
-        assert np.array_equal(w_loaded, w_simulated)
-        for w in (w_loaded, vxx_front_weights(loaded)):
-            got = hold_pair(loaded, (1, 2), w)
-            want = hold_pair(simulated, (1, 2), w)
+        for ranks in ((1, 2), (2, 3)):
+            for got, want in zip(loaded.held_pair(*ranks), simulated.held_pair(*ranks)):
+                assert np.array_equal(got, want)
+        for got, want in zip(vxx_pair(loaded), vxx_pair(simulated)):
+            assert np.array_equal(got, want)
+        for got, want in zip(
+            dynamic_pair(loaded, (1, 2), 1.0, fit_hist, fit_rn),
+            dynamic_pair(simulated, (1, 2), 1.0, fit_hist, fit_rn),
+        ):
             assert np.array_equal(got, want)
 
     def test_cash_leg_follows_the_loaded_money_market(self, tmp_path, fit_hist, fit_rn, fit_g):
@@ -362,9 +421,8 @@ class TestLoadedQuotes:
         assert np.all(panel.prices[~np.isnan(panel.prices)] == fit_rn.theta_tilde)
         # weekends make the daily cash return uneven
         assert np.ptp(np.diff(np.log(panel.mm_value))) > 0
-        w_dyn = dynamic_weights(panel, (1, 2), 1.0, fit_hist, fit_rn)
-        for w in (w_dyn, vxx_front_weights(panel)):
-            wealth = hold_pair(panel, (1, 2), w)
+        w_dyn, wealth_dyn = dynamic_pair(panel, (1, 2), 1.0, fit_hist, fit_rn)
+        for wealth in (wealth_dyn, vxx_pair(panel)[1]):
             assert _relative_gap(wealth, 100.0 * panel.mm_value / panel.mm_value[0]) <= 1e-14
         # the tracker's drift reads the same account, day by day
         rule = oracles.dynamic_rule((1, 2), 1.0, fit_hist, fit_rn, fit_g)

@@ -1,5 +1,8 @@
 """Mean-reverting volatility-index model: futures pricing, calibration,
-and index-tracking futures portfolios (static and dynamic)."""
+and index-tracking futures portfolios (static and dynamic).
+
+scipy is imported only inside the functions that call it, so the
+package imports with numpy alone."""
 
 __version__ = "0.1.0"
 

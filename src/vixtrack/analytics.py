@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "RegressionResult",
@@ -95,6 +94,8 @@ def ols_regression(x, y) -> RegressionResult:
 
 def slope_one_p(res: RegressionResult):
     """Two-sided Student-t p-value of each fitted slope being exactly one."""
+    from scipy import special
+
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.abs(res.slope - 1.0) / res.slope_se
     # an exact fit (slope_se = 0) has t = 0 at slope one and t = inf otherwise

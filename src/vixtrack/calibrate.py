@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import ive
 
 from .errors import CalibrationError
 from .model import DT, HistoricalParams, RiskNeutralParams
@@ -107,6 +105,8 @@ def log_bessel_i(order: float, x):
     if x_min >= _SMALL_X and math.hypot(order, x_min) >= _DEBYE_RADIUS:
         out = _log_i_debye(order, x_arr)
     else:
+        from scipy.special import ive
+
         out = np.full_like(x_arr, np.nan)
         near = np.hypot(order, x_arr) < _DEBYE_RADIUS
         with np.errstate(divide="ignore"):
@@ -240,6 +240,8 @@ def mle_fit(series) -> MLEReport:
         raise ValueError(f"need at least 100 observations, got {series.size}")
     if np.any(series <= 0):
         raise ValueError("spot series must be positive")
+    from scipy.optimize import minimize
+
     init = initial_guess_from_moments(series)
     res = minimize(
         _neg_avg_loglik,
@@ -307,6 +309,7 @@ def mom_fit(observations) -> MOMReport:
             "unidentifiable: one maturity at one spot level cannot pin down "
             "both mean-reversion parameters"
         )
+    from scipy.optimize import minimize_scalar
 
     def theta_star(log_mu: float) -> float:
         e = np.exp(-math.exp(log_mu) * ttms)

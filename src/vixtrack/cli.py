@@ -33,7 +33,7 @@ from .analytics import holding_period_returns, ols_regression, slope_one_p
 from .calibrate import mle_fit, mom_fit
 from .data import load_panel, split_day
 from .dynamic import dynamic_weights
-from .errors import CalibrationError, DataError, DegenerateProblemError
+from .errors import CalibrationError, DataError, DegenerateProblemError, require
 from .model import (
     CYCLE_DAYS,
     HistoricalParams,
@@ -347,14 +347,20 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
     curves = SimulatedCurves([path.values for path in paths], n_contracts, rn, cfg["r"])
     ttm, today, tomorrow = curves.held_pair(i1, i2)
     w_dyn = dynamic_weights(curves.spot, ttm, curves.mm_value, cfg["beta"], hist, rn)
-    wealth_dyn = hold_pair(w_dyn, today, tomorrow, curves.mm_value)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an error just below
+        wealth_dyn = hold_pair(w_dyn, today, tomorrow, curves.mm_value)
+    labels = [f"s0_{m:g}x".replace(".", "p") for m in mults]
+    # a path held near the Euler floor can drive w* and the wealth past float
+    # range; a non-finite weight on day j leaves the wealth non-finite from j + 1
+    for label, wealth in zip(labels, wealth_dyn):
+        message = f"scenario {label}: dynamic wealth not finite"
+        require(np.isfinite(wealth), DegenerateProblemError, message)
     ttm, today, tomorrow = curves.held_pair(1, 2)
     w_vxx = vxx_front_weights(ttm)
     # rows: dynamic on ranks (i1, i2), then vxx on ranks (1, 2)
     wealth_rows = np.stack([wealth_dyn, hold_pair(w_vxx, today, tomorrow, curves.mm_value)], axis=1)
-    for mult, spot, w1, wealth in zip(mults, curves.spot, w_dyn, wealth_rows):
+    for label, spot, w1, wealth in zip(labels, curves.spot, w_dyn, wealth_rows):
         weights = np.stack([(w, 1.0 - w) for w in (w1, w_vxx)])
-        label = f"s0_{mult:g}x".replace(".", "p")
         index_norm = 100.0 * spot / spot[0]
         columns = zip(index_norm.tolist(), wealth[1].tolist(), wealth[0].tolist())
         rows = [f"{j}\t{idx!r}\t{v!r}\t{d!r}" for j, (idx, v, d) in enumerate(columns)]

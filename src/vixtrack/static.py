@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import PricePanel, rank_columns
 from .errors import DataError, DegenerateProblemError
@@ -167,6 +166,8 @@ def solve_constrained_ls(columns, target, labels) -> np.ndarray:
     a = c[:, 1:] - c[:, [0]]
     rank = np.linalg.matrix_rank(a)
     if rank < a.shape[1]:
+        import scipy.linalg
+
         _, _, piv = scipy.linalg.qr(a, pivoting=True, mode="economic")
         names = [labels[i] for i in sorted(piv[rank:] + 1)]
         raise DegenerateProblemError(

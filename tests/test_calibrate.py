@@ -137,7 +137,7 @@ class TestLogBesselI:
         def ive(order, x):
             raise IveCalled
 
-        monkeypatch.setattr("vixtrack.calibrate.ive", ive)
+        monkeypatch.setattr("scipy.special.ive", ive)
         # the paper's order; x = 2 sqrt(S' S e^(-mu dt)) / sig2 over daily VIX levels
         xs = np.linspace(250.0, 2000.0, 200)
         assert np.all(np.isfinite(log_bessel_i(9.068, xs)))

@@ -2,7 +2,11 @@
 quote files, and the package's public names."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,11 +197,12 @@ def test_backtest_static_split_outside_the_window_fails_the_run(quotes, tmp_path
     assert not (tmp_path / "manifest.txt").exists()
 
 
+# violent volatility drives Euler steps below zero
+VIOLENT_PARAMS = "mu=1.0\ntheta=5.0\nsigma=60.0\nmu_tilde=1.39\ntheta_tilde=26.03\n"
+
+
 def test_simulate_counts_clamped_steps(tmp_path):
-    # violent volatility drives Euler steps below zero
-    (tmp_path / "params.txt").write_text(
-        "mu=1.0\ntheta=5.0\nsigma=60.0\nmu_tilde=1.39\ntheta_tilde=26.03\n"
-    )
+    (tmp_path / "params.txt").write_text(VIOLENT_PARAMS)
     (tmp_path / "scenario.txt").write_text("seed=5\n")
     code = main([
         "simulate", "--params", str(tmp_path / "params.txt"),
@@ -211,6 +216,23 @@ def test_simulate_counts_clamped_steps(tmp_path):
     clamped = sum(path.n_clamped for path in paths)
     assert clamped > 0
     assert read_manifest(tmp_path / "out")["count.clamped_steps"] == str(clamped)
+
+
+def test_simulate_non_finite_dynamic_wealth_fails_the_run(tmp_path, capsys):
+    # over 60 cycles the paths sit at the Euler floor long enough for w*
+    # to reach 1e8 and the dynamic wealth to overflow
+    (tmp_path / "params.txt").write_text(VIOLENT_PARAMS)
+    (tmp_path / "scenario.txt").write_text("seed=5\n")
+    code = main([
+        "simulate", "--params", str(tmp_path / "params.txt"), "--cycles", "60",
+        "--scenario", str(tmp_path / "scenario.txt"), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == (
+        "degenerate optimization: scenario s0_1x: dynamic wealth not finite on day 224\n"
+    )
+    assert list((tmp_path / "out").iterdir()) == []  # no table, no manifest
 
 
 def test_simulate_later_pair_holds_no_front_contract(calibrated, tmp_path):
@@ -477,3 +499,32 @@ def test_equal_manifests_mean_identical_outputs(calibrated, quotes, tmp_path, co
     for kv in manifests:
         del kv["elapsed_seconds"]
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("case", ["import", "regress", "backtest-static", "paths", "simulate"])
+def test_scipy_is_imported_only_where_it_is_called(calibrated, quotes, tmp_path, case):
+    """In a fresh interpreter, importing the CLI, the engine and the
+    regress and backtest-static runs load no scipy module; simulate's
+    Student-t p-values load scipy.special, and not the optimizers or
+    scipy.linalg."""
+    if case == "import":
+        code = "import vixtrack.cli"
+    elif case == "paths":
+        code = (
+            "import vixtrack as v; h = v.HistoricalParams(5.0, 20.0, 0.8)\n"
+            "v.simulate_index_paths(h, v.LocalVol.square_root(h.sigma), [20.0, 30.0], 100, 2, 0)"
+        )
+    else:
+        argv = default_argv(case, calibrated, quotes) + ["--out-dir", str(tmp_path)]
+        code = f"from vixtrack.cli import main\nassert main({argv!r}) == 0"
+    code += "\nimport sys; print('scipy:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(run.stdout.splitlines()[-1].split()[1:])
+    if case == "simulate":
+        assert "scipy.special" in loaded, loaded
+        assert not loaded & {"scipy.optimize", "scipy.linalg"}, loaded
+    else:
+        assert loaded == set()

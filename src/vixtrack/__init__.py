@@ -39,9 +39,7 @@ from .model import (
 )
 from .simulate import (
     SimulatedCurves,
-    evolve_wealth,
     hold_pair,
-    simulate_index_path,
     simulate_index_paths,
     vxx_front_weights,
 )

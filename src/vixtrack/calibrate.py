@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError
-from .model import DT, HistoricalParams, RiskNeutralParams
+from .model import DT, HistoricalParams, RiskNeutralParams, futures_price
 
 __all__ = [
     "MLEReport",
@@ -266,22 +266,18 @@ def mle_fit(series) -> MLEReport:
     )
 
 
-def _weighted_sq_errors(mu_t: float, theta_t: float, observations) -> np.ndarray:
-    spots, ttms, prices, weights, _ = observations
-    fitted = (spots - theta_t) * np.exp(-mu_t * ttms) + theta_t
-    return weights * (fitted - prices) ** 2
-
-
 def mom_loss(rn: RiskNeutralParams, observations) -> float:
     """Average squared futures-pricing error over the sample.
 
     loss = (1/n) sum_j (1/(2 N_j)) sum_i
            ((s_j - theta_tilde) e^(-mu_tilde T_i) + theta_tilde - f_j^i)^2
 
+    with the curve from :func:`~vixtrack.model.futures_price`.
     ``observations`` is the (spot, ttm, price, weight, day) tuple of
     per-quote arrays from :meth:`PricePanel.observations`.
     """
-    return float(np.sum(_weighted_sq_errors(rn.mu_tilde, rn.theta_tilde, observations)))
+    spots, ttms, prices, weights, _ = observations
+    return float(np.sum(weights * (futures_price(spots, ttms, rn) - prices) ** 2))
 
 
 def mom_fit(observations) -> MOMReport:
@@ -292,9 +288,10 @@ def mom_fit(observations) -> MOMReport:
     e = e^(-mu_tilde T) and a = 1 - e, is linear in theta_tilde, so the
     loss is a convex quadratic in theta_tilde whose minimizer over the
     box (1e-6, 1e4) is sum w a (f - s e) / sum w a^2, clipped.  What is
-    left is a one-dimensional search in log mu_tilde over (1e-6, 1e3): a
-    coarse log grid brackets the best minimum, guarding against others,
-    and a bounded scalar search refines it.  Deterministic given the
+    left is a one-dimensional search in log mu_tilde over (1e-6, 1e3) of
+    the profile, :func:`mom_loss` at that theta_tilde: a coarse log grid
+    brackets the best minimum, guarding against others, and a bounded
+    scalar search refines it.  Deterministic given the
     observations, the per-quote arrays of :meth:`PricePanel.observations`.
 
     Raises
@@ -318,8 +315,7 @@ def mom_fit(observations) -> MOMReport:
         return min(max(float(theta), 1e-6), 1e4)
 
     def profile(log_mu: float) -> float:
-        sq = _weighted_sq_errors(math.exp(log_mu), theta_star(log_mu), observations)
-        return float(np.sum(sq))
+        return mom_loss(RiskNeutralParams(math.exp(log_mu), theta_star(log_mu)), observations)
 
     grid = np.linspace(math.log(1e-6), math.log(1e3), 37)
     values = [profile(z) for z in grid]

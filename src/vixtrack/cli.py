@@ -34,12 +34,7 @@ from .calibrate import mle_fit, mom_fit
 from .data import load_panel, split_day
 from .dynamic import dynamic_weights
 from .errors import CalibrationError, DataError, DegenerateProblemError, require
-from .model import (
-    CYCLE_DAYS,
-    HistoricalParams,
-    LocalVol,
-    RiskNeutralParams,
-)
+from .model import CYCLE_DAYS, HistoricalParams, LocalVol, RiskNeutralParams
 from .simulate import (
     SimulatedCurves,
     hold_pair,
@@ -164,6 +159,10 @@ def _checked(parse, ok, need: str):
     return rule
 
 
+def _distinct(values) -> bool:
+    return len(set(values)) == len(values)
+
+
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _finite = _checked(float, np.isfinite, "finite")
 _positive = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
@@ -179,6 +178,11 @@ def _window(text: str) -> tuple:
     if len(dates) != 2 or np.isnat(dates).any():
         raise ValueError("need START:END dates")
     return dates
+
+
+def scenario_label(multiplier: float) -> str:
+    """File label of a starting level of ``multiplier`` x theta."""
+    return f"s0_{multiplier:g}x".replace(".", "p")
 
 
 def read_params_file(path) -> tuple:
@@ -205,7 +209,14 @@ _SCENARIO_KEYS = {
     "seed": (_checked(int, lambda v: v >= 0, ">= 0"), 1),
     "r": (_finite, 0.01),
     "contracts": (_rank_pair, (1, 2)),
-    "s0_multipliers": (lambda text: _numbers(text, _positive), (1.0, 1.0 / 3.0, 3.0)),
+    "s0_multipliers": (
+        _checked(
+            lambda text: _numbers(text, _positive),
+            lambda mults: _distinct([scenario_label(m) for m in mults]),
+            "multipliers of distinct file labels",
+        ),
+        (1.0, 1.0 / 3.0, 3.0),
+    ),
 }
 
 
@@ -220,7 +231,7 @@ def read_scenario_config(path) -> dict:
     DataError
         Naming the file, line and key of an unknown or repeated key or
         of a value that does not parse or that its rule rejects (say
-        ``r=nan`` or ``contracts=2,2``).
+        ``r=nan``, ``contracts=2,2`` or two multipliers of one label).
     """
     cfg = {key: default for key, (_, default) in _SCENARIO_KEYS.items()}
     if path is None:
@@ -281,7 +292,8 @@ def _parse_subsets(text):
     if not text:
         pool = DEFAULT_SUBSET_POOL
         return [s for r in range(1, len(pool) + 1) for s in itertools.combinations(pool, r)]
-    return _parse(lambda t: [_numbers(part) for part in t.split(";")], text, "--subsets")
+    rule = _checked(lambda t: [_numbers(p) for p in t.split(";")], _distinct, "distinct subsets")
+    return _parse(rule, text, "--subsets")
 
 
 def cmd_backtest_static(args, manifest: RunManifest) -> int:
@@ -336,20 +348,18 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
     )
 
     n_days = cycles * CYCLE_DAYS
-    # enough contracts that both ranks trade on the last day
-    n_contracts = cycles + max(i1, i2, 2) - 1
     paths = simulate_index_paths(
         hist, LocalVol.square_root(hist.sigma), [m * hist.theta for m in mults],
         n_days, len(mults), cfg["seed"],
     )
     manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
     # every scenario is one path of a single batch through both trackers
-    curves = SimulatedCurves([path.values for path in paths], n_contracts, rn, cfg["r"])
+    curves = SimulatedCurves([path.values for path in paths], rn, cfg["r"])
     ttm, today, tomorrow = curves.held_pair(i1, i2)
     w_dyn = dynamic_weights(curves.spot, ttm, curves.mm_value, cfg["beta"], hist, rn)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an error just below
         wealth_dyn = hold_pair(w_dyn, today, tomorrow, curves.mm_value)
-    labels = [f"s0_{m:g}x".replace(".", "p") for m in mults]
+    labels = [scenario_label(m) for m in mults]
     # a path held near the Euler floor can drive w* and the wealth past float
     # range; a non-finite weight on day j leaves the wealth non-finite from j + 1
     for label, wealth in zip(labels, wealth_dyn):
@@ -393,8 +403,11 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
 
 
 def cmd_regress(args, manifest: RunManifest) -> int:
-    ranks = _parse(_numbers, args.ranks, "--ranks")
-    horizons = _parse(lambda t: _numbers(t, _positive_int), args.horizons, "--horizons")
+    ranks = _parse(_checked(_numbers, _distinct, "distinct ranks"), args.ranks, "--ranks")
+    horizons = _parse(
+        _checked(lambda t: _numbers(t, _positive_int), _distinct, "distinct horizons"),
+        args.horizons, "--horizons",
+    )
     max_horizon = _parse(_positive_int, args.max_horizon, "--max-horizon")
     panel = _load_quotes(args, manifest)
 

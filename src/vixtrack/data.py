@@ -21,10 +21,9 @@ the spot level and a compounded money-market account, plus ``n_days x
 n_contracts`` matrices of futures prices and times to maturity (in
 trading years), one column per contract in expiry order.  An entry is
 NaN wherever the contract has no quote that day, so rank r on day j is
-the r-th column with a positive ttm (:func:`rank_columns`, shared with
-the simulated curves).  The account is the one source of the
-risk-free rate: the static fit's cash column and the trackers' cash
-leg both read it.
+the r-th column with a positive ttm (:func:`rank_columns`).  The
+account is the one source of the risk-free rate: the static fit's cash
+column and the trackers' cash leg both read it.
 
 A loaded panel keeps, per day, the contract settling that day when it
 is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
@@ -377,15 +376,18 @@ def split_day(panel: PricePanel, boundary) -> int:
     Raises
     ------
     DataError
-        If either window would be empty.
+        If either window would have fewer than 2 days: a one-day window
+        rebased to 100 is matched by any portfolio and has no return.
     """
     if np.issubdtype(panel.dates.dtype, np.integer):
         b = int(boundary)
     else:
         b = np.datetime64(boundary, "D")
-    if not (panel.dates[0] < b <= panel.dates[-1]):
+    cut = int(np.searchsorted(panel.dates, b, side="left"))
+    if not 2 <= cut <= panel.n_days - 2:
         raise DataError(
-            f"boundary {boundary} outside the panel window "
-            f"[{panel.dates[0]}, {panel.dates[-1]}]"
+            f"boundary {boundary} leaves {cut} in-sample and {panel.n_days - cut} "
+            f"out-of-sample days of the panel window [{panel.dates[0]}, {panel.dates[-1]}]; "
+            "each window needs at least 2"
         )
-    return int(np.searchsorted(panel.dates, b, side="left"))
+    return cut

@@ -109,8 +109,11 @@ class LocalVol:
         return self.sigma * np.sqrt(spot)
 
 
-def futures_price(spot: float, ttm: float, rn: RiskNeutralParams) -> float:
-    """Futures price for time-to-maturity ``ttm`` given the current spot.
+def futures_price(spot, ttm, rn: RiskNeutralParams):
+    """Futures price f = (spot - theta_tilde) e^(-mu_tilde ttm) + theta_tilde
+    for time-to-maturity ``ttm`` given the current spot, elementwise
+    over broadcast scalars or arrays: the one evaluation of the curve,
+    for the simulated market and the curve fit alike.
 
     Affine in spot with slope exp(-mu_tilde * ttm) <= 1; converges to
     the spot at ttm = 0 and to theta_tilde as ttm grows.
@@ -118,13 +121,12 @@ def futures_price(spot: float, ttm: float, rn: RiskNeutralParams) -> float:
     Raises
     ------
     ValueError
-        If ``ttm`` is negative or ``spot`` is negative.
+        If ``ttm`` or ``spot`` is negative (naming the first such day
+        for arrays).
     """
-    if ttm < 0:
-        raise ValueError(f"time to maturity must be >= 0, got {ttm}")
-    if spot < 0:
-        raise ValueError(f"spot must be >= 0, got {spot}")
-    return (spot - rn.theta_tilde) * math.exp(-rn.mu_tilde * ttm) + rn.theta_tilde
+    require(ttm >= 0, ValueError, "time to maturity must be >= 0, got {}", ttm)
+    require(spot >= 0, ValueError, "spot must be >= 0, got {}", spot)
+    return (spot - rn.theta_tilde) * np.exp(-rn.mu_tilde * ttm) + rn.theta_tilde
 
 
 def b_coefficient(

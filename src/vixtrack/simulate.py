@@ -5,13 +5,14 @@ The index follows the explicit Euler recursion
     S[j+1] = S[j] + mu*(theta - S[j])*dt + g(S[j])*sqrt(dt)*Z[j+1]
 
 with i.i.d. standard normal shocks, dt = ``model.DT`` and the local
-volatility ``g`` the engine is given (every subcommand passes
+volatility ``g`` the engine is given (``simulate`` passes
 ``LocalVol.square_root(hist.sigma)``).  Monthly contracts mature every
-``model.CYCLE_DAYS`` trading days, so the ttms and the money market
-are the same for every path: :class:`SimulatedCurves` fixes them once
-for a (paths, days) batch and prices, from the closed form in
-:mod:`vixtrack.model`, only the two contracts held over each day, with
-no (paths, days, contracts) array.  Loaded quotes supply the same held
+``model.CYCLE_DAYS`` trading days, so rank r on day j is the contract
+maturing on day CYCLE_DAYS * (j // CYCLE_DAYS + r) on every path:
+:class:`SimulatedCurves` computes the two held maturities of a
+(paths, days) batch in closed form and prices only them, through
+:func:`~vixtrack.model.futures_price`, with no ttm matrix and no
+(paths, days, contracts) array.  Loaded quotes supply the same held
 pair (:meth:`~vixtrack.data.PricePanel.held_pair`) to the same
 trackers.  A two-contract strategy (the dynamic tracker, the VXX-style
 roll) is an array of the weight on the first of the pair, per path and
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import rank_columns
-from .errors import require
+from .errors import DataError, require
 from .model import (
     CYCLE_DAYS,
     DT,
@@ -39,14 +39,13 @@ from .model import (
     HistoricalParams,
     LocalVol,
     RiskNeutralParams,
+    futures_price,
 )
 
 __all__ = [
     "IndexPath",
-    "simulate_index_path",
     "simulate_index_paths",
     "SimulatedCurves",
-    "evolve_wealth",
     "hold_pair",
     "vxx_front_weights",
 ]
@@ -64,21 +63,35 @@ class IndexPath:
     n_clamped: int = 0
 
 
-def _euler_paths(hist: HistoricalParams, g: LocalVol, s0, seeds, n_days: int) -> list:
-    """Euler-step one path per seed, all paths together, from one level
-    ``s0`` or one per path.  Row k of the batch first holds the normals
-    of ``default_rng(seeds[k])``; each day's levels overwrite that day's
-    shocks.  Returns one :class:`IndexPath` per row, a view of it."""
+def simulate_index_paths(
+    hist: HistoricalParams,
+    g: LocalVol,
+    s0,
+    n_days: int,
+    n_paths: int,
+    seed,
+) -> list:
+    """Simulate ``n_paths`` independent paths over ``n_days`` steps
+    (n_days + 1 values each) from one level ``s0`` or one per path.
+
+    Path ``k`` is driven by the ``k``-th child of ``SeedSequence(seed)``:
+    row k of the batch first holds that child's normals, and each day's
+    levels overwrite that day's shocks as every path advances together.
+    A step that lands below a small positive floor is clamped to it.
+    Returns one :class:`IndexPath` per path, a view of its row, with
+    its clamp count; identical arguments give bit-identical paths.
+    """
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
-    values = np.empty((len(seeds), n_days + 1))
+    seeds = np.random.SeedSequence(seed).spawn(n_paths)
+    values = np.empty((n_paths, n_days + 1))
     values[:, 0] = s0
     if not np.all(values[:, 0] > 0):
         raise ValueError(f"s0 must be positive, got {s0}")
-    for row, seed in zip(values, seeds):
-        np.random.default_rng(seed).standard_normal(out=row[1:])
+    for row, child in zip(values, seeds):
+        np.random.default_rng(child).standard_normal(out=row[1:])
     sqrt_dt = np.sqrt(DT)
-    n_clamped = np.zeros(len(seeds), dtype=int)
+    n_clamped = np.zeros(n_paths, dtype=int)
     s = values[:, 0]
     for j in range(1, n_days + 1):
         s = s + hist.mu * (hist.theta - s) * DT + g(s) * sqrt_dt * values[:, j]
@@ -89,121 +102,74 @@ def _euler_paths(hist: HistoricalParams, g: LocalVol, s0, seeds, n_days: int) ->
     return [IndexPath(row, int(n)) for row, n in zip(values, n_clamped)]
 
 
-def simulate_index_path(
-    hist: HistoricalParams,
-    g: LocalVol,
-    s0: float,
-    n_days: int,
-    seed,
-) -> IndexPath:
-    """Simulate one index path over ``n_days`` steps (n_days+1 values).
-
-    A step that lands at or below zero is clamped to a small positive
-    floor; the number of clamps is recorded on the returned path.
-    Identical (parameters, seed, n_days) give bit-identical paths.
-    """
-    return _euler_paths(hist, g, s0, [seed], n_days)[0]
-
-
-def simulate_index_paths(
-    hist: HistoricalParams,
-    g: LocalVol,
-    s0,
-    n_days: int,
-    n_paths: int,
-    seed,
-) -> list:
-    """Simulate ``n_paths`` independent paths from one level or one per path.
-
-    Path ``k`` is driven by the ``k``-th child of ``SeedSequence(seed)``,
-    so it equals ``simulate_index_path`` run alone on that child.
-    """
-    return _euler_paths(hist, g, s0, np.random.SeedSequence(seed).spawn(n_paths), n_days)
-
-
 class SimulatedCurves:
     """Monthly futures curves of simulated index paths, priced only
     where a strategy holds a contract.
 
     ``spot`` holds one path, or one row per path, on days 0, 1, ...;
-    contract k (1-based) matures on day ``CYCLE_DAYS * k``.  ``ttms``
-    (days x contracts, (T_k - j) / 252 as the loader counts it, NaN
-    past maturity) and ``mm_value`` (growing by e^(r*dt) a day at the
-    continuously compounded annual rate ``r``) serve every path.
+    contract k (1-based) matures on day ``CYCLE_DAYS * k``, with as
+    many contracts as the ranks held need.  ``mm_value`` (growing by
+    e^(r*dt) a day at the continuously compounded annual rate ``r``)
+    serves every path.
     """
 
-    def __init__(self, spot, n_contracts: int, rn: RiskNeutralParams, r: float):
+    def __init__(self, spot, rn: RiskNeutralParams, r: float):
         self.spot = np.asarray(spot, dtype=float)
         self.rn = rn
-        n = self.spot.shape[-1]
-        last = CYCLE_DAYS * n_contracts
-        if n - 1 > last:
-            raise ValueError(f"path spans {n - 1} days but the last maturity is day {last}")
-        days = np.arange(n)
-        maturity_days = CYCLE_DAYS * np.arange(1, n_contracts + 1)
-        self.ttms = (maturity_days[None, :] - days[:, None]) / TRADING_DAYS_PER_YEAR
-        self.ttms[self.ttms < 0] = np.nan
-        self.mm_value = np.exp(r * DT * days)
+        self.mm_value = np.exp(r * DT * np.arange(self.spot.shape[-1]))
 
     def held_pair(self, i1: int, i2: int) -> tuple:
-        """As :meth:`~vixtrack.data.PricePanel.held_pair`, with prices
-        f = theta_tilde + (S - theta_tilde) * exp(-mu_tilde * ttm) on
-        every path: (..., days - 1, 2); the ttms are (days - 1, 2)."""
-        cols = rank_columns(self.ttms, i1, i2)
-        ttm, ttm_next = (
-            np.take_along_axis(t, cols, axis=1) for t in (self.ttms[:-1], self.ttms[1:])
-        )
-        tt = self.rn.theta_tilde
+        """As :meth:`~vixtrack.data.PricePanel.held_pair`, on every
+        path: rank r over day j -> j+1 is the contract maturing on day
+        T = CYCLE_DAYS * (j // CYCLE_DAYS + r), with ttm (T - j) / 252
+        today and (T - j - 1) / 252 tomorrow, as the loader counts it.
+        The ttms are (days - 1, 2); the prices (..., days - 1, 2).
+
+        Raises
+        ------
+        DataError
+            If a rank is below 1.
+        """
+        if min(i1, i2) < 1:
+            raise DataError(f"rank {min(i1, i2)} not available: ranks are 1-based")
+        day = np.arange(self.spot.shape[-1] - 1)[:, None]
+        left = CYCLE_DAYS * (day // CYCLE_DAYS + np.array([i1, i2])) - day
+        ttm, ttm_next = left / TRADING_DAYS_PER_YEAR, (left - 1) / TRADING_DAYS_PER_YEAR
+        # one column at a time, so a bad spot or ttm is named by its day
         today, tomorrow = (
-            tt + (s[..., None] - tt) * np.exp(-self.rn.mu_tilde * t)
+            np.stack([futures_price(s, t[:, k], self.rn) for k in (0, 1)], axis=-1)
             for s, t in ((self.spot[..., :-1], ttm), (self.spot[..., 1:], ttm_next))
         )
         return ttm, today, tomorrow
 
 
-def evolve_wealth(
-    weights: np.ndarray,
-    today: np.ndarray,
-    tomorrow: np.ndarray,
-    mm_value: np.ndarray,
-) -> np.ndarray:
-    """Wealth of a daily-rebalanced futures portfolio.
+def hold_pair(w1, today: np.ndarray, tomorrow: np.ndarray, mm_value: np.ndarray) -> np.ndarray:
+    """Wealth of holding ``w1[j]`` of it in the first contract of a held
+    pair and the rest in the second over each day j -> j+1, by
 
     x[j+1] = x[j] * (M[j+1] / M[j] + sum_k w[j, k] * (f'[j, k] / f[j, k] - 1))
 
-    from x[0] = 100.  Row ``j`` of the (..., days - 1, k) arrays holds
-    the weights and the day-``j`` and day-``j+1`` prices of the held
-    contracts, for one path or one per leading index, and ``mm_value``
-    holds the days' values M of the money-market account, shared by
-    every path.  The full wealth sits on margin earning the account's
-    return; each contract contributes its price change times the units
-    held.  Returns (..., days) wealth.
+    from x[0] = 100: the full wealth sits on margin earning the
+    money-market return, and each contract adds its price change times
+    the units held, so wealth may go negative under leverage.
+    ``today`` and ``tomorrow`` are a ``held_pair``'s (..., days - 1, 2)
+    prices f and f', for one path or one per leading index; one series
+    ``w1`` and the account values M serve every path.  The ranks count
+    contracts with ttm > 0 on day j, so the holder earns a maturing
+    contract's settlement at f = S.  Returns (..., days) wealth.
     """
-    weights, today, tomorrow, mm_value = (
-        np.asarray(a, dtype=float) for a in (weights, today, tomorrow, mm_value)
-    )
-    if weights.ndim < 2 or not (weights.shape == today.shape == tomorrow.shape):
-        raise ValueError("weights and prices must be (..., days, contracts) arrays of one shape")
-    if mm_value.shape != (weights.shape[-2] + 1,):
+    today, tomorrow, mm_value = (np.asarray(a, dtype=float) for a in (today, tomorrow, mm_value))
+    if today.ndim < 2 or today.shape[-1] != 2 or today.shape != tomorrow.shape:
+        raise ValueError("prices must be (..., days, 2) arrays of one shape")
+    if mm_value.shape != (today.shape[-2] + 1,):
         raise ValueError("need one money-market value per day")
     if np.any(today == 0):
         raise ZeroDivisionError("zero futures price in today's quotes")
+    w1 = np.broadcast_to(w1, today.shape[:-1])
+    weights = np.stack([w1, 1.0 - w1], axis=-1)
     growth = mm_value[1:] / mm_value[:-1] + np.sum(weights * (tomorrow / today - 1.0), axis=-1)
     start = np.full(growth.shape[:-1] + (1,), 100.0)
     return np.cumprod(np.concatenate([start, growth], axis=-1), axis=-1)
-
-
-def hold_pair(w1, today: np.ndarray, tomorrow: np.ndarray, mm_value: np.ndarray) -> np.ndarray:
-    """Wealth, from 100 on the first day, of holding ``w1[j]`` of it in
-    the first contract of a held pair and the rest in the second over
-    each day j -> j+1, earning the money-market return; it may go
-    negative under leverage.  ``today`` and ``tomorrow`` come from a
-    ``held_pair``, whose ranks count contracts with ttm > 0 on day j,
-    so the holder earns a maturing contract's settlement at f = S.  One
-    series ``w1`` may serve every path.
-    """
-    w1 = np.broadcast_to(w1, today.shape[:-1])
-    return evolve_wealth(np.stack([w1, 1.0 - w1], axis=-1), today, tomorrow, mm_value)
 
 
 def vxx_front_weights(ttm: np.ndarray) -> np.ndarray:

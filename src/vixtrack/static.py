@@ -207,7 +207,7 @@ def static_portfolio(panel: PricePanel, rolled, cut: int, mode: str) -> StaticWe
     ------
     ValueError
         On an unknown mode, a series not as long as the panel, a cut
-        that leaves a window empty, or a window starting at zero.
+        that leaves a window under 2 days, or a window starting at zero.
     DegenerateProblemError
         If the in-sample system is rank-deficient.
     """
@@ -219,8 +219,8 @@ def static_portfolio(panel: PricePanel, rolled, cut: int, mode: str) -> StaticWe
                 f"{series.maturity_rank}-m series has {series.values.size} days, "
                 f"the panel {panel.n_days}"
             )
-    if not 0 < cut < panel.n_days:
-        raise ValueError(f"cut {cut} leaves a window of the {panel.n_days} days empty")
+    if not 2 <= cut <= panel.n_days - 2:
+        raise ValueError(f"cut {cut} leaves a window of the {panel.n_days} days under 2 days")
     columns = np.column_stack([panel.mm_value, *(series.values for series in rolled)])
     labels = ("cash", *(f"{series.maturity_rank}-m" for series in rolled))
 

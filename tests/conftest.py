@@ -8,11 +8,11 @@ from vixtrack import (
     build_rolled_series,
     dynamic_weights,
     hold_pair,
-    simulate_index_path,
     vxx_front_weights,
 )
+from vixtrack.simulate import IndexPath
 
-from oracles import futures_panel_from_path
+from oracles import euler_path_loop, futures_panel_from_path
 
 # Fitted parameter set used throughout as a realistic operating point.
 FIT_HIST = HistoricalParams(mu=10.86, theta=18.81, sigma=6.37)
@@ -48,7 +48,8 @@ def make_sim_panels(
     over whole cycles at rate ``r``, with its local volatility and index
     path."""
     g = LocalVol.square_root(hist.sigma if sigma is None else sigma)
-    path = simulate_index_path(hist, g, hist.theta if s0 is None else s0, cycles * 21, seed)
+    s0 = hist.theta if s0 is None else s0
+    path = IndexPath(*euler_path_loop(hist, g, s0, cycles * 21, seed))
     return futures_panel_from_path(path.values, cycles + extra_contracts, rn, r), g, path
 
 
@@ -134,8 +135,7 @@ def write_quote_files(
     n_contracts = n_days // 21 + 9
     dates = weekday_dates(start, n_days + 21 * n_contracts)
     g = LocalVol.square_root(hist.sigma)
-    path = simulate_index_path(hist, g, hist.theta, n_days - 1, seed)
-    spot = path.values
+    spot, _ = euler_path_loop(hist, g, hist.theta, n_days - 1, seed)
 
     spot_lines = ["date,code,field,value"]
     for j in range(n_days):

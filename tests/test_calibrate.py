@@ -17,7 +17,6 @@ from vixtrack import (
     mle_fit,
     mom_fit,
     mom_loss,
-    simulate_index_path,
 )
 
 import oracles
@@ -201,8 +200,8 @@ class TestCirLogDensity:
 class TestMleFit:
     def test_synthetic_recovery(self):
         true = HistoricalParams(5.0, 20.0, 3.0)
-        path = simulate_index_path(true, LocalVol.square_root(3.0), 20.0, 252 * 20, 7)
-        rep = mle_fit(path.values)
+        values, _ = oracles.euler_path_loop(true, LocalVol.square_root(3.0), 20.0, 252 * 20, 7)
+        rep = mle_fit(values)
         assert rep.converged
         assert abs(rep.params.theta / true.theta - 1) < 0.05
         assert abs(rep.params.sigma / true.sigma - 1) < 0.03
@@ -210,10 +209,10 @@ class TestMleFit:
 
     def test_loglik_never_below_start(self):
         true = HistoricalParams(8.0, 15.0, 2.0)
-        path = simulate_index_path(true, LocalVol.square_root(2.0), 15.0, 2000, 3)
-        rep = mle_fit(path.values)
-        assert rep.start == initial_guess_from_moments(path.values)
-        assert rep.avg_loglik >= average_log_likelihood(path.values, rep.start)
+        values, _ = oracles.euler_path_loop(true, LocalVol.square_root(2.0), 15.0, 2000, 3)
+        rep = mle_fit(values)
+        assert rep.start == initial_guess_from_moments(values)
+        assert rep.avg_loglik >= average_log_likelihood(values, rep.start)
 
     def test_near_constant_series(self):
         rng = np.random.default_rng(0)
@@ -226,10 +225,10 @@ class TestMleFit:
         # true q = 2 * 1 * 10 / 25 - 1 = -0.2: the search visits orders
         # in (-1, 0), where the density is still proper
         true = HistoricalParams(1.0, 10.0, 5.0)
-        path = simulate_index_path(true, LocalVol.square_root(5.0), 10.0, 2000, 3)
-        rep = mle_fit(path.values)
+        values, _ = oracles.euler_path_loop(true, LocalVol.square_root(5.0), 10.0, 2000, 3)
+        rep = mle_fit(values)
         assert np.isfinite(rep.avg_loglik)
-        assert rep.avg_loglik >= average_log_likelihood(path.values, true)
+        assert rep.avg_loglik >= average_log_likelihood(values, true)
 
     @pytest.mark.parametrize(
         "true, s0, seed",
@@ -244,10 +243,11 @@ class TestMleFit:
     )
     def test_single_start_matches_multistart(self, true, s0, seed):
         hist = HistoricalParams(*true)
-        path = simulate_index_path(hist, LocalVol.square_root(hist.sigma), s0, 1260, seed)
-        assert path.n_clamped == 0
-        rep = mle_fit(path.values)
-        params, avg_loglik = oracles.multistart_mle(path.values)
+        g = LocalVol.square_root(hist.sigma)
+        values, n_clamped = oracles.euler_path_loop(hist, g, s0, 1260, seed)
+        assert n_clamped == 0
+        rep = mle_fit(values)
+        params, avg_loglik = oracles.multistart_mle(values)
         assert rep.converged
         assert rep.evaluations > rep.iterations
         assert rep.avg_loglik >= avg_loglik - 1e-12
@@ -265,8 +265,8 @@ class TestMleFit:
 
     def test_moment_start_is_reasonable(self):
         true = HistoricalParams(5.0, 20.0, 3.0)
-        path = simulate_index_path(true, LocalVol.square_root(3.0), 20.0, 5000, 11)
-        init = initial_guess_from_moments(path.values)
+        values, _ = oracles.euler_path_loop(true, LocalVol.square_root(3.0), 20.0, 5000, 11)
+        init = initial_guess_from_moments(values)
         assert abs(init.theta / 20.0 - 1) < 0.15
         assert abs(init.sigma / 3.0 - 1) < 0.15
 

@@ -197,6 +197,23 @@ def test_backtest_static_split_outside_the_window_fails_the_run(quotes, tmp_path
     assert not (tmp_path / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("mode", ["price", "return"])
+@pytest.mark.parametrize("edge", ["second day", "last day"])
+def test_backtest_static_one_day_window_fails_the_run(quotes, tmp_path, capsys, edge, mode):
+    # a one-day window rebased to 100 is matched by any portfolio
+    data_dir, dates = quotes
+    split = dates[1] if edge == "second day" else dates[-1]
+    code = main([
+        "backtest-static", "--data-dir", str(data_dir), "--split", str(split),
+        "--mode", mode, "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: --split: ") and "each window needs at least 2" in err, err
+    assert "failed" not in err  # no subset was fitted
+    assert not (tmp_path / "manifest.txt").exists()
+
+
 # violent volatility drives Euler steps below zero
 VIOLENT_PARAMS = "mu=1.0\ntheta=5.0\nsigma=60.0\nmu_tilde=1.39\ntheta_tilde=26.03\n"
 
@@ -269,7 +286,7 @@ def test_simulate_front_contract_second_in_the_pair(calibrated, tmp_path):
     g = vixtrack.LocalVol.square_root(hist.sigma)
     paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 63, 3, 1)
     for label, path in zip(("s0_1x", "s0_0p333333x", "s0_3x"), paths):
-        curves = vixtrack.SimulatedCurves(path.values, 4, rn, 0.01)
+        curves = vixtrack.SimulatedCurves(path.values, rn, 0.01)
         w1, _ = dynamic_pair(curves, (2, 1), 1.0, hist, rn)
         _, rows = table(tmp_path / "out" / f"weights_{label}.tsv")
         assert [row[1] for row in rows] == [repr(w) for w in (1.0 - w1).tolist()]
@@ -423,6 +440,10 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (PARAMS.replace("theta_tilde=26.03", "theta_tilde=0"), None, [], ("params.txt", "line 5", "key theta_tilde", "> 0")),
         (PARAMS, "contracts=2,2\n", [], ("scenario.txt", "line 1", "contracts", "two ranks")),
         (PARAMS, "seed=3\nr=0\nseed=4\n", [], ("scenario.txt", "line 3", "duplicate key seed (first on line 1)")),
+        (PARAMS, "s0_multipliers=1,1.0000001,3\n", [], ("scenario.txt", "line 1", "key s0_multipliers", "distinct file labels")),
+        (None, None, ["regress", "--ranks", "1,1,2"], ("--ranks", "'1,1,2'", "distinct ranks")),
+        (None, None, ["regress", "--horizons", "1,5,5"], ("--horizons", "'1,5,5'", "distinct horizons")),
+        (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1;1;2"], ("--subsets", "'1;1;2'", "distinct subsets")),
     ],
 )
 def test_malformed_key_value_files_are_named(

@@ -366,6 +366,14 @@ class TestSplit:
         with pytest.raises(DataError):
             split_day(panel, "2030-01-01")
 
+    def test_one_day_window_rejected(self, tmp_path):
+        dates = write_quote_files(tmp_path, n_days=10, seed=12)
+        panel = load_panel(tmp_path)
+        assert (split_day(panel, dates[2]), split_day(panel, dates[8])) == (2, 8)
+        for boundary, n_in in ((dates[1], 1), (dates[9], 9)):
+            with pytest.raises(DataError, match=f"leaves {n_in} in-sample and {10 - n_in} out"):
+                split_day(panel, boundary)
+
     def test_integer_boundary_for_simulated_panels(self):
         panel, _, _ = make_sim_panels(cycles=2, seed=13)
         cut = split_day(panel, 21)

@@ -70,6 +70,20 @@ class TestFuturesPrice:
         with pytest.raises(ValueError):
             futures_price(-1.0, 0.1, fit_rn)
 
+    def test_arrays_equal_scalar_calls_elementwise(self, fit_rn):
+        spots = np.array([[12.0, 18.81, 40.0], [26.03, 0.0, 80.0]])
+        ttms = np.array([0.0, 1 / 12, 0.5])
+        got = futures_price(spots, ttms, fit_rn)
+        assert got.shape == (2, 3)
+        for (i, j), price in np.ndenumerate(got):
+            assert price == futures_price(float(spots[i, j]), float(ttms[j]), fit_rn)
+
+    def test_negative_entry_names_its_day(self, fit_rn):
+        with pytest.raises(ValueError, match=r"maturity must be >= 0, got -0\.1 on day 2$"):
+            futures_price(20.0, np.array([0.5, 0.2, -0.1]), fit_rn)
+        with pytest.raises(ValueError, match=r"spot must be >= 0, got -1\.0 on day 1 of path 1$"):
+            futures_price(np.array([[20.0, 21.0], [22.0, -1.0]]), 0.1, fit_rn)
+
     @given(
         spot=st.floats(0.0, 200.0),
         ttm=st.floats(0.0, 10.0),

@@ -8,13 +8,11 @@ from vixtrack import (
     PricePanel,
     RiskNeutralParams,
     SimulatedCurves,
-    evolve_wealth,
     futures_price,
     hold_pair,
     holding_period_returns,
     load_panel,
     rank_columns,
-    simulate_index_path,
     simulate_index_paths,
 )
 
@@ -32,12 +30,12 @@ from conftest import (
 class TestIndexPath:
     def test_zero_vol_at_long_run_level_is_constant(self):
         hist = HistoricalParams(10.86, 18.81, 0.0)
-        path = simulate_index_path(hist, LocalVol.square_root(0.0), 18.81, 50, 1)
+        [path] = simulate_index_paths(hist, LocalVol.square_root(0.0), 18.81, 50, 1, 1)
         assert np.all(path.values == 18.81)
 
     def test_zero_vol_pure_drift_decays_towards_theta(self):
         hist = HistoricalParams(5.0, 20.0, 0.0)
-        path = simulate_index_path(hist, LocalVol.square_root(0.0), 40.0, 504, 1)
+        [path] = simulate_index_paths(hist, LocalVol.square_root(0.0), 40.0, 504, 1, 1)
         assert np.all(np.diff(path.values) < 0)
         assert path.values[-1] > 20.0
         assert path.values[-1] - 20.0 < 20.0 * np.exp(-5.0 * 2.0) * 1.3
@@ -54,28 +52,30 @@ class TestIndexPath:
         assert abs(terminal.mean() - FIT_HIST.theta) < 3 * se
 
     def test_identical_seed_identical_path(self, fit_hist, fit_g):
-        a = simulate_index_path(fit_hist, fit_g, 18.81, 252, 1234)
-        b = simulate_index_path(fit_hist, fit_g, 18.81, 252, 1234)
+        [a] = simulate_index_paths(fit_hist, fit_g, 18.81, 252, 1, 1234)
+        [b] = simulate_index_paths(fit_hist, fit_g, 18.81, 252, 1, 1234)
         assert np.array_equal(a.values, b.values)
 
     def test_spawned_streams_are_order_independent(self, fit_hist, fit_g):
+        # path k is the same alone or in a batch of any size
         batch = simulate_index_paths(fit_hist, fit_g, 18.81, 100, 4, 7)
-        children = np.random.SeedSequence(7).spawn(4)
-        solo = simulate_index_path(fit_hist, fit_g, 18.81, 100, children[2])
-        assert np.array_equal(batch[2].values, solo.values)
+        smaller = simulate_index_paths(fit_hist, fit_g, 18.81, 100, 3, 7)
+        [solo] = simulate_index_paths(fit_hist, fit_g, 18.81, 100, 1, 7)
+        assert np.array_equal(batch[2].values, smaller[2].values)
+        assert np.array_equal(batch[0].values, solo.values)
 
     def test_clamp_counter_and_floor(self):
         # violent vol forces the Euler step below zero
         hist = HistoricalParams(1.0, 5.0, 60.0)
-        path = simulate_index_path(hist, LocalVol.square_root(60.0), 5.0, 252, 5)
+        [path] = simulate_index_paths(hist, LocalVol.square_root(60.0), 5.0, 252, 1, 5)
         assert path.n_clamped > 0
         assert np.all(path.values > 0)
 
     def test_argument_validation(self, fit_hist, fit_g):
         with pytest.raises(ValueError):
-            simulate_index_path(fit_hist, fit_g, 0.0, 10, 1)
+            simulate_index_paths(fit_hist, fit_g, 0.0, 10, 1, 1)
         with pytest.raises(ValueError):
-            simulate_index_path(fit_hist, fit_g, 20.0, 0, 1)
+            simulate_index_paths(fit_hist, fit_g, 20.0, 0, 1, 1)
         with pytest.raises(ValueError, match="s0 must be positive"):
             simulate_index_paths(fit_hist, fit_g, [20.0, -1.0, 20.0], 10, 3, 1)
         with pytest.raises(ValueError):  # one level per path
@@ -93,9 +93,9 @@ class TestIndexPath:
 
 
 def _assert_batch_matches_loop(hist, g, s0, n_paths, seed, n_days=252):
-    """Every path of a batch, and a lone path on the bare seed, equal
-    the scalar loop on the same stream bit for bit, clamps included.
-    Returns the number of clamped steps over all of these paths."""
+    """Every path of a batch equals the scalar loop on the same stream
+    bit for bit, clamps included.  Returns the number of clamped steps
+    over the batch."""
     batch = simulate_index_paths(hist, g, s0, n_days, n_paths, seed)
     starts = np.broadcast_to(s0, (n_paths,))
     children = np.random.SeedSequence(seed).spawn(n_paths)
@@ -104,11 +104,7 @@ def _assert_batch_matches_loop(hist, g, s0, n_paths, seed, n_days=252):
         values, n_clamped = oracles.euler_path_loop(hist, g, start, n_days, child)
         assert np.array_equal(path.values, values)
         assert path.n_clamped == n_clamped
-    lone = simulate_index_path(hist, g, starts[0], n_days, seed)
-    values, n_clamped = oracles.euler_path_loop(hist, g, starts[0], n_days, seed)
-    assert np.array_equal(lone.values, values)
-    assert lone.n_clamped == n_clamped
-    return lone.n_clamped + sum(path.n_clamped for path in batch)
+    return sum(path.n_clamped for path in batch)
 
 
 def _constant_vol(sigma):
@@ -137,21 +133,22 @@ def test_batch_is_bit_identical_to_scalar_loop(vol, start, n_paths):
 @pytest.mark.parametrize("n_paths", (1, 5))
 @pytest.mark.parametrize("vol", VOLS)
 def test_clamped_batch_is_bit_identical_to_scalar_loop(vol, n_paths):
-    # the violent volatility of test_clamp_counter_and_floor
+    # the violent volatility of test_clamp_counter_and_floor, over five
+    # years: in one year the lone constant-volatility path never clamps
     hist = HistoricalParams(1.0, 5.0, 60.0)
-    assert _assert_batch_matches_loop(hist, VOLS[vol](60.0), 5.0, n_paths, 5) > 0
+    assert _assert_batch_matches_loop(hist, VOLS[vol](60.0), 5.0, n_paths, 5, n_days=1260) > 0
 
 
 class TestFuturesPanel:
     def test_constant_path_at_theta_tilde_prices_flat(self):
         hist = HistoricalParams(1.0, 26.03, 0.0)
-        path = simulate_index_path(hist, LocalVol.square_root(0.0), 26.03, 63, 1)
-        _, today, tomorrow = SimulatedCurves(path.values, 4, FIT_RN, 0.0).held_pair(1, 2)
+        [path] = simulate_index_paths(hist, LocalVol.square_root(0.0), 26.03, 63, 1, 1)
+        _, today, tomorrow = SimulatedCurves(path.values, FIT_RN, 0.0).held_pair(1, 2)
         assert np.allclose(today, 26.03) and np.allclose(tomorrow, 26.03)
 
     def test_maturity_convergence_and_pointwise_oracle(self, fit_hist, fit_g, fit_rn):
-        path = simulate_index_path(fit_hist, fit_g, 18.81, 63, 3)
-        ttm, today, tomorrow = SimulatedCurves(path.values, 5, fit_rn, 0.0).held_pair(1, 3)
+        [path] = simulate_index_paths(fit_hist, fit_g, 18.81, 63, 1, 3)
+        ttm, today, tomorrow = SimulatedCurves(path.values, fit_rn, 0.0).held_pair(1, 3)
         # rank r on day j is the contract maturing on day 21 (j // 21 + r)
         days = np.arange(63)[:, None]
         maturity = 21 * (days // 21 + np.array([1, 3]))
@@ -168,67 +165,75 @@ class TestFuturesPanel:
                 futures_price(path.values[j + 1], (m - j - 1) / 252.0, fit_rn), rel=1e-14
             )
 
-    def test_horizon_past_last_maturity_rejected(self, fit_hist, fit_g, fit_rn):
-        path = simulate_index_path(fit_hist, fit_g, 18.81, 64, 3)
-        with pytest.raises(ValueError, match="last maturity is day 63"):
-            SimulatedCurves(path.values, 3, fit_rn, 0.0)
-        with pytest.raises(ValueError):
-            SimulatedCurves(path.values, 0, fit_rn, 0.0)
+    def test_rank_below_one_rejected(self, fit_rn):
+        curves = SimulatedCurves(np.full(43, 20.0), fit_rn, 0.0)
+        with pytest.raises(DataError, match="rank 0 not available: ranks are 1-based"):
+            curves.held_pair(0, 1)
+
+    def test_far_ranks_equal_the_full_panel(self, fit_hist, fit_g, fit_rn):
+        # rank 7 on the last held day (41) is the contract maturing on
+        # day 168, the 8th of the full panel's 9
+        values = np.stack([p.values for p in simulate_index_paths(
+            fit_hist, fit_g, [fit_hist.theta, 40.0], 42, 2, 5
+        )])
+        ttm, today, tomorrow = SimulatedCurves(values, fit_rn, 0.02).held_pair(3, 7)
+        for k, row in enumerate(values):
+            panel = oracles.futures_panel_from_path(row, 9, fit_rn, 0.02)
+            for got, want in zip((ttm, today[k], tomorrow[k]), panel.held_pair(3, 7)):
+                assert np.array_equal(got, want)
 
 
-class TestEvolveWealth:
+class TestHoldPair:
     # one day of a money market at r = 0.03
     MM = [1.0, np.exp(0.03 / 252)]
 
     @staticmethod
     def batch(n_paths=4, n_days=30, seed=5):
-        """Random (paths, days, 2) weights and prices, and an account."""
+        """Random (paths, days) first weights, (paths, days, 2) prices,
+        and an account."""
         rng = np.random.default_rng(seed)
         shape = (n_paths, n_days, 2)
         today = rng.uniform(10.0, 30.0, shape)
         tomorrow = today * np.exp(0.05 * rng.standard_normal(shape))
         mm = np.exp(0.03 * np.arange(n_days + 1) / 252)
-        return rng.normal(size=shape), today, tomorrow, mm
-
-    def test_all_cash(self):
-        got = evolve_wealth([[0.0]], [[20.0]], [[21.0]], self.MM)
-        assert got[0] == 100.0
-        assert got[1] == pytest.approx(100.0 * np.exp(0.03 / 252))
+        return rng.normal(size=shape[:-1]), today, tomorrow, mm
 
     def test_flat_prices_contribute_nothing(self):
-        got = evolve_wealth([[1.0]], [[20.0]], [[20.0]], self.MM)
+        got = hold_pair([0.3], [[20.0, 25.0]], [[20.0, 25.0]], self.MM)
         assert got[1] == pytest.approx(100.0 * np.exp(0.03 / 252))
 
     def test_hand_ledger(self):
         # 2x long at 20 gains 10 units * +1; 1x short at 25 gains 4 units * +1
-        got = evolve_wealth([[2.0, -1.0]], [[20.0, 25.0]], [[21.0, 24.0]], [1.0, 1.0])
+        got = hold_pair([2.0], [[20.0, 25.0]], [[21.0, 24.0]], [1.0, 1.0])
         assert got[1] == pytest.approx(114.0)
 
     def test_leading_axis_rows_match_one_path_calls(self):
-        weights, today, tomorrow, mm = self.batch()
-        got = evolve_wealth(weights, today, tomorrow, mm)
+        w1, today, tomorrow, mm = self.batch()
+        got = hold_pair(w1, today, tomorrow, mm)
         assert got.shape == (4, 31)
         for k in range(4):
-            assert np.array_equal(got[k], evolve_wealth(weights[k], today[k], tomorrow[k], mm))
+            assert np.array_equal(got[k], hold_pair(w1[k], today[k], tomorrow[k], mm))
 
     def test_zero_price_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            evolve_wealth([[1.0]], [[0.0]], [[1.0]], [1.0, 1.0])
-        weights, today, tomorrow, mm = self.batch()
+            hold_pair([1.0], [[0.0, 20.0]], [[1.0, 20.0]], [1.0, 1.0])
+        w1, today, tomorrow, mm = self.batch()
         today[2, 17, 1] = 0.0  # one price of one path
         with pytest.raises(ZeroDivisionError):
-            evolve_wealth(weights, today, tomorrow, mm)
+            hold_pair(w1, today, tomorrow, mm)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            evolve_wealth([[1.0, 0.0]], [[20.0]], [[21.0]], [1.0, 1.0])
+            hold_pair([1.0, 0.0], [[20.0, 25.0]], [[21.0, 24.0]], [1.0, 1.0])
         with pytest.raises(ValueError):
-            evolve_wealth([1.0], [20.0], [21.0], [1.0, 1.0])  # not days x contracts
+            hold_pair([1.0], [20.0, 25.0], [21.0, 24.0], [1.0, 1.0])  # not days x 2
+        with pytest.raises(ValueError):
+            hold_pair([1.0], [[20.0, 25.0]], [[21.0, 24.0, 1.0]], [1.0, 1.0])
         with pytest.raises(ValueError, match="one money-market value per day"):
-            evolve_wealth([[1.0]], [[20.0]], [[21.0]], [1.0, 1.0, 1.0])
-        weights, today, tomorrow, mm = self.batch()
+            hold_pair([1.0], [[20.0, 25.0]], [[21.0, 24.0]], [1.0, 1.0, 1.0])
+        w1, today, tomorrow, mm = self.batch()
         with pytest.raises(ValueError, match="one money-market value per day"):
-            evolve_wealth(weights, today, tomorrow, mm[:-1])
+            hold_pair(w1, today, tomorrow, mm[:-1])
 
 
 def expiry_panel(expiries, n_days):
@@ -284,18 +289,20 @@ class TestRankColumns:
 
 
 class TestStrategies:
-    def test_zero_weights_flat_wealth_at_zero_rate(self):
-        panel, _, _ = make_sim_panels(cycles=2, seed=4, r=0.0)
+    def test_flat_prices_flat_wealth_at_zero_rate(self, fit_rn):
+        # a zero-volatility spot at theta_tilde prices every contract flat
+        flat = HistoricalParams(1.0, fit_rn.theta_tilde, 0.0)
+        panel, _, _ = make_sim_panels(cycles=2, seed=4, hist=flat, r=0.0)
         _, today, tomorrow = panel.held_pair(1, 2)
-        wealth = evolve_wealth(np.zeros(today.shape), today, tomorrow, panel.mm_value)
-        assert np.all(wealth == 100.0)
+        w1 = np.random.default_rng(4).normal(size=panel.n_days - 1)
+        assert np.all(hold_pair(w1, today, tomorrow, panel.mm_value) == 100.0)
 
     def test_vxx_loses_in_contango_with_static_spot(self):
         # constant spot below the long-run pricing level: every contract
         # rolls down towards the spot, so a long-only roll bleeds daily
         hist = HistoricalParams(1.0, 13.0, 0.0)
-        path = simulate_index_path(hist, LocalVol.square_root(0.0), 13.0, 42, 1)
-        _, wealth = vxx_pair(SimulatedCurves(path.values, 3, RiskNeutralParams(1.39, 26.03), 0.0))
+        [path] = simulate_index_paths(hist, LocalVol.square_root(0.0), 13.0, 42, 1, 1)
+        _, wealth = vxx_pair(SimulatedCurves(path.values, RiskNeutralParams(1.39, 26.03), 0.0))
         assert np.all(np.diff(wealth) < 0)
 
     def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn):
@@ -369,7 +376,7 @@ def test_batch_equals_the_per_scenario_loop(ranks, r, beta, fit_hist, fit_g, fit
         fit_hist, fit_g, [m * fit_hist.theta for m in mults], 21 * cycles, len(mults), 7
     )
     values = np.stack([path.values for path in paths])
-    curves = SimulatedCurves(values, n_contracts, fit_rn, r)
+    curves = SimulatedCurves(values, fit_rn, r)
     w_dyn, wealth_dyn = dynamic_pair(curves, ranks, beta, fit_hist, fit_rn)
     w_vxx, wealth_vxx = vxx_pair(curves)
     want_dyn, want_vxx, want_wealth = oracles.simulate_loop(
@@ -398,8 +405,8 @@ class TestLoadedQuotes:
         write_quote_files(tmp_path, n_days=n_days, seed=3, rate=0.0)
         loaded = load_panel(tmp_path, n_ranks=8)
         # the path the quote files were priced from
-        path = simulate_index_path(fit_hist, fit_g, fit_hist.theta, n_days - 1, 3)
-        simulated = SimulatedCurves(path.values, 8, fit_rn, 0.0)
+        values, _ = oracles.euler_path_loop(fit_hist, fit_g, fit_hist.theta, n_days - 1, 3)
+        simulated = SimulatedCurves(values, fit_rn, 0.0)
         assert np.array_equal(loaded.spot, simulated.spot)
         assert np.array_equal(loaded.mm_value, simulated.mm_value)
         for ranks in ((1, 2), (2, 3)):

@@ -340,7 +340,7 @@ class TestStaticPortfolio:
 
     def test_cut_must_leave_both_windows_nonempty(self):
         panel, _, _ = make_sim_panels(cycles=2, seed=3)
-        for cut in (0, panel.n_days):
+        for cut in (0, 1, panel.n_days - 1, panel.n_days):  # each window needs 2 days
             with pytest.raises(ValueError, match=f"cut {cut} leaves a window"):
                 static_portfolio(panel, rolled(panel, 1), cut, "price")
 

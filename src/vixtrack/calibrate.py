@@ -7,7 +7,8 @@ order q = 2 mu theta / sigma^2 - 1 > -1, so the historical parameters
 over the observed daily transitions, with one simplex search from a
 moment-based start.  ln I_q(x) comes from the uniform large-order
 (Debye) expansion wherever hypot(q, x) >= 200, which on daily index
-data is every transition, and is exact to rounding there; below that
+data is most transitions, but not a series' lows while the search
+passes through small orders, and is exact to rounding there; below that
 radius it is ln of scipy's scaled ive(q, x) = I_q(x) e^-x plus x, with
 the expansion where ive underflows, or below x = 1e-8 the leading term
 q ln(x/2) - ln Gamma(q + 1) of the power series.
@@ -67,33 +68,46 @@ _DEBYE_P = (
 )
 
 
-def _log_i_debye(q: float, x: np.ndarray) -> np.ndarray:
-    # Uniform large-order expansion (DLMF 10.41) in R = hypot(q, x) and
-    # t = q/R, where u_k(t)/q^k = P_k(t^2)/R^k.  It is even in q, so it also
-    # holds for -1 < q < 0, where the K_q term is e^(-2x) smaller.
-    r = np.hypot(q, x)
+# The five terms as one polynomial in s = 1/R: u_k(t)/q^k = P_k(t^2) s^k and
+# t^2 = q^2 s^2, so the coefficient c of t^(2m) in P_k adds c q^(2m) / d_k
+# to the coefficient of s^(k+2m), for powers s^1..s^15 and m = 0..5.  Entries
+# (k + 2m - 1, c / d_k, m).
+_DEBYE_S = tuple(
+    (k + 2 * m - 1, c / divisor, m)
+    for k, (coeffs, divisor) in enumerate(_DEBYE_P, start=1)
+    for m, c in enumerate(coeffs)
+)
+
+
+def _log_i_debye(q: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # Uniform large-order expansion (DLMF 10.41) at R = hypot(q, x) = r.  It
+    # is even in q, so it also holds for -1 < q < 0, where the K_q term is
+    # e^(-2x) smaller.
+    q2m = [(q * q) ** m for m in range(6)]
+    a = [0.0] * 15
+    for j, c, m in _DEBYE_S:
+        a[j] += c * q2m[m]
     s = 1.0 / r
-    t2 = q * q * (s * s)
-    series = 0.0
-    for coeffs, divisor in reversed(_DEBYE_P):
-        p_k = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            p_k = c + t2 * p_k
-        series = s * (p_k / divisor + series)
+    series = a[-1] * s
+    for a_j in reversed(a[:-1]):  # Horner, in place
+        series += a_j
+        series *= s
     return r - q * np.arcsinh(q / x) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(series)
 
 
 def log_bessel_i(order: float, x):
     """ln I_order(x) for order > -1 and x > 0, vectorized over x.
 
-    Entries with R = hypot(order, x) >= 200, every entry on daily index
-    data, take the uniform large-order (Debye) expansion to five terms:
-    within 4.3e-16 of a 40-digit mpmath reference, relative to
-    max(1, |ln I|), for orders from -0.9 to 1e3.  The rest are
-    ln(ive(order, x)) + x from scipy's exponentially scaled Bessel
-    function, with the same expansion where ive underflows to zero, or
-    below x = 1e-8 the power series' leading term, exact there.  The
-    route depends on the input alone; nothing overflows for any x > 0.
+    Entries with R = hypot(order, x) >= 200 take the uniform
+    large-order (Debye) expansion to five terms: within 4.3e-16 of a
+    40-digit mpmath reference, relative to max(1, |ln I|), for orders
+    from -0.9 to 1e3.  On daily index data that is most entries, but not
+    a series' lows while the likelihood search passes through small
+    orders.  The rest are ln(ive(order, x)) + x from scipy's
+    exponentially scaled Bessel function, with the same expansion where
+    ive underflows to zero, or below x = 1e-8 the power series' leading
+    term, exact there.  Each entry's route depends on that entry alone;
+    nothing overflows for any x > 0.
     """
     if not (math.isfinite(order) and order > -1.0):
         raise ValueError(f"order must be finite and > -1, got {order}")
@@ -102,21 +116,37 @@ def log_bessel_i(order: float, x):
     x_min = np.fmin.reduce(x_arr, initial=np.inf)  # NaN entries are skipped
     if x_min <= 0:
         raise ValueError("x must be positive")
-    if x_min >= _SMALL_X and math.hypot(order, x_min) >= _DEBYE_RADIUS:
-        out = _log_i_debye(order, x_arr)
-    else:
+    r = np.hypot(order, x_arr)
+    with np.errstate(all="ignore"):  # the entries it overflows at are replaced below
+        out = _log_i_debye(order, x_arr, r)
+    if x_min < _SMALL_X or np.hypot(order, x_min) < _DEBYE_RADIUS:
         from scipy.special import ive
 
-        out = np.full_like(x_arr, np.nan)
-        near = np.hypot(order, x_arr) < _DEBYE_RADIUS
+        near = np.flatnonzero(r < _DEBYE_RADIUS)
         with np.errstate(divide="ignore"):
-            out[near] = np.log(ive(order, x_arr[near])) + x_arr[near]
-        redo = ~np.isfinite(out)  # the entries at R >= 200, and where ive underflowed
-        small = redo & (x_arr < _SMALL_X)  # q/x could overflow in the expansion
-        out[small] = order * (np.log(x_arr[small]) - math.log(2.0)) - math.lgamma(order + 1.0)
-        redo ^= small
-        out[redo] = _log_i_debye(order, x_arr[redo])
+            from_ive = np.log(ive(order, x_arr[near])) + x_arr[near]
+        kept = np.isfinite(from_ive)  # elsewhere ive underflowed
+        out[near[kept]] = from_ive[kept]
+        if x_min < _SMALL_X:  # q/x could overflow in the expansion
+            small = x_arr < _SMALL_X
+            small[near[kept]] = False
+            out[small] = order * (np.log(x_arr[small]) - math.log(2.0)) - math.lgamma(order + 1.0)
     return float(out[0]) if scalar else out
+
+
+def _log_density(s_next, log_s_next, s_prev, p: HistoricalParams):
+    # cir_log_density on positive arrays, given ln s_next
+    q = 2.0 * p.mu * p.theta / p.sigma**2 - 1.0
+    decay = math.exp(-p.mu * DT)
+    sig2 = p.sigma**2 * (1.0 - decay) / (2.0 * p.mu)
+    u = s_prev * decay
+    arg = 2.0 * np.sqrt(s_next * u) / sig2
+    return (
+        -math.log(sig2)
+        - (s_next + u) / sig2
+        + 0.5 * q * (log_s_next - np.log(u))
+        + log_bessel_i(q, arg)
+    )
 
 
 def cir_log_density(s_next, s_prev, p: HistoricalParams):
@@ -138,22 +168,12 @@ def cir_log_density(s_next, s_prev, p: HistoricalParams):
     ValueError
         If any state is nonpositive.
     """
-    q = 2.0 * p.mu * p.theta / p.sigma**2 - 1.0
     scalar = np.isscalar(s_next) and np.isscalar(s_prev)
     s_next = np.atleast_1d(np.asarray(s_next, dtype=float))
     s_prev = np.atleast_1d(np.asarray(s_prev, dtype=float))
     if np.any(s_next <= 0) or np.any(s_prev <= 0):
         raise ValueError("states must be positive")
-    decay = math.exp(-p.mu * DT)
-    sig2 = p.sigma**2 * (1.0 - decay) / (2.0 * p.mu)
-    u = s_prev * decay
-    arg = 2.0 * np.sqrt(s_next * u) / sig2
-    log_f = (
-        -math.log(sig2)
-        - (s_next + u) / sig2
-        + 0.5 * q * (np.log(s_next) - np.log(u))
-        + log_bessel_i(q, arg)
-    )
+    log_f = _log_density(s_next, np.log(s_next), s_prev, p)
     return float(log_f[0]) if scalar else log_f
 
 
@@ -203,8 +223,8 @@ def initial_guess_from_moments(series: np.ndarray) -> HistoricalParams:
     )
 
 
-def _neg_avg_loglik(z: np.ndarray, s_next, s_prev) -> float:
-    mu, theta, sigma = np.exp(z)
+def _neg_avg_loglik(z: np.ndarray, s_next, log_s_next, s_prev) -> float:
+    mu, theta, sigma = np.exp(z).tolist()
     penalty = 0.0
     for v, (lo, hi) in zip((mu, theta, sigma), MLE_BOUNDS):
         if v < lo:
@@ -217,7 +237,7 @@ def _neg_avg_loglik(z: np.ndarray, s_next, s_prev) -> float:
     if q <= -1.0 + 1e-12:
         return _PENALTY
     p = HistoricalParams(mu=mu, theta=theta, sigma=sigma)
-    val = np.mean(cir_log_density(s_next, s_prev, p))
+    val = np.mean(_log_density(s_next, log_s_next, s_prev, p))
     if not np.isfinite(val):
         return _PENALTY
     return -float(val)
@@ -246,7 +266,7 @@ def mle_fit(series) -> MLEReport:
     res = minimize(
         _neg_avg_loglik,
         np.log([init.mu, init.theta, init.sigma]),
-        args=(series[1:], series[:-1]),
+        args=(series[1:], np.log(series[1:]), series[:-1]),
         method="Nelder-Mead",
         options={"maxiter": MLE_MAX_ITER, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
     )

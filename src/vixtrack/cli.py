@@ -144,7 +144,7 @@ def _parse(parse, text: str, where: str):
         raise DataError(f"{where}: cannot parse {text!r}: {exc}") from None
 
 
-def _numbers(text: str, rule=int) -> tuple:
+def _numbers(text: str, rule) -> tuple:
     return tuple(rule(v) for v in text.split(","))
 
 
@@ -167,9 +167,14 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _finite = _checked(float, np.isfinite, "finite")
 _positive = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
 _nonnegative = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
+
+
+def _positive_ints(text: str) -> tuple:
+    return _numbers(text, _positive_int)
+
+
 _rank_pair = _checked(
-    lambda text: _numbers(text, _positive_int), lambda r: len(r) == 2 and r[0] != r[1],
-    "two ranks I1,I2 that differ",
+    _positive_ints, lambda r: len(r) == 2 and r[0] != r[1], "two ranks I1,I2 that differ"
 )
 
 
@@ -292,7 +297,7 @@ def _parse_subsets(text):
     if not text:
         pool = DEFAULT_SUBSET_POOL
         return [s for r in range(1, len(pool) + 1) for s in itertools.combinations(pool, r)]
-    rule = _checked(lambda t: [_numbers(p) for p in t.split(";")], _distinct, "distinct subsets")
+    rule = _checked(lambda t: [_positive_ints(p) for p in t.split(";")], _distinct, "distinct subsets")
     return _parse(rule, text, "--subsets")
 
 
@@ -403,10 +408,9 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
 
 
 def cmd_regress(args, manifest: RunManifest) -> int:
-    ranks = _parse(_checked(_numbers, _distinct, "distinct ranks"), args.ranks, "--ranks")
+    ranks = _parse(_checked(_positive_ints, _distinct, "distinct ranks"), args.ranks, "--ranks")
     horizons = _parse(
-        _checked(lambda t: _numbers(t, _positive_int), _distinct, "distinct horizons"),
-        args.horizons, "--horizons",
+        _checked(_positive_ints, _distinct, "distinct horizons"), args.horizons, "--horizons"
     )
     max_horizon = _parse(_positive_int, args.max_horizon, "--max-horizon")
     panel = _load_quotes(args, manifest)

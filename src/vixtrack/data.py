@@ -350,9 +350,12 @@ def load_panel(
     used = np.flatnonzero(kept.any(axis=0))
     prices = np.where(kept, closes[usable], np.nan)[:, used]
     dates_arr = days[usable]
-    # weekdays d with date < d <= expiry, in trading years
+    # weekdays d with date < d <= expiry, in trading years, as a difference of
+    # counts from the first day: exact where expiry >= date, as for every kept quote
     one = np.timedelta64(1, "D")
-    ttms = np.busday_count(dates_arr[:, None] + one, expiries[used] + one) / TRADING_DAYS_PER_YEAR
+    to_expiry = np.busday_count(dates_arr[0], expiries[used] + one)
+    to_day = np.busday_count(dates_arr[0], dates_arr + one)
+    ttms = (to_expiry[None, :] - to_day[:, None]) / TRADING_DAYS_PER_YEAR
     ttms[np.isnan(prices)] = np.nan
     gaps = np.diff(dates_arr) / np.timedelta64(1, "D")
     growth = 1.0 + rate[usable][:-1] * gaps / MM_DAY_BASIS

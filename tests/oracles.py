@@ -11,8 +11,9 @@ brute-force grid scans, the one-day tracking error has its exact
 discrete-time coefficients, the constrained LS oracle is a dense
 bordered KKT solve, the market price of risk is its direct quotient,
 the MLE oracle searches from four starts where the library searches
-from one, and the special-function oracles come from mpmath at 40
-significant digits.
+from one, the likelihood oracle sums the Debye expansion as five
+polynomials in (q/R)^2 on two Bessel routes, and the special-function
+oracles come from mpmath at 40 significant digits.
 """
 
 import logging
@@ -31,7 +32,14 @@ from vixtrack import (
     rank_columns,
     tracking_coefficients,
 )
-from vixtrack.calibrate import _neg_avg_loglik, initial_guess_from_moments
+from vixtrack.calibrate import (
+    _DEBYE_P,
+    _PENALTY,
+    MLE_BOUNDS,
+    MLE_MAX_ITER,
+    _neg_avg_loglik,
+    initial_guess_from_moments,
+)
 from vixtrack.data import MM_DAY_BASIS
 from vixtrack.model import CYCLE_DAYS, TRADING_DAYS_PER_YEAR
 
@@ -475,7 +483,7 @@ def multistart_mle(series):
     never returning a point worse than the moment start.  Returns
     (params, avg_loglik)."""
     series = np.asarray(series, dtype=float)
-    s_next, s_prev = series[1:], series[:-1]
+    s_next, log_s_next, s_prev = series[1:], np.log(series[1:]), series[:-1]
     init = initial_guess_from_moments(series)
     z0 = np.log([init.mu, init.theta, init.sigma])
     rng = np.random.default_rng(20_52_01)
@@ -485,7 +493,7 @@ def multistart_mle(series):
         res = minimize(
             _neg_avg_loglik,
             z_start,
-            args=(s_next, s_prev),
+            args=(s_next, log_s_next, s_prev),
             method="Nelder-Mead",
             options={
                 "maxiter": 600,
@@ -496,10 +504,92 @@ def multistart_mle(series):
         )
         if best is None or res.fun < best.fun:
             best = res
-    f_init = _neg_avg_loglik(z0, s_next, s_prev)
+    f_init = _neg_avg_loglik(z0, s_next, log_s_next, s_prev)
     best_x, best_fun = (z0, f_init) if best.fun > f_init else (best.x, best.fun)
     mu, theta, sigma = np.exp(best_x)
     return HistoricalParams(float(mu), float(theta), float(sigma)), -float(best_fun)
+
+
+def log_i_debye_five_polynomials(q, x):
+    """ln I_q(x) from the five-term Debye expansion (DLMF 10.41), summed
+    as s (P_1/d_1 + s (P_2/d_2 + ...)) with s = 1/R, R = hypot(q, x),
+    and each P_k by Horner in t^2 = q^2 s^2."""
+    r = np.hypot(q, x)
+    s = 1.0 / r
+    t2 = q * q * (s * s)
+    series = 0.0
+    for coeffs, divisor in reversed(_DEBYE_P):
+        p_k = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            p_k = c + t2 * p_k
+        series = s * (p_k / divisor + series)
+    return r - q * np.arcsinh(q / x) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(series)
+
+
+def log_bessel_i_two_routes(order, x):
+    """ln I_order(x) for an array of positive x: the five-polynomial
+    expansion for the whole array when every R >= 200, else scipy's ive
+    below R = 200, then the leading term below x = 1e-8 and the
+    expansion for the entries still missing, each on its own subset."""
+    from scipy.special import ive
+
+    x = np.asarray(x, dtype=float)
+    if x.min() >= 1e-8 and math.hypot(order, x.min()) >= 200.0:
+        return log_i_debye_five_polynomials(order, x)
+    out = np.full_like(x, np.nan)
+    near = np.hypot(order, x) < 200.0
+    with np.errstate(divide="ignore"):
+        out[near] = np.log(ive(order, x[near])) + x[near]
+    redo = ~np.isfinite(out)
+    small = redo & (x < 1e-8)
+    out[small] = order * (np.log(x[small]) - math.log(2.0)) - math.lgamma(order + 1.0)
+    redo ^= small
+    out[redo] = log_i_debye_five_polynomials(order, x[redo])
+    return out
+
+
+def neg_avg_loglik_two_routes(z, s_next, s_prev):
+    """The library's MLE objective, penalties included, with the CIR
+    density written out on :func:`log_bessel_i_two_routes` and ln s_next
+    taken at every evaluation."""
+    mu, theta, sigma = np.exp(z)
+    penalty = 0.0
+    for v, (lo, hi) in zip((mu, theta, sigma), MLE_BOUNDS):
+        if v < lo:
+            penalty += (math.log(lo) - math.log(v)) ** 2
+        elif v > hi:
+            penalty += (math.log(v) - math.log(hi)) ** 2
+    if penalty > 0:
+        return _PENALTY * (1.0 + penalty)
+    q = 2.0 * mu * theta / sigma**2 - 1.0
+    if q <= -1.0 + 1e-12:
+        return _PENALTY
+    decay = math.exp(-mu * DT)
+    sig2 = sigma**2 * (1.0 - decay) / (2.0 * mu)
+    u = s_prev * decay
+    arg = 2.0 * np.sqrt(s_next * u) / sig2
+    log_f = (
+        -math.log(sig2)
+        - (s_next + u) / sig2
+        + 0.5 * q * (np.log(s_next) - np.log(u))
+        + log_bessel_i_two_routes(q, arg)
+    )
+    val = np.mean(log_f)
+    return -float(val) if np.isfinite(val) else _PENALTY
+
+
+def mle_two_routes(series):
+    """The library's single simplex search from the moment start, on
+    :func:`neg_avg_loglik_two_routes`; returns scipy's result."""
+    series = np.asarray(series, dtype=float)
+    init = initial_guess_from_moments(series)
+    return minimize(
+        neg_avg_loglik_two_routes,
+        np.log([init.mu, init.theta, init.sigma]),
+        args=(series[1:], series[:-1]),
+        method="Nelder-Mead",
+        options={"maxiter": MLE_MAX_ITER, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
+    )
 
 
 def kkt_weights(columns, target):

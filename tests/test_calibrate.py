@@ -13,13 +13,16 @@ from vixtrack import (
     average_log_likelihood,
     cir_log_density,
     initial_guess_from_moments,
+    load_panel,
     log_bessel_i,
     mle_fit,
     mom_fit,
     mom_loss,
 )
+from vixtrack.calibrate import _log_i_debye
 
 import oracles
+from conftest import write_quote_files
 
 needs_real_data = pytest.mark.skipif(
     "VIXTRACK_DATA_DIR" not in os.environ,
@@ -96,6 +99,35 @@ class TestLogBesselI:
         xs = np.array([0.02, 1.0, 30.0, 4000.0])
         vec = log_bessel_i(2.2, xs)
         assert np.allclose(vec, [log_bessel_i(2.2, float(x)) for x in xs], rtol=1e-14)
+
+    @pytest.mark.parametrize("order", [-0.2, 2.2, 9.068, 150.0, 500.0])
+    def test_mixed_array_entries_equal_their_scalar_calls(self, order):
+        # one array across every route: leading term, ive, the expansion
+        # where ive underflows, and the expansion from R = 200 up
+        xs = np.array([1e-300, 1e-9, 1e-3, 0.5, 30.0, 150.0, 199.9, 200.0, 250.0, 4000.0, 1e6])
+        vec = log_bessel_i(order, xs)
+        for x, v in zip(xs, vec):
+            assert v == log_bessel_i(order, float(x)), (order, x)
+
+    def test_one_polynomial_matches_five(self):
+        # the same expansion summed as five polynomials in (q/R)^2: the two
+        # sums round the small correction differently, which moves the result
+        # by one ulp at about 1 entry in 10^5, as at the two points appended
+        q_grid = np.concatenate([np.linspace(-0.9, 10.0, 110), np.geomspace(10.0, 1e3, 100)])
+        cases = [(q, np.sqrt(np.geomspace(max(200.0, abs(q)), 1e5, 200) ** 2 - q * q)) for q in q_grid]
+        cases += [(7.593979933110367, np.sqrt([214.6**2 - 7.593979933110367**2]))]
+        cases += [(148.1046048880674, np.sqrt([231.0**2 - 148.1046048880674**2]))]
+        got, want = [], []
+        for q, xs in cases:
+            r = np.hypot(q, xs)
+            ok = (r >= 200.0) & (xs > 0)
+            got.append(_log_i_debye(q, xs[ok], r[ok]))
+            want.append(oracles.log_i_debye_five_polynomials(q, xs[ok]))
+        got, want = np.concatenate(got), np.concatenate(want)
+        diff = np.abs(got - want)
+        assert diff.size > 40_000
+        assert np.all(diff <= np.spacing(np.abs(want)))
+        assert np.count_nonzero(diff) <= 1e-4 * diff.size
 
     @pytest.mark.parametrize(
         "order,xs",
@@ -256,6 +288,23 @@ class TestMleFit:
             (params.mu, params.theta, params.sigma),
         ):
             assert got == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "n_days, true",
+        [
+            (200, (10.86, 18.81, 6.37)),  # the CLI tests' quotes: every R >= 200
+            (504, (1.0, 10.0, 5.0)),  # q near -0.2: both routes at every evaluation
+        ],
+        ids=["cli-quotes", "mixed-routes"],
+    )
+    def test_matches_five_polynomial_two_route_likelihood(self, tmp_path, n_days, true):
+        write_quote_files(tmp_path, n_days=n_days, seed=3, hist=HistoricalParams(*true))
+        spot = load_panel(tmp_path).spot
+        rep = mle_fit(spot)
+        res = oracles.mle_two_routes(spot)
+        assert (rep.params.mu, rep.params.theta, rep.params.sigma) == tuple(np.exp(res.x))
+        assert rep.avg_loglik == -res.fun
+        assert (rep.iterations, rep.evaluations) == (res.nit, res.nfev)
 
     def test_validation(self, fit_hist):
         with pytest.raises(ValueError):

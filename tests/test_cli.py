@@ -444,6 +444,8 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (None, None, ["regress", "--ranks", "1,1,2"], ("--ranks", "'1,1,2'", "distinct ranks")),
         (None, None, ["regress", "--horizons", "1,5,5"], ("--horizons", "'1,5,5'", "distinct horizons")),
         (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1;1;2"], ("--subsets", "'1;1;2'", "distinct subsets")),
+        (None, None, ["regress", "--ranks", "0,1"], ("--ranks", "'0,1'", ">= 1")),
+        (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "0;1"], ("--subsets", "'0;1'", ">= 1")),
     ],
 )
 def test_malformed_key_value_files_are_named(

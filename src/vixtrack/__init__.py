@@ -19,7 +19,6 @@ from .calibrate import (
 from .data import PricePanel, load_panel, rank_columns, split_day
 from .dynamic import (
     TrackingCoefficients,
-    dynamic_weights,
     expected_sq_error,
     optimal_weight,
     tracking_coefficients,
@@ -41,6 +40,7 @@ from .simulate import (
     SimulatedCurves,
     hold_pair,
     simulate_index_paths,
+    track,
     vxx_front_weights,
 )
 from .static import (

@@ -7,12 +7,12 @@ to replicate spot returns); increasingly negative intercepts at longer
 horizons quantify the roll-down drag of an upward-sloping term
 structure.
 
-Several series are regressed on one regressor in one call: they are
-the rows of a ``(series, days)`` array, and every statistic reduces
-along the last axis.  numpy sums a contiguous last axis pairwise, as
-it sums a 1-D array, so each row's fit is bit-identical to fitting
-that row alone; a ``(days, series)`` layout would sum ``axis=0``
-sequentially and differ in the last bits.
+Several series are regressed in one call: they are the rows of a
+``(series, days)`` array, on one regressor or on one per row, and every
+statistic reduces along the last axis.  numpy sums a contiguous last
+axis pairwise, as it sums a 1-D array, so each row's fit is
+bit-identical to fitting that row alone; a ``(days, series)`` layout
+would sum ``axis=0`` sequentially and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ __all__ = [
 @dataclass(frozen=True)
 class RegressionResult:
     """Simple linear regressions y = intercept + slope * x, one per row of
-    y: each field but ``n`` is a scalar for a 1-D y and an array otherwise."""
+    x and y broadcast: each field but ``n`` is a scalar for 1-D x and y
+    and an array otherwise."""
 
     slope: np.ndarray
     intercept: np.ndarray
@@ -57,24 +58,25 @@ def holding_period_returns(series, h: int) -> np.ndarray:
 
 def ols_regression(x, y) -> RegressionResult:
     """Ordinary least squares with an intercept of each row of ``y``,
-    shape ``(..., n)``, on the 1-D ``x`` of length n.
+    shape ``(..., n)``, on the matching row of ``x``, shape ``(..., n)``
+    and broadcast against ``y`` (a 1-D ``x`` serves every row).
 
     RMSE is sqrt(RSS/n); standard errors are the classical
     homoskedastic ones with n-2 degrees of freedom.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.shape[-1:] != x.shape:
+    if x.ndim == 0 or y.shape[-1:] != x.shape[-1:]:
         raise ValueError("x and y must have equal length")
-    n = x.size
+    n = x.shape[-1]
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
-    x_mean = x.mean()
+    x_mean = x.mean(axis=-1)
     y_mean = y.mean(axis=-1)
-    sxx = np.sum((x - x_mean) ** 2)
-    if sxx == 0:
+    sxx = np.sum((x - x_mean[..., None]) ** 2, axis=-1)
+    if np.any(sxx == 0):
         raise ValueError("regressor has zero variance")
-    sxy = np.sum((x - x_mean) * (y - y_mean[..., None]), axis=-1)
+    sxy = np.sum((x - x_mean[..., None]) * (y - y_mean[..., None]), axis=-1)
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
     rss = np.sum((y - intercept[..., None] - slope[..., None] * x) ** 2, axis=-1)

@@ -8,9 +8,11 @@ plus ``simulate``'s scenario settings), input digests, output names,
 ``count.`` keys for what the run found (work done, clamped steps,
 failed subsets, an unconverged fit) and the elapsed time.  Its absence
 marks a failed run.  All files are plain text and written atomically;
-every table goes through ``RunManifest.emit``, and the formatting of
-every output file lives here, so the library modules hold only the
-math.
+every table goes through ``RunManifest.emit``, and every column written
+with ``repr`` through ``repr_rows``.  The formatting of every output file
+lives here and all the math in the library modules: ``simulate`` runs
+both trackers through ``simulate.track`` and fits every scenario in one
+``ols_regression``.
 
 Exit codes: 0 success, 2 data error, 3 calibration failure,
 4 degenerate optimization.
@@ -32,15 +34,9 @@ from . import __version__
 from .analytics import holding_period_returns, ols_regression, slope_one_p
 from .calibrate import mle_fit, mom_fit
 from .data import load_panel, split_day
-from .dynamic import dynamic_weights
 from .errors import CalibrationError, DataError, DegenerateProblemError, require
 from .model import CYCLE_DAYS, HistoricalParams, LocalVol, RiskNeutralParams
-from .simulate import (
-    SimulatedCurves,
-    hold_pair,
-    simulate_index_paths,
-    vxx_front_weights,
-)
+from .simulate import SimulatedCurves, simulate_index_paths, track
 from .static import build_rolled_series, static_portfolio
 
 EXIT_OK = 0
@@ -115,6 +111,13 @@ def results_table(results: dict) -> tuple:
         cells += [f"{res.in_rmse:.3f}", f"{res.out_rmse:.3f}"]
         rows.append("\t".join(cells))
     return "\t".join(header), rows
+
+
+def repr_rows(*columns) -> list:
+    """Tab-separated rows of the columns' values, each written with
+    ``repr`` as a Python int or float, so a float reads back exactly."""
+    cells = (map(repr, np.asarray(column).tolist()) for column in columns)
+    return list(map("\t".join, zip(*cells)))
 
 
 def _read_key_values(path: Path, kind: str) -> dict:
@@ -352,56 +355,44 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
         cfg, contracts=f"{i1},{i2}", s0_multipliers=",".join(f"{m:g}" for m in mults)
     )
 
-    n_days = cycles * CYCLE_DAYS
     paths = simulate_index_paths(
         hist, LocalVol.square_root(hist.sigma), [m * hist.theta for m in mults],
-        n_days, len(mults), cfg["seed"],
+        cycles * CYCLE_DAYS, len(mults), cfg["seed"],
     )
     manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
     # every scenario is one path of a single batch through both trackers
     curves = SimulatedCurves([path.values for path in paths], rn, cfg["r"])
-    ttm, today, tomorrow = curves.held_pair(i1, i2)
-    w_dyn = dynamic_weights(curves.spot, ttm, curves.mm_value, cfg["beta"], hist, rn)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an error just below
-        wealth_dyn = hold_pair(w_dyn, today, tomorrow, curves.mm_value)
+    w_dyn, w_vxx, wealth = track(curves, (i1, i2), cfg["beta"], hist, rn)
     labels = [scenario_label(m) for m in mults]
     # a path held near the Euler floor can drive w* and the wealth past float
     # range; a non-finite weight on day j leaves the wealth non-finite from j + 1
-    for label, wealth in zip(labels, wealth_dyn):
+    for label, wealth_dyn in zip(labels, wealth[:, 0]):
         message = f"scenario {label}: dynamic wealth not finite"
-        require(np.isfinite(wealth), DegenerateProblemError, message)
-    ttm, today, tomorrow = curves.held_pair(1, 2)
-    w_vxx = vxx_front_weights(ttm)
+        require(np.isfinite(wealth_dyn), DegenerateProblemError, message)
+    idx_ret = holding_period_returns(curves.spot, 1)
+    returns = holding_period_returns(wealth, 1)
+    reg = ols_regression(idx_ret[:, None], returns)
+    p_one = slope_one_p(reg)
+    # the dynamic pair's weight on the front contract, 0 when it holds none
+    front = w_dyn if i1 == 1 else 1.0 - w_dyn if i2 == 1 else np.zeros_like(w_dyn)
     # rows: dynamic on ranks (i1, i2), then vxx on ranks (1, 2)
-    wealth_rows = np.stack([wealth_dyn, hold_pair(w_vxx, today, tomorrow, curves.mm_value)], axis=1)
-    for label, spot, w1, wealth in zip(labels, curves.spot, w_dyn, wealth_rows):
-        weights = np.stack([(w, 1.0 - w) for w in (w1, w_vxx)])
-        index_norm = 100.0 * spot / spot[0]
-        columns = zip(index_norm.tolist(), wealth[1].tolist(), wealth[0].tolist())
-        rows = [f"{j}\t{idx!r}\t{v!r}\t{d!r}" for j, (idx, v, d) in enumerate(columns)]
+    w1 = np.stack(np.broadcast_arrays(w_dyn, w_vxx), axis=1)
+    max_abs = np.maximum(np.abs(w1), np.abs(1.0 - w1)).max(axis=-1)
+    header = "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"
+    for k, label in enumerate(labels):
+        index_norm = 100.0 * curves.spot[k] / curves.spot[k, 0]
+        rows = repr_rows(range(wealth.shape[-1]), index_norm, wealth[k, 1], wealth[k, 0])
         manifest.emit(f"wealth_{label}.tsv", "day\tindex\tvxx\tdynamic", rows)
-
-        # the dynamic pair's weight on the front contract, 0 when it holds none
-        front = weights[0, (i1, i2).index(1)] if 1 in (i1, i2) else np.zeros(n_days)
-        columns = zip(front.tolist(), w_vxx.tolist())
-        rows = [f"{j}\t{d!r}\t{v!r}" for j, (d, v) in enumerate(columns)]
+        rows = repr_rows(range(w_vxx.size), front[k], w_vxx)
         manifest.emit(f"weights_{label}.tsv", "day\tdynamic_w1\tvxx_w1", rows)
-
-        idx_ret = holding_period_returns(spot, 1)
-        returns = holding_period_returns(wealth, 1)
-        reg = ols_regression(idx_ret, returns)
-        p_one = slope_one_p(reg)
-        max_abs = np.max(np.abs(weights), axis=(1, 2))
         rows = [
-            f"{name}\t{reg.slope[i]:.6f}\t{reg.slope_se[i]:.3e}\t{reg.intercept[i]:.3e}"
-            f"\t{reg.intercept_se[i]:.3e}\t{reg.r2[i]:.6f}\t{p_one[i]:.3e}\t{max_abs[i]:.4f}"
+            f"{name}\t{reg.slope[k, i]:.6f}\t{reg.slope_se[k, i]:.3e}\t{reg.intercept[k, i]:.3e}"
+            f"\t{reg.intercept_se[k, i]:.3e}\t{reg.r2[k, i]:.6f}\t{p_one[k, i]:.3e}"
+            f"\t{max_abs[k, i]:.4f}"
             for i, name in enumerate(("dynamic", "vxx"))
         ]
-        header = (
-            "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"
-        )
         manifest.emit(f"scatter_{label}.tsv", header, rows)
-        rows = [f"{x!r}\t{y!r}" for x, y in zip(idx_ret.tolist(), returns[0].tolist())]
+        rows = repr_rows(idx_ret[k], returns[k, 0])
         manifest.emit(f"scatter_points_{label}.tsv", "index_return\tportfolio_return", rows)
     print(f"simulated {len(mults)} scenarios over {cycles} cycles -> {manifest.out_dir}")
     return EXIT_OK
@@ -443,16 +434,13 @@ def cmd_regress(args, manifest: RunManifest) -> int:
 
     curves = [fit(h) for h in range(1, max_horizon + 1)]
     for i, rank in enumerate(ranks[:3]):
-        rows = [
-            f"{h}\t{float(res.intercept[i])!r}\t{float(res.intercept_se[i])!r}"
-            for h, res in enumerate(curves, 1)
-        ]
+        columns = ([res.intercept[i] for res in curves], [res.intercept_se[i] for res in curves])
+        rows = repr_rows(range(1, max_horizon + 1), *columns)
         manifest.emit(f"intercepts_{rank}m.tsv", "horizon\tintercept\tintercept_se", rows)
 
-    a, b = float(daily.intercept[0]), float(daily.slope[0])
     x = holding_period_returns(panel.spot, 1)
-    columns = zip(x.tolist(), holding_period_returns(rolled[0], 1).tolist())
-    rows = [f"{xi!r}\t{yi!r}\t{a + b * xi!r}" for xi, yi in columns]
+    fitted = daily.intercept[0] + daily.slope[0] * x
+    rows = repr_rows(x, holding_period_returns(rolled[0], 1), fitted)
     manifest.emit(f"scatter_{ranks[0]}m_1d.tsv", "spot_return\tfutures_return\tfit", rows)
     print(f"regression tables -> {manifest.out_dir}")
     return EXIT_OK

@@ -60,8 +60,8 @@ class PricePanel:
 
     ``mm_value`` is the money-market account's value on each day; its
     day-to-day ratio is the cash return earned over that day.
-    ``dates`` is either an array of ``datetime64[D]`` (ingested data) or
-    integer day indices (simulated data).  ``contracts`` holds one id
+    ``dates`` is an array of ``datetime64[D]`` for loaded quotes (a
+    hand-built panel may use day indices).  ``contracts`` holds one id
     per column of ``prices`` and ``ttms``, in expiry order; both
     matrices are NaN where a contract has no quote.  A contract on its
     final settlement day (ttm = 0) is included when quoted; ranks count
@@ -372,9 +372,8 @@ def load_panel(
 
 
 def split_day(panel: PricePanel, boundary) -> int:
-    """First out-of-sample day of a split at a boundary date (or day
-    index for simulated panels): in-sample strictly before, out-of-sample
-    from the boundary on.
+    """First out-of-sample day of a split at a boundary date: in-sample
+    strictly before, out-of-sample from the boundary on.
 
     Raises
     ------
@@ -382,11 +381,7 @@ def split_day(panel: PricePanel, boundary) -> int:
         If either window would have fewer than 2 days: a one-day window
         rebased to 100 is matched by any portfolio and has no return.
     """
-    if np.issubdtype(panel.dates.dtype, np.integer):
-        b = int(boundary)
-    else:
-        b = np.datetime64(boundary, "D")
-    cut = int(np.searchsorted(panel.dates, b, side="left"))
+    cut = int(np.searchsorted(panel.dates, np.datetime64(boundary, "D"), side="left"))
     if not 2 <= cut <= panel.n_days - 2:
         raise DataError(
             f"boundary {boundary} leaves {cut} in-sample and {panel.n_days - cut} "

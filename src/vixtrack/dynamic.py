@@ -16,7 +16,8 @@ loadings use the fitted square-root volatility g(S) = sigma * sqrt(S)
 of ``HistoricalParams``.  Every function takes one day's scalars,
 per-day arrays or (paths, days) arrays alike: a batch of paths shares
 the days' contract pair, ttms and money-market return, so every path
-goes through one evaluation.
+goes through one evaluation (:func:`~vixtrack.simulate.track` runs the
+tracker on a market's held pair).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "tracking_coefficients",
     "optimal_weight",
     "expected_sq_error",
-    "dynamic_weights",
 ]
 
 # Contract pairs whose return sensitivities differ by less than this are
@@ -128,19 +128,3 @@ def expected_sq_error(w: float, c: TrackingCoefficients) -> float:
     Convex in ``w``; minimized at the weight from :func:`optimal_weight`.
     """
     return (c.alpha0 + c.alpha1 * w) ** 2 + (c.nu0 + c.nu1 * w) ** 2
-
-
-def dynamic_weights(
-    spot, ttm, mm_value, beta: float, hist: HistoricalParams, rn: RiskNeutralParams
-) -> np.ndarray:
-    """Optimal fraction of wealth in the first contract of a pair on
-    each day but the last, for tracking ``beta`` times the index; the
-    second gets the complement.  ``spot`` is one path, or one row per
-    path; the pair's ``ttm`` on each day but the last, (days - 1, 2),
-    and the money-market account serve every path.  Day ``j``'s cash
-    return ``mm_value[j+1]/mm_value[j] - 1`` is known on day ``j``.
-    """
-    mm_return = mm_value[1:] / mm_value[:-1] - 1.0
-    c = tracking_coefficients(spot[..., :-1], ttm[:, 0], ttm[:, 1], beta, hist, rn, mm_return)
-    w_star, _ = optimal_weight(c)
-    return w_star

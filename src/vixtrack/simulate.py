@@ -13,11 +13,12 @@ maturing on day CYCLE_DAYS * (j // CYCLE_DAYS + r) on every path:
 (paths, days) batch in closed form and prices only them, through
 :func:`~vixtrack.model.futures_price`, with no ttm matrix and no
 (paths, days, contracts) array.  Loaded quotes supply the same held
-pair (:meth:`~vixtrack.data.PricePanel.held_pair`) to the same
-trackers.  A two-contract strategy (the dynamic tracker, the VXX-style
-roll) is an array of the weight on the first of the pair, per path and
-day or per day for every path, and its wealth comes from one
-self-financing mark-to-market recursion along the days of all paths.
+pair (:meth:`~vixtrack.data.PricePanel.held_pair`), so :func:`track`
+is the one run of the dynamic tracker and the VXX-style roll on either
+market.  A two-contract strategy is an array of the weight on the first
+of the pair, per path and day or per day for every path, and its wealth
+comes from one self-financing mark-to-market recursion along the days
+of all paths.
 
 RNG convention: path k of a multi-path run draws its normals from the
 k-th child of ``SeedSequence(seed)`` into its own row of one batch,
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamic import optimal_weight, tracking_coefficients
 from .errors import DataError, require
 from .model import (
     CYCLE_DAYS,
@@ -48,6 +50,7 @@ __all__ = [
     "SimulatedCurves",
     "hold_pair",
     "vxx_front_weights",
+    "track",
 ]
 
 # Floor applied when a Euler step proposes a nonpositive index level.
@@ -196,3 +199,29 @@ def vxx_front_weights(ttm: np.ndarray) -> np.ndarray:
         "day_in_cycle must lie in [0, {:g}], got {:g}", cycle_length, day_in_cycle,
     )
     return 1.0 - day_in_cycle / cycle_length
+
+
+def track(market, ranks, beta: float, hist: HistoricalParams, rn: RiskNeutralParams) -> tuple:
+    """The dynamic tracker of ``beta`` times the index on the pair
+    ``ranks`` and the VXX-style roll on ranks (1, 2), on a ``market``
+    with ``spot``, ``mm_value`` and ``held_pair`` (a loaded
+    :class:`~vixtrack.data.PricePanel` or :class:`SimulatedCurves`).
+
+    Day j's cash return M[j+1] / M[j] - 1 is known on day j.  Returns
+    ``(w_dyn, w_vxx, wealth)``: the dynamic weight on ``ranks[0]``,
+    (..., days - 1), the roll's front weight, (days - 1,), and their
+    wealth, (..., 2, days), dynamic row first.  A weight past float
+    range leaves the dynamic wealth non-finite from the next day on;
+    the caller judges it.
+    """
+    mm = market.mm_value
+    ttm, today, tomorrow = market.held_pair(*ranks)
+    c = tracking_coefficients(
+        market.spot[..., :-1], ttm[:, 0], ttm[:, 1], beta, hist, rn, mm[1:] / mm[:-1] - 1.0
+    )
+    w_dyn, _ = optimal_weight(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wealth_dyn = hold_pair(w_dyn, today, tomorrow, mm)
+    ttm, today, tomorrow = market.held_pair(1, 2)
+    w_vxx = vxx_front_weights(ttm)
+    return w_dyn, w_vxx, np.stack([wealth_dyn, hold_pair(w_vxx, today, tomorrow, mm)], axis=-2)

@@ -6,9 +6,6 @@ from vixtrack import (
     LocalVol,
     RiskNeutralParams,
     build_rolled_series,
-    dynamic_weights,
-    hold_pair,
-    vxx_front_weights,
 )
 from vixtrack.simulate import IndexPath
 
@@ -51,22 +48,6 @@ def make_sim_panels(
     s0 = hist.theta if s0 is None else s0
     path = IndexPath(*euler_path_loop(hist, g, s0, cycles * 21, seed))
     return futures_panel_from_path(path.values, cycles + extra_contracts, rn, r), g, path
-
-
-def dynamic_pair(market, ranks, beta, hist=FIT_HIST, rn=FIT_RN):
-    """Dynamic weights on rank ``ranks[0]`` and the wealth of holding
-    them, on a panel or on simulated curves."""
-    ttm, today, tomorrow = market.held_pair(*ranks)
-    w = dynamic_weights(market.spot, ttm, market.mm_value, beta, hist, rn)
-    return w, hold_pair(w, today, tomorrow, market.mm_value)
-
-
-def vxx_pair(market):
-    """The VXX-style roll's front weights and wealth on a panel or on
-    simulated curves."""
-    ttm, today, tomorrow = market.held_pair(1, 2)
-    w = vxx_front_weights(ttm)
-    return w, hold_pair(w, today, tomorrow, market.mm_value)
 
 
 def grid_panel(price_fn, n_days, spacing=21, n_contracts=None, r=0.0, spot=None):

@@ -104,17 +104,34 @@ class TestOlsRegression:
             ols_regression(np.ones(10), np.arange(10.0))
         with pytest.raises(ValueError):
             ols_regression(np.arange(10.0), np.ones((2, 9)))
+        # row-wise x: one constant row, or rows one short of y's
+        x = np.stack([np.arange(10.0), np.full(10, 2.0)])[:, None]
+        with pytest.raises(ValueError, match="zero variance"):
+            ols_regression(x, np.ones((2, 3, 10)))
+        with pytest.raises(ValueError, match="equal length"):
+            ols_regression(x[:1, :, :9], np.ones((2, 3, 10)))
 
     @pytest.mark.parametrize("h", [1, 5, 30])
-    def test_rows_fit_as_each_row_alone(self, h):
-        x = holding_period_returns(positive_walk(1510, 20), h)
-        rows = holding_period_returns(np.stack([positive_walk(1510, s) for s in range(21, 25)]), h)
-        assert rows.shape == (4, x.size)
-        res = ols_regression(x, rows)
-        alone = [ols_regression(x, y) for y in rows]
+    @pytest.mark.parametrize("per_row_x", [False, True])
+    def test_rows_fit_as_each_row_alone(self, h, per_row_x):
+        walks = np.stack([positive_walk(1510, s) for s in range(20, 28)])
+        if per_row_x:
+            # a (rows, n) regressor against (rows, 2, n) series, one x per row
+            x = holding_period_returns(walks[:4], h)
+            rows = holding_period_returns(walks[4:], h)[:, None] * np.array([[1.0], [-0.5]])
+            res = ols_regression(x[:, None], rows)
+            alone = [[ols_regression(xi, y) for y in pair] for xi, pair in zip(x, rows)]
+            assert rows.shape == (4, 2, x.shape[-1]) and res.slope.shape == (4, 2)
+        else:
+            x = holding_period_returns(walks[0], h)
+            rows = holding_period_returns(walks[1:5], h)
+            res = ols_regression(x, rows)
+            alone = [ols_regression(x, y) for y in rows]
+            assert rows.shape == (4, x.size)
         for field in ("slope", "intercept", "slope_se", "intercept_se", "r2", "rmse"):
-            assert np.array_equal(getattr(res, field), [getattr(a, field) for a in alone])
-        assert res.n == x.size
+            want = np.vectorize(lambda a: getattr(a, field), otypes=[float])(alone)
+            assert np.array_equal(getattr(res, field), want)
+        assert res.n == x.shape[-1]
 
 
 def rank_fit(panel, ranks, h):

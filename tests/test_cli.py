@@ -15,7 +15,7 @@ import vixtrack
 from vixtrack.cli import build_parser, main, read_params_file
 
 import oracles
-from conftest import FIT_RN, dynamic_pair, write_quote_files
+from conftest import FIT_RN, write_quote_files
 
 N_DAYS = 200
 RANKS = [f"{r}-m" for r in range(1, 8)]
@@ -287,16 +287,16 @@ def test_simulate_front_contract_second_in_the_pair(calibrated, tmp_path):
     paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 63, 3, 1)
     for label, path in zip(("s0_1x", "s0_0p333333x", "s0_3x"), paths):
         curves = vixtrack.SimulatedCurves(path.values, rn, 0.01)
-        w1, _ = dynamic_pair(curves, (2, 1), 1.0, hist, rn)
+        w1, _, _ = vixtrack.track(curves, (2, 1), 1.0, hist, rn)
         _, rows = table(tmp_path / "out" / f"weights_{label}.tsv")
         assert [row[1] for row in rows] == [repr(w) for w in (1.0 - w1).tolist()]
 
 
 @pytest.mark.parametrize("contracts", [(1, 2), (2, 3), (2, 1)])
 def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contracts):
-    """All scenarios run as one batch; each per-day table equals, byte
-    for byte, the one-scenario-at-a-time loop's arrays written the same
-    way in this process (no digests: numpy's exp may differ in the last
+    """All scenarios run as one batch; each per-day table, and each
+    scenario's fit, equals, byte for byte, the one-scenario-at-a-time
+    loop's arrays and 1-D fits written the same way in this process (no digests: numpy's exp may differ in the last
     bit between CPUs)."""
     _, params = calibrated
     i1, i2 = contracts
@@ -319,6 +319,10 @@ def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contra
     returns = vixtrack.holding_period_returns
     for k, label in enumerate(("s0_1x", "s0_0p5x", "s0_2x", "s0_3x")):
         index = (100.0 * values[k] / values[k, 0]).tolist()
+        # one 1-D fit per scenario, as the batch's row-wise fit must give
+        reg = vixtrack.ols_regression(returns(values[k], 1), returns(wealth[k], 1))
+        p_one = vixtrack.slope_one_p(reg)
+        max_abs = [np.max(np.abs([w, 1.0 - w])) for w in (w_dyn[k], w_vxx[k])]
         # the dynamic pair's weight on the front contract
         front = np.zeros(84) if 1 not in contracts else w_dyn[k] if i1 == 1 else 1.0 - w_dyn[k]
         want = {
@@ -329,6 +333,14 @@ def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contra
             "weights": ["day\tdynamic_w1\tvxx_w1"] + [
                 f"{j}\t{d!r}\t{v!r}"
                 for j, (d, v) in enumerate(zip(front.tolist(), w_vxx[k].tolist()))
+            ],
+            "scatter": [
+                "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1"
+                "\tmax_abs_weight"
+            ] + [
+                f"{name}\t{reg.slope[i]:.6f}\t{reg.slope_se[i]:.3e}\t{reg.intercept[i]:.3e}"
+                f"\t{reg.intercept_se[i]:.3e}\t{reg.r2[i]:.6f}\t{p_one[i]:.3e}\t{max_abs[i]:.4f}"
+                for i, name in enumerate(("dynamic", "vxx"))
             ],
             "scatter_points": ["index_return\tportfolio_return"] + [
                 f"{x!r}\t{y!r}"

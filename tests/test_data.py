@@ -373,9 +373,3 @@ class TestSplit:
         for boundary, n_in in ((dates[1], 1), (dates[9], 9)):
             with pytest.raises(DataError, match=f"leaves {n_in} in-sample and {10 - n_in} out"):
                 split_day(panel, boundary)
-
-    def test_integer_boundary_for_simulated_panels(self):
-        panel, _, _ = make_sim_panels(cycles=2, seed=13)
-        cut = split_day(panel, 21)
-        assert cut == 21
-        assert panel.dates[cut] == 21

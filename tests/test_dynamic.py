@@ -14,12 +14,13 @@ from vixtrack import (
     expected_sq_error,
     futures_price,
     optimal_weight,
+    track,
     tracking_coefficients,
 )
 from vixtrack.model import DT
 
 import oracles
-from conftest import dynamic_pair, make_sim_panels
+from conftest import make_sim_panels
 
 PAPER_HIST = HistoricalParams(10.86, 18.81, 6.37)
 PAPER_RN = RiskNeutralParams(1.39, 26.03)
@@ -68,7 +69,7 @@ class TestTrackingCoefficients:
     def test_identical_ranks_rejected(self, fit_hist, fit_rn):
         panel, _, _ = make_sim_panels(cycles=2, seed=2)
         with pytest.raises(DegenerateProblemError):
-            dynamic_pair(panel, (2, 2), 1.0, fit_hist, fit_rn)
+            track(panel, (2, 2), 1.0, fit_hist, fit_rn)
 
     def test_nonpositive_spot_rejected(self):
         with pytest.raises(ValueError):

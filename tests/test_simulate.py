@@ -14,17 +14,12 @@ from vixtrack import (
     load_panel,
     rank_columns,
     simulate_index_paths,
+    track,
+    vxx_front_weights,
 )
 
 import oracles
-from conftest import (
-    FIT_HIST,
-    FIT_RN,
-    dynamic_pair,
-    make_sim_panels,
-    vxx_pair,
-    write_quote_files,
-)
+from conftest import FIT_HIST, FIT_RN, make_sim_panels, write_quote_files
 
 
 class TestIndexPath:
@@ -255,7 +250,7 @@ class TestVxxWeights:
     @pytest.mark.parametrize("spacing", (14, 21))
     def test_front_weight_falls_linearly_over_each_cycle(self, spacing):
         panel = expiry_panel(spacing * np.arange(1, 5), n_days=3 * spacing + 1)
-        w1, _ = vxx_pair(panel)
+        w1 = vxx_front_weights(panel.held_pair(1, 2)[0])
         days = np.arange(panel.n_days - 1)
         # 1 on a cycle's first day, 0.5 halfway through a 14-day cycle
         assert np.array_equal(w1, 1.0 - (days % spacing) / spacing)
@@ -265,10 +260,10 @@ class TestVxxWeights:
         # from day 5 the front (expiring on day 30) is 25 days out, but
         # its cycle up to the second's expiry (day 35) is 5 days long
         with pytest.raises(ValueError, match=r"\[0, 5\], got -20 on day 5"):
-            vxx_pair(expiry_panel([5, 30, 35], n_days=10))
+            vxx_front_weights(expiry_panel([5, 30, 35], n_days=10).held_pair(1, 2)[0])
         # a front expiring more than a cycle ahead rejects day 0
         with pytest.raises(ValueError, match="got -1 on day 0"):
-            vxx_pair(expiry_panel([11, 21], n_days=3))
+            vxx_front_weights(expiry_panel([11, 21], n_days=3).held_pair(1, 2)[0])
 
 
 class TestRankColumns:
@@ -302,14 +297,15 @@ class TestStrategies:
         # rolls down towards the spot, so a long-only roll bleeds daily
         hist = HistoricalParams(1.0, 13.0, 0.0)
         [path] = simulate_index_paths(hist, LocalVol.square_root(0.0), 13.0, 42, 1, 1)
-        _, wealth = vxx_pair(SimulatedCurves(path.values, RiskNeutralParams(1.39, 26.03), 0.0))
-        assert np.all(np.diff(wealth) < 0)
+        curves = SimulatedCurves(path.values, RiskNeutralParams(1.39, 26.03), 0.0)
+        _, _, wealth = track(curves, (1, 2), 1.0, hist, curves.rn)
+        assert np.all(np.diff(wealth[1]) < 0)
 
     def test_dynamic_tracks_index_over_three_cycles(self, fit_hist, fit_rn):
         panel, _, path = make_sim_panels(cycles=3, seed=11)
-        _, wealth = dynamic_pair(panel, (1, 2), 1.0, fit_hist, fit_rn)
+        _, _, wealth = track(panel, (1, 2), 1.0, fit_hist, fit_rn)
         index_returns = path.values[1:] / path.values[:-1] - 1.0
-        corr = np.corrcoef(holding_period_returns(wealth, 1), index_returns)[0, 1]
+        corr = np.corrcoef(holding_period_returns(wealth[0], 1), index_returns)[0, 1]
         assert corr > 0.99
 
     def test_wrong_length_weights_abort(self):
@@ -320,11 +316,10 @@ class TestStrategies:
 
     def test_vxx_weights_valid_and_dynamic_pair_sums_to_one(self, fit_hist, fit_rn):
         panel, _, _ = make_sim_panels(cycles=3, seed=8)
-        w, _ = vxx_pair(panel)
+        w_dyn, w, _ = track(panel, (1, 2), 1.0, fit_hist, fit_rn)
         assert np.all((w >= 0) & (w <= 1))
         assert np.all(w + (1.0 - w) == 1.0)
-        w, _ = dynamic_pair(panel, (1, 2), 1.0, fit_hist, fit_rn)
-        assert np.allclose(w + (1.0 - w), 1.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(w_dyn + (1.0 - w_dyn), 1.0, rtol=0.0, atol=1e-15)
 
 
 SEEDS = (3, 8, 11)
@@ -341,10 +336,10 @@ def test_vxx_matches_per_day_loop(seed, mult):
     panel, _, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * FIT_HIST.theta, extra_contracts=2
     )
-    w, got = vxx_pair(panel)
+    _, w, got = track(panel, (1, 2), 1.0, FIT_HIST, FIT_RN)
     wealth, held = oracles.strategy_loop(panel, oracles.vxx_rule)
     assert np.array_equal(np.column_stack([w, 1.0 - w]), [list(h.values()) for h in held])
-    assert _relative_gap(got, wealth) <= 1e-12
+    assert _relative_gap(got[1], wealth) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -355,12 +350,12 @@ def test_dynamic_matches_per_day_loop(seed, mult, beta, ranks, fit_hist, fit_rn)
     panel, g, _ = make_sim_panels(
         cycles=6, seed=seed, s0=mult * fit_hist.theta, extra_contracts=2
     )
-    w, got = dynamic_pair(panel, ranks, beta, fit_hist, fit_rn)
+    w, _, got = track(panel, ranks, beta, fit_hist, fit_rn)
     rule = oracles.dynamic_rule(ranks, beta, fit_hist, fit_rn, g)
     wealth, held = oracles.strategy_loop(panel, rule)
     weights = np.column_stack([w, 1.0 - w])
     assert _relative_gap(weights, np.array([list(h.values()) for h in held])) <= 1e-13
-    assert _relative_gap(got, wealth) <= 1e-12
+    assert _relative_gap(got[0], wealth) <= 1e-12
 
 
 @pytest.mark.parametrize("beta", (1.0, 0.7))
@@ -377,15 +372,15 @@ def test_batch_equals_the_per_scenario_loop(ranks, r, beta, fit_hist, fit_g, fit
     )
     values = np.stack([path.values for path in paths])
     curves = SimulatedCurves(values, fit_rn, r)
-    w_dyn, wealth_dyn = dynamic_pair(curves, ranks, beta, fit_hist, fit_rn)
-    w_vxx, wealth_vxx = vxx_pair(curves)
+    w_dyn, w_vxx, wealth = track(curves, ranks, beta, fit_hist, fit_rn)
     want_dyn, want_vxx, want_wealth = oracles.simulate_loop(
         values, n_contracts, ranks, beta, r, fit_hist, fit_rn
     )
     assert w_dyn.shape == want_dyn.shape == (len(mults), 21 * cycles)
     assert np.array_equal(w_dyn, want_dyn)
     assert all(np.array_equal(w_vxx, want) for want in want_vxx)
-    assert np.array_equal(np.stack([wealth_dyn, wealth_vxx], axis=1), want_wealth)
+    assert wealth.shape == want_wealth.shape == (len(mults), 2, 21 * cycles + 1)
+    assert np.array_equal(wealth, want_wealth)
     ttm, today, tomorrow = curves.held_pair(*ranks)
     for k, row in enumerate(values):
         panel = oracles.futures_panel_from_path(row, n_contracts, fit_rn, r)
@@ -412,13 +407,11 @@ class TestLoadedQuotes:
         for ranks in ((1, 2), (2, 3)):
             for got, want in zip(loaded.held_pair(*ranks), simulated.held_pair(*ranks)):
                 assert np.array_equal(got, want)
-        for got, want in zip(vxx_pair(loaded), vxx_pair(simulated)):
-            assert np.array_equal(got, want)
-        for got, want in zip(
-            dynamic_pair(loaded, (1, 2), 1.0, fit_hist, fit_rn),
-            dynamic_pair(simulated, (1, 2), 1.0, fit_hist, fit_rn),
-        ):
-            assert np.array_equal(got, want)
+            for got, want in zip(
+                track(loaded, ranks, 1.0, fit_hist, fit_rn),
+                track(simulated, ranks, 1.0, fit_hist, fit_rn),
+            ):
+                assert np.array_equal(got, want)
 
     def test_cash_leg_follows_the_loaded_money_market(self, tmp_path, fit_hist, fit_rn, fit_g):
         # a zero-volatility spot at theta_tilde prices every contract flat
@@ -428,9 +421,9 @@ class TestLoadedQuotes:
         assert np.all(panel.prices[~np.isnan(panel.prices)] == fit_rn.theta_tilde)
         # weekends make the daily cash return uneven
         assert np.ptp(np.diff(np.log(panel.mm_value))) > 0
-        w_dyn, wealth_dyn = dynamic_pair(panel, (1, 2), 1.0, fit_hist, fit_rn)
-        for wealth in (wealth_dyn, vxx_pair(panel)[1]):
-            assert _relative_gap(wealth, 100.0 * panel.mm_value / panel.mm_value[0]) <= 1e-14
+        w_dyn, _, wealth = track(panel, (1, 2), 1.0, fit_hist, fit_rn)
+        for row in wealth:
+            assert _relative_gap(row, 100.0 * panel.mm_value / panel.mm_value[0]) <= 1e-14
         # the tracker's drift reads the same account, day by day
         rule = oracles.dynamic_rule((1, 2), 1.0, fit_hist, fit_rn, fit_g)
         _, held = oracles.strategy_loop(panel, rule)

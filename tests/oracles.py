@@ -6,7 +6,9 @@ aligns the days in a per-day loop, the index-path oracle is a scalar
 day-by-day Euler loop, the batched ``simulate`` pipeline has the
 per-scenario loop it replaced, on one full price panel per path, the
 rolled-series and two-contract strategy oracles are per-day loops over
-their own rank and quote lookups, the weight and moment-fit oracles are
+their own rank and quote lookups, the rolled series also has the
+per-roll rescan it replaced (on the live-contract count that
+``rank_columns`` replaced), the weight and moment-fit oracles are
 brute-force grid scans, the one-day tracking error has its exact
 discrete-time coefficients, the constrained LS oracle is a dense
 bordered KKT solve, the market price of risk is its direct quotient,
@@ -107,6 +109,75 @@ def rolled_series_loop(panel, rank):
             units = values[j] / px
             held = target
     return values
+
+
+def rank_columns_cumsum(ttms, *ranks):
+    """``rank_columns`` by a live-contract count over every day and
+    contract: rank r is the column where the count reaches r."""
+    live = np.cumsum(ttms[:-1] > 0, axis=1)
+    if min(ranks) < 1:
+        raise DataError(f"rank {min(ranks)} not available: ranks are 1-based")
+    short = np.flatnonzero(live[:, -1] < max(ranks))
+    if short.size:
+        raise DataError(f"rank {max(ranks)} not available on day {short[0]}")
+    return np.stack([np.argmax(live >= r, axis=1) for r in ranks], axis=1)
+
+
+def rolled_series_rolls(panel, rank):
+    """``build_rolled_series`` one roll event at a time, with the same
+    checks and messages.
+
+    From each roll it rescans the remaining days for the next one: the
+    first day the rank moves off the held contract or the held contract
+    has no quote the next day.  Between rolls it marks the held
+    contract as one slice.
+    """
+    ids, prices, ttms = panel.contracts, panel.prices, panel.ttms
+    n = panel.n_days
+    if n < 2:
+        raise DataError(f"a rolled series needs at least 2 days, got {n}")
+    rank_col = rank_columns_cumsum(ttms, rank)[:, 0]
+    held = rank_col[0]
+    quoted = ~np.isnan(prices)
+
+    values = np.empty(n)
+    values[0] = 100.0
+    units = 100.0 / prices[0, held]
+    opened = 0  # day the position in ``held`` was opened
+    scan = 0  # first day that can roll it
+    while True:
+        due = (rank_col[scan:] != held) | ~quoted[scan + 1 :, held]
+        roll = scan + int(np.argmax(due)) if due.any() else None
+        stop = n if roll is None else roll + 1
+        marks = prices[opened + 1 : stop, held]
+        if np.isnan(marks).any():
+            day = opened + 1 + int(np.argmax(np.isnan(marks)))
+            raise DataError(f"held contract {ids[held]} has no quote on day {day}")
+        values[opened + 1 : stop] = units * marks
+        if roll is None:
+            return values
+        target = held + 1
+        if rank_col[roll] != held:
+            if rank_col[roll] != target:
+                raise DataError(
+                    f"rank {rank} moved from {ids[held]} to {ids[rank_col[roll]]} "
+                    f"on day {roll}, not to the next contract by expiry; "
+                    "quote gap in the panel"
+                )
+        elif ttms[roll, held] > 3.0 / TRADING_DAYS_PER_YEAR:
+            raise DataError(
+                f"held contract {ids[held]} has no quote on day {roll + 1} "
+                f"but is far from settlement; quote gap in the panel"
+            )
+        if target == ids.size or not quoted[roll, target]:
+            raise DataError(
+                f"no quote on day {roll} for the contract after {ids[held]}, "
+                "which the position rolls into"
+            )
+        units = values[roll] / prices[roll, target]
+        held = target
+        opened = roll
+        scan = roll + 1
 
 
 def _parse_quote_file(path: Path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from vixtrack import (
     build_rolled_series,
     evaluate_rmse,
     load_panel,
+    rank_columns,
     solve_constrained_ls,
     static_portfolio,
 )
@@ -136,19 +139,43 @@ class TestRolledSeriesOracle:
         wide = build_rolled_series(load_panel(tmp_path, n_ranks=8), 7)
         assert np.array_equal(narrow.values, wide.values)
 
-    @pytest.mark.parametrize("build", [build_rolled_series, oracles.rolled_series_loop])
     @pytest.mark.parametrize(
-        "case, rank",
+        "build",
+        [build_rolled_series, oracles.rolled_series_rolls, oracles.rolled_series_loop],
+    )
+    @pytest.mark.parametrize(
+        "case, rank, message",
         [
-            ("new front unquoted on the roll day", 1),
-            ("nearer contract unquoted on the roll day", 3),
-            ("new contract unquoted from the day after the roll", 1),
-            ("rank missing", 5),
-            ("quotes stop far from settlement", 1),
-            ("early-roll target unquoted", 1),
+            (
+                "new front unquoted on the roll day", 1,
+                "rank 1 moved from K01 to K03 on day 21, not to the next contract "
+                "by expiry; quote gap in the panel",
+            ),
+            (
+                "nearer contract unquoted on the roll day", 3,
+                "rank 3 moved from K03 to K05 on day 21, not to the next contract "
+                "by expiry; quote gap in the panel",
+            ),
+            (
+                "new contract unquoted from the day after the roll", 1,
+                "held contract K02 has no quote on day 22",
+            ),
+            ("rank missing", 5, "rank 5 not available on day 0"),
+            (
+                "quotes stop far from settlement", 1,
+                "held contract K01 has no quote on day 10 but is far from "
+                "settlement; quote gap in the panel",
+            ),
+            (
+                "early-roll target unquoted", 1,
+                "no quote on day 20 for the contract after K01, which the "
+                "position rolls into",
+            ),
         ],
     )
-    def test_data_gaps_raise(self, build, case, rank):
+    def test_data_gaps_raise(self, build, case, rank, message):
+        # the per-day loop words its messages its own way
+        match = None if build is oracles.rolled_series_loop else f"^{re.escape(message)}$"
         n_contracts = 2 if case == "rank missing" else None
         panel = grid_panel(lambda j, k: 25.0, n_days=30, n_contracts=n_contracts)
         if case in (
@@ -165,7 +192,7 @@ class TestRolledSeriesOracle:
         elif case == "early-roll target unquoted":
             drop_quote(panel, 21, "K01")
             drop_quote(panel, 20, "K02")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=match):
             build(panel, rank)
 
 
@@ -191,6 +218,78 @@ def test_slicing_then_rolling_equals_rolling_then_rebasing(
     np.testing.assert_allclose(
         window, full[start:stop] * (100.0 / full[start]), rtol=1e-12, atol=0.0
     )
+
+
+
+def chained_panel(consecutive):
+    """Grid panel whose K02 settles the day after K01, so an early roll
+    out of K01 on day 20 lands in a contract that settles the next day.
+    With ``consecutive`` K02 stops the day before it settles and the
+    position rolls early again on day 21; otherwise rank 1 moves two
+    columns on, to K03, on day 21."""
+    panel = noisy_grid_panel(6, n_days=60)
+    settle = 22 if consecutive else 21
+    panel.ttms[:, 1] = (settle - np.arange(60)) / 252.0
+    panel.ttms[settle + 1 :, 1] = panel.prices[settle + 1 :, 1] = np.nan
+    drop_quote(panel, 21, "K01")
+    if consecutive:
+        drop_quote(panel, 22, "K02")
+    return panel
+
+
+@pytest.mark.parametrize("consecutive", [False, True])
+def test_chained_rolls_match_the_oracles(consecutive):
+    panel = chained_panel(consecutive)
+    series = build_rolled_series(panel, 1)
+    assert np.array_equal(series.values, oracles.rolled_series_rolls(panel, 1))
+    assert np.array_equal(series.values, oracles.rolled_series_loop(panel, 1))
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` returns, or the message of its DataError."""
+    try:
+        return build(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    rank=st.integers(1, 3),
+    drop_settling=st.booleans(),
+    # (cycle, day offset from its settlement, contracts behind the settling one)
+    drops=st.lists(
+        st.tuples(
+            st.integers(1, 4),
+            st.one_of(st.integers(-3, 1), st.integers(-21, 2)),
+            st.integers(0, 3),
+        ),
+        max_size=4,
+    ),
+)
+@example(seed=0, rank=1, drop_settling=False, drops=[(1, -1, 0)])  # early roll on day 19
+@example(seed=0, rank=1, drop_settling=True, drops=[(1, 0, 1)])  # early-roll target unquoted
+@example(seed=0, rank=2, drop_settling=False, drops=[(2, 1, 0)])  # held unquoted after a roll
+def test_rolls_match_the_oracles_under_random_gaps(seed, rank, drop_settling, drops):
+    panel = noisy_grid_panel(seed, n_days=100, drop_settling=drop_settling)
+    for cycle, offset, behind in drops:
+        drop_quote(panel, 21 * cycle + offset, panel.contracts[cycle - 1 + behind])
+    got = outcome(build_rolled_series, panel, rank)
+    want = outcome(oracles.rolled_series_rolls, panel, rank)
+    loop = outcome(oracles.rolled_series_loop, panel, rank)
+    if isinstance(want, str):
+        assert got == want
+        assert isinstance(loop, str)
+    else:
+        assert np.array_equal(got.values, want)
+        assert np.array_equal(got.values, loop)
+    cols = outcome(rank_columns, panel.ttms, rank, 1, rank + 2)
+    want_cols = outcome(oracles.rank_columns_cumsum, panel.ttms, rank, 1, rank + 2)
+    if isinstance(want_cols, str):
+        assert cols == want_cols
+    else:
+        assert np.array_equal(cols, want_cols)
 
 
 class TestConstrainedLS:

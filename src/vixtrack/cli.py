@@ -5,14 +5,14 @@ Subcommands: ``calibrate``, ``backtest-static``, ``simulate``,
 subcommand, and when it returns writes ``manifest.txt``: the
 subcommand, ``config.`` keys (every parsed flag but ``--out-dir``,
 plus ``simulate``'s scenario settings), input digests, output names,
-``count.`` keys for what the run found (work done, clamped steps,
-failed subsets, an unconverged fit) and the elapsed time.  Its absence
-marks a failed run.  All files are plain text and written atomically;
-every table goes through ``RunManifest.emit``, and every column written
-with ``repr`` through ``repr_rows``.  The formatting of every output file
-lives here and all the math in the library modules: ``simulate`` runs
-both trackers through ``simulate.track`` and fits every scenario in one
-``ols_regression``.
+``count.`` keys for what the run found (work done, early rolls,
+clamped steps, failed subsets, an unconverged fit) and the elapsed
+time.  Its absence marks a failed run.  All files are plain text and
+written atomically; every table goes through ``RunManifest.emit``, and
+every column written with ``repr`` through ``repr_rows``.  The
+formatting of every output file lives here and all the math in the
+library modules: ``simulate`` runs both trackers through
+``simulate.track`` and fits every scenario in one ``ols_regression``.
 
 Exit codes: 0 success, 2 data error, 3 calibration failure,
 4 degenerate optimization.
@@ -320,6 +320,7 @@ def cmd_backtest_static(args, manifest: RunManifest) -> int:
             rolled[rank] = build_rolled_series(panel, rank)
         except (DataError, ValueError) as exc:
             unbuilt[rank] = str(exc)
+    manifest.counts["early_rolls"] = sum(series.early_rolls for series in rolled.values())
     results = {}
     n_failed = 0
     for subset in subsets:
@@ -405,16 +406,27 @@ def cmd_regress(args, manifest: RunManifest) -> int:
     )
     max_horizon = _parse(_positive_int, args.max_horizon, "--max-horizon")
     panel = _load_quotes(args, manifest)
+    # a fit needs 3 disjoint windows: h <= (n - 1) // 3
+    for flag, h in [*(("--horizons", h) for h in horizons), ("--max-horizon", max_horizon)]:
+        if (panel.n_days - 1) // h < 3:
+            raise DataError(
+                f"{flag}: horizon {h} leaves fewer than 3 disjoint windows "
+                f"in the panel's {panel.n_days} days"
+            )
 
     # one row per rank, so every fit below regresses all ranks at once
-    rolled = np.stack([build_rolled_series(panel, rank).values for rank in ranks])
-
-    def fit(h):
-        return ols_regression(
+    built = [build_rolled_series(panel, rank) for rank in ranks]
+    manifest.counts["early_rolls"] = sum(series.early_rolls for series in built)
+    rolled = np.stack([series.values for series in built])
+    # each distinct holding period is fitted once
+    fits = {
+        h: ols_regression(
             holding_period_returns(panel.spot, h), holding_period_returns(rolled, h)
         )
+        for h in dict.fromkeys([1, *horizons, *range(1, max_horizon + 1)])
+    }
 
-    daily = fit(1)
+    daily = fits[1]
     rows = [
         f"{rank}-m\t{daily.slope[i]:.4f}\t{daily.intercept[i]:.3e}\t{daily.slope_se[i]:.3e}"
         f"\t{daily.intercept_se[i]:.3e}\t{daily.r2[i]:.4f}\t{daily.rmse[i]:.4f}\t{daily.n}"
@@ -423,7 +435,7 @@ def cmd_regress(args, manifest: RunManifest) -> int:
     header = "futures\tslope\tintercept\tslope_se\tintercept_se\tr2\trmse\tn"
     manifest.emit("one_day_regressions.tsv", header, rows)
 
-    table = [fit(h) for h in horizons]
+    table = [fits[h] for h in horizons]
     rows = [
         "\t".join([stat, str(h)] + [f"{v:.3f}" for v in getattr(res, stat)])
         for stat in ("slope", "r2")
@@ -432,7 +444,7 @@ def cmd_regress(args, manifest: RunManifest) -> int:
     header = "\t".join(["stat", "days"] + [f"{r}-m" for r in ranks])
     manifest.emit("holding_period_table.tsv", header, rows)
 
-    curves = [fit(h) for h in range(1, max_horizon + 1)]
+    curves = [fits[h] for h in range(1, max_horizon + 1)]
     for i, rank in enumerate(ranks[:3]):
         columns = ([res.intercept[i] for res in curves], [res.intercept_se[i] for res in curves])
         rows = repr_rows(range(1, max_horizon + 1), *columns)

@@ -156,20 +156,37 @@ def rank_columns(ttms: np.ndarray, *ranks: int) -> np.ndarray:
     rank, on each day but the last: the days a position can be opened.
     Shape (n_days - 1, len(ranks)).
 
+    On a day whose first live column is followed by live ones up to the
+    largest rank, rank r is r - 1 columns on; only the other days count
+    their live contracts.
+
     Raises
     ------
     DataError
         If a rank is below 1 or, naming the first such day, fewer
         contracts than the largest rank are tradable.
     """
-    live = np.cumsum(ttms[:-1] > 0, axis=1)
     if min(ranks) < 1:
         raise DataError(f"rank {min(ranks)} not available: ranks are 1-based")
-    short = np.flatnonzero(live[:, -1] < max(ranks))
-    if short.size:
-        raise DataError(f"rank {max(ranks)} not available on day {short[0]}")
-    # columns are in expiry order, so rank r is where the count reaches r
-    return np.stack([np.argmax(live >= r, axis=1) for r in ranks], axis=1)
+    live = ttms[:-1] > 0
+    top = max(ranks)
+    front = np.argmax(live, axis=1)
+    # flat index of each day's front; a span that runs off the row is
+    # not dense, whatever the next row's entries read
+    first = np.arange(0, live.size, live.shape[1]) + front
+    dense = front + top <= live.shape[1]
+    for offset in range(top):
+        dense &= live.take(first + offset, mode="clip")
+    cols = front[:, None] + (np.array(ranks) - 1)
+    gappy = np.flatnonzero(~dense)
+    if gappy.size:
+        # columns are in expiry order, so rank r is where the count reaches r
+        count = np.cumsum(live[gappy], axis=1)
+        short = np.flatnonzero(count[:, -1] < top)
+        if short.size:
+            raise DataError(f"rank {top} not available on day {gappy[short[0]]}")
+        cols[gappy] = np.stack([np.argmax(count >= r, axis=1) for r in ranks], axis=1)
+    return cols
 
 
 def _check(path: Path, line_nos, bad, message) -> None:

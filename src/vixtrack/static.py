@@ -6,9 +6,12 @@ full proceeds buy the contract that now occupies the rank, so the
 position is self-financing throughout.  A roll must move into the next
 contract by expiry after the held one; anything else is a quote gap.
 The series is built from the panel's days x contracts price and ttm
-matrices, with Python work only at roll events, and a run builds each
-rank once: in-sample and out-of-sample windows read slices of the
-full-window series, rebased to 100 on their first day.
+matrices: one vectorized roll schedule finds every roll day and checks
+them all at once, the units carried across the rolls are one Python
+float step per roll, and the values are one gather of the held
+contract's prices.  A run builds each rank once: in-sample and
+out-of-sample windows read slices of the full-window series, rebased
+to 100 on their first day.
 
 A static tracking portfolio (:func:`static_portfolio`) solves
 
@@ -45,10 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RolledSeries:
-    """Self-financing dollar value of holding one maturity rank."""
+    """Self-financing dollar value of holding one maturity rank, and
+    how many of its rolls came early (the held contract's quotes
+    stopped before its settlement day)."""
 
     maturity_rank: int
     values: np.ndarray
+    early_rolls: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,17 @@ def build_rolled_series(panel: PricePanel, rank: int) -> RolledSeries:
     sells the held contract at that day's close and buys the contract
     now occupying the rank, keeping the value unchanged.  When the held
     contract's quotes stop before its settlement day (common in
-    ingested data), the roll happens on its last quoted day instead.
-    Either way the new contract must be the next one by expiry after
-    the held one, and it must be quoted on the roll day.
+    ingested data), the roll happens on its last quoted day instead: an
+    early roll, counted in ``early_rolls``.  Either way the new
+    contract must be the next one by expiry after the held one, and it
+    must be quoted on the roll day.
+
+    The roll days come from whole-array comparisons of the rank's
+    column A: with e(d) the early rolls, the position holds
+    A[d - 1] + e(d - 1) into day d and rolls where A moves off it or
+    early, e(d) = [A[d] == A[d - 1] + e(d - 1)] & the held contract has
+    no quote on day d + 1.  Only chains of early rolls are walked in
+    Python, and so is the units chain, one step per roll.
 
     Raises
     ------
@@ -85,57 +99,79 @@ def build_rolled_series(panel: PricePanel, rank: int) -> RolledSeries:
         If the panel has fewer than 2 days, the rank is missing on a
         day before the last, the rank skips a contract, the held
         contract's quotes stop far from its settlement, or a contract
-        it needs has no quote.
+        it needs has no quote.  Of several faults at rolls, the one on
+        the earliest day is named.
     """
     ids, prices, ttms = panel.contracts, panel.prices, panel.ttms
     n = panel.n_days
     if n < 2:
         raise DataError(f"a rolled series needs at least 2 days, got {n}")
     # the rank on every day a roll can happen: all but the last
-    rank_col = rank_columns(ttms, rank)[:, 0]
-    held = rank_col[0]
-    quoted = ~np.isnan(prices)
+    col = rank_columns(ttms, rank)[:, 0]
+    tomorrow = np.arange(1, n)
+    unquoted_next = np.isnan(prices[tomorrow, col])
+    # early rolls, first as if none happened the day before, then each
+    # chain of them walked: after one, the rank has moved one further
+    early = unquoted_next.copy()
+    early[1:] &= col[1:] == col[:-1]
+    for day in np.flatnonzero(early).tolist():
+        if early[day]:
+            while day + 2 < n and unquoted_next[day + 1] and col[day + 1] == col[day] + 1:
+                day += 1
+                early[day] = True
+            if day + 2 < n:
+                early[day + 1] = False
+    after = col + early  # the contract held from day d into day d + 1
+    held = np.concatenate([col[:1], after[:-1]])
+    rolls = np.flatnonzero((col != held) | early)
 
-    values = np.empty(n)
-    values[0] = 100.0
-    units = 100.0 / prices[0, held]
-    opened = 0  # day the position in ``held`` was opened
-    scan = 0  # first day that can roll it
-    while True:
-        # a roll happens on the first day the rank moves off the held
-        # contract or the held contract has no quote the next day
-        due = (rank_col[scan:] != held) | ~quoted[scan + 1 :, held]
-        roll = scan + int(np.argmax(due)) if due.any() else None
-        stop = n if roll is None else roll + 1
-        marks = prices[opened + 1 : stop, held]
-        if np.isnan(marks).any():
-            day = opened + 1 + int(np.argmax(np.isnan(marks)))
-            raise DataError(f"held contract {ids[held]} has no quote on day {day}")
-        values[opened + 1 : stop] = units * marks
-        if roll is None:
-            return RolledSeries(maturity_rank=rank, values=values)
-        target = held + 1  # the next contract by expiry
-        if rank_col[roll] != held:
-            if rank_col[roll] != target:
-                raise DataError(
-                    f"rank {rank} moved from {ids[held]} to {ids[rank_col[roll]]} "
-                    f"on day {roll}, not to the next contract by expiry; "
-                    "quote gap in the panel"
-                )
-        elif ttms[roll, held] > _SETTLEMENT_WINDOW:
+    # the checks of every roll, then the first fault by day: a roll's
+    # own checks, or the day after it, when the contract bought has no
+    # quote (that day's roll, if any, is checked after it)
+    out = held[rolls]
+    into = out + 1
+    last = ids.size - 1
+    moved = col[rolls] != out
+    skipped = moved & (col[rolls] != into)
+    far = ~moved & (ttms[rolls, np.minimum(out, last)] > _SETTLEMENT_WINDOW)
+    unbuyable = (into > last) | np.isnan(prices[rolls, np.minimum(into, last)])
+    unmarked = np.isnan(prices[rolls + 1, np.minimum(into, last)])
+    fault = np.flatnonzero(skipped | far | unbuyable)
+    gap = np.flatnonzero(unmarked)
+    if gap.size and (not fault.size or gap[0] < fault[0]):
+        k = gap[0]
+        raise DataError(f"held contract {ids[into[k]]} has no quote on day {rolls[k] + 1}")
+    if fault.size:
+        k = fault[0]
+        day, gone = rolls[k], ids[out[k]]
+        if skipped[k]:
             raise DataError(
-                f"held contract {ids[held]} has no quote on day {roll + 1} "
+                f"rank {rank} moved from {gone} to {ids[col[day]]} on day {day}, "
+                "not to the next contract by expiry; quote gap in the panel"
+            )
+        if far[k]:
+            raise DataError(
+                f"held contract {gone} has no quote on day {day + 1} "
                 f"but is far from settlement; quote gap in the panel"
             )
-        if target == ids.size or not quoted[roll, target]:
-            raise DataError(
-                f"no quote on day {roll} for the contract after {ids[held]}, "
-                "which the position rolls into"
-            )
-        units = values[roll] / prices[roll, target]
-        held = target
-        opened = roll
-        scan = roll + 1
+        raise DataError(
+            f"no quote on day {day} for the contract after {gone}, "
+            "which the position rolls into"
+        )
+
+    # value is carried across each roll: u' = (u * p_out) / p_in, with
+    # the value on day 0 exactly 100
+    units = [100.0 / prices[0, col[0]]]
+    for day, p_out, p_in in zip(
+        rolls.tolist(), prices[rolls, out].tolist(), prices[rolls, into].tolist()
+    ):
+        value = units[-1] * p_out if day else 100.0
+        units.append(value / p_in)
+    lengths = np.diff(rolls, prepend=0, append=n - 1)
+    values = np.empty(n)
+    values[0] = 100.0
+    values[1:] = np.repeat(units, lengths) * prices[tomorrow, after]
+    return RolledSeries(maturity_rank=rank, values=values, early_rolls=int(early.sum()))
 
 
 def solve_constrained_ls(columns, target, labels) -> np.ndarray:

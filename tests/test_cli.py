@@ -110,9 +110,10 @@ def test_backtest_static(quotes, tmp_path, mode):
         tmp_path, "backtest-static",
         ("data_dir", "window", "n_ranks", "split", "mode", "subsets"),
         QUOTE_FILES,
-        (*DROPPED, "failed_subsets"),
+        (*DROPPED, "failed_subsets", "early_rolls"),
     )
     assert kv["count.failed_subsets"] == "0"
+    assert kv["count.early_rolls"] == "0"  # every contract is quoted to settlement
     assert kv["config.mode"] == mode
     header, rows = table(tmp_path / f"static_{mode}.tsv")
     assert len(rows) == 15
@@ -370,12 +371,13 @@ def test_regress(quotes, tmp_path):
     data_dir, _ = quotes
     code = main(["regress", "--data-dir", str(data_dir), "--out-dir", str(tmp_path)])
     assert code == 0
-    assert_manifest(
+    kv = assert_manifest(
         tmp_path, "regress",
         ("data_dir", "window", "n_ranks", "horizons", "ranks", "max_horizon"),
         QUOTE_FILES,
-        DROPPED,
+        (*DROPPED, "early_rolls"),
     )
+    assert kv["count.early_rolls"] == "0"
     _, rows = table(tmp_path / "one_day_regressions.tsv")
     assert [row[0] for row in rows] == RANKS
     assert all(int(row[-1]) == N_DAYS - 1 for row in rows)
@@ -385,6 +387,47 @@ def test_regress(quotes, tmp_path):
         assert (tmp_path / f"intercepts_{rank}m.tsv").is_file()
     assert (tmp_path / "scatter_1m_1d.tsv").is_file()
     assert_numeric_cells(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "flags, where",
+    [
+        (["--max-horizon", "67"], "--max-horizon: horizon 67 "),
+        (["--horizons", "1,5,67"], "--horizons: horizon 67 "),
+        (["--horizons", "1,500", "--max-horizon", "630"], "--horizons: horizon 500 "),
+    ],
+)
+def test_regress_horizon_past_the_panel_fails_before_any_table(
+    quotes, tmp_path, capsys, flags, where
+):
+    # 200 days leave 3 disjoint windows for h <= 66
+    data_dir, _ = quotes
+    argv = ["regress", "--data-dir", str(data_dir), *flags, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"data error: {where}leaves fewer than 3 disjoint windows in the panel's 200 days\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_regress_longest_horizon_with_3_windows_runs(quotes, tmp_path):
+    data_dir, _ = quotes
+    argv = ["regress", "--data-dir", str(data_dir), "--horizons", "66", "--max-horizon", "66"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    _, rows = table(tmp_path / "intercepts_1m.tsv")
+    assert len(rows) == 66
+
+
+def test_regress_early_rolls_count_the_built_ranks(tmp_path):
+    # F02 settles on day 42, and its close that day is commented out:
+    # rank 1 rolls out of it on day 41, rank 2 is past it by then
+    dates = write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3)
+    futures = tmp_path / "q" / "futures.csv"
+    futures.write_text(futures.read_text().replace(f"{dates[42]},F02,close,", "#"))
+    argv = ["regress", "--data-dir", str(tmp_path / "q"), "--ranks", "1,2"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert read_manifest(tmp_path / "out")["count.early_rolls"] == "1"
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -122,10 +122,13 @@ class TestRolledSeriesOracle:
     def test_grid_panel_rolling_early(self):
         panel = noisy_grid_panel(5, n_days=90, drop_settling=True)
         self.assert_matches_loop(panel)
-        on_time = build_rolled_series(noisy_grid_panel(5, n_days=90), 1).values
-        early = build_rolled_series(panel, 1).values
-        assert np.array_equal(early[:21], on_time[:21])
-        assert early[21] != on_time[21]
+        on_time = build_rolled_series(noisy_grid_panel(5, n_days=90), 1)
+        early = build_rolled_series(panel, 1)
+        assert np.array_equal(early.values[:21], on_time.values[:21])
+        assert early.values[21] != on_time.values[21]
+        # rank 1 rolls early into each of the 4 settlements, rank 2 never
+        assert (on_time.early_rolls, early.early_rolls) == (0, 4)
+        assert build_rolled_series(panel, 2).early_rolls == 0
 
     def test_loaded_panel_every_kept_rank(self, tmp_path):
         write_quote_files(tmp_path, n_days=200, seed=3)
@@ -220,7 +223,6 @@ def test_slicing_then_rolling_equals_rolling_then_rebasing(
     )
 
 
-
 def chained_panel(consecutive):
     """Grid panel whose K02 settles the day after K01, so an early roll
     out of K01 on day 20 lands in a contract that settles the next day.
@@ -237,10 +239,11 @@ def chained_panel(consecutive):
     return panel
 
 
-@pytest.mark.parametrize("consecutive", [False, True])
-def test_chained_rolls_match_the_oracles(consecutive):
+@pytest.mark.parametrize("consecutive, early_rolls", [(False, 1), (True, 2)])
+def test_chained_rolls_match_the_oracles(consecutive, early_rolls):
     panel = chained_panel(consecutive)
     series = build_rolled_series(panel, 1)
+    assert series.early_rolls == early_rolls
     assert np.array_equal(series.values, oracles.rolled_series_rolls(panel, 1))
     assert np.array_equal(series.values, oracles.rolled_series_loop(panel, 1))
 

@@ -282,6 +282,14 @@ class TestRankColumns:
         with pytest.raises(ValueError):
             rank_columns(panel.ttms, 0, 1)
 
+    def test_a_day_short_at_its_last_column_does_not_read_the_next_day(self):
+        # day 0 has live contracts only in its last two columns, and the
+        # next day's first column is live
+        ttms = np.array([[np.nan, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(DataError, match="rank 3 not available on day 0"):
+            rank_columns(ttms, 3)
+        assert rank_columns(ttms, 2, 1).tolist() == [[2, 1], [1, 0]]
+
 
 class TestStrategies:
     def test_flat_prices_flat_wealth_at_zero_rate(self, fit_rn):

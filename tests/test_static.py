@@ -100,6 +100,30 @@ def noisy_grid_panel(seed, n_days, drop_settling=False):
     return panel
 
 
+# The message of each case of test_data_gaps_raise.
+GAP_MESSAGES = {
+    "new front unquoted on the roll day": (
+        "rank 1 moved from K01 to K03 on day 21, not to the next contract by expiry; "
+        "quote gap in the panel"
+    ),
+    "nearer contract unquoted on the roll day": (
+        "rank 3 moved from K03 to K05 on day 21, not to the next contract by expiry; "
+        "quote gap in the panel"
+    ),
+    "new contract unquoted from the day after the roll": (
+        "held contract K02 has no quote on day 22"
+    ),
+    "rank missing": "rank 5 not available on day 0",
+    "quotes stop far from settlement": (
+        "held contract K01 has no quote on day 10 but is far from settlement; "
+        "quote gap in the panel"
+    ),
+    "early-roll target unquoted": (
+        "no quote on day 20 for the contract after K01, which the position rolls into"
+    ),
+}
+
+
 class TestRolledSeriesOracle:
     """The vectorized build against the per-day loop of oracles.py."""
 
@@ -147,38 +171,20 @@ class TestRolledSeriesOracle:
         [build_rolled_series, oracles.rolled_series_rolls, oracles.rolled_series_loop],
     )
     @pytest.mark.parametrize(
-        "case, rank, message",
+        "case, rank",
         [
-            (
-                "new front unquoted on the roll day", 1,
-                "rank 1 moved from K01 to K03 on day 21, not to the next contract "
-                "by expiry; quote gap in the panel",
-            ),
-            (
-                "nearer contract unquoted on the roll day", 3,
-                "rank 3 moved from K03 to K05 on day 21, not to the next contract "
-                "by expiry; quote gap in the panel",
-            ),
-            (
-                "new contract unquoted from the day after the roll", 1,
-                "held contract K02 has no quote on day 22",
-            ),
-            ("rank missing", 5, "rank 5 not available on day 0"),
-            (
-                "quotes stop far from settlement", 1,
-                "held contract K01 has no quote on day 10 but is far from "
-                "settlement; quote gap in the panel",
-            ),
-            (
-                "early-roll target unquoted", 1,
-                "no quote on day 20 for the contract after K01, which the "
-                "position rolls into",
-            ),
+            ("new front unquoted on the roll day", 1),
+            ("nearer contract unquoted on the roll day", 3),
+            ("new contract unquoted from the day after the roll", 1),
+            ("rank missing", 5),
+            ("quotes stop far from settlement", 1),
+            ("early-roll target unquoted", 1),
         ],
     )
-    def test_data_gaps_raise(self, build, case, rank, message):
+    def test_data_gaps_raise(self, build, case, rank):
         # the per-day loop words its messages its own way
-        match = None if build is oracles.rolled_series_loop else f"^{re.escape(message)}$"
+        message = f"^{re.escape(GAP_MESSAGES[case])}$"
+        match = None if build is oracles.rolled_series_loop else message
         n_contracts = 2 if case == "rank missing" else None
         panel = grid_panel(lambda j, k: 25.0, n_days=30, n_contracts=n_contracts)
         if case in (

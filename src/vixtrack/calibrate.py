@@ -36,7 +36,6 @@ __all__ = [
     "MOMReport",
     "log_bessel_i",
     "cir_log_density",
-    "average_log_likelihood",
     "initial_guess_from_moments",
     "mle_fit",
     "mom_loss",
@@ -177,12 +176,6 @@ def cir_log_density(s_next, s_prev, p: HistoricalParams):
     return float(log_f[0]) if scalar else log_f
 
 
-def average_log_likelihood(series: np.ndarray, p: HistoricalParams) -> float:
-    """Mean log transition density over consecutive daily observations."""
-    series = np.asarray(series, dtype=float)
-    return float(np.mean(cir_log_density(series[1:], series[:-1], p)))
-
-
 @dataclass(frozen=True)
 class MLEReport:
     """Historical-measure fit with convergence diagnostics."""
@@ -192,8 +185,7 @@ class MLEReport:
     iterations: int
     evaluations: int
     converged: bool
-    start: HistoricalParams
-    at_bound: bool = False
+    at_bound: bool
 
 
 @dataclass(frozen=True)
@@ -248,12 +240,12 @@ def mle_fit(series) -> MLEReport:
     a daily spot series.
 
     Runs one adaptive simplex (Nelder-Mead) search in log-parameter
-    space from the moment start (:func:`initial_guess_from_moments`,
-    reported as ``start``).  The start is a vertex of the initial
-    simplex and the best vertex never gets worse, so the result is never
-    below the start's likelihood.  ``converged`` is False when the
-    search stops at ``MLE_MAX_ITER`` iterations or at the parameter
-    box, which is flagged as ``at_bound``.
+    space from the moment start (:func:`initial_guess_from_moments`).
+    The start is a vertex of the initial simplex and the best vertex
+    never gets worse, so the result is never below the start's
+    likelihood.  ``converged`` is False when the search stops at
+    ``MLE_MAX_ITER`` iterations or at the parameter box, which is
+    flagged as ``at_bound``.
     """
     series = np.asarray(series, dtype=float)
     if series.size < 100:
@@ -281,7 +273,6 @@ def mle_fit(series) -> MLEReport:
         iterations=int(res.nit),
         evaluations=int(res.nfev),
         converged=bool(res.success and not at_bound),
-        start=init,
         at_bound=at_bound,
     )
 
@@ -293,10 +284,10 @@ def mom_loss(rn: RiskNeutralParams, observations) -> float:
            ((s_j - theta_tilde) e^(-mu_tilde T_i) + theta_tilde - f_j^i)^2
 
     with the curve from :func:`~vixtrack.model.futures_price`.
-    ``observations`` is the (spot, ttm, price, weight, day) tuple of
+    ``observations`` is the (spot, ttm, price, weight) tuple of
     per-quote arrays from :meth:`PricePanel.observations`.
     """
-    spots, ttms, prices, weights, _ = observations
+    spots, ttms, prices, weights = observations
     return float(np.sum(weights * (futures_price(spots, ttms, rn) - prices) ** 2))
 
 
@@ -320,7 +311,7 @@ def mom_fit(observations) -> MOMReport:
         If the loss surface cannot identify both parameters (a single
         maturity observed at a single spot level).
     """
-    spots, ttms, prices, weights, _ = observations
+    spots, ttms, prices, weights = observations
     if np.unique(np.round(ttms, 12)).size < 2 and np.unique(spots).size < 2:
         raise CalibrationError(
             "unidentifiable: one maturity at one spot level cannot pin down "

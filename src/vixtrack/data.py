@@ -130,7 +130,7 @@ class PricePanel:
     def observations(self) -> tuple:
         """The live quotes (ttm > 0) as flat arrays, day by day and in
         expiry order within a day, as the risk-neutral curve fit reads
-        them: (spot, ttm, price, weight, day) per quote.  Each quote of
+        them: (spot, ttm, price, weight) per quote.  Each quote of
         day j weighs 1/(2 N_j n), for N_j live quotes that day and n
         days.
 
@@ -147,7 +147,7 @@ class PricePanel:
         require(per_day > 0, ValueError, "no live quote")
         days = np.nonzero(live)[0]
         weights = 1.0 / (2.0 * per_day[days] * self.n_days)
-        return self.spot[days], self.ttms[live], self.prices[live], weights, days
+        return self.spot[days], self.ttms[live], self.prices[live], weights
 
 
 def rank_columns(ttms: np.ndarray, *ranks: int) -> np.ndarray:

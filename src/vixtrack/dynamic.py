@@ -79,18 +79,17 @@ def tracking_coefficients(
         "contracts must have different times to maturity",
     )
     g_val = hist.sigma * np.sqrt(spot)
-    b1 = b_coefficient(spot, ttm1, rn, g_val)
-    b2 = b_coefficient(spot, ttm2, rn, g_val)
+    # lambda * B_i = drift gap / (theta_tilde e^(mu_tilde T_i) + S - theta_tilde):
+    # B_i with the drift gap in place of g, so it stays finite as g -> 0
+    drift_gap = hist.mu * (hist.theta - spot) - rn.mu_tilde * (rn.theta_tilde - spot)
+    numerators = np.stack(np.broadcast_arrays(g_val, drift_gap))
+    b1, lam_b1 = b_coefficient(spot, ttm1, rn, numerators)
+    b2, lam_b2 = b_coefficient(spot, ttm2, rn, numerators)
     require(
         (g_val == 0) | (abs(b1 - b2) >= B_SPREAD_TOL), DegenerateProblemError,
         "return sensitivities differ by {:.3e}; the pair is numerically degenerate",
         abs(b1 - b2),
     )
-    # lambda * B_i = drift gap / (theta_tilde e^(mu_tilde T_i) + S - theta_tilde):
-    # B_i with the drift gap in place of g, so it stays finite as g -> 0
-    drift_gap = hist.mu * (hist.theta - spot) - rn.mu_tilde * (rn.theta_tilde - spot)
-    lam_b1 = b_coefficient(spot, ttm1, rn, drift_gap)
-    lam_b2 = b_coefficient(spot, ttm2, rn, drift_gap)
     sqrt_dt = math.sqrt(DT)
     alpha0 = (
         mm_return

@@ -3,6 +3,8 @@ raises them for scalar or array inputs alike."""
 
 import numpy as np
 
+__all__ = ["DataError", "CalibrationError", "DegenerateProblemError"]
+
 
 class DataError(ValueError):
     """Raised when input data is malformed, misaligned, or has gaps."""

@@ -139,7 +139,8 @@ def b_coefficient(
 
     Strictly decreasing in ``ttm`` for fixed spot and positive ``g_val``:
     longer-dated contracts react less to the same shock.  Takes scalars
-    or per-day arrays.
+    or per-day arrays.  ``g_val`` may carry a leading axis of several
+    numerators over the one denominator, each of the denominator's shape.
 
     Raises
     ------

@@ -61,7 +61,6 @@ class RolledSeries:
 class StaticWeights:
     """Fitted portfolio weights (cash first) with in/out RMSE in percent."""
 
-    labels: tuple
     weights: np.ndarray
     in_rmse: float
     out_rmse: float
@@ -188,8 +187,8 @@ def solve_constrained_ls(columns, target, labels) -> np.ndarray:
     ValueError
         If ``columns`` is not len(target) x len(labels).
     DegenerateProblemError
-        If the reduced system is rank-deficient; the message names the
-        offending columns.
+        If the reduced system is rank-deficient at the least-squares
+        solve's own cutoff; the message names the offending columns.
     """
     c = np.asarray(columns, dtype=float)
     d = np.asarray(target, dtype=float)
@@ -197,10 +196,8 @@ def solve_constrained_ls(columns, target, labels) -> np.ndarray:
         raise ValueError(
             f"columns {c.shape} must be target length x labels {(d.size, len(labels))}"
         )
-    if c.shape[1] == 1:
-        return np.array([1.0])
     a = c[:, 1:] - c[:, [0]]
-    rank = np.linalg.matrix_rank(a)
+    u, _, rank, _ = np.linalg.lstsq(a, d - c[:, 0], rcond=None)
     if rank < a.shape[1]:
         import scipy.linalg
 
@@ -209,7 +206,6 @@ def solve_constrained_ls(columns, target, labels) -> np.ndarray:
         raise DegenerateProblemError(
             f"rank-deficient constrained system; dependent columns: {names}"
         )
-    u, *_ = np.linalg.lstsq(a, d - c[:, 0], rcond=None)
     return np.concatenate([[1.0 - u.sum()], u])
 
 
@@ -272,7 +268,6 @@ def static_portfolio(panel: PricePanel, rolled, cut: int, mode: str) -> StaticWe
     weights = solve_constrained_ls(c_in, d_in, labels)
     c_out, d_out = window(columns, slice(cut, None)), window(panel.spot, slice(cut, None))
     return StaticWeights(
-        labels,
         weights,
         in_rmse=scale * evaluate_rmse(c_in @ weights, d_in),
         out_rmse=scale * evaluate_rmse(c_out @ weights, d_out),

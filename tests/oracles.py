@@ -3,10 +3,12 @@
 Everything here deliberately avoids the code paths under test: the
 quote-loader oracle parses row by row into dicts keyed by date and
 aligns the days in a per-day loop, the index-path oracle is a scalar
-day-by-day Euler loop, the batched ``simulate`` pipeline has the
-per-scenario loop it replaced, on one full price panel per path, the
-rolled-series and two-contract strategy oracles are per-day loops over
-their own rank and quote lookups, the rolled series also has the
+day-by-day Euler loop, the exact-CIR path oracle draws each day's
+noncentral chi-square transition instead of an Euler step, the
+batched ``simulate`` pipeline has the per-scenario loop it replaced,
+on one full price panel per path, the rolled-series and two-contract
+strategy oracles are per-day loops over their own rank and quote
+lookups, the rolled series also has the
 per-roll rescan it replaced (on the live-contract count that
 ``rank_columns`` replaced), the weight and moment-fit oracles are
 brute-force grid scans, the one-day tracking error has its exact
@@ -369,6 +371,23 @@ def euler_path_loop(hist, g, s0, n_days, seed, floor=1e-8):
             n_clamped += 1
         values.append(float(s_next))
     return np.array(values), n_clamped
+
+
+def cir_exact_paths(hist, s0, n_days, n_paths, seed):
+    """``n_paths`` paths of ``n_days`` one-day steps (n_days + 1 levels
+    each, from ``s0``) drawn from the exact square-root transition:
+    S' = c chi'^2(4 mu theta / sigma^2, S e^(-mu dt) / c) with
+    c = sigma^2 (1 - e^(-mu dt)) / (4 mu), one noncentral chi-square
+    draw per day for all paths."""
+    decay = math.exp(-hist.mu * DT)
+    c = hist.sigma**2 * (1.0 - decay) / (4.0 * hist.mu)
+    df = 4.0 * hist.mu * hist.theta / hist.sigma**2
+    rng = np.random.default_rng(seed)
+    values = np.empty((n_paths, n_days + 1))
+    values[:, 0] = s0
+    for j in range(n_days):
+        values[:, j + 1] = c * rng.noncentral_chisquare(df, values[:, j] * decay / c)
+    return values
 
 
 def strategy_loop(panel, rule):

@@ -2,6 +2,7 @@
 quote files, and the package's public names."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -365,6 +366,23 @@ def test_every_exported_name_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(getattr(mod, "__all__", ())) <= namespace.keys()
+
+
+def test_package_exports_exactly_the_layer_lists():
+    # each layer's __all__ is the one list of public names: the package
+    # exports every listed name as the same object, and no function or
+    # class that no layer lists
+    listed = {}
+    for info in pkgutil.iter_modules(vixtrack.__path__):
+        mod = importlib.import_module(f"vixtrack.{info.name}")
+        listed.update((name, getattr(mod, name)) for name in getattr(mod, "__all__", ()))
+    assert {name: getattr(vixtrack, name, None) for name in listed} == listed
+    exported = {
+        name for name, value in vars(vixtrack).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+    }
+    assert exported <= listed.keys()
+    assert set(vixtrack.__all__) == listed.keys()
 
 
 def test_regress(quotes, tmp_path):

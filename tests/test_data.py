@@ -329,19 +329,19 @@ class TestPricePanel:
     def test_observations_flatten_live_quotes_day_by_day(self, tmp_path):
         write_quote_files(tmp_path, n_days=60, seed=9)
         panel = load_panel(tmp_path, n_ranks=5)
-        spots, ttms, prices, weights, days = panel.observations()
+        spots, ttms, prices, weights = panel.observations()
         k = 0
         for j in range(panel.n_days):
             live = np.flatnonzero(panel.ttms[j] > 0)  # settling contracts excluded
             for i in live:
-                got = (spots[k], ttms[k], prices[k], weights[k], days[k])
+                got = (spots[k], ttms[k], prices[k], weights[k])
                 want = (
                     panel.spot[j], panel.ttms[j, i], panel.prices[j, i],
-                    1.0 / (2.0 * live.size * panel.n_days), j,
+                    1.0 / (2.0 * live.size * panel.n_days),
                 )
                 assert got == want
                 k += 1
-        assert k == spots.size == ttms.size == prices.size == weights.size == days.size
+        assert k == spots.size == ttms.size == prices.size == weights.size
 
 
 class TestSplit:

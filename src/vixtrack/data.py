@@ -25,6 +25,15 @@ the r-th column with a positive ttm (:func:`rank_columns`).  The
 account is the one source of the risk-free rate: the static fit's cash
 column and the trackers' cash leg both read it.
 
+A position in rank r holds one contract at a time.  It rolls at each
+cycle boundary (when the front settles and every contract moves up one
+rank) into the contract now occupying the rank, or early, on the held
+contract's last quoted day, when its quotes stop before its settlement
+day (common in ingested data).  Either way the new contract must be the
+next one by expiry, quoted on the roll day.  The one schedule of these
+rolls is :meth:`PricePanel.held_columns`: the rolled series and the
+trackers' held pair both read it.
+
 A loaded panel keeps, per day, the contract settling that day when it
 is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
 contracts by expiry that expire after that day, so rank r is always
@@ -52,6 +61,10 @@ log = logging.getLogger(__name__)
 
 # Overnight money-market compounding: simple interest, ACT/360.
 MM_DAY_BASIS = 360.0
+
+# A contract whose quotes stop while it still has more than this long
+# to run has a data gap, not an imminent settlement.
+_SETTLEMENT_WINDOW = 3.0 / TRADING_DAYS_PER_YEAR
 
 
 @dataclass
@@ -104,24 +117,93 @@ class PricePanel:
     def n_days(self) -> int:
         return self.spot.size
 
-    def slice(self, start: int, stop: int) -> "PricePanel":
-        """Row-range view [start, stop) as a new panel."""
-        return PricePanel(
-            dates=self.dates[start:stop],
-            spot=self.spot[start:stop],
-            contracts=self.contracts,
-            prices=self.prices[start:stop],
-            ttms=self.ttms[start:stop],
-            mm_value=self.mm_value[start:stop],
-            n_dropped=self.n_dropped,
-            n_dropped_no_rate=self.n_dropped_no_rate,
-        )
+    def held_columns(self, rank: int) -> tuple:
+        """The column of the contract that maturity rank ``rank`` holds
+        over each day j -> j+1, (n_days - 1,), rolling as the module
+        docstring says, and how many of its rolls came early.
+
+        The roll days come from whole-array comparisons of the rank's
+        column A: with e(d) the early rolls, the position holds
+        A[d - 1] + e(d - 1) into day d and rolls where A moves off it or
+        early, e(d) = [A[d] == A[d - 1] + e(d - 1)] & the held contract
+        has no quote on day d + 1.  Only chains of early rolls are
+        walked in Python.
+
+        Raises
+        ------
+        DataError
+            If the rank is missing on a day before the last, skips a
+            contract, or holds one whose quotes stop far from its
+            settlement, or a contract it needs has no quote.  Of several
+            faults at rolls, the one on the earliest day is named.
+        """
+        n, ids, prices, ttms = self.n_days, self.contracts, self.prices, self.ttms
+        col = rank_columns(ttms, rank)[:, 0]
+        unquoted_next = np.isnan(prices[np.arange(1, n), col])
+        # early rolls, first as if none happened the day before, then each
+        # chain of them walked: after one, the rank has moved one further
+        early = unquoted_next.copy()
+        early[1:] &= col[1:] == col[:-1]
+        for day in np.flatnonzero(early).tolist():
+            if early[day]:
+                while day + 2 < n and unquoted_next[day + 1] and col[day + 1] == col[day] + 1:
+                    day += 1
+                    early[day] = True
+                if day + 2 < n:
+                    early[day + 1] = False
+        after = col + early  # the contract held from day d into day d + 1
+        held = np.concatenate([col[:1], after[:-1]])
+        rolls = np.flatnonzero((col != held) | early)
+
+        # every roll checked at once; the first fault by day is named: a
+        # roll's own, then a gap on the day after it, then the next roll's
+        out = held[rolls]
+        into = out + 1
+        last = ids.size - 1
+        moved = col[rolls] != out
+        skipped = moved & (col[rolls] != into)
+        far = ~moved & (ttms[rolls, np.minimum(out, last)] > _SETTLEMENT_WINDOW)
+        unbuyable = (into > last) | np.isnan(prices[rolls, np.minimum(into, last)])
+        unmarked = np.isnan(prices[rolls + 1, np.minimum(into, last)])
+        fault = np.flatnonzero(skipped | far | unbuyable | unmarked)
+        if fault.size:
+            k = fault[0]
+            day, gone = rolls[k], ids[out[k]]
+            if skipped[k]:
+                raise DataError(
+                    f"rank {rank} moved from {gone} to {ids[col[day]]} on day {day}, "
+                    "not to the next contract by expiry; quote gap in the panel"
+                )
+            if far[k]:
+                raise DataError(
+                    f"held contract {gone} has no quote on day {day + 1} "
+                    f"but is far from settlement; quote gap in the panel"
+                )
+            if unbuyable[k]:
+                raise DataError(
+                    f"no quote on day {day} for the contract after {gone}, "
+                    "which the position rolls into"
+                )
+            raise DataError(f"held contract {ids[into[k]]} has no quote on day {day + 1}")
+        return after, int(early.sum())
 
     def held_pair(self, i1: int, i2: int) -> tuple:
         """The contracts of maturity ranks ``i1`` and ``i2`` held over
-        each day j -> j+1 (see :func:`rank_columns`): their ttms on day
-        j and their prices on days j and j+1, each (n_days - 1, 2)."""
-        cols = rank_columns(self.ttms, i1, i2)
+        each day j -> j+1 (see :meth:`held_columns`): their ttms on day
+        j and their prices on days j and j+1, each (n_days - 1, 2).
+
+        Raises
+        ------
+        DataError
+            As :meth:`held_columns` for either rank, or naming the first
+            day an early roll leaves two different ranks on one contract.
+        """
+        cols = np.stack([self.held_columns(rank)[0] for rank in (i1, i2)], axis=1)
+        shared = np.flatnonzero((cols[:, 0] == cols[:, 1]) & (i1 != i2))
+        if shared.size:
+            day = shared[0]
+            both = self.contracts[cols[day, 0]]
+            raise DataError(f"ranks {i1} and {i2} both hold {both} on day {day}")
         return tuple(
             np.take_along_axis(m, cols, axis=1)
             for m in (self.ttms[:-1], self.prices[:-1], self.prices[1:])

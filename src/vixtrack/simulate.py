@@ -13,12 +13,12 @@ maturing on day CYCLE_DAYS * (j // CYCLE_DAYS + r) on every path:
 (paths, days) batch in closed form and prices only them, through
 :func:`~vixtrack.model.futures_price`, with no ttm matrix and no
 (paths, days, contracts) array.  Loaded quotes supply the same held
-pair (:meth:`~vixtrack.data.PricePanel.held_pair`), so :func:`track`
-is the one run of the dynamic tracker and the VXX-style roll on either
-market.  A two-contract strategy is an array of the weight on the first
-of the pair, per path and day or per day for every path, and its wealth
-comes from one self-financing mark-to-market recursion along the days
-of all paths.
+pair, each leg rolling early where its quotes stop before settlement
+(:meth:`~vixtrack.data.PricePanel.held_pair`), so :func:`track` is the
+one run of the dynamic tracker and the VXX-style roll on either market.
+A two-contract strategy is the weight on the first of the pair, per
+path and day or per day for every path; its wealth is one
+self-financing mark-to-market recursion along the days of all paths.
 
 RNG convention: path k of a multi-path run draws its normals from the
 k-th child of ``SeedSequence(seed)`` into its own row of one batch,

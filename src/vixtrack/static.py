@@ -3,15 +3,13 @@
 A "rolled series" is the dollar value of perpetually holding one
 maturity rank: units stay constant between rolls, and at each roll the
 full proceeds buy the contract that now occupies the rank, so the
-position is self-financing throughout.  A roll must move into the next
-contract by expiry after the held one; anything else is a quote gap.
-The series is built from the panel's days x contracts price and ttm
-matrices: one vectorized roll schedule finds every roll day and checks
-them all at once, the units carried across the rolls are one Python
-float step per roll, and the values are one gather of the held
-contract's prices.  A run builds each rank once: in-sample and
-out-of-sample windows read slices of the full-window series, rebased
-to 100 on their first day.
+position is self-financing throughout.  Which contract the rank holds
+on each day, and every check of its rolls, come from the panel
+(:meth:`~vixtrack.data.PricePanel.held_columns`); here the units
+carried across the rolls are one Python float step per roll, and the
+values are one gather of the held contract's prices.  A run builds
+each rank once: in-sample and out-of-sample windows read slices of the
+full-window series, rebased to 100 on their first day.
 
 A static tracking portfolio (:func:`static_portfolio`) solves
 
@@ -32,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PricePanel, rank_columns
+from .data import PricePanel
 from .errors import DataError, DegenerateProblemError
-from .model import TRADING_DAYS_PER_YEAR
 
 __all__ = [
     "RolledSeries",
@@ -66,111 +63,32 @@ class StaticWeights:
     out_rmse: float
 
 
-# A contract whose quotes stop while it still has more than this long
-# to run has a data gap, not an imminent settlement.
-_SETTLEMENT_WINDOW = 3.0 / TRADING_DAYS_PER_YEAR
-
-
 def build_rolled_series(panel: PricePanel, rank: int) -> RolledSeries:
     """Value of a constant position in maturity rank ``rank``, from 100
-    on the panel's first day.
-
-    The position holds one contract at a time.  At each cycle boundary
-    (when the front settles and every contract moves up one rank) it
-    sells the held contract at that day's close and buys the contract
-    now occupying the rank, keeping the value unchanged.  When the held
-    contract's quotes stop before its settlement day (common in
-    ingested data), the roll happens on its last quoted day instead: an
-    early roll, counted in ``early_rolls``.  Either way the new
-    contract must be the next one by expiry after the held one, and it
-    must be quoted on the roll day.
-
-    The roll days come from whole-array comparisons of the rank's
-    column A: with e(d) the early rolls, the position holds
-    A[d - 1] + e(d - 1) into day d and rolls where A moves off it or
-    early, e(d) = [A[d] == A[d - 1] + e(d - 1)] & the held contract has
-    no quote on day d + 1.  Only chains of early rolls are walked in
-    Python, and so is the units chain, one step per roll.
+    on the panel's first day: each roll of
+    :meth:`~vixtrack.data.PricePanel.held_columns` sells the held
+    contract at that day's close and buys the next at the same value.
 
     Raises
     ------
     DataError
-        If the panel has fewer than 2 days, the rank is missing on a
-        day before the last, the rank skips a contract, the held
-        contract's quotes stop far from its settlement, or a contract
-        it needs has no quote.  Of several faults at rolls, the one on
-        the earliest day is named.
+        If the panel has fewer than 2 days, or as ``held_columns``.
     """
-    ids, prices, ttms = panel.contracts, panel.prices, panel.ttms
     n = panel.n_days
     if n < 2:
         raise DataError(f"a rolled series needs at least 2 days, got {n}")
-    # the rank on every day a roll can happen: all but the last
-    col = rank_columns(ttms, rank)[:, 0]
-    tomorrow = np.arange(1, n)
-    unquoted_next = np.isnan(prices[tomorrow, col])
-    # early rolls, first as if none happened the day before, then each
-    # chain of them walked: after one, the rank has moved one further
-    early = unquoted_next.copy()
-    early[1:] &= col[1:] == col[:-1]
-    for day in np.flatnonzero(early).tolist():
-        if early[day]:
-            while day + 2 < n and unquoted_next[day + 1] and col[day + 1] == col[day] + 1:
-                day += 1
-                early[day] = True
-            if day + 2 < n:
-                early[day + 1] = False
-    after = col + early  # the contract held from day d into day d + 1
-    held = np.concatenate([col[:1], after[:-1]])
-    rolls = np.flatnonzero((col != held) | early)
-
-    # the checks of every roll, then the first fault by day: a roll's
-    # own checks, or the day after it, when the contract bought has no
-    # quote (that day's roll, if any, is checked after it)
-    out = held[rolls]
-    into = out + 1
-    last = ids.size - 1
-    moved = col[rolls] != out
-    skipped = moved & (col[rolls] != into)
-    far = ~moved & (ttms[rolls, np.minimum(out, last)] > _SETTLEMENT_WINDOW)
-    unbuyable = (into > last) | np.isnan(prices[rolls, np.minimum(into, last)])
-    unmarked = np.isnan(prices[rolls + 1, np.minimum(into, last)])
-    fault = np.flatnonzero(skipped | far | unbuyable)
-    gap = np.flatnonzero(unmarked)
-    if gap.size and (not fault.size or gap[0] < fault[0]):
-        k = gap[0]
-        raise DataError(f"held contract {ids[into[k]]} has no quote on day {rolls[k] + 1}")
-    if fault.size:
-        k = fault[0]
-        day, gone = rolls[k], ids[out[k]]
-        if skipped[k]:
-            raise DataError(
-                f"rank {rank} moved from {gone} to {ids[col[day]]} on day {day}, "
-                "not to the next contract by expiry; quote gap in the panel"
-            )
-        if far[k]:
-            raise DataError(
-                f"held contract {gone} has no quote on day {day + 1} "
-                f"but is far from settlement; quote gap in the panel"
-            )
-        raise DataError(
-            f"no quote on day {day} for the contract after {gone}, "
-            "which the position rolls into"
-        )
-
-    # value is carried across each roll: u' = (u * p_out) / p_in, with
-    # the value on day 0 exactly 100
-    units = [100.0 / prices[0, col[0]]]
-    for day, p_out, p_in in zip(
-        rolls.tolist(), prices[rolls, out].tolist(), prices[rolls, into].tolist()
-    ):
-        value = units[-1] * p_out if day else 100.0
-        units.append(value / p_in)
+    cols, early_rolls = panel.held_columns(rank)
+    prices = panel.prices
+    # value is carried across each roll: u' = (u * p_out) / p_in
+    rolls = np.flatnonzero(cols[1:] != cols[:-1]) + 1
+    units = [100.0 / prices[0, cols[0]]]
+    for p_out, p_in in zip(*prices[rolls, [cols[rolls - 1], cols[rolls]]].tolist()):
+        units.append(units[-1] * p_out / p_in)
     lengths = np.diff(rolls, prepend=0, append=n - 1)
     values = np.empty(n)
     values[0] = 100.0
-    values[1:] = np.repeat(units, lengths) * prices[tomorrow, after]
-    return RolledSeries(maturity_rank=rank, values=values, early_rolls=int(early.sum()))
+    values[1:] = np.repeat(units, lengths) * prices[np.arange(1, n), cols]
+    return RolledSeries(maturity_rank=rank, values=values, early_rolls=early_rolls)
 
 
 def solve_constrained_ls(columns, target, labels) -> np.ndarray:

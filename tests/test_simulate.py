@@ -436,3 +436,23 @@ class TestLoadedQuotes:
         rule = oracles.dynamic_rule((1, 2), 1.0, fit_hist, fit_rn, fit_g)
         _, held = oracles.strategy_loop(panel, rule)
         assert _relative_gap(w_dyn, np.array([list(h.values())[0] for h in held])) <= 1e-13
+
+    def test_held_pair_follows_an_early_roll(self, tmp_path, fit_hist, fit_rn):
+        # F01 has no close on its settlement day (21): rank 1 rolls into
+        # F02 on day 20, while rank 2 still holds F02 that day
+        write_quote_files(tmp_path, n_days=120, seed=3, drop_futures_on=(21,), drop_rank=0)
+        panel = load_panel(tmp_path)
+        cols, early_rolls = panel.held_columns(1)
+        assert early_rolls == 1 and panel.contracts[cols[20]] == "F02"
+        ttm, today, tomorrow = panel.held_pair(1, 3)
+        assert np.isfinite(today).all() and np.isfinite(tomorrow).all()
+        days = np.arange(panel.n_days - 1)
+        assert np.array_equal(ttm[:, 0], panel.ttms[days, cols])
+        assert np.array_equal(today[:, 0], panel.prices[days, cols])
+        assert np.array_equal(tomorrow[:, 0], panel.prices[days + 1, cols])
+        message = "^ranks 1 and 2 both hold F02 on day 20$"
+        with pytest.raises(DataError, match=message):
+            panel.held_pair(1, 2)
+        # through the VXX-style roll's (1, 2) pair
+        with pytest.raises(DataError, match=message):
+            track(panel, (1, 3), 1.0, fit_hist, fit_rn)

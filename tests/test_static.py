@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -70,7 +71,7 @@ class TestRolledSeries:
             build_rolled_series(panel, rank=0)
 
     def test_one_day_panel_is_a_data_error(self):
-        panel = grid_panel(lambda j, k: 25.0, n_days=30).slice(0, 1)
+        panel = grid_panel(lambda j, k: 25.0, n_days=1)
         with pytest.raises(DataError, match="at least 2 days"):
             build_rolled_series(panel, rank=1)
 
@@ -85,6 +86,12 @@ def drop_quote(panel, day, contract):
     column = np.flatnonzero(panel.contracts == contract)[0]
     panel.prices[day, column] = np.nan
     panel.ttms[day, column] = np.nan
+
+
+def rows(panel, start, stop):
+    """The panel's days [start, stop)."""
+    fields = ("dates", "spot", "prices", "ttms", "mm_value")
+    return dataclasses.replace(panel, **{f: getattr(panel, f)[start:stop] for f in fields})
 
 
 def noisy_grid_panel(seed, n_days, drop_settling=False):
@@ -223,10 +230,21 @@ def test_slicing_then_rolling_equals_rolling_then_rebasing(
     panel = noisy_grid_panel(seed, n_days=160, drop_settling=drop_settling)
     stop = start + length
     full = build_rolled_series(panel, rank).values
-    window = build_rolled_series(panel.slice(start, stop), rank).values
+    window = build_rolled_series(rows(panel, start, stop), rank).values
     np.testing.assert_allclose(
         window, full[start:stop] * (100.0 / full[start]), rtol=1e-12, atol=0.0
     )
+
+
+def test_early_roll_on_the_first_day_matches_the_oracles():
+    # K01 has no quote on its settlement day (21), so from day 20 on the
+    # position opens in K01 and rolls out of it at once, on its day 0
+    panel = rows(noisy_grid_panel(0, n_days=100, drop_settling=True), 20, 100)
+    series = build_rolled_series(panel, 1)
+    assert series.early_rolls == 4
+    assert panel.held_columns(1)[0][0] == 1
+    assert np.array_equal(series.values, oracles.rolled_series_rolls(panel, 1))
+    assert np.array_equal(series.values, oracles.rolled_series_loop(panel, 1))
 
 
 def chained_panel(consecutive):

@@ -8,11 +8,21 @@ plus ``simulate``'s scenario settings), input digests, output names,
 ``count.`` keys for what the run found (work done, early rolls,
 clamped steps, failed subsets, an unconverged fit) and the elapsed
 time.  Its absence marks a failed run.  All files are plain text and
-written atomically; every table goes through ``RunManifest.emit``, and
-every column written with ``repr`` through ``repr_rows``.  The
+written atomically; every file goes through ``RunManifest.emit``, and
+every column written with ``repr`` through ``repr_table``.  The
 formatting of every output file lives here and all the math in the
-library modules: ``simulate`` runs both trackers through
-``simulate.track`` and fits every scenario in one ``ols_regression``.
+library modules.
+
+``simulate`` builds a market (the engine's paths, one per scenario),
+runs both trackers on it through ``simulate.track``, and hands the
+batch to ``report``, the only writer of its tables.  ``report`` fits
+every scenario in one ``ols_regression`` and writes, per scenario
+label, ``wealth_<label>.tsv`` (the index rebased to 100 and both
+wealths by day), ``scatter_<label>.tsv`` (each strategy's one-day
+regression on the index) and ``scatter_points_<label>.tsv`` (the
+regressed returns); and once, ``weights.tsv``: the day, the roll's
+front weight ``vxx_w1`` (the same for every scenario) and each
+scenario's ``dynamic_w1_<label>``.
 
 Exit codes: 0 success, 2 data error, 3 calibration failure,
 4 degenerate optimization.
@@ -47,12 +57,6 @@ EXIT_DEGENERATE = 4
 DEFAULT_SUBSET_POOL = (1, 2, 6, 7)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 class RunManifest:
     """Key-value record of one run, written by ``main`` when the
     subcommand returns.  ``config`` is every parsed flag but
@@ -75,10 +79,12 @@ class RunManifest:
     def add_input(self, label: str, path: Path) -> None:
         self.inputs[label] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def emit(self, name: str, header: str, rows) -> None:
-        """Write the table ``name``: ``header``, then one line per
-        formatted row, and list it as an output."""
-        _write_atomic(self.out_dir / name, "\n".join([header, *rows]) + "\n")
+    def emit(self, name: str, lines) -> None:
+        """Write the file ``name`` atomically, one entry of ``lines`` a
+        line, and list it as an output."""
+        tmp = self.out_dir / (name + ".tmp")
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, self.out_dir / name)
         self.outputs.append(name)
 
     def write(self) -> None:
@@ -88,11 +94,11 @@ class RunManifest:
         lines += [f"output.{i}={p}" for i, p in enumerate(self.outputs)]
         lines += [f"count.{k}={v}" for k, v in sorted(self.counts.items())]
         lines.append(f"elapsed_seconds={time.perf_counter() - self.started:.3f}")
-        _write_atomic(self.out_dir / "manifest.txt", "\n".join(lines) + "\n")
+        self.emit("manifest.txt", lines)
 
 
-def results_table(results: dict) -> tuple:
-    """Header and rows of the table of fitted subsets: label, cash
+def results_table(results: dict) -> list:
+    """Lines of the table of fitted subsets: label, cash
     weight, futures weights, in-RMSE, out-RMSE.  ``results`` maps a
     subset label to a StaticWeights (or to an error string for failed
     subsets).  There are as many futures-weight columns as the largest
@@ -101,23 +107,24 @@ def results_table(results: dict) -> tuple:
     width = max([4] + [res.weights.size - 1 for res in fitted])
     header = ["futures", "w0"] + [f"w{i}" for i in range(1, width + 1)]
     header += ["in_rmse", "out_rmse"]
-    rows = []
+    lines = ["\t".join(header)]
     for label, res in results.items():
         if isinstance(res, str):
-            rows.append("\t".join([label, "ERROR", res]))
+            lines.append("\t".join([label, "ERROR", res]))
             continue
         cells = [label] + [f"{w:.3f}" for w in res.weights]
         cells += ["-"] * (width + 1 - res.weights.size)
         cells += [f"{res.in_rmse:.3f}", f"{res.out_rmse:.3f}"]
-        rows.append("\t".join(cells))
-    return "\t".join(header), rows
+        lines.append("\t".join(cells))
+    return lines
 
 
-def repr_rows(*columns) -> list:
-    """Tab-separated rows of the columns' values, each written with
-    ``repr`` as a Python int or float, so a float reads back exactly."""
+def repr_table(header: str, *columns) -> list:
+    """Lines of a table: ``header``, then tab-separated rows of the
+    columns' values, each written with ``repr`` as a Python int or
+    float, so a float reads back exactly."""
     cells = (map(repr, np.asarray(column).tolist()) for column in columns)
-    return list(map("\t".join, zip(*cells)))
+    return [header, *map("\t".join, zip(*cells))]
 
 
 def _read_key_values(path: Path, kind: str) -> dict:
@@ -176,6 +183,10 @@ def _positive_ints(text: str) -> tuple:
     return _numbers(text, _positive_int)
 
 
+def _distinct_ints(what: str):
+    return _checked(_positive_ints, _distinct, f"distinct {what}")
+
+
 _rank_pair = _checked(
     _positive_ints, lambda r: len(r) == 2 and r[0] != r[1], "two ranks I1,I2 that differ"
 )
@@ -186,6 +197,10 @@ def _window(text: str) -> tuple:
     if len(dates) != 2 or np.isnat(dates).any():
         raise ValueError("need START:END dates")
     return dates
+
+
+def _joined(values) -> str:
+    return ",".join(f"{v:g}" for v in values)
 
 
 def scenario_label(multiplier: float) -> str:
@@ -284,8 +299,7 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
         "n_days": panel.n_days,
         "n_dropped": panel.n_dropped,
     }
-    _write_atomic(manifest.out_dir / "params.txt", "".join(f"{k}={v}\n" for k, v in params.items()))
-    manifest.outputs.append("params.txt")
+    manifest.emit("params.txt", [f"{k}={v}" for k, v in params.items()])
     manifest.counts["mle_evaluations"] = mle.evaluations
     manifest.counts["mle_not_converged"] = int(not mle.converged)
     manifest.counts["mle_at_bound"] = int(mle.at_bound)
@@ -300,7 +314,11 @@ def _parse_subsets(text):
     if not text:
         pool = DEFAULT_SUBSET_POOL
         return [s for r in range(1, len(pool) + 1) for s in itertools.combinations(pool, r)]
-    rule = _checked(lambda t: [_positive_ints(p) for p in t.split(";")], _distinct, "distinct subsets")
+    # a subset is a set of ranks: none twice, and no two subsets in another order
+    rule = _checked(
+        lambda t: list(map(_distinct_ints("ranks"), t.split(";"))),
+        lambda subsets: _distinct(list(map(frozenset, subsets))), "distinct subsets",
+    )
     return _parse(rule, text, "--subsets")
 
 
@@ -337,10 +355,51 @@ def cmd_backtest_static(args, manifest: RunManifest) -> int:
             n_failed += 1
             print(f"subset {label} failed: {error}", file=sys.stderr)
     name = f"static_{args.mode}.tsv"
-    manifest.emit(name, *results_table(results))
+    manifest.emit(name, results_table(results))
     manifest.counts["failed_subsets"] = n_failed
     print(f"fitted {len(results) - n_failed}/{len(results)} subsets -> {manifest.out_dir / name}")
     return EXIT_OK
+
+
+def report(manifest: RunManifest, labels, ranks, spot, w_dyn, w_vxx, wealth) -> None:
+    """Fit and write ``simulate``'s tables (see the module docstring)
+    for a batch of rows, one per label: the index ``spot``, (rows,
+    days), and what :func:`~vixtrack.simulate.track` returns for the
+    pair ``ranks``.  A row whose dynamic wealth is not finite is a
+    DegenerateProblemError naming its label and first such day, raised
+    before any file is written."""
+    # a path held near the Euler floor can drive w* and the wealth past float
+    # range; a non-finite weight on day j leaves the wealth non-finite from j + 1
+    for label, wealth_dyn in zip(labels, wealth[:, 0]):
+        message = f"scenario {label}: dynamic wealth not finite"
+        require(np.isfinite(wealth_dyn), DegenerateProblemError, message)
+    idx_ret = holding_period_returns(spot, 1)
+    returns = holding_period_returns(wealth, 1)
+    reg = ols_regression(idx_ret[:, None], returns)
+    p_one = slope_one_p(reg)
+    # the dynamic pair's weight on the front contract, 0 when it holds none
+    front = w_dyn if ranks[0] == 1 else 1.0 - w_dyn if ranks[1] == 1 else np.zeros_like(w_dyn)
+    # rows: dynamic on ``ranks``, then vxx on ranks (1, 2)
+    w1 = np.stack(np.broadcast_arrays(w_dyn, w_vxx), axis=1)
+    max_abs = np.maximum(np.abs(w1), np.abs(1.0 - w1)).max(axis=-1)
+    header = "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"
+    days = range(spot.shape[-1])
+    for k, label in enumerate(labels):
+        index_norm = 100.0 * spot[k] / spot[k, 0]
+        lines = repr_table("day\tindex\tvxx\tdynamic", days, index_norm, wealth[k, 1], wealth[k, 0])
+        manifest.emit(f"wealth_{label}.tsv", lines)
+        lines = [header] + [
+            f"{name}\t{reg.slope[k, i]:.6f}\t{reg.slope_se[k, i]:.3e}\t{reg.intercept[k, i]:.3e}"
+            f"\t{reg.intercept_se[k, i]:.3e}\t{reg.r2[k, i]:.6f}\t{p_one[k, i]:.3e}"
+            f"\t{max_abs[k, i]:.4f}"
+            for i, name in enumerate(("dynamic", "vxx"))
+        ]
+        manifest.emit(f"scatter_{label}.tsv", lines)
+        lines = repr_table("index_return\tportfolio_return", idx_ret[k], returns[k, 0])
+        manifest.emit(f"scatter_points_{label}.tsv", lines)
+    header = "\t".join(["day", "vxx_w1", *(f"dynamic_w1_{label}" for label in labels)])
+    manifest.emit("weights.tsv", repr_table(header, range(w_vxx.size), w_vxx, *front))
+    print(f"simulated {len(labels)} scenarios over {w_vxx.size} days -> {manifest.out_dir}")
 
 
 def cmd_simulate(args, manifest: RunManifest) -> int:
@@ -350,11 +409,8 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
     hist, rn = read_params_file(args.params)
     manifest.add_input("params", Path(args.params))
     cycles = _parse(_positive_int, args.cycles, "--cycles")
-    i1, i2 = cfg["contracts"]
     mults = cfg["s0_multipliers"]
-    manifest.config.update(
-        cfg, contracts=f"{i1},{i2}", s0_multipliers=",".join(f"{m:g}" for m in mults)
-    )
+    manifest.config.update(cfg, contracts=_joined(cfg["contracts"]), s0_multipliers=_joined(mults))
 
     paths = simulate_index_paths(
         hist, LocalVol.square_root(hist.sigma), [m * hist.theta for m in mults],
@@ -363,47 +419,14 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
     manifest.counts["clamped_steps"] = sum(path.n_clamped for path in paths)
     # every scenario is one path of a single batch through both trackers
     curves = SimulatedCurves([path.values for path in paths], rn, cfg["r"])
-    w_dyn, w_vxx, wealth = track(curves, (i1, i2), cfg["beta"], hist, rn)
-    labels = [scenario_label(m) for m in mults]
-    # a path held near the Euler floor can drive w* and the wealth past float
-    # range; a non-finite weight on day j leaves the wealth non-finite from j + 1
-    for label, wealth_dyn in zip(labels, wealth[:, 0]):
-        message = f"scenario {label}: dynamic wealth not finite"
-        require(np.isfinite(wealth_dyn), DegenerateProblemError, message)
-    idx_ret = holding_period_returns(curves.spot, 1)
-    returns = holding_period_returns(wealth, 1)
-    reg = ols_regression(idx_ret[:, None], returns)
-    p_one = slope_one_p(reg)
-    # the dynamic pair's weight on the front contract, 0 when it holds none
-    front = w_dyn if i1 == 1 else 1.0 - w_dyn if i2 == 1 else np.zeros_like(w_dyn)
-    # rows: dynamic on ranks (i1, i2), then vxx on ranks (1, 2)
-    w1 = np.stack(np.broadcast_arrays(w_dyn, w_vxx), axis=1)
-    max_abs = np.maximum(np.abs(w1), np.abs(1.0 - w1)).max(axis=-1)
-    header = "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1\tmax_abs_weight"
-    for k, label in enumerate(labels):
-        index_norm = 100.0 * curves.spot[k] / curves.spot[k, 0]
-        rows = repr_rows(range(wealth.shape[-1]), index_norm, wealth[k, 1], wealth[k, 0])
-        manifest.emit(f"wealth_{label}.tsv", "day\tindex\tvxx\tdynamic", rows)
-        rows = repr_rows(range(w_vxx.size), front[k], w_vxx)
-        manifest.emit(f"weights_{label}.tsv", "day\tdynamic_w1\tvxx_w1", rows)
-        rows = [
-            f"{name}\t{reg.slope[k, i]:.6f}\t{reg.slope_se[k, i]:.3e}\t{reg.intercept[k, i]:.3e}"
-            f"\t{reg.intercept_se[k, i]:.3e}\t{reg.r2[k, i]:.6f}\t{p_one[k, i]:.3e}"
-            f"\t{max_abs[k, i]:.4f}"
-            for i, name in enumerate(("dynamic", "vxx"))
-        ]
-        manifest.emit(f"scatter_{label}.tsv", header, rows)
-        rows = repr_rows(idx_ret[k], returns[k, 0])
-        manifest.emit(f"scatter_points_{label}.tsv", "index_return\tportfolio_return", rows)
-    print(f"simulated {len(mults)} scenarios over {cycles} cycles -> {manifest.out_dir}")
+    tracked = track(curves, cfg["contracts"], cfg["beta"], hist, rn)
+    report(manifest, [scenario_label(m) for m in mults], cfg["contracts"], curves.spot, *tracked)
     return EXIT_OK
 
 
 def cmd_regress(args, manifest: RunManifest) -> int:
-    ranks = _parse(_checked(_positive_ints, _distinct, "distinct ranks"), args.ranks, "--ranks")
-    horizons = _parse(
-        _checked(_positive_ints, _distinct, "distinct horizons"), args.horizons, "--horizons"
-    )
+    ranks = _parse(_distinct_ints("ranks"), args.ranks, "--ranks")
+    horizons = _parse(_distinct_ints("horizons"), args.horizons, "--horizons")
     max_horizon = _parse(_positive_int, args.max_horizon, "--max-horizon")
     panel = _load_quotes(args, manifest)
     # a fit needs 3 disjoint windows: h <= (n - 1) // 3
@@ -427,33 +450,31 @@ def cmd_regress(args, manifest: RunManifest) -> int:
     }
 
     daily = fits[1]
-    rows = [
+    lines = ["futures\tslope\tintercept\tslope_se\tintercept_se\tr2\trmse\tn"] + [
         f"{rank}-m\t{daily.slope[i]:.4f}\t{daily.intercept[i]:.3e}\t{daily.slope_se[i]:.3e}"
         f"\t{daily.intercept_se[i]:.3e}\t{daily.r2[i]:.4f}\t{daily.rmse[i]:.4f}\t{daily.n}"
         for i, rank in enumerate(ranks)
     ]
-    header = "futures\tslope\tintercept\tslope_se\tintercept_se\tr2\trmse\tn"
-    manifest.emit("one_day_regressions.tsv", header, rows)
+    manifest.emit("one_day_regressions.tsv", lines)
 
     table = [fits[h] for h in horizons]
-    rows = [
+    lines = ["\t".join(["stat", "days"] + [f"{r}-m" for r in ranks])] + [
         "\t".join([stat, str(h)] + [f"{v:.3f}" for v in getattr(res, stat)])
         for stat in ("slope", "r2")
         for h, res in zip(horizons, table)
     ]
-    header = "\t".join(["stat", "days"] + [f"{r}-m" for r in ranks])
-    manifest.emit("holding_period_table.tsv", header, rows)
+    manifest.emit("holding_period_table.tsv", lines)
 
     curves = [fits[h] for h in range(1, max_horizon + 1)]
     for i, rank in enumerate(ranks[:3]):
         columns = ([res.intercept[i] for res in curves], [res.intercept_se[i] for res in curves])
-        rows = repr_rows(range(1, max_horizon + 1), *columns)
-        manifest.emit(f"intercepts_{rank}m.tsv", "horizon\tintercept\tintercept_se", rows)
+        lines = repr_table("horizon\tintercept\tintercept_se", range(1, max_horizon + 1), *columns)
+        manifest.emit(f"intercepts_{rank}m.tsv", lines)
 
     x = holding_period_returns(panel.spot, 1)
-    fitted = daily.intercept[0] + daily.slope[0] * x
-    rows = repr_rows(x, holding_period_returns(rolled[0], 1), fitted)
-    manifest.emit(f"scatter_{ranks[0]}m_1d.tsv", "spot_return\tfutures_return\tfit", rows)
+    columns = (x, holding_period_returns(rolled[0], 1), daily.intercept[0] + daily.slope[0] * x)
+    lines = repr_table("spot_return\tfutures_return\tfit", *columns)
+    manifest.emit(f"scatter_{ranks[0]}m_1d.tsv", lines)
     print(f"regression tables -> {manifest.out_dir}")
     return EXIT_OK
 

@@ -368,7 +368,8 @@ def load_panel(
     DataError
         On a missing input file; naming the file and line, on a
         malformed or repeated row or a futures ``close`` for a contract
-        with no ``expiry`` row; or on too many dropped days.
+        with no ``expiry`` row; naming spot.csv (and ``window``, when
+        given), when no spot close is left; or on too many dropped days.
     """
     paths = [Path(data_dir) / name for name in ("spot.csv", "futures.csv", "rates.csv")]
     for p in paths:
@@ -412,7 +413,8 @@ def load_panel(
         inside = (days >= np.datetime64(window[0], "D")) & (days <= np.datetime64(window[1], "D"))
         days, spot = days[inside], spot[inside]
     if not days.size:
-        raise DataError("no trading days in the requested window")
+        within = "" if window is None else f" from {window[0]} to {window[1]}"
+        raise DataError(f"{spot_path.name}: no closes{within}")
 
     rate = np.full(days.size, np.nan)
     held = np.isin(rate_dates, days)

@@ -180,9 +180,13 @@ def test_simulate(calibrated, tmp_path):
         ("params",),
         ("clamped_steps",),
     )
-    for label in ("s0_1x", "s0_0p333333x", "s0_3x"):
-        for kind in ("wealth", "weights", "scatter", "scatter_points"):
-            assert (tmp_path / f"{kind}_{label}.tsv").is_file()
+    # per scenario its wealth, fit and fitted points; the weights of all at once
+    written = {p.name for p in tmp_path.iterdir()}
+    assert written == {"weights.tsv", "manifest.txt"} | {
+        f"{kind}_{label}.tsv"
+        for label in ("s0_1x", "s0_0p333333x", "s0_3x")
+        for kind in ("wealth", "scatter", "scatter_points")
+    }
     assert_numeric_cells(tmp_path)
 
 
@@ -264,11 +268,11 @@ def test_simulate_later_pair_holds_no_front_contract(calibrated, tmp_path):
     ])
     assert code == 0
     assert read_manifest(tmp_path / "out")["config.contracts"] == "2,3"
-    for label in ("s0_1x", "s0_0p333333x", "s0_3x"):
-        header, rows = table(tmp_path / "out" / f"weights_{label}.tsv")
-        assert header == ["day", "dynamic_w1", "vxx_w1"]
-        assert len(rows) == 63
-        assert all(row[1] == "0.0" for row in rows)
+    header, rows = table(tmp_path / "out" / "weights.tsv")
+    labels = ("s0_1x", "s0_0p333333x", "s0_3x")
+    assert header == ["day", "vxx_w1"] + [f"dynamic_w1_{label}" for label in labels]
+    assert len(rows) == 63
+    assert all(row[2:] == ["0.0"] * len(labels) for row in rows)
     assert_numeric_cells(tmp_path / "out")
 
 
@@ -287,24 +291,33 @@ def test_simulate_front_contract_second_in_the_pair(calibrated, tmp_path):
     mults = (1.0, 1.0 / 3.0, 3.0)  # the default multipliers, and seed 1
     g = vixtrack.LocalVol.square_root(hist.sigma)
     paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 63, 3, 1)
+    header, rows = table(tmp_path / "out" / "weights.tsv")
     for label, path in zip(("s0_1x", "s0_0p333333x", "s0_3x"), paths):
         curves = vixtrack.SimulatedCurves(path.values, rn, 0.01)
         w1, _, _ = vixtrack.track(curves, (2, 1), 1.0, hist, rn)
-        _, rows = table(tmp_path / "out" / f"weights_{label}.tsv")
-        assert [row[1] for row in rows] == [repr(w) for w in (1.0 - w1).tolist()]
+        column = header.index(f"dynamic_w1_{label}")
+        assert [row[column] for row in rows] == [repr(w) for w in (1.0 - w1).tolist()]
 
 
-@pytest.mark.parametrize("contracts", [(1, 2), (2, 3), (2, 1)])
-def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contracts):
+FOUR_LEVELS = {"s0_1x": 1.0, "s0_0p5x": 0.5, "s0_2x": 2.0, "s0_3x": 3.0}
+
+
+@pytest.mark.parametrize(
+    "contracts,levels",
+    [((1, 2), FOUR_LEVELS), ((2, 3), FOUR_LEVELS), ((2, 1), FOUR_LEVELS), ((1, 2), {"s0_1x": 1.0})],
+    ids=["contracts0", "contracts1", "contracts2", "one_scenario"],
+)
+def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contracts, levels):
     """All scenarios run as one batch; each per-day table, and each
     scenario's fit, equals, byte for byte, the one-scenario-at-a-time
     loop's arrays and 1-D fits written the same way in this process (no digests: numpy's exp may differ in the last
-    bit between CPUs)."""
+    bit between CPUs).  One scenario is the one-row batch."""
     _, params = calibrated
     i1, i2 = contracts
-    mults = (1.0, 0.5, 2.0, 3.0)
+    mults = tuple(levels.values())
     (tmp_path / "scenario.txt").write_text(
-        f"contracts={i1},{i2}\nr=0.03\nbeta=0.7\nseed=4\ns0_multipliers=1,0.5,2,3\n"
+        f"contracts={i1},{i2}\nr=0.03\nbeta=0.7\nseed=4\n"
+        f"s0_multipliers={','.join(f'{m:g}' for m in mults)}\n"
     )
     out = tmp_path / "out"
     assert main([
@@ -313,13 +326,17 @@ def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contra
     ]) == 0
     hist, rn = read_params_file(params / "params.txt")
     g = vixtrack.LocalVol.square_root(hist.sigma)
-    paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 84, 4, 4)
+    paths = vixtrack.simulate_index_paths(hist, g, [m * hist.theta for m in mults], 84, len(mults), 4)
     values = np.stack([path.values for path in paths])
     w_dyn, w_vxx, wealth = oracles.simulate_loop(
         values, 3 + max(i1, i2, 2), contracts, 0.7, 0.03, hist, rn
     )
     returns = vixtrack.holding_period_returns
-    for k, label in enumerate(("s0_1x", "s0_0p5x", "s0_2x", "s0_3x")):
+    # the roll's weight depends on the day only: weights.tsv writes it once
+    vxx = w_vxx[0].tolist()
+    fronts = []
+    for k, label in enumerate(levels):
+        assert w_vxx[k].tolist() == vxx
         index = (100.0 * values[k] / values[k, 0]).tolist()
         # one 1-D fit per scenario, as the batch's row-wise fit must give
         reg = vixtrack.ols_regression(returns(values[k], 1), returns(wealth[k], 1))
@@ -327,14 +344,11 @@ def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contra
         max_abs = [np.max(np.abs([w, 1.0 - w])) for w in (w_dyn[k], w_vxx[k])]
         # the dynamic pair's weight on the front contract
         front = np.zeros(84) if 1 not in contracts else w_dyn[k] if i1 == 1 else 1.0 - w_dyn[k]
+        fronts.append(front.tolist())
         want = {
             "wealth": ["day\tindex\tvxx\tdynamic"] + [
                 f"{j}\t{x!r}\t{v!r}\t{d!r}"
                 for j, (x, v, d) in enumerate(zip(index, *wealth[k, ::-1].tolist()))
-            ],
-            "weights": ["day\tdynamic_w1\tvxx_w1"] + [
-                f"{j}\t{d!r}\t{v!r}"
-                for j, (d, v) in enumerate(zip(front.tolist(), w_vxx[k].tolist()))
             ],
             "scatter": [
                 "portfolio\tslope\tslope_se\tintercept\tintercept_se\tr2\tp_slope_eq_1"
@@ -352,6 +366,10 @@ def test_simulate_files_equal_the_per_scenario_loop(calibrated, tmp_path, contra
         for kind, lines in want.items():
             got = (out / f"{kind}_{label}.tsv").read_bytes()
             assert got == ("\n".join(lines) + "\n").encode(), f"{kind}_{label}.tsv"
+    lines = ["\t".join(["day", "vxx_w1", *(f"dynamic_w1_{label}" for label in levels)])] + [
+        "\t".join([str(j), *map(repr, w)]) for j, w in enumerate(zip(vxx, *fronts))
+    ]
+    assert (out / "weights.tsv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -519,6 +537,8 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1;1;2"], ("--subsets", "'1;1;2'", "distinct subsets")),
         (None, None, ["regress", "--ranks", "0,1"], ("--ranks", "'0,1'", ">= 1")),
         (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "0;1"], ("--subsets", "'0;1'", ">= 1")),
+        (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1,1;2"], ("--subsets", "'1,1;2'", "distinct ranks")),
+        (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1,2;2,1"], ("--subsets", "'1,2;2,1'", "distinct subsets")),
     ],
 )
 def test_malformed_key_value_files_are_named(

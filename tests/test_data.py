@@ -114,6 +114,22 @@ class TestLoadPanel:
         assert panel.n_days == 10
         assert panel.dates[0] == dates[5]
 
+    @pytest.mark.parametrize("header_only", [True, False])
+    def test_no_spot_close_names_the_file(self, tmp_path, header_only):
+        # the window is named only when one was given
+        dates = write_quote_files(tmp_path, n_days=10, seed=3)
+        spot = tmp_path / "spot.csv"
+        if header_only:
+            spot.write_text(spot.read_text().splitlines()[0] + "\n")
+            window, message = None, "spot.csv: no closes"
+        else:
+            after = dates[-1] + np.timedelta64(7, "D")
+            window = (str(after), str(after + np.timedelta64(7, "D")))
+            message = f"spot.csv: no closes from {window[0]} to {window[1]}"
+        with pytest.raises(DataError) as info:
+            load_panel(tmp_path, window=window)
+        assert str(info.value) == message
+
     def test_malformed_row_reports_line_number(self, tmp_path):
         write_quote_files(tmp_path, n_days=10, seed=4)
         spot = tmp_path / "spot.csv"

@@ -4,13 +4,14 @@ Under square-root (CIR) dynamics the one-step transition density of the
 index has a closed form involving the modified Bessel function I_q, of
 order q = 2 mu theta / sigma^2 - 1 > -1, so the historical parameters
 (mu, theta, sigma) are fitted by maximizing the average log-likelihood
-over the observed daily transitions, with one simplex search from a
-moment-based start.  ln I_q(x) comes from the uniform large-order
-(Debye) expansion wherever hypot(q, x) >= 200, which on daily index
-data is most transitions, but not a series' lows while the search
-passes through small orders, and is exact to rounding there; below that
-radius it is ln of scipy's scaled ive(q, x) = I_q(x) e^-x plus x, with
-the expansion where ive underflows, or below x = 1e-8 the leading term
+over the observed daily transitions, with one simplex search inside a
+parameter box from a moment-based start.  ln I_q(x) comes from the
+uniform large-order (Debye) expansion wherever hypot(q, x) >= 200,
+which on daily index data is most transitions, but not a series' lows
+while the search passes through small orders, and is exact to rounding
+there; below that radius it is ln of scipy's scaled
+ive(q, x) = I_q(x) e^-x plus x, with the expansion where ive
+underflows, or below x = 1e-8 the leading term
 q ln(x/2) - ln Gamma(q + 1) of the power series.
 
 The risk-neutral pair (mu_tilde, theta_tilde) is fitted by matching the
@@ -42,10 +43,12 @@ __all__ = [
     "mom_fit",
 ]
 
-# Parameter box for the historical fit; solutions at a bound are flagged.
+# Parameter box (mu, theta, sigma) the historical fit's simplex searches in;
+# a fit that ends on a face of it is flagged at_bound.
 MLE_BOUNDS = ((1e-3, 100.0), (1e-2, 200.0), (1e-3, 50.0))
 # Simplex iteration budget of the historical fit.
 MLE_MAX_ITER = 600
+# The fit's objective where the likelihood is not finite.
 _PENALTY = 1e12
 
 
@@ -200,8 +203,20 @@ class MOMReport:
 def initial_guess_from_moments(series: np.ndarray) -> HistoricalParams:
     """Moment-based starting point for a daily series: sample mean for
     theta, lag-1 autocorrelation for mu, realized quadratic variation
-    for sigma."""
+    for sigma.
+
+    Raises
+    ------
+    CalibrationError
+        If the series is constant but for at most its first or last
+        value, where the autocorrelation is undefined.
+    """
     s = np.asarray(series, dtype=float)
+    if np.ptp(s[1:]) == 0 or np.ptp(s[:-1]) == 0:
+        raise CalibrationError(
+            "the spot is constant, but for at most its first or last close: "
+            "its lag-1 autocorrelation, and so mu, is undefined"
+        )
     theta0 = float(np.mean(s))
     rho = float(np.corrcoef(s[1:], s[:-1])[0, 1])
     rho = min(max(rho, 1e-4), 1.0 - 1e-4)
@@ -217,17 +232,6 @@ def initial_guess_from_moments(series: np.ndarray) -> HistoricalParams:
 
 def _neg_avg_loglik(z: np.ndarray, s_next, log_s_next, s_prev) -> float:
     mu, theta, sigma = np.exp(z).tolist()
-    penalty = 0.0
-    for v, (lo, hi) in zip((mu, theta, sigma), MLE_BOUNDS):
-        if v < lo:
-            penalty += (math.log(lo) - math.log(v)) ** 2
-        elif v > hi:
-            penalty += (math.log(v) - math.log(hi)) ** 2
-    if penalty > 0:
-        return _PENALTY * (1.0 + penalty)
-    q = 2.0 * mu * theta / sigma**2 - 1.0
-    if q <= -1.0 + 1e-12:
-        return _PENALTY
     p = HistoricalParams(mu=mu, theta=theta, sigma=sigma)
     val = np.mean(_log_density(s_next, log_s_next, s_prev, p))
     if not np.isfinite(val):
@@ -240,12 +244,25 @@ def mle_fit(series) -> MLEReport:
     a daily spot series.
 
     Runs one adaptive simplex (Nelder-Mead) search in log-parameter
-    space from the moment start (:func:`initial_guess_from_moments`).
-    The start is a vertex of the initial simplex and the best vertex
-    never gets worse, so the result is never below the start's
-    likelihood.  ``converged`` is False when the search stops at
-    ``MLE_MAX_ITER`` iterations or at the parameter box, which is
-    flagged as ``at_bound``.
+    space from the moment start (:func:`initial_guess_from_moments`),
+    inside the box ``MLE_BOUNDS``: scipy clips every vertex into it, so
+    the likelihood is only evaluated there.  The start is a vertex of
+    the initial simplex and the best vertex never gets worse, so the
+    result is never below the start's likelihood.
+
+    ``at_bound`` is True when a parameter ends within 1e-6 (relative)
+    of its bound: the likelihood rises towards a face of the box, and
+    the series does not pin that parameter inside it.  ``converged`` is
+    True when the simplex met its tolerances within ``MLE_MAX_ITER``
+    iterations and the fit is not ``at_bound``.
+
+    Raises
+    ------
+    ValueError
+        If the series has fewer than 100 values or a nonpositive one.
+    CalibrationError
+        If the series is constant (see
+        :func:`initial_guess_from_moments`).
     """
     series = np.asarray(series, dtype=float)
     if series.size < 100:
@@ -260,6 +277,7 @@ def mle_fit(series) -> MLEReport:
         np.log([init.mu, init.theta, init.sigma]),
         args=(series[1:], np.log(series[1:]), series[:-1]),
         method="Nelder-Mead",
+        bounds=np.log(MLE_BOUNDS),
         options={"maxiter": MLE_MAX_ITER, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
     )
     mu, theta, sigma = np.exp(res.x)

@@ -7,8 +7,10 @@ subcommand, ``config.`` keys (every parsed flag but ``--out-dir``,
 plus ``simulate``'s scenario settings), input digests, output names,
 ``count.`` keys for what the run found (work done, early rolls,
 clamped steps, failed subsets, an unconverged fit) and the elapsed
-time.  Its absence marks a failed run.  All files are plain text and
-written atomically; every file goes through ``RunManifest.emit``, and
+time.  A run that raises writes no manifest, so its absence marks a
+failed run; but a run may also fail after writing its outputs and
+manifest (exit 3 below).  All files are plain text and written
+atomically; every file goes through ``RunManifest.emit``, and
 every column written with ``repr`` through ``repr_table``.  The
 formatting of every output file lives here and all the math in the
 library modules.
@@ -25,7 +27,12 @@ front weight ``vxx_w1`` (the same for every scenario) and each
 scenario's ``dynamic_w1_<label>``.
 
 Exit codes: 0 success, 2 data error, 3 calibration failure,
-4 degenerate optimization.
+4 degenerate optimization.  Exit 3 has two cases:
+
+- a fit that cannot be made (the moment fit is unidentifiable, or the
+  spot is constant) raises, and the run writes no manifest;
+- an MLE that ends on its parameter box writes ``params.txt``, with
+  ``mle_at_bound=true``, and a manifest with ``count.mle_at_bound=1``.
 """
 
 from __future__ import annotations

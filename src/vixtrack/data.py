@@ -433,15 +433,15 @@ def load_panel(
     n_dropped = int(days.size - np.count_nonzero(usable))
     no_rate = int(np.count_nonzero(~has_rate))
 
+    reasons = f"{no_rate} with no rate, {n_dropped - no_rate} more missing a front close"
     if n_dropped:
         log.info(
-            "dropped %d of %d candidate days for missing data: %d with no rate, %d more "
-            "missing a front close", n_dropped, days.size, no_rate, n_dropped - no_rate,
+            "dropped %d of %d candidate days for missing data: %s", n_dropped, days.size, reasons
         )
     if n_dropped > max_drop_frac * days.size:
         raise DataError(
-            f"{n_dropped} of {days.size} days dropped "
-            f"(> {max_drop_frac:.0%}); refusing to build a panel"
+            f"{n_dropped} of {days.size} days dropped (> {max_drop_frac:.0%}): {reasons} "
+            f"of {n_ranks} ranks; refusing to build a panel"
         )
     if not usable.any():
         raise DataError("no usable trading days after alignment")

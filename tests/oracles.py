@@ -568,10 +568,10 @@ def grid_min_weight(c, lo=-10.0, hi=10.0, step=1e-4):
 
 
 def multistart_mle(series):
-    """Best of four simplex searches for the square-root MLE: the
-    moment start plus three deterministically jittered restarts,
-    never returning a point worse than the moment start.  Returns
-    (params, avg_loglik)."""
+    """Best of four simplex searches inside ``MLE_BOUNDS`` for the
+    square-root MLE: the moment start plus three deterministically
+    jittered restarts, never returning a point worse than the moment
+    start.  Returns (params, avg_loglik)."""
     series = np.asarray(series, dtype=float)
     s_next, log_s_next, s_prev = series[1:], np.log(series[1:]), series[:-1]
     init = initial_guess_from_moments(series)
@@ -585,6 +585,7 @@ def multistart_mle(series):
             z_start,
             args=(s_next, log_s_next, s_prev),
             method="Nelder-Mead",
+            bounds=np.log(MLE_BOUNDS),
             options={
                 "maxiter": 600,
                 "xatol": 1e-8,
@@ -639,21 +640,11 @@ def log_bessel_i_two_routes(order, x):
 
 
 def neg_avg_loglik_two_routes(z, s_next, s_prev):
-    """The library's MLE objective, penalties included, with the CIR
-    density written out on :func:`log_bessel_i_two_routes` and ln s_next
-    taken at every evaluation."""
+    """The library's MLE objective, its non-finite guard included, with
+    the CIR density written out on :func:`log_bessel_i_two_routes` and
+    ln s_next taken at every evaluation."""
     mu, theta, sigma = np.exp(z)
-    penalty = 0.0
-    for v, (lo, hi) in zip((mu, theta, sigma), MLE_BOUNDS):
-        if v < lo:
-            penalty += (math.log(lo) - math.log(v)) ** 2
-        elif v > hi:
-            penalty += (math.log(v) - math.log(hi)) ** 2
-    if penalty > 0:
-        return _PENALTY * (1.0 + penalty)
     q = 2.0 * mu * theta / sigma**2 - 1.0
-    if q <= -1.0 + 1e-12:
-        return _PENALTY
     decay = math.exp(-mu * DT)
     sig2 = sigma**2 * (1.0 - decay) / (2.0 * mu)
     u = s_prev * decay
@@ -669,8 +660,9 @@ def neg_avg_loglik_two_routes(z, s_next, s_prev):
 
 
 def mle_two_routes(series):
-    """The library's single simplex search from the moment start, on
-    :func:`neg_avg_loglik_two_routes`; returns scipy's result."""
+    """The library's single simplex search inside ``MLE_BOUNDS`` from
+    the moment start, on :func:`neg_avg_loglik_two_routes`; returns
+    scipy's result."""
     series = np.asarray(series, dtype=float)
     init = initial_guess_from_moments(series)
     return minimize(
@@ -678,6 +670,7 @@ def mle_two_routes(series):
         np.log([init.mu, init.theta, init.sigma]),
         args=(series[1:], series[:-1]),
         method="Nelder-Mead",
+        bounds=np.log(MLE_BOUNDS),
         options={"maxiter": MLE_MAX_ITER, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
     )
 

@@ -18,7 +18,7 @@ from vixtrack import (
     mom_fit,
     mom_loss,
 )
-from vixtrack.calibrate import _log_i_debye
+from vixtrack.calibrate import MLE_MAX_ITER, _log_i_debye
 
 import oracles
 from conftest import write_quote_files
@@ -267,6 +267,21 @@ class TestMleFit:
         rep = mle_fit(series)
         assert abs(rep.params.theta - 20.0) < 0.05
         assert rep.params.sigma < 0.05
+        # the likelihood rises towards sigma's lower bound: the search
+        # stops on the box, well inside its iteration budget
+        assert rep.at_bound and not rep.converged
+        assert rep.iterations < MLE_MAX_ITER
+
+    @pytest.mark.parametrize(
+        "series",
+        [np.full(200, 20.0), np.r_[np.full(199, 20.0), 20.5], np.r_[20.5, np.full(199, 20.0)]],
+        ids=["constant", "last-differs", "first-differs"],
+    )
+    def test_constant_series_is_rejected(self, series):
+        # a stale feed: one of the lagged slices is constant, so the
+        # autocorrelation of the moment start is undefined
+        with pytest.raises(CalibrationError, match="the spot is constant"):
+            mle_fit(series)
 
     def test_fails_feller_condition(self):
         # true q = 2 * 1 * 10 / 25 - 1 = -0.2: the search visits orders

@@ -98,6 +98,33 @@ def test_calibrate(calibrated):
     assert kv["count.mle_at_bound"] == {"false": "0", "true": "1"}[params["mle_at_bound"]]
 
 
+def test_calibrate_fit_on_the_box_exits_3(tmp_path):
+    # a nearly constant spot: the likelihood rises towards sigma's lower
+    # bound, and the run writes its fit but fails
+    write_quote_files(
+        tmp_path / "q", n_days=N_DAYS, seed=3, hist=vixtrack.HistoricalParams(10.86, 18.81, 1e-4)
+    )
+    out = tmp_path / "out"
+    assert main(["calibrate", "--data-dir", str(tmp_path / "q"), "--out-dir", str(out)]) == 3
+    fit = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
+    assert float(fit["sigma"]) == pytest.approx(1e-3)
+    assert (fit["mle_at_bound"], fit["mle_converged"]) == ("true", "false")
+    assert read_manifest(out)["count.mle_at_bound"] == "1"
+
+
+def test_calibrate_constant_spot_fails_the_run(tmp_path, capsys):
+    # a stale spot feed: every close is 20.0
+    write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3)
+    spot = tmp_path / "q" / "spot.csv"
+    header, *rows = spot.read_text().splitlines()
+    spot.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",20.0" for row in rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["calibrate", "--data-dir", str(tmp_path / "q"), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("calibration failed: the spot is constant"), err
+    assert list(out.iterdir()) == []  # no params, no manifest
+
+
 @pytest.mark.parametrize("mode", ["price", "return"])
 def test_backtest_static(quotes, tmp_path, mode):
     data_dir, dates = quotes

@@ -104,9 +104,14 @@ class TestLoadPanel:
         assert "0 with no rate, 1 more missing a front close" in caplog.text
 
     def test_excessive_drops_abort_by_default(self, tmp_path):
-        write_quote_files(tmp_path, n_days=10, seed=2, drop_futures_on=(3, 4))
-        with pytest.raises(DataError, match="refusing"):
-            load_panel(tmp_path)
+        dates = write_quote_files(tmp_path, n_days=10, seed=2, drop_futures_on=(3, 4))
+        drop_rates(tmp_path, [dates[7]])
+        with pytest.raises(DataError, match="refusing") as info:
+            load_panel(tmp_path, n_ranks=6)
+        assert str(info.value) == (
+            "3 of 10 days dropped (> 5%): 1 with no rate, 2 more missing a front close "
+            "of 6 ranks; refusing to build a panel"
+        )
 
     def test_window_filter(self, tmp_path):
         dates = write_quote_files(tmp_path, n_days=30, seed=3)

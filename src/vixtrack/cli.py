@@ -38,6 +38,7 @@ Exit codes: 0 success, 2 data error, 3 calibration failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -50,7 +51,7 @@ import numpy as np
 from . import __version__
 from .analytics import holding_period_returns, ols_regression, slope_one_p
 from .calibrate import mle_fit, mom_fit
-from .data import load_panel, split_day
+from .data import DATE_RANGE, is_date, load_panel, split_day
 from .errors import CalibrationError, DataError, DegenerateProblemError, require
 from .model import CYCLE_DAYS, HistoricalParams, LocalVol, RiskNeutralParams
 from .simulate import SimulatedCurves, simulate_index_paths, track
@@ -183,7 +184,9 @@ def _distinct(values) -> bool:
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _finite = _checked(float, np.isfinite, "finite")
 _positive = _checked(float, lambda v: 0 < v < np.inf, "finite and > 0")
-_nonnegative = _checked(float, lambda v: 0 <= v < np.inf, "finite and >= 0")
+_date = _checked(
+    lambda text: np.datetime64(text, "D"), is_date, "a date from {} to {}".format(*DATE_RANGE)
+)
 
 
 def _positive_ints(text: str) -> tuple:
@@ -200,9 +203,9 @@ _rank_pair = _checked(
 
 
 def _window(text: str) -> tuple:
-    dates = tuple(np.datetime64(d, "D") for d in text.split(":"))
-    if len(dates) != 2 or np.isnat(dates).any():
-        raise ValueError("need START:END dates")
+    dates = tuple(map(_date, text.split(":")))
+    if len(dates) != 2 or dates[0] > dates[1]:
+        raise ValueError("need START:END dates, START not after END")
     return dates
 
 
@@ -216,21 +219,22 @@ def scenario_label(multiplier: float) -> str:
 
 
 def read_params_file(path) -> tuple:
-    """Parse a calibrate-emitted parameter file into (hist, rn): sigma
-    finite and >= 0, the other four finite and > 0.  Its other keys
-    (the fit diagnostics) are not read."""
+    """Parse a calibrate-emitted parameter file into (hist, rn): one key
+    per field of each type, all five values finite and > 0.  Its other
+    keys (the fit diagnostics) are not read."""
     path = Path(path)
     kv = _read_key_values(path, "parameter file")
-    values = {}
-    for key in ("mu", "theta", "sigma", "mu_tilde", "theta_tilde"):
+
+    def value(key: str) -> float:
         if key not in kv:
             raise DataError(f"parameter file {path} missing key '{key}'")
         text, n = kv[key]
-        rule = _nonnegative if key == "sigma" else _positive
-        values[key] = _parse(rule, text, f"parameter file {path} line {n}, key {key}")
-    hist = HistoricalParams(values["mu"], values["theta"], values["sigma"])
-    rn = RiskNeutralParams(values["mu_tilde"], values["theta_tilde"])
-    return hist, rn
+        return _parse(_positive, text, f"parameter file {path} line {n}, key {key}")
+
+    return tuple(
+        cls(*(value(field.name) for field in dataclasses.fields(cls)))
+        for cls in (HistoricalParams, RiskNeutralParams)
+    )
 
 
 # scenario key -> (parse rule, default)
@@ -293,11 +297,10 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
     panel = _load_quotes(args, manifest)
     mle = mle_fit(panel.spot)
     mom = mom_fit(panel.observations())
-    hist, rn = mle.params, mom.params
     # the parameters read_params_file reads, then the fit diagnostics
+    fitted = {**dataclasses.asdict(mle.params), **dataclasses.asdict(mom.params)}
     params = {
-        "mu": hist.mu, "theta": hist.theta, "sigma": hist.sigma,
-        "mu_tilde": rn.mu_tilde, "theta_tilde": rn.theta_tilde,
+        **fitted,
         "mle_avg_loglik": mle.avg_loglik,
         "mle_iterations": mle.iterations,
         "mle_converged": str(mle.converged).lower(),
@@ -310,10 +313,7 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
     manifest.counts["mle_evaluations"] = mle.evaluations
     manifest.counts["mle_not_converged"] = int(not mle.converged)
     manifest.counts["mle_at_bound"] = int(mle.at_bound)
-    print(
-        f"calibrated: mu={hist.mu:.4f} theta={hist.theta:.4f} sigma={hist.sigma:.4f} "
-        f"mu_tilde={rn.mu_tilde:.4f} theta_tilde={rn.theta_tilde:.4f}"
-    )
+    print("calibrated:", *(f"{k}={v:.4f}" for k, v in fitted.items()))
     return EXIT_CALIBRATION if mle.at_bound else EXIT_OK
 
 
@@ -331,7 +331,7 @@ def _parse_subsets(text):
 
 def cmd_backtest_static(args, manifest: RunManifest) -> int:
     subsets = _parse_subsets(args.subsets)
-    boundary = _parse(lambda t: np.datetime64(t, "D"), args.split, "--split")
+    boundary = _parse(_date, args.split, "--split")
     panel = _load_quotes(args, manifest)
     try:
         cut = split_day(panel, boundary)
@@ -343,7 +343,7 @@ def cmd_backtest_static(args, manifest: RunManifest) -> int:
     for rank in dict.fromkeys(r for subset in subsets for r in subset):
         try:
             rolled[rank] = build_rolled_series(panel, rank)
-        except (DataError, ValueError) as exc:
+        except ValueError as exc:
             unbuilt[rank] = str(exc)
     manifest.counts["early_rolls"] = sum(series.early_rolls for series in rolled.values())
     results = {}
@@ -355,7 +355,7 @@ def cmd_backtest_static(args, manifest: RunManifest) -> int:
             try:
                 series = [rolled[r] for r in subset]
                 results[label] = static_portfolio(panel, series, cut, args.mode)
-            except (DegenerateProblemError, DataError, ValueError) as exc:
+            except ValueError as exc:
                 error = str(exc)
         if error is not None:
             results[label] = error
@@ -541,7 +541,7 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except (DataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

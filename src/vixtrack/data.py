@@ -8,6 +8,12 @@ the header ``date,code,field,value``:
   ``<expiry date>,<contract>,expiry,`` row per contract
 * ``rates.csv``   -- rows ``<date>,<code>,rate,<annual rate>``
 
+A date is a day from 1000-01-01 to 9999-12-31 (:func:`is_date`),
+written ``YYYY-MM-DD``; the CLI's date flags follow the same rule.
+numpy reads a compact ``20210104`` as the year 20,210,104, so each
+converted date's range is checked, not its text; a partial date
+(``2021``, ``2021-01``) still reads as its first day.
+
 Each file is parsed by column: its rows are split into four text
 columns at once, each column is converted in one call, and each check
 runs over a whole column and names the file and line of its first
@@ -41,7 +47,8 @@ the r-th contract by expiry.  Its ttms are trading-day counts to
 expiry over 252.  The overnight rate only compounds the account,
 ACT/360 from each kept day's rate to the next kept day.  Days missing
 the rate or the close of a front contract are dropped, with a logged
-count per reason.
+count per reason; more than ``MAX_DROP_FRAC`` of the days dropped is an
+error.
 """
 
 from __future__ import annotations
@@ -65,6 +72,19 @@ MM_DAY_BASIS = 360.0
 # A contract whose quotes stop while it still has more than this long
 # to run has a data gap, not an imminent settlement.
 _SETTLEMENT_WINDOW = 3.0 / TRADING_DAYS_PER_YEAR
+
+# The largest fraction of the candidate days the loader may drop for
+# missing data.  Being below 1, it also refuses a window with no usable day.
+MAX_DROP_FRAC = 0.05
+
+# The first and last date of the input format: the four-digit years.
+DATE_RANGE = np.array(["1000-01-01", "9999-12-31"], dtype="datetime64[D]")
+
+
+def is_date(days) -> np.ndarray:
+    """Where ``days`` (``datetime64[D]``) are dates of the input format:
+    within ``DATE_RANGE``, so not NaT."""
+    return (days >= DATE_RANGE[0]) & (days <= DATE_RANGE[1])
 
 
 @dataclass
@@ -296,9 +316,9 @@ def _read_rows(path: Path) -> tuple:
 
 
 def _convert(path: Path, line_nos, texts, kind: str) -> np.ndarray:
-    """``texts`` as dates (``kind`` "date") or finite numbers, converted
-    in one call; only when that fails are the rows walked, to name the
-    first that does not convert."""
+    """``texts`` as dates (``kind`` "date", see :func:`is_date`) or
+    finite numbers, converted in one call; only when that fails are the
+    rows walked, to name the first that does not convert."""
     dtype = "datetime64[D]" if kind == "date" else float
     try:
         values = texts.astype(dtype)
@@ -309,7 +329,7 @@ def _convert(path: Path, line_nos, texts, kind: str) -> np.ndarray:
             except ValueError:
                 raise DataError(f"{path.name}:{line_no}: bad {kind} {text!r}") from None
         raise
-    bad = np.isnat(values) if kind == "date" else ~np.isfinite(values)
+    bad = ~is_date(values) if kind == "date" else ~np.isfinite(values)
     what = "bad date" if kind == "date" else "non-finite value"
     _check(path, line_nos, bad, lambda i: f"{what} {texts[i]!r}")
     return values
@@ -336,12 +356,7 @@ def _read_series(path: Path, field: str) -> tuple:
     return line_nos, dates, values
 
 
-def load_panel(
-    data_dir,
-    window=None,
-    n_ranks: int = 7,
-    max_drop_frac: float = 0.05,
-) -> PricePanel:
+def load_panel(data_dir, window=None, n_ranks: int = 7) -> PricePanel:
     """Load and align quote files from ``data_dir``.
 
     Each file is parsed by column (see the module docstring).  The
@@ -358,10 +373,6 @@ def load_panel(
     n_ranks : int
         Number of front contracts a day needs the closes of (see the
         module docstring); contracts beyond them are not kept.
-    max_drop_frac : float
-        Abort when more than this fraction of candidate days has to be
-        dropped for missing data: no rate or a missing front-``n_ranks``
-        close.
 
     Raises
     ------
@@ -369,7 +380,9 @@ def load_panel(
         On a missing input file; naming the file and line, on a
         malformed or repeated row or a futures ``close`` for a contract
         with no ``expiry`` row; naming spot.csv (and ``window``, when
-        given), when no spot close is left; or on too many dropped days.
+        given), when no spot close is left; or when more than
+        ``MAX_DROP_FRAC`` of the candidate days are dropped for missing
+        data (no rate or a missing front-``n_ranks`` close).
     """
     paths = [Path(data_dir) / name for name in ("spot.csv", "futures.csv", "rates.csv")]
     for p in paths:
@@ -438,13 +451,11 @@ def load_panel(
         log.info(
             "dropped %d of %d candidate days for missing data: %s", n_dropped, days.size, reasons
         )
-    if n_dropped > max_drop_frac * days.size:
+    if n_dropped > MAX_DROP_FRAC * days.size:
         raise DataError(
-            f"{n_dropped} of {days.size} days dropped (> {max_drop_frac:.0%}): {reasons} "
+            f"{n_dropped} of {days.size} days dropped (> {MAX_DROP_FRAC:.0%}): {reasons} "
             f"of {n_ranks} ranks; refusing to build a panel"
         )
-    if not usable.any():
-        raise DataError("no usable trading days after alignment")
 
     # the quoted settling contracts and the front ranks of each usable day
     kept = (quoted & (k >= first_settling) & (k < first_live + n_ranks))[usable]

@@ -218,12 +218,7 @@ def _parse_float(path: Path, line_no: int, text: str) -> float:
     return v
 
 
-def load_panel_rows(
-    data_dir,
-    window=None,
-    n_ranks: int = 7,
-    max_drop_frac: float = 0.05,
-) -> PricePanel:
+def load_panel_rows(data_dir, window=None, n_ranks: int = 7) -> PricePanel:
     """Row-by-row reference for ``load_panel``: the same arguments and
     result, from per-row date and float parsing, dicts keyed by date
     and a per-day loop of lookups.  A repeated row overwrites the
@@ -321,13 +316,10 @@ def load_panel_rows(
 
     if n_dropped:
         _log.info("dropped %d of %d candidate days for missing data", n_dropped, len(candidates))
-    if n_dropped > max_drop_frac * len(candidates):
+    if n_dropped > 0.05 * len(candidates):
         raise DataError(
-            f"{n_dropped} of {len(candidates)} days dropped "
-            f"(> {max_drop_frac:.0%}); refusing to build a panel"
+            f"{n_dropped} of {len(candidates)} days dropped (> 5%); refusing to build a panel"
         )
-    if not dates:
-        raise DataError("no usable trading days after alignment")
 
     dates_arr = np.array(dates, dtype="datetime64[D]")
     used, cols = np.unique(np.array(cols, dtype=np.intp), return_inverse=True)

@@ -1,10 +1,12 @@
 """Every subcommand run end to end with its default flags on generated
 quote files, and the package's public names."""
 
+import dataclasses
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +125,32 @@ def test_calibrate_constant_spot_fails_the_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("calibration failed: the spot is constant"), err
     assert list(out.iterdir()) == []  # no params, no manifest
+
+
+def test_calibrate_window_fits_the_window(quotes, tmp_path):
+    data_dir, dates = quotes
+    window = (str(dates[20]), str(dates[179]))
+    argv = ["calibrate", "--data-dir", str(data_dir), "--window", ":".join(window)]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    fit = dict(line.split("=", 1) for line in (tmp_path / "params.txt").read_text().splitlines())
+    panel = vixtrack.load_panel(data_dir, window=window)
+    assert panel.n_days == int(fit["n_days"]) == 160
+    mle, mom = vixtrack.mle_fit(panel.spot), vixtrack.mom_fit(panel.observations())
+    want = {**dataclasses.asdict(mle.params), **dataclasses.asdict(mom.params)}
+    assert {key: float(fit[key]) for key in want} == want
+    assert read_manifest(tmp_path)["config.window"] == ":".join(window)
+
+
+def test_calibrate_rejects_compact_dates(tmp_path, capsys):
+    # numpy reads 20210104 as the year 20,210,104: the run must not fit it
+    write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3)
+    for name in QUOTE_FILES:
+        path = tmp_path / "q" / name
+        path.write_text(re.sub(r"(\d{4})-(\d\d)-(\d\d)", r"\1\2\3", path.read_text()))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--data-dir", str(tmp_path / "q"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: spot.csv:2: bad date '20210104'\n"
+    assert not (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("mode", ["price", "return"])
@@ -550,11 +578,15 @@ PARAMS = "mu=10.86\ntheta=18.81\nsigma=6.37\nmu_tilde=1.39\ntheta_tilde=26.03\n"
         (None, None, ["regress", "--n-ranks", "x"], ("--n-ranks", "'x'")),
         (None, None, ["calibrate", "--window", "2021-01-04:2021-13-01"], ("--window", "2021-13-01")),
         (None, None, ["calibrate", "--window", "2021-01-04"], ("--window", "START:END")),
+        (None, None, ["calibrate", "--window", "2021-06-01:2021-01-04"], ("--window", "START not after END")),
+        (None, None, ["calibrate", "--window", "20210104:20210601"], ("--window", "from 1000-01-01 to 9999-12-31")),
+        (None, None, ["backtest-static", "--split", "20210601"], ("--split", "'20210601'", "from 1000-01-01 to 9999-12-31")),
         (None, None, ["backtest-static", "--split", "2021-02-01", "--subsets", "1;;2"], ("--subsets", "'1;;2'")),
         (None, None, ["backtest-static", "--split", "2021-02-30"], ("--split", "2021-02-30")),
         (PARAMS + "mu=50\n", None, [], ("params.txt", "line 6", "duplicate key mu (first on line 1)")),
         (PARAMS.replace("mu=10.86", "mu=inf"), None, [], ("params.txt", "line 1", "key mu:", "> 0")),
-        (PARAMS.replace("sigma=6.37", "sigma=-1"), None, [], ("params.txt", "line 3", "key sigma", ">= 0")),
+        (PARAMS.replace("sigma=6.37", "sigma=-1"), None, [], ("params.txt", "line 3", "key sigma", "> 0")),
+        (PARAMS.replace("sigma=6.37", "sigma=0"), None, [], ("params.txt", "line 3", "key sigma", "> 0")),
         (PARAMS.replace("theta_tilde=26.03", "theta_tilde=0"), None, [], ("params.txt", "line 5", "key theta_tilde", "> 0")),
         (PARAMS, "contracts=2,2\n", [], ("scenario.txt", "line 1", "contracts", "two ranks")),
         (PARAMS, "seed=3\nr=0\nseed=4\n", [], ("scenario.txt", "line 3", "duplicate key seed (first on line 1)")),
@@ -585,6 +617,18 @@ def test_malformed_key_value_files_are_named(
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert all(part in err for part in where), err
+    assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--params", "--scenario"])
+def test_simulate_missing_input_file_fails_the_run(calibrated, tmp_path, capsys, flag):
+    files = {"--params": calibrated[1] / "params.txt", "--scenario": tmp_path / "scenario.txt"}
+    files["--scenario"].write_text("seed=2\n")
+    files[flag] = tmp_path / "absent.txt"
+    argv = ["simulate", *(str(arg) for item in files.items() for arg in item)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{tmp_path / 'absent.txt'} not found" in err, err
     assert not (tmp_path / "out" / "manifest.txt").exists()
 
 

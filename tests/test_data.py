@@ -32,6 +32,10 @@ BAD_ROWS = [
     ("futures.csv", "2021-02-30,F01,close,20.0", "bad date '2021-02-30'"),
     ("futures.csv", "2021-1-4,F99,expiry,", "bad date '2021-1-4'"),
     ("rates.csv", "01/03/2021,ON,rate,0.01", "bad date '01/03/2021'"),
+    # numpy reads these as the years 20,210,301, 10,000 and 999
+    ("futures.csv", "20210301,F01,close,20.0", "bad date '20210301'"),
+    ("spot.csv", "10000-01-01,VIX,close,20.0", "bad date '10000-01-01'"),
+    ("rates.csv", "0999-12-31,ON,rate,0.01", "bad date '0999-12-31'"),
     ("spot.csv", "2021-03-01,VIX,close,not_a_number", "bad number 'not_a_number'"),
     ("futures.csv", "2021-03-01,F01,close,", "bad number ''"),
     ("rates.csv", "2021-03-01,ON,rate,0.5%", "bad number '0.5%'"),
@@ -66,7 +70,7 @@ ORACLE_CASES = [
     (dict(drop_futures_on=(10, 21), drop_rank=8), {}, (), 0),
     (dict(drop_futures_on=(10, 21), drop_rank=8), dict(n_ranks=8), (), 2),
     (dict(rate=0.036), {}, (5, 42), 2),
-    (dict(rate=0.036, drop_futures_on=(5, 6)), dict(max_drop_frac=0.1), (6, 50), 3),
+    (dict(rate=0.036, drop_futures_on=(5, 6)), {}, (6, 50), 3),
     ({}, dict(window=(10, 45)), (), 0),
     (dict(drop_futures_on=(3, 20)), dict(window=(10, 45)), (), 1),
     ({}, dict(n_ranks=5), (), 0),
@@ -95,12 +99,12 @@ class TestLoadPanel:
             assert np.isfinite(panel.mm_value[j])
 
     def test_missing_quote_drops_day(self, tmp_path, caplog):
-        write_quote_files(tmp_path, n_days=10, seed=2, drop_futures_on=(4,))
+        write_quote_files(tmp_path, n_days=20, seed=2, drop_futures_on=(4,))
         with caplog.at_level(logging.INFO, logger="vixtrack.data"):
-            panel = load_panel(tmp_path, max_drop_frac=0.15)
-        assert panel.n_days == 9
+            panel = load_panel(tmp_path)
+        assert panel.n_days == 19
         assert panel.n_dropped == 1
-        assert "dropped 1 of 10 candidate days" in caplog.text
+        assert "dropped 1 of 20 candidate days" in caplog.text
         assert "0 with no rate, 1 more missing a front close" in caplog.text
 
     def test_excessive_drops_abort_by_default(self, tmp_path):
@@ -184,10 +188,10 @@ class TestLoadPanel:
 
     def test_missing_middle_rank_drops_day(self, tmp_path):
         dates = write_quote_files(
-            tmp_path, n_days=10, seed=2, drop_futures_on=(4,), drop_rank=3
+            tmp_path, n_days=20, seed=2, drop_futures_on=(4,), drop_rank=3
         )
-        panel = load_panel(tmp_path, n_ranks=7, max_drop_frac=0.15)
-        assert panel.n_days == 9
+        panel = load_panel(tmp_path, n_ranks=7)
+        assert panel.n_days == 19
         assert panel.n_dropped == 1
         assert dates[4] not in panel.dates
 
@@ -210,12 +214,12 @@ class TestLoadPanel:
         # contract F<k> expires on day 21*k; days 4 and 22 lack the front
         # close, and day 21 is the first front's settlement day
         dates = write_quote_files(
-            tmp_path, n_days=30, seed=2, drop_futures_on=(4, 22)
+            tmp_path, n_days=40, seed=2, drop_futures_on=(4, 22)
         )
-        panel = load_panel(tmp_path, max_drop_frac=0.1)
+        panel = load_panel(tmp_path)
         assert panel.n_dropped == 2
         kept = [dates.index(d) for d in panel.dates]
-        assert kept == [i for i in range(30) if i not in (4, 22)]
+        assert kept == [i for i in range(40) if i not in (4, 22)]
         for j, i in enumerate(kept):
             k = i // 21 + 1
             assert rank_contract(panel, j, 1) == f"F{k:02d}"
@@ -263,10 +267,10 @@ class TestLoadPanel:
         assert np.allclose(panel.mm_value[1:], expected, rtol=1e-14)
 
     def test_missing_rate_drops_day(self, tmp_path, caplog):
-        dates = write_quote_files(tmp_path, n_days=10, seed=8, rate=0.036)
+        dates = write_quote_files(tmp_path, n_days=20, seed=8, rate=0.036)
         drop_rates(tmp_path, [dates[4]])
         with caplog.at_level(logging.INFO, logger="vixtrack.data"):
-            panel = load_panel(tmp_path, max_drop_frac=0.15)
+            panel = load_panel(tmp_path)
         assert panel.n_dropped == 1
         assert "1 with no rate, 0 more" in caplog.text
         assert dates[4] not in panel.dates

@@ -139,19 +139,24 @@ def compare(ref: Path, work: Path, cases: dict) -> list:
     return differences
 
 
+def export(commit: str, dest: Path) -> None:
+    """Write the files of ``commit`` of this repository into a new
+    directory ``dest``, with ``git archive``."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True)
+    if archive.returncode:
+        raise SystemExit(archive.stderr.decode().strip())
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="commit to compare the working tree against, e.g. HEAD~1")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="vixtrack-ab-") as tmp:
         tmp = Path(tmp)
-        ref = tmp / "ref"
-        ref.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.ref], capture_output=True)
-        if archive.returncode:
-            raise SystemExit(archive.stderr.decode().strip())
-        subprocess.run(["tar", "-x", "-C", str(ref)], input=archive.stdout, check=True)
-        differences = compare(ref, tmp, write_input_sets(tmp / "inputs"))
+        export(args.ref, tmp / "ref")
+        differences = compare(tmp / "ref", tmp, write_input_sets(tmp / "inputs"))
     for line in differences:
         print(line)
     print(f"{len(differences)} differences against {args.ref}")

@@ -266,7 +266,7 @@ def mle_fit(series) -> MLEReport:
     """
     series = np.asarray(series, dtype=float)
     if series.size < 100:
-        raise ValueError(f"need at least 100 observations, got {series.size}")
+        raise ValueError(f"the MLE needs at least 100 daily closes, got {series.size}")
     if np.any(series <= 0):
         raise ValueError("spot series must be positive")
     from scipy.optimize import minimize

@@ -295,7 +295,10 @@ def _load_quotes(args, manifest: RunManifest):
 
 def cmd_calibrate(args, manifest: RunManifest) -> int:
     panel = _load_quotes(args, manifest)
-    mle = mle_fit(panel.spot)
+    try:
+        mle = mle_fit(panel.spot)
+    except ValueError as exc:
+        raise DataError(f"--window {args.window}: {exc}" if args.window else str(exc)) from None
     mom = mom_fit(panel.observations())
     # the parameters read_params_file reads, then the fit diagnostics
     fitted = {**dataclasses.asdict(mle.params), **dataclasses.asdict(mom.params)}

@@ -96,19 +96,22 @@ class PricePanel:
     ``dates`` is an array of ``datetime64[D]`` for loaded quotes (a
     hand-built panel may use day indices).  ``contracts`` holds one id
     per column of ``prices`` and ``ttms``, in expiry order; both
-    matrices are NaN where a contract has no quote.  A contract on its
-    final settlement day (ttm = 0) is included when quoted; ranks count
-    only contracts with ttm > 0.  ``n_dropped`` counts the candidate
-    days the loader dropped, ``n_dropped_no_rate`` those of them with
-    no rate; the rest miss a front close.
+    matrices are NaN where a contract has no quote, and nowhere else:
+    each price is paired with a ttm, which construction enforces.  A
+    contract on its final settlement day (ttm = 0) is included when
+    quoted; ranks count only contracts with ttm > 0.  So a contract
+    with no quote on a day is not live that day.  ``n_dropped`` counts
+    the candidate days the loader dropped, ``n_dropped_no_rate`` those
+    of them with no rate; the rest miss a front close.
 
     Raises
     ------
     ValueError
         If ``prices`` or ``ttms`` is not days x contracts.
     DataError
-        If a day's quoted ttms decrease from one column to the next,
-        i.e. the columns are not in expiry order.
+        Naming the first day and contract with a price and no ttm, or a
+        ttm and no price; or if a day's quoted ttms decrease from one
+        column to the next, i.e. the columns are not in expiry order.
     """
 
     dates: np.ndarray
@@ -127,6 +130,11 @@ class PricePanel:
                 f"prices {self.prices.shape} and ttms {self.ttms.shape} "
                 f"must be days x contracts {shape}"
             )
+        unpaired = np.flatnonzero(np.isnan(self.prices) != np.isnan(self.ttms))
+        if unpaired.size:
+            day, k = divmod(int(unpaired[0]), shape[1])
+            has, lacks = ("ttm", "price") if np.isnan(self.prices[day, k]) else ("price", "ttm")
+            raise DataError(f"contract {self.contracts[k]} has a {has} but no {lacks} on day {day}")
         # each quoted ttm against the largest quoted ttm to its left
         before = np.fmax.accumulate(self.ttms, axis=1)[:, :-1]
         disordered = np.flatnonzero((self.ttms[:, 1:] < before).any(axis=1))
@@ -142,12 +150,10 @@ class PricePanel:
         over each day j -> j+1, (n_days - 1,), rolling as the module
         docstring says, and how many of its rolls came early.
 
-        The roll days come from whole-array comparisons of the rank's
-        column A: with e(d) the early rolls, the position holds
-        A[d - 1] + e(d - 1) into day d and rolls where A moves off it or
-        early, e(d) = [A[d] == A[d - 1] + e(d - 1)] & the held contract
-        has no quote on day d + 1.  Only chains of early rolls are
-        walked in Python.
+        The rank rolls early on day d exactly when its contract of day d
+        has no quote on day d + 1.  With A the rank's column and e(d)
+        the early rolls, the position holds A[d - 1] + e(d - 1) into
+        day d and rolls where A moves off it or early.
 
         Raises
         ------
@@ -159,18 +165,7 @@ class PricePanel:
         """
         n, ids, prices, ttms = self.n_days, self.contracts, self.prices, self.ttms
         col = rank_columns(ttms, rank)[:, 0]
-        unquoted_next = np.isnan(prices[np.arange(1, n), col])
-        # early rolls, first as if none happened the day before, then each
-        # chain of them walked: after one, the rank has moved one further
-        early = unquoted_next.copy()
-        early[1:] &= col[1:] == col[:-1]
-        for day in np.flatnonzero(early).tolist():
-            if early[day]:
-                while day + 2 < n and unquoted_next[day + 1] and col[day + 1] == col[day] + 1:
-                    day += 1
-                    early[day] = True
-                if day + 2 < n:
-                    early[day + 1] = False
+        early = np.isnan(prices[np.arange(1, n), col])
         after = col + early  # the contract held from day d into day d + 1
         held = np.concatenate([col[:1], after[:-1]])
         rolls = np.flatnonzero((col != held) | early)

@@ -141,6 +141,18 @@ def test_calibrate_window_fits_the_window(quotes, tmp_path):
     assert read_manifest(tmp_path)["config.window"] == ":".join(window)
 
 
+@pytest.mark.parametrize("first, last", [(40, 41), (0, 98)])
+def test_calibrate_short_window_names_the_flag(quotes, tmp_path, capsys, first, last):
+    data_dir, dates = quotes
+    window = f"{dates[first]}:{dates[last]}"
+    argv = ["calibrate", "--data-dir", str(data_dir), "--window", window]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    n_days = last - first + 1
+    want = f"data error: --window {window}: the MLE needs at least 100 daily closes, got {n_days}\n"
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "manifest.txt").exists()
+
+
 def test_calibrate_rejects_compact_dates(tmp_path, capsys):
     # numpy reads 20210104 as the year 20,210,104: the run must not fit it
     write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3)

@@ -351,6 +351,18 @@ class TestPricePanel:
         with pytest.raises(DataError, match="day 5 are not in expiry order"):
             dataclasses.replace(panel, ttms=ttms, prices=prices)
 
+    @pytest.mark.parametrize(
+        "unquoted, has, lacks", [("ttms", "price", "ttm"), ("prices", "ttm", "price")]
+    )
+    def test_price_and_ttm_quoted_apart_rejected(self, unquoted, has, lacks):
+        # a ttm with no price would roll into NaN values and break the fit downstream
+        panel = grid_panel(lambda j, k: 20.0 + k, n_days=30)
+        matrix = getattr(panel, unquoted).copy()
+        matrix[0, 2] = np.nan
+        message = f"contract K03 has a {has} but no {lacks} on day 0"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            dataclasses.replace(panel, **{unquoted: matrix})
+
     def test_observations_flatten_live_quotes_day_by_day(self, tmp_path):
         write_quote_files(tmp_path, n_days=60, seed=9)
         panel = load_panel(tmp_path, n_ranks=5)

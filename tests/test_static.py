@@ -247,25 +247,27 @@ def test_early_roll_on_the_first_day_matches_the_oracles():
     assert np.array_equal(series.values, oracles.rolled_series_loop(panel, 1))
 
 
-def chained_panel(consecutive):
-    """Grid panel whose K02 settles the day after K01, so an early roll
-    out of K01 on day 20 lands in a contract that settles the next day.
-    With ``consecutive`` K02 stops the day before it settles and the
-    position rolls early again on day 21; otherwise rank 1 moves two
-    columns on, to K03, on day 21."""
+def chained_panel(settles):
+    """Grid panel whose K01 has no quote on its settlement day (21),
+    and whose K02, K03, ... settle on the days ``settles``, each losing
+    its quote on a settlement day after 21.  So an early roll out of
+    K01 on day 20 lands in a contract that settles on day 21 or 22.
+    With K02 settling on day 21, rank 1 moves two columns on, to K03,
+    on day 21; with each further contract settling the day after the
+    one before, the position rolls early again on each of those days."""
     panel = noisy_grid_panel(6, n_days=60)
-    settle = 22 if consecutive else 21
-    panel.ttms[:, 1] = (settle - np.arange(60)) / 252.0
-    panel.ttms[settle + 1 :, 1] = panel.prices[settle + 1 :, 1] = np.nan
     drop_quote(panel, 21, "K01")
-    if consecutive:
-        drop_quote(panel, 22, "K02")
+    for column, settle in enumerate(settles, 1):
+        panel.ttms[:, column] = (settle - np.arange(60)) / 252.0
+        panel.ttms[settle + 1 :, column] = panel.prices[settle + 1 :, column] = np.nan
+        if settle > 21:
+            drop_quote(panel, settle, panel.contracts[column])
     return panel
 
 
-@pytest.mark.parametrize("consecutive, early_rolls", [(False, 1), (True, 2)])
-def test_chained_rolls_match_the_oracles(consecutive, early_rolls):
-    panel = chained_panel(consecutive)
+@pytest.mark.parametrize("settles, early_rolls", [((21,), 1), ((22,), 2), ((22, 23), 3)])
+def test_chained_rolls_match_the_oracles(settles, early_rolls):
+    panel = chained_panel(settles)
     series = build_rolled_series(panel, 1)
     assert series.early_rolls == early_rolls
     assert np.array_equal(series.values, oracles.rolled_series_rolls(panel, 1))

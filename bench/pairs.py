@@ -3,14 +3,17 @@
     python3 bench/pairs.py REF OUT.json
 
 exports commit REF of this repository with ``git archive`` (as
-``bench/ab.py`` does) and compiles the bytecode of both trees, so that
-neither side pays compilation at import.  Then, for each workload of
-``BENCHMARK.json``, it runs ``PAIRS`` pairs of
+``bench/ab.py`` does), copies the working tree's ``src``, ``perfbench``
+and ``BENCHMARK.json`` beside it (two checkouts in different places can
+measure differently, so both sides run from one temporary directory),
+and compiles the bytecode of both trees, so that neither side pays
+compilation at import.  Then, for each workload of ``BENCHMARK.json``,
+it runs ``PAIRS`` pairs of
 
     python3 perfbench/run.py --workload W --seed 0 --seconds 18 --trace 0
 
-one from REF's tree and one from the working tree, with the side that
-runs first alternating from pair to pair.  It prints, per workload and
+one from each tree, with the side that runs first alternating from
+pair to pair.  It prints, per workload and
 side, the median and quartiles of each end-to-end metric, and in how
 many pairs the working tree's value is lower (every one of them is
 better lower).  The quartiles of REF's runs are the spread of the
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -95,8 +99,13 @@ def main(argv=None) -> int:
         "summary": {},
     }
     with tempfile.TemporaryDirectory(prefix="vixtrack-pairs-") as tmp:
-        trees = {"ref": Path(tmp) / "ref", "work": ROOT}
+        trees = {side: Path(tmp) / side for side in SIDES}
         export(args.ref, trees["ref"])
+        for name in ("src", "perfbench"):
+            shutil.copytree(
+                ROOT / name, trees["work"] / name, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        shutil.copy(ROOT / "BENCHMARK.json", trees["work"])
         for tree in trees.values():
             dirs = [str(tree / "src"), str(tree / "perfbench")]
             subprocess.run([sys.executable, "-m", "compileall", "-q", *dirs], check=True)

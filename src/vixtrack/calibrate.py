@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, require
 from .model import DT, HistoricalParams, RiskNeutralParams, futures_price
 
 __all__ = [
@@ -259,7 +259,8 @@ def mle_fit(series) -> MLEReport:
     Raises
     ------
     ValueError
-        If the series has fewer than 100 values or a nonpositive one.
+        If the series has fewer than 100 values or, naming the first
+        day, one that is not finite and > 0.
     CalibrationError
         If the series is constant (see
         :func:`initial_guess_from_moments`).
@@ -267,8 +268,8 @@ def mle_fit(series) -> MLEReport:
     series = np.asarray(series, dtype=float)
     if series.size < 100:
         raise ValueError(f"the MLE needs at least 100 daily closes, got {series.size}")
-    if np.any(series <= 0):
-        raise ValueError("spot series must be positive")
+    ok = np.isfinite(series) & (series > 0)
+    require(ok, ValueError, "spot close must be finite and > 0, got {}", series)
     from scipy.optimize import minimize
 
     init = initial_guess_from_moments(series)

@@ -142,7 +142,7 @@ def _read_key_values(path: Path, kind: str) -> dict:
     if not path.exists():
         raise DataError(f"{kind} {path} not found")
     kv = {}
-    for n, line in enumerate(path.read_text().splitlines(), 1):
+    for n, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

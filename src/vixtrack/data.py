@@ -253,9 +253,8 @@ def rank_columns(ttms: np.ndarray, *ranks: int) -> np.ndarray:
     rank, on each day but the last: the days a position can be opened.
     Shape (n_days - 1, len(ranks)).
 
-    On a day whose first live column is followed by live ones up to the
-    largest rank, rank r is r - 1 columns on; only the other days count
-    their live contracts.
+    Rank r on a day is that day's r-th live entry of the flattened
+    matrix; one search finds where each day's entries start.
 
     Raises
     ------
@@ -266,24 +265,12 @@ def rank_columns(ttms: np.ndarray, *ranks: int) -> np.ndarray:
     if min(ranks) < 1:
         raise DataError(f"rank {min(ranks)} not available: ranks are 1-based")
     live = ttms[:-1] > 0
-    top = max(ranks)
-    front = np.argmax(live, axis=1)
-    # flat index of each day's front; a span that runs off the row is
-    # not dense, whatever the next row's entries read
-    first = np.arange(0, live.size, live.shape[1]) + front
-    dense = front + top <= live.shape[1]
-    for offset in range(top):
-        dense &= live.take(first + offset, mode="clip")
-    cols = front[:, None] + (np.array(ranks) - 1)
-    gappy = np.flatnonzero(~dense)
-    if gappy.size:
-        # columns are in expiry order, so rank r is where the count reaches r
-        count = np.cumsum(live[gappy], axis=1)
-        short = np.flatnonzero(count[:, -1] < top)
-        if short.size:
-            raise DataError(f"rank {top} not available on day {gappy[short[0]]}")
-        cols[gappy] = np.stack([np.argmax(count >= r, axis=1) for r in ranks], axis=1)
-    return cols
+    entries = np.flatnonzero(live)
+    starts = np.searchsorted(entries, np.arange(live.shape[0] + 1) * live.shape[1])
+    short = np.flatnonzero(np.diff(starts) < max(ranks))
+    if short.size:
+        raise DataError(f"rank {max(ranks)} not available on day {short[0]}")
+    return entries[starts[:-1, None] + (np.array(ranks) - 1)] % live.shape[1]
 
 
 def _check(path: Path, line_nos, bad, message) -> None:
@@ -294,11 +281,16 @@ def _check(path: Path, line_nos, bad, message) -> None:
         raise DataError(f"{path.name}:{line_nos[rows[0]]}: {message(rows[0])}")
 
 
-def _read_rows(path: Path) -> tuple:
-    """Line numbers, then the date, code, field and value columns (as
-    object arrays of text) of a quote file's rows: every line but
-    blank ones, ``#`` comments and a ``date,`` header on line 1."""
-    lines = list(map(str.strip, path.read_text().split("\n")))
+def _read_rows(path: Path, fields: tuple) -> tuple:
+    """Line numbers, dates (``datetime64[D]``), then the code and value
+    columns (as object arrays of text) of a quote file's rows, and one
+    row mask per name in ``fields``.  The rows are every line but blank
+    ones, ``#`` comments and a ``date,`` header on line 1.  Checked in
+    this order: the file exists, each row has 4 fields, a field in
+    ``fields`` and a valid date."""
+    if not path.exists():
+        raise DataError(f"missing input file {path}")
+    lines = list(map(str.strip, path.read_text(encoding="utf-8-sig").split("\n")))
     if lines[0].lower().startswith("date,"):
         lines[0] = ""
     kept = [n for n, line in enumerate(lines, 1) if line and line[0] != "#"]
@@ -307,7 +299,10 @@ def _read_rows(path: Path) -> tuple:
     widths = np.array(list(map(str.count, texts, [","] * len(texts))), dtype=np.intp) + 1
     _check(path, line_nos, widths != 4, lambda i: f"expected 4 fields, got {widths[i]}")
     cells = ",".join(texts).split(",") if texts else []
-    return line_nos, *np.array(cells, dtype=object).reshape(-1, 4).T
+    dates, codes, kinds, values = np.array(cells, dtype=object).reshape(-1, 4).T
+    masks = [kinds == field for field in fields]
+    _check(path, line_nos, ~np.logical_or.reduce(masks), lambda i: f"unknown field {kinds[i]!r}")
+    return line_nos, _convert(path, line_nos, dates, "date"), codes, values, *masks
 
 
 def _convert(path: Path, line_nos, texts, kind: str) -> np.ndarray:
@@ -343,9 +338,7 @@ def _check_unique(path: Path, line_nos, keys: np.ndarray, what) -> None:
 
 def _read_series(path: Path, field: str) -> tuple:
     """Line numbers, dates and values of a file of one ``field`` row per date."""
-    line_nos, dates, _, fields, values = _read_rows(path)
-    _check(path, line_nos, fields != field, lambda i: f"unknown field {fields[i]!r}")
-    dates = _convert(path, line_nos, dates, "date")
+    line_nos, dates, _, values, _ = _read_rows(path, (field,))
     values = _convert(path, line_nos, values, "number")
     _check_unique(path, line_nos, dates, lambda i: f"{field} for {dates[i]}")
     return line_nos, dates, values
@@ -379,19 +372,14 @@ def load_panel(data_dir, window=None, n_ranks: int = 7) -> PricePanel:
         ``MAX_DROP_FRAC`` of the candidate days are dropped for missing
         data (no rate or a missing front-``n_ranks`` close).
     """
-    paths = [Path(data_dir) / name for name in ("spot.csv", "futures.csv", "rates.csv")]
-    for p in paths:
-        if not p.exists():
-            raise DataError(f"missing input file {p}")
-    spot_path, fut_path, rate_path = paths
+    spot_path, fut_path, rate_path = (
+        Path(data_dir) / name for name in ("spot.csv", "futures.csv", "rates.csv")
+    )
 
     spot_lines, spot_dates, spot_values = _read_series(spot_path, "close")
     _check(spot_path, spot_lines, spot_values <= 0, lambda i: "nonpositive price")
 
-    line_nos, dates, codes, fields, values = _read_rows(fut_path)
-    dates = _convert(fut_path, line_nos, dates, "date")
-    is_close, is_expiry = fields == "close", fields == "expiry"
-    _check(fut_path, line_nos, ~(is_close | is_expiry), lambda i: f"unknown field {fields[i]!r}")
+    line_nos, dates, codes, values, is_close, is_expiry = _read_rows(fut_path, ("close", "expiry"))
     close_lines, close_codes, close_dates = line_nos[is_close], codes[is_close], dates[is_close]
     prices = _convert(fut_path, close_lines, values[is_close], "number")
     _check(fut_path, close_lines, prices <= 0, lambda i: "nonpositive price")

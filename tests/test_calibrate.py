@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -341,6 +342,14 @@ class TestMleFit:
             mle_fit(np.full(10, 20.0))
         with pytest.raises(ValueError):
             mle_fit(np.linspace(-1, 20, 200))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_close_not_finite_and_positive_names_the_day(self, bad):
+        spot = np.linspace(15.0, 25.0, 200)
+        spot[57] = bad
+        message = f"spot close must be finite and > 0, got {bad} on day 57"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mle_fit(spot)
 
     def test_moment_start_is_reasonable(self):
         true = HistoricalParams(5.0, 20.0, 3.0)

@@ -1,6 +1,7 @@
 """Every subcommand run end to end with its default flags on generated
 quote files, and the package's public names."""
 
+import codecs
 import dataclasses
 import importlib
 import inspect
@@ -201,6 +202,30 @@ def test_backtest_static_unbuildable_rank_fails_its_subsets_only(quotes, tmp_pat
     status = {row[0]: row[1:3] for row in rows}
     assert status["9-m"] == status["1-m,9-m"] == ["ERROR", "rank 9 not available on day 0"]
     assert status["1-m"][0] != "ERROR" and status["2-m"][0] != "ERROR"
+
+
+def test_backtest_static_rank_deficient_subsets_fail_alone(tmp_path):
+    # with every futures close at 20.0 all rolled series are equal, so a
+    # second rank is a dependent column of the fit
+    data_dir = tmp_path / "quotes"
+    dates = write_quote_files(data_dir, n_days=120, seed=3)
+    path = data_dir / "futures.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("".join(
+        (line.rsplit(",", 1)[0] + ",20.0" if ",close," in line else line) + "\n" for line in lines
+    ))
+    code = main([
+        "backtest-static", "--data-dir", str(data_dir), "--split", str(dates[60]),
+        "--subsets", "1;1,2;2,6", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert read_manifest(tmp_path / "out")["count.failed_subsets"] == "2"
+    _, rows = table(tmp_path / "out" / "static_price.tsv")
+    status = {row[0]: row[1:3] for row in rows}
+    assert status["1-m"][0] != "ERROR"
+    for label, dependent in [("1-m,2-m", "2-m"), ("2-m,6-m", "6-m")]:
+        message = f"rank-deficient constrained system; dependent columns: ['{dependent}']"
+        assert status[label] == ["ERROR", message]
 
 
 def test_backtest_static_table_widens_for_large_subsets(quotes, tmp_path):
@@ -630,6 +655,25 @@ def test_malformed_key_value_files_are_named(
     assert err.startswith("data error: ")
     assert all(part in err for part in where), err
     assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["params.txt", "scenario.txt"])
+def test_byte_order_mark_leaves_a_key_value_file_as_it_was(tmp_path, name):
+    # spreadsheet and some editor exports start a UTF-8 file with one
+    files = {"params.txt": PARAMS, "scenario.txt": "seed=4\ncontracts=1,3\n"}
+    runs = {}
+    for bom in (b"", codecs.BOM_UTF8):
+        run = tmp_path / ("marked" if bom else "plain")
+        run.mkdir()
+        for file, text in files.items():
+            (run / file).write_bytes((bom if file == name else b"") + text.encode())
+        argv = ["simulate", "--params", str(run / "params.txt"), "--cycles", "1"]
+        argv += ["--scenario", str(run / "scenario.txt"), "--out-dir", str(run / "out")]
+        assert main(argv) == 0
+        runs[bom] = {p.name: p.read_bytes() for p in (run / "out").iterdir()}
+    plain, marked = runs.values()
+    del plain["manifest.txt"], marked["manifest.txt"]
+    assert plain == marked
 
 
 @pytest.mark.parametrize("flag", ["--params", "--scenario"])

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import logging
 import re
@@ -258,6 +259,17 @@ class TestLoadPanel:
         for f in dataclasses.fields(plain):
             np.testing.assert_array_equal(getattr(with_etn, f.name), getattr(plain, f.name))
 
+    @pytest.mark.parametrize("name", ["spot.csv", "futures.csv", "rates.csv"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, name):
+        # spreadsheet "CSV UTF-8" exports start with one
+        write_quote_files(tmp_path, n_days=30, seed=7)
+        plain = load_panel(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        marked = load_panel(tmp_path)
+        for f in dataclasses.fields(plain):
+            np.testing.assert_array_equal(getattr(marked, f.name), getattr(plain, f.name))
+
     def test_money_market_compounds_from_rates(self, tmp_path):
         write_quote_files(tmp_path, n_days=10, seed=8, rate=0.036)
         panel = load_panel(tmp_path)
@@ -343,6 +355,13 @@ class TestPricePanel:
                     assert np.isfinite(panel.prices[j, i])
                     # the loader's ttm: trading days to expiry over 252
                     assert panel.ttms[j, i] == (maturity - j) / TRADING_DAYS_PER_YEAR
+
+    @pytest.mark.parametrize("matrix", ["ttms", "prices"])
+    def test_matrix_not_days_by_contracts_rejected(self, matrix):
+        panel = grid_panel(lambda j, k: 25.0, n_days=30)
+        short = getattr(panel, matrix)[:, 1:]
+        with pytest.raises(ValueError, match=r"must be days x contracts \(30, \d+\)"):
+            dataclasses.replace(panel, **{matrix: short})
 
     def test_rows_out_of_expiry_order_rejected(self):
         panel = grid_panel(lambda j, k: 25.0, n_days=30)

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vixtrack import (
     DataError,
@@ -282,6 +285,13 @@ class TestRankColumns:
         with pytest.raises(ValueError):
             rank_columns(panel.ttms, 0, 1)
 
+    def test_one_day_panel_has_no_opening_day(self):
+        assert rank_columns(np.ones((1, 3)), 2, 1).shape == (0, 2)
+
+    def test_panel_without_contracts_names_the_first_day(self):
+        with pytest.raises(DataError, match="^rank 1 not available on day 0$"):
+            rank_columns(np.empty((3, 0)), 1)
+
     def test_a_day_short_at_its_last_column_does_not_read_the_next_day(self):
         # day 0 has live contracts only in its last two columns, and the
         # next day's first column is live
@@ -289,6 +299,29 @@ class TestRankColumns:
         with pytest.raises(DataError, match="rank 3 not available on day 0"):
             rank_columns(ttms, 3)
         assert rank_columns(ttms, 2, 1).tolist() == [[2, 1], [1, 0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_days=st.integers(1, 11),
+        n_contracts=st.integers(1, 8),
+        ranks=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    )
+    def test_matches_the_count_oracle(self, seed, n_days, n_contracts, ranks):
+        # unquoted (NaN) and settling (0) entries anywhere, so some days
+        # are short of the largest rank and some live only at their end
+        rng = np.random.default_rng(seed)
+        ttms = np.sort(rng.uniform(0.0, 1.0, size=(n_days, n_contracts)), axis=1)
+        ttms[rng.random(ttms.shape) < 0.15] = 0.0
+        ttms[rng.random(ttms.shape) < 0.25] = np.nan
+        try:
+            want = oracles.rank_columns_cumsum(ttms, *ranks)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                rank_columns(ttms, *ranks)
+        else:
+            got = rank_columns(ttms, *ranks)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestStrategies:

@@ -347,6 +347,12 @@ class TestConstrainedLS:
         with pytest.raises(DegenerateProblemError, match="dup"):
             solve_constrained_ls(cols, rng.normal(size=30), ("cash", "dup1", "dup2"))
 
+    @pytest.mark.parametrize("n_days, labels", [(29, ("cash", "a", "b")), (30, ("cash", "a"))])
+    def test_columns_not_target_by_labels_rejected(self, n_days, labels):
+        cols = np.random.default_rng(3).normal(size=(30, 3))
+        with pytest.raises(ValueError, match="must be target length x labels"):
+            solve_constrained_ls(cols, np.ones(n_days), labels)
+
     def test_feasible_perturbations_never_improve(self):
         rng = np.random.default_rng(9)
         cols = rng.normal(0, 1, size=(60, 4)) + 10
@@ -436,9 +442,12 @@ class TestRmse:
     def test_constant_offset(self):
         assert evaluate_rmse(np.full(17, 90.0), np.full(17, 100.0)) == pytest.approx(10.0)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            evaluate_rmse(np.ones(3), np.ones(4))
+    @pytest.mark.parametrize(
+        "n_portfolio, n_target, message", [(3, 4, "equal length"), (0, 0, "nonempty")]
+    )
+    def test_unequal_or_empty_series_rejected(self, n_portfolio, n_target, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_rmse(np.ones(n_portfolio), np.ones(n_target))
 
 
 class TestStaticPortfolio:

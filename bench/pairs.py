@@ -2,13 +2,15 @@
 
     python3 bench/pairs.py REF OUT.json
 
-exports commit REF of this repository with ``git archive`` (as
-``bench/ab.py`` does), copies the working tree's ``src``, ``perfbench``
-and ``BENCHMARK.json`` beside it (two checkouts in different places can
-measure differently, so both sides run from one temporary directory),
-and compiles the bytecode of both trees, so that neither side pays
-compilation at import.  Then, for each workload of ``BENCHMARK.json``,
-it runs ``PAIRS`` pairs of
+exports commit REF of this repository and the working tree, each with
+``git archive`` (as ``bench/ab.py`` does), into one temporary directory
+(two checkouts in different places can measure differently).  The
+working tree is exported as the commit ``git stash create`` makes of
+its tracked files, or as HEAD when it has no change; an untracked file
+under ``src/`` or ``perfbench/`` would be measured on neither side, so
+it stops the script.  Both trees' bytecode is compiled, so that neither
+side pays compilation at import.  Then, for each workload of
+``BENCHMARK.json``, it runs ``PAIRS`` pairs of
 
     python3 perfbench/run.py --workload W --seed 0 --seconds 18 --trace 0
 
@@ -19,8 +21,10 @@ many pairs the working tree's value is lower (every one of them is
 better lower).  The quartiles of REF's runs are the spread of the
 benchmark on this machine with no code change.
 
-``OUT.json`` gets every run of both sides, both commits and the
-machine (CPU count, Python, numpy and scipy versions).  A run that
+``OUT.json`` gets every run of both sides, both commits, the hash of
+the tree exported as the working tree (``work_tree``; HEAD's tree when
+there is no change) and the machine (CPU count, Python, numpy and scipy
+versions).  A run that
 fails stops the script.  The script only reads ``perfbench/``.
 """
 
@@ -30,7 +34,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -82,11 +85,15 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
+    if untracked:
+        raise SystemExit(f"untracked files would not be measured; add or remove them:\n{untracked}")
+    work = git("stash", "create") or git("rev-parse", "HEAD")
     result = {
         "commits": {
             "ref": git("rev-parse", f"{args.ref}^{{commit}}"),
             "work": git("rev-parse", "HEAD"),
-            "work_has_uncommitted_changes": bool(git("status", "--porcelain")),
+            "work_tree": git("rev-parse", f"{work}^{{tree}}"),
         },
         "machine": {
             "cpu_count": os.cpu_count(),
@@ -101,11 +108,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="vixtrack-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         export(args.ref, trees["ref"])
-        for name in ("src", "perfbench"):
-            shutil.copytree(
-                ROOT / name, trees["work"] / name, ignore=shutil.ignore_patterns("__pycache__")
-            )
-        shutil.copy(ROOT / "BENCHMARK.json", trees["work"])
+        export(work, trees["work"])
         for tree in trees.values():
             dirs = [str(tree / "src"), str(tree / "perfbench")]
             subprocess.run([sys.executable, "-m", "compileall", "-q", *dirs], check=True)

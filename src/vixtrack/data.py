@@ -37,8 +37,10 @@ rank) into the contract now occupying the rank, or early, on the held
 contract's last quoted day, when its quotes stop before its settlement
 day (common in ingested data).  Either way the new contract must be the
 next one by expiry, quoted on the roll day.  The one schedule of these
-rolls is :meth:`PricePanel.held_columns`: the rolled series and the
-trackers' held pair both read it.
+rolls is :meth:`PricePanel.held`, the rank's held leg: the contract, its
+ttm and its prices over each day.  The simulated market has a ``held``
+of its own (:class:`~vixtrack.simulate.SimulatedCurves`), and the
+rolled series and the trackers' held pair read either one.
 
 A loaded panel keeps, per day, the contract settling that day when it
 is quoted plus the front ``n_ranks`` contracts: the first ``n_ranks``
@@ -145,10 +147,11 @@ class PricePanel:
     def n_days(self) -> int:
         return self.spot.size
 
-    def held_columns(self, rank: int) -> tuple:
-        """The column of the contract that maturity rank ``rank`` holds
-        over each day j -> j+1, (n_days - 1,), rolling as the module
-        docstring says, and how many of its rolls came early.
+    def held(self, rank: int) -> tuple:
+        """The contract that maturity rank ``rank`` holds over each day
+        j -> j+1, rolling as the module docstring says: its id, its ttm
+        on day j and its prices on days j and j+1, each (n_days - 1,),
+        and how many of its rolls came early.
 
         The rank rolls early on day d exactly when its contract of day d
         has no quote on day d + 1.  With A the rank's column and e(d)
@@ -200,29 +203,9 @@ class PricePanel:
                     "which the position rolls into"
                 )
             raise DataError(f"held contract {ids[into[k]]} has no quote on day {day + 1}")
-        return after, int(early.sum())
-
-    def held_pair(self, i1: int, i2: int) -> tuple:
-        """The contracts of maturity ranks ``i1`` and ``i2`` held over
-        each day j -> j+1 (see :meth:`held_columns`): their ttms on day
-        j and their prices on days j and j+1, each (n_days - 1, 2).
-
-        Raises
-        ------
-        DataError
-            As :meth:`held_columns` for either rank, or naming the first
-            day an early roll leaves two different ranks on one contract.
-        """
-        cols = np.stack([self.held_columns(rank)[0] for rank in (i1, i2)], axis=1)
-        shared = np.flatnonzero((cols[:, 0] == cols[:, 1]) & (i1 != i2))
-        if shared.size:
-            day = shared[0]
-            both = self.contracts[cols[day, 0]]
-            raise DataError(f"ranks {i1} and {i2} both hold {both} on day {day}")
-        return tuple(
-            np.take_along_axis(m, cols, axis=1)
-            for m in (self.ttms[:-1], self.prices[:-1], self.prices[1:])
-        )
+        days = np.arange(n - 1)
+        ttm, today, tomorrow = ttms[days, after], prices[days, after], prices[days + 1, after]
+        return ids[after], ttm, today, tomorrow, int(early.sum())
 
     def observations(self) -> tuple:
         """The live quotes (ttm > 0) as flat arrays, day by day and in

@@ -9,16 +9,17 @@ volatility ``g`` the engine is given (``simulate`` passes
 ``LocalVol.square_root(hist.sigma)``).  Monthly contracts mature every
 ``model.CYCLE_DAYS`` trading days, so rank r on day j is the contract
 maturing on day CYCLE_DAYS * (j // CYCLE_DAYS + r) on every path:
-:class:`SimulatedCurves` computes the two held maturities of a
-(paths, days) batch in closed form and prices only them, through
+:meth:`SimulatedCurves.held` computes a rank's held maturity for a
+(paths, days) batch in closed form and prices only it, through
 :func:`~vixtrack.model.futures_price`, with no ttm matrix and no
 (paths, days, contracts) array.  Loaded quotes supply the same held
-pair, each leg rolling early where its quotes stop before settlement
-(:meth:`~vixtrack.data.PricePanel.held_pair`), so :func:`track` is the
-one run of the dynamic tracker and the VXX-style roll on either market.
-A two-contract strategy is the weight on the first of the pair, per
-path and day or per day for every path; its wealth is one
-self-financing mark-to-market recursion along the days of all paths.
+leg, rolling early where its quotes stop before settlement
+(:meth:`~vixtrack.data.PricePanel.held`).  :func:`held_pair` joins two
+legs of either market, so :func:`track` is the one run of the dynamic
+tracker and the VXX-style roll on both.  A two-contract strategy is the
+weight on the first of the pair, per path and day or per day for every
+path; its wealth is one self-financing mark-to-market recursion along
+the days of all paths.
 
 RNG convention: path k of a multi-path run draws its normals from the
 k-th child of ``SeedSequence(seed)`` into its own row of one batch,
@@ -48,6 +49,7 @@ __all__ = [
     "IndexPath",
     "simulate_index_paths",
     "SimulatedCurves",
+    "held_pair",
     "hold_pair",
     "vxx_front_weights",
     "track",
@@ -121,29 +123,48 @@ class SimulatedCurves:
         self.rn = rn
         self.mm_value = np.exp(r * DT * np.arange(self.spot.shape[-1]))
 
-    def held_pair(self, i1: int, i2: int) -> tuple:
-        """As :meth:`~vixtrack.data.PricePanel.held_pair`, on every
-        path: rank r over day j -> j+1 is the contract maturing on day
+    def held(self, rank: int) -> tuple:
+        """As :meth:`~vixtrack.data.PricePanel.held`, on every path:
+        rank r over day j -> j+1 holds the contract maturing on day
         T = CYCLE_DAYS * (j // CYCLE_DAYS + r), with ttm (T - j) / 252
         today and (T - j - 1) / 252 tomorrow, as the loader counts it.
-        The ttms are (days - 1, 2); the prices (..., days - 1, 2).
+        Returns T and the ttm, (days - 1,), the prices today and
+        tomorrow, (..., days - 1), and no early roll.
 
         Raises
         ------
         DataError
-            If a rank is below 1.
+            If the rank is below 1.
         """
-        if min(i1, i2) < 1:
-            raise DataError(f"rank {min(i1, i2)} not available: ranks are 1-based")
-        day = np.arange(self.spot.shape[-1] - 1)[:, None]
-        left = CYCLE_DAYS * (day // CYCLE_DAYS + np.array([i1, i2])) - day
-        ttm, ttm_next = left / TRADING_DAYS_PER_YEAR, (left - 1) / TRADING_DAYS_PER_YEAR
-        # one column at a time, so a bad spot or ttm is named by its day
-        today, tomorrow = (
-            np.stack([futures_price(s, t[:, k], self.rn) for k in (0, 1)], axis=-1)
-            for s, t in ((self.spot[..., :-1], ttm), (self.spot[..., 1:], ttm_next))
-        )
-        return ttm, today, tomorrow
+        if rank < 1:
+            raise DataError(f"rank {rank} not available: ranks are 1-based")
+        day = np.arange(self.spot.shape[-1] - 1)
+        maturity = CYCLE_DAYS * (day // CYCLE_DAYS + rank)
+        left = maturity - day
+        ttm = left / TRADING_DAYS_PER_YEAR
+        today = futures_price(self.spot[..., :-1], ttm, self.rn)
+        tomorrow = futures_price(self.spot[..., 1:], (left - 1) / TRADING_DAYS_PER_YEAR, self.rn)
+        return maturity, ttm, today, tomorrow, 0
+
+
+def held_pair(market, i1: int, i2: int) -> tuple:
+    """The contracts that maturity ranks ``i1`` and ``i2`` hold over
+    each day j -> j+1 on ``market`` (its ``held`` legs): their ttms on
+    day j, (days - 1, 2), and their prices on days j and j+1,
+    (..., days - 1, 2).
+
+    Raises
+    ------
+    DataError
+        As ``held`` for either rank, or naming the first day an early
+        roll leaves two different ranks on one contract.
+    """
+    (key1, *leg1, _), (key2, *leg2, _) = market.held(i1), market.held(i2)
+    shared = np.flatnonzero((key1 == key2) & (i1 != i2))
+    if shared.size:
+        day = shared[0]
+        raise DataError(f"ranks {i1} and {i2} both hold {key1[day]} on day {day}")
+    return tuple(np.stack(pair, axis=-1) for pair in zip(leg1, leg2))
 
 
 def hold_pair(w1, today: np.ndarray, tomorrow: np.ndarray, mm_value: np.ndarray) -> np.ndarray:
@@ -155,7 +176,7 @@ def hold_pair(w1, today: np.ndarray, tomorrow: np.ndarray, mm_value: np.ndarray)
     from x[0] = 100: the full wealth sits on margin earning the
     money-market return, and each contract adds its price change times
     the units held, so wealth may go negative under leverage.
-    ``today`` and ``tomorrow`` are a ``held_pair``'s (..., days - 1, 2)
+    ``today`` and ``tomorrow`` are :func:`held_pair`'s (..., days - 1, 2)
     prices f and f', for one path or one per leading index; one series
     ``w1`` and the account values M serve every path.  The ranks count
     contracts with ttm > 0 on day j, so the holder earns a maturing
@@ -204,8 +225,9 @@ def vxx_front_weights(ttm: np.ndarray) -> np.ndarray:
 def track(market, ranks, beta: float, hist: HistoricalParams, rn: RiskNeutralParams) -> tuple:
     """The dynamic tracker of ``beta`` times the index on the pair
     ``ranks`` and the VXX-style roll on ranks (1, 2), on a ``market``
-    with ``spot``, ``mm_value`` and ``held_pair`` (a loaded
-    :class:`~vixtrack.data.PricePanel` or :class:`SimulatedCurves`).
+    with ``spot``, ``mm_value`` and ``held`` (a loaded
+    :class:`~vixtrack.data.PricePanel` or :class:`SimulatedCurves`),
+    each pair read by :func:`held_pair`.
 
     Day j's cash return M[j+1] / M[j] - 1 is known on day j.  Returns
     ``(w_dyn, w_vxx, wealth)``: the dynamic weight on ``ranks[0]``,
@@ -215,13 +237,13 @@ def track(market, ranks, beta: float, hist: HistoricalParams, rn: RiskNeutralPar
     the caller judges it.
     """
     mm = market.mm_value
-    ttm, today, tomorrow = market.held_pair(*ranks)
+    ttm, today, tomorrow = held_pair(market, *ranks)
     c = tracking_coefficients(
         market.spot[..., :-1], ttm[:, 0], ttm[:, 1], beta, hist, rn, mm[1:] / mm[:-1] - 1.0
     )
     w_dyn, _ = optimal_weight(c)
     with np.errstate(over="ignore", invalid="ignore"):
         wealth_dyn = hold_pair(w_dyn, today, tomorrow, mm)
-    ttm, today, tomorrow = market.held_pair(1, 2)
+    ttm, today, tomorrow = held_pair(market, 1, 2)
     w_vxx = vxx_front_weights(ttm)
     return w_dyn, w_vxx, np.stack([wealth_dyn, hold_pair(w_vxx, today, tomorrow, mm)], axis=-2)

@@ -4,10 +4,12 @@ A "rolled series" is the dollar value of perpetually holding one
 maturity rank: units stay constant between rolls, and at each roll the
 full proceeds buy the contract that now occupies the rank, so the
 position is self-financing throughout.  Which contract the rank holds
-on each day, and every check of its rolls, come from the panel
-(:meth:`~vixtrack.data.PricePanel.held_columns`); here the units
-carried across the rolls are one Python float step per roll, and the
-values are one gather of the held contract's prices.  A run builds
+on each day, its prices, and every check of its rolls come from the
+market's held leg (``held`` of a loaded
+:class:`~vixtrack.data.PricePanel` or of a one-path
+:class:`~vixtrack.simulate.SimulatedCurves`); here the units carried
+across the rolls are one Python float step per roll, and the values
+are the units times the held contract's next-day prices.  A run builds
 each rank once: in-sample and out-of-sample windows read slices of the
 full-window series, rebased to 100 on their first day.
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PricePanel
 from .errors import DataError, DegenerateProblemError
 
 __all__ = [
@@ -63,31 +64,32 @@ class StaticWeights:
     out_rmse: float
 
 
-def build_rolled_series(panel: PricePanel, rank: int) -> RolledSeries:
+def build_rolled_series(market, rank: int) -> RolledSeries:
     """Value of a constant position in maturity rank ``rank``, from 100
-    on the panel's first day: each roll of
-    :meth:`~vixtrack.data.PricePanel.held_columns` sells the held
-    contract at that day's close and buys the next at the same value.
+    on the first day of a one-path ``market`` (a loaded
+    :class:`~vixtrack.data.PricePanel` or a
+    :class:`~vixtrack.simulate.SimulatedCurves` of one path): on each
+    day the rank's ``held`` leg changes contract, the held contract is
+    sold at that day's close and the next bought at the same value.
 
     Raises
     ------
     DataError
-        If the panel has fewer than 2 days, or as ``held_columns``.
+        If the market has fewer than 2 days, or as its ``held``.
     """
-    n = panel.n_days
+    n = market.spot.shape[-1]
     if n < 2:
         raise DataError(f"a rolled series needs at least 2 days, got {n}")
-    cols, early_rolls = panel.held_columns(rank)
-    prices = panel.prices
+    keys, _, today, tomorrow, early_rolls = market.held(rank)
     # value is carried across each roll: u' = (u * p_out) / p_in
-    rolls = np.flatnonzero(cols[1:] != cols[:-1]) + 1
-    units = [100.0 / prices[0, cols[0]]]
-    for p_out, p_in in zip(*prices[rolls, [cols[rolls - 1], cols[rolls]]].tolist()):
+    rolls = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    units = [100.0 / today[0]]
+    for p_out, p_in in zip(tomorrow[rolls - 1].tolist(), today[rolls].tolist()):
         units.append(units[-1] * p_out / p_in)
     lengths = np.diff(rolls, prepend=0, append=n - 1)
     values = np.empty(n)
     values[0] = 100.0
-    values[1:] = np.repeat(units, lengths) * prices[np.arange(1, n), cols]
+    values[1:] = np.repeat(units, lengths) * tomorrow
     return RolledSeries(maturity_rank=rank, values=values, early_rolls=early_rolls)
 
 
@@ -142,7 +144,7 @@ def evaluate_rmse(portfolio: np.ndarray, target: np.ndarray) -> float:
     return float(np.sqrt(np.mean((target - portfolio) ** 2)))
 
 
-def static_portfolio(panel: PricePanel, rolled, cut: int, mode: str) -> StaticWeights:
+def static_portfolio(panel, rolled, cut: int, mode: str) -> StaticWeights:
     """Fit tracking weights on the panel's days before ``cut`` and score
     them on the days from ``cut`` on.
 

@@ -744,6 +744,63 @@ def test_equal_manifests_mean_identical_outputs(calibrated, quotes, tmp_path, co
     assert manifests[0] == manifests[1]
 
 
+def rewrite_quotes(src, dst, shuffle=False, days=0, letter="F", scale=1.0):
+    """Copy the quote files of ``src`` into ``dst``: the rows of each
+    file in a shuffled order, every date ``days`` later, contract codes
+    starting with ``letter`` in place of F, every close times ``scale``."""
+    dst.mkdir()
+    rng = np.random.default_rng(0)
+    for name in QUOTE_FILES:
+        header, *rows = (src / name).read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        for row in cells:
+            row[0] = str(np.datetime64(row[0]) + days)
+            if name == "futures.csv":
+                row[1] = letter + row[1][1:]
+            if row[2] == "close":
+                row[3] = repr(float(row[3]) * scale)
+        if shuffle:
+            rng.shuffle(cells)
+        (dst / name).write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+
+
+# quote edits that change no trading-day count, ACT/360 gap or expiry
+# order; the scales are powers of two, so every scaled close is exact
+INVARIANT_EDITS = {
+    "shuffled rows": {"shuffle": True},
+    "dates + 7": {"days": 7},
+    "dates + 364": {"days": 364},
+    "codes F to Z": {"letter": "Z"},
+    "closes x 0.5": {"scale": 0.5},
+    "closes x 2": {"scale": 2.0},
+}
+
+
+@pytest.mark.parametrize("command", ["calibrate", "regress", "backtest-static"])
+def test_outputs_ignore_calendar_labels_and_exact_scale(quotes, tmp_path, command):
+    """The quote edits of ``INVARIANT_EDITS`` leave every output file
+    and every count of the manifest byte-identical.  ``calibrate``
+    skips the scaled closes: its fitted levels scale with them."""
+    data_dir, dates = quotes
+
+    def outputs(name, quote_dir, days=0):
+        out = tmp_path / name / "out"
+        argv = [command, "--data-dir", str(quote_dir), "--out-dir", str(out)]
+        if command == "backtest-static":
+            argv += ["--split", str(dates[150] + days)]
+        assert main(argv) == 0
+        kv = read_manifest(out)
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"}
+        return files, {k: v for k, v in kv.items() if k.startswith(("count.", "output."))}
+
+    want = outputs("as written", data_dir)
+    for name, edits in INVARIANT_EDITS.items():
+        if command == "calibrate" and "scale" in edits:
+            continue
+        rewrite_quotes(data_dir, tmp_path / name, **edits)
+        assert outputs(name, tmp_path / name, edits.get("days", 0)) == want, name
+
+
 @pytest.mark.parametrize("case", ["import", "regress", "backtest-static", "paths", "simulate"])
 def test_scipy_is_imported_only_where_it_is_called(calibrated, quotes, tmp_path, case):
     """In a fresh interpreter, importing the CLI, the engine and the

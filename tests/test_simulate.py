@@ -11,7 +11,9 @@ from vixtrack import (
     PricePanel,
     RiskNeutralParams,
     SimulatedCurves,
+    build_rolled_series,
     futures_price,
+    held_pair,
     hold_pair,
     holding_period_returns,
     load_panel,
@@ -141,12 +143,12 @@ class TestFuturesPanel:
     def test_constant_path_at_theta_tilde_prices_flat(self):
         hist = HistoricalParams(1.0, 26.03, 0.0)
         [path] = simulate_index_paths(hist, LocalVol.square_root(0.0), 26.03, 63, 1, 1)
-        _, today, tomorrow = SimulatedCurves(path.values, FIT_RN, 0.0).held_pair(1, 2)
+        _, today, tomorrow = held_pair(SimulatedCurves(path.values, FIT_RN, 0.0), 1, 2)
         assert np.allclose(today, 26.03) and np.allclose(tomorrow, 26.03)
 
     def test_maturity_convergence_and_pointwise_oracle(self, fit_hist, fit_g, fit_rn):
         [path] = simulate_index_paths(fit_hist, fit_g, 18.81, 63, 1, 3)
-        ttm, today, tomorrow = SimulatedCurves(path.values, fit_rn, 0.0).held_pair(1, 3)
+        ttm, today, tomorrow = held_pair(SimulatedCurves(path.values, fit_rn, 0.0), 1, 3)
         # rank r on day j is the contract maturing on day 21 (j // 21 + r)
         days = np.arange(63)[:, None]
         maturity = 21 * (days // 21 + np.array([1, 3]))
@@ -164,21 +166,33 @@ class TestFuturesPanel:
             )
 
     def test_rank_below_one_rejected(self, fit_rn):
-        curves = SimulatedCurves(np.full(43, 20.0), fit_rn, 0.0)
-        with pytest.raises(DataError, match="rank 0 not available: ranks are 1-based"):
-            curves.held_pair(0, 1)
+        values = np.full(43, 20.0)
+        for market in (
+            SimulatedCurves(values, fit_rn, 0.0),
+            oracles.futures_panel_from_path(values, 3, fit_rn, 0.0),
+        ):
+            for build in (lambda m: held_pair(m, 0, 1), lambda m: build_rolled_series(m, 0)):
+                with pytest.raises(DataError, match="^rank 0 not available: ranks are 1-based$"):
+                    build(market)
 
-    def test_far_ranks_equal_the_full_panel(self, fit_hist, fit_g, fit_rn):
-        # rank 7 on the last held day (41) is the contract maturing on
-        # day 168, the 8th of the full panel's 9
+    @pytest.mark.parametrize("cycles", (2, 60))
+    def test_far_ranks_equal_the_full_panel(self, fit_hist, fit_g, fit_rn, cycles):
+        # rank 7 on the last held day (21 cycles - 1) is the contract
+        # maturing on day 21 (cycles + 6), the last but one of the full panel
         values = np.stack([p.values for p in simulate_index_paths(
-            fit_hist, fit_g, [fit_hist.theta, 40.0], 42, 2, 5
+            fit_hist, fit_g, [fit_hist.theta, 40.0, 10.0], 21 * cycles, 3, 5
         )])
-        ttm, today, tomorrow = SimulatedCurves(values, fit_rn, 0.02).held_pair(3, 7)
+        ttm, today, tomorrow = held_pair(SimulatedCurves(values, fit_rn, 0.02), 3, 7)
         for k, row in enumerate(values):
-            panel = oracles.futures_panel_from_path(row, 9, fit_rn, 0.02)
-            for got, want in zip((ttm, today[k], tomorrow[k]), panel.held_pair(3, 7)):
+            panel = oracles.futures_panel_from_path(row, cycles + 7, fit_rn, 0.02)
+            for got, want in zip((ttm, today[k], tomorrow[k]), held_pair(panel, 3, 7)):
                 assert np.array_equal(got, want)
+            # a one-path market rolls each rank as the full panel does
+            curves = SimulatedCurves(row, fit_rn, 0.02)
+            for rank in range(1, 8):
+                got, want = (build_rolled_series(m, rank) for m in (curves, panel))
+                assert np.array_equal(got.values, want.values), rank
+                assert got.early_rolls == want.early_rolls == 0
 
 
 class TestHoldPair:
@@ -253,7 +267,7 @@ class TestVxxWeights:
     @pytest.mark.parametrize("spacing", (14, 21))
     def test_front_weight_falls_linearly_over_each_cycle(self, spacing):
         panel = expiry_panel(spacing * np.arange(1, 5), n_days=3 * spacing + 1)
-        w1 = vxx_front_weights(panel.held_pair(1, 2)[0])
+        w1 = vxx_front_weights(held_pair(panel, 1, 2)[0])
         days = np.arange(panel.n_days - 1)
         # 1 on a cycle's first day, 0.5 halfway through a 14-day cycle
         assert np.array_equal(w1, 1.0 - (days % spacing) / spacing)
@@ -263,10 +277,10 @@ class TestVxxWeights:
         # from day 5 the front (expiring on day 30) is 25 days out, but
         # its cycle up to the second's expiry (day 35) is 5 days long
         with pytest.raises(ValueError, match=r"\[0, 5\], got -20 on day 5"):
-            vxx_front_weights(expiry_panel([5, 30, 35], n_days=10).held_pair(1, 2)[0])
+            vxx_front_weights(held_pair(expiry_panel([5, 30, 35], n_days=10), 1, 2)[0])
         # a front expiring more than a cycle ahead rejects day 0
         with pytest.raises(ValueError, match="got -1 on day 0"):
-            vxx_front_weights(expiry_panel([11, 21], n_days=3).held_pair(1, 2)[0])
+            vxx_front_weights(held_pair(expiry_panel([11, 21], n_days=3), 1, 2)[0])
 
 
 class TestRankColumns:
@@ -329,7 +343,7 @@ class TestStrategies:
         # a zero-volatility spot at theta_tilde prices every contract flat
         flat = HistoricalParams(1.0, fit_rn.theta_tilde, 0.0)
         panel, _, _ = make_sim_panels(cycles=2, seed=4, hist=flat, r=0.0)
-        _, today, tomorrow = panel.held_pair(1, 2)
+        _, today, tomorrow = held_pair(panel, 1, 2)
         w1 = np.random.default_rng(4).normal(size=panel.n_days - 1)
         assert np.all(hold_pair(w1, today, tomorrow, panel.mm_value) == 100.0)
 
@@ -351,7 +365,7 @@ class TestStrategies:
 
     def test_wrong_length_weights_abort(self):
         panel, _, _ = make_sim_panels(cycles=1, seed=2)
-        _, today, tomorrow = panel.held_pair(1, 2)
+        _, today, tomorrow = held_pair(panel, 1, 2)
         with pytest.raises(ValueError):
             hold_pair(np.zeros(panel.n_days), today, tomorrow, panel.mm_value)
 
@@ -422,11 +436,11 @@ def test_batch_equals_the_per_scenario_loop(ranks, r, beta, fit_hist, fit_g, fit
     assert all(np.array_equal(w_vxx, want) for want in want_vxx)
     assert wealth.shape == want_wealth.shape == (len(mults), 2, 21 * cycles + 1)
     assert np.array_equal(wealth, want_wealth)
-    ttm, today, tomorrow = curves.held_pair(*ranks)
+    ttm, today, tomorrow = held_pair(curves, *ranks)
     for k, row in enumerate(values):
         panel = oracles.futures_panel_from_path(row, n_contracts, fit_rn, r)
         assert np.array_equal(curves.mm_value, panel.mm_value)
-        for got, want in zip((ttm, today[k], tomorrow[k]), panel.held_pair(*ranks)):
+        for got, want in zip((ttm, today[k], tomorrow[k]), held_pair(panel, *ranks)):
             assert np.array_equal(got, want)
 
 
@@ -446,7 +460,7 @@ class TestLoadedQuotes:
         assert np.array_equal(loaded.spot, simulated.spot)
         assert np.array_equal(loaded.mm_value, simulated.mm_value)
         for ranks in ((1, 2), (2, 3)):
-            for got, want in zip(loaded.held_pair(*ranks), simulated.held_pair(*ranks)):
+            for got, want in zip(held_pair(loaded, *ranks), held_pair(simulated, *ranks)):
                 assert np.array_equal(got, want)
             for got, want in zip(
                 track(loaded, ranks, 1.0, fit_hist, fit_rn),
@@ -475,17 +489,18 @@ class TestLoadedQuotes:
         # F02 on day 20, while rank 2 still holds F02 that day
         write_quote_files(tmp_path, n_days=120, seed=3, drop_futures_on=(21,), drop_rank=0)
         panel = load_panel(tmp_path)
-        cols, early_rolls = panel.held_columns(1)
-        assert early_rolls == 1 and panel.contracts[cols[20]] == "F02"
-        ttm, today, tomorrow = panel.held_pair(1, 3)
+        keys, *_, early_rolls = panel.held(1)
+        assert early_rolls == 1 and keys[20] == "F02"
+        ttm, today, tomorrow = held_pair(panel, 1, 3)
         assert np.isfinite(today).all() and np.isfinite(tomorrow).all()
         days = np.arange(panel.n_days - 1)
+        cols = np.searchsorted(panel.contracts, keys)  # the codes sort in expiry order
         assert np.array_equal(ttm[:, 0], panel.ttms[days, cols])
         assert np.array_equal(today[:, 0], panel.prices[days, cols])
         assert np.array_equal(tomorrow[:, 0], panel.prices[days + 1, cols])
         message = "^ranks 1 and 2 both hold F02 on day 20$"
         with pytest.raises(DataError, match=message):
-            panel.held_pair(1, 2)
+            held_pair(panel, 1, 2)
         # through the VXX-style roll's (1, 2) pair
         with pytest.raises(DataError, match=message):
             track(panel, (1, 3), 1.0, fit_hist, fit_rn)

@@ -242,7 +242,7 @@ def test_early_roll_on_the_first_day_matches_the_oracles():
     panel = rows(noisy_grid_panel(0, n_days=100, drop_settling=True), 20, 100)
     series = build_rolled_series(panel, 1)
     assert series.early_rolls == 4
-    assert panel.held_columns(1)[0][0] == 1
+    assert panel.held(1)[0][0] == panel.contracts[1] == "K02"
     assert np.array_equal(series.values, oracles.rolled_series_rolls(panel, 1))
     assert np.array_equal(series.values, oracles.rolled_series_loop(panel, 1))
 

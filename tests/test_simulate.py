@@ -175,24 +175,24 @@ class TestFuturesPanel:
                 with pytest.raises(DataError, match="^rank 0 not available: ranks are 1-based$"):
                     build(market)
 
-    @pytest.mark.parametrize("cycles", (2, 60))
-    def test_far_ranks_equal_the_full_panel(self, fit_hist, fit_g, fit_rn, cycles):
+    def test_far_ranks_equal_the_full_panel(self, fit_hist, fit_g, fit_rn):
         # rank 7 on the last held day (21 cycles - 1) is the contract
         # maturing on day 21 (cycles + 6), the last but one of the full panel
-        values = np.stack([p.values for p in simulate_index_paths(
-            fit_hist, fit_g, [fit_hist.theta, 40.0, 10.0], 21 * cycles, 3, 5
-        )])
-        ttm, today, tomorrow = held_pair(SimulatedCurves(values, fit_rn, 0.02), 3, 7)
-        for k, row in enumerate(values):
-            panel = oracles.futures_panel_from_path(row, cycles + 7, fit_rn, 0.02)
-            for got, want in zip((ttm, today[k], tomorrow[k]), held_pair(panel, 3, 7)):
-                assert np.array_equal(got, want)
-            # a one-path market rolls each rank as the full panel does
-            curves = SimulatedCurves(row, fit_rn, 0.02)
-            for rank in range(1, 8):
-                got, want = (build_rolled_series(m, rank) for m in (curves, panel))
-                assert np.array_equal(got.values, want.values), rank
-                assert got.early_rolls == want.early_rolls == 0
+        for cycles in (2, 60):
+            values = np.stack([p.values for p in simulate_index_paths(
+                fit_hist, fit_g, [fit_hist.theta, 40.0, 10.0], 21 * cycles, 3, 5
+            )])
+            ttm, today, tomorrow = held_pair(SimulatedCurves(values, fit_rn, 0.02), 3, 7)
+            for k, row in enumerate(values):
+                panel = oracles.futures_panel_from_path(row, cycles + 7, fit_rn, 0.02)
+                for got, want in zip((ttm, today[k], tomorrow[k]), held_pair(panel, 3, 7)):
+                    assert np.array_equal(got, want)
+                # a one-path market rolls each rank as the full panel does
+                curves = SimulatedCurves(row, fit_rn, 0.02)
+                for rank in range(1, 8):
+                    got, want = (build_rolled_series(m, rank) for m in (curves, panel))
+                    assert np.array_equal(got.values, want.values), (cycles, rank)
+                    assert got.early_rolls == want.early_rolls == 0
 
 
 class TestHoldPair:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from vixtrack import (
@@ -28,6 +29,15 @@ needs_real_data = pytest.mark.skipif(
     "VIXTRACK_DATA_DIR" not in os.environ,
     reason="set VIXTRACK_DATA_DIR to a directory of real quote files",
 )
+
+
+@pytest.fixture(scope="module")
+def cli_quotes_fit(tmp_path_factory):
+    """The spot of the CLI tests' quotes (200 days, seed 3) and its fit."""
+    data_dir = tmp_path_factory.mktemp("quotes")
+    write_quote_files(data_dir, n_days=200, seed=3)
+    spot = load_panel(data_dir).spot
+    return spot, mle_fit(spot)
 
 
 def curve_panel(spots, ttms, prices):
@@ -336,6 +346,21 @@ class TestMleFit:
         assert (rep.params.mu, rep.params.theta, rep.params.sigma) == tuple(np.exp(res.x))
         assert rep.avg_loglik == -res.fun
         assert (rep.iterations, rep.evaluations) == (res.nit, res.nfev)
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.floats(0.25, 4.0))
+    def test_scale_equivariance(self, cli_quotes_fit, c):
+        # cS is CIR(mu, c theta, sqrt(c) sigma), and its density is that of
+        # S divided by c.  Over 5302 values of c in [0.25, 4] (301 and 2001
+        # log-spaced, 3000 uniform) the simplex's worst errors were 4.4e-6
+        # (mu), 8.6e-7 (theta), 2.0e-7 (sigma), relative, and 2.3e-13 in
+        # the average log-likelihood; each bound is about twice that
+        spot, fit = cli_quotes_fit
+        rep = mle_fit(c * spot)
+        assert rep.params.mu == pytest.approx(fit.params.mu, rel=1e-5)
+        assert rep.params.theta / c == pytest.approx(fit.params.theta, rel=2e-6)
+        assert rep.params.sigma / np.sqrt(c) == pytest.approx(fit.params.sigma, rel=5e-7)
+        assert rep.avg_loglik + np.log(c) == pytest.approx(fit.avg_loglik, rel=0, abs=5e-13)
 
     def test_validation(self, fit_hist):
         with pytest.raises(ValueError):

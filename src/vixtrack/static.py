@@ -75,9 +75,12 @@ def build_rolled_series(market, rank: int) -> RolledSeries:
     Raises
     ------
     DataError
-        If the market has fewer than 2 days, or as its ``held``.
+        If the market holds more than one path or fewer than 2 days, or
+        as its ``held``.
     """
-    n = market.spot.shape[-1]
+    if market.spot.ndim != 1:
+        raise DataError(f"a rolled series takes one path, got a spot of shape {market.spot.shape}")
+    n = market.spot.size
     if n < 2:
         raise DataError(f"a rolled series needs at least 2 days, got {n}")
     keys, _, today, tomorrow, early_rolls = market.held(rank)

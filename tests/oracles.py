@@ -42,6 +42,7 @@ from vixtrack.calibrate import (
     MLE_BOUNDS,
     MLE_MAX_ITER,
     _neg_avg_loglik,
+    _neg_avg_loglik_and_score,
     initial_guess_from_moments,
 )
 from vixtrack.data import MM_DAY_BASIS
@@ -652,18 +653,25 @@ def neg_avg_loglik_two_routes(z, s_next, s_prev):
 
 
 def mle_two_routes(series):
-    """The library's single simplex search inside ``MLE_BOUNDS`` from
-    the moment start, on :func:`neg_avg_loglik_two_routes`; returns
+    """The library's gradient search (L-BFGS-B inside ``MLE_BOUNDS`` from
+    the moment start, with its stop rule) on
+    :func:`neg_avg_loglik_two_routes` and the library's score; returns
     scipy's result."""
     series = np.asarray(series, dtype=float)
+    s_next, s_prev = series[1:], series[:-1]
     init = initial_guess_from_moments(series)
+
+    def value_and_score(z):
+        score = _neg_avg_loglik_and_score(z, s_next, np.log(s_next), s_prev)[1]
+        return neg_avg_loglik_two_routes(z, s_next, s_prev), score
+
     return minimize(
-        neg_avg_loglik_two_routes,
+        value_and_score,
         np.log([init.mu, init.theta, init.sigma]),
-        args=(series[1:], series[:-1]),
-        method="Nelder-Mead",
+        jac=True,
+        method="L-BFGS-B",
         bounds=np.log(MLE_BOUNDS),
-        options={"maxiter": MLE_MAX_ITER, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
+        options={"maxiter": MLE_MAX_ITER, "ftol": 1e-13, "gtol": 1e-8},
     )
 
 
@@ -706,6 +714,19 @@ def mp_log_i(order: float, x: float) -> float:
 
     mp.dps = 40
     return float(log(besseli(mpf(order), mpf(repr(float(x))), maxterms=10**7)))
+
+
+def mp_log_i_partials(order: float, x: float):
+    """d/d order and x d/dx of ln I_order(x), by mpmath's numerical
+    differentiation of its series, in 40-digit arithmetic."""
+    from mpmath import mp, mpf, besseli, diff, log
+
+    mp.dps = 40
+    q, xm = mpf(order), mpf(repr(float(x)))
+    log_i = lambda qq, xx: log(besseli(qq, xx, maxterms=10**7))
+    d_q = diff(lambda qq: log_i(qq, xm), q)
+    x_d_x = xm * diff(lambda xx: log_i(q, xx), xm)
+    return float(d_q), float(x_d_x)
 
 
 def grid_min_mom_loss(observations, mu_grid, theta_grid):

@@ -20,7 +20,14 @@ from vixtrack import (
     mom_fit,
     mom_loss,
 )
-from vixtrack.calibrate import MLE_MAX_ITER, _log_i_debye
+from vixtrack.calibrate import (
+    _PENALTY,
+    MLE_MAX_ITER,
+    _log_i_debye,
+    _log_i_debye_partials,
+    _neg_avg_loglik,
+    _neg_avg_loglik_and_score,
+)
 
 import oracles
 from conftest import write_quote_files
@@ -239,6 +246,72 @@ class TestCirLogDensity:
             cir_log_density(0.0, 10.0, fit_hist)
 
 
+def bench_spot():
+    """The bench's spot: 1260 Euler days at the paper's parameters from
+    theta (``perfbench/inputs.py``, ``spot_path``)."""
+    hist = HistoricalParams(10.86, 18.81, 6.37)
+    seed = np.random.SeedSequence(0).spawn(2)[0]
+    return oracles.euler_path_loop(hist, LocalVol.square_root(6.37), hist.theta, 1259, seed)[0]
+
+
+def mixed_routes_spot():
+    """The spot of the mixed-routes quotes: 504 days at q = -0.2 (seed 3)."""
+    hist = HistoricalParams(1.0, 10.0, 5.0)
+    return oracles.euler_path_loop(hist, LocalVol.square_root(5.0), hist.theta, 503, 3)[0]
+
+
+class TestScore:
+    @pytest.mark.parametrize("order", [-0.9, -0.2, 0.0, 1.0, 9.068, 55.0, 150.0, 1e3])
+    def test_debye_partials_match_mpmath(self, order):
+        # the score takes the expansion's partials on every entry, also
+        # below R = 200 where the likelihood's value comes from ive.  At
+        # R >= 200 they were within 2.9e-16 of mpmath, relative to
+        # max(1, |ref|); at R = 127 within 7.8e-15, and at R = 50 within
+        # 5e-12, so the expansion's own error shows below about R = 120
+        radii = np.array([127.0, 150.0, 199.0, 200.0, 201.0, 400.0, 1200.0, 2000.0])
+        radii = radii[radii > abs(order)]
+        xs = np.sqrt(radii**2 - order**2)
+        d_q, x_d_x = _log_i_debye_partials(order, xs, np.hypot(order, xs))
+        for x, r, got_q, got_x in zip(xs, radii, d_q, x_d_x):
+            want_q, want_x = oracles.mp_log_i_partials(order, float(x))
+            tol = 1e-15 if r >= 200.0 else 2e-14
+            assert abs(got_q - want_q) <= tol * max(1.0, abs(want_q)), (order, r)
+            assert abs(got_x - want_x) <= tol * max(1.0, abs(want_x)), (order, r)
+
+    @pytest.mark.parametrize(
+        "spot, params",
+        [
+            (bench_spot, (10.86, 18.81, 6.37)),  # min R 187: 3 of 1259 entries take ive
+            (bench_spot, (10.86, 18.81, 7.73)),  # min R 127: 85 entries take ive
+            (mixed_routes_spot, (1.0, 10.0, 5.0)),  # q = -0.2, min R 97: 46 of 503
+        ],
+        ids=["bench", "bench-min-r-127", "mixed-routes"],
+    )
+    def test_score_matches_central_differences(self, spot, params):
+        # five-point central differences of the objective at step 1e-3 agreed
+        # within 1.5e-9 of the largest score entry at these three points
+        s = spot()
+        args = (s[1:], np.log(s[1:]), s[:-1])
+        z = np.log(params)
+        value, score = _neg_avg_loglik_and_score(z, *args)
+        assert value == _neg_avg_loglik(z, *args)  # to the bit
+        h = 1e-3
+        f = lambda k, e: _neg_avg_loglik(z + k * h * e, *args)
+        fd = np.array([(8 * (f(1, e) - f(-1, e)) - (f(2, e) - f(-2, e))) / (12 * h) for e in np.eye(3)])
+        assert np.max(np.abs(fd - score)) <= 1e-8 * np.max(np.abs(score))
+
+    def test_not_finite_likelihood_is_a_wall(self):
+        # (s' + u) / sig2 overflows: the point gets the penalty and a score
+        # with no zero entry, so the gradient search never stops on it
+        s = np.linspace(1e300, 1.5e300, 200)
+        with np.errstate(all="ignore"):
+            value, score = _neg_avg_loglik_and_score(
+                np.log([10.86, 18.81, 6.37]), s[1:], np.log(s[1:]), s[:-1]
+            )
+        assert value == _PENALTY
+        assert np.all(np.isfinite(score)) and np.all(score != 0.0)
+
+
 class TestMleFit:
     def test_synthetic_recovery(self):
         true = HistoricalParams(5.0, 20.0, 3.0)
@@ -343,6 +416,7 @@ class TestMleFit:
         spot = load_panel(tmp_path).spot
         rep = mle_fit(spot)
         res = oracles.mle_two_routes(spot)
+        assert not rep.simplex_fallback
         assert (rep.params.mu, rep.params.theta, rep.params.sigma) == tuple(np.exp(res.x))
         assert rep.avg_loglik == -res.fun
         assert (rep.iterations, rep.evaluations) == (res.nit, res.nfev)
@@ -352,15 +426,19 @@ class TestMleFit:
     def test_scale_equivariance(self, cli_quotes_fit, c):
         # cS is CIR(mu, c theta, sqrt(c) sigma), and its density is that of
         # S divided by c.  Over 5302 values of c in [0.25, 4] (301 and 2001
-        # log-spaced, 3000 uniform) the simplex's worst errors were 4.4e-6
-        # (mu), 8.6e-7 (theta), 2.0e-7 (sigma), relative, and 2.3e-13 in
-        # the average log-likelihood; each bound is about twice that
+        # log-spaced, 3000 uniform) the gradient search's worst errors were
+        # 8.6e-7 (mu), 3.9e-7 (theta), 6.9e-8 (sigma), relative, and 5.2e-14
+        # in the average log-likelihood; each bound is about twice that.
+        # Its end point moves within its stop tolerance as c moves the
+        # start's distances to the box, and the rounding (1.4e-7 without
+        # the box).  The simplex it replaced reached 4.4e-6, 8.6e-7,
+        # 2.0e-7 and 2.3e-13.
         spot, fit = cli_quotes_fit
         rep = mle_fit(c * spot)
-        assert rep.params.mu == pytest.approx(fit.params.mu, rel=1e-5)
-        assert rep.params.theta / c == pytest.approx(fit.params.theta, rel=2e-6)
-        assert rep.params.sigma / np.sqrt(c) == pytest.approx(fit.params.sigma, rel=5e-7)
-        assert rep.avg_loglik + np.log(c) == pytest.approx(fit.avg_loglik, rel=0, abs=5e-13)
+        assert rep.params.mu == pytest.approx(fit.params.mu, rel=2e-6)
+        assert rep.params.theta / c == pytest.approx(fit.params.theta, rel=1e-6)
+        assert rep.params.sigma / np.sqrt(c) == pytest.approx(fit.params.sigma, rel=2e-7)
+        assert rep.avg_loglik + np.log(c) == pytest.approx(fit.avg_loglik, rel=0, abs=1e-13)
 
     def test_validation(self, fit_hist):
         with pytest.raises(ValueError):

@@ -88,17 +88,18 @@ def test_calibrate(calibrated):
     assert code == 0
     kv = assert_manifest(
         out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES,
-        (*DROPPED, "mle_evaluations", "mle_not_converged", "mle_at_bound"),
+        (*DROPPED, "mle_evaluations", "mle_not_converged", "mle_at_bound", "mle_simplex_fallback"),
     )
     assert kv["output.0"] == "params.txt"
     params = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
     for value in params.values():
         if value not in ("true", "false"):
             float(value)
-    # the simplex evaluates its n + 1 = 4 starting vertices, then at
-    # least one point per iteration
+    # the gradient search evaluates its start, then at least one point
+    # per iteration; on these quotes it needs no simplex
     assert int(kv["count.mle_evaluations"]) > int(params["mle_iterations"])
     assert kv["count.mle_at_bound"] == {"false": "0", "true": "1"}[params["mle_at_bound"]]
+    assert kv["count.mle_simplex_fallback"] == "0"
 
 
 def test_calibrate_fit_on_the_box_exits_3(tmp_path):
@@ -113,6 +114,7 @@ def test_calibrate_fit_on_the_box_exits_3(tmp_path):
     assert float(fit["sigma"]) == pytest.approx(1e-3)
     assert (fit["mle_at_bound"], fit["mle_converged"]) == ("true", "false")
     assert read_manifest(out)["count.mle_at_bound"] == "1"
+    assert read_manifest(out)["count.mle_simplex_fallback"] == "1"
 
 
 def test_calibrate_constant_spot_fails_the_run(tmp_path, capsys):

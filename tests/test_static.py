@@ -10,6 +10,7 @@ from vixtrack import (
     DegenerateProblemError,
     HistoricalParams,
     RolledSeries,
+    SimulatedCurves,
     build_rolled_series,
     evaluate_rmse,
     load_panel,
@@ -74,6 +75,12 @@ class TestRolledSeries:
         panel = grid_panel(lambda j, k: 25.0, n_days=1)
         with pytest.raises(DataError, match="at least 2 days"):
             build_rolled_series(panel, rank=1)
+
+    def test_a_batch_of_paths_is_a_data_error(self, fit_rn):
+        market = SimulatedCurves(np.full((2, 127), 20.0), fit_rn, 0.01)
+        message = "a rolled series takes one path, got a spot of shape (2, 127)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_rolled_series(market, rank=1)
 
 
 def available_ranks(panel):

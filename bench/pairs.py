@@ -57,6 +57,17 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
+def work_commit() -> str:
+    """The commit to export as the working tree: the one ``git stash
+    create`` makes of its tracked files, or HEAD when it has no change.
+    Stops on an untracked file under ``src/`` or ``perfbench/``, which
+    neither side would run."""
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
+    if untracked:
+        raise SystemExit(f"untracked files would not be measured; add or remove them:\n{untracked}")
+    return git("stash", "create") or git("rev-parse", "HEAD")
+
+
 def bench_run(tree: Path, workload: str) -> dict:
     """One untraced ``perfbench/run.py`` run from ``tree``: its summary
     with each metric as a plain value."""
@@ -85,10 +96,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
-    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
-    if untracked:
-        raise SystemExit(f"untracked files would not be measured; add or remove them:\n{untracked}")
-    work = git("stash", "create") or git("rev-parse", "HEAD")
+    work = work_commit()
     result = {
         "commits": {
             "ref": git("rev-parse", f"{args.ref}^{{commit}}"),

@@ -4,10 +4,11 @@ Under square-root (CIR) dynamics the one-step transition density of the
 index has a closed form involving the modified Bessel function I_q, of
 order q = 2 mu theta / sigma^2 - 1 > -1, so the historical parameters
 (mu, theta, sigma) are fitted by maximizing the average log-likelihood
-over the observed daily transitions, with one quasi-Newton search on
-the likelihood and its analytic score inside a parameter box from a
-moment-based start; a simplex search backs it up where it ends on the
-box or short of a stationary point, as on near-constant series.
+over the observed daily transitions, with one quasi-Newton (BFGS)
+search on the likelihood and its analytic score inside a parameter box
+from a moment-based start; scipy's simplex search backs it up where it
+ends on the box or short of a stationary point, as on near-constant
+series, and only then is scipy.optimize imported.
 ln I_q(x) comes from the uniform large-order (Debye) expansion
 wherever hypot(q, x) >= 200, which on daily index data is most
 transitions, but not a series' lows while the search passes through
@@ -22,7 +23,8 @@ closed-form futures curve (s - theta_tilde) e^(-mu_tilde T) + theta_tilde
 to observed prices in least squares, averaged over days (method of
 moments).  The curve is linear in theta_tilde, which therefore has a
 closed form for each mu_tilde (variable projection), leaving a
-one-dimensional search.
+one-dimensional search: a coarse grid, then Brent's bounded search, the
+steps of scipy's minimize_scalar(method="bounded") in numpy.
 """
 
 from __future__ import annotations
@@ -54,9 +56,14 @@ MLE_MAX_ITER = 600
 # The fit's objective where the likelihood is not finite.
 _PENALTY = 1e12
 # Largest score entry at which the gradient search's end point is taken as
-# the maximum, whatever scipy's status: 1e-6 is 6x the largest at a stop on
-# 18 regular series (1.5e-7), and 1e-5 of the smallest at a corner (0.74).
+# the maximum: 1e-6 is 14x the largest at a stop on 18 regular series
+# (7.3e-8), and 1e-6 of the smallest where it stops at a corner (1.75).
 _STATIONARY = 1e-6
+# Forward-difference step of the gradient search's starting Hessian, in
+# log-parameters, and the most halvings of one of its line searches (as
+# many trial steps as scipy's L-BFGS-B allows).
+_HESSIAN_STEP = 1e-4
+_MAX_HALVINGS = 20
 
 
 # Radius hypot(q, x) from which the Debye expansion is exact to rounding.
@@ -311,30 +318,82 @@ def _neg_avg_loglik_and_score(z: np.ndarray, s_next, log_s_next, s_prev):
     return -float(val), -score
 
 
+def _bfgs_in_box(fun, z, bounds):
+    # Minimize fun(z) -> (value, gradient) by BFGS inside the box bounds
+    # (rows of (lo, hi)) from z; returns (z, value, gradient, iterations,
+    # evaluations).  The inverse Hessian starts from forward differences of
+    # the gradient at z, or where those are not positive definite from an
+    # identity scaled so that no entry of the first step exceeds 1.  Each
+    # trial point is clipped into the box and halved back to the Armijo
+    # condition.  Stops when no gradient entry exceeds 1e-8, when a step
+    # moves the value by at most 1e-13 of its size, when the line search
+    # cannot lower it (_MAX_HALVINGS trials, or one that moves the value by
+    # at most that much), or after MLE_MAX_ITER iterations.
+    lo, hi = bounds.T
+    tiny = lambda a, b: abs(a - b) <= 1e-13 * max(abs(a), abs(b), 1.0)
+    f, g = fun(z)
+    steps = z + _HESSIAN_STEP * np.eye(z.size)
+    hess = (np.array([fun(z_i)[1] for z_i in steps]) - g) / _HESSIAN_STEP
+    eig, vec = np.linalg.eigh(0.5 * (hess + hess.T))
+    if eig.min() > 0:
+        inv = (vec / eig) @ vec.T
+    else:
+        inv = np.eye(z.size) / max(1.0, np.max(np.abs(g)))
+    iterations, evaluations = 0, 1 + z.size
+    while iterations < MLE_MAX_ITER and np.max(np.abs(g)) > 1e-8:
+        direction, t = -inv @ g, 1.0
+        for _ in range(_MAX_HALVINGS):
+            z_new = np.clip(z + t * direction, lo, hi)
+            f_new, g_new = fun(z_new)
+            evaluations += 1
+            accept = f_new <= f + 1e-4 * min(g @ (z_new - z), 0.0)
+            if accept or tiny(f, f_new):
+                break
+            t *= 0.5
+        if not accept:
+            break
+        iterations += 1
+        s, y, last = z_new - z, g_new - g, tiny(f, f_new)
+        z, f, g = z_new, f_new, g_new
+        if last:
+            break
+        sy = s @ y
+        if sy > 0:  # the update keeps inv positive definite
+            v = np.eye(z.size) - np.outer(s, y) / sy
+            inv = v @ inv @ v.T + np.outer(s, s) / sy
+    return z, f, g, iterations, evaluations
+
+
 def mle_fit(series) -> MLEReport:
     """Maximize the average log-likelihood of the square-root model on
     a daily spot series.
 
-    Runs one bounded quasi-Newton search (L-BFGS-B) in log-parameter
+    Runs one quasi-Newton search (BFGS, numpy only) in log-parameter
     space from the moment start (:func:`initial_guess_from_moments`),
     inside the box ``MLE_BOUNDS``, on the likelihood and its analytic
-    score.  It stops when a step lowers the negative average
-    log-likelihood by less than 1e-13 of its size, when the projected
-    score is below 1e-8, when its line search can lower the objective
-    no further (near the maximum, at the objective's rounding), or after
-    ``MLE_MAX_ITER`` iterations.  Its end point is the fit when it lies
-    off the box and no entry of the score there exceeds 1e-6, whatever
-    scipy's status.  Both searches only accept points that raise the
-    likelihood, so the fit is never below the start's.
+    score.  Its inverse Hessian starts from forward differences of the
+    score at the start (three more calls; a scaled identity where they
+    are not positive definite), and each trial point is clipped into
+    the box and halved back to the Armijo condition.  It stops when no
+    score entry exceeds 1e-8, when a step lowers the negative average
+    log-likelihood by at most 1e-13 of its size, when its line search
+    cannot lower it (20 halvings, or a trial that moves the value by no
+    more than that: near the maximum, at the objective's rounding), or
+    after ``MLE_MAX_ITER`` iterations.  Its end point is the fit when it
+    lies off the box and no entry of the score there exceeds 1e-6.
+    Both searches only accept points that raise the likelihood, so the
+    fit is never below the start's.
 
     On a degenerate series (a near-constant spot, where the order q is
     1e9 or more) the likelihood's terms cancel and the score loses its
     precision: the search may stop where the score is not small, or on
-    the box short of the optimum.  Then the adaptive simplex
-    (Nelder-Mead, scipy clipping every vertex into the box) runs from
-    the moment start too, and the better of the two end points is kept
-    (``simplex_fallback``).  ``iterations`` and ``evaluations`` count
-    both searches: value-and-score calls plus any simplex evaluations.
+    the box short of the optimum.  Then the adaptive simplex (scipy's
+    Nelder-Mead, clipping every vertex into the box; the only call that
+    imports scipy.optimize) runs from the moment start too, and the
+    better of the two end points is kept (``simplex_fallback``).
+    ``iterations`` and ``evaluations`` count both searches: the
+    gradient search's steps and value-and-score calls, the start's four
+    included, plus any simplex iterations and evaluations.
 
     ``at_bound`` is True when a parameter ends within 1e-6 (relative)
     of its bound: the likelihood rises towards a face of the box, and
@@ -357,25 +416,18 @@ def mle_fit(series) -> MLEReport:
         raise ValueError(f"the MLE needs at least 100 daily closes, got {series.size}")
     ok = np.isfinite(series) & (series > 0)
     require(ok, ValueError, "spot close must be finite and > 0, got {}", series)
-    from scipy.optimize import minimize
-
     init = initial_guess_from_moments(series)
     z0 = np.log([init.mu, init.theta, init.sigma])
     args = (series[1:], np.log(series[1:]), series[:-1])
     bounds = np.log(MLE_BOUNDS)
-    res = minimize(
-        _neg_avg_loglik_and_score,
-        z0,
-        args=args,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": MLE_MAX_ITER, "ftol": 1e-13, "gtol": 1e-8},
+    z, f, g, iterations, evaluations = _bfgs_in_box(
+        lambda z: _neg_avg_loglik_and_score(z, *args), z0, bounds
     )
-    iterations, evaluations = res.nit, res.nfev
-    converged = np.max(np.abs(res.jac)) <= _STATIONARY and not _at_bound(res.x)
+    converged = np.max(np.abs(g)) <= _STATIONARY and not _at_bound(z)
     fallback = not converged
     if fallback:
+        from scipy.optimize import minimize
+
         simplex = minimize(
             _neg_avg_loglik,
             z0,
@@ -386,13 +438,13 @@ def mle_fit(series) -> MLEReport:
         )
         iterations += simplex.nit
         evaluations += simplex.nfev
-        if simplex.fun <= res.fun:
-            res, converged = simplex, simplex.success
-    mu, theta, sigma = np.exp(res.x)
-    at_bound = _at_bound(res.x)
+        if simplex.fun <= f:
+            z, f, converged = simplex.x, simplex.fun, simplex.success
+    mu, theta, sigma = np.exp(z)
+    at_bound = _at_bound(z)
     return MLEReport(
         params=HistoricalParams(mu=float(mu), theta=float(theta), sigma=float(sigma)),
-        avg_loglik=-float(res.fun),
+        avg_loglik=-float(f),
         iterations=int(iterations),
         evaluations=int(evaluations),
         converged=bool(converged and not at_bound),
@@ -433,9 +485,13 @@ def mom_fit(observations) -> MOMReport:
     box (1e-6, 1e4) is sum w a (f - s e) / sum w a^2, clipped.  What is
     left is a one-dimensional search in log mu_tilde over (1e-6, 1e3) of
     the profile, :func:`mom_loss` at that theta_tilde: a coarse log grid
-    brackets the best minimum, guarding against others, and a bounded
-    scalar search refines it.  Deterministic given the
-    observations, the per-quote arrays of :meth:`PricePanel.observations`.
+    of 37 points brackets the best minimum, guarding against others, and
+    Brent's bounded search (golden section with parabolic steps, to
+    1e-12 in log mu_tilde; the iterates of scipy's
+    ``minimize_scalar(method="bounded")``, without importing it) refines
+    it between the grid point's neighbours.  The grid point is kept if
+    the search ends higher.  Deterministic given the observations, the
+    per-quote arrays of :meth:`PricePanel.observations`.
 
     Raises
     ------
@@ -449,8 +505,6 @@ def mom_fit(observations) -> MOMReport:
             "unidentifiable: one maturity at one spot level cannot pin down "
             "both mean-reversion parameters"
         )
-    from scipy.optimize import minimize_scalar
-
     def theta_star(log_mu: float) -> float:
         e = np.exp(-math.exp(log_mu) * ttms)
         a = 1.0 - e
@@ -460,15 +514,63 @@ def mom_fit(observations) -> MOMReport:
     def profile(log_mu: float) -> float:
         return mom_loss(RiskNeutralParams(math.exp(log_mu), theta_star(log_mu)), observations)
 
-    grid = np.linspace(math.log(1e-6), math.log(1e3), 37)
+    grid = np.linspace(math.log(1e-6), math.log(1e3), 37).tolist()
     values = [profile(z) for z in grid]
     k = int(np.argmin(values))
-    res = minimize_scalar(
-        profile,
-        bounds=(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    log_mu = float(res.x) if res.fun <= values[k] else float(grid[k])
+    x, fx, _ = _bounded_brent(profile, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 1e-12)
+    log_mu = x if fx <= values[k] else grid[k]
     rn = RiskNeutralParams(mu_tilde=math.exp(log_mu), theta_tilde=theta_star(log_mu))
     return MOMReport(params=rn, loss=mom_loss(rn, observations))
+
+
+def _bounded_brent(f, a: float, b: float, xatol: float):
+    # Brent's minimization of f on [a, b]: golden-section steps, parabolic
+    # ones where they are acceptable.  Step for step that of scipy's
+    # minimize_scalar(method="bounded") (its _minimize_scalar_bounded), so
+    # it visits the same points and returns the same (x, f(x), evaluations),
+    # within scipy's default budget of 500 evaluations.
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    fulc = nfc = xf = a + golden * (b - a)
+    fx = ffulc = fnfc = f(xf)
+    evaluations, rat, e = 1, 0.0, 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                parabolic = True
+                rat = p / q
+                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:
+            e = (a if xf >= xm else b) - xf
+            rat = golden * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        evaluations += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evaluations >= 500:
+            break
+    return xf, fx, evaluations

@@ -25,7 +25,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from vixtrack import (
     DataError,
@@ -40,7 +40,7 @@ from vixtrack.calibrate import (
     _DEBYE_P,
     _PENALTY,
     MLE_BOUNDS,
-    MLE_MAX_ITER,
+    _bfgs_in_box,
     _neg_avg_loglik,
     _neg_avg_loglik_and_score,
     initial_guess_from_moments,
@@ -653,10 +653,11 @@ def neg_avg_loglik_two_routes(z, s_next, s_prev):
 
 
 def mle_two_routes(series):
-    """The library's gradient search (L-BFGS-B inside ``MLE_BOUNDS`` from
-    the moment start, with its stop rule) on
+    """The library's gradient search (``calibrate._bfgs_in_box`` inside
+    ``MLE_BOUNDS`` from the moment start) on
     :func:`neg_avg_loglik_two_routes` and the library's score; returns
-    scipy's result."""
+    its end point, value, iterations and evaluations as scipy's result
+    fields ``x``, ``fun``, ``nit`` and ``nfev``."""
     series = np.asarray(series, dtype=float)
     s_next, s_prev = series[1:], series[:-1]
     init = initial_guess_from_moments(series)
@@ -665,14 +666,9 @@ def mle_two_routes(series):
         score = _neg_avg_loglik_and_score(z, s_next, np.log(s_next), s_prev)[1]
         return neg_avg_loglik_two_routes(z, s_next, s_prev), score
 
-    return minimize(
-        value_and_score,
-        np.log([init.mu, init.theta, init.sigma]),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=np.log(MLE_BOUNDS),
-        options={"maxiter": MLE_MAX_ITER, "ftol": 1e-13, "gtol": 1e-8},
-    )
+    z0 = np.log([init.mu, init.theta, init.sigma])
+    z, f, _, nit, nfev = _bfgs_in_box(value_and_score, z0, np.log(MLE_BOUNDS))
+    return OptimizeResult(x=z, fun=f, nit=nit, nfev=nfev)
 
 
 def kkt_weights(columns, target):

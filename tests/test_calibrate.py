@@ -1,10 +1,15 @@
+import importlib.util
+import math
 import os
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from vixtrack import (
     CalibrationError,
@@ -23,6 +28,7 @@ from vixtrack import (
 from vixtrack.calibrate import (
     _PENALTY,
     MLE_MAX_ITER,
+    _bounded_brent,
     _log_i_debye,
     _log_i_debye_partials,
     _neg_avg_loglik,
@@ -254,6 +260,18 @@ def bench_spot():
     return oracles.euler_path_loop(hist, LocalVol.square_root(6.37), hist.theta, 1259, seed)[0]
 
 
+def bench_observations(tmp_path):
+    """The per-quote arrays of the bench's quotes (seed 0, ``--n-ranks
+    8``), written by ``perfbench/inputs.py``, loaded by path: its
+    directory has an ``oracles.py`` too."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    quotes = inputs.write_inputs(tmp_path, 0)["quotes"]
+    return load_panel(quotes, n_ranks=8).observations()
+
+
 def mixed_routes_spot():
     """The spot of the mixed-routes quotes: 504 days at q = -0.2 (seed 3)."""
     hist = HistoricalParams(1.0, 10.0, 5.0)
@@ -426,13 +444,13 @@ class TestMleFit:
     def test_scale_equivariance(self, cli_quotes_fit, c):
         # cS is CIR(mu, c theta, sqrt(c) sigma), and its density is that of
         # S divided by c.  Over 5302 values of c in [0.25, 4] (301 and 2001
-        # log-spaced, 3000 uniform) the gradient search's worst errors were
-        # 8.6e-7 (mu), 3.9e-7 (theta), 6.9e-8 (sigma), relative, and 5.2e-14
-        # in the average log-likelihood; each bound is about twice that.
-        # Its end point moves within its stop tolerance as c moves the
-        # start's distances to the box, and the rounding (1.4e-7 without
-        # the box).  The simplex it replaced reached 4.4e-6, 8.6e-7,
-        # 2.0e-7 and 2.3e-13.
+        # log-spaced, 3000 uniform) the BFGS search's worst errors were
+        # 6.5e-7 (mu), 1.2e-7 (theta), 2.5e-8 (sigma), relative, and 4.4e-14
+        # in the average log-likelihood.  Each bound is about twice the
+        # worst of the L-BFGS-B search it replaced: 8.6e-7, 3.9e-7, 6.9e-8
+        # and 5.2e-14.  The end point moves within the stop tolerance as c
+        # moves the rounding of the iterates.  The simplex before it
+        # reached 4.4e-6, 8.6e-7, 2.0e-7 and 2.3e-13.
         spot, fit = cli_quotes_fit
         rep = mle_fit(c * spot)
         assert rep.params.mu == pytest.approx(fit.params.mu, rel=2e-6)
@@ -530,6 +548,36 @@ class TestMom:
             (rep.params.theta_tilde, theta_grid, k_theta),
         ):
             assert abs(np.log(got / grid[k])) <= np.log(grid[1] / grid[0])
+
+    @pytest.mark.parametrize(
+        "f, bounds",
+        [
+            (lambda x: (x - 0.3) ** 2, (-1.0, 2.0)),  # inside: one parabolic step
+            (math.cos, (2.0, 4.5)),  # inside, at pi
+            (lambda x: x, (-1.0, 2.0)),  # at the lower end
+            (lambda x: -math.exp(x), (-1.0, 2.0)),  # at the upper end
+            (lambda x: float(abs(math.floor(4.0 * x))), (-1.0, 2.0)),  # ties: a staircase
+        ],
+        ids=["parabola", "cosine", "lower-end", "upper-end", "staircase"],
+    )
+    def test_bounded_brent_is_scipys(self, f, bounds):
+        want = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": 1e-12})
+        assert _bounded_brent(f, *bounds, 1e-12) == (want.x, want.fun, want.nfev)
+
+    def test_bounded_brent_is_scipys_on_the_bench_profile(self, tmp_path, monkeypatch):
+        # the search mom_fit runs on the bench's quotes, run again by scipy
+        calls = []
+
+        def spy(*args):
+            calls.append((args, _bounded_brent(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr("vixtrack.calibrate._bounded_brent", spy)
+        rep = mom_fit(bench_observations(tmp_path))
+        [((profile, lo, hi, xatol), got)] = calls
+        want = minimize_scalar(profile, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+        assert got == (want.x, want.fun, want.nfev)
+        assert rep.params.mu_tilde == math.exp(got[0])
 
     def test_unidentifiable_surface_rejected(self):
         panel = curve_panel([20.0] * 5, [[21 / 252.0]] * 5, [[21.0]] * 5)

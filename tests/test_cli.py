@@ -5,6 +5,7 @@ import codecs
 import dataclasses
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 import re
@@ -14,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vixtrack
 from vixtrack.cli import build_parser, main, read_params_file
 
 import oracles
-from conftest import FIT_RN, write_quote_files
+from conftest import FIT_HIST, FIT_RN, write_quote_files
 
 N_DAYS = 200
 RANKS = [f"{r}-m" for r in range(1, 8)]
@@ -803,12 +805,71 @@ def test_outputs_ignore_calendar_labels_and_exact_scale(quotes, tmp_path, comman
         assert outputs(name, tmp_path / name, edits.get("days", 0)) == want, name
 
 
-@pytest.mark.parametrize("case", ["import", "regress", "backtest-static", "paths", "simulate"])
+def simulate_tables(out, c, seed):
+    """Run simulate at the paper's parameters with theta, theta_tilde
+    times ``c`` and sigma times sqrt(c), on the default scenario with
+    ``seed``; return each table's rows of cells and the manifest's
+    counts."""
+    out.mkdir()
+    mu, theta, sigma = FIT_HIST.mu, FIT_HIST.theta, FIT_HIST.sigma
+    mu_tilde, theta_tilde = FIT_RN.mu_tilde, FIT_RN.theta_tilde
+    (out / "params.txt").write_text(
+        f"mu={mu!r}\ntheta={c * theta!r}\nsigma={math.sqrt(c) * sigma!r}\n"
+        f"mu_tilde={mu_tilde!r}\ntheta_tilde={c * theta_tilde!r}\n"
+    )
+    (out / "scenario.txt").write_text(f"seed={seed}\n")
+    argv = ["--params", str(out / "params.txt"), "--scenario", str(out / "scenario.txt")]
+    assert main(["simulate", *argv, "--out-dir", str(out / "run")]) == 0
+    tables = {
+        path.name: [line.split("\t") for line in path.read_text().splitlines()]
+        for path in sorted((out / "run").glob("*.tsv"))
+    }
+    counts = {k: v for k, v in read_manifest(out / "run").items() if k.startswith("count.")}
+    return tables, counts
+
+
+def last_digit(cell):
+    """One unit in the last written digit of a number cell."""
+    mantissa, _, exponent = cell.partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.floats(0.25, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_simulate_is_scale_equivariant(tmp_path_factory, c, seed):
+    """cS is CIR(mu, c theta, sqrt(c) sigma), and with theta_tilde times
+    c its futures are c times S's: every written return, weight, wealth
+    and fit stays as it is.  The values are compared numerically, since
+    a rounded cell can flip in its last digit at some c.  Over 16,000
+    runs (seeds 0-399, each at 20 log-spaced and 20 uniform values of c
+    in [0.25, 4]) the largest difference of a full-precision cell was
+    1.1e-14 of max(1, |value|) (a weight; wealth 6.7e-15, returns
+    5.3e-15), and no rounded cell differed; the bound is about twice
+    that, plus one unit in the last written digit."""
+    tmp = tmp_path_factory.mktemp("scale")
+    want_tables, want_counts = simulate_tables(tmp / "c1", 1.0, seed)
+    tables, counts = simulate_tables(tmp / "c", c, seed)
+    assert counts == want_counts
+    assert tables.keys() == want_tables.keys()
+    for name, rows in tables.items():
+        assert rows[0] == want_tables[name][0], name  # the header
+        assert [len(row) for row in rows] == [len(row) for row in want_tables[name]], name
+        for row, want_row in zip(rows[1:], want_tables[name][1:]):
+            for cell, want in zip(row, want_row):
+                if cell != want:
+                    bound = 2e-14 * max(1.0, abs(float(want))) + last_digit(want)
+                    assert abs(float(cell) - float(want)) <= bound, (name, cell, want)
+
+
+@pytest.mark.parametrize(
+    "case", ["import", "regress", "backtest-static", "paths", "simulate", "calibrate"]
+)
 def test_scipy_is_imported_only_where_it_is_called(calibrated, quotes, tmp_path, case):
     """In a fresh interpreter, importing the CLI, the engine and the
     regress and backtest-static runs load no scipy module; simulate's
     Student-t p-values load scipy.special, and not the optimizers or
-    scipy.linalg."""
+    scipy.linalg.  A calibrate run whose fit needs no simplex loads no
+    optimizer either: its two searches are the library's own."""
     if case == "import":
         code = "import vixtrack.cli"
     elif case == "paths":
@@ -828,5 +889,8 @@ def test_scipy_is_imported_only_where_it_is_called(calibrated, quotes, tmp_path,
     if case == "simulate":
         assert "scipy.special" in loaded, loaded
         assert not loaded & {"scipy.optimize", "scipy.linalg"}, loaded
+    elif case == "calibrate":
+        assert read_manifest(tmp_path)["count.mle_simplex_fallback"] == "0"
+        assert "scipy.optimize" not in loaded, loaded
     else:
         assert loaded == set()

@@ -17,7 +17,11 @@ the same files:
   benchmark's quotes, params and scenario;
 * ``gap``: the same quotes without F04's 2015-05-01 close;
 * ``small``: ``tests/conftest.py::write_quote_files(dir, n_days=300,
-  seed=3)``.
+  seed=3)``;
+* ``violent``: ``tests/test_cli.py::VIOLENT_PARAMS`` and ``seed=5``,
+  whose ``simulate`` clamps Euler steps to the floor.  The case fails
+  if the working tree's manifest counts no clamped step, since it
+  would then test no clamp.
 
 The script only reads ``perfbench/``.
 """
@@ -38,6 +42,7 @@ sys.dont_write_bytecode = True
 
 ROOT = Path(__file__).resolve().parents[1]
 GAP_ROW = "2015-05-01,F04,close,"
+CLAMPING = "violent/simulate"
 
 
 def load_inputs():
@@ -67,9 +72,14 @@ def write_input_sets(work: Path) -> dict:
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from conftest import write_quote_files
+    from test_cli import VIOLENT_PARAMS
 
     small = work / "small"
     write_quote_files(small, n_days=300, seed=3)
+    violent = work / "violent"
+    violent.mkdir()
+    (violent / "params.txt").write_text(VIOLENT_PARAMS)
+    (violent / "scenario.txt").write_text("seed=5\n")
 
     cases = {
         "bench/calibrate": ["calibrate", "--data-dir", bench["quotes"], "--n-ranks", "8"],
@@ -87,6 +97,10 @@ def write_input_sets(work: Path) -> dict:
             ]
     for command in ("calibrate", "regress"):
         cases[f"small/{command}"] = [command, "--data-dir", str(small)]
+    cases[CLAMPING] = [
+        "simulate", "--params", str(violent / "params.txt"),
+        "--scenario", str(violent / "scenario.txt"),
+    ]
     return cases
 
 
@@ -114,6 +128,14 @@ def contents(out: Path) -> dict:
     return files
 
 
+def clamped_steps(files: dict) -> int:
+    """The ``count.clamped_steps`` of a run's manifest, 0 without one."""
+    for line in files.get("manifest.txt", b"").decode().splitlines():
+        if line.startswith("count.clamped_steps="):
+            return int(line.split("=", 1)[1])
+    return 0
+
+
 def compare(ref: Path, work: Path, cases: dict) -> list:
     """Run every case on both trees; return the differences found."""
     differences = []
@@ -133,6 +155,8 @@ def compare(ref: Path, work: Path, cases: dict) -> list:
             for file in sorted(files[0].keys() & files[1].keys())
             if files[0][file] != files[1][file]
         ]
+        if name == CLAMPING and not clamped_steps(files[1]):
+            found.append(f"{name}: no Euler step clamped, so the case tests no clamp")
         verdict = "DIFFERENT" if found else "identical"
         print(f"{name}: exit {runs[1][0]}, {len(files[1])} files, {verdict}", flush=True)
         differences += found

@@ -101,9 +101,11 @@ class LocalVol:
 
     def __call__(self, spot):
         """Evaluate g(spot), elementwise for arrays."""
-        # the level alone: a batch of paths has no day to name
-        spot = np.asarray(spot)
-        if not (spot >= 0).all():
+        # as float, for the inf start of the one-pass check: a NaN
+        # minimum fails it and an empty batch passes
+        spot = np.asarray(spot, dtype=float)
+        if not np.minimum.reduce(spot, axis=None, initial=np.inf) >= 0:
+            # the level alone: a batch of paths has no day to name
             bad = float(spot[~(spot >= 0)][0])
             raise ValueError(f"square-root volatility requires spot >= 0, got {bad}")
         return self.sigma * np.sqrt(spot)

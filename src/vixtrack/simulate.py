@@ -24,7 +24,11 @@ the days of all paths.
 RNG convention: path k of a multi-path run draws its normals from the
 k-th child of ``SeedSequence(seed)`` into its own row of one batch,
 which the recursion then advances a day at a time for all paths at
-once; so a path is the same alone on its child or in any batch.
+once; so a path is the same alone on its child or in any batch.  The
+recursion works in place on that one (paths, days + 1) block: day j's
+column holds its shocks until the step overwrites them with its
+levels, the step's terms go through two (paths,) scratch arrays, and
+one minimum a day tells whether any path needs the floor.
 """
 
 from __future__ import annotations
@@ -80,30 +84,48 @@ def simulate_index_paths(
     (n_days + 1 values each) from one level ``s0`` or one per path.
 
     Path ``k`` is driven by the ``k``-th child of ``SeedSequence(seed)``:
-    row k of the batch first holds that child's normals, and each day's
-    levels overwrite that day's shocks as every path advances together.
-    A step that lands below a small positive floor is clamped to it.
+    row k of the batch first holds that child's normals.  Every path
+    advances together, one day column at a time and in place: ``g`` is
+    called once a day on the whole batch, and the day's levels
+    overwrite its shocks.  A step that lands below a small positive
+    floor is clamped to it; the day's minimum tells whether any did.
     Returns one :class:`IndexPath` per path, a view of its row, with
     its clamp count; identical arguments give bit-identical paths.
+
+    Raises
+    ------
+    ValueError
+        If ``n_days`` is below 1, or a start is not positive and finite.
     """
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
     seeds = np.random.SeedSequence(seed).spawn(n_paths)
     values = np.empty((n_paths, n_days + 1))
     values[:, 0] = s0
-    if not np.all(values[:, 0] > 0):
-        raise ValueError(f"s0 must be positive, got {s0}")
+    if not np.all((values[:, 0] > 0) & (values[:, 0] < np.inf)):
+        raise ValueError(f"s0 must be positive and finite, got {s0}")
     for row, child in zip(values, seeds):
         np.random.default_rng(child).standard_normal(out=row[1:])
     sqrt_dt = np.sqrt(DT)
     n_clamped = np.zeros(n_paths, dtype=int)
-    s = values[:, 0]
-    for j in range(1, n_days + 1):
-        s = s + hist.mu * (hist.theta - s) * DT + g(s) * sqrt_dt * values[:, j]
-        clamped = s < SPOT_FLOOR
-        s[clamped] = SPOT_FLOOR
-        n_clamped += clamped
-        values[:, j] = s
+    drift, shock = np.empty(n_paths), np.empty(n_paths)
+    days = values.T
+    s = days[0]
+    for day in days[1:]:
+        # day holds its shocks Z on entry and its levels on exit
+        np.subtract(hist.theta, s, out=drift)
+        drift *= hist.mu
+        drift *= DT
+        drift += s
+        np.multiply(g(s), sqrt_dt, out=shock)
+        shock *= day
+        np.add(drift, shock, out=day)
+        # a NaN min takes the exact branch, so it cannot skip a clamp
+        if not np.minimum.reduce(day, initial=np.inf) >= SPOT_FLOOR:
+            clamped = day < SPOT_FLOOR
+            day[clamped] = SPOT_FLOOR
+            n_clamped += clamped
+        s = day
     return [IndexPath(row, int(n)) for row, n in zip(values, n_clamped)]
 
 

@@ -51,6 +51,22 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"got -1\.0$"):
             g_sqrt(np.array([[1.0, 2.0, 3.0], [-1.0, 4.0, 5.0]]))
 
+    def test_local_vol_edge_inputs(self):
+        g_sqrt = LocalVol.square_root(2.0)
+        # an empty batch has nothing to check
+        assert g_sqrt(np.array([])).shape == (0,)
+        assert g_sqrt(np.empty((0, 3))).shape == (0, 3)
+        # a 0-d level, float or integer, is one level
+        for spot in (np.array(9.0), np.float64(9.0), np.array(9), 9):
+            assert g_sqrt(spot) == 6.0
+        # NaN is not a level >= 0, wherever it sits
+        for spot in (np.nan, np.array([4.0, np.nan]), np.array([[np.nan, -1.0], [1.0, 2.0]])):
+            with pytest.raises(ValueError, match=r"^square-root volatility requires spot >= 0, got nan$"):
+                g_sqrt(spot)
+        for spot in (-0.5, np.array(-0.5), np.array([4.0, np.inf, -0.5])):
+            with pytest.raises(ValueError, match=r"^square-root volatility requires spot >= 0, got -0\.5$"):
+                g_sqrt(spot)
+
 
 class TestFuturesPrice:
     def test_spot_at_long_run_level_is_fixed_point(self, fit_rn):

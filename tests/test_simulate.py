@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ class TestIndexPath:
             simulate_index_paths(fit_hist, fit_g, 20.0, 0, 1, 1)
         with pytest.raises(ValueError, match="s0 must be positive"):
             simulate_index_paths(fit_hist, fit_g, [20.0, -1.0, 20.0], 10, 3, 1)
+        # an infinite start is refused before a step turns it into NaN
+        with pytest.raises(ValueError, match=r"^s0 must be positive and finite, got inf$"):
+            simulate_index_paths(fit_hist, fit_g, np.inf, 10, 1, 1)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=re.escape(f"finite, got [20.0, {bad}, 20.0]")):
+                simulate_index_paths(fit_hist, fit_g, [20.0, bad, 20.0], 10, 3, 1)
         with pytest.raises(ValueError):  # one level per path
             simulate_index_paths(fit_hist, fit_g, [20.0, 20.0], 10, 3, 1)
 
@@ -90,6 +97,17 @@ class TestIndexPath:
 
         simulate_index_paths(fit_hist, counting_g, 18.81, 63, 5, 7)
         assert shapes == [(5,)] * 63
+
+    def test_peak_memory_is_the_one_block(self, fit_hist, fit_g):
+        # the (paths, days + 1) levels and no second array of that size
+        tracemalloc.start()
+        try:
+            simulate_index_paths(fit_hist, fit_g, fit_hist.theta, 5040, 200, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 200 * 5041 * 8
+        assert block <= peak < 1.03 * block
 
 
 def _assert_batch_matches_loop(hist, g, s0, n_paths, seed, n_days=252):
@@ -113,7 +131,13 @@ def _constant_vol(sigma):
     return lambda spot: np.full(np.shape(spot), float(sigma))
 
 
-VOLS = {"constant": _constant_vol, "square-root": LocalVol.square_root}
+def _identity_vol(sigma):
+    """g(S) = S, which hands the engine back its own levels: a step that
+    wrote into g's result would write into the day it reads."""
+    return lambda spot: spot
+
+
+VOLS = {"constant": _constant_vol, "square-root": LocalVol.square_root, "identity": _identity_vol}
 
 
 @pytest.mark.parametrize("n_paths", (1, 5))
@@ -134,8 +158,10 @@ def test_batch_is_bit_identical_to_scalar_loop(vol, start, n_paths):
 @pytest.mark.parametrize("vol", VOLS)
 def test_clamped_batch_is_bit_identical_to_scalar_loop(vol, n_paths):
     # the violent volatility of test_clamp_counter_and_floor, over five
-    # years: in one year the lone constant-volatility path never clamps
-    hist = HistoricalParams(1.0, 5.0, 60.0)
+    # years: in one year the lone constant-volatility path never clamps.
+    # The identity's shocks stay a few percent of the level, so it
+    # crosses zero only where the drift overshoots theta (mu dt > 1)
+    hist = HistoricalParams(600.0 if vol == "identity" else 1.0, 5.0, 60.0)
     assert _assert_batch_matches_loop(hist, VOLS[vol](60.0), 5.0, n_paths, 5, n_days=1260) > 0
 
 

@@ -8,7 +8,9 @@ temporary directory, then runs each case below twice: with REF's
 writes no bytecode.  Every output file must be byte-identical; a
 manifest may differ only in ``elapsed_seconds`` and, as may stdout and
 stderr, in the output directory's path.  The exit codes must match.
-Prints one line per case and exits 1 on any difference.
+Prints one line per case and exits 1 on any difference.  A differing
+``key=value`` file (``params.txt``, ``manifest.txt``) is reported key
+by key, with both values and their relative gap.
 
 The inputs are written once, by the working tree, and both trees read
 the same files:
@@ -128,12 +130,41 @@ def contents(out: Path) -> dict:
     return files
 
 
+def key_values(data: bytes):
+    """A file's ``key=value`` lines as a dict, or None if it has another
+    line."""
+    pairs = [line.split("=", 1) for line in data.decode().splitlines()]
+    return dict(pairs) if all(len(pair) == 2 for pair in pairs) else None
+
+
 def clamped_steps(files: dict) -> int:
     """The ``count.clamped_steps`` of a run's manifest, 0 without one."""
-    for line in files.get("manifest.txt", b"").decode().splitlines():
-        if line.startswith("count.clamped_steps="):
-            return int(line.split("=", 1)[1])
-    return 0
+    return int((key_values(files.get("manifest.txt", b"")) or {}).get("count.clamped_steps", 0))
+
+
+def what_differs(name: str, file: str, ref: bytes, work: bytes) -> list:
+    """One line per key whose value moved if both sides of a differing
+    file are ``key=value`` lines, else (also where only the order or a
+    repeat of the lines differs) one line naming the file."""
+    pairs = key_values(ref), key_values(work)
+    keys = sorted(pairs[0].keys() | pairs[1].keys()) if None not in pairs else []
+    found = []
+    for key in keys:
+        a, b = (pair.get(key, "<absent>") for pair in pairs)
+        if a != b:
+            found.append(f"{name}: {file} {key}: {a} -> {b}{relative_gap(a, b)}")
+    return found or [f"{name}: {file} differs"]
+
+
+def relative_gap(a: str, b: str) -> str:
+    """``, relative gap G`` for two numbers, |a - b| / max(|a|, |b|);
+    empty for anything else."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return ""
+    gap = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+    return f", relative gap {gap:.2e}"
 
 
 def compare(ref: Path, work: Path, cases: dict) -> list:
@@ -150,11 +181,9 @@ def compare(ref: Path, work: Path, cases: dict) -> list:
         files = [contents(out) if out.exists() else {} for out in outs]
         if files[0].keys() != files[1].keys():
             found.append(f"{name}: files {sorted(files[0])} against {sorted(files[1])}")
-        found += [
-            f"{name}: {file} differs"
-            for file in sorted(files[0].keys() & files[1].keys())
-            if files[0][file] != files[1][file]
-        ]
+        for file in sorted(files[0].keys() & files[1].keys()):
+            if files[0][file] != files[1][file]:
+                found += what_differs(name, file, files[0][file], files[1][file])
         if name == CLAMPING and not clamped_steps(files[1]):
             found.append(f"{name}: no Euler step clamped, so the case tests no clamp")
         verdict = "DIFFERENT" if found else "identical"

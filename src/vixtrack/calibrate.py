@@ -23,8 +23,9 @@ closed-form futures curve (s - theta_tilde) e^(-mu_tilde T) + theta_tilde
 to observed prices in least squares, averaged over days (method of
 moments).  The curve is linear in theta_tilde, which therefore has a
 closed form for each mu_tilde (variable projection), leaving a
-one-dimensional search: a coarse grid, then Brent's bounded search, the
-steps of scipy's minimize_scalar(method="bounded") in numpy.
+one-dimensional search: a coarse grid, then the same BFGS search as the
+MLE's on the profile and its slope, the partial derivative in mu_tilde
+at fixed theta_tilde.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ __all__ = [
 # Parameter box (mu, theta, sigma) the historical fit searches in; a fit
 # that ends on a face of it is flagged at_bound.
 MLE_BOUNDS = ((1e-3, 100.0), (1e-2, 200.0), (1e-3, 50.0))
-# Iteration budget of each of the historical fit's searches.
+# Iteration budget of each search: the historical fit's BFGS and simplex,
+# and the curve fit's BFGS.
 MLE_MAX_ITER = 600
 # The fit's objective where the likelihood is not finite.
 _PENALTY = 1e12
@@ -321,14 +323,18 @@ def _neg_avg_loglik_and_score(z: np.ndarray, s_next, log_s_next, s_prev):
 def _bfgs_in_box(fun, z, bounds):
     # Minimize fun(z) -> (value, gradient) by BFGS inside the box bounds
     # (rows of (lo, hi)) from z; returns (z, value, gradient, iterations,
-    # evaluations).  The inverse Hessian starts from forward differences of
-    # the gradient at z, or where those are not positive definite from an
-    # identity scaled so that no entry of the first step exceeds 1.  Each
-    # trial point is clipped into the box and halved back to the Armijo
-    # condition.  Stops when no gradient entry exceeds 1e-8, when a step
-    # moves the value by at most 1e-13 of its size, when the line search
-    # cannot lower it (_MAX_HALVINGS trials, or one that moves the value by
-    # at most that much), or after MLE_MAX_ITER iterations.
+    # evaluations).  Both fits run it: the MLE in three log-parameters, the
+    # curve fit in log mu_tilde on a profile divided by its grid minimum,
+    # since the stop rules below are absolute (the gradient's, and the
+    # value's where it is below 1).  The inverse Hessian starts from
+    # forward differences of the gradient at z, or where those are not
+    # positive definite from an identity scaled so that no entry of the
+    # first step exceeds 1.  Each trial point is clipped into the box and
+    # halved back to the Armijo condition.  Stops when no gradient entry
+    # exceeds 1e-8, when a step moves the value by at most 1e-13 of its
+    # size, when the line search cannot lower it (_MAX_HALVINGS trials, or
+    # one that moves the value by at most that much), or after MLE_MAX_ITER
+    # iterations.
     lo, hi = bounds.T
     tiny = lambda a, b: abs(a - b) <= 1e-13 * max(abs(a), abs(b), 1.0)
     f, g = fun(z)
@@ -486,12 +492,16 @@ def mom_fit(observations) -> MOMReport:
     left is a one-dimensional search in log mu_tilde over (1e-6, 1e3) of
     the profile, :func:`mom_loss` at that theta_tilde: a coarse log grid
     of 37 points brackets the best minimum, guarding against others, and
-    Brent's bounded search (golden section with parabolic steps, to
-    1e-12 in log mu_tilde; the iterates of scipy's
-    ``minimize_scalar(method="bounded")``, without importing it) refines
-    it between the grid point's neighbours.  The grid point is kept if
-    the search ends higher.  Deterministic given the observations, the
-    per-quote arrays of :meth:`PricePanel.observations`.
+    the MLE's BFGS search refines it between the grid point's
+    neighbours, from the grid point.  The profile's slope in
+    log mu_tilde is the loss's partial derivative at fixed theta_tilde,
+    since theta_tilde is either stationary or clipped (Golub & Pereyra,
+    1973).  The search sees the profile and its slope divided by the
+    grid minimum, so that its stop rules are scale-free; where that
+    minimum is 0 the grid point fits exactly and is kept.  The search
+    only accepts points that lower the loss, so the fit is never above
+    the grid's.  Deterministic given the observations, the per-quote
+    arrays of :meth:`PricePanel.observations`.
 
     Raises
     ------
@@ -505,72 +515,27 @@ def mom_fit(observations) -> MOMReport:
             "unidentifiable: one maturity at one spot level cannot pin down "
             "both mean-reversion parameters"
         )
-    def theta_star(log_mu: float) -> float:
+    def projected(log_mu: float) -> RiskNeutralParams:
         e = np.exp(-math.exp(log_mu) * ttms)
         a = 1.0 - e
         theta = np.sum(weights * a * (prices - spots * e)) / np.sum(weights * a * a)
-        return min(max(float(theta), 1e-6), 1e4)
+        return RiskNeutralParams(math.exp(log_mu), min(max(float(theta), 1e-6), 1e4))
 
-    def profile(log_mu: float) -> float:
-        return mom_loss(RiskNeutralParams(math.exp(log_mu), theta_star(log_mu)), observations)
+    def scaled_profile(z):
+        # mom_loss at the projected theta_tilde and its slope in log mu_tilde,
+        # both over the grid minimum
+        rn = projected(z[0])
+        curve = futures_price(spots, ttms, rn)
+        gap = curve - prices
+        slope = -2.0 * rn.mu_tilde * np.sum(weights * gap * ttms * (curve - rn.theta_tilde))
+        return np.sum(weights * gap**2) / values[k], np.array([slope / values[k]])
 
     grid = np.linspace(math.log(1e-6), math.log(1e3), 37).tolist()
-    values = [profile(z) for z in grid]
+    values = [mom_loss(projected(z), observations) for z in grid]
     k = int(np.argmin(values))
-    x, fx, _ = _bounded_brent(profile, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 1e-12)
-    log_mu = x if fx <= values[k] else grid[k]
-    rn = RiskNeutralParams(mu_tilde=math.exp(log_mu), theta_tilde=theta_star(log_mu))
+    log_mu = grid[k]
+    if values[k] > 0:  # else the grid point fits exactly
+        bracket = np.array([[grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]]])
+        log_mu = _bfgs_in_box(scaled_profile, np.array([log_mu]), bracket)[0][0]
+    rn = projected(log_mu)
     return MOMReport(params=rn, loss=mom_loss(rn, observations))
-
-
-def _bounded_brent(f, a: float, b: float, xatol: float):
-    # Brent's minimization of f on [a, b]: golden-section steps, parabolic
-    # ones where they are acceptable.  Step for step that of scipy's
-    # minimize_scalar(method="bounded") (its _minimize_scalar_bounded), so
-    # it visits the same points and returns the same (x, f(x), evaluations),
-    # within scipy's default budget of 500 evaluations.
-    golden = 0.5 * (3.0 - math.sqrt(5.0))
-    sqrt_eps = math.sqrt(2.2e-16)
-    fulc = nfc = xf = a + golden * (b - a)
-    fx = ffulc = fnfc = f(xf)
-    evaluations, rat, e = 1, 0.0, 0.0
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        parabolic = False
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                parabolic = True
-                rat = p / q
-                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if not parabolic:
-            e = (a if xf >= xm else b) - xf
-            rat = golden * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        evaluations += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if evaluations >= 500:
-            break
-    return xf, fx, evaluations

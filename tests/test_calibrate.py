@@ -25,10 +25,10 @@ from vixtrack import (
     mom_fit,
     mom_loss,
 )
+from vixtrack import calibrate
 from vixtrack.calibrate import (
     _PENALTY,
     MLE_MAX_ITER,
-    _bounded_brent,
     _log_i_debye,
     _log_i_debye_partials,
     _neg_avg_loglik,
@@ -260,7 +260,8 @@ def bench_spot():
     return oracles.euler_path_loop(hist, LocalVol.square_root(6.37), hist.theta, 1259, seed)[0]
 
 
-def bench_observations(tmp_path):
+@pytest.fixture(scope="module")
+def bench_quotes(tmp_path_factory):
     """The per-quote arrays of the bench's quotes (seed 0, ``--n-ranks
     8``), written by ``perfbench/inputs.py``, loaded by path: its
     directory has an ``oracles.py`` too."""
@@ -268,8 +269,44 @@ def bench_observations(tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    quotes = inputs.write_inputs(tmp_path, 0)["quotes"]
+    quotes = inputs.write_inputs(tmp_path_factory.mktemp("bench"), 0)["quotes"]
     return load_panel(quotes, n_ranks=8).observations()
+
+
+def time_scaled_quotes(mu_tilde):
+    """Noisy quotes of mu_tilde = 1.39 with every maturity multiplied by
+    1.39 / mu_tilde: quotes of mu_tilde, since the curve depends on
+    mu_tilde T alone."""
+    rn = RiskNeutralParams(1.39, 26.03)
+    spots, ttms, prices, weights = synth_panel(rn, seed=7, noise=0.05).observations()
+    return spots, ttms * (1.39 / mu_tilde), prices, weights
+
+
+def unclipped_theta(observations, mu_tilde):
+    """The theta_tilde that minimizes the curve fit's loss at mu_tilde,
+    by its closed form, before the clip to (1e-6, 1e4)."""
+    spots, ttms, prices, weights = observations
+    e = np.exp(-mu_tilde * ttms)
+    return np.sum(weights * (1 - e) * (prices - spots * e)) / np.sum(weights * (1 - e) ** 2)
+
+
+def profile_loss(observations, log_mu):
+    """mom_loss at mu_tilde = e^log_mu and its clipped best theta_tilde."""
+    theta = min(max(unclipped_theta(observations, math.exp(log_mu)), 1e-6), 1e4)
+    return mom_loss(RiskNeutralParams(math.exp(log_mu), theta), observations)
+
+
+def search_calls(monkeypatch):
+    """The (fun, start, bounds, result) of each search mom_fit runs, from
+    then on."""
+    calls, search = [], calibrate._bfgs_in_box
+
+    def spy(fun, z, bounds):
+        calls.append((fun, z, bounds, search(fun, z, bounds)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(calibrate, "_bfgs_in_box", spy)
+    return calls
 
 
 def mixed_routes_spot():
@@ -549,35 +586,78 @@ class TestMom:
         ):
             assert abs(np.log(got / grid[k])) <= np.log(grid[1] / grid[0])
 
-    @pytest.mark.parametrize(
-        "f, bounds",
-        [
-            (lambda x: (x - 0.3) ** 2, (-1.0, 2.0)),  # inside: one parabolic step
-            (math.cos, (2.0, 4.5)),  # inside, at pi
-            (lambda x: x, (-1.0, 2.0)),  # at the lower end
-            (lambda x: -math.exp(x), (-1.0, 2.0)),  # at the upper end
-            (lambda x: float(abs(math.floor(4.0 * x))), (-1.0, 2.0)),  # ties: a staircase
-        ],
-        ids=["parabola", "cosine", "lower-end", "upper-end", "staircase"],
-    )
-    def test_bounded_brent_is_scipys(self, f, bounds):
-        want = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": 1e-12})
-        assert _bounded_brent(f, *bounds, 1e-12) == (want.x, want.fun, want.nfev)
+    def test_exact_fit_keeps_the_grid_point(self, monkeypatch):
+        # a flat curve at its constant spot: the grid minimum is exactly 0,
+        # so no search runs (it divides by that minimum), and nothing warns
+        calls = search_calls(monkeypatch)
+        ttms = np.arange(1, 5) * 21 / 252.0
+        rep = mom_fit(curve_panel([20.0] * 5, [ttms] * 5, np.full((5, 4), 20.0)).observations())
+        assert rep.loss == 0.0
+        assert rep.params.theta_tilde == pytest.approx(20.0, rel=1e-8)
+        assert calls == []
 
-    def test_bounded_brent_is_scipys_on_the_bench_profile(self, tmp_path, monkeypatch):
-        # the search mom_fit runs on the bench's quotes, run again by scipy
-        calls = []
+    @pytest.mark.parametrize("mu_tilde, clipped", [(1.39, False), (2e-6, True)])
+    def test_profile_slope_is_its_derivative(self, monkeypatch, mu_tilde, clipped):
+        # the slope the search sees, at its start, against central
+        # differences of the value it sees: the partial in ln mu_tilde at
+        # fixed theta_tilde, where theta_tilde is stationary and where it
+        # is clipped at 1e-6.  At h = 1e-4 they agreed within 4.9e-9 and
+        # 2.3e-8, relative: the differences' truncation error, with the
+        # clipped profile's rounding dominating below it.
+        calls = search_calls(monkeypatch)
+        obs = synth_panel(RiskNeutralParams(mu_tilde, 26.03), seed=7, noise=0.05).observations()
+        mom_fit(obs)
+        [(fun, z, _, _)] = calls
+        assert (unclipped_theta(obs, math.exp(z[0])) < 1e-6) == clipped
+        h = 1e-4
+        slope = (fun(z + h)[0] - fun(z - h)[0]) / (2 * h)
+        assert fun(z)[1][0] == pytest.approx(slope, rel=1e-7)
 
-        def spy(*args):
-            calls.append((args, _bounded_brent(*args)))
-            return calls[-1][1]
+    @pytest.mark.parametrize("quotes", ["bench", "cli", "lower-end", "upper-end"])
+    def test_search_matches_scipys_bounded_brent(self, quotes, bench_quotes, tmp_path, monkeypatch):
+        # scipy's bounded Brent search on the same bracket, as an oracle:
+        # mom_fit may end no higher, and at the same mu_tilde.  The worst
+        # gap in mu_tilde was 4.9e-8 at the lower end, where scipy's stop
+        # tolerance adds 1.5e-8 |ln mu_tilde| = 2e-7 to xatol.  The CLI
+        # quotes are model prices, so there both losses are rounding
+        # (5.3e-23 against scipy's 1.7e-19).
+        if quotes == "bench":
+            obs = bench_quotes
+        elif quotes == "cli":
+            write_quote_files(tmp_path, n_days=200, seed=3)
+            obs = load_panel(tmp_path).observations()
+        else:
+            obs = time_scaled_quotes(1.2e-6 if quotes == "lower-end" else 900.0)
+        calls = search_calls(monkeypatch)
+        rep = mom_fit(obs)
+        [(_, _, bounds, _)] = calls
+        lo, hi = bounds[0]
+        assert (lo == math.log(1e-6), hi == math.log(1e3)) == (
+            quotes == "lower-end", quotes == "upper-end"
+        )
+        want = minimize_scalar(
+            lambda x: profile_loss(obs, x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+        )
+        assert want.success
+        assert rep.loss <= want.fun * (1 + 1e-12)
+        assert rep.params.mu_tilde == pytest.approx(math.exp(want.x), rel=1e-7)
 
-        monkeypatch.setattr("vixtrack.calibrate._bounded_brent", spy)
-        rep = mom_fit(bench_observations(tmp_path))
-        [((profile, lo, hi, xatol), got)] = calls
-        want = minimize_scalar(profile, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-        assert got == (want.x, want.fun, want.nfev)
-        assert rep.params.mu_tilde == math.exp(got[0])
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.floats(0.25, 4.0))
+    def test_scale_equivariance(self, bench_quotes, c):
+        # futures are affine in the spot, so quotes times c are fitted by
+        # the same mu_tilde and by c theta_tilde, at c^2 the loss.  Over
+        # 1104 values of c in [0.25, 4] (104 log-spaced, 1000 uniform) the
+        # worst errors were 4.0e-15 (mu_tilde), 1.0e-15 (theta_tilde) and
+        # 2.2e-15 (loss), relative; the bounds are about twice those.
+        # Searching the undivided profile, whose stop rules are absolute,
+        # moved mu_tilde by up to 4.0e-8.
+        spots, ttms, prices, weights = bench_quotes
+        fit = mom_fit(bench_quotes)
+        rep = mom_fit((c * spots, ttms, c * prices, weights))
+        assert rep.params.mu_tilde == pytest.approx(fit.params.mu_tilde, rel=8e-15)
+        assert rep.params.theta_tilde / c == pytest.approx(fit.params.theta_tilde, rel=2e-15)
+        assert rep.loss / c**2 == pytest.approx(fit.loss, rel=5e-15)
 
     def test_unidentifiable_surface_rejected(self):
         panel = curve_panel([20.0] * 5, [[21 / 252.0]] * 5, [[21.0]] * 5)

@@ -25,7 +25,10 @@ moments).  The curve is linear in theta_tilde, which therefore has a
 closed form for each mu_tilde (variable projection), leaving a
 one-dimensional search: a coarse grid, then the same BFGS search as the
 MLE's on the profile and its slope, the partial derivative in mu_tilde
-at fixed theta_tilde.
+at fixed theta_tilde.  The quotes are summed by maturity once, so each
+profile value costs one pass over the maturities, not the quotes.  A
+curve fit on a limit of its search is flagged ``at_bound``, as the MLE's
+is; it does not fail the ``calibrate`` run (see ``cli``).
 """
 
 from __future__ import annotations
@@ -244,11 +247,12 @@ class MLEReport:
 
 @dataclass(frozen=True)
 class MOMReport:
-    """Risk-neutral curve fit: parameters and average squared pricing
-    error."""
+    """Risk-neutral curve fit: parameters, average squared pricing
+    error, and whether the fit sits on a limit of its search."""
 
     params: RiskNeutralParams
     loss: float
+    at_bound: bool
 
 
 def initial_guess_from_moments(series: np.ndarray) -> HistoricalParams:
@@ -483,25 +487,41 @@ def mom_loss(rn: RiskNeutralParams, observations) -> float:
 
 def mom_fit(observations) -> MOMReport:
     """Fit (mu_tilde, theta_tilde) by minimizing the average squared
-    pricing error, by variable projection.
+    pricing error, by variable projection on per-maturity sums.
 
-    For fixed mu_tilde the fitted curve (s - theta) e + theta, with
-    e = e^(-mu_tilde T) and a = 1 - e, is linear in theta_tilde, so the
-    loss is a convex quadratic in theta_tilde whose minimizer over the
-    box (1e-6, 1e4) is sum w a (f - s e) / sum w a^2, clipped.  What is
-    left is a one-dimensional search in log mu_tilde over (1e-6, 1e3) of
-    the profile, :func:`mom_loss` at that theta_tilde: a coarse log grid
-    of 37 points brackets the best minimum, guarding against others, and
-    the MLE's BFGS search refines it between the grid point's
-    neighbours, from the grid point.  The profile's slope in
-    log mu_tilde is the loss's partial derivative at fixed theta_tilde,
-    since theta_tilde is either stationary or clipped (Golub & Pereyra,
+    With e = e^(-mu_tilde T) and a = 1 - e, quote i's error is
+    s_i e + theta_tilde a - f_i, so the quotes of one maturity T enter
+    the loss only through their weight sum W, their weighted mean spot
+    s and price f, the spread S_ss = sum w (s_i - s)^2 and, with
+    b = S_sf / S_ss (0 where S_ss = 0), the residual
+    R = sum w ((f_i - f) - b (s_i - s))^2:
+
+        sum_i w (s_i e + theta_tilde a - f_i)^2
+            = W gap^2 + S_ss (e - b)^2 + R,   gap = futures_price(s, T) - f,
+
+    three terms that are never negative, so none cancels.  The quotes
+    are grouped by maturity once; every later step is one pass over the
+    maturities.  For fixed mu_tilde the loss is a convex quadratic in
+    theta_tilde whose minimizer over the box (1e-6, 1e4) is
+    sum W a (f - s e) / sum W a^2, clipped.  What is left is a
+    one-dimensional search in log mu_tilde over (1e-6, 1e3) of that
+    profile: a coarse log grid of 37 points brackets the best minimum,
+    guarding against others, and the MLE's BFGS search refines it
+    between the grid point's neighbours, from the grid point.  The
+    profile's slope in log mu_tilde,
+    -mu_tilde sum T e 2 (W gap (s - theta_tilde) + S_ss (e - b)), is
+    the loss's partial derivative at fixed theta_tilde, since
+    theta_tilde is either stationary or clipped (Golub & Pereyra,
     1973).  The search sees the profile and its slope divided by the
     grid minimum, so that its stop rules are scale-free; where that
     minimum is 0 the grid point fits exactly and is kept.  The search
     only accepts points that lower the loss, so the fit is never above
-    the grid's.  Deterministic given the observations, the per-quote
-    arrays of :meth:`PricePanel.observations`.
+    the grid's.  The reported loss is :func:`mom_loss`, quote by quote.
+    ``at_bound`` is True when theta_tilde is clipped to 1e-6 or 1e4 or
+    the grid's best point is its first or last: the quotes do not pin
+    down both parameters inside their ranges.
+    Deterministic given the observations, the per-quote arrays of
+    :meth:`PricePanel.observations`.
 
     Raises
     ------
@@ -510,32 +530,52 @@ def mom_fit(observations) -> MOMReport:
         maturity observed at a single spot level).
     """
     spots, ttms, prices, weights = observations
-    if np.unique(np.round(ttms, 12)).size < 2 and np.unique(spots).size < 2:
+    mats, first, group = np.unique(ttms, return_index=True, return_inverse=True)
+    if np.unique(np.round(mats, 12)).size < 2 and np.unique(spots).size < 2:
         raise CalibrationError(
             "unidentifiable: one maturity at one spot level cannot pin down "
             "both mean-reversion parameters"
         )
-    def projected(log_mu: float) -> RiskNeutralParams:
-        e = np.exp(-math.exp(log_mu) * ttms)
+    total = lambda x: np.bincount(group, x, mats.size)
+    w_sum = total(weights)
+    # each maturity's weighted means, taken about its first quote: where
+    # its quotes share a spot (or a price) that is their mean exactly, and
+    # S_ss = 0 (or R = 0), which a plain weighted mean misses by rounding
+    mean = lambda x: x[first] + total(weights * (x - x[first][group])) / w_sum
+    s_bar, f_bar = mean(spots), mean(prices)
+    ds, df = spots - s_bar[group], prices - f_bar[group]
+    s_ss = total(weights * ds * ds)
+    b = np.divide(total(weights * ds * df), s_ss, out=np.zeros_like(s_ss), where=s_ss > 0)
+    rest = np.sum(weights * (df - b[group] * ds) ** 2)
+
+    def projected(log_mu: float):
+        # the clipped best theta_tilde at mu_tilde = e^log_mu, and e by maturity
+        e = np.exp(-math.exp(log_mu) * mats)
         a = 1.0 - e
-        theta = np.sum(weights * a * (prices - spots * e)) / np.sum(weights * a * a)
-        return RiskNeutralParams(math.exp(log_mu), min(max(float(theta), 1e-6), 1e4))
+        wa = w_sum * a
+        theta = (wa @ (f_bar - s_bar * e)) / (wa @ a)
+        return RiskNeutralParams(math.exp(log_mu), min(max(float(theta), 1e-6), 1e4)), e
+
+    def profile(log_mu: float):
+        # the loss at the projected theta_tilde and its slope in log mu_tilde
+        rn, e = projected(log_mu)
+        gap = futures_price(s_bar, mats, rn) - f_bar
+        off = e - b
+        value = w_sum @ gap**2 + s_ss @ off**2 + rest
+        by_mat = w_sum * gap * (s_bar - rn.theta_tilde) + s_ss * off
+        return value, -2.0 * rn.mu_tilde * ((mats * e) @ by_mat)
 
     def scaled_profile(z):
-        # mom_loss at the projected theta_tilde and its slope in log mu_tilde,
-        # both over the grid minimum
-        rn = projected(z[0])
-        curve = futures_price(spots, ttms, rn)
-        gap = curve - prices
-        slope = -2.0 * rn.mu_tilde * np.sum(weights * gap * ttms * (curve - rn.theta_tilde))
-        return np.sum(weights * gap**2) / values[k], np.array([slope / values[k]])
+        value, slope = profile(z[0])
+        return value / values[k], np.array([slope / values[k]])
 
     grid = np.linspace(math.log(1e-6), math.log(1e3), 37).tolist()
-    values = [mom_loss(projected(z), observations) for z in grid]
+    values = [profile(z)[0] for z in grid]
     k = int(np.argmin(values))
     log_mu = grid[k]
     if values[k] > 0:  # else the grid point fits exactly
         bracket = np.array([[grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]]])
         log_mu = _bfgs_in_box(scaled_profile, np.array([log_mu]), bracket)[0][0]
-    rn = projected(log_mu)
-    return MOMReport(params=rn, loss=mom_loss(rn, observations))
+    rn = projected(log_mu)[0]
+    at_bound = k in (0, len(grid) - 1) or rn.theta_tilde in (1e-6, 1e4)
+    return MOMReport(params=rn, loss=mom_loss(rn, observations), at_bound=at_bound)

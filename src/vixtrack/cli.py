@@ -7,7 +7,7 @@ subcommand, ``config.`` keys (every parsed flag but ``--out-dir``,
 plus ``simulate``'s scenario settings), input digests, output names,
 ``count.`` keys for what the run found (work done, early rolls,
 clamped steps, failed subsets, an unconverged fit, an MLE that needed
-its simplex fallback) and the elapsed
+its simplex fallback, a fit on a limit) and the elapsed
 time.  A run that raises writes no manifest, so its absence marks a
 failed run; but a run may also fail after writing its outputs and
 manifest (exit 3 below).  All files are plain text and written
@@ -34,6 +34,12 @@ Exit codes: 0 success, 2 data error, 3 calibration failure,
   spot is constant) raises, and the run writes no manifest;
 - an MLE that ends on its parameter box writes ``params.txt``, with
   ``mle_at_bound=true``, and a manifest with ``count.mle_at_bound=1``.
+
+A curve fit on a limit (``mom_at_bound=true`` in ``params.txt``,
+``count.mom_at_bound=1`` in the manifest) does not change the exit
+code: its parameters still price the quotes at the least loss the
+search can reach, and only the flag marks that the quotes do not pin
+down both of them.
 """
 
 from __future__ import annotations
@@ -310,6 +316,7 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
         "mle_converged": str(mle.converged).lower(),
         "mle_at_bound": str(mle.at_bound).lower(),
         "mom_loss": mom.loss,
+        "mom_at_bound": str(mom.at_bound).lower(),
         "n_days": panel.n_days,
         "n_dropped": panel.n_dropped,
     }
@@ -318,6 +325,7 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
     manifest.counts["mle_not_converged"] = int(not mle.converged)
     manifest.counts["mle_at_bound"] = int(mle.at_bound)
     manifest.counts["mle_simplex_fallback"] = int(mle.simplex_fallback)
+    manifest.counts["mom_at_bound"] = int(mom.at_bound)
     print("calibrated:", *(f"{k}={v:.4f}" for k, v in fitted.items()))
     return EXIT_CALIBRATION if mle.at_bound else EXIT_OK
 

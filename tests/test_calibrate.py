@@ -18,6 +18,7 @@ from vixtrack import (
     PricePanel,
     RiskNeutralParams,
     cir_log_density,
+    futures_price,
     initial_guess_from_moments,
     load_panel,
     log_bessel_i,
@@ -280,6 +281,27 @@ def time_scaled_quotes(mu_tilde):
     rn = RiskNeutralParams(1.39, 26.03)
     spots, ttms, prices, weights = synth_panel(rn, seed=7, noise=0.05).observations()
     return spots, ttms * (1.39 / mu_tilde), prices, weights
+
+
+def one_spot_maturity_quotes():
+    """Noisy quotes of mu_tilde = 1.39, plus five of a maturity of
+    their own, each at the spot 22: that maturity's spot spread
+    S_ss is 0."""
+    rn = RiskNeutralParams(1.39, 26.03)
+    spots, ttms, prices, weights = synth_panel(rn, seed=7, noise=0.05).observations()
+    noise = 0.05 * np.random.default_rng(8).normal(size=5)
+    extra = np.full(5, 22.0), np.full(5, 0.5), futures_price(22.0, 0.5, rn) + noise, weights[:5]
+    return tuple(map(np.concatenate, zip((spots, ttms, prices, weights), extra)))
+
+
+def own_maturity_quotes():
+    """Noisy quotes of mu_tilde = 1.39 with each maturity moved by its
+    own amount in [0, 1e-3): every maturity is quoted once."""
+    rn = RiskNeutralParams(1.39, 26.03)
+    spots, ttms, prices, weights = synth_panel(rn, seed=7, noise=0.05).observations()
+    ttms = ttms + np.random.default_rng(8).uniform(0.0, 1e-3, ttms.size)
+    assert np.unique(ttms).size == ttms.size
+    return spots, ttms, prices, weights
 
 
 def unclipped_theta(observations, mu_tilde):
@@ -596,6 +618,20 @@ class TestMom:
         assert rep.params.theta_tilde == pytest.approx(20.0, rel=1e-8)
         assert calls == []
 
+    def test_exact_fit_on_uneven_days_keeps_the_grid_point(self, monkeypatch):
+        # as above, on days of 4, 3, 2, 4 and 1 live quotes, so that the
+        # quotes weigh unequally: each maturity's mean spot and price are
+        # still exactly 21.37, and its spread and residual exactly 0
+        calls = search_calls(monkeypatch)
+        ttms = np.tile(np.arange(1, 5) * 21 / 252.0, (5, 1))
+        prices = np.full((5, 4), 21.37)
+        for day, n_live in enumerate([4, 3, 2, 4, 1]):
+            ttms[day, : 4 - n_live] = prices[day, : 4 - n_live] = np.nan  # expired
+        rep = mom_fit(curve_panel([21.37] * 5, ttms, prices).observations())
+        assert rep.loss == 0.0
+        assert rep.params.theta_tilde == pytest.approx(21.37, rel=1e-8)
+        assert calls == []
+
     @pytest.mark.parametrize("mu_tilde, clipped", [(1.39, False), (2e-6, True)])
     def test_profile_slope_is_its_derivative(self, monkeypatch, mu_tilde, clipped):
         # the slope the search sees, at its start, against central
@@ -641,6 +677,59 @@ class TestMom:
         assert want.success
         assert rep.loss <= want.fun * (1 + 1e-12)
         assert rep.params.mu_tilde == pytest.approx(math.exp(want.x), rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "quotes, bound",
+        [("bench", 1e-13), ("cli", 3e-13), ("one-spot", 1e-13), ("own-maturity", 1e-13)],
+    )
+    def test_profile_is_the_per_quote_loss(self, quotes, bound, bench_quotes, tmp_path, monkeypatch):
+        # the profile the search sees, from per-maturity sums and divided
+        # by the grid minimum, times that minimum quote by quote, against
+        # profile_loss quote by quote, at every grid point.  The worst
+        # gaps were 4.5e-14 (bench), 1.2e-13 (the CLI's model-price
+        # quotes), 6.4e-14 (a maturity quoted at one spot, S_ss = 0) and
+        # 3.5e-15 (every maturity quoted once), relative.
+        if quotes == "bench":
+            obs = bench_quotes
+        elif quotes == "cli":
+            write_quote_files(tmp_path, n_days=200, seed=3)
+            obs = load_panel(tmp_path).observations()
+        else:
+            obs = one_spot_maturity_quotes() if quotes == "one-spot" else own_maturity_quotes()
+        calls = search_calls(monkeypatch)
+        mom_fit(obs)
+        [(fun, z, _, _)] = calls
+        assert fun(z)[0] == 1.0
+        grid_min = profile_loss(obs, z[0])
+        for log_mu in np.linspace(math.log(1e-6), math.log(1e3), 37):
+            want = profile_loss(obs, log_mu)
+            assert fun(np.array([log_mu]))[0] * grid_min == pytest.approx(want, rel=bound)
+
+    @pytest.mark.parametrize(
+        "quotes, flagged",
+        [
+            ("theta-clipped", True),
+            ("lower-end", True),
+            ("upper-end", True),
+            ("bench", False),
+            ("noise-free", False),
+        ],
+    )
+    def test_at_bound(self, quotes, flagged, bench_quotes):
+        # flagged where theta_tilde is clipped (here at 1e-6, inside the
+        # grid) or the grid's best point is its first or last (there
+        # theta_tilde is inside its box)
+        if quotes == "theta-clipped":
+            obs = synth_panel(RiskNeutralParams(2e-6, 26.03), seed=7, noise=0.05).observations()
+        elif quotes in ("lower-end", "upper-end"):
+            obs = time_scaled_quotes(1.2e-6 if quotes == "lower-end" else 900.0)
+        elif quotes == "bench":
+            obs = bench_quotes
+        else:
+            obs = synth_panel(RiskNeutralParams(2.0, 25.0), n_days=60, seed=2).observations()
+        rep = mom_fit(obs)
+        assert rep.at_bound is flagged
+        assert (rep.params.theta_tilde == 1e-6) == (quotes == "theta-clipped")
 
     @settings(max_examples=30, deadline=None)
     @given(c=st.floats(0.25, 4.0))

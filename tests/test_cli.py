@@ -90,13 +90,19 @@ def test_calibrate(calibrated):
     assert code == 0
     kv = assert_manifest(
         out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES,
-        (*DROPPED, "mle_evaluations", "mle_not_converged", "mle_at_bound", "mle_simplex_fallback"),
+        (
+            *DROPPED, "mle_evaluations", "mle_not_converged", "mle_at_bound",
+            "mle_simplex_fallback", "mom_at_bound",
+        ),
     )
     assert kv["output.0"] == "params.txt"
     params = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
     for value in params.values():
         if value not in ("true", "false"):
             float(value)
+    keys = list(params)
+    assert keys[keys.index("mom_loss") + 1] == "mom_at_bound"
+    assert (params["mom_at_bound"], kv["count.mom_at_bound"]) == ("false", "0")
     # the gradient search evaluates its start, then at least one point
     # per iteration; on these quotes it needs no simplex
     assert int(kv["count.mle_evaluations"]) > int(params["mle_iterations"])
@@ -117,6 +123,21 @@ def test_calibrate_fit_on_the_box_exits_3(tmp_path):
     assert (fit["mle_at_bound"], fit["mle_converged"]) == ("true", "false")
     assert read_manifest(out)["count.mle_at_bound"] == "1"
     assert read_manifest(out)["count.mle_simplex_fallback"] == "1"
+
+
+def test_calibrate_curve_fit_on_a_limit_exits_0(tmp_path):
+    # futures of mu_tilde = 2000 sit at theta_tilde from the front month
+    # on: the curve fit ends at mu_tilde's upper limit 1e3, is flagged,
+    # and the run still succeeds; simulate reads its parameters
+    rn = vixtrack.RiskNeutralParams(2000.0, 26.03)
+    write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3, rn=rn)
+    out = tmp_path / "out"
+    assert main(["calibrate", "--data-dir", str(tmp_path / "q"), "--out-dir", str(out)]) == 0
+    fit = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
+    assert float(fit["mu_tilde"]) == pytest.approx(1e3)
+    assert (fit["mom_at_bound"], fit["mle_at_bound"]) == ("true", "false")
+    assert read_manifest(out)["count.mom_at_bound"] == "1"
+    assert read_params_file(out / "params.txt")[1].mu_tilde == float(fit["mu_tilde"])
 
 
 def test_calibrate_constant_spot_fails_the_run(tmp_path, capsys):

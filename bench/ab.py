@@ -23,7 +23,11 @@ the same files:
 * ``violent``: ``tests/test_cli.py::VIOLENT_PARAMS`` and ``seed=5``,
   whose ``simulate`` clamps Euler steps to the floor.  The case fails
   if the working tree's manifest counts no clamped step, since it
-  would then test no clamp.
+  would then test no clamp;
+* ``corner``: ``write_quote_files(dir, n_days=N_DAYS, seed=3,
+  hist=CORNER_HIST)`` of ``tests/test_cli.py``, a nearly constant spot
+  whose ``calibrate`` fit ends on the MLE's box.  The case fails unless
+  the working tree's run exits 3, since it would then test no such fit.
 
 The script only reads ``perfbench/``.
 """
@@ -45,6 +49,7 @@ sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parents[1]
 GAP_ROW = "2015-05-01,F04,close,"
 CLAMPING = "violent/simulate"
+ON_THE_BOX = "corner/calibrate"
 
 
 def load_inputs():
@@ -58,8 +63,8 @@ def load_inputs():
 
 
 def write_input_sets(work: Path) -> dict:
-    """Write the three input sets under ``work``; return the cases, as
-    name -> argv without ``--out-dir``."""
+    """Write the input sets under ``work``; return the cases, as name ->
+    argv without ``--out-dir``."""
     inputs = load_inputs()
     bench = inputs.write_inputs(work / "bench", 0)
 
@@ -74,7 +79,7 @@ def write_input_sets(work: Path) -> dict:
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from conftest import write_quote_files
-    from test_cli import VIOLENT_PARAMS
+    from test_cli import CORNER_HIST, N_DAYS, VIOLENT_PARAMS
 
     small = work / "small"
     write_quote_files(small, n_days=300, seed=3)
@@ -82,6 +87,8 @@ def write_input_sets(work: Path) -> dict:
     violent.mkdir()
     (violent / "params.txt").write_text(VIOLENT_PARAMS)
     (violent / "scenario.txt").write_text("seed=5\n")
+    corner = work / "corner"
+    write_quote_files(corner, n_days=N_DAYS, seed=3, hist=CORNER_HIST)
 
     cases = {
         "bench/calibrate": ["calibrate", "--data-dir", bench["quotes"], "--n-ranks", "8"],
@@ -103,6 +110,7 @@ def write_input_sets(work: Path) -> dict:
         "simulate", "--params", str(violent / "params.txt"),
         "--scenario", str(violent / "scenario.txt"),
     ]
+    cases[ON_THE_BOX] = ["calibrate", "--data-dir", str(corner)]
     return cases
 
 
@@ -186,6 +194,8 @@ def compare(ref: Path, work: Path, cases: dict) -> list:
                 found += what_differs(name, file, files[0][file], files[1][file])
         if name == CLAMPING and not clamped_steps(files[1]):
             found.append(f"{name}: no Euler step clamped, so the case tests no clamp")
+        if name == ON_THE_BOX and runs[1][0] != 3:
+            found.append(f"{name}: exit {runs[1][0]}, not 3, so the case fits off the box")
         verdict = "DIFFERENT" if found else "identical"
         print(f"{name}: exit {runs[1][0]}, {len(files[1])} files, {verdict}", flush=True)
         differences += found

@@ -6,17 +6,22 @@ order q = 2 mu theta / sigma^2 - 1 > -1, so the historical parameters
 (mu, theta, sigma) are fitted by maximizing the average log-likelihood
 over the observed daily transitions, with one quasi-Newton (BFGS)
 search on the likelihood and its analytic score inside a parameter box
-from a moment-based start; scipy's simplex search backs it up where it
-ends on the box or short of a stationary point, as on near-constant
-series, and only then is scipy.optimize imported.
+from a moment-based start.  Where the likelihood rises towards a face
+of the box, as on near-constant series, the search steps onto that
+face and goes on in the other parameters (an eps-active set); the
+library imports no scipy.optimize.
 ln I_q(x) comes from the uniform large-order (Debye) expansion
 wherever hypot(q, x) >= 200, which on daily index data is most
 transitions, but not a series' lows while the search passes through
 small orders, and is exact to rounding there; below that radius it is
 ln of scipy's scaled ive(q, x) = I_q(x) e^-x plus x, with the
 expansion where ive underflows, or below x = 1e-8 the leading term
-q ln(x/2) - ln Gamma(q + 1) of the power series.  The score takes the
-expansion's partial derivatives in q and x on every transition.
+q ln(x/2) - ln Gamma(q + 1) of the power series.  On the expansion's
+route the density's terms of size q, which cancel, are summed in a
+closed form in which they do not, so the likelihood keeps its
+precision at any order.  The score takes the expansion's partial
+derivatives in q and x on every transition, from the same pass over
+its series as the value.
 
 The risk-neutral pair (mu_tilde, theta_tilde) is fitted by matching the
 closed-form futures curve (s - theta_tilde) e^(-mu_tilde T) + theta_tilde
@@ -55,14 +60,15 @@ __all__ = [
 # Parameter box (mu, theta, sigma) the historical fit searches in; a fit
 # that ends on a face of it is flagged at_bound.
 MLE_BOUNDS = ((1e-3, 100.0), (1e-2, 200.0), (1e-3, 50.0))
-# Iteration budget of each search: the historical fit's BFGS and simplex,
-# and the curve fit's BFGS.
+# Iteration budget of the BFGS search, in both fits.
 MLE_MAX_ITER = 600
 # The fit's objective where the likelihood is not finite.
 _PENALTY = 1e12
-# Largest score entry at which the gradient search's end point is taken as
-# the maximum: 1e-6 is 14x the largest at a stop on 18 regular series
-# (7.3e-8), and 1e-6 of the smallest where it stops at a corner (1.75).
+# Largest projected score entry at which the search's end point is taken
+# as the maximum: 1e-6 is 50x the largest at a stop on 18 regular series
+# (2.0e-8).  On near-constant spots the search stops on the box at the
+# value's rounding, with entries up to 1.3e-3 (the ln theta curvature is
+# 7.5e8 there); those fits are at_bound, and so not converged, either way.
 _STATIONARY = 1e-6
 # Forward-difference step of the gradient search's starting Hessian, in
 # log-parameters, and the most halvings of one of its line searches (as
@@ -117,7 +123,7 @@ def _log_i_debye(q: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _log_i_debye_partials(q: float, x: np.ndarray, r: np.ndarray):
-    # d/dq and x d/dx of the expansion D = R - q asinh(q/x) - ln(2 pi R)/2
+    # P, and d/dq and x d/dx of the expansion D = R - q asinh(q/x) - ln(2 pi R)/2
     # + ln(1 + P) of _log_i_debye, with P = sum_j a_j(q) s^(j+1) and s = 1/R:
     #   dD/dq   = -asinh(q/x) - q/(2R^2) + (P_q - P_s q/R^3)/(1 + P)
     #   x dD/dx = R - x^2/(2R^2) - P_s x^2/(R^3 (1 + P))
@@ -141,7 +147,32 @@ def _log_i_debye_partials(q: float, x: np.ndarray, r: np.ndarray):
     p_s /= r2 * r * (1.0 + p)
     d_q = (p_q / (1.0 + p) - q * p_s) - np.arcsinh(q / x) - q / (2.0 * r2)
     x2 = x * x
-    return d_q, r - x2 / (2.0 * r2) - p_s * x2
+    return p, d_q, r - x2 / (2.0 * r2) - p_s * x2
+
+
+def _off_debye(order: float, x: np.ndarray, r: np.ndarray):
+    # The entries of ln I_order(x) that do not take the Debye expansion, as
+    # (indices, values): those with R = r < 200 from ln ive + x, except where
+    # ive underflows, and below x = 1e-8 the power series' leading term
+    # (q/x could overflow in the expansion).  None where every R >= 200 and
+    # x >= 1e-8, and then scipy is not called.
+    x_min = np.fmin.reduce(x, initial=np.inf)  # NaN entries are skipped
+    if x_min >= _SMALL_X and math.hypot(order, x_min) >= _DEBYE_RADIUS:
+        return np.empty(0, dtype=int), np.empty(0)
+    from scipy.special import ive
+
+    near = np.flatnonzero(r < _DEBYE_RADIUS)
+    with np.errstate(divide="ignore"):
+        from_ive = np.log(ive(order, x[near])) + x[near]
+    kept = np.isfinite(from_ive)  # elsewhere ive underflowed
+    off, values = near[kept], from_ive[kept]
+    if x_min < _SMALL_X:
+        small = x < _SMALL_X
+        small[off] = False
+        small = np.flatnonzero(small)
+        leading = order * (np.log(x[small]) - math.log(2.0)) - math.lgamma(order + 1.0)
+        off, values = np.concatenate([off, small]), np.concatenate([values, leading])
+    return off, values
 
 
 def log_bessel_i(order: float, x):
@@ -162,24 +193,13 @@ def log_bessel_i(order: float, x):
         raise ValueError(f"order must be finite and > -1, got {order}")
     scalar = np.isscalar(x)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    x_min = np.fmin.reduce(x_arr, initial=np.inf)  # NaN entries are skipped
-    if x_min <= 0:
+    if np.fmin.reduce(x_arr, initial=np.inf) <= 0:
         raise ValueError("x must be positive")
     r = np.hypot(order, x_arr)
     with np.errstate(all="ignore"):  # the entries it overflows at are replaced below
         out = _log_i_debye(order, x_arr, r)
-    if x_min < _SMALL_X or np.hypot(order, x_min) < _DEBYE_RADIUS:
-        from scipy.special import ive
-
-        near = np.flatnonzero(r < _DEBYE_RADIUS)
-        with np.errstate(divide="ignore"):
-            from_ive = np.log(ive(order, x_arr[near])) + x_arr[near]
-        kept = np.isfinite(from_ive)  # elsewhere ive underflowed
-        out[near[kept]] = from_ive[kept]
-        if x_min < _SMALL_X:  # q/x could overflow in the expansion
-            small = x_arr < _SMALL_X
-            small[near[kept]] = False
-            out[small] = order * (np.log(x_arr[small]) - math.log(2.0)) - math.lgamma(order + 1.0)
+    off, values = _off_debye(order, x_arr, r)
+    out[off] = values
     return float(out[0]) if scalar else out
 
 
@@ -193,15 +213,42 @@ def _transition(s_next, s_prev, mu: float, theta: float, sigma: float):
     return q, sig2, u, 2.0 * np.sqrt(s_next * u) / sig2
 
 
-def _log_density(s_next, log_s_next, s_prev, p: HistoricalParams):
-    # cir_log_density on positive arrays, given ln s_next
-    q, sig2, u, x = _transition(s_next, s_prev, p.mu, p.theta, p.sigma)
-    return (
-        -math.log(sig2)
-        - (s_next + u) / sig2
-        + 0.5 * q * (log_s_next - np.log(u))
-        + log_bessel_i(q, x)
-    )
+def _large_terms(s_next, s_prev, mu: float, theta: float, q: float, sig2: float, u):
+    # The terms of ln f of size q on the Debye route, -(s' + u)/sig2 +
+    # (q/2) ln(s'/u) + R - q asinh(q/x), which cancel to O(1).  They equal
+    # h/sig2 exactly for every q > -1, with c = sig2 q / 2,
+    # rho = sqrt(c^2 + s' u) and 1 + eps = s'/(c + rho):
+    #   h = 2c (ln(1 + eps) - eps) - u eps^2,
+    #   eps = s' (gap + sig2) / ((s' - c + rho)(c + rho)),
+    # where gap = s' - m is the gap between s' and its conditional mean
+    # m = theta (1 - e^(-mu dt)) + u, taken as (s' - s) + (s - theta)
+    # (1 - e^(-mu dt)) so that nothing cancels, and c + rho is taken as
+    # s' u / (rho - c) for c < 0.
+    gap = (s_next - s_prev) - (s_prev - theta) * math.expm1(-mu * DT)
+    c = 0.5 * sig2 * q
+    rho = np.sqrt(c * c + s_next * u)
+    c_rho = c + rho if c >= 0 else s_next * u / (rho - c)
+    eps = s_next * (gap + sig2) / ((s_next - c + rho) * c_rho)
+    return (2.0 * c * (np.log1p(eps) - eps) - u * eps * eps) / sig2
+
+
+def _log_density(s_next, log_s_next, s_prev, mu: float, theta: float, sigma: float):
+    # cir_log_density on positive arrays of one shape, given ln s_next, and
+    # (q, sig2, u, dD/dq, x dD/dx) for the score.  On the Debye route its
+    # terms of size q are _large_terms, and what is left of ln I_q(x),
+    # -ln(2 pi R)/2 + ln(1 + P), has no large term; P comes from the pass
+    # that gives the score's partials.  The entries off the expansion
+    # (_off_debye) take the density as written.
+    q, sig2, u, x = _transition(s_next, s_prev, mu, theta, sigma)
+    r = np.hypot(q, x)
+    with np.errstate(all="ignore"):  # non-finite entries are the caller's to catch
+        p, d_q, x_d_x = _log_i_debye_partials(q, x, r)
+        large = _large_terms(s_next, s_prev, mu, theta, q, sig2, u)
+        log_f = large - math.log(sig2) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(p)
+    off, log_i = _off_debye(q, x, r)
+    ratio = log_s_next[off] - np.log(u[off])
+    log_f[off] = -math.log(sig2) - (s_next[off] + u[off]) / sig2 + 0.5 * q * ratio + log_i
+    return log_f, (q, sig2, u, d_q, x_d_x)
 
 
 def cir_log_density(s_next, s_prev, p: HistoricalParams):
@@ -216,19 +263,22 @@ def cir_log_density(s_next, s_prev, p: HistoricalParams):
 
     Vectorized over (s_next, s_prev) pairs.  Positive mu and theta give
     q > -1, where the density is proper also when the Feller condition
-    (q >= 0) fails.
+    (q >= 0) fails.  Where ln I_q takes its large-order expansion, the
+    terms of size q are summed in a form where they do not cancel, so
+    the density keeps its precision at any order.
 
     Raises
     ------
     ValueError
-        If any state is nonpositive.
+        If any state is not finite and > 0, naming the first such pair.
     """
     scalar = np.isscalar(s_next) and np.isscalar(s_prev)
-    s_next = np.atleast_1d(np.asarray(s_next, dtype=float))
-    s_prev = np.atleast_1d(np.asarray(s_prev, dtype=float))
-    if np.any(s_next <= 0) or np.any(s_prev <= 0):
-        raise ValueError("states must be positive")
-    log_f = _log_density(s_next, np.log(s_next), s_prev, p)
+    as_array = lambda s: np.atleast_1d(np.asarray(s, dtype=float))
+    s_next, s_prev = np.broadcast_arrays(as_array(s_next), as_array(s_prev))
+    ok = np.isfinite(s_next) & (s_next > 0) & np.isfinite(s_prev) & (s_prev > 0)
+    message = "states must be finite and > 0, got s_next {} and s_prev {}"
+    require(ok, ValueError, message, s_next, s_prev)
+    log_f = _log_density(s_next, np.log(s_next), s_prev, p.mu, p.theta, p.sigma)[0]
     return float(log_f[0]) if scalar else log_f
 
 
@@ -242,7 +292,6 @@ class MLEReport:
     evaluations: int
     converged: bool
     at_bound: bool
-    simplex_fallback: bool
 
 
 @dataclass(frozen=True)
@@ -285,34 +334,23 @@ def initial_guess_from_moments(series: np.ndarray) -> HistoricalParams:
     )
 
 
-def _neg_avg_loglik(z: np.ndarray, s_next, log_s_next, s_prev) -> float:
-    mu, theta, sigma = np.exp(z).tolist()
-    p = HistoricalParams(mu=mu, theta=theta, sigma=sigma)
-    val = np.mean(_log_density(s_next, log_s_next, s_prev, p))
-    if not np.isfinite(val):
-        return _PENALTY
-    return -float(val)
-
-
 def _neg_avg_loglik_and_score(z: np.ndarray, s_next, log_s_next, s_prev):
-    # _neg_avg_loglik, to the bit, and its gradient in z = (ln mu, ln theta,
-    # ln sigma), from the Debye partials of ln I_q(x) on every entry (also
-    # those whose value comes from ive).  The score is the chain rule through
-    # q (dq/dz = (q + 1) (1, 1, -2)), ln sig2 (g, 0, 2), ln u (-mu dt, 0, 0)
-    # and ln x (-mu dt/2 - g, 0, -2), with g = mu dt / (e^(mu dt) - 1) - 1.
-    # Where the value or the score is not finite the point is a wall: the
-    # penalty, with a gradient that is not zero, so it is never stationary.
+    # The negative mean of cir_log_density, to the bit, and its gradient in
+    # z = (ln mu, ln theta, ln sigma), from the Debye partials of ln I_q(x)
+    # on every entry (also those whose value comes from ive).  The score is
+    # the chain rule through q (dq/dz = (q + 1) (1, 1, -2)), ln sig2
+    # (g, 0, 2), ln u (-mu dt, 0, 0) and ln x (-mu dt/2 - g, 0, -2), with
+    # g = mu dt / (e^(mu dt) - 1) - 1.  Where the value or the score is not
+    # finite the point is a wall: the penalty, with a gradient that is not
+    # zero, so it is never stationary.
     mu, theta, sigma = np.exp(z).tolist()
-    q, sig2, u, x = _transition(s_next, s_prev, mu, theta, sigma)
-    w = (s_next + u) / sig2
-    log_ratio = log_s_next - np.log(u)
-    val = np.mean(-math.log(sig2) - w + 0.5 * q * log_ratio + log_bessel_i(q, x))
+    log_f, (q, sig2, u, d_q, x_d_x) = _log_density(s_next, log_s_next, s_prev, mu, theta, sigma)
+    val = np.mean(log_f)
     with np.errstate(all="ignore"):  # a non-finite score is caught below
-        d_q, x_d_x = _log_i_debye_partials(q, x, np.hypot(q, x))
         mu_dt = mu * DT
         g = mu_dt / math.expm1(mu_dt) - 1.0
-        w_bar, x_d_x_bar = np.mean(w), np.mean(x_d_x)
-        by_q = (q + 1.0) * (0.5 * np.mean(log_ratio) + np.mean(d_q))
+        w_bar, x_d_x_bar = np.mean((s_next + u) / sig2), np.mean(x_d_x)
+        by_q = (q + 1.0) * (0.5 * np.mean(log_s_next - np.log(u)) + np.mean(d_q))
         score = np.array([
             by_q + g * (w_bar - 1.0) + mu_dt * (np.mean(u) / sig2 + 0.5 * q)
             - (0.5 * mu_dt + g) * x_d_x_bar,
@@ -326,32 +364,48 @@ def _neg_avg_loglik_and_score(z: np.ndarray, s_next, log_s_next, s_prev):
 
 def _bfgs_in_box(fun, z, bounds):
     # Minimize fun(z) -> (value, gradient) by BFGS inside the box bounds
-    # (rows of (lo, hi)) from z; returns (z, value, gradient, iterations,
-    # evaluations).  Both fits run it: the MLE in three log-parameters, the
-    # curve fit in log mu_tilde on a profile divided by its grid minimum,
-    # since the stop rules below are absolute (the gradient's, and the
-    # value's where it is below 1).  The inverse Hessian starts from
-    # forward differences of the gradient at z, or where those are not
-    # positive definite from an identity scaled so that no entry of the
-    # first step exceeds 1.  Each trial point is clipped into the box and
-    # halved back to the Armijo condition.  Stops when no gradient entry
+    # (rows of (lo, hi)) from z; returns (z, value, projected gradient,
+    # iterations, evaluations).  Both fits run it: the MLE in three
+    # log-parameters, the curve fit in log mu_tilde on a profile divided by
+    # its grid minimum, since the stop rules below are absolute (the
+    # projected gradient's, and the value's where it is below 1).  The
+    # inverse Hessian starts from forward differences of the gradient at z,
+    # V |L|^-1 V' from their eigenpairs (L, V), so an indefinite start still
+    # gets a scaled step, or where an eigenvalue is 0 from an identity scaled
+    # so that no entry of the first step exceeds 1.  Each step is projected
+    # quasi-Newton on an eps-active set (Bertsekas, SIAM J. Control Optim.
+    # 20(2), 1982): with the projected gradient pg = z - clip(z - g) and
+    # eps = min(1e-2, |pg|), a coordinate within eps of a face that its
+    # gradient points out through steps onto that face, and the others take
+    # the Newton step of their own block of the Hessian approximation (the
+    # inverse of inv).  Each trial point is clipped into the box and halved
+    # back to the Armijo condition.  Stops when no projected gradient entry
     # exceeds 1e-8, when a step moves the value by at most 1e-13 of its
     # size, when the line search cannot lower it (_MAX_HALVINGS trials, or
     # one that moves the value by at most that much), or after MLE_MAX_ITER
     # iterations.
     lo, hi = bounds.T
     tiny = lambda a, b: abs(a - b) <= 1e-13 * max(abs(a), abs(b), 1.0)
+    projected = lambda z, g: z - np.clip(z - g, lo, hi)
     f, g = fun(z)
     steps = z + _HESSIAN_STEP * np.eye(z.size)
     hess = (np.array([fun(z_i)[1] for z_i in steps]) - g) / _HESSIAN_STEP
     eig, vec = np.linalg.eigh(0.5 * (hess + hess.T))
-    if eig.min() > 0:
-        inv = (vec / eig) @ vec.T
+    if np.all(eig != 0.0):
+        inv = (vec / np.abs(eig)) @ vec.T
     else:
         inv = np.eye(z.size) / max(1.0, np.max(np.abs(g)))
     iterations, evaluations = 0, 1 + z.size
-    while iterations < MLE_MAX_ITER and np.max(np.abs(g)) > 1e-8:
-        direction, t = -inv @ g, 1.0
+    while iterations < MLE_MAX_ITER and np.max(np.abs(pg := projected(z, g))) > 1e-8:
+        eps = min(1e-2, float(np.linalg.norm(pg)))
+        active = ((z - lo <= eps) & (g > 0)) | ((hi - z <= eps) & (g < 0))
+        if active.any():
+            free = ~active
+            direction = np.where(g > 0, lo, hi) - z
+            direction[free] = -np.linalg.solve(np.linalg.inv(inv)[np.ix_(free, free)], g[free])
+        else:
+            direction = -inv @ g
+        t = 1.0
         for _ in range(_MAX_HALVINGS):
             z_new = np.clip(z + t * direction, lo, hi)
             f_new, g_new = fun(z_new)
@@ -371,7 +425,7 @@ def _bfgs_in_box(fun, z, bounds):
         if sy > 0:  # the update keeps inv positive definite
             v = np.eye(z.size) - np.outer(s, y) / sy
             inv = v @ inv @ v.T + np.outer(s, s) / sy
-    return z, f, g, iterations, evaluations
+    return z, f, projected(z, g), iterations, evaluations
 
 
 def mle_fit(series) -> MLEReport:
@@ -382,35 +436,31 @@ def mle_fit(series) -> MLEReport:
     space from the moment start (:func:`initial_guess_from_moments`),
     inside the box ``MLE_BOUNDS``, on the likelihood and its analytic
     score.  Its inverse Hessian starts from forward differences of the
-    score at the start (three more calls; a scaled identity where they
-    are not positive definite), and each trial point is clipped into
-    the box and halved back to the Armijo condition.  It stops when no
-    score entry exceeds 1e-8, when a step lowers the negative average
-    log-likelihood by at most 1e-13 of its size, when its line search
-    cannot lower it (20 halvings, or a trial that moves the value by no
-    more than that: near the maximum, at the objective's rounding), or
-    after ``MLE_MAX_ITER`` iterations.  Its end point is the fit when it
-    lies off the box and no entry of the score there exceeds 1e-6.
-    Both searches only accept points that raise the likelihood, so the
-    fit is never below the start's.
+    score at the start (three more calls), with the absolute values of
+    their eigenvalues where they are indefinite.  A log-parameter near a
+    face of the box whose score points out through it steps onto the
+    face, and the others take the quasi-Newton step of their own block
+    (an eps-active set); each trial point is clipped into the box and
+    halved back to the Armijo condition.  It stops when no entry of the
+    projected score exceeds 1e-8 (the score, with each entry that points
+    out of the box cut to the distance from that face), when a step
+    lowers the negative average log-likelihood by at most 1e-13 of its
+    size, when its line search cannot lower it (20 halvings, or a trial
+    that moves the value by no more than that: near the maximum, at the
+    objective's rounding), or after ``MLE_MAX_ITER`` iterations.  The
+    search only accepts points that raise the likelihood, so the fit is
+    never below the start's.  ``iterations`` and ``evaluations`` count
+    its steps and its value-and-score calls, the start's four included.
 
-    On a degenerate series (a near-constant spot, where the order q is
-    1e9 or more) the likelihood's terms cancel and the score loses its
-    precision: the search may stop where the score is not small, or on
-    the box short of the optimum.  Then the adaptive simplex (scipy's
-    Nelder-Mead, clipping every vertex into the box; the only call that
-    imports scipy.optimize) runs from the moment start too, and the
-    better of the two end points is kept (``simplex_fallback``).
-    ``iterations`` and ``evaluations`` count both searches: the
-    gradient search's steps and value-and-score calls, the start's four
-    included, plus any simplex iterations and evaluations.
+    The likelihood keeps its precision on a degenerate series too (a
+    near-constant spot, where the order q is 1e9 or more; see
+    :func:`cir_log_density`), so the same search ends there, on the box.
 
     ``at_bound`` is True when a parameter ends within 1e-6 (relative)
     of its bound: the likelihood rises towards a face of the box, and
     the series does not pin that parameter inside it.  ``converged`` is
-    True when the kept end point passed its search's test (the score
-    test above, or the simplex's tolerances within ``MLE_MAX_ITER``
-    iterations) and the fit is not ``at_bound``.
+    True when no entry of the projected score at the end point exceeds
+    1e-6 and the fit is not ``at_bound``.
 
     Raises
     ------
@@ -427,29 +477,12 @@ def mle_fit(series) -> MLEReport:
     ok = np.isfinite(series) & (series > 0)
     require(ok, ValueError, "spot close must be finite and > 0, got {}", series)
     init = initial_guess_from_moments(series)
-    z0 = np.log([init.mu, init.theta, init.sigma])
     args = (series[1:], np.log(series[1:]), series[:-1])
-    bounds = np.log(MLE_BOUNDS)
-    z, f, g, iterations, evaluations = _bfgs_in_box(
-        lambda z: _neg_avg_loglik_and_score(z, *args), z0, bounds
+    z, f, pg, iterations, evaluations = _bfgs_in_box(
+        lambda z: _neg_avg_loglik_and_score(z, *args),
+        np.log([init.mu, init.theta, init.sigma]),
+        np.log(MLE_BOUNDS),
     )
-    converged = np.max(np.abs(g)) <= _STATIONARY and not _at_bound(z)
-    fallback = not converged
-    if fallback:
-        from scipy.optimize import minimize
-
-        simplex = minimize(
-            _neg_avg_loglik,
-            z0,
-            args=args,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": MLE_MAX_ITER, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
-        )
-        iterations += simplex.nit
-        evaluations += simplex.nfev
-        if simplex.fun <= f:
-            z, f, converged = simplex.x, simplex.fun, simplex.success
     mu, theta, sigma = np.exp(z)
     at_bound = _at_bound(z)
     return MLEReport(
@@ -457,9 +490,8 @@ def mle_fit(series) -> MLEReport:
         avg_loglik=-float(f),
         iterations=int(iterations),
         evaluations=int(evaluations),
-        converged=bool(converged and not at_bound),
+        converged=bool(np.max(np.abs(pg)) <= _STATIONARY and not at_bound),
         at_bound=at_bound,
-        simplex_fallback=fallback,
     )
 
 

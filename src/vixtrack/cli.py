@@ -6,9 +6,8 @@ subcommand, and when it returns writes ``manifest.txt``: the
 subcommand, ``config.`` keys (every parsed flag but ``--out-dir``,
 plus ``simulate``'s scenario settings), input digests, output names,
 ``count.`` keys for what the run found (work done, early rolls,
-clamped steps, failed subsets, an unconverged fit, an MLE that needed
-its simplex fallback, a fit on a limit) and the elapsed
-time.  A run that raises writes no manifest, so its absence marks a
+clamped steps, failed subsets, an unconverged fit, a fit on a limit)
+and the elapsed time.  A run that raises writes no manifest, so its absence marks a
 failed run; but a run may also fail after writing its outputs and
 manifest (exit 3 below).  All files are plain text and written
 atomically; every file goes through ``RunManifest.emit``, and
@@ -324,7 +323,6 @@ def cmd_calibrate(args, manifest: RunManifest) -> int:
     manifest.counts["mle_evaluations"] = mle.evaluations
     manifest.counts["mle_not_converged"] = int(not mle.converged)
     manifest.counts["mle_at_bound"] = int(mle.at_bound)
-    manifest.counts["mle_simplex_fallback"] = int(mle.simplex_fallback)
     manifest.counts["mom_at_bound"] = int(mom.at_bound)
     print("calibrated:", *(f"{k}={v:.4f}" for k, v in fitted.items()))
     return EXIT_CALIBRATION if mle.at_bound else EXIT_OK

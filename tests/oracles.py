@@ -41,7 +41,6 @@ from vixtrack.calibrate import (
     _PENALTY,
     MLE_BOUNDS,
     _bfgs_in_box,
-    _neg_avg_loglik,
     _neg_avg_loglik_and_score,
     initial_guess_from_moments,
 )
@@ -560,45 +559,47 @@ def grid_min_weight(c, lo=-10.0, hi=10.0, step=1e-4):
     return float(w[k]), float(vals[k])
 
 
-def multistart_mle(series):
-    """Best of four simplex searches inside ``MLE_BOUNDS`` for the
-    square-root MLE: the moment start plus three deterministically
-    jittered restarts, never returning a point worse than the moment
-    start.  Returns (params, avg_loglik)."""
+def simplex_mle(series, z_start=None):
+    """scipy's adaptive Nelder-Mead inside ``MLE_BOUNDS`` (clipping every
+    vertex into the box) on :func:`neg_avg_loglik_two_routes`, from
+    ``z_start`` in (ln mu, ln theta, ln sigma) or else the moment start,
+    with the tolerances the library's MLE used for its simplex fallback
+    (600 iterations, xatol 1e-8, fatol 1e-12).  Returns scipy's result."""
     series = np.asarray(series, dtype=float)
-    s_next, log_s_next, s_prev = series[1:], np.log(series[1:]), series[:-1]
+    if z_start is None:
+        init = initial_guess_from_moments(series)
+        z_start = np.log([init.mu, init.theta, init.sigma])
+    return minimize(
+        neg_avg_loglik_two_routes,
+        z_start,
+        args=(series[1:], series[:-1]),
+        method="Nelder-Mead",
+        bounds=np.log(MLE_BOUNDS),
+        options={"maxiter": 600, "xatol": 1e-8, "fatol": 1e-12, "adaptive": True},
+    )
+
+
+def multistart_mle(series):
+    """Best of four :func:`simplex_mle` searches for the square-root MLE:
+    the moment start plus three deterministically jittered restarts,
+    never returning a point worse than the moment start.  Returns
+    (params, avg_loglik)."""
+    series = np.asarray(series, dtype=float)
     init = initial_guess_from_moments(series)
     z0 = np.log([init.mu, init.theta, init.sigma])
     rng = np.random.default_rng(20_52_01)
     starts = [z0] + [z0 + rng.normal(0.0, 0.25, size=3) for _ in range(3)]
-    best = None
-    for z_start in starts:
-        res = minimize(
-            _neg_avg_loglik,
-            z_start,
-            args=(s_next, log_s_next, s_prev),
-            method="Nelder-Mead",
-            bounds=np.log(MLE_BOUNDS),
-            options={
-                "maxiter": 600,
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-                "adaptive": True,
-            },
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    f_init = _neg_avg_loglik(z0, s_next, log_s_next, s_prev)
+    best = min((simplex_mle(series, z_start) for z_start in starts), key=lambda res: res.fun)
+    f_init = neg_avg_loglik_two_routes(z0, series[1:], series[:-1])
     best_x, best_fun = (z0, f_init) if best.fun > f_init else (best.x, best.fun)
     mu, theta, sigma = np.exp(best_x)
     return HistoricalParams(float(mu), float(theta), float(sigma)), -float(best_fun)
 
 
-def log_i_debye_five_polynomials(q, x):
-    """ln I_q(x) from the five-term Debye expansion (DLMF 10.41), summed
-    as s (P_1/d_1 + s (P_2/d_2 + ...)) with s = 1/R, R = hypot(q, x),
-    and each P_k by Horner in t^2 = q^2 s^2."""
-    r = np.hypot(q, x)
+def debye_series_five_polynomials(q, r):
+    """The correction P of the five-term Debye expansion (DLMF 10.41) at
+    R = r, summed as s (P_1/d_1 + s (P_2/d_2 + ...)) with s = 1/R and
+    each P_k by Horner in t^2 = q^2 s^2."""
     s = 1.0 / r
     t2 = q * q * (s * s)
     series = 0.0
@@ -607,47 +608,85 @@ def log_i_debye_five_polynomials(q, x):
         for c in reversed(coeffs[:-1]):
             p_k = c + t2 * p_k
         series = s * (p_k / divisor + series)
+    return series
+
+
+def log_i_debye_five_polynomials(q, x):
+    """ln I_q(x) from the five-term Debye expansion, its correction by
+    :func:`debye_series_five_polynomials`."""
+    r = np.hypot(q, x)
+    series = debye_series_five_polynomials(q, r)
     return r - q * np.arcsinh(q / x) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(series)
+
+
+def off_expansion_two_routes(order, x):
+    """ln I_order(x) for an array of positive x where
+    :func:`log_bessel_i_two_routes` does not take the expansion, NaN
+    where it does: every entry when every R >= 200 and x >= 1e-8; else
+    scipy's ive below R = 200, then the leading term below x = 1e-8 for
+    the entries still missing, each on its own subset."""
+    from scipy.special import ive
+
+    x = np.asarray(x, dtype=float)
+    out = np.full_like(x, np.nan)
+    if x.min() >= 1e-8 and math.hypot(order, x.min()) >= 200.0:
+        return out
+    near = np.hypot(order, x) < 200.0
+    with np.errstate(divide="ignore"):
+        out[near] = np.log(ive(order, x[near])) + x[near]
+    out[~np.isfinite(out)] = np.nan  # where ive underflowed
+    small = np.isnan(out) & (x < 1e-8)
+    out[small] = order * (np.log(x[small]) - math.log(2.0)) - math.lgamma(order + 1.0)
+    return out
 
 
 def log_bessel_i_two_routes(order, x):
     """ln I_order(x) for an array of positive x: the five-polynomial
-    expansion for the whole array when every R >= 200, else scipy's ive
-    below R = 200, then the leading term below x = 1e-8 and the
-    expansion for the entries still missing, each on its own subset."""
-    from scipy.special import ive
-
-    x = np.asarray(x, dtype=float)
-    if x.min() >= 1e-8 and math.hypot(order, x.min()) >= 200.0:
-        return log_i_debye_five_polynomials(order, x)
-    out = np.full_like(x, np.nan)
-    near = np.hypot(order, x) < 200.0
-    with np.errstate(divide="ignore"):
-        out[near] = np.log(ive(order, x[near])) + x[near]
-    redo = ~np.isfinite(out)
-    small = redo & (x < 1e-8)
-    out[small] = order * (np.log(x[small]) - math.log(2.0)) - math.lgamma(order + 1.0)
-    redo ^= small
-    out[redo] = log_i_debye_five_polynomials(order, x[redo])
+    expansion where :func:`off_expansion_two_routes` leaves NaN."""
+    out = off_expansion_two_routes(order, x)
+    redo = np.isnan(out)
+    out[redo] = log_i_debye_five_polynomials(order, np.asarray(x, dtype=float)[redo])
     return out
 
 
 def neg_avg_loglik_two_routes(z, s_next, s_prev):
     """The library's MLE objective, its non-finite guard included, with
-    the CIR density written out on :func:`log_bessel_i_two_routes` and
-    ln s_next taken at every evaluation."""
+    the CIR density written out on the routes of
+    :func:`log_bessel_i_two_routes` and ln s_next taken at every
+    evaluation.  Off the expansion the density is summed as written.  On
+    it, the terms of size q, -(s' + u)/sig2 + (q/2) ln(s'/u) + R -
+    q asinh(q/x), are summed as h/sig2, where they do not cancel:
+    h = 2c (ln(1 + eps) - eps) - u eps^2 with c = sig2 q / 2,
+    rho = sqrt(c^2 + s' u) and 1 + eps = s' / (c + rho), taken as
+    eps = s' (gap + sig2) / ((s' - c + rho)(c + rho)) from the gap
+    between s' and its conditional mean theta (1 - e^(-mu dt)) + u
+    (and c + rho as s' u / (rho - c) for c < 0); the rest of ln I_q(x)
+    is -ln(2 pi R)/2 + ln(1 + P)."""
     mu, theta, sigma = np.exp(z)
     q = 2.0 * mu * theta / sigma**2 - 1.0
     decay = math.exp(-mu * DT)
     sig2 = sigma**2 * (1.0 - decay) / (2.0 * mu)
     u = s_prev * decay
     arg = 2.0 * np.sqrt(s_next * u) / sig2
+    log_i = off_expansion_two_routes(q, arg)
     log_f = (
         -math.log(sig2)
         - (s_next + u) / sig2
         + 0.5 * q * (np.log(s_next) - np.log(u))
-        + log_bessel_i_two_routes(q, arg)
+        + log_i
     )
+    debye = np.isnan(log_i)
+    with np.errstate(all="ignore"):  # a non-finite value is caught below
+        c = 0.5 * sig2 * q
+        rho = np.sqrt(c * c + s_next * u)
+        c_plus_rho = c + rho if c >= 0 else s_next * u / (rho - c)
+        gap = (s_next - s_prev) - (s_prev - theta) * math.expm1(-mu * DT)
+        eps = s_next * (gap + sig2) / ((s_next - c + rho) * c_plus_rho)
+        large = (2.0 * c * (np.log1p(eps) - eps) - u * eps * eps) / sig2
+        r = np.hypot(q, arg)
+        series = debye_series_five_polynomials(q, r)
+        on_debye = large - math.log(sig2) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(series)
+    log_f[debye] = on_debye[debye]
     val = np.mean(log_f)
     return -float(val) if np.isfinite(val) else _PENALTY
 
@@ -702,6 +741,25 @@ def mp_log_i_half_integer(n_half: int, x: float) -> float:
     else:
         raise ValueError("closed forms wired up for orders 1/2, 3/2, 5/2 only")
     return float(log(val))
+
+
+def mp_large_terms(s_next, s_prev, hist, dt):
+    """The CIR log density's terms of size q, -(s' + u)/sig2 +
+    (q/2) ln(s'/u) + R - q asinh(q/x), entry by entry, in 60-digit
+    arithmetic from (mu, theta, sigma) and the step dt."""
+    from mpmath import mp, mpf, asinh, exp, log, sqrt
+
+    mp.dps = 60
+    mu, theta, sigma = mpf(hist.mu), mpf(hist.theta), mpf(hist.sigma)
+    q = 2 * mu * theta / sigma**2 - 1
+    decay = exp(-mu * mpf(dt))
+    sig2 = sigma**2 * (1 - decay) / (2 * mu)
+    out = []
+    for a, b in zip(s_next, s_prev):
+        a, u = mpf(float(a)), mpf(float(b)) * decay
+        x = 2 * sqrt(a * u) / sig2
+        out.append(-(a + u) / sig2 + q / 2 * log(a / u) + sqrt(q * q + x * x) - q * asinh(q / x))
+    return np.array([float(v) for v in out])
 
 
 def mp_log_i(order: float, x: float) -> float:

@@ -30,11 +30,13 @@ from vixtrack import calibrate
 from vixtrack.calibrate import (
     _PENALTY,
     MLE_MAX_ITER,
+    _large_terms,
     _log_i_debye,
     _log_i_debye_partials,
-    _neg_avg_loglik,
     _neg_avg_loglik_and_score,
+    _transition,
 )
+from vixtrack.model import DT
 
 import oracles
 from conftest import write_quote_files
@@ -252,6 +254,49 @@ class TestCirLogDensity:
         with pytest.raises(ValueError):
             cir_log_density(0.0, 10.0, fit_hist)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["s_next", "s_prev"])
+    def test_not_finite_states_rejected(self, fit_hist, bad, which):
+        # the first bad pair is named, scalar or array, before any warning
+        states = {"s_next": np.linspace(15.0, 25.0, 50), "s_prev": np.full(50, 18.0)}
+        states[which][7] = states[which][9] = bad
+        got = {k: v[7] for k, v in states.items()}
+        message = "states must be finite and > 0, got s_next {s_next} and s_prev {s_prev} on day 7"
+        message = message.format(**got)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cir_log_density(states["s_next"], states["s_prev"], fit_hist)
+        with pytest.raises(ValueError, match="^states must be finite and > 0"):
+            cir_log_density(*got.values(), fit_hist)
+
+    @pytest.mark.parametrize(
+        "corner, bound",
+        [(True, 5e-12), (False, 6e-15)],
+        ids=["corner-start", "regular-fit"],
+    )
+    def test_large_terms_match_mpmath(self, corner, bound):
+        # The terms of size q, -(s' + u)/sig2 + (q/2) ln(s'/u) + R -
+        # q asinh(q/x), entry by entry against 60 digits, built from (mu,
+        # theta, sigma) and not from the float q and sig2: those are off by
+        # a few ulp, which moves the terms themselves by about 1e-5 at the
+        # corner.  Measured worst errors: 3.0e-12 at the moment start of
+        # 20 + 1e-4 N(0, 1) (q = 3.9e9), 3.6e-15 at the bench spot's fit
+        # (q = 12.3).  The same terms summed as written are off by 9.7e-6
+        # and 2.5e-13 there.
+        if corner:
+            spot = 20.0 + 1e-4 * np.random.default_rng(0).standard_normal(600)
+            p = initial_guess_from_moments(spot)
+        else:
+            spot = bench_spot()
+            p = mle_fit(spot).params
+        s_next, s_prev = spot[1:], spot[:-1]
+        q, sig2, u, x = _transition(s_next, s_prev, p.mu, p.theta, p.sigma)
+        got = _large_terms(s_next, s_prev, p.mu, p.theta, q, sig2, u)
+        as_written = -(s_next + u) / sig2 + 0.5 * q * (np.log(s_next) - np.log(u))
+        as_written += np.hypot(q, x) - q * np.arcsinh(q / x)
+        want = oracles.mp_large_terms(s_next, s_prev, p, DT)
+        assert np.max(np.abs(got - want)) <= bound
+        assert np.max(np.abs(as_written - want)) > 10 * bound
+
 
 def bench_spot():
     """The bench's spot: 1260 Euler days at the paper's parameters from
@@ -348,7 +393,7 @@ class TestScore:
         radii = np.array([127.0, 150.0, 199.0, 200.0, 201.0, 400.0, 1200.0, 2000.0])
         radii = radii[radii > abs(order)]
         xs = np.sqrt(radii**2 - order**2)
-        d_q, x_d_x = _log_i_debye_partials(order, xs, np.hypot(order, xs))
+        _, d_q, x_d_x = _log_i_debye_partials(order, xs, np.hypot(order, xs))
         for x, r, got_q, got_x in zip(xs, radii, d_q, x_d_x):
             want_q, want_x = oracles.mp_log_i_partials(order, float(x))
             tol = 1e-15 if r >= 200.0 else 2e-14
@@ -371,9 +416,10 @@ class TestScore:
         args = (s[1:], np.log(s[1:]), s[:-1])
         z = np.log(params)
         value, score = _neg_avg_loglik_and_score(z, *args)
-        assert value == _neg_avg_loglik(z, *args)  # to the bit
+        hist = HistoricalParams(*np.exp(z).tolist())
+        assert value == -np.mean(cir_log_density(s[1:], s[:-1], hist))  # to the bit
         h = 1e-3
-        f = lambda k, e: _neg_avg_loglik(z + k * h * e, *args)
+        f = lambda k, e: _neg_avg_loglik_and_score(z + k * h * e, *args)[0]
         fd = np.array([(8 * (f(1, e) - f(-1, e)) - (f(2, e) - f(-2, e))) / (12 * h) for e in np.eye(3)])
         assert np.max(np.abs(fd - score)) <= 1e-8 * np.max(np.abs(score))
 
@@ -421,6 +467,43 @@ class TestMleFit:
         assert lo <= true.sigma <= hi
         assert abs(np.median(sigma) / true.sigma - 1) < 0.025
         assert abs(np.median(theta) / true.theta - 1) < 0.04
+
+    @pytest.mark.parametrize(
+        "noise, seed",
+        [(1e-4, 0), (1e-4, 1), (1e-4, 2), (1e-4, 3), (1e-3, 0), (1e-2, 0), (None, 3)],
+        ids=["1e-4-seed-0", "1e-4-seed-1", "1e-4-seed-2", "1e-4-seed-3", "1e-3", "1e-2", "cli-quotes"],
+    )
+    def test_corner_fit_is_one_search(self, noise, seed, tmp_path):
+        # near-constant spots, and the sigma = 1e-4 quotes of the CLI's
+        # exit-3 test: the fit ends on the box in 8-13 calls, against
+        # 362-2684 for the simplex oracle from the same start, and from
+        # 8.9e-15 below (noise 1e-3) to 1e-12 above the simplex's end point
+        if noise is None:
+            hist = HistoricalParams(10.86, 18.81, 1e-4)
+            write_quote_files(tmp_path, n_days=200, seed=seed, hist=hist)
+            spot = load_panel(tmp_path).spot
+        else:
+            spot = 20.0 + noise * np.random.default_rng(seed).standard_normal(600)
+        rep = mle_fit(spot)
+        assert rep.at_bound and not rep.converged
+        assert rep.evaluations <= 30
+        assert rep.avg_loglik >= -oracles.simplex_mle(spot).fun - 1e-12
+
+    def test_score_matches_central_differences_at_a_corner(self):
+        # at the moment start of 20 + 1e-4 N(0, 1), q = 3.9e9, where the ln
+        # theta curvature is 7.5e8, so its step is 1e-6; the score's
+        # entries of size q still cancel, and five-point differences of the
+        # value agreed within 9.6e-7 of its largest entry, 1.75
+        spot = 20.0 + 1e-4 * np.random.default_rng(0).standard_normal(600)
+        p = initial_guess_from_moments(spot)
+        args = (spot[1:], np.log(spot[1:]), spot[:-1])
+        z = np.log([p.mu, p.theta, p.sigma])
+        score = _neg_avg_loglik_and_score(z, *args)[1]
+        fd = []
+        for e, h in zip(np.eye(3), (1e-4, 1e-6, 1e-4)):
+            f = lambda k: _neg_avg_loglik_and_score(z + k * h * e, *args)[0]
+            fd.append((8 * (f(1) - f(-1)) - (f(2) - f(-2))) / (12 * h))
+        assert np.max(np.abs(np.array(fd) - score)) <= 2e-6 * np.max(np.abs(score))
 
     def test_near_constant_series(self):
         rng = np.random.default_rng(0)
@@ -493,7 +576,6 @@ class TestMleFit:
         spot = load_panel(tmp_path).spot
         rep = mle_fit(spot)
         res = oracles.mle_two_routes(spot)
-        assert not rep.simplex_fallback
         assert (rep.params.mu, rep.params.theta, rep.params.sigma) == tuple(np.exp(res.x))
         assert rep.avg_loglik == -res.fun
         assert (rep.iterations, rep.evaluations) == (res.nit, res.nfev)

@@ -91,8 +91,7 @@ def test_calibrate(calibrated):
     kv = assert_manifest(
         out, "calibrate", ("data_dir", "window", "n_ranks"), QUOTE_FILES,
         (
-            *DROPPED, "mle_evaluations", "mle_not_converged", "mle_at_bound",
-            "mle_simplex_fallback", "mom_at_bound",
+            *DROPPED, "mle_evaluations", "mle_not_converged", "mle_at_bound", "mom_at_bound",
         ),
     )
     assert kv["output.0"] == "params.txt"
@@ -104,25 +103,25 @@ def test_calibrate(calibrated):
     assert keys[keys.index("mom_loss") + 1] == "mom_at_bound"
     assert (params["mom_at_bound"], kv["count.mom_at_bound"]) == ("false", "0")
     # the gradient search evaluates its start, then at least one point
-    # per iteration; on these quotes it needs no simplex
+    # per iteration
     assert int(kv["count.mle_evaluations"]) > int(params["mle_iterations"])
     assert kv["count.mle_at_bound"] == {"false": "0", "true": "1"}[params["mle_at_bound"]]
-    assert kv["count.mle_simplex_fallback"] == "0"
+
+
+# A nearly constant spot's parameters: its likelihood rises towards
+# sigma's lower bound.
+CORNER_HIST = vixtrack.HistoricalParams(10.86, 18.81, 1e-4)
 
 
 def test_calibrate_fit_on_the_box_exits_3(tmp_path):
-    # a nearly constant spot: the likelihood rises towards sigma's lower
-    # bound, and the run writes its fit but fails
-    write_quote_files(
-        tmp_path / "q", n_days=N_DAYS, seed=3, hist=vixtrack.HistoricalParams(10.86, 18.81, 1e-4)
-    )
+    # the run writes its fit but fails
+    write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3, hist=CORNER_HIST)
     out = tmp_path / "out"
     assert main(["calibrate", "--data-dir", str(tmp_path / "q"), "--out-dir", str(out)]) == 3
     fit = dict(line.split("=", 1) for line in (out / "params.txt").read_text().splitlines())
     assert float(fit["sigma"]) == pytest.approx(1e-3)
     assert (fit["mle_at_bound"], fit["mle_converged"]) == ("true", "false")
     assert read_manifest(out)["count.mle_at_bound"] == "1"
-    assert read_manifest(out)["count.mle_simplex_fallback"] == "1"
 
 
 def test_calibrate_curve_fit_on_a_limit_exits_0(tmp_path):
@@ -883,14 +882,16 @@ def test_simulate_is_scale_equivariant(tmp_path_factory, c, seed):
 
 
 @pytest.mark.parametrize(
-    "case", ["import", "regress", "backtest-static", "paths", "simulate", "calibrate"]
+    "case",
+    ["import", "regress", "backtest-static", "paths", "simulate", "calibrate", "calibrate-corner"],
 )
 def test_scipy_is_imported_only_where_it_is_called(calibrated, quotes, tmp_path, case):
     """In a fresh interpreter, importing the CLI, the engine and the
     regress and backtest-static runs load no scipy module; simulate's
     Student-t p-values load scipy.special, and not the optimizers or
-    scipy.linalg.  A calibrate run whose fit needs no simplex loads no
-    optimizer either: its two searches are the library's own."""
+    scipy.linalg.  A calibrate run loads no optimizer either, also where
+    its MLE ends on the box (exit 3): its two searches are the
+    library's own."""
     if case == "import":
         code = "import vixtrack.cli"
     elif case == "paths":
@@ -898,6 +899,10 @@ def test_scipy_is_imported_only_where_it_is_called(calibrated, quotes, tmp_path,
             "import vixtrack as v; h = v.HistoricalParams(5.0, 20.0, 0.8)\n"
             "v.simulate_index_paths(h, v.LocalVol.square_root(h.sigma), [20.0, 30.0], 100, 2, 0)"
         )
+    elif case == "calibrate-corner":
+        write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3, hist=CORNER_HIST)
+        argv = ["calibrate", "--data-dir", str(tmp_path / "q"), "--out-dir", str(tmp_path / "out")]
+        code = f"from vixtrack.cli import main\nassert main({argv!r}) == 3"
     else:
         argv = default_argv(case, calibrated, quotes) + ["--out-dir", str(tmp_path)]
         code = f"from vixtrack.cli import main\nassert main({argv!r}) == 0"
@@ -910,8 +915,7 @@ def test_scipy_is_imported_only_where_it_is_called(calibrated, quotes, tmp_path,
     if case == "simulate":
         assert "scipy.special" in loaded, loaded
         assert not loaded & {"scipy.optimize", "scipy.linalg"}, loaded
-    elif case == "calibrate":
-        assert read_manifest(tmp_path)["count.mle_simplex_fallback"] == "0"
+    elif case.startswith("calibrate"):
         assert "scipy.optimize" not in loaded, loaded
     else:
         assert loaded == set()

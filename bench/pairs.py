@@ -19,7 +19,11 @@ pair to pair.  It prints, per workload and
 side, the median and quartiles of each end-to-end metric, and in how
 many pairs the working tree's value is lower (every one of them is
 better lower).  The quartiles of REF's runs are the spread of the
-benchmark on this machine with no code change.
+benchmark on this machine with no code change.  Beside them it prints
+the change of the working tree's median from REF's, REF's spread
+(interquartile range over median), and ``OVER BOUND`` where that
+change exceeds the metric's ``bound`` in ``BENCHMARK.json``, the
+relative worsening at which the benchmark's check refuses a change.
 
 ``OUT.json`` gets every run of both sides, both commits, the hash of
 the tree exported as the working tree (``work_tree``; HEAD's tree when
@@ -95,7 +99,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    metrics = [m["name"] for m in spec["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     work = work_commit()
     result = {
         "commits": {
@@ -134,16 +138,28 @@ def main(argv=None) -> int:
                 walls = (f"{side} {runs[side][-1]['wall_rel']:.4f}" for side in SIDES)
                 print(f"{workload} pair {pair + 1}/{PAIRS}: {', '.join(walls)}", flush=True)
             table = result["summary"][workload] = {}
-            for name in metrics:
+            for name, bound in bounds.items():
                 values = {side: [run[name] for run in runs[side]] for side in SIDES}
                 wins = sum(w < r for r, w in zip(values["ref"], values["work"]))
                 spread = {side: quartiles(values[side]) for side in SIDES}
-                table[name] = {**spread, "work_lower_in": wins}
+                ref_q = spread["ref"]
+                change = spread["work"][1] / ref_q[1] - 1.0
+                ref_spread = (ref_q[2] - ref_q[0]) / ref_q[1]
+                over = change > bound
+                table[name] = {
+                    **spread, "work_lower_in": wins, "change": change,
+                    "ref_spread": ref_spread, "over_bound": over,
+                }
                 cells = (
                     f"{side} median {q[1]:.4f} [{q[0]:.4f}, {q[2]:.4f}]"
                     for side, q in spread.items()
                 )
-                print(f"  {name}: {'; '.join(cells)}; work lower in {wins}/{PAIRS}", flush=True)
+                print(
+                    f"  {name}: {'; '.join(cells)}; work lower in {wins}/{PAIRS}; "
+                    f"change {change:+.1%} (bound {bound:.0%}, ref spread {ref_spread:.1%})"
+                    + ("  OVER BOUND" if over else ""),
+                    flush=True,
+                )
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -21,7 +21,9 @@ route the density's terms of size q, which cancel, are summed in a
 closed form in which they do not, so the likelihood keeps its
 precision at any order.  The score takes the expansion's partial
 derivatives in q and x on every transition, from the same pass over
-its series as the value.
+its series as the value.  ``log_bessel_i`` forms ln I_q(x) from that
+one pass too, and it and the likelihood pick the entries off the
+expansion by one rule.
 
 The risk-neutral pair (mu_tilde, theta_tilde) is fitted by matching the
 closed-form futures curve (s - theta_tilde) e^(-mu_tilde T) + theta_tilde
@@ -106,28 +108,15 @@ _DEBYE_S = tuple(
 )
 
 
-def _log_i_debye(q: float, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # Uniform large-order expansion (DLMF 10.41) at R = hypot(q, x) = r.  It
-    # is even in q, so it also holds for -1 < q < 0, where the K_q term is
-    # e^(-2x) smaller.
-    q2m = [(q * q) ** m for m in range(6)]
-    a = [0.0] * 15
-    for j, c, m in _DEBYE_S:
-        a[j] += c * q2m[m]
-    s = 1.0 / r
-    series = a[-1] * s
-    for a_j in reversed(a[:-1]):  # Horner, in place
-        series += a_j
-        series *= s
-    return r - q * np.arcsinh(q / x) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(series)
-
-
-def _log_i_debye_partials(q: float, x: np.ndarray, r: np.ndarray):
-    # P, and d/dq and x d/dx of the expansion D = R - q asinh(q/x) - ln(2 pi R)/2
-    # + ln(1 + P) of _log_i_debye, with P = sum_j a_j(q) s^(j+1) and s = 1/R:
+def _log_i_debye_partials(q: float, x: np.ndarray):
+    # R = hypot(q, x), P, and d/dq and x d/dx of the uniform large-order
+    # expansion (DLMF 10.41) D = R - q asinh(q/x) - ln(2 pi R)/2 + ln(1 + P),
+    # with P = sum_j a_j(q) s^(j+1) and s = 1/R:
     #   dD/dq   = -asinh(q/x) - q/(2R^2) + (P_q - P_s q/R^3)/(1 + P)
     #   x dD/dx = R - x^2/(2R^2) - P_s x^2/(R^3 (1 + P))
-    # One Horner pass carries P, P_s = dP/ds and P_q = dP/dq.
+    # D is even in q, so it also holds for -1 < q < 0, where the K_q term is
+    # e^(-2x) smaller.  One Horner pass carries P, P_s = dP/ds and P_q = dP/dq.
+    r = np.hypot(q, x)
     q2m = [(q * q) ** m for m in range(6)]
     dq2m = [2 * m * q ** (2 * m - 1) if m else 0.0 for m in range(6)]
     a, a_q = [0.0] * 15, [0.0] * 15
@@ -147,7 +136,7 @@ def _log_i_debye_partials(q: float, x: np.ndarray, r: np.ndarray):
     p_s /= r2 * r * (1.0 + p)
     d_q = (p_q / (1.0 + p) - q * p_s) - np.arcsinh(q / x) - q / (2.0 * r2)
     x2 = x * x
-    return p, d_q, r - x2 / (2.0 * r2) - p_s * x2
+    return r, p, d_q, r - x2 / (2.0 * r2) - p_s * x2
 
 
 def _off_debye(order: float, x: np.ndarray, r: np.ndarray):
@@ -181,23 +170,29 @@ def log_bessel_i(order: float, x):
     Entries with R = hypot(order, x) >= 200 take the uniform
     large-order (Debye) expansion to five terms: within 4.3e-16 of a
     40-digit mpmath reference, relative to max(1, |ln I|), for orders
-    from -0.9 to 1e3.  On daily index data that is most entries, but not
-    a series' lows while the likelihood search passes through small
-    orders.  The rest are ln(ive(order, x)) + x from scipy's
-    exponentially scaled Bessel function, with the same expansion where
-    ive underflows to zero, or below x = 1e-8 the power series' leading
-    term, exact there.  Each entry's route depends on that entry alone;
-    nothing overflows for any x > 0.
+    from -0.9 to 1e3.  On daily index data that is most entries.  The
+    rest are ln(ive(order, x)) + x from scipy's exponentially scaled
+    Bessel function, with the same expansion where ive underflows to
+    zero, or below x = 1e-8 the power series' leading term, exact
+    there.  Each entry's route depends on that entry alone; nothing
+    overflows for any finite x > 0.
+
+    Raises
+    ------
+    ValueError
+        If order is not finite and > -1, or if any x is not finite and
+        > 0, naming the first such x.
     """
     if not (math.isfinite(order) and order > -1.0):
         raise ValueError(f"order must be finite and > -1, got {order}")
     scalar = np.isscalar(x)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.fmin.reduce(x_arr, initial=np.inf) <= 0:
-        raise ValueError("x must be positive")
-    r = np.hypot(order, x_arr)
+    ok = np.isfinite(x_arr) & (x_arr > 0)
+    if not ok.all():
+        raise ValueError(f"x must be finite and > 0, got {x_arr[np.argmin(ok)]}")
     with np.errstate(all="ignore"):  # the entries it overflows at are replaced below
-        out = _log_i_debye(order, x_arr, r)
+        r, p, _, _ = _log_i_debye_partials(order, x_arr)
+        out = r - order * np.arcsinh(order / x_arr) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(p)
     off, values = _off_debye(order, x_arr, r)
     out[off] = values
     return float(out[0]) if scalar else out
@@ -240,9 +235,8 @@ def _log_density(s_next, log_s_next, s_prev, mu: float, theta: float, sigma: flo
     # that gives the score's partials.  The entries off the expansion
     # (_off_debye) take the density as written.
     q, sig2, u, x = _transition(s_next, s_prev, mu, theta, sigma)
-    r = np.hypot(q, x)
     with np.errstate(all="ignore"):  # non-finite entries are the caller's to catch
-        p, d_q, x_d_x = _log_i_debye_partials(q, x, r)
+        r, p, d_q, x_d_x = _log_i_debye_partials(q, x)
         large = _large_terms(s_next, s_prev, mu, theta, q, sig2, u)
         log_f = large - math.log(sig2) - 0.5 * np.log(2.0 * np.pi * r) + np.log1p(p)
     off, log_i = _off_debye(q, x, r)

@@ -31,7 +31,6 @@ from vixtrack.calibrate import (
     _PENALTY,
     MLE_MAX_ITER,
     _large_terms,
-    _log_i_debye,
     _log_i_debye_partials,
     _neg_avg_loglik_and_score,
     _transition,
@@ -147,7 +146,7 @@ class TestLogBesselI:
         for q, xs in cases:
             r = np.hypot(q, xs)
             ok = (r >= 200.0) & (xs > 0)
-            got.append(_log_i_debye(q, xs[ok], r[ok]))
+            got.append(log_bessel_i(q, xs[ok]))
             want.append(oracles.log_i_debye_five_polynomials(q, xs[ok]))
         got, want = np.concatenate(got), np.concatenate(want)
         diff = np.abs(got - want)
@@ -208,8 +207,12 @@ class TestLogBesselI:
     def test_validation(self):
         with pytest.raises(ValueError):
             log_bessel_i(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            log_bessel_i(1.0, 0.0)
+        # every x not finite and > 0 is refused, named, also inside an array
+        for bad in [0.0, -2.0, np.inf, -np.inf, np.nan]:
+            with pytest.raises(ValueError, match=f"x must be finite and > 0, got {bad}$"):
+                log_bessel_i(1.0, bad)
+            with pytest.raises(ValueError, match=f"got {bad}$"):
+                log_bessel_i(1.0, np.array([1.0, bad, 5.0, np.nan]))
 
 
 class TestCirLogDensity:
@@ -393,7 +396,7 @@ class TestScore:
         radii = np.array([127.0, 150.0, 199.0, 200.0, 201.0, 400.0, 1200.0, 2000.0])
         radii = radii[radii > abs(order)]
         xs = np.sqrt(radii**2 - order**2)
-        _, d_q, x_d_x = _log_i_debye_partials(order, xs, np.hypot(order, xs))
+        _, _, d_q, x_d_x = _log_i_debye_partials(order, xs)
         for x, r, got_q, got_x in zip(xs, radii, d_q, x_d_x):
             want_q, want_x = oracles.mp_log_i_partials(order, float(x))
             tol = 1e-15 if r >= 200.0 else 2e-14

